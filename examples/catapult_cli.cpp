@@ -32,18 +32,20 @@
 //       concurrency; default 1): the output is bit-identical at any thread
 //       count for the same seed.
 //       --processes N shards the fine-clustering/CSG phases across N
-//       supervised worker processes (DESIGN.md Section 12); crashed or hung
-//       workers are retried under capped exponential backoff, up to
+//       forked member processes, each talking to the supervisor over a
+//       socketpair (DESIGN.md Section 12); a member that hangs up or misses
+//       its heartbeat deadline is fenced, killed, reaped and replaced, its
+//       shard retried under capped exponential backoff, up to
 //       --max-shard-retries failures per shard before the shard is
 //       quarantined and executed in-process. Output stays bit-identical to
 //       a single-process run for the same seed.
 //       --listen ADDR ("unix:PATH" or "tcp:HOST:PORT") runs the shards on
-//       a remote worker fleet instead of forked children (DESIGN.md
-//       Section 14): the supervisor listens on ADDR and catapult_worker
-//       processes dial in, handshake (protocol + config fingerprint), and
-//       carry shards over the socket. Dead, hung, or fenced workers are
-//       survived exactly like crashed forks; if the whole fleet is lost
-//       the shards fall back in-process and the run exits with code 7.
+//       a remote worker fleet instead of forked members: the supervisor
+//       listens on ADDR and catapult_worker processes dial in, handshake
+//       (protocol + config fingerprint), and carry shards over the socket
+//       on --threads threads each, under the same supervision loop as
+//       forked members; if the whole fleet is lost the shards fall back
+//       in-process and the run exits with code 7.
 //       --join-timeout-ms bounds how long the supervisor waits for a
 //       (re)joining fleet before declaring it lost (default 10000).
 //       Requires --processes > 1; output stays bit-identical.

@@ -1,4 +1,4 @@
-// catapult_worker - standalone remote shard worker (DESIGN.md Section 14).
+// catapult_worker - standalone remote shard worker (DESIGN.md Section 12).
 //
 // Dials a supervising catapult_cli (started with `mine --processes N
 // --listen ADDR`), completes the versioned handshake, and carries shard

@@ -1,6 +1,6 @@
 // libFuzzer target for the CTWF frame layer (src/dist/wire.h) — the bytes a
-// supervisor reads from worker pipes and a catapult_serve process reads from
-// client sockets. Both consumers run FrameReader over chunks of untrusted
+// supervisor reads from fleet members and a catapult_serve process reads
+// from client sockets. Both consumers run FrameReader over chunks of untrusted
 // bytes and then hand each complete payload to a typed decoder; none of it
 // may ever crash, CATAPULT_CHECK, or read out of bounds — a bad peer is
 // answered
@@ -11,7 +11,7 @@
 //     which is what shakes out header-reassembly bugs);
 //   - the rest selects which typed decoder additionally sees the raw
 //     remainder directly (worker frames, every serve/protocol.h payload,
-//     and the remote-fleet handshake/assignment frames of DESIGN.md §14),
+//     and the fleet handshake/assignment frames of DESIGN.md §12),
 //     so one corpus covers the framing and all payload codecs.
 // Every complete frame the reader yields is also dispatched to the decoder
 // matching its frame type, mirroring what the real consumers do.
@@ -34,18 +34,8 @@ using catapult::dist::FrameType;
 // payload by type. Return values are irrelevant; surviving is the test.
 void DispatchFrame(const Frame& frame) {
   switch (frame.type) {
-    case FrameType::kHello: {
-      catapult::dist::HelloFrame f;
-      (void)Decode(frame.payload, &f);
-      break;
-    }
     case FrameType::kHeartbeat: {
       catapult::dist::HeartbeatFrame f;
-      (void)Decode(frame.payload, &f);
-      break;
-    }
-    case FrameType::kClusterDone: {
-      catapult::dist::ClusterDoneFrame f;
       (void)Decode(frame.payload, &f);
       break;
     }

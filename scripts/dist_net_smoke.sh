@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Socket-transport chaos smoke for network-transparent sharding
-# (DESIGN.md §14), run by the chaos-smoke CI job:
+# Socket-transport chaos smoke for remote worker fleets (DESIGN.md §12),
+# run by the chaos-smoke CI job:
 #
 #   1. generate a database and compute the reference panel with a
 #      single-process `catapult_cli mine` run;

@@ -472,7 +472,7 @@ CatapultResult RunCatapult(const GraphDatabase& db,
   // Sharded mode (processes > 1) forces a 1-thread supervisor pool instead:
   // forking a multithreaded process is undefined behaviour territory (only
   // the forking thread survives in the child), so the supervisor stays
-  // single-threaded until every fork is behind it; each worker builds its
+  // single-threaded until every fork is behind it; each member builds its
   // own `threads`-sized pool after the fork, and selection swaps in a real
   // pool once the sharded phase is over.
   const bool dist_mode = options.processes > 1;

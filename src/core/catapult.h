@@ -85,8 +85,8 @@ struct CatapultOptions {
 
   // Sharded multi-process execution (DESIGN.md §12). With `processes` > 1
   // the fine-clustering and CSG phases are partitioned by coarse cluster
-  // across that many forked worker processes, supervised for crashes and
-  // hangs; 0 or 1 keeps everything in-process. Worker failures are retried
+  // across that many forked member processes, supervised for crashes and
+  // hangs; 0 or 1 keeps everything in-process. Member failures are retried
   // up to `max_shard_retries` times per shard under deterministic capped
   // exponential backoff, then the shard is quarantined and executed
   // in-process. Like `threads`, `processes` and the supervision knobs are
@@ -97,13 +97,13 @@ struct CatapultOptions {
   // counts.
   size_t processes = 0;
   size_t max_shard_retries = 2;
-  // A worker silent on its heartbeat pipe for this long is declared hung
-  // and killed (its shard retries from the last durable artifact).
+  // A member silent on its connection for this long is declared hung and
+  // fenced (its shard retries from the last durable artifact).
   double shard_heartbeat_timeout_ms = 2000.0;
-  // Network-transparent sharding (DESIGN.md §14). A non-empty listen
+  // Remote worker fleets (DESIGN.md §12). A non-empty listen
   // address ("unix:PATH" or "tcp:HOST:PORT") — or an adopted listening fd
   // — makes the sharded phases supervise remote catapult_worker processes
-  // that dial in, instead of forking workers. Requires processes > 1.
+  // that dial in, instead of forking members. Requires processes > 1.
   // Remote supervision knobs are, like the rest, fingerprint-excluded:
   // transport never changes results, only where the work runs.
   std::string dist_listen;

@@ -54,8 +54,8 @@ void WriteSelectionReport(const CatapultResult& result,
   w.Key("artifacts_rejected").Value(
       static_cast<uint64_t>(d.artifacts_rejected));
   w.Key("heartbeats").Value(static_cast<uint64_t>(d.heartbeats));
-  // Network-transparent membership (DESIGN.md §14); all-zero/false for
-  // fork-mode and in-process runs.
+  // Fleet membership (DESIGN.md §12); all-zero/false for in-process runs,
+  // and `remote`/`listen_address` stay unset for local fleets.
   w.Key("remote").Value(d.remote);
   w.Key("listen_address").Value(d.listen_address);
   w.Key("workers_joined").Value(static_cast<uint64_t>(d.workers_joined));

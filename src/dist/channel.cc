@@ -131,6 +131,8 @@ Channel::Channel(int fd, double write_stall_timeout_ms)
 Channel::~Channel() { Close(); }
 
 void Channel::Close() {
+  // Serialised with SendEncoded: another thread may be mid-send.
+  std::lock_guard<std::mutex> lock(write_mutex_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -155,9 +157,6 @@ bool Channel::SendEncoded(const std::string& bytes) {
     size_t chunk = bytes.size() - written;
     if (short_writes) chunk = 1;  // worst-case kernel chunking
     ssize_t n = ::send(fd_, bytes.data() + written, chunk, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd_, bytes.data() + written, chunk);  // pipe channel
-    }
     if (n > 0) {
       written += static_cast<size_t>(n);
       continue;
@@ -193,7 +192,6 @@ Channel::DrainStatus Channel::DrainInto(FrameReader* reader) {
   char buf[4096];
   for (;;) {
     ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0 && errno == ENOTSOCK) n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
       reader->Feed(buf, static_cast<size_t>(n));
       continue;

@@ -7,15 +7,14 @@
 
 #include "src/dist/wire.h"
 
-// Socket transport for network-transparent sharding (DESIGN.md §14). The
-// CTWF framing in wire.h is transport-agnostic; this file supplies the
-// byte-stream underneath it when workers live in other processes or on
-// other machines: Unix-domain sockets for same-host fleets and TCP for
-// cross-host ones. A Channel wraps one connected, non-blocking fd and adds
-// the two things pipes never needed — interleave-safe frame writes with a
-// write-stall deadline (a peer that stops reading but keeps the connection
-// open must not wedge the supervisor), and a non-blocking drain into a
-// FrameReader that distinguishes "no bytes yet" from "peer gone".
+// Socket transport for sharded execution (DESIGN.md §12). The CTWF framing
+// in wire.h is transport-agnostic; this file supplies the byte-stream
+// underneath it: a socketpair per forked local member, Unix-domain sockets
+// for same-host remote fleets and TCP for cross-host ones. A Channel wraps
+// one connected, non-blocking fd and adds interleave-safe frame writes
+// with a write-stall deadline (a peer that stops reading but keeps the
+// connection open must not wedge the supervisor), and a non-blocking drain
+// into a FrameReader that distinguishes "no bytes yet" from "peer gone".
 //
 // Network faults are injectable as failpoints so the chaos tests can drive
 // every failure arm deterministically without real packet loss.
@@ -45,8 +44,8 @@ bool ParseAddress(const std::string& text, Address* out, std::string* error);
 
 // One connected byte-stream endpoint. Owns the fd (closed on destruction)
 // and keeps it non-blocking. Not copyable; not thread-safe for reads, but
-// SendEncoded is mutex-serialised so a heartbeat thread and a result
-// thread can share the write side, mirroring FrameSender.
+// SendEncoded is mutex-serialised so a heartbeat thread and result threads
+// can share the write side.
 class Channel {
  public:
   Channel() = default;

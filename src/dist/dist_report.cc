@@ -6,8 +6,6 @@ const char* ToString(ShardEvent::Kind kind) {
   switch (kind) {
     case ShardEvent::Kind::kWorkerSpawned:
       return "worker_spawned";
-    case ShardEvent::Kind::kWorkerExited:
-      return "worker_exited";
     case ShardEvent::Kind::kWorkerDied:
       return "worker_died";
     case ShardEvent::Kind::kWorkerHung:

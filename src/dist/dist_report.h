@@ -14,18 +14,17 @@ namespace catapult::dist {
 // One supervision event, in the order the supervisor observed it.
 struct ShardEvent {
   enum class Kind {
-    kWorkerSpawned,      // fork succeeded; detail = "pid=... attempt=..."
-    kWorkerExited,       // clean exit accepted
-    kWorkerDied,         // abnormal exit / nonzero status / poisoned pipe
-    kWorkerHung,         // heartbeat deadline missed; worker killed
+    kWorkerSpawned,      // local member forked; detail = "pid=..."
+    kWorkerDied,         // fenced local member reaped; detail = wait status
+    kWorkerHung,         // heartbeat deadline missed; member fenced
     kShardRetried,       // shard requeued after a failure
     kBackoffWait,        // retry delayed; detail = "delay_ms=..."
     kShardQuarantined,   // failure budget exhausted
-    kInProcessFallback,  // quarantined shard executed in the supervisor
+    kInProcessFallback,  // unfinished shard executed in the supervisor
     kShardCompleted,     // shard results merged
-    kArtifactReused,     // worker resumed from a prior attempt's checkpoint
+    kArtifactReused,     // cluster restored from a durable shard artifact
     kArtifactRejected,   // shard artifact failed validation; recomputed
-    // Remote-fleet membership (DESIGN.md §14).
+    // Fleet membership.
     kWorkerJoined,       // handshake admitted a fresh member
     kWorkerRejected,     // handshake refused; detail = typed reason
     kWorkerReconnected,  // known identity rejoined at a bumped generation
@@ -49,9 +48,9 @@ struct DistReport {
   size_t processes = 0;  // requested worker process count
   size_t shards = 0;     // planned shards (<= processes)
 
-  size_t workers_spawned = 0;
-  size_t worker_deaths = 0;  // abnormal worker exits observed via waitpid
-  size_t worker_hangs = 0;   // heartbeat deadline misses (worker killed)
+  size_t workers_spawned = 0;  // local members forked
+  size_t worker_deaths = 0;  // active members fenced (any in-band cause)
+  size_t worker_hangs = 0;   // heartbeat deadline misses (member fenced)
   size_t shard_retries = 0;
   size_t backoff_waits = 0;
   double backoff_total_ms = 0.0;
@@ -61,7 +60,8 @@ struct DistReport {
   size_t artifacts_rejected = 0;
   size_t heartbeats = 0;
 
-  // Remote fleet (socket transport); all zero / false for fork-mode runs.
+  // Membership. `remote` and `listen_address` describe a dialing fleet;
+  // the counters cover local members too.
   bool remote = false;
   std::string listen_address;     // resolved listener endpoint
   size_t workers_joined = 0;      // admissions (fresh joins + reconnects)
@@ -70,7 +70,7 @@ struct DistReport {
   size_t fenced_frames = 0;       // stale-generation frames discarded
   size_t duplicate_clusters = 0;  // re-delivered results ignored
   size_t write_stalls = 0;        // sends that hit the stall deadline
-  size_t remote_clusters = 0;     // cluster results accepted over sockets
+  size_t remote_clusters = 0;     // cluster results accepted from members
   size_t fleet_lost_fallbacks = 0;  // shards abandoned to fallback on loss
   // True when the remote fleet was lost entirely and the run completed
   // only via the in-process fallback — degraded-but-correct; surfaced as

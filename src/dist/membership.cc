@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "src/dist/channel.h"
+#include "src/dist/net_worker.h"
 #include "src/dist/registry.h"
 #include "src/dist/wire.h"
 #include "src/obs/admin.h"
@@ -21,7 +22,14 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <errno.h>
 #include <poll.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #define CATAPULT_DIST_NET_POSIX 1
+#endif
+#if defined(__linux__)
+#include <sys/prctl.h>
 #endif
 
 namespace catapult::dist {
@@ -39,20 +47,32 @@ Clock::time_point AfterMillis(Clock::time_point from, double ms) {
                     std::chrono::duration<double, std::milli>(ms));
 }
 
+#if defined(CATAPULT_DIST_NET_POSIX)
+std::string DescribeWaitStatus(int status) {
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return "exit code " + std::to_string(WEXITSTATUS(status));
+}
+#endif
+
 }  // namespace
 
 #if defined(CATAPULT_DIST_NET_POSIX)
 
-RemoteFleetOutcome RunRemoteFleet(
+FleetOutcome RunFleet(
     const ShardExecutionSpec& spec, const ShardPlan& plan,
     const DistOptions& options, const RunContext& ctx, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>* cluster_results) {
-  RemoteFleetOutcome outcome;
+  FleetOutcome outcome;
 
+  // Without a listen endpoint the fleet is local: the loop forks its own
+  // members. With one, members dial in and nothing is forked.
+  const bool local = options.listen_address.empty() && options.listen_fd < 0;
   Listener listener;
   if (options.listen_fd >= 0) {
     listener.Adopt(options.listen_fd);
-  } else {
+  } else if (!local) {
     Address addr;
     std::string err;
     if (!ParseAddress(options.listen_address, &addr, &err) ||
@@ -69,7 +89,9 @@ RemoteFleetOutcome RunRemoteFleet(
 
   // Optional live-telemetry endpoint: the handler runs on the admin
   // server's own thread and only ever reads the latest published strings,
-  // so the supervision loop never blocks on a scrape.
+  // so the supervision loop never blocks on a scrape. Remote fleets only:
+  // a local fleet forks, and the supervision thread must be the only
+  // thread in the process when it does.
   // Declared before `admin` so the server (whose handler thread reads
   // them) is destroyed first on every return path.
   std::mutex admin_mutex;
@@ -77,7 +99,7 @@ RemoteFleetOutcome RunRemoteFleet(
   std::string admin_statusz;
   obs::AdminServer admin;
   const Clock::time_point admin_started = Clock::now();
-  if (!options.admin_listen.empty()) {
+  if (!local && !options.admin_listen.empty()) {
     std::string admin_err = admin.Start(
         options.admin_listen, [&](const std::string& path) {
           obs::AdminResponse resp;
@@ -100,10 +122,9 @@ RemoteFleetOutcome RunRemoteFleet(
     }
   }
 
+  // Members heartbeat four times per deadline.
   const double hb_interval_ms =
-      options.heartbeat_interval_ms > 0.0
-          ? options.heartbeat_interval_ms
-          : std::max(options.heartbeat_timeout_ms / 4.0, 1.0);
+      std::max(options.heartbeat_timeout_ms / 4.0, 1.0);
 
   struct ShardState {
     enum class Phase { kPending, kAssigned, kDone, kQuarantined };
@@ -125,6 +146,7 @@ RemoteFleetOutcome RunRemoteFleet(
     Clock::time_point handshake_deadline{};
     // Index into plan.shards, or npos when idle.
     size_t assigned_shard = static_cast<size_t>(-1);
+    pid_t pid = -1;  // a local member's process; -1 for remote members
     std::vector<uint64_t> worker_counters;
     // Span buffer + trace-id echo from the last ShardDone; accepted into
     // the outcome only when the echo matches the run's trace id.
@@ -190,6 +212,19 @@ RemoteFleetOutcome RunRemoteFleet(
       char detail[48];
       std::snprintf(detail, sizeof(detail), "delay_ms=%.0f", delay_ms);
       event(ShardEvent::Kind::kBackoffWait, s, detail);
+    }
+  };
+
+  // Charges a failure that belongs to no shard yet (a local member that
+  // could not be forked or died before joining) to the first pending shard,
+  // so a fleet that cannot stay up drains through the retry budget into
+  // quarantine instead of respawning forever.
+  auto fail_pending_shard = [&](const std::string& reason) {
+    for (size_t s = 0; s < shards.size(); ++s) {
+      if (shards[s].phase == ShardPhase::kPending) {
+        fail_shard(s, reason);
+        return;
+      }
     }
   };
 
@@ -370,10 +405,10 @@ RemoteFleetOutcome RunRemoteFleet(
           obs::Count(obs::Counter::kDistNetDuplicateClusters);
           break;
         }
-        // Persist the payload under the same envelope a forked worker
-        // writes, then re-validate through the same loader: the supervisor
-        // side of the trust boundary never believes a remote result it
-        // cannot re-derive the binding of.
+        // Persist the payload as the cluster's shard artifact, then
+        // re-validate through the same loader: the supervisor side of the
+        // trust boundary never believes a member's result it cannot
+        // re-derive the binding of.
         std::string err = SaveShardArtifactPayload(spec, idx, f.payload);
         ShardClusterResult result;
         if (err.empty()) err = LoadShardArtifact(spec, idx, &result);
@@ -411,14 +446,17 @@ RemoteFleetOutcome RunRemoteFleet(
       }
       case FrameType::kShardError: {
         ShardErrorFrame f;
-        if (Decode(frame.payload, &f) && c.assigned_shard != kNone) {
+        if (!Decode(frame.payload, &f)) {
+          c.reader.Poison("bad shard-error");
+          break;
+        }
+        if (c.assigned_shard != kNone) {
           fence(c, "worker reported: " + f.message);
         }
         break;
       }
       default:
-        // Hello/ClusterDone and the serve frames have no meaning on a
-        // membership connection.
+        // The serve frames have no meaning on a membership connection.
         c.reader.Poison("unexpected frame type");
         break;
     }
@@ -488,6 +526,62 @@ RemoteFleetOutcome RunRemoteFleet(
   };
   publish_admin();
 
+  // --- Local fleet ----------------------------------------------------------
+  // The only local-specific code: fork a member over a socketpair, and kill
+  // + reap it once fenced. Handshake, liveness, fencing and assignment are
+  // the loop's own, shared with remote members.
+  RemoteWorkerOptions member_options;
+  member_options.fingerprint = spec.fingerprint;
+  member_options.write_stall_timeout_ms = options.write_stall_timeout_ms;
+
+  auto spawn = [&]() -> bool {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
+    member_options.worker_name =
+        "local-" + std::to_string(report->workers_spawned);
+    pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return false;
+    }
+    if (pid == 0) {
+#if defined(__linux__)
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the supervisor
+#endif
+      ::close(fds[0]);
+      for (auto& c : conns) ::close(c->channel->fd());
+      // Never returns into the forked copy of the supervisor's stack;
+      // _exit skips atexit handlers (gtest's included).
+      ::_exit(RunLocalWorker(*spec.db, member_options, fds[1]));
+    }
+    ::close(fds[1]);
+    auto conn = std::make_unique<Conn>();
+    conn->channel =
+        std::make_unique<Channel>(fds[0], options.write_stall_timeout_ms);
+    conn->pid = pid;
+    conn->handshake_deadline =
+        AfterMillis(Clock::now(), options.heartbeat_timeout_ms);
+    conns.push_back(std::move(conn));
+    ++report->workers_spawned;
+    obs::Count(obs::Counter::kDistWorkersSpawned);
+    event(ShardEvent::Kind::kWorkerSpawned, 0, "pid=" + std::to_string(pid));
+    return true;
+  };
+
+  // SIGKILL, then waitpid. waitpid only reaps here — liveness is the
+  // loop's in-band business — and every local member is reaped before the
+  // phase returns (RUSAGE_CHILDREN counts reaped children only).
+  auto kill_and_reap = [&](Conn& c) {
+    ::kill(c.pid, SIGKILL);
+    int status = 0;
+    while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    c.pid = -1;
+    c.channel->Close();
+    return status;
+  };
+
   Clock::time_point no_fleet_since = Clock::now();
   bool had_fleet_gap_timer = true;
 
@@ -495,16 +589,14 @@ RemoteFleetOutcome RunRemoteFleet(
     Clock::time_point now = Clock::now();
     publish_admin();
 
-    // Work left?
-    bool work_left = false;
+    size_t unfinished = 0;
     for (const ShardState& st : shards) {
       if (st.phase == ShardPhase::kPending ||
           st.phase == ShardPhase::kAssigned) {
-        work_left = true;
-        break;
+        ++unfinished;
       }
     }
-    if (!work_left) {
+    if (unfinished == 0) {
       for (auto& c : conns) {
         if (c->state == ConnState::kActive) {
           c->channel->Send(ShutdownFrame{static_cast<uint32_t>(
@@ -526,6 +618,21 @@ RemoteFleetOutcome RunRemoteFleet(
         }
       }
       break;
+    }
+
+    // A local fleet keeps min(processes, unfinished shards) members up:
+    // the first pass forks the fleet, later passes replace fenced members.
+    if (local) {
+      size_t members = 0;
+      for (const auto& c : conns) {
+        if (c->pid > 0 && c->state != ConnState::kFenced) ++members;
+      }
+      for (; members < std::min(options.processes, unfinished); ++members) {
+        if (!spawn()) {
+          fail_pending_shard("fork failed");
+          break;
+        }
+      }
     }
 
     // Assignment: pending shards (past their backoff) to idle members, in
@@ -559,6 +666,7 @@ RemoteFleetOutcome RunRemoteFleet(
       assign.mem_hard_limit_bytes = spec.mem_hard_limit_bytes;
       assign.trace_id = spec.trace_id;
       assign.parent_span_id = spec.parent_span_id;
+      assign.threads = spec.worker_threads;
       for (size_t idx : shard_missing(s)) {
         ClusterWork work;
         work.index = idx;
@@ -711,6 +819,15 @@ RemoteFleetOutcome RunRemoteFleet(
       }
     }
 
+    for (auto& c : conns) {
+      if (c->pid <= 0 || c->state != ConnState::kFenced) continue;
+      const bool joined = c->worker_id != 0;
+      const std::string pid = std::to_string(c->pid);
+      event(ShardEvent::Kind::kWorkerDied, 0,
+            "pid=" + pid + " " + DescribeWaitStatus(kill_and_reap(*c)));
+      if (!joined) fail_pending_shard("local member exited before joining");
+    }
+
     // Drop connections that are fenced and fully closed.
     conns.erase(std::remove_if(conns.begin(), conns.end(),
                                [](const std::unique_ptr<Conn>& c) {
@@ -720,18 +837,21 @@ RemoteFleetOutcome RunRemoteFleet(
                 conns.end());
   }
 
+  for (auto& c : conns) {
+    if (c->pid > 0) kill_and_reap(*c);
+  }
   return outcome;
 }
 
 #else  // !CATAPULT_DIST_NET_POSIX
 
-RemoteFleetOutcome RunRemoteFleet(
+FleetOutcome RunFleet(
     const ShardExecutionSpec&, const ShardPlan&, const DistOptions&,
     const RunContext&, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>*) {
   report->events.push_back(ShardEvent{ShardEvent::Kind::kFleetLost, 0,
                                       "sockets unsupported on this platform"});
-  RemoteFleetOutcome outcome;
+  FleetOutcome outcome;
   outcome.fleet_lost = true;
   return outcome;
 }

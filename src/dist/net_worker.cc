@@ -17,6 +17,7 @@
 #include "src/util/backoff.h"
 #include "src/util/deadline.h"
 #include "src/util/failpoint.h"
+#include "src/util/thread_pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
@@ -85,13 +86,37 @@ std::optional<Frame> WaitFrame(Channel& channel, FrameReader& reader,
   }
 }
 
-// Carries one ShardAssign: computes every cluster and ships the results.
-// Returns true while the connection is still usable, false when it was
+// True when every cluster index and member id in `assign` addresses `db`.
+// The cluster index sizes the sparse partition below and member ids index
+// the database, so a skewed or hostile supervisor must earn a protocol exit
+// here rather than a huge allocation or a CHECK failure deep in the
+// pipeline.
+bool AssignFitsDatabase(const ShardAssignFrame& assign, size_t db_size) {
+  for (const ClusterWork& c : assign.clusters) {
+    if (c.index >= db_size) return false;
+    for (GraphId id : c.members) {
+      if (id >= db_size) return false;
+    }
+  }
+  return true;
+}
+
+// Carries one ShardAssign: computes every cluster on a pool of
+// `assign.threads` threads and ships each result as it completes. Returns
+// true while the connection is still usable, false when it was
 // (deliberately or not) lost and the caller should reconnect.
+//
+// The failure sites fire only on a shard's first attempt: a local member
+// inherits the supervisor's armed table on every fork, so a count would
+// re-arm in each respawned process, while a retry always carries
+// attempt > 0. Only the duplication sites, which never fail a shard, stay
+// ungated; the quarantine path is driven by the supervisor-side persist
+// sites, which fail every attempt.
 bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
-                const ShardAssignFrame& assign, Channel& channel,
-                obs::MetricsRegistry& metrics,
+                const ShardAssignFrame& assign, double heartbeat_timeout_ms,
+                Channel& channel, obs::MetricsRegistry& metrics,
                 std::atomic<uint64_t>& clusters_done) {
+  const bool first_attempt = assign.attempt == 0;
   size_t max_index = 0;
   for (const ClusterWork& c : assign.clusters) {
     max_index = std::max(max_index, static_cast<size_t>(c.index));
@@ -122,30 +147,46 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
   Deadline deadline = assign.deadline_remaining_ms > 0.0
                           ? Deadline::AfterMillis(assign.deadline_remaining_ms)
                           : Deadline::Infinite();
-  RunContext ctx = RunContext(deadline).WithMemory(std::move(budget));
+  // Created here, after any fork: a forked member starts with one thread
+  // and every thread it runs is its own.
+  ThreadPool pool(std::max<uint64_t>(assign.threads, 1));
+  RunContext ctx = RunContext(deadline)
+                       .WithMemory(std::move(budget))
+                       .WithPool(&pool)
+                       .WithObservability(&metrics, nullptr);
   spec.deadline = deadline;
 
-  // Spans are recorded on this (sequential) session thread, so span ids and
-  // tick consumption are deterministic for a given assignment — the basis
-  // for byte-stable merged traces under fixed clock ticks.
+  // With one thread, spans are recorded on this session thread in cluster
+  // order, so span ids and tick consumption are deterministic for a given
+  // assignment — the basis for byte-stable merged traces under fixed ticks.
   obs::Tracer tracer;
   obs::Tracer* span_sink =
       assign.trace_id != 0 || options.local_tracer != nullptr ? &tracer
                                                               : nullptr;
 
+  // Shipping is serialised, so the chaos sites see one result at a time
+  // and nothing is sent after the connection was dropped or the shard
+  // degraded.
+  std::mutex ship_mutex;
   bool first_result = true;
-  for (const ClusterWork& cluster : assign.clusters) {
-    size_t idx = static_cast<size_t>(cluster.index);
+  bool lost = false;
+  std::string shard_error;
+  ParallelFor(ctx, assign.clusters.size(), 1, [&](size_t i) {
+    {
+      std::lock_guard<std::mutex> lock(ship_mutex);
+      if (lost || !shard_error.empty()) return;
+    }
+    size_t idx = static_cast<size_t>(assign.clusters[i].index);
     obs::Span cluster_span(span_sink, "cluster-" + std::to_string(idx));
     ShardClusterResult result = ComputeShardCluster(spec, idx, ctx);
+    std::lock_guard<std::mutex> lock(ship_mutex);
+    if (lost || !shard_error.empty()) return;
     if (!result.Complete()) {
       // Degraded work never ships: the supervisor retries elsewhere or
       // degrades under its own context via the fallback ladder.
-      channel.Send(ShardErrorFrame{assign.shard,
-                                   "cluster " + std::to_string(idx) +
-                                       " degraded (stop requested)"},
-                   FrameType::kShardError);
-      return true;  // connection is fine; supervisor decides what's next
+      shard_error = "cluster " + std::to_string(idx) +
+                    " degraded (stop requested)";
+      return;
     }
     ClusterResultFrame out;
     out.shard = assign.shard;
@@ -154,13 +195,15 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
     out.payload = EncodeShardResultPayload(spec, idx, result);
     std::string bytes = EncodeFrame(FrameType::kClusterResult, Encode(out));
 
-    if (first_result && CATAPULT_FAILPOINT(kFailpointStallBeforeResult)) {
+    if (first_attempt && first_result &&
+        CATAPULT_FAILPOINT(kFailpointStallBeforeResult)) {
       // Hold every frame (results and, by test arrangement, heartbeats)
       // past the supervisor's deadline: by the time these bytes land the
       // generation is fenced and they must be counted, not applied.
-      SleepMillis(options.stall_test_ms);
+      SleepMillis(options.stall_test_ms > 0.0 ? options.stall_test_ms
+                                              : heartbeat_timeout_ms * 2.5);
     }
-    if (CATAPULT_FAILPOINT(kFailpointDropMidFrame)) {
+    if (first_attempt && CATAPULT_FAILPOINT(kFailpointDropMidFrame)) {
       // Die halfway through a frame: the supervisor sees a truncated
       // buffer (dead peer, not corruption) and reassigns the shard.
       size_t half = bytes.size() / 2;
@@ -172,19 +215,30 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
         sent += static_cast<size_t>(n);
       }
       channel.Close();
-      return false;
+      lost = true;
+      return;
     }
-    if (!channel.SendEncoded(bytes)) return false;
+    if (!channel.SendEncoded(bytes)) {
+      lost = true;
+      return;
+    }
     if (CATAPULT_FAILPOINT(kFailpointDupClusterResult)) {
       // Duplicate delivery (e.g. an ambiguous timeout followed by a
       // resend): the supervisor must treat results as idempotent.
       channel.SendEncoded(bytes);
     }
-    if (first_result && CATAPULT_FAILPOINT(kFailpointKillAfterFirstResult)) {
+    if (first_attempt && first_result &&
+        CATAPULT_FAILPOINT(kFailpointKillAfterFirstResult)) {
       ::raise(SIGKILL);
     }
     first_result = false;
     clusters_done.fetch_add(1, std::memory_order_relaxed);
+  });
+  if (lost) return false;
+  if (!shard_error.empty()) {
+    channel.Send(ShardErrorFrame{assign.shard, shard_error},
+                 FrameType::kShardError);
+    return true;  // connection is fine; supervisor decides what's next
   }
 
   obs::MetricsSnapshot snapshot = metrics.Snapshot();
@@ -230,6 +284,9 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
 
   std::atomic<uint64_t> clusters_done{0};
   std::atomic<uint64_t> current_shard{0};
+  // True while carrying a shard's first attempt: the heartbeat-delay site
+  // is one-shot per shard like the sites in CarryShard.
+  std::atomic<bool> first_attempt{false};
   std::mutex hb_mutex;
   std::condition_variable hb_cv;
   bool stop_heartbeat = false;
@@ -239,7 +296,8 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
         std::max(accept.heartbeat_interval_ms, 1.0));
     std::unique_lock<std::mutex> lock(hb_mutex);
     while (!stop_heartbeat) {
-      if (CATAPULT_FAILPOINT(kFailpointDelayHeartbeat)) {
+      if (first_attempt.load(std::memory_order_relaxed) &&
+          CATAPULT_FAILPOINT(kFailpointDelayHeartbeat)) {
         // A long GC-style pause on the heartbeat path: silent well past
         // the supervisor's deadline, then business as usual.
         lock.unlock();
@@ -275,13 +333,18 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
     switch (frame->type) {
       case FrameType::kShardAssign: {
         ShardAssignFrame assign;
-        if (!Decode(frame->payload, &assign)) {
+        if (!Decode(frame->payload, &assign) ||
+            !AssignFitsDatabase(assign, db.size())) {
           stop_hb();
           return kWorkerExitProtocol;
         }
         current_shard.store(assign.shard, std::memory_order_relaxed);
-        if (!CarryShard(db, options, assign, channel, metrics,
-                        clusters_done)) {
+        first_attempt.store(assign.attempt == 0, std::memory_order_relaxed);
+        const bool usable =
+            CarryShard(db, options, assign, accept.heartbeat_timeout_ms,
+                       channel, metrics, clusters_done);
+        first_attempt.store(false, std::memory_order_relaxed);
+        if (!usable) {
           stop_hb();
           return -1;
         }
@@ -305,6 +368,41 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
   }
 }
 
+// Handshake + session over one connected fd (owned from here on). Returns
+// the process exit code, or -1 when the connection was lost or fenced and
+// the caller may redial. `*joined` reports whether the supervisor admitted
+// this connection; the (worker-id, generation) pair it was admitted under
+// is left in `*identity` for the next rejoin.
+int ServeConnection(const GraphDatabase& db,
+                    const RemoteWorkerOptions& options, int fd,
+                    JoinAcceptFrame* identity, bool* joined) {
+  *joined = false;
+  Channel channel(fd, options.write_stall_timeout_ms);
+  JoinRequestFrame req;
+  req.protocol = options.protocol;
+  req.fingerprint = options.fingerprint;
+  req.shard_namespace = options.shard_namespace;
+  req.worker_name = options.worker_name;
+  req.prev_worker_id = identity->worker_id;
+  req.prev_generation = identity->generation;
+  req.pid = static_cast<uint64_t>(::getpid());
+  if (!channel.Send(req, FrameType::kJoinRequest)) return -1;
+  FrameReader reader;
+  bool lost = false;
+  std::optional<Frame> reply =
+      WaitFrame(channel, reader, options.handshake_timeout_ms, &lost);
+  if (!reply.has_value()) return -1;
+  if (reply->type == FrameType::kJoinReject) {
+    return kWorkerExitRejected;  // typed refusal: retrying cannot help
+  }
+  if (reply->type != FrameType::kJoinAccept) return kWorkerExitProtocol;
+  JoinAcceptFrame accept;
+  if (!Decode(reply->payload, &accept)) return kWorkerExitProtocol;
+  *joined = true;
+  *identity = accept;
+  return RunSession(db, options, channel, reader, accept);
+}
+
 }  // namespace
 
 int RunRemoteWorker(const GraphDatabase& db,
@@ -317,8 +415,7 @@ int RunRemoteWorker(const GraphDatabase& db,
   }
   ExponentialBackoff backoff(options.dial_backoff_base_ms,
                              options.dial_backoff_cap_ms);
-  uint64_t prev_worker_id = 0;
-  uint64_t prev_generation = 0;
+  JoinAcceptFrame identity;  // zero ids: a fresh join
   size_t failures = 0;
   for (;;) {
     if (failures > options.max_dial_attempts) return kWorkerExitConnectFailed;
@@ -331,45 +428,32 @@ int RunRemoteWorker(const GraphDatabase& db,
       ++failures;
       continue;
     }
-    Channel channel(fd, options.write_stall_timeout_ms);
-    JoinRequestFrame req;
-    req.protocol = options.protocol;
-    req.fingerprint = options.fingerprint;
-    req.shard_namespace = options.shard_namespace;
-    req.worker_name = options.worker_name;
-    req.prev_worker_id = prev_worker_id;
-    req.prev_generation = prev_generation;
-    req.pid = static_cast<uint64_t>(::getpid());
-    if (!channel.Send(req, FrameType::kJoinRequest)) {
-      ++failures;
-      continue;
-    }
-    FrameReader reader;
-    bool lost = false;
-    std::optional<Frame> reply =
-        WaitFrame(channel, reader, options.handshake_timeout_ms, &lost);
-    if (!reply.has_value()) {
-      ++failures;
-      continue;
-    }
-    if (reply->type == FrameType::kJoinReject) {
-      return kWorkerExitRejected;  // typed refusal: retrying cannot help
-    }
-    if (reply->type != FrameType::kJoinAccept) return kWorkerExitProtocol;
-    JoinAcceptFrame accept;
-    if (!Decode(reply->payload, &accept)) return kWorkerExitProtocol;
-    failures = 0;
-    prev_worker_id = accept.worker_id;
-    prev_generation = accept.generation;
-    int session = RunSession(db, options, channel, reader, accept);
-    if (session >= 0) return session;
-    ++failures;  // lost or fenced: reconnect with the previous identity
+    bool joined = false;
+    int code = ServeConnection(db, options, fd, &identity, &joined);
+    if (code >= 0) return code;
+    // Lost or fenced: reconnect with the previous identity. A successful
+    // join restarts the failure count.
+    failures = joined ? 1 : failures + 1;
   }
+}
+
+int RunLocalWorker(const GraphDatabase& db,
+                   const RemoteWorkerOptions& options, int fd) {
+  ::signal(SIGPIPE, SIG_IGN);
+  JoinAcceptFrame identity;  // zero ids: a fresh join
+  bool joined = false;
+  int code = ServeConnection(db, options, fd, &identity, &joined);
+  // No redial: the supervisor replaces a lost local member itself.
+  return code >= 0 ? code : kWorkerExitConnectFailed;
 }
 
 #else  // !CATAPULT_DIST_NET_POSIX
 
 int RunRemoteWorker(const GraphDatabase&, const RemoteWorkerOptions&) {
+  return kWorkerExitConnectFailed;
+}
+
+int RunLocalWorker(const GraphDatabase&, const RemoteWorkerOptions&, int) {
   return kWorkerExitConnectFailed;
 }
 

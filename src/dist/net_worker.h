@@ -7,22 +7,28 @@
 #include "src/dist/wire.h"
 #include "src/graph/graph_database.h"
 
-// The remote half of network-transparent sharding (DESIGN.md §14): the
-// body of the standalone catapult_worker binary. A remote worker dials a
-// supervisor endpoint, completes the versioned handshake (protocol +
-// ConfigFingerprint + shard namespace; a typed kJoinReject maps to a
-// distinct exit code), then loops: receive a ShardAssign carrying coarse
-// clusters and their pre-split rng streams, compute each cluster through
-// the exact same ComputeShardCluster as forked workers, and ship each
-// result back as a ClusterResult frame. On a lost or fenced connection it
-// reconnects under capped deterministic backoff, presenting its previous
-// (worker-id, generation) so the supervisor bumps its generation instead
-// of minting a new member.
+// The member half of sharded execution (DESIGN.md §12). A member completes
+// the versioned handshake (protocol + ConfigFingerprint + shard namespace;
+// a typed kJoinReject maps to a distinct exit code), then loops: receive a
+// ShardAssign carrying coarse clusters and their pre-split rng streams,
+// compute each cluster through ComputeShardCluster on the assignment's
+// thread count, and ship each result back as a ClusterResult frame.
+//
+// Two entry points share that session. RunRemoteWorker is the body of the
+// standalone catapult_worker binary: it dials a supervisor endpoint and,
+// on a lost or fenced connection, reconnects under capped deterministic
+// backoff, presenting its previous (worker-id, generation) so the
+// supervisor bumps its generation instead of minting a new member.
+// RunLocalWorker is the body of a forked local member: it speaks over one
+// end of a socketpair and never redials — the supervisor replaces it.
 
 namespace catapult::dist {
 
-// Failpoint sites driving the network chaos matrix (tests arm these in
-// the worker process; see also the channel-level sites in channel.h).
+// Failpoint sites driving the chaos matrices (see also the channel-level
+// sites in channel.h). Tests arm them in a remote worker's process, or in
+// the supervisor before a local fleet forks, which every local member then
+// inherits. Except for the duplication sites, each one fires only while
+// carrying a shard's first attempt (see CarryShard).
 inline constexpr char kFailpointDupClusterResult[] =
     "dist.net.dup_cluster_result";
 inline constexpr char kFailpointDupShardDone[] = "dist.net.dup_shard_done";
@@ -33,8 +39,8 @@ inline constexpr char kFailpointStallBeforeResult[] =
 inline constexpr char kFailpointKillAfterFirstResult[] =
     "dist.net.kill_after_first_result";
 
-// Remote-worker exit codes (the fork-mode codes live in worker.h).
-inline constexpr int kWorkerExitConnectFailed = 20;  // dial budget exhausted
+// Member exit codes (0 = the supervisor ended the session in order).
+inline constexpr int kWorkerExitConnectFailed = 20;  // supervisor unreachable
 inline constexpr int kWorkerExitRejected = 21;       // typed kJoinReject
 inline constexpr int kWorkerExitProtocol = 22;       // malformed supervisor
 
@@ -57,7 +63,8 @@ struct RemoteWorkerOptions {
 
   double write_stall_timeout_ms = 5000.0;
   // How long kFailpointStallBeforeResult sleeps (tests tune this against
-  // the supervisor's heartbeat timeout to manufacture a zombie).
+  // the supervisor's heartbeat timeout to manufacture a zombie; 0 = 2.5x
+  // the heartbeat timeout the supervisor announced).
   double stall_test_ms = 0.0;
 
   // Optional worker-local telemetry capture (both non-owning, may be null),
@@ -75,6 +82,13 @@ struct RemoteWorkerOptions {
 // reconnect budget is exhausted. Returns the process exit code.
 int RunRemoteWorker(const GraphDatabase& db,
                     const RemoteWorkerOptions& options);
+
+// Runs one session over `fd`, an already-connected stream socket it takes
+// ownership of (`options.address` and the dial knobs are unused). Returns
+// the process exit code: 0 on an orderly shutdown, kWorkerExitConnectFailed
+// when the connection was lost or fenced.
+int RunLocalWorker(const GraphDatabase& db,
+                   const RemoteWorkerOptions& options, int fd);
 
 }  // namespace catapult::dist
 

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-// Remote-fleet membership registry (DESIGN.md §14). Every admitted worker
+// Fleet membership registry (DESIGN.md §12). Every admitted worker
 // is a member keyed by (worker-id, generation). The generation is the
 // fencing token: when the supervisor declares a connection dead (heartbeat
 // deadline missed, write stall, EOF mid-shard) it marks the member dead,

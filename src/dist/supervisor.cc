@@ -1,28 +1,17 @@
 #include "src/dist/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <thread>
 
 #include "src/dist/membership.h"
 #include "src/dist/shard_plan.h"
-#include "src/dist/wire.h"
 #include "src/dist/worker.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/backoff.h"
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <errno.h>
-#include <fcntl.h>
-#include <poll.h>
-#include <signal.h>
 #include <stdlib.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #define CATAPULT_DIST_POSIX 1
 #endif
@@ -30,12 +19,6 @@
 namespace catapult::dist {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MillisBetween(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
 
 // Removes a private shard directory on every exit path from the phase.
 struct ScopedDirRemover {
@@ -74,17 +57,13 @@ ShardedPhasesResult RunShardedClusterPhases(
   spec.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
   spec.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
   spec.deadline = ctx.deadline();
-  spec.heartbeat_interval_ms =
-      options.heartbeat_interval_ms > 0.0
-          ? options.heartbeat_interval_ms
-          : std::max(options.heartbeat_timeout_ms / 4.0, 1.0);
 
   if (coarse.empty()) return out;
 
   obs::Span phase_span(ctx.tracer(), "dist.sharded_phases");
-  // Distributed-trace context: workers (forked or remote) record spans
-  // against this id and ship them back in their completion frames; the
-  // merge below stitches them under this phase span.
+  // Distributed-trace context: members record spans against this id and
+  // ship them back in their completion frames; the merge below stitches
+  // them under this phase span.
   if (ctx.tracer() != nullptr) {
     spec.trace_id = ctx.tracer()->trace_id();
     spec.parent_span_id = phase_span.id();
@@ -121,7 +100,7 @@ ShardedPhasesResult RunShardedClusterPhases(
     std::filesystem::create_directories(spec.shard_dir, ec);
 #endif
     // Removal is scoped, not best-effort-at-the-end: early returns and the
-    // remote fleet's failure arms must not leak per-run temp directories.
+    // fleet's failure arms must not leak per-run temp directories.
     private_dir_remover.path = spec.shard_dir;
   } else {
     spec.shard_dir = options.checkpoint_dir + "/shards";
@@ -134,7 +113,7 @@ ShardedPhasesResult RunShardedClusterPhases(
   report->shards = plan.shards.size();
 
   std::vector<std::optional<ShardClusterResult>> cluster_results(coarse.size());
-  // Accepted per-shard worker span buffers (first valid completion wins),
+  // Accepted per-shard member span buffers (first valid completion wins),
   // merged into the supervisor's tracer after the phase, in shard order.
   std::vector<std::vector<obs::SpanRecord>> shard_span_buffers(
       plan.shards.size());
@@ -144,495 +123,64 @@ ShardedPhasesResult RunShardedClusterPhases(
     report->events.push_back(ShardEvent{kind, shard, std::move(detail)});
   };
 
-  // In-process execution of one shard: the quarantine fallback (and the
-  // whole phase on non-POSIX platforms). Same compute path and same
-  // pre-split streams as the workers, so output is identical; durable
-  // artifacts from dead workers are still honoured.
+  // Durable artifacts — a prior run's or this run's — are reused, never
+  // recomputed.
+  auto reuse_artifact = [&](size_t s, size_t idx) {
+    ShardClusterResult result;
+    if (!LoadShardArtifact(spec, idx, &result).empty()) return false;
+    ++report->artifacts_reused;
+    obs::Count(obs::Counter::kDistArtifactsReused);
+    event(ShardEvent::Kind::kArtifactReused, s,
+          "cluster=" + std::to_string(idx));
+    cluster_results[idx] = std::move(result);
+    return true;
+  };
+
+  // In-process execution of one shard: the fallback rung (the whole phase
+  // on platforms without sockets). Same compute path and same pre-split
+  // streams as the members, so output is identical.
   auto run_in_process = [&](size_t s) {
     for (size_t idx : plan.shards[s]) {
-      if (cluster_results[idx].has_value()) continue;
-      ShardClusterResult result;
-      std::string err = LoadShardArtifact(spec, idx, &result);
-      if (err.empty()) {
-        ++report->artifacts_reused;
-        obs::Count(obs::Counter::kDistArtifactsReused);
-        event(ShardEvent::Kind::kArtifactReused, s,
-              "cluster=" + std::to_string(idx));
-      } else {
-        result = ComputeShardCluster(spec, idx, ctx);
-        // Complete fallback results are persisted too, so a resumed run
-        // with the same checkpoint directory can still reuse them.
-        if (result.Complete()) SaveShardArtifact(spec, idx, result);
-      }
+      if (cluster_results[idx].has_value() || reuse_artifact(s, idx)) continue;
+      ShardClusterResult result = ComputeShardCluster(spec, idx, ctx);
+      // Complete fallback results are persisted too, so a resumed run with
+      // the same checkpoint directory can still reuse them.
+      if (result.Complete()) SaveShardArtifact(spec, idx, result);
       cluster_results[idx] = std::move(result);
     }
   };
 
-  const bool remote =
-      !options.listen_address.empty() || options.listen_fd >= 0;
-  report->remote = remote;
-
-#if defined(CATAPULT_DIST_POSIX)
-  if (remote) {
-    // Socket transport: remote catapult_worker processes dial in and are
-    // supervised by the membership manager (DESIGN.md §14). Remote workers
-    // never see this filesystem, so prior-run artifact reuse happens here
-    // rather than inside the worker (fork mode's RunShardWorker does it
-    // per shard); the membership loop then assigns only missing clusters.
-    std::vector<size_t> cluster_shard(coarse.size(), 0);
-    for (size_t s = 0; s < plan.shards.size(); ++s) {
-      for (size_t idx : plan.shards[s]) cluster_shard[idx] = s;
-    }
-    for (size_t idx = 0; idx < coarse.size(); ++idx) {
-      ShardClusterResult result;
-      if (LoadShardArtifact(spec, idx, &result).empty()) {
-        ++report->artifacts_reused;
-        obs::Count(obs::Counter::kDistArtifactsReused);
-        event(ShardEvent::Kind::kArtifactReused, cluster_shard[idx],
-              "cluster=" + std::to_string(idx));
-        cluster_results[idx] = std::move(result);
-      }
-    }
-    RemoteFleetOutcome fleet =
-        RunRemoteFleet(spec, plan, options, ctx, report, &cluster_results);
-    if (fleet.shard_spans.size() == plan.shards.size()) {
-      shard_span_buffers = std::move(fleet.shard_spans);
-    }
-    // Whatever the fleet did not finish — fleet loss, quarantine, stop —
-    // completes through the same final rung as fork mode.
-    for (size_t s = 0; s < plan.shards.size(); ++s) {
-      bool missing = false;
-      for (size_t idx : plan.shards[s]) {
-        if (!cluster_results[idx].has_value()) {
-          missing = true;
-          break;
-        }
-      }
-      if (!missing) continue;
-      ++report->inprocess_fallbacks;
-      obs::Count(obs::Counter::kDistFallbacks);
-      event(ShardEvent::Kind::kInProcessFallback, s,
-            fleet.fleet_lost ? "remote fleet lost" : "shard incomplete");
-      run_in_process(s);
-    }
-    report->remote_fallback_only =
-        fleet.fleet_lost && fleet.remote_clusters == 0;
-  } else {
-  struct WorkerState {
-    enum class Phase {
-      kPending,      // waiting for a process slot
-      kRunning,      // worker forked, being supervised
-      kBackoff,      // failed; next launch gated on launch_after
-      kDone,         // results validated and merged
-      kQuarantined,  // failure budget exhausted; awaits fallback
-      kAbandoned,    // run stop requested before the shard finished
-    };
-    Phase phase = Phase::kPending;
-    size_t attempt = 0;  // failures so far == next launch's attempt number
-    pid_t pid = -1;
-    int fd = -1;
-    FrameReader reader;
-    Clock::time_point last_heartbeat{};
-    Clock::time_point launch_after{};
-    bool got_done = false;
-    std::vector<uint64_t> worker_counters;
-    // Span buffer + trace-id echo from the worker's ShardDone; accepted
-    // only when the echo matches the run's trace id.
-    std::vector<obs::SpanRecord> worker_spans;
-    uint64_t done_trace_id = 0;
-    std::string last_error;
-  };
-  using Phase = WorkerState::Phase;
-
-  std::vector<WorkerState> shards(plan.shards.size());
-  ExponentialBackoff backoff(options.backoff_base_ms, options.backoff_cap_ms);
-  const auto hb_timeout = std::chrono::duration<double, std::milli>(
-      options.heartbeat_timeout_ms);
-
-  auto quarantine = [&](size_t s, const std::string& reason) {
-    shards[s].phase = Phase::kQuarantined;
-    ++report->quarantined_shards;
-    obs::Count(obs::Counter::kDistQuarantines);
-    event(ShardEvent::Kind::kShardQuarantined, s, reason);
-  };
-
-  auto fail_shard = [&](size_t s, const std::string& reason) {
-    WorkerState& st = shards[s];
-    st.last_error = reason;
-    ++st.attempt;
-    if (st.attempt > options.max_shard_retries) {
-      quarantine(s, "failure budget exhausted after " +
-                        std::to_string(st.attempt) +
-                        " attempts: " + reason);
-      return;
-    }
-    ++report->shard_retries;
-    obs::Count(obs::Counter::kDistShardRetries);
-    event(ShardEvent::Kind::kShardRetried, s,
-          "attempt=" + std::to_string(st.attempt) + ": " + reason);
-    double delay_ms = backoff.DelayMs(st.attempt);
-    if (delay_ms > 0.0) {
-      st.phase = Phase::kBackoff;
-      st.launch_after =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 delay_ms));
-      ++report->backoff_waits;
-      report->backoff_total_ms += delay_ms;
-      obs::Count(obs::Counter::kDistBackoffWaits);
-      char detail[48];
-      std::snprintf(detail, sizeof(detail), "delay_ms=%.0f", delay_ms);
-      event(ShardEvent::Kind::kBackoffWait, s, detail);
-    } else {
-      st.phase = Phase::kPending;
-    }
-  };
-
-  // Blocks until the worker is gone, closes the pipe, returns the wait
-  // status. Safe after SIGKILL or EOF; never signals by itself.
-  auto reap = [&](size_t s) -> int {
-    WorkerState& st = shards[s];
-    int status = 0;
-    if (st.pid > 0) {
-      while (::waitpid(st.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-    if (st.fd >= 0) {
-      ::close(st.fd);
-      st.fd = -1;
-    }
-    st.pid = -1;
-    return status;
-  };
-
-  auto kill_worker = [&](size_t s) {
-    if (shards[s].pid > 0) ::kill(shards[s].pid, SIGKILL);
-  };
-
-  auto record_death = [&](size_t s, const std::string& reason) {
-    ++report->worker_deaths;
-    obs::Count(obs::Counter::kDistWorkerDeaths);
-    event(ShardEvent::Kind::kWorkerDied, s, reason);
-    fail_shard(s, reason);
-  };
-
-  // Accepts a cleanly exited worker's shard: every owned artifact must
-  // validate on the supervisor's side of the process fence (the envelope
-  // CRCs plus the cluster binding), else the shard fails and retries.
-  auto validate_and_complete = [&](size_t s) {
-    WorkerState& st = shards[s];
+  report->remote = !options.listen_address.empty() || options.listen_fd >= 0;
+  // Prior-run artifacts load here, on the supervisor's filesystem; the
+  // fleet then assigns only the missing clusters.
+  for (size_t s = 0; s < plan.shards.size(); ++s) {
+    for (size_t idx : plan.shards[s]) reuse_artifact(s, idx);
+  }
+  FleetOutcome fleet =
+      RunFleet(spec, plan, options, ctx, report, &cluster_results);
+  if (fleet.shard_spans.size() == plan.shards.size()) {
+    shard_span_buffers = std::move(fleet.shard_spans);
+  }
+  // The degradation ladder's last rung: whatever the fleet did not finish
+  // — quarantine, stop, fleet loss — executes in the supervisor, reusing
+  // every durable artifact the members left behind.
+  for (size_t s = 0; s < plan.shards.size(); ++s) {
+    bool missing = false;
     for (size_t idx : plan.shards[s]) {
-      ShardClusterResult result;
-      std::string err = LoadShardArtifact(spec, idx, &result);
-      if (!err.empty()) {
-        ++report->artifacts_rejected;
-        obs::Count(obs::Counter::kDistArtifactsRejected);
-        event(ShardEvent::Kind::kArtifactRejected, s,
-              "cluster=" + std::to_string(idx) + ": " + err);
-        fail_shard(s, "artifact for cluster " + std::to_string(idx) +
-                          " rejected: " + err);
-        return;
-      }
-      cluster_results[idx] = std::move(result);
-    }
-    st.phase = Phase::kDone;
-    for (size_t i = 0;
-         i < st.worker_counters.size() && i < obs::kNumCounters; ++i) {
-      if (st.worker_counters[i] != 0) {
-        obs::Count(static_cast<obs::Counter>(i), st.worker_counters[i]);
-      }
-    }
-    if (!st.worker_spans.empty()) {
-      if (spec.trace_id != 0 && st.done_trace_id == spec.trace_id &&
-          shard_span_buffers[s].empty()) {
-        shard_span_buffers[s] = std::move(st.worker_spans);
-      } else {
-        obs::Count(obs::Counter::kObsSpansDropped, st.worker_spans.size());
-      }
-      st.worker_spans.clear();
-    }
-    event(ShardEvent::Kind::kShardCompleted, s,
-          "clusters=" + std::to_string(plan.shards[s].size()));
-  };
-
-  auto handle_frames = [&](size_t s) {
-    WorkerState& st = shards[s];
-    while (std::optional<Frame> frame = st.reader.Next()) {
-      st.last_heartbeat = Clock::now();  // any frame proves liveness
-      switch (frame->type) {
-        case FrameType::kHello: {
-          HelloFrame f;
-          if (!Decode(frame->payload, &f)) st.reader.Poison("bad hello");
-          break;
-        }
-        case FrameType::kHeartbeat: {
-          HeartbeatFrame f;
-          if (!Decode(frame->payload, &f)) {
-            st.reader.Poison("bad heartbeat");
-            break;
-          }
-          ++report->heartbeats;
-          obs::Count(obs::Counter::kDistHeartbeats);
-          break;
-        }
-        case FrameType::kClusterDone: {
-          ClusterDoneFrame f;
-          if (!Decode(frame->payload, &f)) {
-            st.reader.Poison("bad cluster-done");
-            break;
-          }
-          if (f.reused) {
-            ++report->artifacts_reused;
-            obs::Count(obs::Counter::kDistArtifactsReused);
-            event(ShardEvent::Kind::kArtifactReused, s,
-                  "cluster=" + std::to_string(f.cluster_index));
-          }
-          break;
-        }
-        case FrameType::kShardDone: {
-          ShardDoneFrame f;
-          if (!Decode(frame->payload, &f)) {
-            st.reader.Poison("bad shard-done");
-            break;
-          }
-          st.got_done = true;
-          st.worker_counters = std::move(f.counters);
-          st.worker_spans = std::move(f.spans);
-          st.done_trace_id = f.trace_id;
-          break;
-        }
-        case FrameType::kShardError: {
-          ShardErrorFrame f;
-          if (!Decode(frame->payload, &f)) {
-            st.reader.Poison("bad shard-error");
-            break;
-          }
-          st.last_error = f.message;
-          break;
-        }
-      }
-      if (st.reader.corrupt()) break;
-    }
-  };
-
-  auto finalize_eof = [&](size_t s) {
-    WorkerState& st = shards[s];
-    int status = reap(s);
-    if (st.reader.corrupt()) {
-      record_death(s, "poisoned pipe: " + st.reader.error());
-      return;
-    }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0 && st.got_done) {
-      event(ShardEvent::Kind::kWorkerExited, s, "exit 0");
-      validate_and_complete(s);
-      return;
-    }
-    std::string reason;
-    if (WIFSIGNALED(status)) {
-      reason = "killed by signal " + std::to_string(WTERMSIG(status));
-    } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-      reason = "exit code " + std::to_string(WEXITSTATUS(status));
-      if (!st.last_error.empty()) reason += " (" + st.last_error + ")";
-    } else {
-      reason = "exited without shard-done frame";
-      if (!st.last_error.empty()) reason += " (" + st.last_error + ")";
-    }
-    record_death(s, reason);
-  };
-
-  auto launch = [&](size_t s) {
-    WorkerState& st = shards[s];
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      fail_shard(s, "pipe() failed");
-      return;
-    }
-    pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      fail_shard(s, "fork() failed");
-      return;
-    }
-    if (pid == 0) {
-      // Child. Never returns into the forked copy of the supervisor stack;
-      // _exit skips atexit handlers (gtest's included).
-      ::close(fds[0]);
-      ::_exit(RunShardWorker(spec, s, st.attempt, plan.shards[s], fds[1]));
-    }
-    ::close(fds[1]);
-    int flags = ::fcntl(fds[0], F_GETFL, 0);
-    ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK);
-    st.pid = pid;
-    st.fd = fds[0];
-    st.reader = FrameReader();
-    st.got_done = false;
-    st.worker_counters.clear();
-    st.worker_spans.clear();
-    st.done_trace_id = 0;
-    st.last_heartbeat = Clock::now();
-    st.phase = Phase::kRunning;
-    ++report->workers_spawned;
-    obs::Count(obs::Counter::kDistWorkersSpawned);
-    event(ShardEvent::Kind::kWorkerSpawned, s,
-          "pid=" + std::to_string(pid) +
-              " attempt=" + std::to_string(st.attempt));
-  };
-
-  while (true) {
-    // Fill free process slots with pending / backoff-expired shards.
-    size_t running = 0;
-    for (const WorkerState& st : shards) {
-      if (st.phase == Phase::kRunning) ++running;
-    }
-    Clock::time_point now = Clock::now();
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (running >= options.processes) break;
-      WorkerState& st = shards[s];
-      if (st.phase == Phase::kPending ||
-          (st.phase == Phase::kBackoff && now >= st.launch_after)) {
-        launch(s);
-        if (st.phase == Phase::kRunning) ++running;
-      }
-    }
-
-    bool waiting = false;
-    for (const WorkerState& st : shards) {
-      if (st.phase == Phase::kRunning || st.phase == Phase::kPending ||
-          st.phase == Phase::kBackoff) {
-        waiting = true;
+      if (!cluster_results[idx].has_value()) {
+        missing = true;
         break;
       }
     }
-    if (!waiting) break;
-
-    if (ctx.StopRequested("dist.supervise")) {
-      // Deadline / cancellation / memory breach: reap everything and let
-      // the unfinished shards degrade through the in-process fallback,
-      // which winds down under this same (stopped) context.
-      for (size_t s = 0; s < shards.size(); ++s) {
-        WorkerState& st = shards[s];
-        if (st.phase == Phase::kRunning) {
-          kill_worker(s);
-          reap(s);
-          event(ShardEvent::Kind::kWorkerDied, s,
-                "run stop requested; worker killed");
-          st.phase = Phase::kAbandoned;
-        } else if (st.phase == Phase::kPending ||
-                   st.phase == Phase::kBackoff) {
-          st.phase = Phase::kAbandoned;
-        }
-      }
-      break;
-    }
-
-    // Sleep until the nearest of: pipe readable, backoff expiry, heartbeat
-    // deadline, 50ms tick.
-    double timeout_ms = 50.0;
-    now = Clock::now();
-    for (const WorkerState& st : shards) {
-      if (st.phase == Phase::kBackoff) {
-        timeout_ms = std::min(
-            timeout_ms, std::max(MillisBetween(now, st.launch_after), 0.0));
-      } else if (st.phase == Phase::kRunning) {
-        double until_deadline = options.heartbeat_timeout_ms -
-                                MillisBetween(st.last_heartbeat, now);
-        timeout_ms = std::min(timeout_ms, std::max(until_deadline, 0.0));
-      }
-    }
-
-    std::vector<struct pollfd> poll_fds;
-    std::vector<size_t> poll_shard;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (shards[s].phase == Phase::kRunning) {
-        poll_fds.push_back({shards[s].fd, POLLIN, 0});
-        poll_shard.push_back(s);
-      }
-    }
-    if (!poll_fds.empty()) {
-      int rc = ::poll(poll_fds.data(), poll_fds.size(),
-                      std::max(1, static_cast<int>(std::ceil(timeout_ms))));
-      if (rc < 0 && errno != EINTR) {
-        // poll itself failing is unexpected; fall through to the scans.
-      }
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(std::max(timeout_ms,
-                                                             1.0)));
-    }
-
-    for (size_t i = 0; i < poll_fds.size(); ++i) {
-      size_t s = poll_shard[i];
-      WorkerState& st = shards[s];
-      if (st.phase != Phase::kRunning || poll_fds[i].revents == 0) continue;
-      bool eof = false;
-      char buf[4096];
-      for (;;) {
-        ssize_t n = ::read(st.fd, buf, sizeof(buf));
-        if (n > 0) {
-          st.reader.Feed(buf, static_cast<size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          eof = true;
-        } else if (errno == EINTR) {
-          continue;
-        }
-        break;  // EOF or EAGAIN
-      }
-      handle_frames(s);
-      if (st.reader.corrupt()) {
-        kill_worker(s);
-        finalize_eof(s);
-        continue;
-      }
-      if (eof) finalize_eof(s);
-    }
-
-    // Heartbeat deadline scan: a silent worker is a hung worker.
-    now = Clock::now();
-    for (size_t s = 0; s < shards.size(); ++s) {
-      WorkerState& st = shards[s];
-      if (st.phase != Phase::kRunning) continue;
-      if (now - st.last_heartbeat > hb_timeout) {
-        kill_worker(s);
-        reap(s);
-        ++report->worker_hangs;
-        obs::Count(obs::Counter::kDistWorkerHangs);
-        char detail[64];
-        std::snprintf(detail, sizeof(detail),
-                      "no heartbeat for %.0fms; killed",
-                      MillisBetween(st.last_heartbeat, now));
-        event(ShardEvent::Kind::kWorkerHung, s, detail);
-        fail_shard(s, "heartbeat deadline missed");
-      }
-    }
-  }
-
-  // The degradation ladder's last rung: quarantined (and stop-abandoned)
-  // shards execute in the supervisor, reusing whatever durable artifacts
-  // the failed workers left behind.
-  for (size_t s = 0; s < shards.size(); ++s) {
-    WorkerState& st = shards[s];
-    if (st.phase == Phase::kDone) continue;
+    if (!missing) continue;
     ++report->inprocess_fallbacks;
     obs::Count(obs::Counter::kDistFallbacks);
     event(ShardEvent::Kind::kInProcessFallback, s,
-          st.phase == Phase::kQuarantined ? st.last_error
-                                          : "run stop requested");
+          fleet.fleet_lost ? "fleet lost" : "shard incomplete");
     run_in_process(s);
   }
-  }  // !remote
-#else   // !CATAPULT_DIST_POSIX
-  // No fork on this platform: the whole phase executes in-process (still
-  // sharded for artifact layout, so checkpoint semantics are identical).
-  for (size_t s = 0; s < plan.shards.size(); ++s) {
-    event(ShardEvent::Kind::kInProcessFallback, s, "platform without fork");
-    ++report->inprocess_fallbacks;
-    obs::Count(obs::Counter::kDistFallbacks);
-    run_in_process(s);
-  }
-#endif  // CATAPULT_DIST_POSIX
+  report->remote_fallback_only =
+      report->remote && fleet.fleet_lost && fleet.remote_clusters == 0;
 
   // Stitch shipped worker spans into this process's trace, one merge pass
   // in shard order 0..N-1 regardless of completion order, so reruns of the

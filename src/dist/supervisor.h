@@ -13,27 +13,30 @@
 #include "src/util/rng.h"
 
 // The supervisor half of sharded multi-process execution (DESIGN.md §12).
-// The supervisor plans shards over the coarse partition, forks one worker
-// per shard (at most `processes` concurrently), and supervises them:
-// worker death is detected via waitpid, hangs via a heartbeat deadline on
-// the worker's pipe; failed shards are retried under deterministic capped
-// exponential backoff (src/util/backoff.h), each retry resuming from the
-// shard's durable per-cluster artifacts; a shard exhausting its failure
-// budget is quarantined and executed in-process as the final rung of the
-// degradation ladder. The merged result is bit-identical to a 1-process
-// run: each coarse cluster's work depends only on its pre-split rng stream
-// and the supervisor concatenates results in coarse-cluster order.
+// The supervisor plans shards over the coarse partition and hands them to
+// one membership loop (src/dist/membership.h). Without a listen endpoint it
+// forks min(processes, shards) local members, each speaking the member
+// protocol over its end of a socketpair; with one, catapult_worker
+// processes dial in. Either way liveness is in-band: a member that misses
+// its heartbeat deadline, stalls a write or hangs up is fenced (a fenced
+// local member is also SIGKILLed, reaped with waitpid and replaced). Failed
+// shards are retried under deterministic capped exponential backoff
+// (src/util/backoff.h), each retry resuming from the clusters the
+// supervisor already persisted; a shard exhausting its failure budget is
+// quarantined and executed in-process as the final rung of the degradation
+// ladder. The merged result is bit-identical to a 1-process run: each
+// coarse cluster's work depends only on its pre-split rng stream and the
+// supervisor concatenates results in coarse-cluster order.
 
 namespace catapult::dist {
 
 struct DistOptions {
-  size_t processes = 2;        // concurrent worker process budget
+  size_t processes = 2;        // local member budget (shard count cap)
   size_t max_shard_retries = 2;  // failures tolerated per shard
-  double heartbeat_timeout_ms = 2000.0;
-  double heartbeat_interval_ms = 0.0;  // 0 = heartbeat_timeout_ms / 4
+  double heartbeat_timeout_ms = 2000.0;  // members heartbeat at 1/4 of it
   double backoff_base_ms = 25.0;
   double backoff_cap_ms = 1000.0;
-  size_t worker_threads = 1;  // threads inside each worker process
+  size_t worker_threads = 1;  // threads inside each member process
 
   bool fine_enabled = true;
   FineClusteringOptions fine;
@@ -44,14 +47,14 @@ struct DistOptions {
   std::string checkpoint_dir;
   uint64_t fingerprint = 0;
 
-  // Per-worker memory limits (each worker charges its own ledger).
+  // Per-member memory limits (each member charges its own ledger).
   size_t mem_soft_limit_bytes = 0;
   size_t mem_hard_limit_bytes = 0;
 
-  // --- Remote fleet (socket transport, DESIGN.md §14) -----------------------
+  // --- Remote fleet ----------------------------------------------------------
   // When either a listen address or an adopted listening fd is supplied,
   // the supervisor supervises remote catapult_worker processes that dial
-  // in, instead of forking workers. "unix:PATH" or "tcp:HOST:PORT".
+  // in, instead of forking local members. "unix:PATH" or "tcp:HOST:PORT".
   std::string listen_address;
   // An already-bound, already-listening fd to adopt (not owned). Lets
   // tests bind tcp port 0 themselves to learn the real address before the
@@ -64,10 +67,11 @@ struct DistOptions {
   // A send that cannot make progress for this long marks the connection
   // stalled (half-open peer) and fences the member.
   double write_stall_timeout_ms = 5000.0;
-  // Optional admin endpoint for the remote-fleet supervision loop
+  // Optional admin endpoint for a remote fleet's supervision loop
   // ("unix:PATH" / "tcp:HOST:PORT", empty = disabled): serves /metrics
   // (Prometheus text), /statusz (shard + fleet state JSON) and /healthz
   // while the fleet runs. Best-effort — a bind failure never fails the run.
+  // Ignored by local fleets, which must not run a thread while they fork.
   std::string admin_listen;
 };
 
@@ -80,12 +84,13 @@ struct ShardedPhasesResult {
   size_t degraded_csgs = 0;
 };
 
-// Runs fine clustering + CSG folding over `coarse` across worker
+// Runs fine clustering + CSG folding over `coarse` across member
 // processes. Consumes exactly `coarse.size()` splits of `rng` when fine
 // clustering is enabled (none otherwise) — the same draws as the
 // in-process path, so the parent stream's position after this call is
 // mode-independent. `report` (required) receives supervision diagnostics.
-// On non-POSIX platforms every shard executes in-process.
+// Every local member is reaped before this returns. On platforms without
+// sockets every shard executes in-process.
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
     const DistOptions& options, Rng& rng, const RunContext& ctx,

@@ -4,11 +4,6 @@
 
 #include "src/persist/record_io.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <errno.h>
-#include <unistd.h>
-#endif
-
 namespace catapult::dist {
 
 namespace {
@@ -33,8 +28,8 @@ uint32_t GetLeU32(const char* data) {
 }
 
 bool ValidFrameType(uint32_t raw) {
-  return raw >= static_cast<uint32_t>(FrameType::kHello) &&
-         raw <= static_cast<uint32_t>(FrameType::kShutdown);
+  return raw >= static_cast<uint32_t>(FrameType::kHeartbeat) &&
+         raw <= static_cast<uint32_t>(FrameType::kShutdown) && raw != 3;
 }
 
 constexpr size_t kHeaderBytes = 16;
@@ -138,27 +133,11 @@ std::optional<Frame> FrameReader::Next() {
   return frame;
 }
 
-std::string Encode(const HelloFrame& f) {
-  BinaryWriter w;
-  w.PutU64(f.shard);
-  w.PutU64(f.attempt);
-  w.PutU64(f.pid);
-  return w.TakeBuffer();
-}
-
 std::string Encode(const HeartbeatFrame& f) {
   BinaryWriter w;
   w.PutU64(f.shard);
   w.PutU64(f.seq);
   w.PutU64(f.clusters_done);
-  return w.TakeBuffer();
-}
-
-std::string Encode(const ClusterDoneFrame& f) {
-  BinaryWriter w;
-  w.PutU64(f.shard);
-  w.PutU64(f.cluster_index);
-  w.PutU8(f.reused ? 1 : 0);
   return w.TakeBuffer();
 }
 
@@ -181,27 +160,11 @@ std::string Encode(const ShardErrorFrame& f) {
   return w.TakeBuffer();
 }
 
-bool Decode(const std::string& payload, HelloFrame* f) {
-  BinaryReader r(payload);
-  f->shard = r.GetU64();
-  f->attempt = r.GetU64();
-  f->pid = r.GetU64();
-  return r.ok() && r.AtEnd();
-}
-
 bool Decode(const std::string& payload, HeartbeatFrame* f) {
   BinaryReader r(payload);
   f->shard = r.GetU64();
   f->seq = r.GetU64();
   f->clusters_done = r.GetU64();
-  return r.ok() && r.AtEnd();
-}
-
-bool Decode(const std::string& payload, ClusterDoneFrame* f) {
-  BinaryReader r(payload);
-  f->shard = r.GetU64();
-  f->cluster_index = r.GetU64();
-  f->reused = r.GetU8() != 0;
   return r.ok() && r.AtEnd();
 }
 
@@ -283,6 +246,7 @@ std::string Encode(const ShardAssignFrame& f) {
   }
   w.PutU64(f.trace_id);
   w.PutU64(f.parent_span_id);
+  w.PutU64(f.threads);
   return w.TakeBuffer();
 }
 
@@ -366,6 +330,7 @@ bool Decode(const std::string& payload, ShardAssignFrame* f) {
   }
   f->trace_id = r.GetU64();
   f->parent_span_id = r.GetU64();
+  f->threads = r.GetU64();
   return r.ok() && r.AtEnd();
 }
 
@@ -383,26 +348,6 @@ bool Decode(const std::string& payload, ShutdownFrame* f) {
   f->code = r.GetU32();
   f->message = r.GetString();
   return r.ok() && r.AtEnd();
-}
-
-void FrameSender::SendEncoded(const std::string& bytes) {
-#if defined(__unix__) || defined(__APPLE__)
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (failed_) return;
-  size_t written = 0;
-  while (written < bytes.size()) {
-    ssize_t n = ::write(fd_, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      failed_ = true;  // supervisor gone; keep working, exit status suffices
-      return;
-    }
-    written += static_cast<size_t>(n);
-  }
-#else
-  (void)bytes;
-  failed_ = true;
-#endif
 }
 
 }  // namespace catapult::dist

@@ -2,7 +2,6 @@
 #define CATAPULT_DIST_WIRE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,9 +11,9 @@
 #include "src/obs/trace.h"
 #include "src/util/rng.h"
 
-// Length-prefixed CRC-framed messages, shared by the worker -> supervisor
-// pipes (DESIGN.md §12) and the pattern-selection service's client/server
-// sockets (DESIGN.md §13). A frame is
+// Length-prefixed CRC-framed messages, shared by the shard fleet's member
+// connections (DESIGN.md §12) and the pattern-selection service's
+// client/server sockets (DESIGN.md §13). A frame is
 //
 //   offset  size  field
 //        0     4  magic "CTWF" (little-endian u32 0x46575443)
@@ -24,11 +23,11 @@
 //                 the checkpoint records)
 //       16     -  payload
 //
-// The reader is incremental (pipes and sockets deliver arbitrary byte
-// chunks) and treats any malformed header or checksum mismatch as a
-// poisoned stream: framing is lost, so the receiver drops the peer — the
-// supervisor kills the worker and retries the shard, the server disconnects
-// the client — rather than attempting resynchronisation. A frame truncated
+// The reader is incremental (sockets deliver arbitrary byte chunks) and
+// treats any malformed header or checksum mismatch as a poisoned stream:
+// framing is lost, so the receiver drops the peer — the supervisor fences
+// the member and retries the shard, the server disconnects the client —
+// rather than attempting resynchronisation. A frame truncated
 // by a peer death simply stays incomplete in the buffer — that is not
 // corruption, just a dead peer.
 
@@ -39,12 +38,12 @@ inline constexpr uint32_t kFrameMagic = 0x46575443u;  // "CTWF"
 // array); a larger size field is corruption, not data.
 inline constexpr uint32_t kMaxFramePayload = 4u << 20;
 
+// Values 1 and 3 belonged to the retired fork-and-pipe worker protocol
+// (hello, cluster-done); they stay reserved and the reader rejects them.
 enum class FrameType : uint32_t {
-  kHello = 1,        // worker came up (shard, attempt, pid)
-  kHeartbeat = 2,    // liveness (shard, seq, clusters_done)
-  kClusterDone = 3,  // one coarse cluster durable (index, reused flag)
-  kShardDone = 4,    // all clusters done + the worker's counter deltas
-  kShardError = 5,   // structured failure report before a nonzero exit
+  kHeartbeat = 2,   // liveness (shard, seq, clusters_done)
+  kShardDone = 4,   // all clusters shipped + the worker's counter deltas
+  kShardError = 5,  // structured failure report (degraded shard)
   // Pattern-selection service (src/serve/, payloads in serve/protocol.h).
   kServeRequest = 6,   // client -> server: panel request for a budget
   kServeResponse = 7,  // server -> client: panel (complete or degraded)
@@ -52,9 +51,8 @@ enum class FrameType : uint32_t {
   kServeError = 9,     // server -> client: request rejected (bad options)
   kServePing = 10,     // client -> server: liveness/status probe
   kServePong = 11,     // server -> client: probe reply
-  // Network-transparent sharding (DESIGN.md §14): a remote catapult_worker
-  // dials the supervisor's listener and speaks these in addition to the
-  // worker frames above.
+  // Fleet membership (DESIGN.md §12): every member, forked or dialing in,
+  // speaks these in addition to the worker frames above.
   kJoinRequest = 12,    // worker -> sup: versioned handshake
   kJoinAccept = 13,     // sup -> worker: admitted (worker-id, generation)
   kJoinReject = 14,     // sup -> worker: typed refusal, then hangup
@@ -67,8 +65,8 @@ enum class FrameType : uint32_t {
 // layout change; the handshake rejects mismatched peers with a typed
 // kJoinReject instead of letting two skewed builds mis-decode each other.
 // v2: trace context in kShardAssign, span buffers + trace echo in
-// kShardDone.
-inline constexpr uint64_t kDistProtocolVersion = 2;
+// kShardDone. v3: worker thread count in kShardAssign.
+inline constexpr uint64_t kDistProtocolVersion = 3;
 
 // Shard checkpoint namespace both sides must agree on: remote workers'
 // cluster results are persisted by the supervisor as kShard records under
@@ -77,7 +75,7 @@ inline constexpr uint64_t kDistProtocolVersion = 2;
 inline constexpr char kShardNamespace[] = "shards";
 
 struct Frame {
-  FrameType type = FrameType::kHello;
+  FrameType type = FrameType::kHeartbeat;
   std::string payload;
 };
 
@@ -114,22 +112,10 @@ class FrameReader {
 
 // --- frame payloads ---------------------------------------------------------
 
-struct HelloFrame {
-  uint64_t shard = 0;
-  uint64_t attempt = 0;
-  uint64_t pid = 0;
-};
-
 struct HeartbeatFrame {
   uint64_t shard = 0;
   uint64_t seq = 0;
   uint64_t clusters_done = 0;
-};
-
-struct ClusterDoneFrame {
-  uint64_t shard = 0;
-  uint64_t cluster_index = 0;
-  bool reused = false;  // restored from a prior attempt's shard artifact
 };
 
 struct ShardDoneFrame {
@@ -215,14 +201,17 @@ struct ShardAssignFrame {
   // parented. Both 0 when the supervisor run is untraced.
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
+  // Threads the member computes this shard's clusters on (the supervisor's
+  // resolved --threads; 0 is treated as 1).
+  uint64_t threads = 1;
 };
 
 struct ClusterResultFrame {
   uint64_t shard = 0;
   uint64_t generation = 0;  // fenced generations are counted, never applied
   uint64_t cluster_index = 0;
-  // EncodeShardResultPayload bytes (src/dist/worker.h) — the same payload a
-  // forked worker persists; the supervisor wraps it into a kShard record.
+  // EncodeShardResultPayload bytes (src/dist/worker.h); the supervisor
+  // wraps them into a kShard record.
   std::string payload;
 };
 
@@ -237,9 +226,7 @@ struct ShutdownFrame {
   std::string message;
 };
 
-std::string Encode(const HelloFrame& f);
 std::string Encode(const HeartbeatFrame& f);
-std::string Encode(const ClusterDoneFrame& f);
 std::string Encode(const ShardDoneFrame& f);
 std::string Encode(const ShardErrorFrame& f);
 std::string Encode(const JoinRequestFrame& f);
@@ -248,9 +235,7 @@ std::string Encode(const JoinRejectFrame& f);
 std::string Encode(const ShardAssignFrame& f);
 std::string Encode(const ClusterResultFrame& f);
 std::string Encode(const ShutdownFrame& f);
-bool Decode(const std::string& payload, HelloFrame* f);
 bool Decode(const std::string& payload, HeartbeatFrame* f);
-bool Decode(const std::string& payload, ClusterDoneFrame* f);
 bool Decode(const std::string& payload, ShardDoneFrame* f);
 bool Decode(const std::string& payload, ShardErrorFrame* f);
 bool Decode(const std::string& payload, JoinRequestFrame* f);
@@ -259,30 +244,6 @@ bool Decode(const std::string& payload, JoinRejectFrame* f);
 bool Decode(const std::string& payload, ShardAssignFrame* f);
 bool Decode(const std::string& payload, ClusterResultFrame* f);
 bool Decode(const std::string& payload, ShutdownFrame* f);
-
-// Serialised frame writer over a file descriptor, shared by the worker's
-// main thread and its heartbeat thread. Each frame is assembled into one
-// buffer and written under a mutex so frames never interleave. Write
-// errors (supervisor gone) are remembered and further sends no-op: a
-// worker that outlives its supervisor just runs to completion and exits.
-class FrameSender {
- public:
-  explicit FrameSender(int fd) : fd_(fd) {}
-
-  template <typename F>
-  void Send(const F& frame_payload, FrameType type) {
-    SendEncoded(EncodeFrame(type, Encode(frame_payload)));
-  }
-
-  bool failed() const { return failed_; }
-
- private:
-  void SendEncoded(const std::string& bytes);
-
-  int fd_;
-  std::mutex mutex_;
-  bool failed_ = false;
-};
 
 }  // namespace catapult::dist
 

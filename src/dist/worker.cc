@@ -1,29 +1,9 @@
 #include "src/dist/worker.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
-#include "src/dist/wire.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/persist/codec.h"
 #include "src/persist/record_io.h"
-#include "src/util/atomic_file.h"
-#include "src/util/failpoint.h"
-#include "src/util/thread_pool.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <signal.h>
-#include <unistd.h>
-#define CATAPULT_DIST_POSIX 1
-#endif
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
 
 namespace catapult::dist {
 
@@ -101,17 +81,6 @@ std::string DecodeShardPayload(const std::string& payload,
   return "";
 }
 
-// Flips one payload bit of an already-written artifact in place, simulating
-// a worker that wrote garbage past the record envelope's protection. Driven
-// only by the worker.corrupt_shard_artifact kill site.
-void CorruptArtifactFile(const std::string& path) {
-  std::string bytes;
-  if (!ReadWholeFile(path, &bytes).empty()) return;
-  if (bytes.size() < 48) return;
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-  AtomicWriteFile(path, bytes);
-}
-
 }  // namespace
 
 std::string ShardArtifactPath(const std::string& shard_dir,
@@ -179,162 +148,5 @@ std::string LoadShardArtifact(const ShardExecutionSpec& spec,
   return DecodeShardPayload(payload, (*spec.coarse)[cluster_index],
                             cluster_index, out);
 }
-
-#if defined(CATAPULT_DIST_POSIX)
-
-int RunShardWorker(const ShardExecutionSpec& spec, size_t shard_index,
-                   size_t attempt, const std::vector<size_t>& clusters,
-                   int pipe_fd) {
-  // A dead supervisor makes pipe writes fail with EPIPE, not a signal.
-  ::signal(SIGPIPE, SIG_IGN);
-#if defined(__linux__)
-  // Never outlive the supervisor (e.g. the supervisor itself was SIGKILLed).
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-
-  // The armed failpoint table is fork-inherited and this child's hit-count
-  // consumption never propagates back to the supervisor, so one-shot chaos
-  // sites are gated on the first attempt: the retry sees them armed but
-  // does not evaluate them.
-  const bool first_attempt = attempt == 0;
-
-  FrameSender sender(pipe_fd);
-  sender.Send(HelloFrame{shard_index, attempt,
-                         static_cast<uint64_t>(::getpid())},
-              FrameType::kHello);
-
-  if (first_attempt && CATAPULT_FAILPOINT(kFailpointHangHeartbeat)) {
-    // A wedged worker: alive as a process, silent on the pipe, making no
-    // progress. Only the supervisor's heartbeat deadline can clear it.
-    for (;;) ::pause();
-  }
-  if (CATAPULT_FAILPOINT(kFailpointFailAlways)) {
-    sender.Send(ShardErrorFrame{shard_index, "injected: worker.fail_always"},
-                FrameType::kShardError);
-    return kWorkerExitInjected;
-  }
-  if (first_attempt && CATAPULT_FAILPOINT(kFailpointExitNonzero)) {
-    return kWorkerExitInjectedExit;  // silent abnormal exit, no error frame
-  }
-
-  // Worker-private observability and execution environment, all created
-  // after the fork: the supervisor forks with a single thread, and every
-  // thread this process uses is its own.
-  obs::MetricsRegistry metrics;
-  obs::ScopedMetricsScope metrics_scope(&metrics);
-  // Spans are recorded only for traced runs (trace_id != 0) and shipped in
-  // the ShardDone frame; timestamps are normalized at drain, so the
-  // worker's own clock origin never leaks into the merged trace.
-  obs::Tracer tracer;
-  obs::Tracer* span_sink = spec.trace_id != 0 ? &tracer : nullptr;
-  ThreadPool pool(spec.worker_threads);
-  MemoryBudget budget =
-      (spec.mem_soft_limit_bytes != 0 || spec.mem_hard_limit_bytes != 0)
-          ? MemoryBudget::Limited(spec.mem_soft_limit_bytes,
-                                  spec.mem_hard_limit_bytes)
-          : MemoryBudget::Unlimited();
-  RunContext ctx = RunContext(spec.deadline)
-                       .WithMemory(std::move(budget))
-                       .WithPool(&pool)
-                       .WithObservability(&metrics, span_sink);
-
-  std::atomic<uint64_t> clusters_done{0};
-  std::mutex hb_mutex;
-  std::condition_variable hb_cv;
-  bool stop_heartbeat = false;
-  std::thread heartbeat([&] {
-    uint64_t seq = 0;
-    auto interval = std::chrono::duration<double, std::milli>(
-        std::max(spec.heartbeat_interval_ms, 1.0));
-    std::unique_lock<std::mutex> lock(hb_mutex);
-    while (!stop_heartbeat) {
-      sender.Send(HeartbeatFrame{shard_index, seq++,
-                                 clusters_done.load(std::memory_order_relaxed)},
-                  FrameType::kHeartbeat);
-      hb_cv.wait_for(lock, interval, [&] { return stop_heartbeat; });
-    }
-  });
-
-  std::atomic<bool> failed{false};
-  std::vector<std::string> errors(clusters.size());
-  ParallelFor(ctx, clusters.size(), 1, [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    size_t idx = clusters[i];
-    obs::Span cluster_span(span_sink, "cluster-" + std::to_string(idx));
-    ShardClusterResult result;
-    bool reused = LoadShardArtifact(spec, idx, &result).empty();
-    if (!reused) {
-      result = ComputeShardCluster(spec, idx, ctx);
-      if (!result.Complete()) {
-        // Degraded work is never persisted: a retry (or the in-process
-        // fallback) must either produce the full result or degrade under
-        // the supervisor's own context.
-        errors[i] = "cluster " + std::to_string(idx) +
-                    " degraded (stop requested)";
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (first_attempt &&
-          CATAPULT_FAILPOINT(kFailpointKillBeforeCheckpoint)) {
-        ::raise(SIGKILL);
-      }
-      std::string err = SaveShardArtifact(spec, idx, result);
-      if (first_attempt &&
-          CATAPULT_FAILPOINT(kFailpointCorruptShardArtifact)) {
-        CorruptArtifactFile(ShardArtifactPath(spec.shard_dir, idx));
-      }
-      if (first_attempt && CATAPULT_FAILPOINT(kFailpointKillAfterCheckpoint)) {
-        ::raise(SIGKILL);
-      }
-      if (!err.empty()) {
-        errors[i] = "cluster " + std::to_string(idx) +
-                    " checkpoint failed: " + err;
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-    sender.Send(ClusterDoneFrame{shard_index, idx, reused},
-                FrameType::kClusterDone);
-    clusters_done.fetch_add(1, std::memory_order_relaxed);
-  });
-
-  {
-    std::lock_guard<std::mutex> lock(hb_mutex);
-    stop_heartbeat = true;
-  }
-  hb_cv.notify_all();
-  heartbeat.join();
-
-  if (failed.load()) {
-    std::string message = "shard failed";
-    for (const std::string& err : errors) {
-      if (!err.empty()) {
-        message = err;
-        break;
-      }
-    }
-    sender.Send(ShardErrorFrame{shard_index, message}, FrameType::kShardError);
-    return kWorkerExitShardFailed;
-  }
-
-  obs::MetricsSnapshot snapshot = metrics.Snapshot();
-  ShardDoneFrame done;
-  done.shard = shard_index;
-  done.clusters_done = clusters_done.load();
-  done.counters.assign(snapshot.counters.begin(), snapshot.counters.end());
-  done.trace_id = spec.trace_id;
-  if (span_sink != nullptr) done.spans = tracer.DrainSpans();
-  sender.Send(done, FrameType::kShardDone);
-  return kWorkerExitOk;
-}
-
-#else  // !CATAPULT_DIST_POSIX
-
-int RunShardWorker(const ShardExecutionSpec&, size_t, size_t,
-                   const std::vector<size_t>&, int) {
-  return kWorkerExitShardFailed;
-}
-
-#endif
 
 }  // namespace catapult::dist

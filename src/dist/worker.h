@@ -11,43 +11,21 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 
-// The worker half of sharded multi-process execution (DESIGN.md §12). A
-// worker owns a subset of the coarse clusters and carries each through fine
-// clustering (under that cluster's pre-split rng stream) and CSG folding,
-// checkpointing every finished cluster as one shard artifact so a retry —
-// on any worker, at any attempt — resumes from the last durable cluster
-// instead of recomputing the shard. Everything here also runs unforked:
-// the supervisor calls ComputeShardCluster directly for the in-process
-// fallback of quarantined shards, which is what guarantees fallback output
-// is bit-identical to worker output (same code, same stream, same inputs).
+// Per-cluster shard work (DESIGN.md §12). Every fleet member — a forked
+// local member or a dialing catapult_worker — carries each assigned coarse
+// cluster through fine clustering (under that cluster's pre-split rng
+// stream) and CSG folding via ComputeShardCluster, and ships the encoded
+// result; the supervisor persists it as the cluster's shard artifact, so a
+// retry — on any member, at any attempt — resumes from the last durable
+// cluster instead of recomputing the shard. The supervisor also calls
+// ComputeShardCluster directly for the in-process fallback of quarantined
+// shards, which is what guarantees fallback output is bit-identical to
+// member output (same code, same stream, same inputs).
 
 namespace catapult::dist {
 
-// Failpoint kill sites evaluated inside the worker process. The armed
-// table is fork-inherited from the supervisor, and a child's hit-count
-// consumption never propagates back, so sites that should fail *once* are
-// additionally gated on attempt == 0 — the retry attempt sees the site
-// armed but does not evaluate it. `worker.fail_always` has no gate and
-// drives the quarantine path.
-inline constexpr char kFailpointKillBeforeCheckpoint[] =
-    "worker.kill_before_checkpoint";
-inline constexpr char kFailpointKillAfterCheckpoint[] =
-    "worker.kill_after_checkpoint";
-inline constexpr char kFailpointHangHeartbeat[] = "worker.hang_heartbeat";
-inline constexpr char kFailpointCorruptShardArtifact[] =
-    "worker.corrupt_shard_artifact";
-inline constexpr char kFailpointExitNonzero[] = "worker.exit_nonzero";
-inline constexpr char kFailpointFailAlways[] = "worker.fail_always";
-
-// Worker exit codes (also produced by the supervisor's interpretation).
-inline constexpr int kWorkerExitOk = 0;
-inline constexpr int kWorkerExitShardFailed = 10;   // incomplete/degraded work
-inline constexpr int kWorkerExitInjected = 12;      // worker.fail_always
-inline constexpr int kWorkerExitInjectedExit = 13;  // worker.exit_nonzero
-
-// Everything a worker (or the in-process fallback) needs to execute shard
-// work. Pointers reference supervisor-owned state; in a forked child they
-// stay valid via copy-on-write.
+// Everything a member (or the in-process fallback) needs to execute shard
+// work. Pointers reference supervisor-owned state.
 struct ShardExecutionSpec {
   const GraphDatabase* db = nullptr;
   // The coarse partition, indexed by the cluster indices in the shard plan.
@@ -64,21 +42,19 @@ struct ShardExecutionSpec {
   std::string shard_dir;
   uint64_t fingerprint = 0;  // run config fingerprint stamped on artifacts
 
-  size_t worker_threads = 1;
-  // Memory limits for the worker's own budget ledger (0 = unlimited).
-  // Budgets are per-process: a forked worker charges its own allocations.
+  size_t worker_threads = 1;  // threads inside each member
+  // Memory limits for each member's own budget ledger (0 = unlimited).
+  // Budgets are per-process: a member charges its own allocations.
   size_t mem_soft_limit_bytes = 0;
   size_t mem_hard_limit_bytes = 0;
-  // Absolute deadline; steady_clock is system-wide on the supported
-  // platforms, so the value is meaningful across fork.
+  // The phase's deadline; members receive the time remaining at assignment.
   Deadline deadline;
-  double heartbeat_interval_ms = 500.0;
-  // Distributed-trace id of the supervising run (0 = untraced). A worker
-  // with a non-zero id records per-cluster spans and ships them, with the
+  // Distributed-trace id of the supervising run (0 = untraced). A member
+  // given a non-zero id records per-cluster spans and ships them, with the
   // id echoed, in its ShardDone frame.
   uint64_t trace_id = 0;
-  // Span id of the supervisor's sharded-phase span, carried to remote
-  // workers in ShardAssign so shipped context names its parent.
+  // Span id of the supervisor's sharded-phase span, carried to members in
+  // ShardAssign so shipped context names its parent.
   uint64_t parent_span_id = 0;
 };
 
@@ -89,7 +65,7 @@ struct ShardClusterResult {
   // Degradation markers, mirroring the in-process pipeline's diagnostics:
   // fine_complete=false when a stop left clusters unsplit; degraded_csgs
   // counts partially folded summaries. Degraded results are never persisted
-  // as shard artifacts (workers fail the shard instead; only the in-process
+  // as shard artifacts (members fail the shard instead; only the in-process
   // fallback, which runs under the supervisor's own context, may keep them).
   bool fine_complete = true;
   size_t degraded_csgs = 0;
@@ -114,11 +90,11 @@ std::string SaveShardArtifact(const ShardExecutionSpec& spec,
                               const ShardClusterResult& result);
 
 // Encodes a complete result as the kShard record payload — the exact bytes
-// SaveShardArtifact wraps into the record envelope. Remote workers ship
-// these bytes in a ClusterResult frame (DESIGN.md §14) instead of writing
-// to a (possibly remote) filesystem; the supervisor persists them with
-// SaveShardArtifactPayload and re-validates via LoadShardArtifact, so a
-// remote cluster's artifact is byte-identical to a forked worker's.
+// SaveShardArtifact wraps into the record envelope. Members ship these
+// bytes in a ClusterResult frame instead of writing to a (possibly remote)
+// filesystem; the supervisor persists them with SaveShardArtifactPayload
+// and re-validates via LoadShardArtifact, so a member's artifact is
+// byte-identical to one the in-process fallback writes.
 std::string EncodeShardResultPayload(const ShardExecutionSpec& spec,
                                      size_t cluster_index,
                                      const ShardClusterResult& result);
@@ -137,16 +113,6 @@ std::string SaveShardArtifactPayload(const ShardExecutionSpec& spec,
 // reason (missing file included) and leaves `out` untouched.
 std::string LoadShardArtifact(const ShardExecutionSpec& spec,
                               size_t cluster_index, ShardClusterResult* out);
-
-// Body of a forked worker process: processes `clusters` (reusing valid
-// artifacts, computing + checkpointing the rest), heartbeating on `pipe_fd`
-// from a dedicated thread, and reporting per-cluster completions plus a
-// final ShardDone/ShardError frame. Returns the exit code; the caller
-// _exit()s with it (never returning into the forked copy of the caller's
-// stack). POSIX-only; on other platforms returns kWorkerExitShardFailed.
-int RunShardWorker(const ShardExecutionSpec& spec, size_t shard_index,
-                   size_t attempt, const std::vector<size_t>& clusters,
-                   int pipe_fd);
 
 }  // namespace catapult::dist
 

@@ -69,12 +69,12 @@ enum class Counter : uint32_t {
   kMemSoftPressure,      // charges that crossed the soft limit
   kFailpointFires,       // armed failpoints that actually fired
   kDistWorkersSpawned,   // shard worker processes forked
-  kDistWorkerDeaths,     // abnormal worker exits observed via waitpid
-  kDistWorkerHangs,      // heartbeat deadline misses (worker killed)
+  kDistWorkerDeaths,     // active fleet members fenced (in-band liveness)
+  kDistWorkerHangs,      // heartbeat deadline misses (member fenced)
   kDistShardRetries,     // shards requeued after a worker failure
   kDistBackoffWaits,     // retry launches delayed by the backoff policy
   kDistQuarantines,      // shards that exhausted their failure budget
-  kDistFallbacks,        // quarantined shards executed in-process
+  kDistFallbacks,        // unfinished shards executed in-process
   kDistHeartbeats,       // heartbeat frames received by the supervisor
   kDistArtifactsReused,  // clusters restored from prior-attempt artifacts
   kDistArtifactsRejected,  // shard artifacts that failed validation

@@ -1,4 +1,4 @@
-// Chaos suite for network-transparent sharded execution (DESIGN.md §14):
+// Chaos suite for sharded execution over remote fleets (DESIGN.md §12):
 // the address parser and socket channel, the handshake/assignment frame
 // codecs, the membership registry's generation fencing, and — the
 // acceptance bar — that a sharded run over real sockets (Unix-domain and
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/catapult.h"
@@ -34,6 +36,7 @@
 #include "src/util/failpoint.h"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #define CATAPULT_NET_TEST_POSIX 1
@@ -192,7 +195,7 @@ TEST(DistNetWireTest, ClusterResultRoundTripsPayloadBytes) {
   in.shard = 3;
   in.generation = 2;
   in.cluster_index = 11;
-  in.payload = std::string("\x00\x01\x02binary\xff payload", 20);
+  in.payload = std::string("\x00\x01\x02" "binary\xff payload", 18);
   dist::ClusterResultFrame out;
   ASSERT_TRUE(dist::Decode(dist::Encode(in), &out));
   EXPECT_EQ(out.shard, 3u);
@@ -487,12 +490,12 @@ TEST_F(DistNetChannelTest, TcpPortZeroResolvesAndRoundTrips) {
   ASSERT_GE(server_fd, 0);
   dist::Channel server(server_fd);
 
-  ASSERT_TRUE(client.Send(dist::HelloFrame{9, 1, 42},
-                          dist::FrameType::kHello));
+  ASSERT_TRUE(client.Send(dist::HeartbeatFrame{9, 1, 42},
+                          dist::FrameType::kHeartbeat));
   dist::FrameReader reader;
   auto got = ReadOne(server, reader);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->type, dist::FrameType::kHello);
+  EXPECT_EQ(got->type, dist::FrameType::kHeartbeat);
 }
 
 TEST_F(DistNetChannelTest, ShortWritesStillDeliverWholeFrames) {
@@ -557,8 +560,6 @@ TEST_F(DistNetChannelTest, DialFailuresReportNotCrash) {
   EXPECT_NE(error.find("refused"), std::string::npos) << error;
 }
 
-// --- end-to-end: remote fleet chaos matrix ----------------------------------
-
 GraphDatabase NetDb(uint64_t seed = 31, size_t n = 36) {
   MoleculeGeneratorOptions gen;
   gen.num_graphs = n;
@@ -567,6 +568,74 @@ GraphDatabase NetDb(uint64_t seed = 31, size_t n = 36) {
   gen.seed = seed;
   return GenerateMoleculeDatabase(gen);
 }
+
+// --- member session over a socketpair ---------------------------------------
+
+// Plays the supervisor for one RunLocalWorker session over a socketpair:
+// admits the member, sends `assign`, then answers the member's completion
+// (if any) with an orderly shutdown. Returns the member's exit code.
+int DriveLocalMember(const GraphDatabase& db, dist::ShardAssignFrame assign) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return -1;
+  int code = -1;
+  std::thread member([&] {
+    code = dist::RunLocalWorker(db, dist::RemoteWorkerOptions{}, fds[1]);
+  });
+  {
+    dist::Channel sup(fds[0]);
+    dist::FrameReader reader;
+    bool shutdown_sent = false;
+    for (int spin = 0; spin < 20000 && !shutdown_sent; ++spin) {
+      dist::Channel::DrainStatus status = sup.DrainInto(&reader);
+      while (std::optional<dist::Frame> frame = reader.Next()) {
+        if (frame->type == dist::FrameType::kJoinRequest) {
+          sup.Send(dist::JoinAcceptFrame{1, 1, 50.0, 1000.0},
+                   dist::FrameType::kJoinAccept);
+          sup.Send(assign, dist::FrameType::kShardAssign);
+        } else if (frame->type == dist::FrameType::kShardDone) {
+          sup.Send(dist::ShutdownFrame{static_cast<uint32_t>(
+                                           dist::ShutdownCode::kDone),
+                                       "done"},
+                   dist::FrameType::kShutdown);
+          shutdown_sent = true;
+        }
+      }
+      if (status != dist::Channel::DrainStatus::kOk) break;  // member gone
+      ::usleep(1000);
+    }
+  }  // closing the supervisor end ends any session still running
+  member.join();
+  return code;
+}
+
+// Every sharded run reaches CarryShard, so a hand-built assignment whose
+// cluster index or member id does not address the database must end the
+// member with the protocol exit code — not a 2^63-entry allocation, not a
+// CHECK failure inside the pipeline.
+TEST(DistNetMemberTest, HostileAssignExitsWithProtocolCode) {
+  GraphDatabase db = NetDb();
+  dist::ShardAssignFrame assign;
+  assign.fine_max_cluster_size = 10;
+  assign.mcs_node_budget = 3000;
+  dist::ClusterWork work;
+  work.members = {0, 1, 2, 3};
+  work.stream = RngState{{1, 2, 3, 4}};
+  assign.clusters = {work};
+  // Control: the same harness carries a sane assignment to completion.
+  EXPECT_EQ(DriveLocalMember(db, assign), 0);
+
+  assign.clusters[0].index = uint64_t{1} << 63;
+  EXPECT_EQ(DriveLocalMember(db, assign), dist::kWorkerExitProtocol);
+
+  assign.clusters[0].index = db.size();
+  EXPECT_EQ(DriveLocalMember(db, assign), dist::kWorkerExitProtocol);
+
+  assign.clusters[0].index = 0;
+  assign.clusters[0].members.push_back(static_cast<GraphId>(db.size()));
+  EXPECT_EQ(DriveLocalMember(db, assign), dist::kWorkerExitProtocol);
+}
+
+// --- end-to-end: remote fleet chaos matrix ----------------------------------
 
 CatapultOptions NetBaseOptions() {
   CatapultOptions options;
@@ -619,6 +688,31 @@ bool HasEvent(const std::vector<dist::ShardEvent>& events,
   return false;
 }
 
+// The durable artifacts are the strongest identity witness: the fleet
+// run's checkpoints must be byte-identical to the in-process run's.
+void ExpectSameCheckpoints(const std::string& expected_dir,
+                           const std::string& actual_dir) {
+  for (persist::RecordType type :
+       {persist::RecordType::kClustering, persist::RecordType::kCsgs,
+        persist::RecordType::kSelection}) {
+    std::string expected_bytes = ReadFileBytes(
+        expected_dir + "/" + CheckpointStore::FileNameFor(type));
+    std::string actual_bytes =
+        ReadFileBytes(actual_dir + "/" + CheckpointStore::FileNameFor(type));
+    ASSERT_FALSE(expected_bytes.empty());
+    EXPECT_EQ(expected_bytes, actual_bytes)
+        << "checkpoint " << CheckpointStore::FileNameFor(type);
+  }
+}
+
+// Every process the test forked has been reaped: none is left behind.
+void ExpectNoChildLeft() {
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 class DistNetFleetTest : public DistNetChannelTest {
  protected:
   void SetUp() override {
@@ -660,19 +754,26 @@ class DistNetFleetTest : public DistNetChannelTest {
     return w;
   }
 
-  // Forks a remote worker. The child re-arms its own failpoints (fork
-  // inherits the parent's tables) and must _exit: no gtest teardown, no
-  // atexit handlers in the child.
-  pid_t SpawnWorker(const dist::RemoteWorkerOptions& opts,
-                    std::function<void()> arm = nullptr) {
+  // Forks a process running `body`. The child starts with no failpoint
+  // armed (fork inherits the parent's tables) and must _exit: no gtest
+  // teardown, no atexit handlers in the child.
+  pid_t SpawnProcess(const std::function<int()>& body) {
     pid_t pid = ::fork();
     if (pid == 0) {
       failpoint::DisarmAll();
-      if (arm) arm();
-      ::_exit(dist::RunRemoteWorker(db_, opts));
+      ::_exit(body());
     }
     workers_.push_back(pid);
     return pid;
+  }
+
+  // Forks a remote worker that arms its own failpoints first.
+  pid_t SpawnWorker(const dist::RemoteWorkerOptions& opts,
+                    std::function<void()> arm = nullptr) {
+    return SpawnProcess([&] {
+      if (arm) arm();
+      return dist::RunRemoteWorker(db_, opts);
+    });
   }
 
   int WaitWorker(pid_t pid) {
@@ -724,19 +825,54 @@ TEST_F(DistNetFleetTest, UnixSocketRunMatchesInProcessDownToCheckpoints) {
   EXPECT_FALSE(d.remote_fallback_only);
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerJoined));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kShardAssigned));
+  EXPECT_EQ(d.workers_spawned, 0u);  // a dialing fleet forks nothing
+  ExpectSameCheckpoints(dir_classic, options.checkpoint_dir);
+}
 
-  // The durable artifacts are the strongest identity witness: the remote
-  // run's checkpoints must be byte-identical to the in-process run's.
-  for (persist::RecordType type :
-       {persist::RecordType::kClustering, persist::RecordType::kCsgs,
-        persist::RecordType::kSelection}) {
-    std::string classic_bytes = ReadFileBytes(
-        dir_classic + "/" + CheckpointStore::FileNameFor(type));
-    std::string remote_bytes = ReadFileBytes(
-        options.checkpoint_dir + "/" + CheckpointStore::FileNameFor(type));
-    ASSERT_FALSE(classic_bytes.empty());
-    EXPECT_EQ(classic_bytes, remote_bytes)
-        << "checkpoint " << CheckpointStore::FileNameFor(type);
+// Unix-socket and TCP fleets at processes {2, 4} x threads {1, 4}: remote
+// members obey the supervisor's thread count, and every combination
+// reproduces the single-thread in-process run down to the checkpoints.
+TEST_F(DistNetFleetTest, FleetMatrixMatchesInProcessDownToCheckpoints) {
+  CatapultOptions classic = base_;
+  classic.threads = 1;
+  classic.checkpoint_dir = ScratchDir("classic");
+  CatapultResult expected = RunCatapult(db_, classic);
+  ASSERT_TRUE(expected.ok());
+  for (bool tcp : {false, true}) {
+    for (size_t processes : {2, 4}) {
+      for (size_t threads : {1, 4}) {
+        const std::string tag = std::string(tcp ? "tcp" : "uds") + "_p" +
+                                std::to_string(processes) + "_t" +
+                                std::to_string(threads);
+        SCOPED_TRACE(tag);
+        std::string dir = ScratchDir(tag);
+        CatapultOptions options = FleetOptions(processes);
+        options.threads = threads;
+        options.checkpoint_dir = dir + "/ckpt";
+        dist::Listener listener;
+        std::string address = "unix:" + dir + "/sup.sock";
+        if (tcp) {
+          dist::Address addr;
+          std::string error;
+          ASSERT_TRUE(dist::ParseAddress("tcp:127.0.0.1:0", &addr, &error));
+          ASSERT_EQ(listener.Listen(addr), "");
+          options.dist_listen_fd = listener.fd();
+          address = listener.address();
+        } else {
+          options.dist_listen = address;
+        }
+        pid_t w1 = SpawnWorker(WorkerOpts(address));
+        pid_t w2 = SpawnWorker(WorkerOpts(address));
+        CatapultResult actual = RunCatapult(db_, options);
+        ASSERT_TRUE(actual.ok());
+        EXPECT_EQ(WaitWorker(w1), 0);
+        EXPECT_EQ(WaitWorker(w2), 0);
+        ExpectSameResult(expected, actual);
+        ExpectSameCheckpoints(classic.checkpoint_dir, options.checkpoint_dir);
+        EXPECT_TRUE(actual.execution.dist.remote);
+        EXPECT_EQ(actual.execution.dist.shard_retries, 0u);
+      }
+    }
   }
 }
 
@@ -940,6 +1076,7 @@ TEST_F(DistNetFleetTest, SigkilledWorkerRetryLeavesNoDuplicateSpans) {
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(WaitWorker(victim), 128 + SIGKILL);
   EXPECT_EQ(WaitWorker(survivor), 0);
+  ExpectNoChildLeft();
   ExpectSameResult(expected_, actual);
   EXPECT_GE(actual.execution.dist.worker_deaths, 1u);
   ExpectMergedTraceInvariants(tracer, actual.execution.dist.shards,
@@ -990,6 +1127,7 @@ TEST_F(DistNetFleetTest, SigkilledWorkerShardReassignedToSurvivor) {
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(WaitWorker(victim), 128 + SIGKILL);
   EXPECT_EQ(WaitWorker(survivor), 0);
+  ExpectNoChildLeft();
   ExpectSameResult(expected_, actual);
   const dist::DistReport& d = actual.execution.dist;
   EXPECT_GE(d.worker_deaths, 1u);
@@ -1019,6 +1157,7 @@ TEST_F(DistNetFleetTest, HeartbeatStalledZombieIsFencedFramesDiscarded) {
   CatapultResult actual = RunCatapult(db_, options);
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(WaitWorker(w), 0);
+  ExpectNoChildLeft();
   ExpectSameResult(expected_, actual);
   const dist::DistReport& d = actual.execution.dist;
   EXPECT_GE(d.worker_hangs, 1u);
@@ -1045,6 +1184,59 @@ TEST_F(DistNetFleetTest, FleetNeverFormsFallsBackInProcess) {
   EXPECT_EQ(d.inprocess_fallbacks, d.shards);
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kFleetLost));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kInProcessFallback));
+}
+
+TEST_F(DistNetFleetTest, UndecodableShardErrorFencesTheMember) {
+  std::string dir = ScratchDir("badsharderror");
+  CatapultOptions options = FleetOptions(2);
+  options.dist_listen = "unix:" + dir + "/sup.sock";
+  options.dist_join_timeout_ms = 300.0;
+  // A hand-rolled member joins properly, then answers its assignment with
+  // a ShardError frame whose CRC is valid but whose payload does not
+  // decode. It stays connected until told to go, so only the poisoned
+  // stream — not a hangup or a missed heartbeat — can fence it.
+  pid_t fake = SpawnProcess([&] {
+    dist::Address addr;
+    std::string error;
+    dist::ParseAddress(options.dist_listen, &addr, &error);
+    int fd = -1;
+    for (int i = 0; i < 2000 && fd < 0; ++i) {
+      fd = dist::Dial(addr, 200.0, &error);
+      if (fd < 0) ::usleep(5000);
+    }
+    if (fd < 0) return 2;
+    dist::Channel channel(fd);
+    dist::JoinRequestFrame join;
+    join.fingerprint = fingerprint_;
+    channel.Send(join, dist::FrameType::kJoinRequest);
+    dist::FrameReader reader;
+    for (int spin = 0; spin < 20000; ++spin) {
+      dist::Channel::DrainStatus status = channel.DrainInto(&reader);
+      while (std::optional<dist::Frame> frame = reader.Next()) {
+        if (frame->type == dist::FrameType::kShardAssign) {
+          channel.SendEncoded(
+              dist::EncodeFrame(dist::FrameType::kShardError, "\x01"));
+        } else if (frame->type == dist::FrameType::kShutdown) {
+          return 0;
+        }
+      }
+      if (status != dist::Channel::DrainStatus::kOk) return 3;
+      ::usleep(1000);
+    }
+    return 4;
+  });
+  CatapultResult actual = RunCatapult(db_, options);
+  ASSERT_TRUE(actual.ok());
+  EXPECT_EQ(WaitWorker(fake), 0);
+  ExpectSameResult(expected_, actual);
+  bool poisoned = false;
+  for (const dist::ShardEvent& e : actual.execution.dist.events) {
+    if (e.kind == dist::ShardEvent::Kind::kWorkerFenced &&
+        e.detail.find("bad shard-error") != std::string::npos) {
+      poisoned = true;
+    }
+  }
+  EXPECT_TRUE(poisoned);
 }
 
 TEST_F(DistNetFleetTest, HandshakeMismatchesRejectedWithTypedCodes) {

@@ -1,25 +1,30 @@
-// Chaos suite for sharded multi-process execution (DESIGN.md §12): the
-// backoff policy, the shard planner, the pipe wire protocol, per-cluster
-// shard artifacts, and — the acceptance bar — that a multi-process run
-// survives every injected kill site (worker death before/after checkpoint,
-// artifact corruption, nonzero exits, heartbeat hangs, unconditional
-// failure driving quarantine and in-process fallback) while producing a
-// selection bit-identical to the in-process run, down to the checkpoint
-// bytes the two modes leave behind.
+// Chaos suite for sharded multi-process execution over a local fleet
+// (DESIGN.md §12): the backoff policy, the shard planner, the frame layer,
+// per-cluster shard artifacts, and — the acceptance bar — that a run whose
+// members are forked over socketpairs survives every injected fault
+// (members SIGKILLed or hanging up mid-shard, heartbeat hangs, artifact
+// corruption on the supervisor's side, a failure budget driving quarantine
+// and in-process fallback) while producing a selection bit-identical to
+// the in-process run, down to the checkpoint bytes the two modes leave
+// behind, and reaping every member it forked.
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/catapult.h"
 #include "src/core/report.h"
 #include "src/data/molecule_generator.h"
+#include "src/dist/net_worker.h"
 #include "src/dist/shard_plan.h"
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
@@ -29,6 +34,11 @@
 #include "src/util/backoff.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/wait.h>
+#define CATAPULT_DIST_TEST_POSIX 1
+#endif
 
 namespace catapult {
 namespace {
@@ -122,12 +132,56 @@ void ExpectSameResult(const CatapultResult& expected,
   }
 }
 
+// The durable artifacts are the strongest identity witness: both modes
+// must leave byte-identical phase checkpoints behind.
+void ExpectSameCheckpoints(const std::string& expected_dir,
+                           const std::string& actual_dir) {
+  for (RecordType type :
+       {RecordType::kClustering, RecordType::kCsgs, RecordType::kSelection}) {
+    std::string expected_bytes = ReadFileBytes(
+        expected_dir + "/" + CheckpointStore::FileNameFor(type));
+    std::string actual_bytes =
+        ReadFileBytes(actual_dir + "/" + CheckpointStore::FileNameFor(type));
+    ASSERT_FALSE(expected_bytes.empty());
+    EXPECT_EQ(expected_bytes, actual_bytes)
+        << "checkpoint " << CheckpointStore::FileNameFor(type);
+  }
+}
+
+// Every member a sharded run forked has been reaped by the time it
+// returns: the test process has no child left, zombie or running.
+void ExpectNoChildLeft() {
+#if defined(CATAPULT_DIST_TEST_POSIX)
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+#endif
+}
+
 bool HasEvent(const std::vector<dist::ShardEvent>& events,
               dist::ShardEvent::Kind kind) {
   for (const dist::ShardEvent& e : events) {
     if (e.kind == kind) return true;
   }
   return false;
+}
+
+// The cluster count of the assignment of `shard` at `attempt`, parsed from
+// its kShardAssigned event, or -1 when there was none.
+long AssignedClusters(const std::vector<dist::ShardEvent>& events,
+                      size_t shard, size_t attempt) {
+  const std::string tag = " attempt=" + std::to_string(attempt);
+  for (const dist::ShardEvent& e : events) {
+    if (e.kind != dist::ShardEvent::Kind::kShardAssigned || e.shard != shard ||
+        e.detail.size() < tag.size() ||
+        e.detail.compare(e.detail.size() - tag.size(), tag.size(), tag) != 0) {
+      continue;
+    }
+    size_t at = e.detail.find("clusters=");
+    if (at != std::string::npos) return std::atol(e.detail.c_str() + at + 9);
+  }
+  return -1;
 }
 
 // --- backoff policy ---------------------------------------------------------
@@ -196,14 +250,12 @@ TEST(ShardPlanTest, FewerClustersThanShardsYieldsSingletons) {
 TEST(WireTest, AllFrameTypesRoundTrip) {
   dist::FrameReader reader;
   std::string stream;
-  stream += dist::EncodeFrame(dist::FrameType::kHello,
-                              dist::Encode(dist::HelloFrame{3, 1, 4242}));
   stream += dist::EncodeFrame(dist::FrameType::kHeartbeat,
                               dist::Encode(dist::HeartbeatFrame{3, 17, 2}));
-  stream +=
-      dist::EncodeFrame(dist::FrameType::kClusterDone,
-                        dist::Encode(dist::ClusterDoneFrame{3, 9, true}));
-  dist::ShardDoneFrame done{3, 5, std::vector<uint64_t>(obs::kNumCounters, 0)};
+  dist::ShardDoneFrame done;
+  done.shard = 3;
+  done.clusters_done = 5;
+  done.counters.assign(obs::kNumCounters, 0);
   done.counters[2] = 77;
   stream += dist::EncodeFrame(dist::FrameType::kShardDone, dist::Encode(done));
   stream += dist::EncodeFrame(
@@ -212,27 +264,11 @@ TEST(WireTest, AllFrameTypesRoundTrip) {
 
   reader.Feed(stream.data(), stream.size());
 
-  auto hello = reader.Next();
-  ASSERT_TRUE(hello.has_value());
-  EXPECT_EQ(hello->type, dist::FrameType::kHello);
-  dist::HelloFrame h;
-  ASSERT_TRUE(dist::Decode(hello->payload, &h));
-  EXPECT_EQ(h.shard, 3u);
-  EXPECT_EQ(h.attempt, 1u);
-  EXPECT_EQ(h.pid, 4242u);
-
   auto hb = reader.Next();
   ASSERT_TRUE(hb.has_value());
   dist::HeartbeatFrame hbf;
   ASSERT_TRUE(dist::Decode(hb->payload, &hbf));
   EXPECT_EQ(hbf.seq, 17u);
-
-  auto cd = reader.Next();
-  ASSERT_TRUE(cd.has_value());
-  dist::ClusterDoneFrame cdf;
-  ASSERT_TRUE(dist::Decode(cd->payload, &cdf));
-  EXPECT_EQ(cdf.cluster_index, 9u);
-  EXPECT_TRUE(cdf.reused);
 
   auto sd = reader.Next();
   ASSERT_TRUE(sd.has_value());
@@ -250,6 +286,20 @@ TEST(WireTest, AllFrameTypesRoundTrip) {
 
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_FALSE(reader.corrupt());
+}
+
+// Types 1 and 3 (the retired fork-and-pipe hello and cluster-done frames)
+// stay reserved: a peer still sending them is a poisoned stream.
+TEST(WireTest, RetiredFrameTypesPoisonTheStream) {
+  for (uint32_t retired : {1u, 3u}) {
+    std::string frame = dist::EncodeFrame(dist::FrameType::kHeartbeat,
+                                          dist::Encode(dist::HeartbeatFrame{}));
+    frame[4] = static_cast<char>(retired);  // little-endian type field
+    dist::FrameReader reader;
+    reader.Feed(frame.data(), frame.size());
+    EXPECT_FALSE(reader.Next().has_value()) << retired;
+    EXPECT_TRUE(reader.corrupt()) << retired;
+  }
 }
 
 TEST(WireTest, ByteAtATimeFeedingReassemblesFrames) {
@@ -418,6 +468,7 @@ TEST_F(DistTest, FourProcessRunMatchesInProcessRun) {
   EXPECT_EQ(actual.execution.dist.worker_deaths, 0u);
   EXPECT_EQ(actual.execution.dist.quarantined_shards, 0u);
   ExpectSameResult(expected, actual);
+  ExpectNoChildLeft();
 }
 
 TEST_F(DistTest, SamplingPathMatchesToo) {
@@ -461,19 +512,7 @@ TEST_F(DistTest, CheckpointBytesMatchInProcessRun) {
   CatapultResult actual = RunCatapult(db, sharded);
   ASSERT_TRUE(actual.ok());
   ExpectSameResult(expected, actual);
-
-  // The durable artifacts are the strongest identity witness: both modes
-  // must leave byte-identical phase checkpoints behind.
-  for (RecordType type :
-       {RecordType::kClustering, RecordType::kCsgs, RecordType::kSelection}) {
-    std::string classic_bytes = ReadFileBytes(
-        dir_classic + "/" + CheckpointStore::FileNameFor(type));
-    std::string dist_bytes =
-        ReadFileBytes(dir_dist + "/" + CheckpointStore::FileNameFor(type));
-    ASSERT_FALSE(classic_bytes.empty());
-    EXPECT_EQ(classic_bytes, dist_bytes)
-        << "checkpoint " << CheckpointStore::FileNameFor(type);
-  }
+  ExpectSameCheckpoints(dir_classic, dir_dist);
 
   // A sharded run's checkpoints resume fine under a different process
   // count — the supervision knobs are excluded from the fingerprint.
@@ -486,83 +525,145 @@ TEST_F(DistTest, CheckpointBytesMatchInProcessRun) {
   ExpectSameResult(expected, resumed);
 }
 
-// --- chaos: every kill site must recover bit-identically --------------------
+// The local fleet at processes {2, 4} x threads {1, 4}: members obey the
+// supervisor's thread count, and every combination reproduces the
+// single-thread in-process run down to the checkpoint bytes.
+TEST_F(DistTest, LocalFleetMatrixMatchesInProcessDownToCheckpoints) {
+  GraphDatabase db = SmallDb();
+  CatapultOptions base = FastOptions();
+  base.threads = 1;
+  base.checkpoint_dir = ScratchDir("classic");
+  CatapultResult expected = RunCatapult(db, base);
+  ASSERT_TRUE(expected.ok());
+  for (size_t processes : {2, 4}) {
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE("processes=" + std::to_string(processes) +
+                   " threads=" + std::to_string(threads));
+      CatapultOptions sharded = DistOptionsOf(base, processes);
+      sharded.threads = threads;
+      sharded.checkpoint_dir = ScratchDir("p" + std::to_string(processes) +
+                                          "t" + std::to_string(threads));
+      CatapultResult actual = RunCatapult(db, sharded);
+      ASSERT_TRUE(actual.ok());
+      ExpectSameResult(expected, actual);
+      ExpectSameCheckpoints(base.checkpoint_dir, sharded.checkpoint_dir);
+      const dist::DistReport& d = actual.execution.dist;
+      EXPECT_FALSE(d.remote);
+      EXPECT_EQ(d.workers_spawned, d.shards);
+      EXPECT_EQ(d.shard_retries, 0u);
+      EXPECT_EQ(d.inprocess_fallbacks, 0u);
+      ExpectNoChildLeft();
+    }
+  }
+}
+
+// --- chaos: every fault must recover bit-identically ------------------------
 
 class DistChaosTest : public DistTest {
  protected:
-  // Runs the sharded pipeline under an armed kill site and asserts recovery
-  // reproduced the unperturbed in-process result exactly.
-  CatapultResult RunChaos(const std::string& site, long count,
-                          size_t processes = 4) {
+  // Runs `sharded` (a sharded variant of FastOptions) with `sites` armed
+  // in the supervisor, which every forked member inherits, and asserts
+  // recovery reproduced the unperturbed in-process run exactly: panel,
+  // scores and phase checkpoint bytes. No member may be left unreaped.
+  CatapultResult RunChaos(
+      const std::vector<std::pair<std::string, long>>& sites,
+      CatapultOptions sharded) {
     GraphDatabase db = SmallDb();
     CatapultOptions base = FastOptions();
+    base.threads = sharded.threads;
+    base.checkpoint_dir = ScratchDir("inprocess");
     CatapultResult expected = RunCatapult(db, base);
     EXPECT_TRUE(expected.ok());
 
-    failpoint::Arm(site, count);
-    CatapultResult actual = RunCatapult(db, DistOptionsOf(base, processes));
+    sharded.checkpoint_dir = ScratchDir("sharded");
+    for (const auto& [site, count] : sites) failpoint::Arm(site, count);
+    CatapultResult actual = RunCatapult(db, sharded);
     failpoint::DisarmAll();
     EXPECT_TRUE(actual.ok());
     ExpectSameResult(expected, actual);
+    ExpectSameCheckpoints(base.checkpoint_dir, sharded.checkpoint_dir);
+    ExpectNoChildLeft();
     return actual;
   }
 };
 
+// A member SIGKILLed mid-shard, before the rest of its shard is durable:
+// the supervisor sees EOF, fences it, reaps it, forks a replacement and
+// retries the shard.
 TEST_F(DistChaosTest, RecoversFromKillBeforeCheckpoint) {
-  CatapultResult result = RunChaos(dist::kFailpointKillBeforeCheckpoint, -1);
+  CatapultResult result =
+      RunChaos({{dist::kFailpointKillAfterFirstResult, -1}},
+               DistOptionsOf(FastOptions(), 4));
   const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.worker_deaths, 1u);
   EXPECT_GE(d.shard_retries, 1u);
+  EXPECT_GT(d.workers_spawned, d.shards);  // replacements were forked
+  EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerFenced));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerDied));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kShardRetried));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerSpawned));
 }
 
 TEST_F(DistChaosTest, RecoversFromKillAfterCheckpointReusingArtifacts) {
-  CatapultResult result = RunChaos(dist::kFailpointKillAfterCheckpoint, -1);
+  CatapultResult result =
+      RunChaos({{dist::kFailpointKillAfterFirstResult, -1}},
+               DistOptionsOf(FastOptions(), 4));
   const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.worker_deaths, 1u);
-  // The killed worker checkpointed its first cluster before dying; the
-  // retry must resume from that artifact, not recompute it.
-  EXPECT_GE(d.artifacts_reused, 1u);
-  EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kArtifactReused));
+  // Each killed member's first cluster was persisted before it died; the
+  // retry must carry only the clusters still missing, not recompute it.
+  bool resumed = false;
+  for (size_t s = 0; s < d.shards; ++s) {
+    long first = AssignedClusters(d.events, s, 0);
+    long retry = AssignedClusters(d.events, s, 1);
+    if (first > 0 && retry >= 0) {
+      EXPECT_EQ(retry, first - 1) << "shard " << s;
+      resumed = true;
+    }
+  }
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(d.duplicate_clusters, 0u);
 }
 
+// The supervisor persists each accepted cluster and re-reads it through
+// the validating loader; a read that comes back damaged is rejected, the
+// member fenced and the shard recomputed.
 TEST_F(DistChaosTest, RejectsCorruptShardArtifactAndRecomputes) {
-  CatapultResult result = RunChaos(dist::kFailpointCorruptShardArtifact, -1);
+  CatapultResult result = RunChaos({{"persist.short_read", 1}},
+                                   DistOptionsOf(FastOptions(), 4));
   const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.artifacts_rejected, 1u);
   EXPECT_GE(d.shard_retries, 1u);
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kArtifactRejected));
 }
 
+// A member that tears its first result frame and exits nonzero (code 20,
+// connection lost) without a ShardDone.
 TEST_F(DistChaosTest, RecoversFromNonzeroWorkerExit) {
-  CatapultResult result = RunChaos(dist::kFailpointExitNonzero, -1);
+  CatapultResult result = RunChaos({{dist::kFailpointDropMidFrame, -1}},
+                                   DistOptionsOf(FastOptions(), 4));
   const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.worker_deaths, 1u);
   EXPECT_GE(d.shard_retries, 1u);
+  EXPECT_EQ(d.quarantined_shards, 0u);
 }
 
 TEST_F(DistChaosTest, DetectsHeartbeatHangAndRecovers) {
-  GraphDatabase db = SmallDb();
-  CatapultOptions base = FastOptions();
-  CatapultResult expected = RunCatapult(db, base);
-  ASSERT_TRUE(expected.ok());
-
-  CatapultOptions sharded = DistOptionsOf(base, 4);
-  // Tight deadline so the hung workers are detected quickly; comfortably
+  CatapultOptions sharded = DistOptionsOf(FastOptions(), 4);
+  // Tight deadline so the hung members are detected quickly; comfortably
   // above the suite's scheduling noise floor.
   sharded.shard_heartbeat_timeout_ms = 250.0;
-  failpoint::Arm(dist::kFailpointHangHeartbeat, -1);
-  CatapultResult actual = RunCatapult(db, sharded);
-  failpoint::DisarmAll();
-  ASSERT_TRUE(actual.ok());
-  ExpectSameResult(expected, actual);
-
-  const dist::DistReport& d = actual.execution.dist;
+  // Heartbeats pause and the first result is held, each for 2.5x the
+  // deadline: the member is alive as a process but silent on its socket.
+  CatapultResult result =
+      RunChaos({{dist::kFailpointDelayHeartbeat, -1},
+                {dist::kFailpointStallBeforeResult, -1}},
+               sharded);
+  const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.worker_hangs, 1u);
   EXPECT_GE(d.shard_retries, 1u);
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerHung));
+  EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerDied));
 }
 
 TEST_F(DistChaosTest, QuarantinesAfterFailureBudgetAndFallsBackInProcess) {
@@ -573,12 +674,14 @@ TEST_F(DistChaosTest, QuarantinesAfterFailureBudgetAndFallsBackInProcess) {
 
   CatapultOptions sharded = DistOptionsOf(base, 3);
   sharded.max_shard_retries = 2;
-  failpoint::Arm(dist::kFailpointFailAlways, -1);  // every attempt fails
+  // Every attempt fails: no accepted cluster can be persisted.
+  failpoint::Arm("persist.rename", -1);
   CatapultResult actual = RunCatapult(db, sharded);
   failpoint::DisarmAll();
   ASSERT_TRUE(actual.ok());
   // The last rung of the ladder still reproduces the exact result.
   ExpectSameResult(expected, actual);
+  ExpectNoChildLeft();
 
   const dist::DistReport& d = actual.execution.dist;
   EXPECT_EQ(d.quarantined_shards, d.shards);
@@ -595,7 +698,7 @@ TEST_F(DistChaosTest, QuarantinesAfterFailureBudgetAndFallsBackInProcess) {
 
 // Persist-layer corruption inside the shard namespace: torn artifact writes
 // and bit-flipped reads must resolve to a cold shard restart (recompute),
-// never a crash — at multi-threaded workers, like production would run.
+// never a crash — at multi-threaded members, like production would run.
 TEST_F(DistChaosTest, TornShardArtifactWriteResolvesToRestart) {
   GraphDatabase db = SmallDb();
   CatapultOptions base = FastOptions();
@@ -603,7 +706,7 @@ TEST_F(DistChaosTest, TornShardArtifactWriteResolvesToRestart) {
   CatapultResult expected = RunCatapult(db, base);
   ASSERT_TRUE(expected.ok());
 
-  failpoint::Arm("persist.torn_write", 1);  // first artifact write per process
+  failpoint::Arm("persist.torn_write", 1);  // the first artifact write
   CatapultResult actual = RunCatapult(db, DistOptionsOf(base, 4));
   failpoint::DisarmAll();
   ASSERT_TRUE(actual.ok());
@@ -618,7 +721,7 @@ TEST_F(DistChaosTest, BitFlippedShardArtifactReadResolvesToRestart) {
   CatapultResult expected = RunCatapult(db, base);
   ASSERT_TRUE(expected.ok());
 
-  failpoint::Arm("persist.bit_flip", 1);  // first artifact read per process
+  failpoint::Arm("persist.bit_flip", 1);  // the first artifact read
   CatapultResult actual = RunCatapult(db, DistOptionsOf(base, 4));
   failpoint::DisarmAll();
   ASSERT_TRUE(actual.ok());
@@ -636,6 +739,7 @@ TEST_F(DistTest, DeadlineDuringShardedPhaseDegradesGracefully) {
   CatapultResult result = RunCatapult(db, options);
   ASSERT_TRUE(result.ok());  // partial results, never a crash
   EXPECT_TRUE(result.execution.deadline_set);
+  ExpectNoChildLeft();
 }
 
 TEST_F(DistTest, CancellationReapsWorkersAndReturnsPartial) {
@@ -649,9 +753,9 @@ TEST_F(DistTest, CancellationReapsWorkersAndReturnsPartial) {
   CatapultResult result = RunCatapult(db, options, ctx);
   canceller.join();
   ASSERT_TRUE(result.ok());
-  // Whatever phase the cancel landed in, the run wound down cooperatively;
-  // no worker process is left behind (the supervisor reaps before exiting,
-  // and leaked children would trip the next fork-heavy test anyway).
+  // Whatever phase the cancel landed in, the run wound down cooperatively
+  // and reaped every member it forked before returning.
+  ExpectNoChildLeft();
 }
 
 // --- observability ----------------------------------------------------------
