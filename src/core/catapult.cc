@@ -91,6 +91,7 @@ ClusteringResult SamplingCoarseStage(const GraphDatabase& db,
   const size_t min_count = static_cast<size_t>(std::max(
       1.0, options.clustering.miner.min_support *
                static_cast<double>(db.size())));
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db);
   std::vector<DynamicBitset> supports(candidates.size());
   std::vector<uint8_t> frequent(candidates.size(), 0);
   std::atomic<bool> stop_verifying{false};
@@ -100,7 +101,7 @@ ClusteringResult SamplingCoarseStage(const GraphDatabase& db,
       stop_verifying.store(true, std::memory_order_relaxed);
       return;
     }
-    DynamicBitset support = CountSupport(candidates[i].tree, db);
+    DynamicBitset support = CountSupport(candidates[i].tree, flat_db);
     if (support.Count() < min_count) return;
     supports[i] = std::move(support);
     frequent[i] = 1;

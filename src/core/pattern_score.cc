@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/iso/ged_bipartite.h"
-#include "src/iso/vf2.h"
 #include "src/obs/metrics.h"
 
 namespace catapult {
@@ -96,55 +95,6 @@ double PatternSetDiversityApprox(const Graph& pattern,
     if (best == 0.0) break;
   }
   return best;
-}
-
-std::vector<bool> CoveredCsgs(const Graph& pattern,
-                              const std::vector<Graph>& csg_summaries,
-                              uint64_t iso_node_budget,
-                              uint64_t* budget_exhausted) {
-  std::vector<bool> covered(csg_summaries.size(), false);
-  IsoOptions options;
-  options.node_budget =
-      iso_node_budget == 0 ? kDefaultCoverageIsoBudget : iso_node_budget;
-  for (size_t i = 0; i < csg_summaries.size(); ++i) {
-    if (csg_summaries[i].NumVertices() == 0) continue;
-    bool exhausted = false;
-    options.budget_exhausted = &exhausted;
-    covered[i] = ContainsSubgraph(pattern, csg_summaries[i], options);
-    if (exhausted && budget_exhausted != nullptr) ++*budget_exhausted;
-  }
-  return covered;
-}
-
-double ClusterCoverage(const Graph& pattern,
-                       const std::vector<Graph>& csg_summaries,
-                       const ClusterWeights& weights,
-                       uint64_t iso_node_budget,
-                       uint64_t* budget_exhausted) {
-  CATAPULT_CHECK(weights.size() == csg_summaries.size());
-  std::vector<bool> covered = CoveredCsgs(pattern, csg_summaries,
-                                          iso_node_budget, budget_exhausted);
-  double total = 0.0;
-  for (size_t i = 0; i < csg_summaries.size(); ++i) {
-    if (covered[i]) total += weights.Get(i);
-  }
-  return total;
-}
-
-double PatternScore(const Graph& pattern,
-                    const std::vector<Graph>& csg_summaries,
-                    const ClusterWeights& cluster_weights,
-                    const LabelCoverageIndex& label_index,
-                    const std::vector<Graph>& selected,
-                    const GedOptions& ged_options,
-                    uint64_t iso_node_budget) {
-  double cog = CognitiveLoad(pattern);
-  if (cog <= 0.0) return 0.0;
-  double ccov = ClusterCoverage(pattern, csg_summaries, cluster_weights,
-                                iso_node_budget);
-  double lcov = label_index.PatternLabelCoverage(pattern);
-  double div = PatternSetDiversity(pattern, selected, ged_options);
-  return ccov * lcov * div / cog;
 }
 
 }  // namespace catapult

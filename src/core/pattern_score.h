@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "src/core/weights.h"
 #include "src/iso/ged.h"
 
 namespace catapult {
@@ -52,39 +51,9 @@ double PatternSetDiversityApprox(const Graph& pattern,
 // Default backtracking budget for one coverage subgraph-isomorphism test.
 // Coverage tests must always be finite: an unlimited VF2 call on an
 // adversarial CSG could stall selection forever, and an unlimited call can
-// never report the truncation it silently avoids. Passing 0 to the coverage
-// helpers below selects this value rather than "unlimited".
+// never report the truncation it silently avoids. Passing 0 to
+// CoveredCsgsFlat (score_table.h) selects this value, not "unlimited".
 inline constexpr uint64_t kDefaultCoverageIsoBudget = 2000000;
-
-// Cluster coverage ccov(p, cw, C) ~= scov(p, D) (Section 5): the sum of
-// current cluster weights over clusters whose CSG contains p. `budget`
-// bounds each subgraph-isomorphism test; budget-exhausted tests count as
-// "not contained" (conservative) and are tallied into `budget_exhausted`
-// (optional, accumulated) so truncation is observable instead of silent.
-double ClusterCoverage(const Graph& pattern,
-                       const std::vector<Graph>& csg_summaries,
-                       const ClusterWeights& weights,
-                       uint64_t iso_node_budget = kDefaultCoverageIsoBudget,
-                       uint64_t* budget_exhausted = nullptr);
-
-// Marks which CSGs contain `pattern` (used both for scoring and for the
-// weight update after selection).
-// `csg_summaries` are the plain-graph views (ClusterSummaryGraph::ToGraph),
-// precomputed once by the caller.
-std::vector<bool> CoveredCsgs(const Graph& pattern,
-                              const std::vector<Graph>& csg_summaries,
-                              uint64_t iso_node_budget = kDefaultCoverageIsoBudget,
-                              uint64_t* budget_exhausted = nullptr);
-
-// The full pattern score of Equation 2:
-//   s_p = ccov(p, cw, C) * lcov(p, D) * div(p, P \ p) / cog(p).
-double PatternScore(const Graph& pattern,
-                    const std::vector<Graph>& csg_summaries,
-                    const ClusterWeights& cluster_weights,
-                    const LabelCoverageIndex& label_index,
-                    const std::vector<Graph>& selected,
-                    const GedOptions& ged_options = {},
-                    uint64_t iso_node_budget = 2000000);
 
 }  // namespace catapult
 

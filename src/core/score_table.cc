@@ -6,15 +6,6 @@
 
 namespace catapult {
 
-size_t FlatSummaryIndex::MemoryBytes() const {
-  size_t bytes = flat.MemoryBytes();
-  for (const LabelDomains& d : domains) bytes += d.MemoryBytes();
-  for (const Graph& g : summaries) {
-    bytes += ApproxGraphBytes(g.NumVertices(), g.NumEdges());
-  }
-  return bytes;
-}
-
 FlatSummaryIndex BuildFlatSummaryIndex(
     const std::vector<ClusterSummaryGraph>& csgs) {
   FlatSummaryIndex index;
@@ -23,10 +14,6 @@ FlatSummaryIndex BuildFlatSummaryIndex(
     index.summaries.push_back(csg.ToGraph());
   }
   index.flat = FlatGraphDatabase::Build(index.summaries);
-  index.domains.reserve(csgs.size());
-  for (size_t i = 0; i < index.summaries.size(); ++i) {
-    index.domains.push_back(LabelDomains::Build(index.flat.view(i)));
-  }
   return index;
 }
 
@@ -45,7 +32,7 @@ void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
     if (target.NumVertices() == 0) continue;
     bool exhausted = false;
     options.budget_exhausted = &exhausted;
-    if (FlatContainsSubgraph(pattern_view, target, &index.domains[i],
+    if (FlatContainsSubgraph(pattern_view, target, &index.flat.domains(i),
                              options)) {
       out_words[i >> 6] |= uint64_t{1} << (i & 63);
     }

@@ -3,9 +3,9 @@
 
 // Selection hot-path data structures (DESIGN.md §15):
 //
-//  * FlatSummaryIndex — the CSG summaries in flat CSR form plus per-summary
-//    label domains, built once per corpus (PrepareCorpus / selector entry)
-//    and shared by every coverage test of every greedy iteration.
+//  * FlatSummaryIndex — the CSG summaries in flat CSR form with their label
+//    domains, built once per corpus (PrepareCorpus / selector entry) and
+//    shared by every coverage test of every greedy iteration.
 //  * ScoreTable — a structure-of-arrays candidate table. Each ParallelFor
 //    slot writes only its own row across contiguous score/coverage/cog
 //    columns; column storage is reused across iterations so the steady
@@ -33,27 +33,24 @@ namespace catapult {
 inline size_t CoverageWords(size_t num_csgs) { return (num_csgs + 63) / 64; }
 
 // The coverage-test targets in flat form: plain-graph summary views (still
-// needed by the walk generator and for reporting), the same summaries in one
-// flat arena, and per-summary label domains for root candidate enumeration.
+// needed by the walk generator and for reporting) and the same summaries in
+// one flat arena with their label domains.
 struct FlatSummaryIndex {
   std::vector<Graph> summaries;
   FlatGraphDatabase flat;
-  std::vector<LabelDomains> domains;
 
   size_t size() const { return summaries.size(); }
-  size_t MemoryBytes() const;
 };
 
 FlatSummaryIndex BuildFlatSummaryIndex(
     const std::vector<ClusterSummaryGraph>& csgs);
 
-// Flat-kernel CoveredCsgs: marks, in the packed bitmap `out_words`
-// (CoverageWords(index.size()) words, caller-zeroed region overwritten),
-// which summaries contain `pattern`. Identical results and truncation
-// semantics to CoveredCsgs on the plain-graph summaries: empty summaries are
-// skipped (bit stays 0), a zero budget selects kDefaultCoverageIsoBudget,
-// and each budget-truncated test conservatively reports "not contained" and
-// increments `budget_exhausted` (optional).
+// Marks, in the packed bitmap `out_words` (CoverageWords(index.size())
+// words, overwritten), which summaries contain `pattern`, flattening the
+// pattern once for all of them. Empty summaries are skipped (bit stays 0), a
+// zero budget selects kDefaultCoverageIsoBudget, and each budget-truncated
+// test conservatively reports "not contained" and increments
+// `budget_exhausted` (optional, accumulated) so truncation is observable.
 void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
                      uint64_t iso_node_budget, uint64_t* budget_exhausted,
                      uint64_t* out_words);

@@ -29,10 +29,6 @@ Graph ClusterSummaryGraph::ToGraph() const {
   return g;
 }
 
-FlatGraph ClusterSummaryGraph::ToFlat() const {
-  return FlatGraph::Build(ToGraph());
-}
-
 double ClusterSummaryGraph::Compactness(double t) const {
   if (edges_.empty()) return 0.0;
   double threshold = t * static_cast<double>(cluster_size_);

@@ -4,7 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/graph/flat_graph.h"
 #include "src/graph/graph_database.h"
 #include "src/util/bitset.h"
 #include "src/util/deadline.h"
@@ -55,12 +54,6 @@ class ClusterSummaryGraph {
   // Plain labelled-graph view (drops support sets). Used for the cluster-
   // coverage subgraph isomorphism tests and for compactness accounting.
   Graph ToGraph() const;
-
-  // Flat CSR form of the same view (DESIGN.md §15), for callers that feed
-  // the summary straight into the flat iso kernels. Selection builds all
-  // summaries into one FlatGraphDatabase arena instead (see
-  // BuildFlatSummaryIndex); this per-summary form serves one-off tests.
-  FlatGraph ToFlat() const;
 
   // csg compactness xi_t (Section 6.1): fraction of summary edges contained
   // in at least t * cluster_size() member graphs.

@@ -5,7 +5,7 @@
 #include <map>
 
 #include "src/graph/algorithms.h"
-#include "src/iso/vf2.h"
+#include "src/iso/flat_vf2.h"
 
 namespace catapult {
 
@@ -36,16 +36,16 @@ std::vector<Graph> GenerateQueryMix(const GraphDatabase& db,
   CATAPULT_CHECK(!db.empty());
   Rng rng(options.seed);
 
-  // Verification sample for support checks.
-  std::vector<size_t> sample_indices =
-      rng.SampleIndices(db.size(), options.verification_sample);
+  // Verification sample for support checks, flattened once.
+  std::vector<GraphId> sample_ids;
+  for (size_t i : rng.SampleIndices(db.size(), options.verification_sample)) {
+    sample_ids.push_back(static_cast<GraphId>(i));
+  }
+  const FlatGraphDatabase sample = FlatGraphDatabase::Build(db, sample_ids);
   auto SampleSupport = [&](const Graph& q) {
-    size_t hits = 0;
-    for (size_t i : sample_indices) {
-      if (ContainsSubgraph(q, db.graph(static_cast<GraphId>(i)))) ++hits;
-    }
-    return static_cast<double>(hits) /
-           static_cast<double>(sample_indices.size());
+    FlatGraph flat_q = FlatGraph::Build(q);
+    size_t hits = ContainingGraphs(flat_q.View(), sample).Count();
+    return static_cast<double>(hits) / static_cast<double>(sample.size());
   };
 
   size_t infrequent_target = static_cast<size_t>(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/iso/flat_vf2.h"
 #include "src/util/check.h"
 
 namespace catapult {
@@ -23,11 +24,15 @@ QueryCover MaxPatternCover(const Graph& query,
   std::vector<Node> nodes;
   IsoOptions iso;
   iso.node_budget = options.iso_node_budget;
+  const FlatGraph flat_query = FlatGraph::Build(query);
+  const LabelDomains query_domains = LabelDomains::Build(flat_query.View());
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
     const Graph& p = patterns[pi];
     if (p.NumVertices() == 0 || p.NumEdges() > query.NumEdges()) continue;
+    FlatGraph flat_p = FlatGraph::Build(p);
     std::vector<Embedding> embeddings =
-        FindEmbeddings(p, query, options.max_embeddings_per_pattern, iso);
+        FlatFindEmbeddings(flat_p.View(), flat_query.View(), &query_domains,
+                           options.max_embeddings_per_pattern, iso);
     for (Embedding& e : embeddings) {
       nodes.push_back({pi, std::move(e),
                        static_cast<double>(p.NumVertices()), 0, true});

@@ -5,8 +5,8 @@
 #include "src/core/pattern_score.h"
 #include "src/formulate/steps.h"
 #include "src/graph/algorithms.h"
+#include "src/iso/flat_vf2.h"
 #include "src/iso/ged.h"
-#include "src/iso/vf2.h"
 
 namespace catapult {
 
@@ -71,21 +71,26 @@ double SubgraphCoverage(const std::vector<Graph>& patterns,
   size_t count = (sample_cap == 0 || sample_cap >= n) ? n : sample_cap;
   size_t stride = n / count;
   if (stride == 0) stride = 1;
+  std::vector<GraphId> sample;
+  for (size_t i = 0; i < n && sample.size() < count; i += stride) {
+    sample.push_back(static_cast<GraphId>(i));
+  }
 
-  size_t tested = 0;
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db, sample);
+  std::vector<FlatGraph> flat_patterns;
+  flat_patterns.reserve(patterns.size());
+  for (const Graph& p : patterns) flat_patterns.push_back(FlatGraph::Build(p));
   size_t covered = 0;
-  for (size_t i = 0; i < n && tested < count; i += stride, ++tested) {
-    const Graph& g = db.graph(static_cast<GraphId>(i));
-    for (const Graph& p : patterns) {
-      if (ContainsSubgraph(p, g, iso)) {
+  for (size_t i = 0; i < flat_db.size(); ++i) {
+    for (const FlatGraph& p : flat_patterns) {
+      if (FlatContainsSubgraph(p.View(), flat_db.view(i), &flat_db.domains(i),
+                               iso)) {
         ++covered;
         break;
       }
     }
   }
-  return tested == 0 ? 0.0
-                     : static_cast<double>(covered) /
-                           static_cast<double>(tested);
+  return static_cast<double>(covered) / static_cast<double>(sample.size());
 }
 
 double AverageSetDiversity(const std::vector<Graph>& patterns) {

@@ -118,13 +118,6 @@ FlatGraphView FlatGraph::View() const {
   return view;
 }
 
-size_t FlatGraph::MemoryBytes() const {
-  return labels_.capacity() * sizeof(Label) +
-         offsets_.capacity() * sizeof(uint32_t) +
-         adj_.capacity() * sizeof(FlatNeighbor) +
-         sorted_.capacity() * sizeof(uint32_t);
-}
-
 void FlatGraphDatabase::Append(const Graph& g) {
   Meta meta;
   meta.label_off = label_arena_.size();
@@ -159,23 +152,45 @@ void FlatGraphDatabase::Append(const Graph& g) {
   metas_.push_back(meta);
 }
 
-FlatGraphDatabase FlatGraphDatabase::Build(const GraphDatabase& db) {
+FlatGraphDatabase FlatGraphDatabase::FromGraphs(
+    const std::vector<const Graph*>& graphs) {
   FlatGraphDatabase out;
-  DatabaseStats stats = db.Stats();
-  out.label_arena_.reserve(stats.total_vertices);
-  out.offset_arena_.reserve(stats.total_vertices + db.size());
-  out.adj_arena_.reserve(2 * stats.total_edges);
-  out.sorted_arena_.reserve(2 * stats.total_edges);
-  out.metas_.reserve(db.size());
-  for (const Graph& g : db.graphs()) out.Append(g);
+  size_t vertices = 0;
+  size_t edges = 0;
+  for (const Graph* g : graphs) {
+    vertices += g->NumVertices();
+    edges += g->NumEdges();
+  }
+  out.label_arena_.reserve(vertices);
+  out.offset_arena_.reserve(vertices + graphs.size());
+  out.adj_arena_.reserve(2 * edges);
+  out.sorted_arena_.reserve(2 * edges);
+  out.metas_.reserve(graphs.size());
+  for (const Graph* g : graphs) out.Append(*g);
+  out.domains_.reserve(graphs.size());
+  for (size_t id = 0; id < graphs.size(); ++id) {
+    out.domains_.push_back(LabelDomains::Build(out.view(id)));
+  }
   return out;
 }
 
+FlatGraphDatabase FlatGraphDatabase::Build(const GraphDatabase& db) {
+  return Build(db.graphs());
+}
+
+FlatGraphDatabase FlatGraphDatabase::Build(const GraphDatabase& db,
+                                           const std::vector<GraphId>& ids) {
+  std::vector<const Graph*> graphs;
+  graphs.reserve(ids.size());
+  for (GraphId id : ids) graphs.push_back(&db.graph(id));
+  return FromGraphs(graphs);
+}
+
 FlatGraphDatabase FlatGraphDatabase::Build(const std::vector<Graph>& graphs) {
-  FlatGraphDatabase out;
-  out.metas_.reserve(graphs.size());
-  for (const Graph& g : graphs) out.Append(g);
-  return out;
+  std::vector<const Graph*> pointers;
+  pointers.reserve(graphs.size());
+  for (const Graph& g : graphs) pointers.push_back(&g);
+  return FromGraphs(pointers);
 }
 
 FlatGraphView FlatGraphDatabase::view(size_t id) const {
@@ -189,14 +204,6 @@ FlatGraphView FlatGraphDatabase::view(size_t id) const {
   view.num_vertices = meta.num_vertices;
   view.num_edges = meta.num_edges;
   return view;
-}
-
-size_t FlatGraphDatabase::MemoryBytes() const {
-  return label_arena_.capacity() * sizeof(Label) +
-         offset_arena_.capacity() * sizeof(uint32_t) +
-         adj_arena_.capacity() * sizeof(FlatNeighbor) +
-         sorted_arena_.capacity() * sizeof(uint32_t) +
-         metas_.capacity() * sizeof(Meta);
 }
 
 LabelDomains LabelDomains::Build(const FlatGraphView& g) {
@@ -237,12 +244,6 @@ const uint64_t* LabelDomains::Words(Label l) const {
 size_t LabelDomains::CountOf(Label l) const {
   int slot = SlotOf(l);
   return slot < 0 ? 0 : counts_[slot];
-}
-
-size_t LabelDomains::MemoryBytes() const {
-  return slot_labels_.capacity() * sizeof(Label) +
-         counts_.capacity() * sizeof(uint32_t) +
-         bits_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace catapult

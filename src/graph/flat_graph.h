@@ -4,9 +4,9 @@
 // Immutable CSR-style flat graph layout (DESIGN.md §15).
 //
 // `Graph` stays the mutable builder (parser, generators, pattern assembly);
-// the hot paths — subgraph-isomorphism coverage tests, MCS, scoring — run on
-// `FlatGraph` / `FlatGraphView`: one offsets array indexing one packed
-// adjacency array, built once after a graph stops changing.
+// every subgraph-isomorphism test runs on `FlatGraph` / `FlatGraphView`: one
+// offsets array indexing one packed adjacency array, built once after a
+// graph stops changing.
 //
 // Layout invariants:
 //  * `offsets` has NumVertices()+1 entries; the adjacency run of vertex v is
@@ -105,54 +105,12 @@ class FlatGraph {
 
   FlatGraphView View() const;
 
-  // Heap bytes held by the flat arrays (memory-budget accounting).
-  size_t MemoryBytes() const;
-
  private:
   std::vector<Label> labels_;
   std::vector<uint32_t> offsets_;
   std::vector<FlatNeighbor> adj_;
   std::vector<uint32_t> sorted_;
   uint32_t num_edges_ = 0;
-};
-
-// All graphs of a database in one contiguous arena: one labels array, one
-// offsets array, one adjacency array, one permutation array, plus a small
-// per-graph metadata record. Views are sliced out of the shared arenas, so
-// iterating graphs touches memory sequentially instead of per-graph heap
-// islands.
-class FlatGraphDatabase {
- public:
-  FlatGraphDatabase() = default;
-
-  static FlatGraphDatabase Build(const GraphDatabase& db);
-  // Same arena build from free-standing graphs (e.g. CSG summary views).
-  static FlatGraphDatabase Build(const std::vector<Graph>& graphs);
-
-  size_t size() const { return metas_.size(); }
-  bool empty() const { return metas_.empty(); }
-
-  FlatGraphView view(size_t id) const;
-
-  // Total heap bytes of the arenas.
-  size_t MemoryBytes() const;
-
- private:
-  struct Meta {
-    uint64_t label_off = 0;
-    uint64_t offset_off = 0;
-    uint64_t adj_off = 0;
-    uint32_t num_vertices = 0;
-    uint32_t num_edges = 0;
-  };
-
-  void Append(const Graph& g);
-
-  std::vector<Label> label_arena_;
-  std::vector<uint32_t> offset_arena_;
-  std::vector<FlatNeighbor> adj_arena_;
-  std::vector<uint32_t> sorted_arena_;
-  std::vector<Meta> metas_;
 };
 
 // Per-graph candidate domains: for every distinct vertex label, a
@@ -178,8 +136,6 @@ class LabelDomains {
   size_t num_vertices() const { return num_vertices_; }
   size_t num_labels() const { return slot_labels_.size(); }
 
-  size_t MemoryBytes() const;
-
  private:
   int SlotOf(Label l) const;  // -1 if absent
 
@@ -188,6 +144,50 @@ class LabelDomains {
   std::vector<Label> slot_labels_;   // distinct labels, ascending
   std::vector<uint32_t> counts_;     // per slot
   std::vector<uint64_t> bits_;       // num_labels * words_per_domain
+};
+
+// A collection of graphs in one contiguous arena: one labels array, one
+// offsets array, one adjacency array, one permutation array, plus a small
+// per-graph metadata record and the graph's label domains. Views are sliced
+// out of the shared arenas, so iterating graphs touches memory sequentially
+// instead of per-graph heap islands. Every containment scan builds one.
+class FlatGraphDatabase {
+ public:
+  FlatGraphDatabase() = default;
+
+  static FlatGraphDatabase Build(const GraphDatabase& db);
+  // The graphs `ids` of `db`, in that order: view(i) is db.graph(ids[i]).
+  static FlatGraphDatabase Build(const GraphDatabase& db,
+                                 const std::vector<GraphId>& ids);
+  // Same arena build from free-standing graphs (e.g. CSG summary views).
+  static FlatGraphDatabase Build(const std::vector<Graph>& graphs);
+
+  size_t size() const { return metas_.size(); }
+
+  FlatGraphView view(size_t id) const;
+  const LabelDomains& domains(size_t id) const {
+    CATAPULT_CHECK(id < domains_.size());
+    return domains_[id];
+  }
+
+ private:
+  struct Meta {
+    uint64_t label_off = 0;
+    uint64_t offset_off = 0;
+    uint64_t adj_off = 0;
+    uint32_t num_vertices = 0;
+    uint32_t num_edges = 0;
+  };
+
+  static FlatGraphDatabase FromGraphs(const std::vector<const Graph*>& graphs);
+  void Append(const Graph& g);
+
+  std::vector<Label> label_arena_;
+  std::vector<uint32_t> offset_arena_;
+  std::vector<FlatNeighbor> adj_arena_;
+  std::vector<uint32_t> sorted_arena_;
+  std::vector<Meta> metas_;
+  std::vector<LabelDomains> domains_;
 };
 
 }  // namespace catapult

@@ -8,7 +8,7 @@ namespace catapult {
 
 namespace {
 
-// Mirrors the batching of vf2.cc: one bookkeeping record per search.
+// One bookkeeping record per search, not per node.
 void RecordSearch(uint64_t nodes, bool budget_exhausted) {
   obs::Count(obs::Counter::kVf2Calls);
   obs::Count(obs::Counter::kVf2Nodes, nodes);
@@ -17,8 +17,7 @@ void RecordSearch(uint64_t nodes, bool budget_exhausted) {
 }
 
 // Root choice: rarest label in the target, ties broken by highest pattern
-// degree — the same ranking SubgraphIsomorphism computes from a label-count
-// map, read here from the precomputed domain counts.
+// degree, read from the precomputed domain counts.
 VertexId PickRoot(const FlatGraphView& pattern, const LabelDomains& domains) {
   VertexId best = 0;
   size_t rb = domains.CountOf(pattern.VertexLabel(0));
@@ -32,22 +31,30 @@ VertexId PickRoot(const FlatGraphView& pattern, const LabelDomains& domains) {
   return best;
 }
 
+// One backtracking search. Each complete embedding is handed to `visit` in
+// search order; a visitor returning false stops the whole search.
+template <typename Visit>
 struct FlatSearch {
   const FlatGraphView& pattern;
   const FlatGraphView& target;
   const LabelDomains& domains;
   const IsoOptions& options;
+  Visit& visit;
   std::vector<VertexId> order;
   std::vector<int> parent;
   std::vector<int> position;
-  std::vector<VertexId> mapping;
+  Embedding mapping;
   std::vector<bool> target_used;
   uint64_t nodes = 0;
-  bool found = false;
+  size_t found = 0;
 
   FlatSearch(const FlatGraphView& p, const FlatGraphView& t,
-             const LabelDomains& d, const IsoOptions& opt)
-      : pattern(p), target(t), domains(d), options(opt) {
+             const LabelDomains& d, const IsoOptions& opt, Visit& v)
+      : pattern(p), target(t), domains(d), options(opt), visit(v) {
+    // BFS matching order from the root. The pattern is connected by
+    // contract, so every non-root vertex is discovered from an earlier
+    // vertex, which becomes its anchor: its match constrains the candidate
+    // set to the anchor's target neighbourhood.
     order.reserve(pattern.NumVertices());
     parent.assign(pattern.NumVertices(), -1);
     position.assign(pattern.NumVertices(), -1);
@@ -114,8 +121,8 @@ struct FlatSearch {
     ++nodes;
 
     if (depth == order.size()) {
-      found = true;
-      return false;  // existence only: stop at the first embedding
+      ++found;
+      return visit(mapping);
     }
 
     VertexId pv = order[depth];
@@ -123,8 +130,7 @@ struct FlatSearch {
     size_t pv_degree = pattern.Degree(pv);
 
     if (depth == 0) {
-      // Set bits of the root label's domain, ascending: exactly the
-      // candidates the naive 0..V scan accepts, in the same order.
+      // Set bits of the root label's domain, ascending.
       const uint64_t* words = domains.Words(pv_label);
       if (words == nullptr) return true;
       size_t num_words = domains.words_per_domain();
@@ -149,12 +155,12 @@ struct FlatSearch {
   }
 };
 
-}  // namespace
-
-bool FlatContainsSubgraph(const FlatGraphView& pattern,
-                          const FlatGraphView& target,
-                          const LabelDomains* target_domains,
-                          IsoOptions options) {
+// Runs one search, handing each embedding to `visit` until it returns
+// false; returns the number of embeddings visited.
+template <typename Visit>
+size_t Search(const FlatGraphView& pattern, const FlatGraphView& target,
+              const LabelDomains* target_domains, const IsoOptions& options,
+              Visit visit) {
   CATAPULT_CHECK(pattern.NumVertices() > 0);
   if (options.budget_exhausted != nullptr) {
     *options.budget_exhausted = false;
@@ -164,15 +170,52 @@ bool FlatContainsSubgraph(const FlatGraphView& pattern,
     local = LabelDomains::Build(target);
     target_domains = &local;
   }
-  FlatSearch search(pattern, target, *target_domains, options);
+  FlatSearch<Visit> search(pattern, target, *target_domains, options, visit);
   if (pattern.NumVertices() > target.NumVertices() ||
       pattern.NumEdges() > target.NumEdges()) {
-    return false;  // same silent precheck as SubgraphIsomorphism::Exists
+    return 0;  // silent size precheck: no search, nothing recorded
   }
   search.Backtrack(0);
   RecordSearch(search.nodes, options.node_budget != 0 &&
                                  search.nodes >= options.node_budget);
   return search.found;
+}
+
+}  // namespace
+
+bool FlatContainsSubgraph(const FlatGraphView& pattern,
+                          const FlatGraphView& target,
+                          const LabelDomains* target_domains,
+                          IsoOptions options) {
+  return Search(pattern, target, target_domains, options,
+                [](const Embedding&) { return false; }) > 0;
+}
+
+std::vector<Embedding> FlatFindEmbeddings(const FlatGraphView& pattern,
+                                          const FlatGraphView& target,
+                                          const LabelDomains* target_domains,
+                                          size_t max_count,
+                                          IsoOptions options) {
+  std::vector<Embedding> embeddings;
+  Search(pattern, target, target_domains, options, [&](const Embedding& e) {
+    embeddings.push_back(e);
+    return max_count == 0 || embeddings.size() < max_count;
+  });
+  return embeddings;
+}
+
+DynamicBitset ContainingGraphs(const FlatGraphView& pattern,
+                               const FlatGraphDatabase& db,
+                               const DynamicBitset* restrict_to,
+                               IsoOptions options) {
+  DynamicBitset support(db.size());
+  for (size_t i = 0; i < db.size(); ++i) {
+    if (restrict_to != nullptr && !restrict_to->Test(i)) continue;
+    if (FlatContainsSubgraph(pattern, db.view(i), &db.domains(i), options)) {
+      support.Set(i);
+    }
+  }
+  return support;
 }
 
 }  // namespace catapult

@@ -1,219 +1,41 @@
 #include "src/iso/vf2.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
-#include "src/obs/metrics.h"
+#include "src/graph/flat_graph.h"
+#include "src/iso/flat_vf2.h"
 
 namespace catapult {
 
-namespace {
-
-// One bookkeeping batch per search (not per node): the per-node cost of
-// instrumentation inside Backtrack would dwarf the work it measures.
-void RecordSearch(uint64_t nodes, bool budget_exhausted) {
-  obs::Count(obs::Counter::kVf2Calls);
-  obs::Count(obs::Counter::kVf2Nodes, nodes);
-  obs::Observe(obs::Hist::kVf2NodesPerCall, nodes);
-  if (budget_exhausted) obs::Count(obs::Counter::kVf2BudgetExhausted);
-}
-
-// Chooses the root of the matching order: rarest label in the target, ties
-// broken by highest pattern degree.
-VertexId PickRoot(const Graph& pattern, const Graph& target) {
-  std::unordered_map<Label, size_t> target_label_count;
-  for (VertexId v = 0; v < target.NumVertices(); ++v) {
-    ++target_label_count[target.VertexLabel(v)];
-  }
-  auto Rarity = [&](VertexId v) {
-    auto it = target_label_count.find(pattern.VertexLabel(v));
-    return it == target_label_count.end() ? size_t{0} : it->second;
-  };
-  VertexId best = 0;
-  for (VertexId v = 1; v < pattern.NumVertices(); ++v) {
-    size_t rv = Rarity(v);
-    size_t rb = Rarity(best);
-    if (rv < rb || (rv == rb && pattern.Degree(v) > pattern.Degree(best))) {
-      best = v;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
-SubgraphIsomorphism::SubgraphIsomorphism(const Graph& pattern,
-                                         const Graph& target,
-                                         IsoOptions options)
-    : pattern_(pattern), target_(target), options_(options) {
-  CATAPULT_CHECK(pattern.NumVertices() > 0);
-  if (options_.budget_exhausted != nullptr) {
-    *options_.budget_exhausted = false;
-  }
-  // BFS matching order from the root. The pattern is connected by contract,
-  // so every non-root vertex is discovered from an earlier vertex, which
-  // becomes its anchor: its match constrains the candidate set to the
-  // anchor's target neighbourhood.
-  order_.reserve(pattern_.NumVertices());
-  parent_.assign(pattern_.NumVertices(), -1);   // anchor vertex id, by vertex
-  position_.assign(pattern_.NumVertices(), -1);  // index in order_, by vertex
-  std::deque<VertexId> frontier = {PickRoot(pattern_, target_)};
-  std::vector<bool> discovered(pattern_.NumVertices(), false);
-  discovered[frontier.front()] = true;
-  while (!frontier.empty()) {
-    VertexId v = frontier.front();
-    frontier.pop_front();
-    position_[v] = static_cast<int>(order_.size());
-    order_.push_back(v);
-    for (const Graph::Neighbor& n : pattern_.Neighbors(v)) {
-      if (!discovered[n.to]) {
-        discovered[n.to] = true;
-        parent_[n.to] = static_cast<int>(v);
-        frontier.push_back(n.to);
-      }
-    }
-  }
-  CATAPULT_CHECK_MSG(order_.size() == pattern_.NumVertices(),
-                     "pattern must be connected");
-  mapping_.assign(pattern_.NumVertices(), 0);
-  target_used_.assign(target_.NumVertices(), false);
-}
-
-bool SubgraphIsomorphism::Backtrack(
-    size_t depth, const std::function<bool(const Embedding&)>& visitor,
-    size_t& found) {
-  if (options_.node_budget != 0 && nodes_ >= options_.node_budget) {
-    if (options_.budget_exhausted != nullptr) {
-      *options_.budget_exhausted = true;
-    }
-    return false;  // Abort the whole search.
-  }
-  ++nodes_;
-
-  if (depth == order_.size()) {
-    ++found;
-    return visitor(mapping_);
-  }
-
-  VertexId pv = order_[depth];
-  Label pv_label = pattern_.VertexLabel(pv);
-  size_t pv_degree = pattern_.Degree(pv);
-
-  // Tries to extend the partial embedding with pv -> tv. Returns false only
-  // when the entire search should stop.
-  auto TryCandidate = [&](VertexId tv) -> bool {
-    if (target_used_[tv]) return true;
-    if (target_.VertexLabel(tv) != pv_label) return true;
-    if (target_.Degree(tv) < pv_degree) return true;
-    // Every pattern edge from pv to an already-matched vertex must be
-    // realised in the target.
-    for (const Graph::Neighbor& n : pattern_.Neighbors(pv)) {
-      if (position_[n.to] >= static_cast<int>(depth)) continue;  // unmatched
-      VertexId mapped = mapping_[n.to];
-      if (!target_.HasEdge(tv, mapped)) return true;
-      if (options_.match_edge_labels &&
-          target_.EdgeLabel(tv, mapped) != pattern_.EdgeLabel(pv, n.to)) {
-        return true;
-      }
-    }
-    if (options_.induced) {
-      // Matched pattern vertices non-adjacent to pv must stay non-adjacent.
-      for (size_t d = 0; d < depth; ++d) {
-        VertexId other = order_[d];
-        if (!pattern_.HasEdge(pv, other) &&
-            target_.HasEdge(tv, mapping_[other])) {
-          return true;
-        }
-      }
-    }
-    mapping_[pv] = tv;
-    target_used_[tv] = true;
-    bool keep_going = Backtrack(depth + 1, visitor, found);
-    target_used_[tv] = false;
-    return keep_going;
-  };
-
-  if (depth == 0) {
-    for (VertexId tv = 0; tv < target_.NumVertices(); ++tv) {
-      if (!TryCandidate(tv)) return false;
-    }
-  } else {
-    VertexId anchor = static_cast<VertexId>(parent_[pv]);
-    for (const Graph::Neighbor& n : target_.Neighbors(mapping_[anchor])) {
-      if (!TryCandidate(n.to)) return false;
-    }
-  }
-  return true;
-}
-
-bool SubgraphIsomorphism::Exists() {
-  if (pattern_.NumVertices() > target_.NumVertices() ||
-      pattern_.NumEdges() > target_.NumEdges()) {
-    return false;
-  }
-  size_t found = 0;
-  nodes_ = 0;
-  Backtrack(0, [](const Embedding&) { return false; }, found);
-  RecordSearch(nodes_, BudgetExhausted());
-  return found > 0;
-}
-
-size_t SubgraphIsomorphism::Count(size_t cap) {
-  if (pattern_.NumVertices() > target_.NumVertices() ||
-      pattern_.NumEdges() > target_.NumEdges()) {
-    return 0;
-  }
-  size_t found = 0;
-  nodes_ = 0;
-  Backtrack(0,
-            [&](const Embedding&) { return cap == 0 || found < cap; },
-            found);
-  RecordSearch(nodes_, BudgetExhausted());
-  return found;
-}
-
-size_t SubgraphIsomorphism::Enumerate(
-    const std::function<bool(const Embedding&)>& visitor) {
-  if (pattern_.NumVertices() > target_.NumVertices() ||
-      pattern_.NumEdges() > target_.NumEdges()) {
-    return 0;
-  }
-  size_t found = 0;
-  nodes_ = 0;
-  Backtrack(0, visitor, found);
-  RecordSearch(nodes_, BudgetExhausted());
-  return found;
-}
-
 bool ContainsSubgraph(const Graph& pattern, const Graph& target,
                       IsoOptions options) {
-  return SubgraphIsomorphism(pattern, target, options).Exists();
+  // Stopping at the first embedding is exactly the existence search.
+  return !FindEmbeddings(pattern, target, 1, options).empty();
 }
 
 std::vector<Embedding> FindEmbeddings(const Graph& pattern,
                                       const Graph& target, size_t max_count,
                                       IsoOptions options) {
-  std::vector<Embedding> embeddings;
-  SubgraphIsomorphism iso(pattern, target, options);
-  iso.Enumerate([&](const Embedding& e) {
-    embeddings.push_back(e);
-    return max_count == 0 || embeddings.size() < max_count;
-  });
-  return embeddings;
+  CATAPULT_CHECK(pattern.NumVertices() > 0);
+  if (options.budget_exhausted != nullptr) *options.budget_exhausted = false;
+  // The kernel's silent size precheck, before anything is flattened.
+  if (pattern.NumVertices() > target.NumVertices() ||
+      pattern.NumEdges() > target.NumEdges()) {
+    return {};
+  }
+  FlatGraph flat_pattern = FlatGraph::Build(pattern);
+  FlatGraph flat_target = FlatGraph::Build(target);
+  return FlatFindEmbeddings(flat_pattern.View(), flat_target.View(), nullptr,
+                            max_count, options);
 }
 
 bool AreIsomorphic(const Graph& a, const Graph& b, IsoOptions options) {
+  // Sizes first: each fingerprint costs a colour refinement.
   if (a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges()) {
     return false;
   }
-  if (a.NumVertices() == 0) return true;
-  if (GraphFingerprint(a) != GraphFingerprint(b)) return false;
-  // With equal vertex and edge counts, an embedding is a bijection covering
-  // all edges, i.e. an isomorphism (induced holds automatically, but is
-  // cheap to enforce and prunes the search).
-  options.induced = true;
-  return ContainsSubgraph(a, b, options);
+  return AreIsomorphicWithFingerprints(a, b, GraphFingerprint(a),
+                                       GraphFingerprint(b), options);
 }
 
 bool AreIsomorphicWithFingerprints(const Graph& a, const Graph& b,
@@ -224,6 +46,9 @@ bool AreIsomorphicWithFingerprints(const Graph& a, const Graph& b,
     return false;
   }
   if (a.NumVertices() == 0) return true;
+  // With equal vertex and edge counts, an embedding is a bijection covering
+  // all edges, i.e. an isomorphism (induced holds automatically, but is
+  // cheap to enforce and prunes the search).
   options.induced = true;
   return ContainsSubgraph(a, b, options);
 }

@@ -2,14 +2,13 @@
 #define CATAPULT_ISO_VF2_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/graph/graph.h"
 
 namespace catapult {
 
-// Options for subgraph isomorphism search.
+// Options for a subgraph-isomorphism search.
 struct IsoOptions {
   // If true, requires an induced embedding (non-edges of the pattern must map
   // to non-edges of the target). The paper's containment tests (coverage,
@@ -32,54 +31,19 @@ struct IsoOptions {
 // pattern vertex i.
 using Embedding = std::vector<VertexId>;
 
-// VF2-style backtracking subgraph isomorphism.
-//
-// The matching order is a BFS order of the pattern rooted at its most
-// constrained vertex (rarest label, then highest degree), so every vertex
-// after the first is matched adjacent to already-matched vertices; candidate
-// target vertices are filtered by label, degree, and adjacency consistency.
-class SubgraphIsomorphism {
- public:
-  // `pattern` must be connected and non-empty.
-  SubgraphIsomorphism(const Graph& pattern, const Graph& target,
-                      IsoOptions options = {});
+// Graph-level entry points of the subgraph-isomorphism kernel
+// (src/iso/flat_vf2.h). Each does its cheap rejections (sizes,
+// fingerprints) first and only then flattens its inputs and runs the
+// kernel, so results, node counts and truncation points are the kernel's.
+// Loops that test many pairs flatten once and call the kernel directly.
 
-  // True if at least one embedding exists.
-  bool Exists();
-
-  // Number of embeddings, stopping early at `cap` (0 = no cap). Note that
-  // automorphic images count separately.
-  size_t Count(size_t cap);
-
-  // Invokes `visitor` for each embedding until it returns false or the
-  // search space is exhausted. Returns the number of embeddings visited.
-  size_t Enumerate(const std::function<bool(const Embedding&)>& visitor);
-
- private:
-  bool Backtrack(size_t depth, const std::function<bool(const Embedding&)>& visitor,
-                 size_t& found);
-
-  // True when the last search stopped because it hit the node budget.
-  bool BudgetExhausted() const {
-    return options_.node_budget != 0 && nodes_ >= options_.node_budget;
-  }
-
-  const Graph& pattern_;
-  const Graph& target_;
-  IsoOptions options_;
-  std::vector<VertexId> order_;  // pattern vertices in matching order
-  std::vector<int> parent_;      // BFS anchor vertex id, indexed by vertex
-  std::vector<int> position_;    // index in order_, indexed by vertex
-  Embedding mapping_;                    // pattern vertex -> target vertex
-  std::vector<bool> target_used_;
-  uint64_t nodes_ = 0;
-};
-
-// Convenience: true if `pattern` has an embedding in `target`.
+// True if `pattern` (connected, non-empty) has an embedding in `target`.
 bool ContainsSubgraph(const Graph& pattern, const Graph& target,
                       IsoOptions options = {});
 
-// Convenience: up to `max_count` embeddings of `pattern` in `target`.
+// Up to `max_count` (0 = all) embeddings of `pattern` (connected,
+// non-empty) in `target`, in search order. Automorphic images count
+// separately.
 std::vector<Embedding> FindEmbeddings(const Graph& pattern,
                                       const Graph& target, size_t max_count,
                                       IsoOptions options = {});

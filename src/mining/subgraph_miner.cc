@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/iso/flat_vf2.h"
 #include "src/iso/vf2.h"
 #include "src/util/check.h"
 
@@ -82,6 +83,7 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
     frontier.push_back(std::move(fs));
   }
 
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db);
   while (!frontier.empty()) {
     for (const FrequentSubgraph& fs : frontier) {
       if (fs.graph.NumEdges() >= options.min_edges) results.push_back(fs);
@@ -133,13 +135,9 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
 
     std::vector<FrequentSubgraph> next;
     for (Candidate& c : candidates) {
-      DynamicBitset support(universe);
-      for (size_t i = 0; i < universe; ++i) {
-        if (!c.parent_support->Test(i)) continue;
-        if (ContainsSubgraph(c.graph, db.graph(static_cast<GraphId>(i)))) {
-          support.Set(i);
-        }
-      }
+      FlatGraph flat_candidate = FlatGraph::Build(c.graph);
+      DynamicBitset support =
+          ContainingGraphs(flat_candidate.View(), flat_db, c.parent_support);
       if (support.Count() < min_count) continue;
       FrequentSubgraph fs;
       fs.frequency = static_cast<double>(support.Count()) /

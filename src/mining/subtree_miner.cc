@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/iso/vf2.h"
+#include "src/iso/flat_vf2.h"
 #include "src/tree/canonical.h"
 #include "src/util/check.h"
 
@@ -19,17 +19,6 @@ struct Candidate {
   std::string canonical;
   const DynamicBitset* parent_support;
 };
-
-DynamicBitset CountSupportWithin(const Graph& tree, const GraphDatabase& db,
-                                 const std::vector<GraphId>& graph_ids,
-                                 const DynamicBitset* restrict_to) {
-  DynamicBitset support(graph_ids.size());
-  for (size_t i = 0; i < graph_ids.size(); ++i) {
-    if (restrict_to != nullptr && !restrict_to->Test(i)) continue;
-    if (ContainsSubgraph(tree, db.graph(graph_ids[i]))) support.Set(i);
-  }
-  return support;
-}
 
 }  // namespace
 
@@ -96,7 +85,9 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
   }
   std::sort(frequent_labels.begin(), frequent_labels.end());
 
-  // Level-wise growth.
+  // Level-wise growth. Support counting tests candidates against the
+  // graphs flattened once for the whole run.
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db, graph_ids);
   while (!frontier.empty()) {
     for (FrequentSubtree& fs : frontier) results.push_back(fs);
     if (frontier.front().tree.NumEdges() >= options.max_edges) break;
@@ -143,8 +134,9 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
         stopped = true;
         break;
       }
+      FlatGraph flat_tree = FlatGraph::Build(c.tree);
       DynamicBitset support =
-          CountSupportWithin(c.tree, db, graph_ids, c.parent_support);
+          ContainingGraphs(flat_tree.View(), flat_db, c.parent_support);
       if (support.Count() < min_count) continue;
       FrequentSubtree fs;
       fs.frequency = static_cast<double>(support.Count()) /
@@ -179,12 +171,9 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
   return MineFrequentSubtrees(db, all, options);
 }
 
-DynamicBitset CountSupport(const Graph& tree, const GraphDatabase& db) {
-  DynamicBitset support(db.size());
-  for (GraphId i = 0; i < db.size(); ++i) {
-    if (ContainsSubgraph(tree, db.graph(i))) support.Set(i);
-  }
-  return support;
+DynamicBitset CountSupport(const Graph& tree, const FlatGraphDatabase& db) {
+  FlatGraph flat_tree = FlatGraph::Build(tree);
+  return ContainingGraphs(flat_tree.View(), db);
 }
 
 }  // namespace catapult

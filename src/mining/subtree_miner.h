@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graph/flat_graph.h"
 #include "src/graph/graph_database.h"
 #include "src/util/bitset.h"
 #include "src/util/deadline.h"
@@ -62,10 +63,11 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
 std::vector<FrequentSubtree> MineFrequentSubtrees(
     const GraphDatabase& db, const SubtreeMinerOptions& options);
 
-// Recounts the support of `tree` over the full database (used after eager
-// sampling: mine with a lowered threshold on the sample, then verify with
-// the original threshold on D; Section 4.3).
-DynamicBitset CountSupport(const Graph& tree, const GraphDatabase& db);
+// Recounts the support of `tree` over the full database, flattened once by
+// the caller for all candidates (used after eager sampling: mine with a
+// lowered threshold on the sample, then verify with the original threshold
+// on D; Section 4.3).
+DynamicBitset CountSupport(const Graph& tree, const FlatGraphDatabase& db);
 
 }  // namespace catapult
 

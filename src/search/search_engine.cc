@@ -2,10 +2,12 @@
 
 #include <unordered_set>
 
+#include "src/iso/flat_vf2.h"
+
 namespace catapult {
 
 SubgraphSearchEngine::SubgraphSearchEngine(const GraphDatabase& db)
-    : db_(&db) {
+    : db_(&db), flat_(FlatGraphDatabase::Build(db)) {
   const size_t n = db.size();
   vertex_counts_.resize(n);
   edge_counts_.resize(n);
@@ -78,22 +80,21 @@ DynamicBitset SubgraphSearchEngine::FilterCandidates(
 
 std::vector<GraphId> SubgraphSearchEngine::Search(const Graph& query,
                                                   IsoOptions options) const {
-  std::vector<GraphId> results;
-  for (size_t i : FilterCandidates(query).ToIndices()) {
-    if (ContainsSubgraph(query, db_->graph(static_cast<GraphId>(i)),
-                         options)) {
-      results.push_back(static_cast<GraphId>(i));
-    }
-  }
-  return results;
+  DynamicBitset candidates = FilterCandidates(query);
+  FlatGraph flat_query = FlatGraph::Build(query);
+  std::vector<size_t> ids =
+      ContainingGraphs(flat_query.View(), flat_, &candidates, options)
+          .ToIndices();
+  return std::vector<GraphId>(ids.begin(), ids.end());
 }
 
 size_t SubgraphSearchEngine::CountMatches(const Graph& query, size_t cap,
                                           IsoOptions options) const {
+  FlatGraph flat_query = FlatGraph::Build(query);
   size_t count = 0;
   for (size_t i : FilterCandidates(query).ToIndices()) {
-    if (ContainsSubgraph(query, db_->graph(static_cast<GraphId>(i)),
-                         options)) {
+    if (FlatContainsSubgraph(flat_query.View(), flat_.view(i),
+                             &flat_.domains(i), options)) {
       ++count;
       if (cap != 0 && count >= cap) return count;
     }
@@ -109,13 +110,7 @@ double ExactSubgraphCoverage(const SubgraphSearchEngine& engine,
   DynamicBitset covered(n);
   for (const Graph& p : patterns) {
     if (p.NumVertices() == 0) continue;
-    for (size_t i : engine.FilterCandidates(p).ToIndices()) {
-      if (covered.Test(i)) continue;
-      if (ContainsSubgraph(p, engine.db().graph(static_cast<GraphId>(i)),
-                           options)) {
-        covered.Set(i);
-      }
-    }
+    for (GraphId id : engine.Search(p, options)) covered.Set(id);
   }
   return static_cast<double>(covered.Count()) / static_cast<double>(n);
 }

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/graph/flat_graph.h"
 #include "src/graph/graph_database.h"
 #include "src/iso/vf2.h"
 #include "src/util/bitset.h"
@@ -21,8 +22,9 @@ namespace catapult {
 //   * label-count index: per vertex label, graphs are bucketed by how many
 //     vertices carry the label, so a query needing k vertices of label l
 //     prunes graphs with fewer.
-// Survivors are verified with VF2. Both filters are sound (never drop a
-// true match), so results are exact.
+// Survivors are verified with VF2 against the database flattened once at
+// construction; each query is flattened once per call. Both filters are
+// sound (never drop a true match), so results are exact.
 class SubgraphSearchEngine {
  public:
   // Builds the indices; `db` must outlive the engine.
@@ -50,6 +52,7 @@ class SubgraphSearchEngine {
 
  private:
   const GraphDatabase* db_;
+  FlatGraphDatabase flat_;
   // labelled-edge key -> graphs containing at least one such edge.
   std::unordered_map<EdgeLabelKey, DynamicBitset> edge_index_;
   // vertex label -> per-graph count of vertices with that label.

@@ -3,6 +3,7 @@
 #include "src/core/budget.h"
 #include "src/core/pattern_score.h"
 #include "src/core/random_walk.h"
+#include "src/core/score_table.h"
 #include "src/core/weights.h"
 #include "src/csg/csg.h"
 #include "src/graph/algorithms.h"
@@ -273,10 +274,15 @@ TEST(RandomWalkTest, FcpIsConnected) {
 TEST(CoverageTest, CcovSumsCoveredWeights) {
   GraphDatabase db = WeightsDb();
   std::vector<std::vector<GraphId>> clusters = {{0, 1}, {2, 3}};
-  auto csgs = BuildCsgs(db, clusters);
-  std::vector<Graph> summaries;
-  for (const auto& c : csgs) summaries.push_back(c.ToGraph());
+  FlatSummaryIndex index = BuildFlatSummaryIndex(BuildCsgs(db, clusters));
   ClusterWeights cw(clusters, db.size());
+  // ccov(p) = sum of cluster weights over the CSGs containing p.
+  auto ccov = [&](const Graph& p) {
+    uint64_t covered = 0;
+    CoveredCsgsFlat(p, index, 0, nullptr, &covered);
+    return ((covered & 1) ? cw.Get(0) : 0.0) +
+           ((covered & 2) ? cw.Get(1) : 0.0);
+  };
   Label C = db.labels().Find("C");
   Label N = db.labels().Find("N");
   Graph cn;
@@ -284,13 +290,13 @@ TEST(CoverageTest, CcovSumsCoveredWeights) {
   cn.AddVertex(N);
   cn.AddEdge(0, 1);
   // C-N occurs only in graphs 0,1 -> only cluster 0's summary contains it.
-  EXPECT_DOUBLE_EQ(ClusterCoverage(cn, summaries, cw), 0.5);
+  EXPECT_DOUBLE_EQ(ccov(cn), 0.5);
   Label O = db.labels().Find("O");
   Graph co;
   co.AddVertex(C);
   co.AddVertex(O);
   co.AddEdge(0, 1);
-  EXPECT_DOUBLE_EQ(ClusterCoverage(co, summaries, cw), 1.0);
+  EXPECT_DOUBLE_EQ(ccov(co), 1.0);
 }
 
 }  // namespace

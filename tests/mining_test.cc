@@ -63,12 +63,13 @@ TEST(SubtreeMinerTest, GrowsMultiEdgeTrees) {
   options.min_support = 0.9;
   options.max_edges = 2;
   auto mined = MineFrequentSubtrees(db, options);
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db);
   bool has_two_edge = false;
   for (const auto& fs : mined) {
     EXPECT_TRUE(IsTree(fs.tree));
     if (fs.tree.NumEdges() == 2) has_two_edge = true;
     // Support must be honest: re-count from scratch.
-    DynamicBitset recount = CountSupport(fs.tree, db);
+    DynamicBitset recount = CountSupport(fs.tree, flat_db);
     EXPECT_EQ(recount.Count(), fs.support.Count());
   }
   EXPECT_TRUE(has_two_edge);

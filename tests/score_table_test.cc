@@ -173,6 +173,24 @@ TEST(SelectorClassCacheTest, SlotsStableAcrossInserts) {
   }
 }
 
+// Coverage from the definition, one Graph-level containment test per
+// summary, with CoveredCsgsFlat's budget conventions.
+std::vector<bool> ReferenceCoverage(const Graph& pattern,
+                                    const std::vector<Graph>& summaries,
+                                    uint64_t budget, uint64_t* exhausted) {
+  std::vector<bool> covered(summaries.size(), false);
+  IsoOptions options;
+  options.node_budget = budget == 0 ? kDefaultCoverageIsoBudget : budget;
+  for (size_t i = 0; i < summaries.size(); ++i) {
+    if (summaries[i].NumVertices() == 0) continue;
+    bool truncated = false;
+    options.budget_exhausted = &truncated;
+    covered[i] = ContainsSubgraph(pattern, summaries[i], options);
+    if (truncated) ++*exhausted;
+  }
+  return covered;
+}
+
 TEST(CoveredCsgsFlatTest, MatchesReferenceCoverage) {
   SelectorEnv setup = MakeSetup();
   FlatSummaryIndex index = BuildFlatSummaryIndex(setup.csgs);
@@ -188,7 +206,7 @@ TEST(CoveredCsgsFlatTest, MatchesReferenceCoverage) {
     for (uint64_t budget : {uint64_t{0}, uint64_t{50}, uint64_t{100000}}) {
       uint64_t ref_exhausted = 0;
       std::vector<bool> reference =
-          CoveredCsgs(pattern, summaries, budget, &ref_exhausted);
+          ReferenceCoverage(pattern, summaries, budget, &ref_exhausted);
       uint64_t flat_exhausted = 0;
       std::vector<uint64_t> words(CoverageWords(index.size()), 0);
       CoveredCsgsFlat(pattern, index, budget, &flat_exhausted, words.data());
@@ -302,7 +320,9 @@ TEST(SelectorReplayTest, RecordedDiagnosticsReplay) {
     EXPECT_EQ(p.div, expected_div);
     // Coverage: the recorded ccov must equal a fresh coverage test summed
     // against the weights as decayed by the preceding selections.
-    std::vector<bool> covered = CoveredCsgs(p.graph, summaries);
+    uint64_t truncated = 0;
+    std::vector<bool> covered =
+        ReferenceCoverage(p.graph, summaries, 0, &truncated);
     double expected_ccov = 0.0;
     for (size_t c = 0; c < covered.size(); ++c) {
       if (covered[c]) expected_ccov += cw.Get(c);
