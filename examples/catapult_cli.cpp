@@ -86,10 +86,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
+#include "examples/flags.h"
 #include "src/core/catapult.h"
 #include "src/data/molecule_generator.h"
 #include "src/data/query_generator.h"
@@ -108,6 +108,7 @@
 namespace {
 
 using namespace catapult;
+using examples::Flags;
 
 // Exit codes (see the header comment).
 constexpr int kExitOk = 0;
@@ -119,42 +120,6 @@ constexpr int kExitDeadlineDegraded = 5;
 constexpr int kExitShardQuarantine = 6;
 constexpr int kExitRemoteFallback = 7;
 constexpr int kExitInterrupted = 130;  // shell convention: 128 + SIGINT
-
-// Minimal flag parser: --name value pairs after the subcommand.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
-    // Boolean flags (no value).
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_.emplace_back(argv[i] + 2, "true");
-      }
-    }
-  }
-
-  std::optional<std::string> Get(const std::string& name) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) return value;
-    }
-    return std::nullopt;
-  }
-
-  long GetInt(const std::string& name, long fallback) const {
-    auto v = Get(name);
-    return v ? std::atol(v->c_str()) : fallback;
-  }
-
-  bool GetBool(const std::string& name) const { return Get(name).has_value(); }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
 
 int Usage() {
   std::fprintf(stderr,
@@ -203,18 +168,10 @@ std::optional<GraphDatabase> ReadDatabaseOrComplain(
   return db;
 }
 
-// Shared ingestion flags of the database-reading subcommands.
+// Shared ingestion flags of the database-reading subcommands: the
+// structural limits plus --mem-budget-mb.
 IngestOptions IngestOptionsFromFlags(const Flags& flags) {
-  IngestOptions options;
-  options.limits.max_vertices_per_graph = static_cast<size_t>(flags.GetInt(
-      "max-graph-vertices",
-      static_cast<long>(options.limits.max_vertices_per_graph)));
-  options.limits.max_edges_per_graph = static_cast<size_t>(flags.GetInt(
-      "max-graph-edges",
-      static_cast<long>(options.limits.max_edges_per_graph)));
-  options.limits.max_graphs =
-      static_cast<size_t>(flags.GetInt("max-graphs", 0));
-  options.strict = flags.GetBool("strict-parse");
+  IngestOptions options = examples::IngestLimitsFromFlags(flags);
   long mb = flags.GetInt("mem-budget-mb", 0);
   if (mb > 0) {
     options.memory = MemoryBudget::Limited(0, static_cast<size_t>(mb) << 20);
@@ -253,19 +210,12 @@ int CmdMine(const Flags& flags) {
   auto db = ReadDatabaseOrComplain(*db_path, ingest, &ingest_report,
                                    &read_exit);
   if (!db) return read_exit;
-  CatapultOptions options;
+  CatapultOptions options = examples::MineOptionsFromFlags(flags);
   options.ingest_digest = ingest_report.quarantine_digest;
   long mem_budget_mb = flags.GetInt("mem-budget-mb", 0);
   if (mem_budget_mb > 0) {
     options.mem_hard_limit_bytes = static_cast<size_t>(mem_budget_mb) << 20;
   }
-  options.selector.budget.gamma =
-      static_cast<size_t>(flags.GetInt("gamma", 12));
-  options.selector.budget.eta_min =
-      static_cast<size_t>(flags.GetInt("min-size", 3));
-  options.selector.budget.eta_max =
-      static_cast<size_t>(flags.GetInt("max-size", 8));
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   // --threads 0 asks for hardware concurrency explicitly; an absent flag
   // leaves options.threads at 0 = "auto" (CATAPULT_THREADS env, else 1).
   if (auto threads = flags.Get("threads")) {
@@ -273,8 +223,6 @@ int CmdMine(const Flags& flags) {
     options.threads = n <= 0 ? ThreadPool::HardwareThreads()
                              : static_cast<size_t>(n);
   }
-  options.clustering.fine_mcs.node_budget = 5000;
-  options.use_sampling = flags.GetBool("sampling");
   options.deadline_ms = static_cast<double>(flags.GetInt("deadline-ms", 0));
   options.processes = static_cast<size_t>(flags.GetInt("processes", 0));
   options.max_shard_retries = static_cast<size_t>(

@@ -21,10 +21,9 @@
 //      the panel was still printed/written)
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 
+#include "examples/flags.h"
 #include "src/graph/graph_database.h"
 #include "src/graph/io.h"
 #include "src/serve/client.h"
@@ -33,46 +32,13 @@
 namespace {
 
 using namespace catapult;
+using examples::Flags;
 
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 1;
 constexpr int kExitRejected = 2;
 constexpr int kExitShed = 3;
 constexpr int kExitDegraded = 5;
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_.emplace_back(argv[i] + 2, "true");
-      }
-    }
-  }
-
-  std::optional<std::string> Get(const std::string& name) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) return value;
-    }
-    return std::nullopt;
-  }
-
-  long GetInt(const std::string& name, long fallback) const {
-    auto v = Get(name);
-    return v ? std::atol(v->c_str()) : fallback;
-  }
-
-  bool GetBool(const std::string& name) const { return Get(name).has_value(); }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
 
 int Usage() {
   std::fprintf(stderr,

@@ -37,11 +37,12 @@
 //   2  database parse error
 //   3  invalid pipeline options
 
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <optional>
+#include <cstdlib>
 #include <string>
 
+#include "examples/flags.h"
 #include "src/graph/io.h"
 #include "src/obs/clock.h"
 #include "src/obs/json.h"
@@ -58,46 +59,12 @@
 namespace {
 
 using namespace catapult;
+using examples::Flags;
 
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 1;
 constexpr int kExitParseError = 2;
 constexpr int kExitOptionsError = 3;
-
-// Minimal flag parser: --name value pairs (same shape as catapult_cli).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_.emplace_back(argv[i] + 2, "true");
-      }
-    }
-  }
-
-  std::optional<std::string> Get(const std::string& name) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) return value;
-    }
-    return std::nullopt;
-  }
-
-  long GetInt(const std::string& name, long fallback) const {
-    auto v = Get(name);
-    return v ? std::atol(v->c_str()) : fallback;
-  }
-
-  bool GetBool(const std::string& name) const { return Get(name).has_value(); }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
 
 int Usage() {
   std::fprintf(stderr,
@@ -117,20 +84,11 @@ int main(int argc, char** argv) {
   auto socket_path = flags.Get("socket");
   if (!db_path || !socket_path) return Usage();
 
-  IngestOptions ingest;
-  ingest.limits.max_vertices_per_graph = static_cast<size_t>(flags.GetInt(
-      "max-graph-vertices",
-      static_cast<long>(ingest.limits.max_vertices_per_graph)));
-  ingest.limits.max_edges_per_graph = static_cast<size_t>(
-      flags.GetInt("max-graph-edges",
-                   static_cast<long>(ingest.limits.max_edges_per_graph)));
-  ingest.limits.max_graphs = static_cast<size_t>(flags.GetInt("max-graphs", 0));
-  ingest.strict = flags.GetBool("strict-parse");
-
   IngestReport ingest_report;
   ParseError parse_error;
-  auto db = ReadDatabaseFromFile(*db_path, ingest, &ingest_report,
-                                 &parse_error);
+  auto db = ReadDatabaseFromFile(*db_path,
+                                 examples::IngestLimitsFromFlags(flags),
+                                 &ingest_report, &parse_error);
   if (!db) {
     std::fprintf(stderr, "%s: %s\n", db_path->c_str(),
                  parse_error.message.empty() ? "cannot read"
@@ -195,7 +153,7 @@ int main(int argc, char** argv) {
                "corpus: %zu graphs -> %zu clusters, %zu CSGs (%s; clustering "
                "%.1fs, csg %.1fs)\n",
                db->size(), corpus.clusters.size(), corpus.csgs.size(),
-               corpus.complete ? "complete" : "degraded",
+               corpus.Complete() ? "complete" : "degraded",
                corpus.clustering_seconds, corpus.csg_seconds);
   std::printf("listening on %s\n", server.socket_path().c_str());
   std::fflush(stdout);

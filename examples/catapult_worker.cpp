@@ -21,9 +21,10 @@
 // mining options as the supervisor: the handshake carries a
 // ConfigFingerprint of (options, database) and the supervisor rejects any
 // worker whose fingerprint differs — a fleet silently mixing configs could
-// never be bit-identical. The mining flags here therefore mirror the
-// defaults of `catapult_cli mine` exactly; pass the same values you passed
-// to the supervisor.
+// never be bit-identical. Both binaries build their mining options with
+// examples::MineOptionsFromFlags (examples/flags.h), so passing the
+// supervisor's --gamma/--min-size/--max-size/--seed/--sampling values is
+// all it takes; flags may come in any order.
 //
 // Exit status:
 //   0   run completed (supervisor sent an orderly shutdown)
@@ -34,10 +35,9 @@
 //   22  supervisor spoke an unintelligible protocol
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 
+#include "examples/flags.h"
 #include "src/core/catapult.h"
 #include "src/dist/net_worker.h"
 #include "src/graph/io.h"
@@ -50,41 +50,7 @@
 namespace {
 
 using namespace catapult;
-
-// Minimal flag parser: --name value pairs (same shape as catapult_cli).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_.emplace_back(argv[i] + 2, "true");
-      }
-    }
-  }
-
-  std::optional<std::string> Get(const std::string& name) const {
-    for (const auto& [key, value] : values_) {
-      if (key == name) return value;
-    }
-    return std::nullopt;
-  }
-
-  long GetInt(const std::string& name, long fallback) const {
-    auto v = Get(name);
-    return v ? std::atol(v->c_str()) : fallback;
-  }
-
-  bool GetBool(const std::string& name) const { return Get(name).has_value(); }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
+using examples::Flags;
 
 int Usage() {
   std::fprintf(stderr,
@@ -102,20 +68,10 @@ int main(int argc, char** argv) {
   auto connect = flags.Get("connect");
   if (!db_path || !connect) return Usage();
 
-  IngestOptions ingest;
-  ingest.limits.max_vertices_per_graph = static_cast<size_t>(flags.GetInt(
-      "max-graph-vertices",
-      static_cast<long>(ingest.limits.max_vertices_per_graph)));
-  ingest.limits.max_edges_per_graph = static_cast<size_t>(flags.GetInt(
-      "max-graph-edges",
-      static_cast<long>(ingest.limits.max_edges_per_graph)));
-  ingest.limits.max_graphs =
-      static_cast<size_t>(flags.GetInt("max-graphs", 0));
-  ingest.strict = flags.GetBool("strict-parse");
-
   IngestReport report;
   ParseError error;
-  auto db = ReadDatabaseFromFile(*db_path, ingest, &report, &error);
+  auto db = ReadDatabaseFromFile(
+      *db_path, examples::IngestLimitsFromFlags(flags), &report, &error);
   if (!db) {
     std::fprintf(stderr, "%s: %s\n", db_path->c_str(),
                  error.message.empty() ? "cannot read" : error.message.c_str());
@@ -126,19 +82,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Mirror the `catapult_cli mine` option construction exactly: the
-  // handshake fingerprint must match the supervisor's.
-  CatapultOptions options;
+  // The same option construction as `catapult_cli mine`: the handshake
+  // fingerprint must match the supervisor's.
+  CatapultOptions options = examples::MineOptionsFromFlags(flags);
   options.ingest_digest = report.quarantine_digest;
-  options.selector.budget.gamma =
-      static_cast<size_t>(flags.GetInt("gamma", 12));
-  options.selector.budget.eta_min =
-      static_cast<size_t>(flags.GetInt("min-size", 3));
-  options.selector.budget.eta_max =
-      static_cast<size_t>(flags.GetInt("max-size", 8));
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.clustering.fine_mcs.node_budget = 5000;
-  options.use_sampling = flags.GetBool("sampling");
 
   dist::RemoteWorkerOptions worker;
   worker.address = *connect;

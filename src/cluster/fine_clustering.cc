@@ -11,13 +11,6 @@ namespace catapult {
 
 std::vector<std::vector<GraphId>> FineCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
-    const FineClusteringOptions& options, Rng& rng) {
-  return FineCluster(db, std::move(clusters), options, rng,
-                     RunContext::NoLimit());
-}
-
-std::vector<std::vector<GraphId>> FineCluster(
-    const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
     const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
     bool* complete) {
   CATAPULT_CHECK(options.max_cluster_size >= 2);

@@ -27,21 +27,16 @@ struct FineClusteringOptions {
 // exceeds options.max_cluster_size, per Algorithm 3: Seed1 is random, Seed2
 // is the graph least similar to Seed1, every other graph joins the seed it
 // is more similar to; oversized results are re-queued. Returns the final
-// cluster list. Deterministic given `rng`.
+// cluster list. Deterministic given `rng`. Polls `ctx` before each split
+// (failpoint site "cluster.fine.split") and tightens the per-pair MCS node
+// budget to the remaining time. On expiry the still-oversized clusters are
+// returned unsplit (graceful degradation to the coarse partition) and
+// `complete` (optional) is set to false. The result is always a partition
+// of the input ids.
 std::vector<std::vector<GraphId>> FineCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
-    const FineClusteringOptions& options, Rng& rng);
-
-// Deadline-aware variant: polls `ctx` before each split (failpoint site
-// "cluster.fine.split") and tightens the per-pair MCS node budget to the
-// remaining time. On expiry the still-oversized clusters are returned
-// unsplit (graceful degradation to the coarse partition) and `complete`
-// (optional) is set to false. The result is always a partition of the input
-// ids.
-std::vector<std::vector<GraphId>> FineCluster(
-    const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
-    const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
-    bool* complete = nullptr);
+    const FineClusteringOptions& options, Rng& rng,
+    const RunContext& ctx = RunContext::NoLimit(), bool* complete = nullptr);
 
 // --- Per-cluster decomposition ---------------------------------------------
 //

@@ -142,9 +142,4 @@ KMeansResult KMeansCluster(const std::vector<DynamicBitset>& points,
   return result;
 }
 
-KMeansResult KMeansCluster(const std::vector<DynamicBitset>& points,
-                           const KMeansOptions& options, Rng& rng) {
-  return KMeansCluster(points, options, rng, RunContext::NoLimit());
-}
-
 }  // namespace catapult

@@ -38,9 +38,7 @@ struct KMeansResult {
 // thread, so the result is bit-identical at every thread count.
 KMeansResult KMeansCluster(const std::vector<DynamicBitset>& points,
                            const KMeansOptions& options, Rng& rng,
-                           const RunContext& ctx);
-KMeansResult KMeansCluster(const std::vector<DynamicBitset>& points,
-                           const KMeansOptions& options, Rng& rng);
+                           const RunContext& ctx = RunContext::NoLimit());
 
 }  // namespace catapult
 

@@ -1,28 +1,76 @@
 #include "src/cluster/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 
 #include "src/cluster/agglomerative.h"
-#include "src/cluster/feature_vectors.h"
 #include "src/cluster/kmeans.h"
 #include "src/obs/clock.h"
 #include "src/obs/trace.h"
 #include "src/util/mem_budget.h"
+#include "src/util/thread_pool.h"
 
 namespace catapult {
 
-ClusteringResult SmallGraphClustering(
+namespace {
+
+// The sampled mining step (Section 4.3): frequent subtrees are mined on an
+// eager sample of `graph_ids` at a lowered threshold, then re-counted over
+// all of `graph_ids` at the original threshold (Lemma 4.4's verification
+// step), so the returned support sets index positions in `graph_ids` just
+// like MineFrequentSubtrees'. Mining gets half of the remaining time; the
+// verification counts are independent (per-candidate slots, read-only
+// arena) and run on the context's pool with the stop poll per candidate and
+// the keep/drop reduction in candidate order.
+std::vector<FrequentSubtree> MineOnEagerSample(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
-    const SmallGraphClusteringOptions& options, Rng& rng) {
-  return SmallGraphClustering(db, graph_ids, options, rng,
-                              RunContext::NoLimit());
+    const SubtreeMinerOptions& miner, const EagerSamplingOptions& eager,
+    Rng& rng, const RunContext& ctx, bool* complete) {
+  std::vector<GraphId> sample = EagerSample(graph_ids.size(), eager, rng);
+  for (GraphId& id : sample) id = graph_ids[id];
+  SubtreeMinerOptions lowered = miner;
+  lowered.min_support =
+      LoweredSupportThreshold(miner.min_support, sample.size(), eager);
+  std::vector<FrequentSubtree> candidates =
+      MineFrequentSubtrees(db, sample, lowered, ctx.Slice(0.5), complete);
+
+  const size_t min_count = static_cast<size_t>(std::max(
+      1.0, miner.min_support * static_cast<double>(graph_ids.size())));
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db, graph_ids);
+  std::vector<DynamicBitset> supports(candidates.size());
+  std::vector<uint8_t> frequent(candidates.size(), 0);
+  std::atomic<bool> stop_verifying{false};
+  ParallelFor(ctx, candidates.size(), 1, [&](size_t i) {
+    if (stop_verifying.load(std::memory_order_relaxed)) return;
+    if (ctx.StopRequested("miner.count_support")) {
+      stop_verifying.store(true, std::memory_order_relaxed);
+      return;
+    }
+    DynamicBitset support = CountSupport(candidates[i].tree, flat_db);
+    if (support.Count() < min_count) return;
+    supports[i] = std::move(support);
+    frequent[i] = 1;
+  });
+  if (stop_verifying.load(std::memory_order_relaxed)) *complete = false;
+  std::vector<FrequentSubtree> verified;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (frequent[i] == 0) continue;
+    FrequentSubtree& fs = candidates[i];
+    fs.frequency = static_cast<double>(supports[i].Count()) /
+                   static_cast<double>(graph_ids.size());
+    fs.support = std::move(supports[i]);
+    verified.push_back(std::move(fs));
+  }
+  return verified;
 }
+
+}  // namespace
 
 ClusteringResult CoarseClusteringStage(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SmallGraphClusteringOptions& options, Rng& rng,
-    const RunContext& ctx) {
+    const RunContext& ctx, const EagerSamplingOptions* eager_sampling) {
   ClusteringResult result;
   if (graph_ids.empty()) return result;
 
@@ -39,9 +87,12 @@ ClusteringResult CoarseClusteringStage(
     WallTimer mining_timer;
     std::optional<obs::Span> stage_span;
     stage_span.emplace(ctx.tracer(), "clustering.mining");
-    std::vector<FrequentSubtree> all_subtrees = MineFrequentSubtrees(
-        db, graph_ids, options.miner, ctx.Slice(0.5),
-        &result.mining_complete);
+    std::vector<FrequentSubtree> all_subtrees =
+        eager_sampling != nullptr
+            ? MineOnEagerSample(db, graph_ids, options.miner, *eager_sampling,
+                                rng, ctx, &result.mining_complete)
+            : MineFrequentSubtrees(db, graph_ids, options.miner,
+                                   ctx.Slice(0.5), &result.mining_complete);
     // Refine the feature set by facility-location greedy selection.
     std::vector<size_t> selected =
         SelectRepresentativeSubtrees(all_subtrees, options.facility);
@@ -71,8 +122,16 @@ ClusteringResult CoarseClusteringStage(
       // No frequent subtrees (tiny/degenerate input): one cluster.
       coarse_clusters.push_back(graph_ids);
     } else {
-      std::vector<DynamicBitset> features =
-          BuildFeatureVectors(db, graph_ids, result.features, ctx);
+      // Bit j of row i <=> graph graph_ids[i] contains feature j (Algorithm
+      // 2, lines 3-10): the support sets hold exactly these bits, so the
+      // matrix is their transpose and no containment test is repeated.
+      std::vector<DynamicBitset> features(
+          graph_ids.size(), DynamicBitset(result.features.size()));
+      for (size_t j = 0; j < result.features.size(); ++j) {
+        for (size_t i : result.features[j].support.ToIndices()) {
+          features[i].Set(j);
+        }
+      }
       size_t target_k =
           options.explicit_k != 0
               ? options.explicit_k
@@ -136,30 +195,17 @@ void FineClusteringStage(const GraphDatabase& db,
 }
 
 ClusteringResult SmallGraphClustering(
-    const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
-    const SmallGraphClusteringOptions& options, Rng& rng,
-    const RunContext& ctx) {
-  ClusteringResult result =
-      CoarseClusteringStage(db, graph_ids, options, rng, ctx);
-  if (graph_ids.empty() || options.mode == ClusteringMode::kCoarseOnly) {
-    return result;
-  }
-  FineClusteringStage(db, options, &result, rng, ctx);
-  return result;
-}
-
-ClusteringResult SmallGraphClustering(
     const GraphDatabase& db, const SmallGraphClusteringOptions& options,
     Rng& rng) {
-  return SmallGraphClustering(db, options, rng, RunContext::NoLimit());
-}
-
-ClusteringResult SmallGraphClustering(
-    const GraphDatabase& db, const SmallGraphClusteringOptions& options,
-    Rng& rng, const RunContext& ctx) {
   std::vector<GraphId> all(db.size());
   for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
-  return SmallGraphClustering(db, all, options, rng, ctx);
+  const RunContext ctx = RunContext::NoLimit();
+  ClusteringResult result =
+      CoarseClusteringStage(db, all, options, rng, ctx);
+  if (!all.empty() && options.mode != ClusteringMode::kCoarseOnly) {
+    FineClusteringStage(db, options, &result, rng, ctx);
+  }
+  return result;
 }
 
 bool ValidateClusterAssignment(

@@ -8,6 +8,7 @@
 #include "src/cluster/fine_clustering.h"
 #include "src/graph/graph_database.h"
 #include "src/mining/subtree_miner.h"
+#include "src/sample/sampling.h"
 #include "src/util/rng.h"
 
 namespace catapult {
@@ -68,16 +69,22 @@ struct ClusteringResult {
   }
 };
 
-// The stages of SmallGraphClustering before fine splitting: mining +
+// The stages of small graph clustering before fine splitting: mining +
 // facility selection + coarse partitioning (kFineOnly skips both and seeds
-// one all-graphs cluster). `result.clusters` holds the coarse partition;
-// the fine_* fields are untouched. Exposed separately so the sharded
-// executor (src/dist/) can run the coarse stage in the supervisor process
-// and partition the fine stage across workers.
+// one all-graphs cluster). The partition step's feature matrix is the
+// transpose of the selected subtrees' support sets. With `eager_sampling`
+// set, only the mining step changes (Section 4.3): subtrees are mined on an
+// eager sample at a lowered threshold and their supports re-counted over
+// all of `graph_ids`. Mining gets half of the remaining time; on expiry it
+// keeps its completed levels and partitioning falls back to one cluster.
+// `result.clusters` holds the coarse partition; the fine_* fields are
+// untouched. Exposed separately so the pipeline can run the fine stage
+// in-process or sharded across worker processes (src/dist/).
 ClusteringResult CoarseClusteringStage(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SmallGraphClusteringOptions& options, Rng& rng,
-    const RunContext& ctx);
+    const RunContext& ctx,
+    const EagerSamplingOptions* eager_sampling = nullptr);
 
 // The fine stage over `result->clusters` (the coarse partition): under
 // memory soft pressure the stage is shed (coarse partition kept,
@@ -90,35 +97,14 @@ void FineClusteringStage(const GraphDatabase& db,
                          ClusteringResult* result, Rng& rng,
                          const RunContext& ctx);
 
-// Runs the small graph clustering phase over the graphs in `graph_ids`
-// (typically all of `db`, or an eagerly sampled subset). Deterministic given
-// `rng`.
-ClusteringResult SmallGraphClustering(const GraphDatabase& db,
-                                      const std::vector<GraphId>& graph_ids,
-                                      const SmallGraphClusteringOptions& options,
-                                      Rng& rng);
-
-// Deadline-aware variant. Mining receives half of the remaining time so a
-// pathological miner cannot starve the clustering stages; the coarse and
-// fine stages then run against the full context. On expiry each stage
-// degrades gracefully: mining keeps completed levels, coarse falls back to
-// a single cluster, fine leaves oversized clusters unsplit (coarse-only
-// clusters). With an unlimited context the result is identical to the
-// overload above.
-ClusteringResult SmallGraphClustering(const GraphDatabase& db,
-                                      const std::vector<GraphId>& graph_ids,
-                                      const SmallGraphClusteringOptions& options,
-                                      Rng& rng, const RunContext& ctx);
-
-// Convenience overload over the whole database.
+// Runs the small graph clustering phase over the whole database without a
+// deadline: the coarse stage, then the fine stage unless kCoarseOnly.
+// Deterministic given `rng`. The pipeline runs the two stages itself
+// (src/core/catapult.cc); this is the entry point of the clustering
+// experiments and examples.
 ClusteringResult SmallGraphClustering(const GraphDatabase& db,
                                       const SmallGraphClusteringOptions& options,
                                       Rng& rng);
-
-// Deadline-aware convenience overload over the whole database.
-ClusteringResult SmallGraphClustering(const GraphDatabase& db,
-                                      const SmallGraphClusteringOptions& options,
-                                      Rng& rng, const RunContext& ctx);
 
 // Structural validation of a cluster assignment over the id universe
 // [0, universe): every cluster non-empty, every id in range, and no id in

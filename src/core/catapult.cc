@@ -1,15 +1,11 @@
 #include "src/core/catapult.h"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 
-#include "src/cluster/feature_vectors.h"
-#include "src/cluster/kmeans.h"
 #include "src/dist/supervisor.h"
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
@@ -61,137 +57,27 @@ size_t ResolveThreadCount(size_t configured) {
   return 1;
 }
 
-// Sampling-mode coarse stages (Section 4.3): features are mined on the
-// eager sample at a lowered threshold and re-verified on the full database;
-// coarse clustering covers the full database; oversized coarse clusters are
-// lazily down-sampled. The returned result's `clusters` hold the sampled
-// coarse partition — the shared fine stage (FineClusteringStage, in-process
-// or sharded) runs on top of it.
-ClusteringResult SamplingCoarseStage(const GraphDatabase& db,
-                                     const CatapultOptions& options,
-                                     Rng& rng, const RunContext& ctx) {
-  ClusteringResult result;
-  WallTimer mining_timer;
+// Deadline shares of the corpus phases (DESIGN.md §7): clustering gets this
+// fraction of the remaining time, CSG folding this fraction of the
+// then-remaining time, and selection runs against the whole deadline. A
+// phase finishing early donates its unused allowance to the later ones.
+constexpr double kClusteringTimeShare = 0.45;
+constexpr double kCsgTimeShare = 0.3;
 
-  // Eager sample + lowered-threshold mining (at most half of the remaining
-  // time, the same split as the unsampled path).
-  std::vector<GraphId> sample = EagerSample(db.size(), options.eager, rng);
-  SubtreeMinerOptions lowered = options.clustering.miner;
-  lowered.min_support = LoweredSupportThreshold(
-      options.clustering.miner.min_support, sample.size(), options.eager);
-  std::vector<FrequentSubtree> candidates = MineFrequentSubtrees(
-      db, sample, lowered, ctx.Slice(0.5), &result.mining_complete);
-
-  // Re-count candidate supports on the full database at the original
-  // threshold (Lemma 4.4's verification step). One full-database support
-  // count per candidate is the expensive part; the counts are independent
-  // (per-candidate slots, read-only database) and run on the context's
-  // pool, with the stop poll per candidate and the keep/drop reduction in
-  // candidate order.
-  const size_t min_count = static_cast<size_t>(std::max(
-      1.0, options.clustering.miner.min_support *
-               static_cast<double>(db.size())));
-  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db);
-  std::vector<DynamicBitset> supports(candidates.size());
-  std::vector<uint8_t> frequent(candidates.size(), 0);
-  std::atomic<bool> stop_verifying{false};
-  ParallelFor(ctx, candidates.size(), 1, [&](size_t i) {
-    if (stop_verifying.load(std::memory_order_relaxed)) return;
-    if (ctx.StopRequested("miner.count_support")) {
-      stop_verifying.store(true, std::memory_order_relaxed);
-      return;
-    }
-    DynamicBitset support = CountSupport(candidates[i].tree, flat_db);
-    if (support.Count() < min_count) return;
-    supports[i] = std::move(support);
-    frequent[i] = 1;
-  });
-  if (stop_verifying.load(std::memory_order_relaxed)) {
-    result.mining_complete = false;
-  }
-  std::vector<FrequentSubtree> verified;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (frequent[i] == 0) continue;
-    FrequentSubtree& fs = candidates[i];
-    fs.frequency = static_cast<double>(supports[i].Count()) /
-                   static_cast<double>(db.size());
-    fs.support = std::move(supports[i]);
-    verified.push_back(std::move(fs));
-  }
-  std::vector<size_t> selected =
-      SelectRepresentativeSubtrees(verified, options.clustering.facility);
-  for (size_t idx : selected) result.features.push_back(verified[idx]);
-  result.mining_seconds = mining_timer.ElapsedSeconds();
-
-  // Coarse clustering over the full database; feature vectors come straight
-  // from the verified support sets (bit i of subtree j <=> graph i).
-  WallTimer coarse_timer;
-  std::vector<GraphId> all(db.size());
-  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
-  std::vector<std::vector<GraphId>> coarse;
-  // The feature matrix is the phase's dominant allocation; charge it before
-  // materialising. A refused charge sheds coarse clustering entirely (one
-  // cluster; fine clustering can still split it).
-  ScopedMemoryCharge feature_charge(
-      ctx.memory(),
-      db.size() * ApproxBitsetBytes(result.features.size()),
-      "mem.features");
-  if (ctx.StopRequested("cluster.coarse") || !feature_charge.ok()) {
-    result.coarse_complete = false;
-    coarse.push_back(all);
-  } else if (result.features.empty()) {
-    coarse.push_back(all);
-  } else {
-    std::vector<DynamicBitset> features(db.size(),
-                                        DynamicBitset(result.features.size()));
-    for (size_t j = 0; j < result.features.size(); ++j) {
-      for (size_t i : result.features[j].support.ToIndices()) {
-        features[i].Set(j);
-      }
-    }
-    KMeansOptions kmeans_options;
-    kmeans_options.k = options.clustering.explicit_k != 0
-                           ? options.clustering.explicit_k
-                           : std::max<size_t>(
-                                 1, db.size() /
-                                        options.clustering.max_cluster_size);
-    kmeans_options.max_iterations =
-        options.clustering.kmeans_max_iterations;
-    KMeansResult kmeans = KMeansCluster(features, kmeans_options, rng, ctx);
-    size_t k = 0;
-    for (size_t a : kmeans.assignment) k = std::max(k, a + 1);
-    coarse.assign(k, {});
-    for (size_t i = 0; i < db.size(); ++i) {
-      coarse[kmeans.assignment[i]].push_back(static_cast<GraphId>(i));
-    }
-    coarse.erase(std::remove_if(coarse.begin(), coarse.end(),
-                                [](const auto& c) { return c.empty(); }),
-                 coarse.end());
-  }
-  result.coarse_seconds = coarse_timer.ElapsedSeconds();
-
-  // Lazy sampling of oversized clusters; fine clustering is the caller's.
-  result.clusters = LazySampleClusters(coarse, db.size(), options.lazy, rng);
-  return result;
-}
-
-// The coarse stages of the clustering phase under either mining path. What
-// remains afterwards — fine splitting and CSG folding — is exactly the work
-// the sharded executor partitions across worker processes.
-ClusteringResult RunCoarseStages(const GraphDatabase& db,
-                                 const CatapultOptions& options, Rng& rng,
-                                 const RunContext& ctx) {
-  if (options.use_sampling) return SamplingCoarseStage(db, options, rng, ctx);
-  std::vector<GraphId> all(db.size());
-  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
-  return CoarseClusteringStage(db, all, options.clustering, rng, ctx);
-}
-
-// Context merge shared by the prepared-corpus entry points: the effective
-// deadline is the earlier of the caller's and options.deadline_ms, option
-// memory limits supersede the caller's ledger, and a pool is owned when the
-// caller brought none (or asked for a specific thread count). Mirrors the
-// merge at the top of RunCatapult.
+// `ctx` merged with `options` — the one context a pipeline entry point runs
+// under. The effective deadline is the earlier of the caller's and
+// options.deadline_ms (the cancellation token is shared either way), option
+// memory limits supersede the caller's (by default unlimited) ledger, and a
+// pool sized by options.threads is owned when the caller brought none or
+// asked for a specific count (a 1-thread pool spawns no threads and
+// executes inline, so the default path stays exactly sequential).
+//
+// Sharded mode (processes > 1) forces a 1-thread pool instead: forking a
+// multithreaded process is undefined behaviour territory (only the forking
+// thread survives in the child), so the supervisor stays single-threaded
+// until every fork is behind it; each member builds its own
+// `threads`-sized pool after the fork, and the selection phase builds the
+// real pool once the sharded phase has returned.
 RunContext MergeOptionsContext(const CatapultOptions& options,
                                const RunContext& ctx,
                                std::unique_ptr<ThreadPool>* owned_pool) {
@@ -208,12 +94,283 @@ RunContext MergeOptionsContext(const CatapultOptions& options,
     run_ctx = run_ctx.WithMemory(MemoryBudget::Limited(
         options.mem_soft_limit_bytes, options.mem_hard_limit_bytes));
   }
-  if (run_ctx.pool() == nullptr || options.threads != 0) {
-    *owned_pool =
-        std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
+  const bool sharded = options.processes > 1;
+  if (sharded || run_ctx.pool() == nullptr || options.threads != 0) {
+    *owned_pool = std::make_unique<ThreadPool>(
+        sharded ? 1 : ResolveThreadCount(options.threads));
     run_ctx = run_ctx.WithPool(owned_pool->get());
   }
   return run_ctx;
+}
+
+// The run's ConfigFingerprint — checkpoint and shard-artifact compatibility,
+// the corpus identity /statusz reports — which also names its trace: same
+// (options, db, seed), same trace id, so a rerun produces byte-identical
+// trace documents under fixed ticks. An id the caller already installed
+// (e.g. the serving loop's per-corpus id) is kept.
+uint64_t FingerprintRun(const CatapultOptions& options,
+                        const GraphDatabase& db, const RunContext& ctx) {
+  const uint64_t fingerprint = ConfigFingerprint(options, db);
+  if (ctx.tracer() != nullptr && ctx.tracer()->trace_id() == 0) {
+    ctx.tracer()->SetTraceId(fingerprint ^ options.seed);
+  }
+  return fingerprint;
+}
+
+// Wall time and pool activity of one phase, from construction to Finish.
+class PhaseClock {
+ public:
+  explicit PhaseClock(const ThreadPool& pool)
+      : pool_(pool), before_(pool.stats()) {}
+
+  // Fills `out` and returns the phase's wall seconds.
+  double Finish(PhaseParallelStats* out) const {
+    const ThreadPool::Stats after = pool_.stats();
+    out->wall_seconds = timer_.ElapsedSeconds();
+    out->busy_seconds = after.busy_seconds - before_.busy_seconds;
+    out->parallel_items = after.items - before_.items;
+    return out->wall_seconds;
+  }
+
+ private:
+  WallTimer timer_;
+  const ThreadPool& pool_;
+  ThreadPool::Stats before_;
+};
+
+// RunCatapult's durability layer over the corpus phases (DESIGN.md §8): the
+// phase chain recovered from the checkpoint directory, restored instead of
+// recomputed, and the store each fully completed phase is checkpointed to
+// (null when there is no directory or it serves resume only).
+struct Durability {
+  CheckpointStore::Recovery recovery;
+  CheckpointStore* store = nullptr;
+};
+
+// Makes a finished corpus phase durable, logging the decision in `report`.
+// Only fully completed phases are checkpointed: a deadline-degraded phase
+// is re-run on resume rather than frozen below its potential. The test-only
+// `crash_site` failpoint models a kill immediately after the checkpoint
+// became durable.
+template <typename Save>
+void CheckpointPhase(const char* phase, bool complete, Save save,
+                     const char* crash_site, const RunContext& ctx,
+                     ExecutionReport* report) {
+  if (!complete) {
+    report->checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kCheckpointSkipped, phase,
+         "phase incomplete under deadline"});
+    return;
+  }
+  const std::string error = save();
+  if (error.empty()) {
+    ++report->checkpoints_written;
+    report->checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kPhaseCheckpointed, phase, ""});
+  } else {
+    report->checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kCheckpointWriteFailed, phase, error});
+  }
+  if (CATAPULT_FAILPOINT(crash_site)) ctx.Cancel();
+}
+
+// Phases 1-4, the corpus phases: coarse stage, fine clustering (in-process,
+// or sharded across member processes together with CSG folding under
+// `processes` > 1), CSG folding and the flat summary index. Phase spans are
+// children of `parent_span`. `durability` (RunCatapult's; null for
+// PrepareCorpus) restores phases from its recovery chain and checkpoints
+// the completed ones. `corpus->fingerprint` must already be set.
+void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
+                     const RunContext& run_ctx, uint64_t parent_span,
+                     Durability* durability, PreparedCorpus* corpus) {
+  CheckpointStore::Recovery* recovery =
+      durability != nullptr ? &durability->recovery : nullptr;
+  CheckpointStore* store = durability != nullptr ? durability->store : nullptr;
+  ExecutionReport& report = corpus->execution;
+  Rng rng(options.seed);
+  // Phase spans close just before each phase's stats are finalised, so the
+  // trace duration matches the reported wall time. Span objects are inert
+  // (and free) when the context has no tracer.
+  std::optional<obs::Span> phase_span;
+
+  // Sharded mode folds the CSGs inside the clustering phase's sharded
+  // executor (fine clustering + folding are one unit of per-cluster work);
+  // the CSG phase then adopts them instead of re-folding.
+  bool csgs_folded = false;
+
+  // --- Clustering ---
+  PhaseClock clustering_clock(*run_ctx.pool());
+  phase_span.emplace(run_ctx.tracer(), "clustering", parent_span);
+  if (recovery != nullptr && recovery->clustering.has_value()) {
+    corpus->clusters = std::move(recovery->clustering->clusters);
+    corpus->features = std::move(recovery->clustering->features);
+    // Continue the pseudo-random stream exactly where the checkpointed
+    // clustering phase left it, so later phases draw the same values the
+    // uninterrupted run would have drawn.
+    rng.RestoreState(recovery->clustering->rng_after);
+    report.resumed_from = "clustering";
+    report.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kResumedFromPhase, "clustering",
+         std::to_string(corpus->clusters.size()) + " clusters"});
+  } else {
+    RunContext clustering_ctx = run_ctx.Slice(kClusteringTimeShare);
+    std::vector<GraphId> all(db.size());
+    for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
+    // Sampling (Section 4.3) replaces the coarse stage's mining step and
+    // thins oversized coarse clusters before the fine stage.
+    ClusteringResult clustering = CoarseClusteringStage(
+        db, all, options.clustering, rng, clustering_ctx,
+        options.use_sampling ? &options.eager : nullptr);
+    if (options.use_sampling) {
+      clustering.clusters = LazySampleClusters(clustering.clusters, db.size(),
+                                               options.lazy, rng);
+    }
+    bool fine_enabled = options.clustering.mode != ClusteringMode::kCoarseOnly;
+    if (options.processes > 1) {
+      // Mirror FineClusteringStage's soft-pressure shed before any stream
+      // is split, so sharded and in-process runs degrade at the same point.
+      if (fine_enabled && run_ctx.memory().SoftExceeded()) {
+        fine_enabled = false;
+        clustering.fine_complete = false;
+      }
+      dist::DistOptions dopts;
+      dopts.processes = options.processes;
+      dopts.max_shard_retries = options.max_shard_retries;
+      dopts.heartbeat_timeout_ms = options.shard_heartbeat_timeout_ms;
+      dopts.backoff_base_ms = options.shard_backoff_base_ms;
+      dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
+      dopts.worker_threads = ResolveThreadCount(options.threads);
+      dopts.fine_enabled = fine_enabled;
+      dopts.fine.max_cluster_size = options.clustering.max_cluster_size;
+      dopts.fine.mcs = options.clustering.fine_mcs;
+      dopts.checkpoint_dir = options.checkpoint_dir;
+      dopts.fingerprint = corpus->fingerprint;
+      dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
+      dopts.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
+      dopts.listen_address = options.dist_listen;
+      dopts.listen_fd = options.dist_listen_fd;
+      dopts.join_timeout_ms = options.dist_join_timeout_ms;
+      dopts.admin_listen = options.dist_admin_listen;
+      // The sharded phase spans fine clustering and CSG folding, so its
+      // slice covers both phases' shares.
+      dist::ShardedPhasesResult sharded = dist::RunShardedClusterPhases(
+          db, clustering.clusters, dopts, rng,
+          run_ctx.Slice(kClusteringTimeShare + kCsgTimeShare), &report.dist);
+      clustering.clusters = std::move(sharded.fine_clusters);
+      if (!sharded.fine_complete) clustering.fine_complete = false;
+      corpus->csgs = std::move(sharded.csgs);
+      report.degraded_csgs = sharded.degraded_csgs;
+      csgs_folded = true;
+    } else if (fine_enabled) {
+      FineClusteringStage(db, options.clustering, &clustering, rng,
+                          clustering_ctx);
+    }
+    corpus->clusters = std::move(clustering.clusters);
+    corpus->features = std::move(clustering.features);
+    report.clustering_complete = clustering.Complete();
+    report.clustering_coarse_only = !clustering.fine_complete;
+    if (store != nullptr) {
+      CheckpointPhase(
+          "clustering", clustering.Complete(),
+          [&] {
+            ClusteringArtifact artifact;
+            artifact.clusters = corpus->clusters;
+            artifact.features = corpus->features;
+            artifact.rng_after = rng.SaveState();
+            return store->SaveClustering(artifact);
+          },
+          "catapult.crash_after_clustering_checkpoint", run_ctx, &report);
+    }
+  }
+  phase_span.reset();
+  corpus->clustering_seconds =
+      clustering_clock.Finish(&report.clustering_parallel);
+
+  // --- CSG generation ---
+  PhaseClock csg_clock(*run_ctx.pool());
+  phase_span.emplace(run_ctx.tracer(), "csg", parent_span);
+  if (recovery != nullptr && recovery->csgs.has_value()) {
+    corpus->csgs = std::move(recovery->csgs->csgs);
+    rng.RestoreState(recovery->csgs->rng_after);
+    report.resumed_from = "csgs";
+    report.checkpoint_events.push_back(
+        {CheckpointEvent::Kind::kResumedFromPhase, "csgs",
+         std::to_string(corpus->csgs.size()) + " summaries"});
+  } else {
+    if (!csgs_folded) {
+      corpus->csgs = BuildCsgs(db, corpus->clusters,
+                               run_ctx.Slice(kCsgTimeShare),
+                               &report.degraded_csgs);
+    }
+    report.csg_complete = report.degraded_csgs == 0;
+    if (store != nullptr) {
+      CheckpointPhase(
+          "csgs", report.csg_complete,
+          [&] {
+            CsgArtifact artifact;
+            artifact.csgs = corpus->csgs;
+            artifact.rng_after = rng.SaveState();
+            return store->SaveCsgs(artifact);
+          },
+          "catapult.crash_after_csg_checkpoint", run_ctx, &report);
+    }
+  }
+  phase_span.reset();
+  corpus->csg_seconds = csg_clock.Finish(&report.csg_parallel);
+
+  // Built once per corpus, so repeated selections on it share one index
+  // instead of re-flattening the summaries per request.
+  corpus->summary_index = BuildFlatSummaryIndex(corpus->csgs);
+  corpus->rng_after_csg = rng.SaveState();
+}
+
+// Phase 5, selection on `corpus` under a span below `parent_span`. The seed
+// stream resumes exactly where the corpus phases left it — the invariant
+// that makes a selection on a prepared corpus bit-identical to the one-shot
+// run. Fills `result->selection` and the selection, thread and memory
+// fields of its ExecutionReport.
+void RunSelectionPhase(const GraphDatabase& db, const PreparedCorpus& corpus,
+                       const CatapultOptions& options, RunContext run_ctx,
+                       uint64_t parent_span,
+                       const SelectorCheckpointHooks& hooks,
+                       CatapultResult* result) {
+  // A sharded run's corpus phases ran on a 1-thread pool so no pool thread
+  // existed across fork(); every fork is behind us now, so selection gets
+  // the pool an in-process run would have used.
+  std::unique_ptr<ThreadPool> selection_pool;
+  if (options.processes > 1) {
+    selection_pool =
+        std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
+    run_ctx = run_ctx.WithPool(selection_pool.get());
+    obs::SetGaugeMax(obs::Gauge::kPoolThreads, selection_pool->num_threads());
+  }
+  ExecutionReport& exec = result->execution;
+  const MemoryBudget& memory = run_ctx.memory();
+  exec.deadline_set = !run_ctx.Unlimited();
+  exec.threads = run_ctx.pool()->num_threads();
+  exec.mem_budget_set = memory.limited();
+  exec.mem_soft_limit = memory.soft_limit();
+  exec.mem_hard_limit = memory.hard_limit();
+
+  PhaseClock selection_clock(*run_ctx.pool());
+  obs::Span selection_span(run_ctx.tracer(), "selection", parent_span);
+  Rng rng(options.seed);
+  rng.RestoreState(corpus.rng_after_csg);
+  result->selection = FindCannedPatternSet(
+      db, corpus.clusters, corpus.csgs, options.selector, rng, run_ctx, hooks,
+      &corpus.summary_index);
+  selection_span.Close();
+  result->selection_seconds =
+      selection_clock.Finish(&exec.selection_parallel);
+  exec.selection_complete = result->selection.complete;
+  exec.fallback_patterns = result->selection.fallback_patterns;
+  exec.iso_budget_exhausted = result->selection.iso_budget_exhausted;
+
+  exec.mem_peak_bytes = memory.peak();
+  exec.mem_soft_exceeded =
+      memory.soft_limit() != 0 && memory.peak() >= memory.soft_limit();
+  exec.mem_hard_breached = memory.HardBreached();
+  if (exec.mem_hard_breached) exec.resource_error = memory.error();
 }
 
 }  // namespace
@@ -283,13 +440,6 @@ std::vector<OptionsError> ValidateCatapultOptions(
   if (options.threads > ThreadPool::kMaxThreads) {
     Err("threads", "must not exceed ThreadPool::kMaxThreads (256)");
   }
-  if (!(options.clustering_time_share > 0.0 &&
-        options.clustering_time_share < 1.0)) {
-    Err("clustering_time_share", "must be in (0, 1)");
-  }
-  if (!(options.csg_time_share > 0.0 && options.csg_time_share < 1.0)) {
-    Err("csg_time_share", "must be in (0, 1)");
-  }
   if (options.use_sampling) {
     if (!(options.eager.epsilon > 0.0) ||
         !std::isfinite(options.eager.epsilon)) {
@@ -348,10 +498,6 @@ std::vector<OptionsError> ValidateCatapultOptions(
   if (!(options.dist_join_timeout_ms > 0.0) ||
       !std::isfinite(options.dist_join_timeout_ms)) {
     Err("dist_join_timeout_ms", "must be positive and finite");
-  }
-  if (!(options.dist_write_stall_timeout_ms > 0.0) ||
-      !std::isfinite(options.dist_write_stall_timeout_ms)) {
-    Err("dist_write_stall_timeout_ms", "must be positive and finite");
   }
   return errors;
 }
@@ -436,57 +582,13 @@ uint64_t ConfigFingerprint(const CatapultOptions& options,
 }
 
 CatapultResult RunCatapult(const GraphDatabase& db,
-                           const CatapultOptions& options) {
-  return RunCatapult(db, options, RunContext::NoLimit());
-}
-
-CatapultResult RunCatapult(const GraphDatabase& db,
                            const CatapultOptions& options,
                            const RunContext& ctx) {
   CatapultResult result;
   result.option_errors = ValidateCatapultOptions(options);
-  if (!result.ok()) return result;
-  if (db.empty()) return result;
-
-  // The effective deadline is the earlier of the caller's context and
-  // options.deadline_ms; the cancellation token is shared either way.
-  RunContext run_ctx = ctx;
-  if (options.deadline_ms > 0.0) {
-    run_ctx = RunContext(
-                  Deadline::Earliest(ctx.deadline(),
-                                     Deadline::AfterMillis(options.deadline_ms)),
-                  ctx.cancel_token(), ctx.memory())
-                  .WithPool(ctx.pool())
-                  .WithObservability(ctx.metrics(), ctx.tracer());
-  }
-  // Memory governance: a budget configured in the options supersedes the
-  // (by default unlimited) ledger of the caller's context.
-  if (options.mem_hard_limit_bytes != 0 || options.mem_soft_limit_bytes != 0) {
-    run_ctx = run_ctx.WithMemory(MemoryBudget::Limited(
-        options.mem_soft_limit_bytes, options.mem_hard_limit_bytes));
-  }
-  // Parallelism: a pool carried by the caller's context is reused when the
-  // options don't ask for a specific count; otherwise the run owns a pool
-  // sized by options.threads (a 1-thread pool spawns no threads and executes
-  // inline, so the default path stays exactly sequential).
-  //
-  // Sharded mode (processes > 1) forces a 1-thread supervisor pool instead:
-  // forking a multithreaded process is undefined behaviour territory (only
-  // the forking thread survives in the child), so the supervisor stays
-  // single-threaded until every fork is behind it; each member builds its
-  // own `threads`-sized pool after the fork, and selection swaps in a real
-  // pool once the sharded phase is over.
-  const bool dist_mode = options.processes > 1;
+  if (!result.ok() || db.empty()) return result;
   std::unique_ptr<ThreadPool> owned_pool;
-  if (dist_mode) {
-    owned_pool = std::make_unique<ThreadPool>(1);
-    run_ctx = run_ctx.WithPool(owned_pool.get());
-  } else if (run_ctx.pool() == nullptr || options.threads != 0) {
-    owned_pool =
-        std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
-    run_ctx = run_ctx.WithPool(owned_pool.get());
-  }
-  const MemoryBudget& memory = run_ctx.memory();
+  const RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
   // Observability: install the calling thread's metrics shard for the whole
   // run (worker threads install theirs per parallel region inside the
   // pool), and open the root span. Both are no-ops when the context carries
@@ -495,262 +597,41 @@ CatapultResult RunCatapult(const GraphDatabase& db,
   obs::ScopedMetricsScope metrics_scope(run_ctx.metrics());
   obs::Span run_span(run_ctx.tracer(), "catapult.run");
   obs::SetGaugeMax(obs::Gauge::kPoolThreads, run_ctx.pool()->num_threads());
-  ExecutionReport& exec = result.execution;
-  exec.deadline_set = !run_ctx.Unlimited();
-  // In sharded mode the supervisor pool is deliberately 1-thread; report
-  // the worker-side thread count, which is what sizes the actual compute.
-  exec.threads = dist_mode ? ResolveThreadCount(options.threads)
-                           : run_ctx.pool()->num_threads();
-  exec.mem_budget_set = memory.limited();
-  exec.mem_soft_limit = memory.soft_limit();
-  exec.mem_hard_limit = memory.hard_limit();
-  // Aggregates each phase's pool activity into its PhaseParallelStats.
-  // Reads the pool through run_ctx: sharded runs swap in a fresh pool for
-  // selection, and stats baselines always come from the then-active pool.
-  auto FinishPhase = [&run_ctx](const ThreadPool::Stats& before, double wall,
-                                PhaseParallelStats& out) {
-    ThreadPool::Stats after = run_ctx.pool()->stats();
-    out.wall_seconds = wall;
-    out.busy_seconds = after.busy_seconds - before.busy_seconds;
-    out.parallel_items = after.items - before.items;
-  };
-  Rng rng(options.seed);
-
-  // Computed once for the checkpoint store, the shard artifacts, and the
-  // distributed-trace correlation id.
-  const bool need_fingerprint = !options.checkpoint_dir.empty() || dist_mode ||
-                                run_ctx.tracer() != nullptr;
-  const uint64_t fingerprint =
-      need_fingerprint ? ConfigFingerprint(options, db) : 0;
-  // Deterministic trace id: same (options, db, seed) → same id, so a rerun
-  // produces byte-identical trace documents under fixed ticks. Respects an
-  // id the caller already installed (e.g. the serving loop's per-corpus id).
-  if (run_ctx.tracer() != nullptr && run_ctx.tracer()->trace_id() == 0) {
-    run_ctx.tracer()->SetTraceId(fingerprint ^ options.seed);
-  }
+  PreparedCorpus corpus;
+  corpus.fingerprint = FingerprintRun(options, db, run_ctx);
 
   // Durability: open the checkpoint store and, when resuming, restore the
   // longest valid phase chain (recovery ladder; DESIGN.md Section 8). Every
-  // decision lands in exec.checkpoint_events.
+  // decision lands in the report's checkpoint_events.
   std::unique_ptr<CheckpointStore> store;
-  CheckpointStore::Recovery recovery;
+  Durability durability;
   if (!options.checkpoint_dir.empty()) {
     store = std::make_unique<CheckpointStore>(options.checkpoint_dir,
-                                              fingerprint);
+                                              corpus.fingerprint);
     if (options.resume) {
-      recovery = store->Recover(db, options.selector.budget);
-      for (CheckpointEvent& event : recovery.events) {
-        exec.checkpoint_events.push_back(std::move(event));
-      }
+      durability.recovery = store->Recover(db, options.selector.budget);
+      corpus.execution.checkpoint_events =
+          std::move(durability.recovery.events);
     }
+    if (options.checkpoint_every_phase) durability.store = store.get();
   }
-  const bool write_checkpoints =
-      store != nullptr && options.checkpoint_every_phase;
-  auto RecordPhaseSave = [&exec](const char* phase,
-                                 const std::string& error) {
-    if (error.empty()) {
-      ++exec.checkpoints_written;
-      exec.checkpoint_events.push_back(
-          {CheckpointEvent::Kind::kPhaseCheckpointed, phase, ""});
-    } else {
-      exec.checkpoint_events.push_back(
-          {CheckpointEvent::Kind::kCheckpointWriteFailed, phase, error});
-    }
-  };
+  RunCorpusPhases(db, options, run_ctx, run_span.id(), &durability, &corpus);
 
-  // Phase spans: children of the run span, closed just before each phase's
-  // stats are finalised so the trace duration matches the reported wall
-  // time. Span objects are inert (and free) when the context has no tracer.
-  std::optional<obs::Span> phase_span;
-
-  // Sharded mode computes CSGs inside the clustering phase's sharded
-  // executor (fine clustering + folding are one unit of per-cluster work);
-  // the CSG phase then adopts them instead of re-folding.
-  std::vector<ClusterSummaryGraph> dist_csgs;
-  size_t dist_degraded_csgs = 0;
-  bool have_dist_csgs = false;
-
-  // --- Clustering ---
-  WallTimer clustering_timer;
-  ThreadPool::Stats clustering_pool_stats = run_ctx.pool()->stats();
-  phase_span.emplace(run_ctx.tracer(), "clustering", run_span.id());
-  if (recovery.clustering.has_value()) {
-    result.clusters = std::move(recovery.clustering->clusters);
-    result.features = std::move(recovery.clustering->features);
-    // Continue the pseudo-random stream exactly where the checkpointed
-    // clustering phase left it, so later phases draw the same values the
-    // uninterrupted run would have drawn.
-    rng.RestoreState(recovery.clustering->rng_after);
-    exec.resumed_from = "clustering";
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kResumedFromPhase, "clustering",
-         std::to_string(result.clusters.size()) + " clusters"});
-  } else {
-    // Per-phase time allocation: clustering gets its share of the total,
-    // CSG its share of the remainder, selection the rest. Each phase still
-    // honours the overall deadline (a slice can never exceed it).
-    RunContext clustering_ctx = run_ctx.Slice(options.clustering_time_share);
-    ClusteringResult clustering =
-        RunCoarseStages(db, options, rng, clustering_ctx);
-    bool fine_enabled =
-        options.use_sampling ||
-        options.clustering.mode != ClusteringMode::kCoarseOnly;
-    if (dist_mode) {
-      // Mirror FineClusteringStage's soft-pressure shed before any stream
-      // is split, so sharded and in-process runs degrade at the same point.
-      if (fine_enabled && run_ctx.memory().SoftExceeded()) {
-        fine_enabled = false;
-        clustering.fine_complete = false;
-      }
-      dist::DistOptions dopts;
-      dopts.processes = options.processes;
-      dopts.max_shard_retries = options.max_shard_retries;
-      dopts.heartbeat_timeout_ms = options.shard_heartbeat_timeout_ms;
-      dopts.backoff_base_ms = options.shard_backoff_base_ms;
-      dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
-      dopts.worker_threads = ResolveThreadCount(options.threads);
-      dopts.fine_enabled = fine_enabled;
-      dopts.fine.max_cluster_size = options.clustering.max_cluster_size;
-      dopts.fine.mcs = options.clustering.fine_mcs;
-      dopts.checkpoint_dir = options.checkpoint_dir;
-      dopts.fingerprint = fingerprint;
-      dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
-      dopts.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
-      dopts.listen_address = options.dist_listen;
-      dopts.listen_fd = options.dist_listen_fd;
-      dopts.join_timeout_ms = options.dist_join_timeout_ms;
-      dopts.write_stall_timeout_ms = options.dist_write_stall_timeout_ms;
-      dopts.admin_listen = options.dist_admin_listen;
-      // The sharded phase spans fine clustering and CSG folding, so its
-      // slice covers both phases' shares.
-      RunContext dist_ctx = run_ctx.Slice(std::min(
-          0.95, options.clustering_time_share + options.csg_time_share));
-      dist::ShardedPhasesResult sharded = dist::RunShardedClusterPhases(
-          db, clustering.clusters, dopts, rng, dist_ctx, &exec.dist);
-      clustering.clusters = std::move(sharded.fine_clusters);
-      if (!sharded.fine_complete) clustering.fine_complete = false;
-      dist_csgs = std::move(sharded.csgs);
-      dist_degraded_csgs = sharded.degraded_csgs;
-      have_dist_csgs = true;
-    } else if (fine_enabled) {
-      FineClusteringStage(db, options.clustering, &clustering, rng,
-                          clustering_ctx);
-    }
-    result.clusters = std::move(clustering.clusters);
-    result.features = std::move(clustering.features);
-    exec.clustering_complete = clustering.Complete();
-    exec.clustering_coarse_only = !clustering.fine_complete;
-    if (write_checkpoints) {
-      // Only fully completed phases become durable: a deadline-degraded
-      // phase is re-run on resume rather than frozen below its potential.
-      if (clustering.Complete()) {
-        ClusteringArtifact artifact;
-        artifact.clusters = result.clusters;
-        artifact.features = result.features;
-        artifact.rng_after = rng.SaveState();
-        RecordPhaseSave("clustering", store->SaveClustering(artifact));
-        // Test-only simulated kill: the site models a crash immediately
-        // after the checkpoint became durable.
-        if (CATAPULT_FAILPOINT("catapult.crash_after_clustering_checkpoint")) {
-          run_ctx.Cancel();
-        }
-      } else {
-        exec.checkpoint_events.push_back(
-            {CheckpointEvent::Kind::kCheckpointSkipped, "clustering",
-             "phase incomplete under deadline"});
-      }
-    }
-  }
-  phase_span.reset();
-  result.clustering_seconds = clustering_timer.ElapsedSeconds();
-  FinishPhase(clustering_pool_stats, result.clustering_seconds,
-              exec.clustering_parallel);
-
-  // --- CSG generation ---
-  WallTimer csg_timer;
-  ThreadPool::Stats csg_pool_stats = run_ctx.pool()->stats();
-  phase_span.emplace(run_ctx.tracer(), "csg", run_span.id());
-  if (recovery.csgs.has_value()) {
-    result.csgs = std::move(recovery.csgs->csgs);
-    rng.RestoreState(recovery.csgs->rng_after);
-    exec.resumed_from = "csgs";
-    exec.checkpoint_events.push_back(
-        {CheckpointEvent::Kind::kResumedFromPhase, "csgs",
-         std::to_string(result.csgs.size()) + " summaries"});
-  } else if (have_dist_csgs) {
-    // Sharded mode already folded the CSGs alongside fine clustering; adopt
-    // them here so the checkpoint ladder (and its rng position) matches the
-    // in-process path byte for byte.
-    result.csgs = std::move(dist_csgs);
-    exec.degraded_csgs = dist_degraded_csgs;
-    exec.csg_complete = exec.degraded_csgs == 0;
-    if (write_checkpoints) {
-      if (exec.csg_complete) {
-        CsgArtifact artifact;
-        artifact.csgs = result.csgs;
-        artifact.rng_after = rng.SaveState();
-        RecordPhaseSave("csgs", store->SaveCsgs(artifact));
-        if (CATAPULT_FAILPOINT("catapult.crash_after_csg_checkpoint")) {
-          run_ctx.Cancel();
-        }
-      } else {
-        exec.checkpoint_events.push_back(
-            {CheckpointEvent::Kind::kCheckpointSkipped, "csgs",
-             "phase incomplete under deadline"});
-      }
-    }
-  } else {
-    RunContext csg_ctx = run_ctx.Slice(options.csg_time_share);
-    result.csgs =
-        BuildCsgs(db, result.clusters, csg_ctx, &exec.degraded_csgs);
-    exec.csg_complete = exec.degraded_csgs == 0;
-    if (write_checkpoints) {
-      if (exec.csg_complete) {
-        CsgArtifact artifact;
-        artifact.csgs = result.csgs;
-        artifact.rng_after = rng.SaveState();
-        RecordPhaseSave("csgs", store->SaveCsgs(artifact));
-        if (CATAPULT_FAILPOINT("catapult.crash_after_csg_checkpoint")) {
-          run_ctx.Cancel();
-        }
-      } else {
-        exec.checkpoint_events.push_back(
-            {CheckpointEvent::Kind::kCheckpointSkipped, "csgs",
-             "phase incomplete under deadline"});
-      }
-    }
-  }
-  phase_span.reset();
-  result.csg_seconds = csg_timer.ElapsedSeconds();
-  FinishPhase(csg_pool_stats, result.csg_seconds, exec.csg_parallel);
-
-  // --- Selection ---
-  // Sharded mode ran the supervisor on a 1-thread pool so no pool threads
-  // existed across fork(); all forks are behind us now, so selection gets a
-  // real multi-thread pool (same size the in-process run would have used).
-  std::unique_ptr<ThreadPool> selection_pool;
-  if (dist_mode) {
-    selection_pool =
-        std::make_unique<ThreadPool>(ResolveThreadCount(options.threads));
-    run_ctx = run_ctx.WithPool(selection_pool.get());
-    obs::SetGaugeMax(obs::Gauge::kPoolThreads, selection_pool->num_threads());
-  }
-  WallTimer selection_timer;
-  ThreadPool::Stats selection_pool_stats = run_ctx.pool()->stats();
-  phase_span.emplace(run_ctx.tracer(), "selection", run_span.id());
+  ExecutionReport& exec = result.execution;
+  exec = std::move(corpus.execution);
   SelectorCheckpointHooks hooks;
-  if (recovery.selection.has_value()) {
-    hooks.resume = &*recovery.selection;
+  if (durability.recovery.selection.has_value()) {
+    hooks.resume = &*durability.recovery.selection;
     exec.resumed_from = "selection";
     exec.checkpoint_events.push_back(
         {CheckpointEvent::Kind::kResumedFromPhase, "selection",
-         std::to_string(recovery.selection->patterns.size()) +
+         std::to_string(durability.recovery.selection->patterns.size()) +
              " patterns already selected"});
   }
   size_t progress_saves = 0;
   size_t progress_failures = 0;
   std::string last_save_error;
-  if (write_checkpoints) {
+  if (durability.store != nullptr) {
     // Selection progress is checkpointed after every accepted pattern: each
     // state is an exact loop invariant, so a kill mid-selection loses at
     // most one greedy iteration.
@@ -768,9 +649,8 @@ CatapultResult RunCatapult(const GraphDatabase& db,
       }
     };
   }
-  result.selection = FindCannedPatternSet(db, result.clusters, result.csgs,
-                                          options.selector, rng, run_ctx,
-                                          hooks);
+  RunSelectionPhase(db, corpus, options, run_ctx, run_span.id(), hooks,
+                    &result);
   if (progress_saves > 0) {
     exec.checkpoint_events.push_back(
         {CheckpointEvent::Kind::kPhaseCheckpointed, "selection",
@@ -782,19 +662,12 @@ CatapultResult RunCatapult(const GraphDatabase& db,
          std::to_string(progress_failures) + " failed writes, last: " +
              last_save_error});
   }
-  phase_span.reset();
-  result.selection_seconds = selection_timer.ElapsedSeconds();
-  FinishPhase(selection_pool_stats, result.selection_seconds,
-              exec.selection_parallel);
-  exec.selection_complete = result.selection.complete;
-  exec.fallback_patterns = result.selection.fallback_patterns;
-  exec.iso_budget_exhausted = result.selection.iso_budget_exhausted;
+  result.clusters = std::move(corpus.clusters);
+  result.csgs = std::move(corpus.csgs);
+  result.features = std::move(corpus.features);
+  result.clustering_seconds = corpus.clustering_seconds;
+  result.csg_seconds = corpus.csg_seconds;
 
-  exec.mem_peak_bytes = memory.peak();
-  exec.mem_soft_exceeded =
-      memory.soft_limit() != 0 && memory.peak() >= memory.soft_limit();
-  exec.mem_hard_breached = memory.HardBreached();
-  if (exec.mem_hard_breached) exec.resource_error = memory.error();
   // Close the root span before snapshotting so its counter deltas cover the
   // whole run, then merge the per-thread metric shards into the report.
   // Safe here: every parallel region has joined, so worker writes
@@ -811,50 +684,13 @@ PreparedCorpus PrepareCorpus(const GraphDatabase& db,
                              const RunContext& ctx) {
   PreparedCorpus corpus;
   corpus.option_errors = ValidateCatapultOptions(options);
-  if (!corpus.ok()) return corpus;
-  if (db.empty()) {
-    corpus.complete = true;
-    corpus.rng_after_csg = Rng(options.seed).SaveState();
-    return corpus;
-  }
+  if (!corpus.ok() || db.empty()) return corpus;
   std::unique_ptr<ThreadPool> owned_pool;
-  RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
+  const RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
   obs::ScopedMetricsScope metrics_scope(run_ctx.metrics());
   obs::Span prepare_span(run_ctx.tracer(), "catapult.prepare");
-  Rng rng(options.seed);
-
-  // Exactly RunCatapult's in-process clustering phase: one deadline slice
-  // covers the coarse stages and the fine splits, so a later selection on
-  // this corpus matches the one-shot run draw for draw.
-  WallTimer clustering_timer;
-  std::optional<obs::Span> phase_span;
-  phase_span.emplace(run_ctx.tracer(), "clustering", prepare_span.id());
-  RunContext clustering_ctx = run_ctx.Slice(options.clustering_time_share);
-  ClusteringResult clustering =
-      RunCoarseStages(db, options, rng, clustering_ctx);
-  if (options.use_sampling ||
-      options.clustering.mode != ClusteringMode::kCoarseOnly) {
-    FineClusteringStage(db, options.clustering, &clustering, rng,
-                        clustering_ctx);
-  }
-  corpus.clusters = std::move(clustering.clusters);
-  corpus.features = std::move(clustering.features);
-  phase_span.reset();
-  corpus.clustering_seconds = clustering_timer.ElapsedSeconds();
-
-  WallTimer csg_timer;
-  phase_span.emplace(run_ctx.tracer(), "csg", prepare_span.id());
-  size_t degraded_csgs = 0;
-  corpus.csgs = BuildCsgs(db, corpus.clusters,
-                          run_ctx.Slice(options.csg_time_share),
-                          &degraded_csgs);
-  phase_span.reset();
-  corpus.csg_seconds = csg_timer.ElapsedSeconds();
-
-  corpus.summary_index = BuildFlatSummaryIndex(corpus.csgs);
-  corpus.rng_after_csg = rng.SaveState();
-  corpus.fingerprint = ConfigFingerprint(options, db);
-  corpus.complete = clustering.Complete() && degraded_csgs == 0;
+  corpus.fingerprint = FingerprintRun(options, db, run_ctx);
+  RunCorpusPhases(db, options, run_ctx, prepare_span.id(), nullptr, &corpus);
   return corpus;
 }
 
@@ -864,50 +700,15 @@ CatapultResult RunCatapultSelection(const GraphDatabase& db,
                                     const RunContext& ctx) {
   CatapultResult result;
   result.option_errors = ValidateCatapultOptions(options);
-  if (!result.ok()) return result;
-  if (db.empty()) return result;
+  if (!result.ok() || db.empty()) return result;
   std::unique_ptr<ThreadPool> owned_pool;
-  RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
+  const RunContext run_ctx = MergeOptionsContext(options, ctx, &owned_pool);
   obs::ScopedMetricsScope metrics_scope(run_ctx.metrics());
-  obs::Span selection_span(run_ctx.tracer(), "selection");
-  ExecutionReport& exec = result.execution;
-  exec.deadline_set = !run_ctx.Unlimited();
-  exec.threads = run_ctx.pool()->num_threads();
-  const MemoryBudget& memory = run_ctx.memory();
-  exec.mem_budget_set = memory.limited();
-  exec.mem_soft_limit = memory.soft_limit();
-  exec.mem_hard_limit = memory.hard_limit();
-  exec.clustering_complete = corpus.complete;
-  exec.csg_complete = corpus.complete;
-
-  WallTimer selection_timer;
-  ThreadPool::Stats pool_stats = run_ctx.pool()->stats();
-  // Resume the seed stream exactly where the prepared corpus's CSG phase
-  // left it — the invariant that makes this path bit-identical to the
-  // uninterrupted RunCatapult.
-  Rng rng(options.seed);
-  rng.RestoreState(corpus.rng_after_csg);
-  result.selection =
-      FindCannedPatternSet(db, corpus.clusters, corpus.csgs, options.selector,
-                           rng, run_ctx, SelectorCheckpointHooks{},
-                           &corpus.summary_index);
-  result.selection_seconds = selection_timer.ElapsedSeconds();
-  ThreadPool::Stats after = run_ctx.pool()->stats();
-  exec.selection_parallel.wall_seconds = result.selection_seconds;
-  exec.selection_parallel.busy_seconds =
-      after.busy_seconds - pool_stats.busy_seconds;
-  exec.selection_parallel.parallel_items = after.items - pool_stats.items;
-  exec.selection_complete = result.selection.complete;
-  exec.fallback_patterns = result.selection.fallback_patterns;
-  exec.iso_budget_exhausted = result.selection.iso_budget_exhausted;
-  exec.mem_peak_bytes = memory.peak();
-  exec.mem_soft_exceeded =
-      memory.soft_limit() != 0 && memory.peak() >= memory.soft_limit();
-  exec.mem_hard_breached = memory.HardBreached();
-  if (exec.mem_hard_breached) exec.resource_error = memory.error();
-  selection_span.Close();
+  result.execution = corpus.execution;
+  RunSelectionPhase(db, corpus, options, run_ctx, /*parent_span=*/0,
+                    SelectorCheckpointHooks{}, &result);
   if (run_ctx.metrics() != nullptr) {
-    exec.metrics = run_ctx.metrics()->Snapshot();
+    result.execution.metrics = run_ctx.metrics()->Snapshot();
   }
   return result;
 }

@@ -31,7 +31,7 @@ struct CatapultOptions {
   // Deterministic seed for the whole pipeline.
   uint64_t seed = 42;
 
-  // Worker threads for the parallel phases (feature vectors, k-means
+  // Worker threads for the parallel phases (sampled supports, k-means
   // assignment, fine splits, CSG folds, candidate walks, scoring). 0 means
   // "auto": the CATAPULT_THREADS environment variable if set (its own 0
   // meaning hardware concurrency), else 1. The task decomposition pre-splits
@@ -46,14 +46,9 @@ struct CatapultOptions {
   // On expiry every phase returns its best partial result and the
   // degradation is reported in CatapultResult::execution; with no deadline
   // the output is bit-identical to a build without the deadline machinery.
+  // Clustering and CSG folding get fixed shares of the remaining time
+  // (DESIGN.md §7); selection runs against the whole deadline.
   double deadline_ms = 0.0;
-
-  // Fraction of the remaining time allotted to clustering, and of the
-  // then-remaining time allotted to CSG generation; selection runs against
-  // the full overall deadline. Phases finishing early automatically donate
-  // their unused allowance to later phases.
-  double clustering_time_share = 0.45;
-  double csg_time_share = 0.3;
 
   // Crash-safe checkpointing (DESIGN.md Section 8). When `checkpoint_dir`
   // is non-empty and `checkpoint_every_phase` is true, every fully
@@ -112,9 +107,6 @@ struct CatapultOptions {
   // the fleet is declared lost and the run completes via the in-process
   // fallback (reported as remote_fallback_only, CLI exit code 7).
   double dist_join_timeout_ms = 10000.0;
-  // A remote send stuck for this long marks the connection half-open and
-  // fences the member.
-  double dist_write_stall_timeout_ms = 5000.0;
   // Optional admin endpoint served by the remote-fleet supervision loop
   // ("unix:PATH" / "tcp:HOST:PORT"; empty = disabled): /metrics, /statusz,
   // /healthz. Fingerprint-excluded like the other supervision knobs.
@@ -141,8 +133,8 @@ struct OptionsError {
 };
 
 // Validates every pipeline-facing invariant of `options` (pattern budget
-// ordering, positive gamma, sane walk counts, decay/time-share ranges,
-// sampling parameters, checkpoint flags). Returns one entry per violated
+// ordering, positive gamma, sane walk counts, decay range, sampling
+// parameters, checkpoint flags). Returns one entry per violated
 // field; empty means the options are safe to run.
 std::vector<OptionsError> ValidateCatapultOptions(
     const CatapultOptions& options);
@@ -264,26 +256,23 @@ struct CatapultResult {
 
 // Runs the full Catapult pipeline on `db` (Algorithm 1): (optionally eager-
 // sampled) small graph clustering, (optionally lazy-sampled) CSG
-// generation, and canned-pattern selection. A deadline is taken from
-// `options.deadline_ms`.
-CatapultResult RunCatapult(const GraphDatabase& db,
-                           const CatapultOptions& options);
-
-// As above, but runs under a caller-provided context (e.g. a serving thread
-// that wants to share a cancellation token across requests). When
-// `options.deadline_ms` is also set, the effective deadline is the earlier
-// of the two.
+// generation, and canned-pattern selection — PrepareCorpus's phases followed
+// by RunCatapultSelection's, under one merged context, plus the checkpoint
+// store, the recovery ladder and per-pattern selection checkpoints. `ctx`
+// lets a caller share a cancellation token, pool or observability handles;
+// when `options.deadline_ms` is also set, the effective deadline is the
+// earlier of the two.
 CatapultResult RunCatapult(const GraphDatabase& db,
                            const CatapultOptions& options,
-                           const RunContext& ctx);
+                           const RunContext& ctx = RunContext::NoLimit());
 
 // Clustering + CSG artifacts of a database, computed once and reused across
 // many selection calls — the serving path (DESIGN.md §13). The artifacts
 // depend only on the clustering/sampling options and the seed, never on the
 // selection budget, so one prepared corpus answers any (eta_min, eta_max,
-// gamma) request; the rng stream position captured after CSG folding makes
-// RunCatapultSelection bit-identical to a full one-shot RunCatapult with
-// the same options (asserted by tests/serve_test.cc).
+// gamma) request. RunCatapult runs the same phases into a PreparedCorpus of
+// its own and then selects on it, so RunCatapultSelection is bit-identical
+// to a one-shot RunCatapult with the same options by construction.
 struct PreparedCorpus {
   std::vector<std::vector<GraphId>> clusters;
   std::vector<ClusterSummaryGraph> csgs;
@@ -298,12 +287,21 @@ struct PreparedCorpus {
   // which corpus they answer from without re-hashing the database.
   uint64_t fingerprint = 0;
 
-  // False when a deadline/cancellation/memory breach degraded clustering or
-  // CSG folding; selections on a degraded corpus are flagged degraded.
-  bool complete = false;
+  // The corpus phases' part of the run report: completeness, coarse-only
+  // clustering, degraded CSGs, their parallel stats, `dist`, and the
+  // checkpoint decisions (RunCatapult's only: PrepareCorpus has no store).
+  // Every selection on this corpus starts its ExecutionReport from it, so a
+  // served result carries the same degradation detail as a one-shot run.
+  ExecutionReport execution;
 
   double clustering_seconds = 0.0;
   double csg_seconds = 0.0;
+
+  // False when a deadline/cancellation/memory breach degraded clustering or
+  // CSG folding; selections on a degraded corpus are flagged degraded.
+  bool Complete() const {
+    return execution.clustering_complete && execution.csg_complete;
+  }
 
   // Non-empty when the options were rejected (see ValidateCatapultOptions);
   // every other field is then default-constructed.
@@ -311,8 +309,10 @@ struct PreparedCorpus {
   bool ok() const { return option_errors.empty(); }
 };
 
-// Runs the clustering and CSG phases of RunCatapult (in-process, no
-// checkpointing or sharding) and captures their artifacts for reuse.
+// Runs RunCatapult's corpus phases — coarse stage, fine clustering (sharded
+// under `processes` > 1 exactly as RunCatapult shards it), CSG folding and
+// the flat summary index — without the checkpoint store, and captures their
+// artifacts for reuse.
 PreparedCorpus PrepareCorpus(const GraphDatabase& db,
                              const CatapultOptions& options,
                              const RunContext& ctx);
@@ -322,8 +322,9 @@ PreparedCorpus PrepareCorpus(const GraphDatabase& db,
 // `options` (deadline, memory budget, threads — exactly like RunCatapult).
 // `options` must share the clustering/sampling options and seed the corpus
 // was prepared with; only the selector options (budget, walks, decay) may
-// differ. The result's clusters/csgs/features are left empty — the corpus
-// already holds them, and serving must not copy them per request.
+// differ. The result's ExecutionReport starts from the corpus phases'
+// report; its clusters/csgs/features are left empty — the corpus already
+// holds them, and serving must not copy them per request.
 CatapultResult RunCatapultSelection(const GraphDatabase& db,
                                     const PreparedCorpus& corpus,
                                     const CatapultOptions& options,

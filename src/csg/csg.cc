@@ -165,11 +165,6 @@ double MappedEdgeFraction(const ClusterSummaryGraph& csg, const Graph& g) {
 }
 
 ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
-                             const std::vector<GraphId>& member_ids) {
-  return BuildCsg(db, member_ids, RunContext::NoLimit());
-}
-
-ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
                              const std::vector<GraphId>& member_ids,
                              const RunContext& ctx, bool* complete) {
   if (complete != nullptr) *complete = true;
@@ -276,12 +271,6 @@ ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
     }
   }
   return csg;
-}
-
-std::vector<ClusterSummaryGraph> BuildCsgs(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters) {
-  return BuildCsgs(db, clusters, RunContext::NoLimit());
 }
 
 std::vector<ClusterSummaryGraph> BuildCsgs(

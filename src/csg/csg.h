@@ -89,19 +89,16 @@ class ClusterSummaryGraph {
 // heuristic of closure-trees [He & Singh, ICDE'06]: vertices are mapped in
 // BFS order to same-label summary vertices maximising already-realised
 // adjacency, and unmappable vertices extend the summary (the paper's dummy-
-// vertex extension).
-ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
-                             const std::vector<GraphId>& member_ids);
-
-// Deadline-aware variant: folding polls `ctx` between members (failpoint
-// site "csg.fold_member"). The first member is always folded, so the
-// summary is never empty for a non-empty cluster; on expiry the remaining
-// members are simply not folded (their support bits stay unset), which is a
-// valid — just less complete — closure. `complete` (optional) reports
-// whether every member was folded.
+// vertex extension). Folding polls `ctx` between members (failpoint site
+// "csg.fold_member"). The first member is always folded, so the summary is
+// never empty for a non-empty cluster; on expiry the remaining members are
+// simply not folded (their support bits stay unset), which is a valid —
+// just less complete — closure. `complete` (optional) reports whether every
+// member was folded.
 ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
                              const std::vector<GraphId>& member_ids,
-                             const RunContext& ctx, bool* complete = nullptr);
+                             const RunContext& ctx = RunContext::NoLimit(),
+                             bool* complete = nullptr);
 
 // Dry-run of the closure step: greedily maps `g` onto `csg` exactly the way
 // BuildCsg would, without mutating the summary, and returns the fraction of
@@ -109,21 +106,16 @@ ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
 // growth). Used by incremental maintenance as a structural affinity score.
 double MappedEdgeFraction(const ClusterSummaryGraph& csg, const Graph& g);
 
-// Builds one CSG per cluster.
+// Builds one CSG per cluster, always (selection relies on the 1:1
+// correspondence), but clusters whose turn comes after `ctx` expires get a
+// summary folded from fewer members. `degraded` (optional) receives the
+// number of partially folded summaries. Per-cluster folds are independent
+// and run on the context's thread pool; with no binding memory hard limit
+// the result is identical at every thread count.
 std::vector<ClusterSummaryGraph> BuildCsgs(
     const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters);
-
-// Deadline-aware variant: always returns one CSG per cluster (selection
-// relies on the 1:1 correspondence), but clusters whose turn comes after
-// expiry get a summary folded from fewer members. `degraded` (optional)
-// receives the number of partially folded summaries. Per-cluster folds are
-// independent and run on the context's thread pool; with no binding memory
-// hard limit the result is identical at every thread count.
-std::vector<ClusterSummaryGraph> BuildCsgs(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters, const RunContext& ctx,
-    size_t* degraded = nullptr);
+    const std::vector<std::vector<GraphId>>& clusters,
+    const RunContext& ctx = RunContext::NoLimit(), size_t* degraded = nullptr);
 
 }  // namespace catapult
 

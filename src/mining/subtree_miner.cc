@@ -24,12 +24,6 @@ struct Candidate {
 
 std::vector<FrequentSubtree> MineFrequentSubtrees(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
-    const SubtreeMinerOptions& options) {
-  return MineFrequentSubtrees(db, graph_ids, options, RunContext::NoLimit());
-}
-
-std::vector<FrequentSubtree> MineFrequentSubtrees(
-    const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SubtreeMinerOptions& options, const RunContext& ctx,
     bool* complete) {
   if (complete != nullptr) *complete = true;

@@ -45,19 +45,15 @@ struct FrequentSubtree {
 // extended by attaching one new labelled leaf at every position, candidates
 // are deduplicated by canonical string, and support is counted by subgraph
 // isomorphism restricted to the parent's support set (anti-monotonicity).
+// Support counting polls `ctx` (failpoint site "miner.count_support") and,
+// on expiry/cancellation, mining stops after the current candidate and
+// returns the levels completed so far — an anytime result, since every
+// returned subtree carries its exact support. `complete` (optional) reports
+// whether mining ran to natural completion.
 std::vector<FrequentSubtree> MineFrequentSubtrees(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
-    const SubtreeMinerOptions& options);
-
-// Deadline-aware variant: support counting polls `ctx` (failpoint site
-// "miner.count_support") and, on expiry/cancellation, mining stops after the
-// current candidate and returns the levels completed so far — an anytime
-// result, since every returned subtree carries its exact support. `complete`
-// (optional) reports whether mining ran to natural completion.
-std::vector<FrequentSubtree> MineFrequentSubtrees(
-    const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
-    const SubtreeMinerOptions& options, const RunContext& ctx,
-    bool* complete = nullptr);
+    const SubtreeMinerOptions& options,
+    const RunContext& ctx = RunContext::NoLimit(), bool* complete = nullptr);
 
 // Convenience overload over the whole database.
 std::vector<FrequentSubtree> MineFrequentSubtrees(

@@ -1,6 +1,5 @@
 #include "src/serve/server.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -58,21 +57,6 @@ bool SetNonBlocking(int fd) {
 bool TransientAcceptError(int err) {
   return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM ||
          err == ECONNABORTED || err == EINTR;
-}
-
-// Adds `from` into `into`: counters sum, gauges take the running max
-// (every gauge in the registry is a SetGaugeMax peak), histograms merge.
-void MergeSnapshot(const obs::MetricsSnapshot& from,
-                   obs::MetricsSnapshot* into) {
-  for (size_t i = 0; i < obs::kNumCounters; ++i) {
-    into->counters[i] += from.counters[i];
-  }
-  for (size_t i = 0; i < obs::kNumGauges; ++i) {
-    into->gauges[i] = std::max(into->gauges[i], from.gauges[i]);
-  }
-  for (size_t i = 0; i < obs::kNumHists; ++i) {
-    into->hists[i].MergeFrom(from.hists[i]);
-  }
 }
 
 }  // namespace
@@ -200,8 +184,7 @@ struct Server::Impl {
     const obs::MetricsSnapshot delta = local.Snapshot();
     local.Reset();
     std::lock_guard<std::mutex> lock(metrics_mutex);
-    published.enabled = true;
-    MergeSnapshot(delta, &published);
+    published.MergeFrom(delta);
   }
 
   static std::string BudgetKey(const MineRequest& req) {
@@ -231,7 +214,7 @@ struct Server::Impl {
       w.Key("fingerprint");
       w.Value(corpus != nullptr ? corpus->fingerprint : uint64_t{0});
       w.Key("corpus_complete");
-      w.Value(corpus != nullptr && corpus->complete);
+      w.Value(corpus != nullptr && corpus->Complete());
       w.Key("socket_path");
       w.Value(options.socket_path);
       w.Key("draining");
@@ -1008,7 +991,7 @@ obs::MetricsSnapshot Server::Metrics() const {
   obs::MetricsSnapshot out = metrics_.Snapshot();
   if (impl_ != nullptr) {
     std::lock_guard<std::mutex> lock(impl_->metrics_mutex);
-    MergeSnapshot(impl_->published, &out);
+    out.MergeFrom(impl_->published);
   }
   return out;
 }

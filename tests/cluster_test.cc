@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/cluster/facility_location.h"
-#include "src/cluster/feature_vectors.h"
 #include "src/cluster/fine_clustering.h"
 #include "src/cluster/kmeans.h"
 #include "src/cluster/pipeline.h"
 #include "src/data/molecule_generator.h"
+#include "src/iso/vf2.h"
 #include "src/tree/canonical.h"
 
 namespace catapult {
@@ -109,39 +110,75 @@ TEST(FacilityLocationTest, EmptyInput) {
   EXPECT_TRUE(SelectRepresentativeSubtrees({}, options).empty());
 }
 
-TEST(FeatureVectorsTest, BitsMatchContainment) {
+// A generated corpus with edge labels: the molecule generator emits
+// unlabelled bonds, so every edge gets a deterministic label in {0, 1, 2}.
+GraphDatabase EdgeLabelledCorpus() {
+  MoleculeGeneratorOptions gen;
+  gen.num_graphs = 40;
+  gen.max_vertices = 14;
+  gen.seed = 23;
+  const GraphDatabase plain = GenerateMoleculeDatabase(gen);
   GraphDatabase db;
-  Label C = db.labels().Intern("C");
-  Label O = db.labels().Intern("O");
-  // g0: C-C; g1: C-O.
-  {
-    Graph g;
-    g.AddVertex(C);
-    g.AddVertex(C);
-    g.AddEdge(0, 1);
-    db.Add(std::move(g));
+  db.labels() = plain.labels();
+  for (GraphId id = 0; id < plain.size(); ++id) {
+    const Graph& g = plain.graph(id);
+    Graph labelled;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      labelled.AddVertex(g.VertexLabel(v));
+    }
+    for (const Edge& e : g.EdgeList()) {
+      labelled.AddEdge(e.u, e.v, static_cast<Label>((e.u + e.v + id) % 3));
+    }
+    db.Add(std::move(labelled));
   }
-  {
-    Graph g;
-    g.AddVertex(C);
-    g.AddVertex(O);
-    g.AddEdge(0, 1);
-    db.Add(std::move(g));
+  return db;
+}
+
+// The coarse stage's feature matrix is the transpose of the mined support
+// sets, so it rests on this invariant: bit i of a subtree's support is set
+// iff the i-th graph of the mined id list contains the subtree. Checked for
+// the miner and for the features the coarse stage selects, unsampled and
+// sampled, over the whole database and over a strict subset of ids.
+TEST(CoarseStageTest, SupportBitsMatchContainment) {
+  const GraphDatabase db = EdgeLabelledCorpus();
+  std::vector<GraphId> all(db.size());
+  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
+  std::vector<GraphId> subset;
+  for (GraphId i = 1; i < db.size(); i += 3) subset.push_back(i);
+  SmallGraphClusteringOptions options;
+  options.max_cluster_size = 8;
+  EagerSamplingOptions eager;
+  eager.epsilon = 0.3;  // a 30-graph eager sample
+
+  auto expect_bits_match = [&db](const std::vector<FrequentSubtree>& trees,
+                                 const std::vector<GraphId>& ids) {
+    for (const FrequentSubtree& fs : trees) {
+      ASSERT_EQ(fs.support.size(), ids.size());
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(fs.support.Test(i),
+                  ContainsSubgraph(fs.tree, db.graph(ids[i])))
+            << fs.canonical << " vs graph " << ids[i];
+      }
+    }
+  };
+  for (const std::vector<GraphId>* ids : {&all, &subset}) {
+    const std::vector<FrequentSubtree> mined =
+        MineFrequentSubtrees(db, *ids, options.miner);
+    size_t max_edges = 0;
+    for (const FrequentSubtree& fs : mined) {
+      max_edges = std::max(max_edges, fs.tree.NumEdges());
+    }
+    EXPECT_GE(max_edges, 2u);
+    expect_bits_match(mined, *ids);
+    const EagerSamplingOptions* mining_steps[] = {nullptr, &eager};
+    for (const EagerSamplingOptions* sampling : mining_steps) {
+      Rng rng(5);
+      const ClusteringResult coarse = CoarseClusteringStage(
+          db, *ids, options, rng, RunContext::NoLimit(), sampling);
+      ASSERT_FALSE(coarse.features.empty());
+      expect_bits_match(coarse.features, *ids);
+    }
   }
-  FrequentSubtree cc;
-  cc.tree.AddVertex(C);
-  cc.tree.AddVertex(C);
-  cc.tree.AddEdge(0, 1);
-  FrequentSubtree co;
-  co.tree.AddVertex(C);
-  co.tree.AddVertex(O);
-  co.tree.AddEdge(0, 1);
-  auto features = BuildFeatureVectors(db, {0, 1}, {cc, co});
-  ASSERT_EQ(features.size(), 2u);
-  EXPECT_TRUE(features[0].Test(0));
-  EXPECT_FALSE(features[0].Test(1));
-  EXPECT_FALSE(features[1].Test(0));
-  EXPECT_TRUE(features[1].Test(1));
 }
 
 TEST(FineClusteringTest, SplitsOversizedClusters) {

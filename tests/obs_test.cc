@@ -526,6 +526,27 @@ void ExpectStructurallyValidJson(const std::string& json) {
   EXPECT_TRUE(stack.empty());
 }
 
+// Sampling changes only the coarse stage's mining step, so a traced
+// sampling run has the unsampled span tree: catapult.run over clustering
+// (clustering.mining, clustering.coarse, clustering.fine), csg, selection.
+TEST(ObsPipelineTest, SampledRunTracesEveryClusteringStage) {
+  if (!ObsCompiledIn()) GTEST_SKIP() << "built with CATAPULT_DISABLE_OBS";
+  GraphDatabase db = SmallDb();
+  CatapultOptions options = FastOptions();
+  options.use_sampling = true;
+  obs::Tracer tracer;
+  RunContext ctx = RunContext::NoLimit().WithObservability(nullptr, &tracer);
+  ASSERT_TRUE(RunCatapult(db, options, ctx).ok());
+  const std::string json = tracer.ToJson();
+  for (const char* name :
+       {"catapult.run", "clustering", "clustering.mining", "clustering.coarse",
+        "clustering.fine", "csg", "selection"}) {
+    EXPECT_NE(json.find(std::string("{\"name\":\"") + name + "\""),
+              std::string::npos)
+        << "missing span " << name;
+  }
+}
+
 // Golden schema test: every documented key of the selection report is
 // present, including the new metrics section with every counter name.
 TEST(ObsPipelineTest, SelectionReportSchemaIncludesMetrics) {

@@ -407,7 +407,6 @@ TEST_F(PersistTest, ConfigFingerprintTracksOutputAffectingOptionsOnly) {
   // Deadlines are excluded by design: resuming under a new deadline is the
   // expected use of a checkpoint.
   b.deadline_ms = 5000.0;
-  b.clustering_time_share = 0.2;
   EXPECT_EQ(ConfigFingerprint(a, db), ConfigFingerprint(b, db));
 
   b = FastOptions();

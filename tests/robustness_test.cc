@@ -231,6 +231,30 @@ TEST_F(RobustnessTest, CsgDegradesButKeepsOnePerCluster) {
   }
 }
 
+// A served selection reports its corpus's degradation exactly as the
+// one-shot run does, not one folded completeness flag.
+TEST_F(RobustnessTest, PreparedCorpusReportsDegradationLikeOneShotRun) {
+  GraphDatabase db = SmallDb();
+  const CatapultOptions options = FastOptions();
+  failpoint::ScopedFailpoint fp("csg.fold_member");
+  const CatapultResult one_shot = RunCatapult(db, options);
+  const PreparedCorpus corpus =
+      PrepareCorpus(db, options, RunContext::NoLimit());
+  const CatapultResult served =
+      RunCatapultSelection(db, corpus, options, RunContext::NoLimit());
+  ASSERT_GT(one_shot.execution.degraded_csgs, 0u);
+  EXPECT_TRUE(one_shot.execution.clustering_complete);
+  EXPECT_FALSE(one_shot.execution.csg_complete);
+  EXPECT_FALSE(corpus.Complete());
+  EXPECT_EQ(served.execution.clustering_complete,
+            one_shot.execution.clustering_complete);
+  EXPECT_EQ(served.execution.csg_complete, one_shot.execution.csg_complete);
+  EXPECT_EQ(served.execution.degraded_csgs, one_shot.execution.degraded_csgs);
+  EXPECT_EQ(served.execution.clustering_coarse_only,
+            one_shot.execution.clustering_coarse_only);
+  EXPECT_TRUE(served.execution.Degraded());
+}
+
 TEST_F(RobustnessTest, SelectionFallsBackToFrequentEdgePatterns) {
   GraphDatabase db = SmallDb();
   CatapultOptions options = FastOptions();

@@ -900,7 +900,7 @@ TEST_F(ServeTest, PingReportsServerState) {
 TEST_F(ServeTest, PreparedCorpusSelectionMatchesOneShotAcrossBudgets) {
   const PreparedCorpus& corpus = TestCorpus();
   ASSERT_TRUE(corpus.ok());
-  EXPECT_TRUE(corpus.complete);
+  EXPECT_TRUE(corpus.Complete());
   for (const size_t gamma : {3u, 6u}) {
     CatapultOptions options = FastOptions();
     options.selector.budget.gamma = gamma;
