@@ -7,7 +7,7 @@
 //        [--seed S] [--sampling] [--deadline-ms MS] [--threads N]
 //        [--processes N] [--max-shard-retries N] [--listen ADDR]
 //        [--dist-admin-listen ADDR]
-//        [--checkpoint-dir DIR] [--resume] [--checkpoint-every-phase 0|1]
+//        [--checkpoint-dir DIR] [--resume]
 //        [--max-graph-vertices N] [--max-graph-edges N] [--max-graphs N]
 //        [--mem-budget-mb MB] [--strict-parse]
 //        [--trace-out FILE] [--metrics-out FILE] [--print-stats]
@@ -18,8 +18,7 @@
 //       --checkpoint-dir persists every completed phase as a checksummed
 //       checkpoint; --resume restarts from the furthest intact phase in
 //       that directory (corrupt checkpoints fall down the recovery ladder,
-//       never crash). --checkpoint-every-phase 0 uses the directory for
-//       resume only.
+//       never crash).
 //       Input is treated as untrusted: graphs violating the structural
 //       limits (--max-graph-vertices/--max-graph-edges, plus built-in line/
 //       label limits) are quarantined — skipped, counted per reason, and
@@ -85,7 +84,6 @@
 // the result is valid, the code only flags how it was obtained.
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -103,7 +101,6 @@
 #include "src/search/search_engine.h"
 #include "src/util/rng.h"
 #include "src/util/signal.h"
-#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -183,10 +180,9 @@ int CmdGenerate(const Flags& flags) {
   auto out = flags.Get("out");
   if (!out) return Usage();
   MoleculeGeneratorOptions options;
-  options.num_graphs = static_cast<size_t>(flags.GetInt("graphs", 500));
-  options.scaffold_families =
-      static_cast<size_t>(flags.GetInt("families", 12));
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  options.num_graphs = flags.GetCount("graphs", 500);
+  options.scaffold_families = flags.GetCount("families", 12);
+  options.seed = flags.GetCount("seed", 1);
   GraphDatabase db = GenerateMoleculeDatabase(options);
   if (IoStatus status = WriteDatabaseToFile(db, *out); !status) {
     std::fprintf(stderr, "cannot write %s: %s\n", out->c_str(),
@@ -216,18 +212,13 @@ int CmdMine(const Flags& flags) {
   if (mem_budget_mb > 0) {
     options.mem_hard_limit_bytes = static_cast<size_t>(mem_budget_mb) << 20;
   }
-  // --threads 0 asks for hardware concurrency explicitly; an absent flag
-  // leaves options.threads at 0 = "auto" (CATAPULT_THREADS env, else 1).
-  if (auto threads = flags.Get("threads")) {
-    long n = std::atol(threads->c_str());
-    options.threads = n <= 0 ? ThreadPool::HardwareThreads()
-                             : static_cast<size_t>(n);
-  }
+  // An absent --threads leaves options.threads at 0 = "auto"
+  // (CATAPULT_THREADS env, else 1).
+  options.threads = examples::ThreadsFromFlags(flags, options.threads);
   options.deadline_ms = static_cast<double>(flags.GetInt("deadline-ms", 0));
-  options.processes = static_cast<size_t>(flags.GetInt("processes", 0));
-  options.max_shard_retries = static_cast<size_t>(
-      flags.GetInt("max-shard-retries",
-                   static_cast<long>(options.max_shard_retries)));
+  options.processes = flags.GetCount("processes", 0);
+  options.max_shard_retries =
+      flags.GetCount("max-shard-retries", options.max_shard_retries);
   if (auto listen = flags.Get("listen")) options.dist_listen = *listen;
   if (auto admin = flags.Get("dist-admin-listen")) {
     options.dist_admin_listen = *admin;
@@ -237,8 +228,6 @@ int CmdMine(const Flags& flags) {
                    static_cast<long>(options.dist_join_timeout_ms)));
   if (auto dir = flags.Get("checkpoint-dir")) options.checkpoint_dir = *dir;
   options.resume = flags.GetBool("resume");
-  options.checkpoint_every_phase =
-      flags.GetInt("checkpoint-every-phase", 1) != 0;
   // Observability: any of the three flags attaches a metrics registry to the
   // run; --trace-out additionally attaches a tracer. With none of them the
   // context carries null handles and the hot paths do no metric work at all.
@@ -401,8 +390,8 @@ int CmdEvaluate(const Flags& flags) {
       *patterns_path, IngestOptionsFromFlags(flags), nullptr, &read_exit);
   if (!patterns) return read_exit;
   QueryWorkloadOptions wl;
-  wl.count = static_cast<size_t>(flags.GetInt("queries", 100));
-  wl.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  wl.count = flags.GetCount("queries", 100);
+  wl.seed = flags.GetCount("seed", 7);
   std::vector<Graph> queries = GenerateQueryWorkload(*db, wl);
   GuiModel gui = MakeCatapultGui(std::vector<Graph>(
       patterns->graphs().begin(), patterns->graphs().end()));
@@ -425,14 +414,15 @@ int CmdSearch(const Flags& flags) {
   auto db = ReadDatabaseOrComplain(*db_path, IngestOptionsFromFlags(flags),
                                    nullptr, &read_exit);
   if (!db) return read_exit;
-  GraphId source = static_cast<GraphId>(flags.GetInt("query-id", 0));
-  if (source >= db->size()) {
+  const uint64_t query_id = flags.GetCount("query-id", 0);
+  if (query_id >= db->size()) {
     std::fprintf(stderr, "query-id out of range\n");
     return 1;
   }
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 9)));
-  Graph query = RandomConnectedSubgraph(
-      db->graph(source), static_cast<size_t>(flags.GetInt("edges", 6)), rng);
+  const GraphId source = static_cast<GraphId>(query_id);
+  Rng rng(flags.GetCount("seed", 9));
+  Graph query = RandomConnectedSubgraph(db->graph(source),
+                                        flags.GetCount("edges", 6), rng);
   SubgraphSearchEngine engine(*db);
   std::vector<GraphId> matches = engine.Search(query);
   std::printf("query (from G%u): %s\n%zu matches:", source,

@@ -61,12 +61,12 @@ int CmdMine(const Flags& flags) {
   auto socket_path = flags.Get("socket");
   if (!socket_path) return Usage();
   serve::MineRequest request;
-  request.gamma = static_cast<uint64_t>(flags.GetInt("gamma", 12));
-  request.eta_min = static_cast<uint64_t>(flags.GetInt("min-size", 3));
-  request.eta_max = static_cast<uint64_t>(flags.GetInt("max-size", 8));
+  request.gamma = flags.GetCount("gamma", 12);
+  request.eta_min = flags.GetCount("min-size", 3);
+  request.eta_max = flags.GetCount("max-size", 8);
   request.deadline_ms = static_cast<double>(flags.GetInt("deadline-ms", 0));
   request.bypass_cache = flags.GetBool("bypass-cache");
-  const size_t retries = static_cast<size_t>(flags.GetInt("retries", 3));
+  const size_t retries = flags.GetCount("retries", 3);
 
   serve::ServeClient client;
   if (std::string error = client.Connect(*socket_path); !error.empty()) {

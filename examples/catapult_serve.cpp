@@ -39,7 +39,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "examples/flags.h"
@@ -49,7 +48,6 @@
 #include "src/obs/metrics.h"
 #include "src/serve/server.h"
 #include "src/util/signal.h"
-#include "src/util/thread_pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
@@ -102,10 +100,10 @@ int main(int argc, char** argv) {
 
   serve::ServeOptions options;
   options.socket_path = *socket_path;
-  options.worker_threads = static_cast<size_t>(flags.GetInt("workers", 2));
-  options.max_queue_depth = static_cast<size_t>(flags.GetInt("max-queue", 16));
-  options.max_sessions = static_cast<size_t>(flags.GetInt("max-sessions", 64));
-  options.cache_capacity = static_cast<size_t>(flags.GetInt("cache", 32));
+  options.worker_threads = flags.GetCount("workers", 2);
+  options.max_queue_depth = flags.GetCount("max-queue", 16);
+  options.max_sessions = flags.GetCount("max-sessions", 64);
+  options.cache_capacity = flags.GetCount("cache", 32);
   options.default_deadline_ms =
       static_cast<double>(flags.GetInt("default-deadline-ms", 0));
   options.max_deadline_ms =
@@ -119,15 +117,12 @@ int main(int argc, char** argv) {
   options.drain_timeout_ms =
       static_cast<double>(flags.GetInt("drain-timeout-ms", 2000));
 
-  options.pipeline.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  options.pipeline.seed = flags.GetCount("seed", 42);
   options.pipeline.use_sampling = flags.GetBool("sampling");
   options.pipeline.ingest_digest = ingest_report.quarantine_digest;
   options.pipeline.clustering.fine_mcs.node_budget = 5000;
-  if (auto threads = flags.Get("threads")) {
-    long n = std::atol(threads->c_str());
-    options.pipeline.threads =
-        n <= 0 ? ThreadPool::HardwareThreads() : static_cast<size_t>(n);
-  }
+  options.pipeline.threads =
+      examples::ThreadsFromFlags(flags, options.pipeline.threads);
   long mem_budget_mb = flags.GetInt("mem-budget-mb", 0);
   if (mem_budget_mb > 0) {
     options.pipeline.mem_hard_limit_bytes =

@@ -93,9 +93,8 @@ int main(int argc, char** argv) {
   if (auto name = flags.Get("name")) worker.worker_name = *name;
   worker.dial_timeout_ms =
       static_cast<double>(flags.GetInt("dial-timeout-ms", 2000));
-  worker.max_dial_attempts = static_cast<size_t>(
-      flags.GetInt("max-dial-attempts",
-                   static_cast<long>(worker.max_dial_attempts)));
+  worker.max_dial_attempts =
+      flags.GetCount("max-dial-attempts", worker.max_dial_attempts);
 
   const auto metrics_out = flags.Get("metrics-out");
   const auto trace_out = flags.Get("trace-out");

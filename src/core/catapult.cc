@@ -141,7 +141,7 @@ class PhaseClock {
 // RunCatapult's durability layer over the corpus phases (DESIGN.md §8): the
 // phase chain recovered from the checkpoint directory, restored instead of
 // recomputed, and the store each fully completed phase is checkpointed to
-// (null when there is no directory or it serves resume only).
+// (null when there is no directory).
 struct Durability {
   CheckpointStore::Recovery recovery;
   CheckpointStore* store = nullptr;
@@ -521,7 +521,9 @@ uint64_t ConfigFingerprint(const CatapultOptions& options,
   fp.Mix(sel.iso_node_budget);
   fp.Mix(sel.ged.node_budget);
   fp.Mix(sel.approximate_diversity ? 1 : 0);
-  fp.Mix(sel.skip_duplicates ? 1 : 0);
+  // Duplicate skipping, once a switch, is always on; mixing its old value
+  // keeps checkpoint fingerprints and trace ids unchanged.
+  fp.Mix(1);
 
   const SmallGraphClusteringOptions& cl = options.clustering;
   fp.Mix(static_cast<uint64_t>(cl.mode));
@@ -613,7 +615,7 @@ CatapultResult RunCatapult(const GraphDatabase& db,
       corpus.execution.checkpoint_events =
           std::move(durability.recovery.events);
     }
-    if (options.checkpoint_every_phase) durability.store = store.get();
+    durability.store = store.get();
   }
   RunCorpusPhases(db, options, run_ctx, run_span.id(), &durability, &corpus);
 

@@ -51,19 +51,16 @@ struct CatapultOptions {
   double deadline_ms = 0.0;
 
   // Crash-safe checkpointing (DESIGN.md Section 8). When `checkpoint_dir`
-  // is non-empty and `checkpoint_every_phase` is true, every fully
-  // completed phase — and every accepted pattern during selection — is
-  // persisted as a checksummed, atomically written checkpoint; with
-  // `resume` also true, the run first validates the directory's checkpoints
-  // and restarts from the furthest intact phase (falling down the recovery
-  // ladder on corruption) instead of from scratch. Setting
-  // `checkpoint_every_phase` to false uses the directory for resume only.
-  // The deadline options above are deliberately excluded from the
+  // is non-empty, every fully completed phase — and every accepted pattern
+  // during selection — is persisted as a checksummed, atomically written
+  // checkpoint; with `resume` also true, the run first validates the
+  // directory's checkpoints and restarts from the furthest intact phase
+  // (falling down the recovery ladder on corruption) instead of from
+  // scratch. The deadline options above are deliberately excluded from the
   // checkpoint compatibility fingerprint: resuming a killed run under a
   // new deadline is the expected use.
   std::string checkpoint_dir;
   bool resume = false;
-  bool checkpoint_every_phase = true;
 
   // Resource governance (DESIGN.md Section 9). When `mem_hard_limit_bytes`
   // is non-zero every phase charges its input-proportional structures

@@ -15,38 +15,21 @@ double CognitiveLoad(const Graph& pattern);
 double CognitiveLoadDegreeSum(const Graph& pattern);  // F2 = sum(deg) = 2|E|
 double CognitiveLoadAvgDegree(const Graph& pattern);  // F3 = 2|E| / |V|
 
-// Diversity div(p, P) = min_{q in P} GED(p, q) (Section 3.2), computed with
-// the Definition 5.1 lower bound as a pruning filter: canned patterns are
-// visited in increasing lower-bound order and exact GED is skipped once the
-// lower bound exceeds the best exact distance so far. Returns
-// `empty_set_value` when P is empty (the first selection has no diversity
-// signal; 1.0 keeps the score multiplicative and neutral).
-double PatternSetDiversity(const Graph& pattern,
-                           const std::vector<Graph>& selected,
-                           const GedOptions& ged_options = {},
-                           double empty_set_value = 1.0);
-
-// Incremental diversity fold (DESIGN.md §15): folds selected[from..) into a
-// running minimum, skipping any pair whose Definition 5.1 lower bound cannot
-// beat the running minimum. Because every (truncated or exact) GED value is
-// >= its lower bound, FoldDiversity(p, S, 0, +inf) equals
-// PatternSetDiversity(p, S) bit-for-bit — the skipped pairs provably cannot
-// lower the minimum — which is what lets the selector carry a per-candidate
-// running minimum across greedy iterations and fold only the patterns
-// selected since the candidate was last scored. `approximate` switches the
-// distance oracle to BipartiteGed (the PatternSetDiversityApprox pairing).
+// Diversity div(p, P) = min_{q in P} GED(p, q) (Section 3.2), the one
+// diversity computation (DESIGN.md §15). Folds selected[from..) into
+// `running_min`, skipping any pair whose Definition 5.1 lower bound cannot
+// beat the running minimum: every (truncated or exact) GED value is >= its
+// lower bound, so a skipped pair provably cannot lower the minimum, and
+// FoldDiversity(p, S, 0, +inf) is exactly the unpruned minimum over S. The
+// selector carries the result per isomorphism class across greedy
+// iterations and folds only the patterns selected since. An empty range
+// returns `running_min` unchanged; callers that score an empty panel use a
+// neutral 1. `approximate` swaps the exact branch-and-bound for the
+// polynomial assignment-based BipartiteGed of [Riesen & Neuhaus, GbRPR'07]
+// (the paper's reference [32]).
 double FoldDiversity(const Graph& pattern, const std::vector<Graph>& selected,
                      size_t from, double running_min,
                      const GedOptions& ged_options, bool approximate);
-
-// Polynomial-time variant using the assignment-based GED upper bound of
-// [Riesen & Neuhaus, GbRPR'07] (the paper's reference [32]) instead of the
-// exact branch-and-bound: min over the set of BipartiteGed(pattern, q),
-// still pruned by the Definition 5.1 lower bound. Use when panels are
-// large enough that exact GED dominates selection time.
-double PatternSetDiversityApprox(const Graph& pattern,
-                                 const std::vector<Graph>& selected,
-                                 double empty_set_value = 1.0);
 
 // Default backtracking budget for one coverage subgraph-isomorphism test.
 // Coverage tests must always be finite: an unlimited VF2 call on an

@@ -8,13 +8,12 @@ namespace catapult {
 
 FlatSummaryIndex BuildFlatSummaryIndex(
     const std::vector<ClusterSummaryGraph>& csgs) {
-  FlatSummaryIndex index;
-  index.summaries.reserve(csgs.size());
+  std::vector<Graph> summaries;
+  summaries.reserve(csgs.size());
   for (const ClusterSummaryGraph& csg : csgs) {
-    index.summaries.push_back(csg.ToGraph());
+    summaries.push_back(csg.ToGraph());
   }
-  index.flat = FlatGraphDatabase::Build(index.summaries);
-  return index;
+  return FlatSummaryIndex{FlatGraphDatabase::Build(summaries)};
 }
 
 void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,

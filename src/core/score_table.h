@@ -32,14 +32,12 @@ namespace catapult {
 // Words of a packed coverage bitmap over `num_csgs` summaries.
 inline size_t CoverageWords(size_t num_csgs) { return (num_csgs + 63) / 64; }
 
-// The coverage-test targets in flat form: plain-graph summary views (still
-// needed by the walk generator and for reporting) and the same summaries in
-// one flat arena with their label domains.
+// The coverage-test targets: the CSG summaries in one flat arena with their
+// label domains (view(i) and domains(i) are summary i).
 struct FlatSummaryIndex {
-  std::vector<Graph> summaries;
   FlatGraphDatabase flat;
 
-  size_t size() const { return summaries.size(); }
+  size_t size() const { return flat.size(); }
 };
 
 FlatSummaryIndex BuildFlatSummaryIndex(

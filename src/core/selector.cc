@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <unordered_map>
 
 #include "src/mining/frequent_edges.h"
@@ -73,24 +74,6 @@ void FillWithFallbackPatterns(const GraphDatabase& db,
 }
 
 }  // namespace
-
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng) {
-  return FindCannedPatternSet(db, clusters, csgs, options, rng,
-                              RunContext::NoLimit());
-}
-
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng, const RunContext& ctx) {
-  return FindCannedPatternSet(db, clusters, csgs, options, rng, ctx,
-                              SelectorCheckpointHooks());
-}
 
 SelectionResult FindCannedPatternSet(
     const GraphDatabase& db,
@@ -291,8 +274,8 @@ SelectionResult FindCannedPatternSet(
     // Diversity GED also tightens toward the deadline (still an admissible
     // upper bound when truncated). Truncated GED values can depend on the
     // effective budget, so the diversity memo is only read or written while
-    // the budget is untightened — deadline-degraded iterations fall back to
-    // the full pruned computation and leave the memo untouched.
+    // the budget is untightened — deadline-degraded iterations fold every
+    // candidate from scratch and leave the memo untouched.
     GedOptions ged = options.ged;
     ged.node_budget = ctx.TightenNodeBudget(ged.node_budget);
     const bool div_memo_ok = options.approximate_diversity ||
@@ -328,17 +311,20 @@ SelectionResult FindCannedPatternSet(
           open_sizes.end()) {
         return;
       }
-      if (options.skip_duplicates) {
-        for (size_t s = 0; s < selected_graphs.size(); ++s) {
-          if (AreIsomorphicWithFingerprints(g, selected_graphs[s], fp,
-                                            selected_fps[s])) {
-            return;
-          }
+      for (size_t s = 0; s < selected_graphs.size(); ++s) {
+        if (AreIsomorphicWithFingerprints(g, selected_graphs[s], fp,
+                                          selected_fps[s])) {
+          return;
         }
       }
       uint64_t* row = table.CoverageRow(i);
       int slot = ro_cache.Probe(fp, g);
       table.cache_slot[i] = slot;
+      // Diversity fold start: the candidate's own graph from scratch,
+      // unless its class memo may be resumed (below).
+      const Graph* div_graph = &g;
+      size_t div_from = 0;
+      double div_running = std::numeric_limits<double>::max();
       if (slot >= 0) {
         obs::Count(obs::Counter::kSelectorCacheHits);
         const SelectorClassCache::Entry& entry = ro_cache.At(fp, slot);
@@ -350,13 +336,10 @@ SelectionResult FindCannedPatternSet(
         if (div_memo_ok) {
           // Fold only the patterns selected since this class was last
           // scored; the running minimum over the full panel is identical to
-          // the from-scratch pruned computation (see FoldDiversity).
-          double running = FoldDiversity(entry.rep, selected_graphs,
-                                         entry.div_folded, entry.div_min, ged,
-                                         options.approximate_diversity);
-          table.div_min[i] = running;
-          table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
-          table.div[i] = selected_graphs.empty() ? 1.0 : running;
+          // the from-scratch fold (see FoldDiversity).
+          div_graph = &entry.rep;
+          div_from = entry.div_folded;
+          div_running = entry.div_min;
         }
       } else {
         obs::Count(obs::Counter::kSelectorCacheMisses);
@@ -369,20 +352,13 @@ SelectionResult FindCannedPatternSet(
         table.fresh[i] = 1;
         table.lcov[i] = label_index.PatternLabelCoverage(g);
         table.cog[i] = CognitiveLoad(g);
-        if (div_memo_ok) {
-          double running = FoldDiversity(
-              g, selected_graphs, 0, std::numeric_limits<double>::max(), ged,
-              options.approximate_diversity);
-          table.div_min[i] = running;
-          table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
-          table.div[i] = selected_graphs.empty() ? 1.0 : running;
-        }
       }
-      if (!div_memo_ok) {
-        table.div[i] = options.approximate_diversity
-                           ? PatternSetDiversityApprox(g, selected_graphs)
-                           : PatternSetDiversity(g, selected_graphs, ged);
-      }
+      const double running =
+          FoldDiversity(*div_graph, selected_graphs, div_from, div_running,
+                        ged, options.approximate_diversity);
+      table.div_min[i] = running;
+      table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
+      table.div[i] = selected_graphs.empty() ? 1.0 : running;
       // ccov rescored against the current decayed weights, summing in
       // ascending cluster order (the same fold order as the scalar loop).
       double ccov = 0.0;

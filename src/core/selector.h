@@ -46,10 +46,6 @@ struct SelectorOptions {
   // Use the polynomial assignment-based GED (reference [32]) for the
   // diversity term instead of exact branch-and-bound GED.
   bool approximate_diversity = false;
-
-  // Skip candidates isomorphic to an already selected pattern (a diversity
-  // of 0 would zero their score anyway; skipping saves the scoring work).
-  bool skip_duplicates = true;
 };
 
 // A selected canned pattern with its selection-time diagnostics.
@@ -104,7 +100,7 @@ struct SelectorCheckpointState {
 // from scratch; `on_pattern_selected` (optional) is invoked with the
 // freshly captured state after every accepted pattern (never for the
 // frequent-edge fallback fill, whose entries are not resumable greedy
-// state). Both default to disabled, leaving the plain overloads unchanged.
+// state). Both default to disabled.
 struct SelectorCheckpointHooks {
   const SelectorCheckpointState* resume = nullptr;
   std::function<void(const SelectorCheckpointState&)> on_pattern_selected;
@@ -114,33 +110,24 @@ struct SelectorCheckpointHooks {
 // every CSG proposes one final candidate pattern per open size (via weighted
 // random walks and the PCP->FCP statistics), the candidate with the highest
 // Equation 2 score joins the set, and cluster/edge-label weights decay
-// multiplicatively. Stops at gamma patterns or when no new candidate can be
-// produced. Deterministic given `rng`.
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db, const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng);
-
-// Deadline-aware variant. The greedy loop polls `ctx` per iteration, per
-// proposing CSG, and per scored candidate (failpoint sites
-// "selector.iteration", "selector.candidates", "selector.score"), and the
-// GED / subgraph-isomorphism node budgets tighten as the deadline nears.
-// When the loop is cut short, open size slots are filled with frequent-edge
-// fallback patterns (FrequentEdgePathPatterns) so the interface still shows
-// a full, size-conforming panel; those entries are flagged `fallback` and
-// counted in the result. With an unlimited context the result is identical
-// to the overload above.
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db, const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng, const RunContext& ctx);
-
-// Checkpoint-aware variant: as above, plus resume-from-state and a
-// per-selected-pattern state capture (see SelectorCheckpointHooks). With
-// empty hooks the behaviour and output are identical to the overloads
-// above. A resume state must structurally match (clusters count, budget
-// size range) — the checkpoint store validates this before handing one in;
-// mismatches are programmer errors (CHECK).
+// multiplicatively. Candidates isomorphic to an already selected pattern
+// are skipped (their diversity of 0 would zero the score anyway). Stops at
+// gamma patterns or when no new candidate can be produced. Deterministic
+// given `rng`.
+//
+// The loop polls `ctx` per iteration, per proposing CSG, and per scored
+// candidate (failpoint sites "selector.iteration", "selector.candidates",
+// "selector.score"), and the GED / subgraph-isomorphism node budgets
+// tighten as the deadline nears. When the loop is cut short, open size
+// slots are filled with frequent-edge fallback patterns
+// (FrequentEdgePathPatterns) so the interface still shows a full,
+// size-conforming panel; those entries are flagged `fallback` and counted
+// in the result.
+//
+// `hooks` adds resume-from-state and a per-selected-pattern state capture
+// (see SelectorCheckpointHooks). A resume state must structurally match
+// (clusters count, budget size range) — the checkpoint store validates this
+// before handing one in; mismatches are programmer errors (CHECK).
 //
 // `prebuilt_index` (optional) supplies the flat summary index of `csgs`
 // built ahead of time (PrepareCorpus keeps one per corpus so the serving
@@ -149,8 +136,9 @@ SelectionResult FindCannedPatternSet(
 SelectionResult FindCannedPatternSet(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& clusters,
     const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng, const RunContext& ctx,
-    const SelectorCheckpointHooks& hooks,
+    const SelectorOptions& options, Rng& rng,
+    const RunContext& ctx = RunContext::NoLimit(),
+    const SelectorCheckpointHooks& hooks = {},
     const FlatSummaryIndex* prebuilt_index = nullptr);
 
 }  // namespace catapult

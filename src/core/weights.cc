@@ -50,7 +50,6 @@ ClusterWeights::ClusterWeights(
     weights_.push_back(static_cast<double>(cluster.size()) /
                        static_cast<double>(database_size));
   }
-  initial_ = weights_;
 }
 
 LabelCoverageIndex::LabelCoverageIndex(const GraphDatabase& db)

@@ -61,17 +61,11 @@ class ClusterWeights {
     weights_[cluster] *= factor;
   }
 
-  // The original (undecayed) weight, used for reporting coverage.
-  double Initial(size_t cluster) const {
-    CATAPULT_CHECK(cluster < initial_.size());
-    return initial_[cluster];
-  }
-
   // Current (decayed) weights, for checkpointing mid-selection state.
   const std::vector<double>& Snapshot() const { return weights_; }
 
   // Replaces the current weights with `weights` (a prior Snapshot over the
-  // same clusters; CHECK on size mismatch). Initial weights are untouched.
+  // same clusters; CHECK on size mismatch).
   void Restore(const std::vector<double>& weights) {
     CATAPULT_CHECK(weights.size() == weights_.size());
     weights_ = weights;
@@ -79,7 +73,6 @@ class ClusterWeights {
 
  private:
   std::vector<double> weights_;
-  std::vector<double> initial_;
 };
 
 // Index from labelled-edge key to the set of graphs containing it; supports

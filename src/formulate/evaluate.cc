@@ -1,6 +1,7 @@
 #include "src/formulate/evaluate.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/core/pattern_score.h"
 #include "src/formulate/steps.h"
@@ -102,7 +103,9 @@ double AverageSetDiversity(const std::vector<Graph>& patterns) {
     for (size_t j = 0; j < patterns.size(); ++j) {
       if (j != i) rest.push_back(patterns[j]);
     }
-    total += PatternSetDiversity(patterns[i], rest);
+    total += FoldDiversity(patterns[i], rest, 0,
+                           std::numeric_limits<double>::infinity(),
+                           GedOptions{}, /*approximate=*/false);
   }
   return total / static_cast<double>(patterns.size());
 }

@@ -34,16 +34,6 @@ std::unordered_map<EdgeLabelKey, size_t> GraphDatabase::EdgeLabelSupport()
   return support;
 }
 
-std::vector<EdgeLabelKey> GraphDatabase::DistinctEdgeLabelKeys() const {
-  std::unordered_set<EdgeLabelKey> keys;
-  for (const Graph& g : graphs_) {
-    for (const Edge& e : g.EdgeList()) {
-      keys.insert(g.EdgeKey(e.u, e.v));
-    }
-  }
-  return std::vector<EdgeLabelKey>(keys.begin(), keys.end());
-}
-
 DatabaseStats GraphDatabase::Stats() const {
   DatabaseStats stats;
   stats.num_graphs = graphs_.size();

@@ -62,9 +62,6 @@ class GraphDatabase {
   // one edge with that key. This is |L(e, D)| from Section 3.2.
   std::unordered_map<EdgeLabelKey, size_t> EdgeLabelSupport() const;
 
-  // All distinct labelled-edge keys present in the database.
-  std::vector<EdgeLabelKey> DistinctEdgeLabelKeys() const;
-
   // Aggregate statistics.
   DatabaseStats Stats() const;
 

@@ -1,45 +1,8 @@
 #include "src/util/stats.h"
 
-#include <algorithm>
-#include <cmath>
+#include <cstddef>
 
 namespace catapult {
-
-double Mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double total = 0.0;
-  for (double v : values) total += v;
-  return total / static_cast<double>(values.size());
-}
-
-double Max(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
-double Min(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  double mean = Mean(values);
-  double sum_sq = 0.0;
-  for (double v : values) sum_sq += (v - mean) * (v - mean);
-  return std::sqrt(sum_sq / static_cast<double>(values.size() - 1));
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values[0];
-  double rank = (p / 100.0) * static_cast<double>(values.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
 
 double KendallTau(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size() || a.size() < 2) return 0.0;

@@ -5,17 +5,6 @@
 
 namespace catapult {
 
-// Summary statistics over a sample. All functions tolerate empty input by
-// returning 0 (the benchmark harnesses print aggregates over possibly-empty
-// query subsets, e.g. "all queries that used at least one pattern").
-double Mean(const std::vector<double>& values);
-double Max(const std::vector<double>& values);
-double Min(const std::vector<double>& values);
-double StdDev(const std::vector<double>& values);
-
-// p in [0, 100]; linear interpolation between closest ranks.
-double Percentile(std::vector<double> values, double p);
-
 // Kendall rank correlation coefficient (tau-a) between two equally sized
 // score vectors. Used by Exp 10 to compare cognitive-load measures against
 // observed task-time ranks. Returns 0 for fewer than two items.

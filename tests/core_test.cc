@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "src/core/budget.h"
 #include "src/core/pattern_score.h"
 #include "src/core/random_walk.h"
@@ -95,7 +98,6 @@ TEST(ClusterWeightsTest, ProportionalToSize) {
   EXPECT_DOUBLE_EQ(cw.Get(1), 0.25);
   cw.Decay(0);
   EXPECT_DOUBLE_EQ(cw.Get(0), 0.375);
-  EXPECT_DOUBLE_EQ(cw.Initial(0), 0.75);
 }
 
 TEST(LabelCoverageIndexTest, PatternCoverage) {
@@ -159,12 +161,21 @@ TEST(CognitiveLoadTest, SparserIsLighter) {
   EXPECT_LT(CognitiveLoad(path), CognitiveLoad(clique));
 }
 
+// FoldDiversity(p, S, 0, +inf) is div(p, S) = min over q in S of GED(p, q).
+double Div(const Graph& p, const std::vector<Graph>& selected) {
+  return FoldDiversity(p, selected, 0,
+                       std::numeric_limits<double>::infinity(), GedOptions{},
+                       /*approximate=*/false);
+}
+
 TEST(DiversityTest, EmptySetIsNeutral) {
+  // Folding nothing leaves the running minimum where it was.
   Graph g;
   g.AddVertex(0);
   g.AddVertex(0);
   g.AddEdge(0, 1);
-  EXPECT_DOUBLE_EQ(PatternSetDiversity(g, {}), 1.0);
+  EXPECT_EQ(Div(g, {}), std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(FoldDiversity(g, {}, 0, 3.0, GedOptions{}, false), 3.0);
 }
 
 TEST(DiversityTest, MinOverSet) {
@@ -179,7 +190,7 @@ TEST(DiversityTest, MinOverSet) {
   p4.AddVertex(0);
   p4.AddEdge(2, 3);
   // div(p2, {p3, p4}) = GED(p2, p3) = 2 (one vertex + one edge).
-  EXPECT_DOUBLE_EQ(PatternSetDiversity(p2, {p3, p4}), 2.0);
+  EXPECT_DOUBLE_EQ(Div(p2, {p3, p4}), 2.0);
 }
 
 TEST(DiversityTest, IdenticalPatternGivesZero) {
@@ -187,7 +198,7 @@ TEST(DiversityTest, IdenticalPatternGivesZero) {
   p.AddVertex(1);
   p.AddVertex(2);
   p.AddEdge(0, 1);
-  EXPECT_DOUBLE_EQ(PatternSetDiversity(p, {p}), 0.0);
+  EXPECT_DOUBLE_EQ(Div(p, {p}), 0.0);
 }
 
 TEST(WeightedCsgTest, WeightsCombineGlobalAndLocal) {

@@ -1,11 +1,15 @@
 // Tests of the example binaries' shared flag parser (examples/flags.h):
-// valueless flags anywhere on the line, numeric values, defaults for absent
-// flags, and the option helpers the binaries share.
+// valueless flags anywhere on the line, numeric values and the rejection of
+// malformed ones, defaults for absent flags, and the option helpers the
+// binaries share.
 
 #include "examples/flags.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,20 @@ Flags Parse(std::vector<std::string> tokens) {
   std::vector<char*> argv;
   for (std::string& t : tokens) argv.push_back(t.data());
   return Flags(static_cast<int>(argv.size()), argv.data(), 1);
+}
+
+// The death-test regex matching "invalid value 'TOKEN' for --NAME" exactly:
+// punctuation in the token ('+', '.') goes in brackets.
+std::string Rejection(const std::string& token, const std::string& name) {
+  std::string regex = "invalid value '";
+  for (char c : token) {
+    if (std::isalnum(static_cast<unsigned char>(c)) || c == ' ' || c == '-') {
+      regex += c;
+    } else {
+      regex += std::string("[") + c + "]";
+    }
+  }
+  return regex + "' for --" + name;
 }
 
 TEST(FlagsTest, ValuelessFlagFirst) {
@@ -98,6 +116,61 @@ TEST(FlagsTest, OptionHelpersReadEveryFlagInAnyOrder) {
   EXPECT_EQ(ingest.limits.max_edges_per_graph, 50u);
   EXPECT_EQ(ingest.limits.max_graphs, 9u);
   EXPECT_TRUE(ingest.strict);
+}
+
+TEST(FlagsTest, CountValuesParse) {
+  const Flags flags = Parse({"--graphs", "0", "--gamma", "8", "--seed",
+                             "18446744073709551615"});
+  EXPECT_EQ(flags.GetCount("graphs", 500), 0u);
+  EXPECT_EQ(flags.GetCount("gamma", 12), 8u);
+  EXPECT_EQ(flags.GetCount("seed", 1), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(flags.GetCount("families", 12), 12u);
+}
+
+TEST(FlagsTest, ThreadsZeroMeansHardwareConcurrency) {
+  EXPECT_EQ(ThreadsFromFlags(Parse({"--threads", "0"}), 7),
+            ThreadPool::HardwareThreads());
+  EXPECT_EQ(ThreadsFromFlags(Parse({"--threads", "3"}), 7), 3u);
+  EXPECT_EQ(ThreadsFromFlags(Parse({"--db", "D"}), 7), 7u);
+}
+
+// A count flag given a negative value exits 1 naming the flag and token.
+TEST(FlagsDeathTest, NegativeCountIsRejected) {
+  const Flags flags = Parse({"--graphs", "-5"});
+  EXPECT_EXIT(flags.GetCount("graphs", 500), ::testing::ExitedWithCode(1),
+              Rejection("-5", "graphs"));
+}
+
+TEST(FlagsDeathTest, NonNumericCountIsRejected) {
+  for (const char* junk :
+       {"abc", "5abc", "+5", " 5", "1.5", "", "99999999999999999999"}) {
+    const Flags flags = Parse({"--graphs", junk});
+    EXPECT_EXIT(flags.GetCount("graphs", 500), ::testing::ExitedWithCode(1),
+                Rejection(junk, "graphs"))
+        << "token '" << junk << "'";
+  }
+  // A count flag left without a value reads as a switch, which is no count.
+  const Flags last = Parse({"--db", "D", "--gamma"});
+  EXPECT_EXIT(last.GetCount("gamma", 12), ::testing::ExitedWithCode(1),
+              Rejection("true", "gamma"));
+}
+
+TEST(FlagsDeathTest, SignedValueRejectsJunk) {
+  for (const char* junk : {"abc", "150ms", "1.5"}) {
+    const Flags flags = Parse({"--deadline-ms", junk});
+    EXPECT_EXIT(flags.GetInt("deadline-ms", 0), ::testing::ExitedWithCode(1),
+                Rejection(junk, "deadline-ms"))
+        << "token '" << junk << "'";
+  }
+}
+
+TEST(FlagsDeathTest, OptionHelpersRejectNegativeCounts) {
+  EXPECT_EXIT(MineOptionsFromFlags(Parse({"--gamma", "-1"})),
+              ::testing::ExitedWithCode(1), Rejection("-1", "gamma"));
+  EXPECT_EXIT(IngestLimitsFromFlags(Parse({"--max-graphs", "-3"})),
+              ::testing::ExitedWithCode(1), Rejection("-3", "max-graphs"));
+  EXPECT_EXIT(ThreadsFromFlags(Parse({"--threads", "-1"}), 1),
+              ::testing::ExitedWithCode(1), Rejection("-1", "threads"));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "src/data/molecule_generator.h"
 #include "src/iso/ged.h"
 #include "src/iso/mcs.h"
 #include "src/iso/vf2.h"
 #include "src/util/rng.h"
 #include "src/graph/algorithms.h"
+#include "tests/reference_ged.h"
 
 namespace catapult {
 namespace {
@@ -329,6 +331,57 @@ TEST(GedTest, AlwaysAtLeastLowerBound) {
     if (a.NumEdges() == 0 || b.NumEdges() == 0) continue;
     GedResult r = GraphEditDistance(a, b);
     EXPECT_GE(r.distance + 1e-9, GedLowerBound(a, b));
+  }
+}
+
+// Random graph on `n` vertices with vertex labels from {0, 1, 2}; each
+// vertex pair is joined with probability 0.45 under edge label 0 or 1.
+Graph RandomLabelledGraph(size_t n, Rng& rng) {
+  Graph g;
+  for (size_t i = 0; i < n; ++i) {
+    g.AddVertex(static_cast<Label>(rng.UniformInt(3)));
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (rng.Bernoulli(0.45)) {
+        g.AddEdge(u, v, static_cast<Label>(rng.UniformInt(2)));
+      }
+    }
+  }
+  return g;
+}
+
+// The branch-and-bound kernel's exact values against full enumeration
+// (tests/reference_ged.h) on pairs of at most 6 vertices: random labelled
+// graphs, edge labels and disconnected ones included, and connected
+// patterns cut from a generated molecule database.
+TEST(GedTest, ExactValuesMatchFullEnumeration) {
+  Rng rng(57);
+  std::vector<std::pair<Graph, Graph>> pairs;
+  for (int i = 0; i < 200; ++i) {
+    Graph a = RandomLabelledGraph(1 + rng.UniformInt(6), rng);
+    Graph b = RandomLabelledGraph(1 + rng.UniformInt(6), rng);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  MoleculeGeneratorOptions gen;
+  gen.num_graphs = 20;
+  gen.seed = 3;
+  GraphDatabase db = GenerateMoleculeDatabase(gen);
+  for (GraphId i = 0; i < db.size(); ++i) {
+    Graph a = RandomConnectedSubgraph(db.graph(i), 2 + i % 4, rng);
+    Graph b = RandomConnectedSubgraph(db.graph((i + 7) % db.size()),
+                                      1 + (i * 3) % 5, rng);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [a, b] = pairs[i];
+    ASSERT_LE(a.NumVertices(), 6u);
+    ASSERT_LE(b.NumVertices(), 6u);
+    GedResult r = GraphEditDistance(a, b);
+    EXPECT_TRUE(r.exact) << "pair " << i;
+    EXPECT_EQ(r.distance, reference::ReferenceGed(a, b))
+        << "pair " << i << ": " << a.DebugString() << " vs "
+        << b.DebugString();
   }
 }
 

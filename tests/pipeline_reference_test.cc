@@ -5,15 +5,20 @@
 // bfs_reference_output, fixes what RunCatapult produces on a few generated
 // corpora: a digest of each panel's pattern graphs (structure and labels,
 // not scores) and of the cluster partition the panel was selected from.
+// Modes cover the clustering variants and the selector's oracles: greedy
+// BFS candidates, the bipartite diversity oracle, and a GED node budget
+// that truncates diversity calls inside the class memo.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/catapult.h"
 #include "src/data/molecule_generator.h"
+#include "src/iso/ged.h"
 
 namespace catapult {
 namespace {
@@ -76,6 +81,8 @@ GraphDatabase Corpus(const std::string& name) {
   return GenerateMoleculeDatabase(gen);
 }
 
+constexpr uint64_t kTruncatingGedBudget = 60;
+
 CatapultOptions Options(const std::string& mode) {
   CatapultOptions options;
   options.selector.budget.eta_min = 3;
@@ -96,8 +103,31 @@ CatapultOptions Options(const std::string& mode) {
     options.clustering.mode = ClusteringMode::kCoarseOnly;
   } else if (mode == "agglo") {
     options.clustering.coarse_algorithm = CoarseAlgorithm::kAgglomerative;
+  } else if (mode == "greedy") {
+    options.selector.strategy = CandidateStrategy::kGreedyBfs;
+  } else if (mode == "approx") {
+    options.selector.approximate_diversity = true;
+  } else if (mode == "ged") {
+    // Small enough that diversity GED calls inside the memo truncate.
+    options.selector.ged.node_budget = kTruncatingGedBudget;
   }
   return options;
+}
+
+// Panel pairs whose GED under `ged` comes back truncated (exact == false),
+// oriented as the selector scores them: later pick against earlier one.
+size_t TruncatedPanelGeds(const SelectionResult& selection,
+                          const GedOptions& ged) {
+  size_t truncated = 0;
+  const std::vector<SelectedPattern>& panel = selection.patterns;
+  for (size_t j = 0; j < panel.size(); ++j) {
+    for (size_t i = 0; i < j; ++i) {
+      if (!GraphEditDistance(panel[j].graph, panel[i].graph, ged).exact) {
+        ++truncated;
+      }
+    }
+  }
+  return truncated;
 }
 
 // (corpus, mode) -> (panel digest, partition digest).
@@ -116,6 +146,15 @@ const std::map<std::pair<std::string, std::string>,
         {{"mol120", "sampled"}, {2461616585667751042u, 5186588768965044283u}},
         {{"mol120", "coarse"}, {14951244314900370753u, 2267434525708865470u}},
         {{"mol120", "agglo"}, {14331046937400129952u, 1638501697124065849u}},
+        {{"mol60", "greedy"}, {6760471297478480004u, 6264786427488051786u}},
+        {{"mol60", "approx"}, {12753779212367839811u, 6264786427488051786u}},
+        {{"mol60", "ged"}, {16558461670878922305u, 6264786427488051786u}},
+        {{"mol90", "greedy"}, {1004383197971255522u, 9854151243371046308u}},
+        {{"mol90", "approx"}, {15230677068941728932u, 9854151243371046308u}},
+        {{"mol90", "ged"}, {16815521240109435106u, 9854151243371046308u}},
+        {{"mol120", "greedy"}, {4060642868476227456u, 6734182730810212095u}},
+        {{"mol120", "approx"}, {689296838885819008u, 6734182730810212095u}},
+        {{"mol120", "ged"}, {3680872793568941217u, 6734182730810212095u}},
     };
 
 TEST(PipelineReferenceTest, PanelsAndPartitionsMatchPinnedDigests) {
@@ -131,6 +170,11 @@ TEST(PipelineReferenceTest, PanelsAndPartitionsMatchPinnedDigests) {
         << corpus << "/" << mode << " panel";
     EXPECT_EQ(PartitionDigest(result.clusters), expected.second)
         << corpus << "/" << mode << " partition";
+    if (mode == "ged") {
+      EXPECT_GT(TruncatedPanelGeds(result.selection, Options(mode).selector.ged),
+                0u)
+          << corpus << "/" << mode;
+    }
   }
 }
 

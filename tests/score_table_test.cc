@@ -1,9 +1,10 @@
 // Selection hot-path structures (DESIGN.md §15): the structure-of-arrays
 // ScoreTable, the cross-iteration SelectorClassCache, the flat coverage
-// kernel, the incremental diversity fold, and the end-to-end invariants the
-// memoized selector must preserve — identical output with and without a
-// prebuilt summary index, and recorded per-pattern diagnostics that replay
-// against from-scratch recomputation.
+// kernel, the incremental diversity fold against its definition
+// (tests/reference_ged.h), and the end-to-end invariants the memoized
+// selector must preserve — identical output with and without a prebuilt
+// summary index, and recorded per-pattern diagnostics that replay against
+// from-scratch recomputation.
 
 #include "src/core/score_table.h"
 
@@ -17,7 +18,9 @@
 #include "src/csg/csg.h"
 #include "src/data/molecule_generator.h"
 #include "src/graph/algorithms.h"
+#include "src/iso/ged_bipartite.h"
 #include "src/iso/vf2.h"
+#include "tests/reference_ged.h"
 
 namespace catapult {
 namespace {
@@ -221,7 +224,11 @@ TEST(CoveredCsgsFlatTest, MatchesReferenceCoverage) {
   }
 }
 
-TEST(FoldDiversityTest, FromScratchEqualsPatternSetDiversity) {
+// Diversity from its definition (Section 3.2): the minimum of the pair
+// distance over every selected pattern, nothing pruned. The fold from
+// (0, +inf) must land on it exactly for the exact oracle at the default
+// node budget and at one that truncates, and for the bipartite oracle.
+TEST(FoldDiversityTest, FromScratchEqualsDefinition) {
   SelectorEnv setup = MakeSetup(30, 9);
   Rng rng(17);
   std::vector<Graph> panel;
@@ -229,19 +236,32 @@ TEST(FoldDiversityTest, FromScratchEqualsPatternSetDiversity) {
     panel.push_back(RandomConnectedSubgraph(
         setup.db.graph(static_cast<GraphId>(i * 3)), 3 + i, rng));
   }
-  GedOptions ged;
+  std::vector<Graph> patterns;
   for (int trial = 0; trial < 8; ++trial) {
-    Graph p = RandomConnectedSubgraph(
-        setup.db.graph(static_cast<GraphId>(trial)), 4 + trial % 3, rng);
-    double folded = FoldDiversity(p, panel, 0,
-                                  std::numeric_limits<double>::max(), ged,
-                                  /*approximate=*/false);
-    EXPECT_EQ(folded, PatternSetDiversity(p, panel, ged));
-    double folded_approx = FoldDiversity(
-        p, panel, 0, std::numeric_limits<double>::max(), ged,
-        /*approximate=*/true);
-    EXPECT_EQ(folded_approx, PatternSetDiversityApprox(p, panel));
+    patterns.push_back(RandomConnectedSubgraph(
+        setup.db.graph(static_cast<GraphId>(trial)), 4 + trial % 3, rng));
   }
+  const double inf = std::numeric_limits<double>::infinity();
+  size_t truncated = 0;
+  for (uint64_t budget : {GedOptions{}.node_budget, uint64_t{40}}) {
+    GedOptions ged;
+    ged.node_budget = budget;
+    auto exact_oracle = [&](const Graph& a, const Graph& b) {
+      GedResult r = GraphEditDistance(a, b, ged);
+      if (!r.exact) ++truncated;
+      return r.distance;
+    };
+    for (size_t t = 0; t < patterns.size(); ++t) {
+      const Graph& p = patterns[t];
+      EXPECT_EQ(FoldDiversity(p, panel, 0, inf, ged, /*approximate=*/false),
+                reference::ReferenceDiversity(p, panel, exact_oracle))
+          << "budget " << budget << " pattern " << t;
+      EXPECT_EQ(FoldDiversity(p, panel, 0, inf, ged, /*approximate=*/true),
+                reference::ReferenceDiversity(p, panel, BipartiteGed))
+          << "budget " << budget << " pattern " << t;
+    }
+  }
+  EXPECT_GT(truncated, 0u) << "the 40-node budget must truncate some GED";
 }
 
 TEST(FoldDiversityTest, IncrementalFoldEqualsFullFold) {
@@ -312,11 +332,14 @@ TEST(SelectorReplayTest, RecordedDiagnosticsReplay) {
   std::vector<Graph> prefix;
   for (const SelectedPattern& p : result.patterns) {
     if (p.fallback) break;
-    // Diversity: the memoized fold must equal the from-scratch value against
-    // the panel selected before this pattern.
+    // Diversity: the memoized fold must equal the definition — the minimum
+    // full-enumeration GED to the panel selected before this pattern (the
+    // first pick has no diversity signal and scores a neutral 1).
     double expected_div =
-        prefix.empty() ? 1.0 : PatternSetDiversity(p.graph, prefix,
-                                                   options.ged);
+        prefix.empty()
+            ? 1.0
+            : reference::ReferenceDiversity(p.graph, prefix,
+                                            reference::ReferenceGed);
     EXPECT_EQ(p.div, expected_div);
     // Coverage: the recorded ccov must equal a fresh coverage test summed
     // against the weights as decayed by the preceding selections.
@@ -346,10 +369,10 @@ TEST(PreparedCorpusTest, CarriesSummaryIndex) {
       PrepareCorpus(setup.db, options, RunContext::NoLimit());
   ASSERT_TRUE(corpus.ok());
   EXPECT_EQ(corpus.summary_index.size(), corpus.csgs.size());
-  // The index's plain-graph summaries match the CSGs' own views.
+  // The index's flat summaries match the CSGs' own views.
   for (size_t i = 0; i < corpus.csgs.size(); ++i) {
     Graph expected = corpus.csgs[i].ToGraph();
-    const Graph& got = corpus.summary_index.summaries[i];
+    FlatGraphView got = corpus.summary_index.flat.view(i);
     EXPECT_EQ(got.NumVertices(), expected.NumVertices());
     EXPECT_EQ(got.NumEdges(), expected.NumEdges());
   }
