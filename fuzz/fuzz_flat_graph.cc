@@ -5,8 +5,10 @@
 // are asserted against the source Graph: identical vertex labels, degrees
 // and edge lists, binary-search FindEdge agreeing with the adjacency-scan
 // HasEdge/EdgeLabel on every vertex pair, label-domain bitsets matching a
-// direct label count, and the VF2 kernel finding every connected graph in
-// itself. Any divergence traps.
+// direct label count, the VF2 kernel finding every connected graph in
+// itself, and every connected graph of at most 12 vertices having the
+// canonical code of its vertex-reversed copy (the cap keeps a large
+// symmetric input from stalling a short run). Any divergence traps.
 //
 // Build: -DCATAPULT_FUZZ=ON with clang (links -fsanitize=fuzzer,address).
 // Under gcc the same file builds as a standalone regression driver that
@@ -20,6 +22,7 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/flat_graph.h"
 #include "src/graph/io.h"
+#include "src/iso/canonical_code.h"
 #include "src/iso/flat_vf2.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -94,6 +97,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (g.NumVertices() > 0 && catapult::IsConnected(g) &&
         !catapult::FlatContainsSubgraph(view, view, &domains, strict)) {
       __builtin_trap();
+    }
+
+    // Renumbering the vertices never changes the canonical code.
+    const size_t n = g.NumVertices();
+    if (n > 0 && n <= 12 && catapult::IsConnected(g)) {
+      catapult::Graph reversed;
+      for (size_t v = n; v-- > 0;) {
+        reversed.AddVertex(g.VertexLabel(static_cast<catapult::VertexId>(v)));
+      }
+      for (const catapult::Edge& e : g.EdgeList()) {
+        reversed.AddEdge(static_cast<catapult::VertexId>(n - 1 - e.u),
+                         static_cast<catapult::VertexId>(n - 1 - e.v), e.label);
+      }
+      if (catapult::CanonicalCode(g) != catapult::CanonicalCode(reversed)) {
+        __builtin_trap();
+      }
     }
   }
   return 0;

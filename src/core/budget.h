@@ -8,6 +8,11 @@
 
 namespace catapult {
 
+// Largest eta_max a budget may ask for. Canned patterns are panel icons,
+// and selection keeps per-size tallies of eta_max - eta_min + 1 entries,
+// so an unbounded eta_max sent by a client could exhaust memory.
+inline constexpr size_t kMaxPatternEdges = 64;
+
 // The pattern budget b = (eta_min, eta_max, gamma) of Definition 3.1:
 // minimum/maximum canned-pattern size (in edges) and the number of patterns
 // to display on the interface.
@@ -40,10 +45,12 @@ struct PatternBudget {
   std::vector<size_t> PerSizeCaps() const;
 
   // CHECK-validates the invariants of Definition 3.1 (eta_min > 2, ordered
-  // range, positive gamma).
+  // range, positive gamma) and the kMaxPatternEdges bound.
   void Validate() const {
     CATAPULT_CHECK_MSG(eta_min > 2, "eta_min must exceed 2 (Definition 3.1)");
     CATAPULT_CHECK(eta_max >= eta_min);
+    CATAPULT_CHECK_MSG(eta_max <= kMaxPatternEdges,
+                       "eta_max exceeds kMaxPatternEdges");
     CATAPULT_CHECK(gamma > 0);
     if (!size_distribution.empty()) {
       CATAPULT_CHECK_MSG(size_distribution.size() == NumSizes(),

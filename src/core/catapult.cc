@@ -389,6 +389,10 @@ std::vector<OptionsError> ValidateCatapultOptions(
   if (budget.eta_max < budget.eta_min) {
     Err("selector.budget.eta_max", "must be at least eta_min");
   }
+  if (budget.eta_max > kMaxPatternEdges) {
+    Err("selector.budget.eta_max",
+        "must be at most " + std::to_string(kMaxPatternEdges));
+  }
   if (budget.gamma == 0) {
     Err("selector.budget.gamma", "must be positive");
   }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "src/iso/vf2.h"
+#include "src/iso/canonical_code.h"
 #include "src/obs/clock.h"
 
 namespace catapult {
@@ -125,13 +125,12 @@ MaintenanceResult UpdateWithNewGraphs(const GraphDatabase& old_db,
                                           result.csgs, options.selector, rng);
 
   // Panel diff vs the previous selection.
+  std::unordered_set<std::string> previous_codes;
+  for (const SelectedPattern& q : previous.selection.patterns) {
+    previous_codes.insert(CanonicalCode(q.graph));
+  }
   for (const SelectedPattern& p : result.selection.patterns) {
-    for (const SelectedPattern& q : previous.selection.patterns) {
-      if (AreIsomorphic(p.graph, q.graph)) {
-        ++result.patterns_kept;
-        break;
-      }
-    }
+    if (previous_codes.contains(CanonicalCode(p.graph))) ++result.patterns_kept;
   }
   result.patterns_changed =
       result.selection.patterns.size() - result.patterns_kept;

@@ -13,16 +13,19 @@ namespace catapult {
 //
 // Instead of re-running the whole pipeline when new graphs arrive, the
 // updater (a) assigns each new graph to the existing cluster whose CSG it
-// is most similar to (fraction of the graph's labelled edges present in the
-// summary - the cheap proxy the closure construction itself optimises),
+// is most similar to (the fraction of the graph's edges that fold onto the
+// summary without growing it, MappedEdgeFraction - the criterion the
+// closure construction itself optimises),
 // creating fresh clusters for graphs that match nothing well, (b) folds the
 // new members into the affected CSGs via the same closure step used at
 // build time, and (c) re-runs only the selection phase (Algorithm 4), which
 // is orders of magnitude cheaper than clustering.
 struct MaintenanceOptions {
   // A new graph joins its best cluster only if at least this fraction of
-  // its labelled edges already occurs in that cluster's summary; otherwise
-  // it seeds a new cluster.
+  // its edges folds onto that cluster's summary (MappedEdgeFraction), or,
+  // among the fresh clusters of one batch, if at least this fraction of its
+  // labelled-edge keys already occurs in the cluster; otherwise it seeds a
+  // new cluster.
   double min_affinity = 0.5;
 
   // Clusters never grow beyond this size through maintenance (new arrivals

@@ -1,7 +1,6 @@
 #include "src/core/score_table.h"
 
 #include "src/iso/flat_vf2.h"
-#include "src/iso/vf2.h"
 #include "src/util/mem_budget.h"
 
 namespace catapult {
@@ -50,54 +49,16 @@ void ScoreTable::Reset(size_t candidates, size_t num_csgs) {
   div_min.assign(candidates, std::numeric_limits<double>::max());
   div_folded.assign(candidates, 0);
   source_csg.assign(candidates, 0);
-  cache_slot.assign(candidates, -1);
   iso_exhausted.assign(candidates, 0);
   valid.assign(candidates, 0);
   fresh.assign(candidates, 0);
   coverage_.assign(candidates * coverage_words_, 0);
 }
 
-int SelectorClassCache::Probe(uint64_t fp, const Graph& g) const {
-  auto it = buckets_.find(fp);
-  if (it == buckets_.end()) return -1;
-  for (size_t slot = 0; slot < it->second.size(); ++slot) {
-    const Entry& entry = it->second[slot];
-    if (AreIsomorphicWithFingerprints(entry.rep, g, entry.fingerprint, fp)) {
-      return static_cast<int>(slot);
-    }
-  }
-  return -1;
-}
-
-SelectorClassCache::Entry& SelectorClassCache::At(uint64_t fp, int slot) {
-  auto it = buckets_.find(fp);
-  CATAPULT_CHECK(it != buckets_.end());
-  CATAPULT_CHECK(slot >= 0 && static_cast<size_t>(slot) < it->second.size());
-  return it->second[slot];
-}
-
-const SelectorClassCache::Entry& SelectorClassCache::At(uint64_t fp,
-                                                        int slot) const {
-  auto it = buckets_.find(fp);
-  CATAPULT_CHECK(it != buckets_.end());
-  CATAPULT_CHECK(slot >= 0 && static_cast<size_t>(slot) < it->second.size());
-  return it->second[slot];
-}
-
-int SelectorClassCache::Insert(Entry entry) {
-  std::vector<Entry>& bucket = buckets_[entry.fingerprint];
-  bucket.push_back(std::move(entry));
-  ++entries_;
-  return static_cast<int>(bucket.size() - 1);
-}
-
-void SelectorClassCache::Clear() {
-  buckets_.clear();
-  entries_ = 0;
-}
-
-size_t SelectorClassCache::ApproxEntryBytes(const Entry& entry) {
-  return ApproxGraphBytes(entry.rep.NumVertices(), entry.rep.NumEdges()) +
+size_t ApproxClassEntryBytes(const std::string& code,
+                             const SelectorClassEntry& entry) {
+  return code.size() +
+         ApproxGraphBytes(entry.rep.NumVertices(), entry.rep.NumEdges()) +
          entry.covered.size() * sizeof(uint64_t) + 64;
 }
 

@@ -11,15 +11,16 @@
 //    columns; column storage is reused across iterations so the steady
 //    state of the greedy loop allocates nothing per candidate.
 //  * SelectorClassCache — the cross-iteration memo, keyed by isomorphism
-//    class (fingerprint bucket + exact check against the class
-//    representative). Between greedy rounds only the decayed cluster /
-//    edge-label weights change — never the graphs — so the covered-CSG
-//    bitmap, label coverage and cognitive load of a class are computed once,
-//    and the diversity term is carried as a running minimum folded forward
-//    only over patterns selected since the class was last scored.
+//    class (the pattern's CanonicalCode). Between greedy rounds only the
+//    decayed cluster / edge-label weights change — never the graphs — so the
+//    covered-CSG bitmap, label coverage and cognitive load of a class are
+//    computed once, and the diversity term is carried as a running minimum
+//    folded forward only over patterns selected since the class was last
+//    scored.
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -78,9 +79,6 @@ class ScoreTable {
   std::vector<double> div_min;
   std::vector<uint32_t> div_folded;
   std::vector<uint32_t> source_csg;
-  // Class-cache coordinates of the row's isomorphism class: bucket slot
-  // index, or -1 when the class was not cached (fresh row).
-  std::vector<int32_t> cache_slot;
   std::vector<uint64_t> iso_exhausted;
   std::vector<uint8_t> valid, fresh;
 
@@ -90,45 +88,25 @@ class ScoreTable {
   std::vector<uint64_t> coverage_;
 };
 
-// Cross-iteration memo keyed by isomorphism class. Buckets by fingerprint;
-// within a bucket, classes are told apart by an exact isomorphism check
-// against the stored representative. Entry indices within a bucket are
-// stable (entries are only appended, and eviction clears whole buckets), so
-// the parallel scoring pass can record (fingerprint, slot) coordinates and
-// the ordered reduce can write memo updates back without re-probing.
-class SelectorClassCache {
- public:
-  struct Entry {
-    Graph rep;                      // class representative
-    uint64_t fingerprint = 0;
-    std::vector<uint64_t> covered;  // packed coverage bitmap
-    double lcov = 0.0;
-    double cog = 0.0;
-    double div_min = std::numeric_limits<double>::max();
-    uint32_t div_folded = 0;        // selected-prefix length folded in
-  };
-
-  // Slot of `g`'s class in the `fp` bucket, or -1 if absent. Read-only and
-  // safe to call concurrently with other probes (never with mutations).
-  int Probe(uint64_t fp, const Graph& g) const;
-
-  Entry& At(uint64_t fp, int slot);
-  const Entry& At(uint64_t fp, int slot) const;
-
-  // Appends `entry` to its fingerprint bucket and returns its slot. The
-  // caller is responsible for memory-budget charging.
-  int Insert(Entry entry);
-
-  void Clear();
-  size_t entries() const { return entries_; }
-
-  // Budget-charge estimate for one entry (graph + bitmap + bookkeeping).
-  static size_t ApproxEntryBytes(const Entry& entry);
-
- private:
-  std::unordered_map<uint64_t, std::vector<Entry>> buckets_;
-  size_t entries_ = 0;
+// What the cross-iteration memo keeps about one isomorphism class.
+struct SelectorClassEntry {
+  Graph rep;                      // class representative: the first seen
+  std::vector<uint64_t> covered;  // packed coverage bitmap
+  double lcov = 0.0;
+  double cog = 0.0;
+  double div_min = std::numeric_limits<double>::max();
+  uint32_t div_folded = 0;        // selected-prefix length folded in
 };
+
+// Cross-iteration memo from a class's CanonicalCode to its entry. The
+// selector only looks codes up and inserts them, never iterates, so hash
+// order cannot reach a panel.
+using SelectorClassCache = std::unordered_map<std::string, SelectorClassEntry>;
+
+// Budget-charge estimate for one cache entry (key + graph + bitmap +
+// bookkeeping).
+size_t ApproxClassEntryBytes(const std::string& code,
+                             const SelectorClassEntry& entry);
 
 }  // namespace catapult
 

@@ -4,9 +4,10 @@
 #include <atomic>
 #include <limits>
 #include <unordered_map>
+#include <unordered_set>
 
+#include "src/iso/canonical_code.h"
 #include "src/mining/frequent_edges.h"
-#include "src/iso/vf2.h"
 #include "src/obs/metrics.h"
 #include "src/util/thread_pool.h"
 
@@ -27,7 +28,7 @@ namespace {
 void FillWithFallbackPatterns(const GraphDatabase& db,
                               const SelectorOptions& options,
                               std::vector<size_t>& selected_per_size,
-                              std::vector<Graph>& selected_graphs,
+                              std::unordered_set<std::string>& selected_codes,
                               SelectionResult& result) {
   // Per-size pools are built lazily and walked once; every pool entry is
   // distinct, so a full pass that adds nothing means the pools are dry.
@@ -48,21 +49,13 @@ void FillWithFallbackPatterns(const GraphDatabase& db,
       std::vector<Graph>& candidates = it->second;
       size_t& next = next_in_pool[size];
       while (next < candidates.size()) {
-        Graph candidate = candidates[next++];
-        bool duplicate = false;
-        for (const Graph& s : selected_graphs) {
-          if (AreIsomorphic(candidate, s)) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) continue;
+        const Graph& candidate = candidates[next++];
+        if (!selected_codes.insert(CanonicalCode(candidate)).second) continue;
         SelectedPattern fallback;
         fallback.graph = candidate;
         fallback.fallback = true;
         size_t slot = size - options.budget.eta_min;
         if (slot < selected_per_size.size()) ++selected_per_size[slot];
-        selected_graphs.push_back(std::move(candidate));
         result.patterns.push_back(std::move(fallback));
         ++result.fallback_patterns;
         progress = true;
@@ -104,7 +97,7 @@ SelectionResult FindCannedPatternSet(
   CATAPULT_CHECK(summary_index.size() == csgs.size());
 
   std::vector<Graph> selected_graphs;
-  std::vector<uint64_t> selected_fps;  // fingerprints, parallel to graphs
+  std::unordered_set<std::string> selected_codes;  // probed, never iterated
   std::vector<size_t> selected_per_size(options.budget.NumSizes(), 0);
 
   // Resume: replay the checkpointed loop invariant — panel, tallies, decayed
@@ -119,7 +112,7 @@ SelectionResult FindCannedPatternSet(
     result.patterns = state.patterns;
     selected_per_size = state.selected_per_size;
     for (const SelectedPattern& p : state.patterns) {
-      selected_fps.push_back(GraphFingerprint(p.graph));
+      selected_codes.insert(CanonicalCode(p.graph));
       selected_graphs.push_back(p.graph);
     }
     cw.Restore(state.cluster_weights);
@@ -150,9 +143,9 @@ SelectionResult FindCannedPatternSet(
   // entries are charged against the memory budget; when a charge is refused
   // the freshly computed row is still used, just not retained.
   //
-  // During the parallel scoring pass the cache is strictly read-only (probe
-  // by fingerprint + isomorphism); freshly measured classes and diversity
-  // memo updates are carried out in ScoreTable rows and written back — with
+  // During the parallel scoring pass the cache is strictly read-only (looked
+  // up by canonical code); freshly measured classes and diversity memo
+  // updates are carried out in ScoreTable rows and written back — with
   // their budget charges — on the calling thread afterwards, in candidate
   // order.
   SelectorClassCache cache;
@@ -167,9 +160,9 @@ SelectionResult FindCannedPatternSet(
     // Soft-limit pressure: the class cache is pure memoisation, so it is
     // the first thing to go — recomputing its rows trades time for bounded
     // memory.
-    if (cache.entries() > 0 && ctx.memory().SoftExceeded()) {
-      obs::Count(obs::Counter::kSelectorCacheEvictions, cache.entries());
-      cache.Clear();
+    if (!cache.empty() && ctx.memory().SoftExceeded()) {
+      obs::Count(obs::Counter::kSelectorCacheEvictions, cache.size());
+      cache.clear();
       ctx.memory().Release(cache_charged_bytes);
       cache_charged_bytes = 0;
     }
@@ -219,7 +212,7 @@ SelectionResult FindCannedPatternSet(
 
     struct Candidate {
       Graph graph;
-      uint64_t fp = 0;  // GraphFingerprint(graph), computed where generated
+      std::string code;  // CanonicalCode(graph), computed where generated
       size_t source_csg = 0;
       bool valid = false;
     };
@@ -238,7 +231,7 @@ SelectionResult FindCannedPatternSet(
       }
       if (fcp.size() < options.budget.eta_min) return;
       slots[t].graph = PatternFromCsgEdges(csg, fcp);
-      slots[t].fp = GraphFingerprint(slots[t].graph);
+      slots[t].code = CanonicalCode(slots[t].graph);
       slots[t].source_csg = task.csg_index;
       slots[t].valid = true;
     });
@@ -252,21 +245,16 @@ SelectionResult FindCannedPatternSet(
 
     // Different CSGs frequently propose isomorphic FCPs (molecule databases
     // share motifs); scoring is the expensive part, so collapse candidates
-    // to one representative per isomorphism class first. Fingerprints were
-    // computed in the generation pass, so the quadratic dedup compares
-    // hashes and only falls back to an exact check on a hash match.
+    // to the first-seen representative of each isomorphism class first.
     {
+      std::unordered_set<std::string> seen;  // probed, never iterated
       std::vector<Candidate> unique;
       for (Candidate& c : candidates) {
-        bool duplicate = false;
-        for (const Candidate& u : unique) {
-          if (AreIsomorphicWithFingerprints(u.graph, c.graph, u.fp, c.fp)) {
-            duplicate = true;
-            break;
-          }
+        if (seen.insert(c.code).second) {
+          unique.push_back(std::move(c));
+        } else {
+          obs::Count(obs::Counter::kPcpDeduplicated);
         }
-        if (duplicate) obs::Count(obs::Counter::kPcpDeduplicated);
-        if (!duplicate) unique.push_back(std::move(c));
       }
       candidates = std::move(unique);
     }
@@ -290,7 +278,7 @@ SelectionResult FindCannedPatternSet(
     // strict-> first-max tie-break — is the one the sequential scan would
     // have picked.
     table.Reset(candidates.size(), csgs.size());
-    const SelectorClassCache& ro_cache = cache;  // parallel pass: probes only
+    const SelectorClassCache& ro_cache = cache;  // parallel pass: lookups only
     std::atomic<bool> stop_scoring{false};
     ParallelFor(ctx, candidates.size(), 1, [&](size_t i) {
       // Once a stop is observed, later candidates bail out without polling
@@ -303,7 +291,6 @@ SelectionResult FindCannedPatternSet(
         return;
       }
       const Graph& g = candidates[i].graph;
-      const uint64_t fp = candidates[i].fp;
       // FCP assembly can fall short of the requested size; keep only
       // candidates whose actual size is still open, preserving the uniform
       // size distribution of Definition 3.1.
@@ -311,23 +298,17 @@ SelectionResult FindCannedPatternSet(
           open_sizes.end()) {
         return;
       }
-      for (size_t s = 0; s < selected_graphs.size(); ++s) {
-        if (AreIsomorphicWithFingerprints(g, selected_graphs[s], fp,
-                                          selected_fps[s])) {
-          return;
-        }
-      }
+      if (selected_codes.contains(candidates[i].code)) return;
       uint64_t* row = table.CoverageRow(i);
-      int slot = ro_cache.Probe(fp, g);
-      table.cache_slot[i] = slot;
+      const auto hit = ro_cache.find(candidates[i].code);
       // Diversity fold start: the candidate's own graph from scratch,
       // unless its class memo may be resumed (below).
       const Graph* div_graph = &g;
       size_t div_from = 0;
       double div_running = std::numeric_limits<double>::max();
-      if (slot >= 0) {
+      if (hit != ro_cache.end()) {
         obs::Count(obs::Counter::kSelectorCacheHits);
-        const SelectorClassCache::Entry& entry = ro_cache.At(fp, slot);
+        const SelectorClassEntry& entry = hit->second;
         for (size_t w = 0; w < table.coverage_words(); ++w) {
           row[w] = entry.covered[w];
         }
@@ -389,9 +370,8 @@ SelectionResult FindCannedPatternSet(
       result.iso_budget_exhausted += table.iso_exhausted[i];
       if (!table.valid[i]) continue;
       if (table.fresh[i]) {
-        SelectorClassCache::Entry entry;
+        SelectorClassEntry entry;
         entry.rep = candidates[i].graph;
-        entry.fingerprint = candidates[i].fp;
         entry.covered.assign(table.CoverageRow(i),
                              table.CoverageRow(i) + table.coverage_words());
         entry.lcov = table.lcov[i];
@@ -400,15 +380,15 @@ SelectionResult FindCannedPatternSet(
           entry.div_min = table.div_min[i];
           entry.div_folded = table.div_folded[i];
         }
-        size_t bytes = SelectorClassCache::ApproxEntryBytes(entry);
+        size_t bytes = ApproxClassEntryBytes(candidates[i].code, entry);
         if (ctx.memory().TryCharge(bytes, "selector.cache")) {
           cache_charged_bytes += bytes;
-          cache.Insert(std::move(entry));
-          obs::SetGaugeMax(obs::Gauge::kSelectorCachePeak, cache.entries());
+          cache.emplace(candidates[i].code, std::move(entry));
+          obs::SetGaugeMax(obs::Gauge::kSelectorCachePeak, cache.size());
         }
-      } else if (table.cache_slot[i] >= 0 && div_memo_ok) {
-        SelectorClassCache::Entry& entry =
-            cache.At(candidates[i].fp, table.cache_slot[i]);
+      } else if (div_memo_ok) {
+        // A scored row that is not fresh was a cache hit.
+        SelectorClassEntry& entry = cache.at(candidates[i].code);
         entry.div_min = table.div_min[i];
         entry.div_folded = table.div_folded[i];
       }
@@ -439,7 +419,7 @@ SelectionResult FindCannedPatternSet(
       }
     }
     elw.DecayForPattern(best.graph, options.weight_decay);
-    selected_fps.push_back(candidates[best_index].fp);
+    selected_codes.insert(std::move(candidates[best_index].code));
     selected_graphs.push_back(best.graph);
     result.patterns.push_back(std::move(best));
     if (hooks.on_pattern_selected) hooks.on_pattern_selected(CaptureState());
@@ -449,7 +429,7 @@ SelectionResult FindCannedPatternSet(
   // Deadline degradation: top the panel up from frequent edges. Skipped on
   // natural termination (candidates ran dry), which is not a deadline event.
   if (!result.complete) {
-    FillWithFallbackPatterns(db, options, selected_per_size, selected_graphs,
+    FillWithFallbackPatterns(db, options, selected_per_size, selected_codes,
                              result);
   }
   return result;

@@ -32,10 +32,10 @@ struct IsoOptions {
 using Embedding = std::vector<VertexId>;
 
 // Graph-level entry points of the subgraph-isomorphism kernel
-// (src/iso/flat_vf2.h). Each does its cheap rejections (sizes,
-// fingerprints) first and only then flattens its inputs and runs the
-// kernel, so results, node counts and truncation points are the kernel's.
-// Loops that test many pairs flatten once and call the kernel directly.
+// (src/iso/flat_vf2.h). Each rejects on sizes first and only then
+// flattens its inputs and runs the kernel, so results, node counts and
+// truncation points are the kernel's. Loops that test many pairs flatten
+// once and call the kernel directly.
 
 // True if `pattern` (connected, non-empty) has an embedding in `target`.
 bool ContainsSubgraph(const Graph& pattern, const Graph& target,
@@ -48,21 +48,11 @@ std::vector<Embedding> FindEmbeddings(const Graph& pattern,
                                       const Graph& target, size_t max_count,
                                       IsoOptions options = {});
 
-// True if `a` and `b` are isomorphic as labelled graphs.
+// True if `a` and `b` are isomorphic as labelled graphs, decided by one
+// VF2 search. The library decides pattern identity by CanonicalCode
+// (src/iso/canonical_code.h); this is the definition tests and benchmarks
+// check it against.
 bool AreIsomorphic(const Graph& a, const Graph& b, IsoOptions options = {});
-
-// AreIsomorphic for callers that already hold the graphs' fingerprints
-// (selector dedup and cache probes compare many pairs against the same
-// graph; recomputing the colour-refinement hash per pair dominated the
-// comparison). `fp_a` / `fp_b` must equal GraphFingerprint(a) / (b).
-bool AreIsomorphicWithFingerprints(const Graph& a, const Graph& b,
-                                   uint64_t fp_a, uint64_t fp_b,
-                                   IsoOptions options = {});
-
-// Isomorphism-invariant 64-bit fingerprint (colour-refinement hash). Equal
-// graphs hash equal; unequal hashes imply non-isomorphism. Used to bucket
-// candidates before exact isomorphism checks in mining and deduplication.
-uint64_t GraphFingerprint(const Graph& g);
 
 }  // namespace catapult
 

@@ -4,7 +4,7 @@
 #include <map>
 #include <unordered_set>
 
-#include "src/iso/vf2.h"
+#include "src/iso/canonical_code.h"
 
 namespace catapult {
 
@@ -118,7 +118,7 @@ std::vector<Graph> FrequentEdgePathPatterns(const GraphDatabase& db,
     return nullptr;
   };
 
-  std::unordered_set<uint64_t> seen;
+  std::unordered_set<std::string> seen;  // canonical codes
   for (size_t i = 0; i < ranked.size() && patterns.size() < count; ++i) {
     Graph path;
     VertexId front = path.AddVertex(LabelA(ranked[i].key));
@@ -137,7 +137,7 @@ std::vector<Graph> FrequentEdgePathPatterns(const GraphDatabase& db,
       back = added;
     }
     if (path.NumEdges() != num_edges) continue;
-    if (!seen.insert(GraphFingerprint(path)).second) continue;
+    if (!seen.insert(CanonicalCode(path)).second) continue;
     patterns.push_back(std::move(path));
   }
   return patterns;

@@ -4,34 +4,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/iso/canonical_code.h"
 #include "src/iso/flat_vf2.h"
-#include "src/iso/vf2.h"
 #include "src/util/check.h"
 
 namespace catapult {
-
-namespace {
-
-// Deduplication table keyed by isomorphism-invariant fingerprints, with
-// exact isomorphism checks within buckets.
-class IsoDeduper {
- public:
-  // Returns true if `g` was not seen before (and records it).
-  bool Insert(const Graph& g) {
-    uint64_t fp = GraphFingerprint(g);
-    auto& bucket = buckets_[fp];
-    for (const Graph& seen : bucket) {
-      if (AreIsomorphic(seen, g)) return false;
-    }
-    bucket.push_back(g);
-    return true;
-  }
-
- private:
-  std::unordered_map<uint64_t, std::vector<Graph>> buckets_;
-};
-
-}  // namespace
 
 std::vector<FrequentSubgraph> MineFrequentSubgraphs(
     const GraphDatabase& db, const SubgraphMinerOptions& options) {
@@ -90,7 +67,7 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
     }
     if (frontier.front().graph.NumEdges() >= options.max_edges) break;
 
-    IsoDeduper deduper;
+    std::unordered_set<std::string> seen;  // canonical codes of the level
     struct Candidate {
       Graph graph;
       const DynamicBitset* parent_support;
@@ -115,7 +92,7 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
           Graph extended = parent.graph;
           VertexId leaf = extended.AddVertex(label);
           extended.AddEdge(attach, leaf);
-          if (deduper.Insert(extended)) {
+          if (seen.insert(CanonicalCode(extended)).second) {
             candidates.push_back({std::move(extended), &parent.support});
           }
         }
@@ -126,7 +103,7 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
           if (parent.graph.HasEdge(u, v)) continue;
           Graph extended = parent.graph;
           extended.AddEdge(u, v);
-          if (deduper.Insert(extended)) {
+          if (seen.insert(CanonicalCode(extended)).second) {
             candidates.push_back({std::move(extended), &parent.support});
           }
         }
@@ -178,19 +155,15 @@ std::vector<Graph> FrequentSubgraphPatternSet(
   // If some sizes were underpopulated, backfill with the most frequent
   // remaining patterns regardless of per-size caps.
   if (patterns.size() < total) {
+    std::unordered_set<std::string> taken_codes;
+    for (const Graph& p : patterns) taken_codes.insert(CanonicalCode(p));
     for (const FrequentSubgraph& fs : mined) {
       if (patterns.size() >= total) break;
       size_t size = fs.graph.NumEdges();
       if (size < min_edges || size > max_edges) continue;
-      bool already = false;
-      for (const Graph& p : patterns) {
-        if (p.NumEdges() == fs.graph.NumEdges() &&
-            AreIsomorphic(p, fs.graph)) {
-          already = true;
-          break;
-        }
+      if (taken_codes.insert(CanonicalCode(fs.graph)).second) {
+        patterns.push_back(fs.graph);
       }
-      if (!already) patterns.push_back(fs.graph);
     }
   }
   return patterns;

@@ -34,9 +34,9 @@ struct FrequentSubgraph {
 
 // Pattern-growth miner for frequent connected subgraphs: each level extends
 // patterns by one edge (either a new labelled leaf or a cycle-closing edge
-// between existing vertices), deduplicates candidates by fingerprint +
-// isomorphism check, and counts support by subgraph isomorphism restricted
-// to the parent's support set.
+// between existing vertices), keeps the first candidate of each canonical
+// code (src/iso/canonical_code.h), and counts support by subgraph
+// isomorphism restricted to the parent's support set.
 std::vector<FrequentSubgraph> MineFrequentSubgraphs(
     const GraphDatabase& db, const SubgraphMinerOptions& options);
 

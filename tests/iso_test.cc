@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/data/molecule_generator.h"
+#include "src/iso/canonical_code.h"
 #include "src/iso/ged.h"
 #include "src/iso/mcs.h"
 #include "src/iso/vf2.h"
@@ -168,7 +173,7 @@ TEST(AreIsomorphicTest, SameCountsDifferentStructure) {
   EXPECT_FALSE(AreIsomorphic(star, Path(4)));
 }
 
-TEST(FingerprintTest, InvariantUnderRelabelling) {
+TEST(CanonicalCodeTest, InvariantUnderRelabelling) {
   Graph a = LabelledTarget();
   Graph b;
   VertexId n = b.AddVertex(2);
@@ -181,14 +186,169 @@ TEST(FingerprintTest, InvariantUnderRelabelling) {
   b.AddEdge(n, c2);
   b.AddEdge(c3, n);
   b.AddEdge(c1, c3);
-  EXPECT_EQ(GraphFingerprint(a), GraphFingerprint(b));
+  EXPECT_EQ(CanonicalCode(a), CanonicalCode(b));
 }
 
-TEST(FingerprintTest, DistinguishesStarFromPath) {
+TEST(CanonicalCodeTest, DistinguishesStarFromPath) {
   Graph star;
   VertexId c = star.AddVertex(0);
   for (int i = 0; i < 3; ++i) star.AddEdge(c, star.AddVertex(0));
-  EXPECT_NE(GraphFingerprint(star), GraphFingerprint(Path(4)));
+  EXPECT_NE(CanonicalCode(star), CanonicalCode(Path(4)));
+}
+
+// Random vertex-permuted copy of g, edge labels kept.
+Graph Permuted(const Graph& g, Rng& rng) {
+  std::vector<VertexId> perm(g.NumVertices());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<VertexId>(i);
+  rng.Shuffle(perm);
+  Graph out;
+  std::vector<VertexId> new_id(g.NumVertices());
+  for (VertexId v : perm) new_id[v] = out.AddVertex(g.VertexLabel(v));
+  for (const Edge& e : g.EdgeList()) {
+    out.AddEdge(new_id[e.u], new_id[e.v], e.label);
+  }
+  return out;
+}
+
+// A random connected graph: a random tree on `n` vertices plus `extra`
+// further edges (at most the tree's non-edges), labels in [0, labels).
+Graph RandomConnected(Rng& rng, size_t n, size_t extra, uint64_t labels) {
+  Graph g;
+  g.AddVertex(static_cast<Label>(rng.UniformInt(labels)));
+  for (size_t v = 1; v < n; ++v) {
+    VertexId child = g.AddVertex(static_cast<Label>(rng.UniformInt(labels)));
+    g.AddEdge(static_cast<VertexId>(rng.UniformInt(v)), child);
+  }
+  while (extra > 0) {
+    VertexId u = static_cast<VertexId>(rng.UniformInt(n));
+    VertexId v = static_cast<VertexId>(rng.UniformInt(n));
+    if (u == v || g.HasEdge(u, v)) continue;
+    g.AddEdge(u, v);
+    --extra;
+  }
+  return g;
+}
+
+// Equal codes exactly when VF2 finds an isomorphism, over trees and cyclic
+// graphs of 1-10 vertices with 1-3 labels: a third of the pairs are
+// permuted copies, the rest independent draws with the same vertex and
+// edge counts (isomorphic by chance often enough at these sizes).
+TEST(CanonicalCodeTest, EqualCodesIffIsomorphic) {
+  Rng rng(2014);
+  size_t isomorphic = 0;
+  size_t distinct = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    const size_t n = 1 + rng.UniformInt(10);
+    const uint64_t labels = 1 + rng.UniformInt(3);
+    const size_t non_tree = n * (n - 1) / 2 - (n - 1);
+    const size_t extra =
+        trial % 2 == 0 ? 0 : rng.UniformInt(std::min<size_t>(non_tree, 5) + 1);
+    Graph a = RandomConnected(rng, n, extra, labels);
+    Graph b = trial % 3 == 0 ? Permuted(a, rng)
+                             : RandomConnected(rng, n, extra, labels);
+    const bool iso = AreIsomorphic(a, b);
+    EXPECT_EQ(CanonicalCode(a) == CanonicalCode(b), iso)
+        << "trial " << trial << ": " << a.DebugString() << " vs "
+        << b.DebugString();
+    if (trial % 3 != 0) ++(iso ? isomorphic : distinct);
+  }
+  // Both sides of the equivalence were exercised by independent pairs.
+  EXPECT_GT(isomorphic, 200u);
+  EXPECT_GT(distinct, 200u);
+}
+
+Graph FromEdges(size_t n, const std::vector<std::pair<int, int>>& edges) {
+  Graph g;
+  for (size_t i = 0; i < n; ++i) g.AddVertex(0);
+  for (const auto& [u, v] : edges) {
+    g.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
+  }
+  return g;
+}
+
+// Shapes colour refinement cannot split on its own, where the code depends
+// on the search: vertex-transitive ones (rings, K3xK3, cube, Petersen),
+// twins (the star), fused rings, and the Frucht graph, a cubic graph with
+// no symmetry at all, whose every leaf encodes differently.
+TEST(CanonicalCodeTest, InvariantUnderPermutationOnSymmetricShapes) {
+  std::vector<std::pair<std::string, Graph>> shapes;
+  shapes.emplace_back("C6", Ring(6));
+  shapes.emplace_back("C12", Ring(12));
+  Graph alternating = Ring(12);
+  for (VertexId v = 0; v < 12; v += 2) alternating.SetVertexLabel(v, 1);
+  shapes.emplace_back("C12 alternating labels", alternating);
+  Graph star;
+  VertexId centre = star.AddVertex(0);
+  for (int i = 0; i < 8; ++i) star.AddEdge(centre, star.AddVertex(0));
+  shapes.emplace_back("K1,8", star);
+  std::vector<std::pair<int, int>> rook, cube, petersen, frucht;
+  for (int a = 0; a < 9; ++a) {
+    for (int b = a + 1; b < 9; ++b) {
+      if (a / 3 == b / 3 || a % 3 == b % 3) rook.emplace_back(a, b);
+    }
+  }
+  shapes.emplace_back("K3xK3", FromEdges(9, rook));
+  for (int a = 0; a < 8; ++a) {
+    for (int bit = 1; bit < 8; bit <<= 1) {
+      if ((a & bit) == 0) cube.emplace_back(a, a | bit);
+    }
+  }
+  shapes.emplace_back("cube", FromEdges(8, cube));
+  for (int i = 0; i < 5; ++i) {
+    petersen.emplace_back(i, (i + 1) % 5);
+    petersen.emplace_back(5 + i, 5 + (i + 2) % 5);
+    petersen.emplace_back(i, 5 + i);
+  }
+  shapes.emplace_back("Petersen", FromEdges(10, petersen));
+  shapes.emplace_back(
+      "naphthalene", FromEdges(10, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
+                                    {5, 0}, {5, 6}, {6, 7}, {7, 8}, {8, 9},
+                                    {9, 4}}));
+  shapes.emplace_back(
+      "anthracene",
+      FromEdges(14, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0},
+                     {5, 6}, {6, 7}, {7, 8}, {8, 9}, {9, 4}, {8, 10},
+                     {10, 11}, {11, 12}, {12, 13}, {13, 7}}));
+  const int lcf[12] = {-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2};
+  for (int i = 0; i < 12; ++i) {
+    frucht.emplace_back(i, (i + 1) % 12);
+    const int chord = (i + lcf[i] + 12) % 12;
+    if (i < chord) frucht.emplace_back(i, chord);
+  }
+  shapes.emplace_back("Frucht", FromEdges(12, frucht));
+
+  Rng rng(99);
+  for (const auto& [name, shape] : shapes) {
+    const std::string code = CanonicalCode(shape);
+    for (int trial = 0; trial < 30; ++trial) {
+      EXPECT_EQ(CanonicalCode(Permuted(shape, rng)), code)
+          << name << " permutation " << trial;
+    }
+  }
+}
+
+TEST(CanonicalCodeTest, IgnoresEdgeLabelsNotVertexLabels) {
+  Graph plain = LabelledTarget();
+  Graph bonded;
+  for (VertexId v = 0; v < plain.NumVertices(); ++v) {
+    bonded.AddVertex(plain.VertexLabel(v));
+  }
+  Label bond = 1;
+  for (const Edge& e : plain.EdgeList()) bonded.AddEdge(e.u, e.v, bond++);
+  EXPECT_TRUE(AreIsomorphic(plain, bonded));
+  EXPECT_EQ(CanonicalCode(plain), CanonicalCode(bonded));
+
+  Graph relabelled = plain;
+  relabelled.SetVertexLabel(2, 7);
+  EXPECT_FALSE(AreIsomorphic(plain, relabelled));
+  EXPECT_NE(CanonicalCode(plain), CanonicalCode(relabelled));
+
+  Graph lone_a, lone_b;
+  lone_a.AddVertex(3);
+  lone_b.AddVertex(4);
+  EXPECT_NE(CanonicalCode(lone_a), CanonicalCode(lone_b));
+  EXPECT_EQ(CanonicalCode(Graph()), CanonicalCode(Graph()));
+  EXPECT_NE(CanonicalCode(Graph()), CanonicalCode(lone_a));
 }
 
 TEST(McsTest, IdenticalGraphsFullOverlap) {

@@ -383,6 +383,20 @@ TEST_F(PersistTest, ValidateCatapultOptionsRejectsBadBudget) {
   EXPECT_FALSE(ValidateCatapultOptions(options).empty());
 }
 
+// eta_max arrives from clients and sizes per-size tallies: it is bounded
+// by kMaxPatternEdges, not only ordered against eta_min.
+TEST_F(PersistTest, ValidateCatapultOptionsBoundsEtaMax) {
+  CatapultOptions options = FastOptions();
+  options.selector.budget.eta_max = kMaxPatternEdges;
+  EXPECT_TRUE(ValidateCatapultOptions(options).empty());
+  for (size_t eta_max : {kMaxPatternEdges + 1, size_t{1} << 40}) {
+    options.selector.budget.eta_max = eta_max;
+    const std::vector<OptionsError> errors = ValidateCatapultOptions(options);
+    ASSERT_EQ(errors.size(), 1u) << eta_max;
+    EXPECT_EQ(errors[0].field, "selector.budget.eta_max");
+  }
+}
+
 TEST_F(PersistTest, RunCatapultReturnsOptionErrorsInsteadOfAborting) {
   GraphDatabase db = SmallDb();
   CatapultOptions options = FastOptions();

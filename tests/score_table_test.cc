@@ -3,14 +3,16 @@
 // kernel, the incremental diversity fold against its definition
 // (tests/reference_ged.h), and the end-to-end invariants the memoized
 // selector must preserve — identical output with and without a prebuilt
-// summary index, and recorded per-pattern diagnostics that replay against
-// from-scratch recomputation.
+// summary index, recorded per-pattern diagnostics that replay against
+// from-scratch recomputation, and panels and scores equal to Algorithm 4
+// run from its definition (tests/reference_selector.h).
 
 #include "src/core/score_table.h"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "src/core/catapult.h"
 #include "src/core/pattern_score.h"
@@ -18,9 +20,12 @@
 #include "src/csg/csg.h"
 #include "src/data/molecule_generator.h"
 #include "src/graph/algorithms.h"
+#include "src/iso/canonical_code.h"
 #include "src/iso/ged_bipartite.h"
 #include "src/iso/vf2.h"
+#include "src/util/thread_pool.h"
 #include "tests/reference_ged.h"
+#include "tests/reference_selector.h"
 
 namespace catapult {
 namespace {
@@ -94,7 +99,6 @@ TEST(ScoreTableTest, ResetDimensionsAndZeroes) {
   table.score[4] = 2.0;
   table.valid[4] = 1;
   table.CoverageRow(4)[2] = ~uint64_t{0};
-  table.cache_slot[4] = 7;
   table.div_min[4] = 0.5;
 
   // Shrinking then regrowing must hand back zeroed rows, not stale state.
@@ -103,7 +107,6 @@ TEST(ScoreTableTest, ResetDimensionsAndZeroes) {
   EXPECT_EQ(table.score[4], 0.0);
   EXPECT_EQ(table.valid[4], 0);
   EXPECT_EQ(table.CoverageRow(4)[2], 0u);
-  EXPECT_EQ(table.cache_slot[4], -1);
   EXPECT_EQ(table.div_min[4], std::numeric_limits<double>::max());
 }
 
@@ -119,61 +122,27 @@ TEST(SelectorClassCacheTest, ProbeFindsIsomorphicClass) {
   Rng rng(7);
   Graph base = RandomConnectedSubgraph(
       GenerateMoleculeDatabase({.num_graphs = 1, .seed = 3}).graph(0), 6, rng);
-  uint64_t fp = GraphFingerprint(base);
+  const std::string code = CanonicalCode(base);
 
   SelectorClassCache cache;
-  EXPECT_EQ(cache.Probe(fp, base), -1);
-
-  SelectorClassCache::Entry entry;
+  EXPECT_FALSE(cache.contains(code));
+  SelectorClassEntry entry;
   entry.rep = base;
-  entry.fingerprint = fp;
   entry.lcov = 0.25;
-  int slot = cache.Insert(std::move(entry));
-  EXPECT_EQ(slot, 0);
-  EXPECT_EQ(cache.entries(), 1u);
+  cache.emplace(code, std::move(entry));
 
-  // The representative itself and a vertex-permuted copy both land on the
-  // class; the fingerprint is isomorphism-invariant so the copy probes with
-  // the same fp.
-  EXPECT_EQ(cache.Probe(fp, base), 0);
+  // A vertex-permuted copy probes with the same code and lands on the
+  // class, whose representative stays the first-seen graph.
   Graph shuffled = Permuted(base, rng);
-  EXPECT_EQ(GraphFingerprint(shuffled), fp);
-  EXPECT_EQ(cache.Probe(fp, shuffled), 0);
+  const auto hit = cache.find(CanonicalCode(shuffled));
+  ASSERT_NE(hit, cache.end());
+  EXPECT_TRUE(SameGraph(hit->second.rep, base));
+  EXPECT_EQ(hit->second.lcov, 0.25);
 
-  // Write-back through At persists.
-  cache.At(fp, slot).div_min = 3.0;
-  EXPECT_EQ(cache.At(fp, slot).div_min, 3.0);
-
-  cache.Clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.Probe(fp, base), -1);
-}
-
-TEST(SelectorClassCacheTest, SlotsStableAcrossInserts) {
-  SelectorEnv setup = MakeSetup(20, 5);
-  Rng rng(11);
-  SelectorClassCache cache;
-  std::vector<std::pair<uint64_t, int>> coords;
-  std::vector<Graph> graphs;
-  for (int i = 0; i < 12; ++i) {
-    Graph g = RandomConnectedSubgraph(
-        setup.db.graph(static_cast<GraphId>(i)), 4 + i % 4, rng);
-    uint64_t fp = GraphFingerprint(g);
-    if (cache.Probe(fp, g) >= 0) continue;
-    SelectorClassCache::Entry entry;
-    entry.rep = g;
-    entry.fingerprint = fp;
-    entry.cog = static_cast<double>(i);
-    coords.emplace_back(fp, cache.Insert(std::move(entry)));
-    graphs.push_back(g);
-  }
-  // Every recorded (fp, slot) coordinate still resolves to its graph after
-  // all subsequent inserts.
-  for (size_t i = 0; i < coords.size(); ++i) {
-    const SelectorClassCache::Entry& e =
-        cache.At(coords[i].first, coords[i].second);
-    EXPECT_TRUE(AreIsomorphic(e.rep, graphs[i]));
-  }
+  // A graph of another class, even of the same size, misses.
+  Graph other = base;
+  other.SetVertexLabel(0, other.VertexLabel(0) + 100);
+  EXPECT_FALSE(cache.contains(CanonicalCode(other)));
 }
 
 // Coverage from the definition, one Graph-level containment test per
@@ -357,6 +326,73 @@ TEST(SelectorReplayTest, RecordedDiagnosticsReplay) {
       if (covered[c]) cw.Decay(c, options.weight_decay);
     }
     prefix.push_back(p.graph);
+  }
+}
+
+// Algorithm 4 against its definition (tests/reference_selector.h): the
+// class cache, the diversity folds and the pool must not change a panel or
+// a score bit. Exact GED and unexhausted coverage searches are asserted,
+// since under truncation a cached class may legitimately answer with its
+// representative's values (DESIGN.md §15). In the dry mode nothing decays,
+// so the greedy proposals repeat until every one is isomorphic to a
+// selected pattern and the loop must stop short of gamma.
+TEST(ReferenceSelectorTest, PanelsAndScoresMatchDefinition) {
+  enum Mode { kWalks, kGreedy, kApproximate, kDry };
+  const PatternBudget budgets[] = {{.eta_min = 3, .eta_max = 5, .gamma = 6},
+                                   {.eta_min = 3, .eta_max = 6, .gamma = 8}};
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (uint64_t corpus_seed : {5u, 13u, 29u}) {
+    SelectorEnv setup = MakeSetup(40, corpus_seed);
+    for (const PatternBudget& budget : budgets) {
+      for (Mode mode : {kWalks, kGreedy, kApproximate, kDry}) {
+        SelectorOptions options;
+        options.budget = budget;
+        options.walks_per_candidate = 10;
+        if (mode == kGreedy || mode == kDry) {
+          options.strategy = CandidateStrategy::kGreedyBfs;
+        }
+        options.approximate_diversity = mode == kApproximate;
+        if (mode == kDry) {
+          options.weight_decay = 1.0;
+          options.budget.gamma = 30;
+        }
+        const uint64_t seed = corpus_seed * 7 + budget.eta_max;
+        Rng ref_rng(seed);
+        const reference::ReferenceSelection expected =
+            reference::ReferenceSelect(setup.db, setup.clusters, setup.csgs,
+                                       options, ref_rng);
+        ASSERT_TRUE(expected.ged_exact);
+        ASSERT_FALSE(expected.patterns.empty());
+        if (mode == kDry) {
+          ASSERT_LT(expected.patterns.size(), options.budget.gamma);
+        }
+        for (ThreadPool* pool : {&one, &four}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "corpus " << corpus_seed << " eta_max "
+                       << budget.eta_max << " mode " << mode << " threads "
+                       << pool->num_threads());
+          Rng rng(seed);
+          const SelectionResult got = FindCannedPatternSet(
+              setup.db, setup.clusters, setup.csgs, options, rng,
+              RunContext::NoLimit().WithPool(pool));
+          EXPECT_TRUE(got.complete);
+          EXPECT_EQ(got.iso_budget_exhausted, 0u);
+          ASSERT_EQ(got.patterns.size(), expected.patterns.size());
+          for (size_t i = 0; i < got.patterns.size(); ++i) {
+            const SelectedPattern& g = got.patterns[i];
+            const SelectedPattern& e = expected.patterns[i];
+            EXPECT_TRUE(SameGraph(g.graph, e.graph)) << "pattern " << i;
+            EXPECT_EQ(g.score, e.score) << "pattern " << i;
+            EXPECT_EQ(g.ccov, e.ccov) << "pattern " << i;
+            EXPECT_EQ(g.lcov, e.lcov) << "pattern " << i;
+            EXPECT_EQ(g.div, e.div) << "pattern " << i;
+            EXPECT_EQ(g.cog, e.cog) << "pattern " << i;
+            EXPECT_EQ(g.source_csg, e.source_csg) << "pattern " << i;
+          }
+        }
+      }
+    }
   }
 }
 

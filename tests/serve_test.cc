@@ -573,6 +573,28 @@ TEST_F(ServeTest, BadBudgetGetsErrorReplyConnectionSurvives) {
   server.Stop();
 }
 
+// eta_max sizes the selector's per-size tallies: one of 2^40 must get an
+// error reply like any bad budget, and the server must keep serving.
+TEST_F(ServeTest, OverBoundEtaMaxGetsErrorReplyServerSurvives) {
+  serve::Server server;
+  ASSERT_EQ(server.Start(TestDb(), BaseOptions("etamax"), &TestCorpus()), "");
+  serve::ServeClient client;
+  ASSERT_EQ(client.Connect(server.socket_path()), "");
+  serve::MineRequest huge = FastRequest();
+  huge.eta_max = uint64_t{1} << 40;
+  huge.bypass_cache = true;
+  auto outcome = client.Mine(huge);
+  ASSERT_EQ(outcome.kind, Kind::kError);
+  EXPECT_NE(outcome.error.find("selector.budget.eta_max"), std::string::npos)
+      << outcome.error;
+
+  serve::ServeClient next;
+  ASSERT_EQ(next.Connect(server.socket_path()), "");
+  outcome = next.Mine(FastRequest());
+  ASSERT_EQ(outcome.kind, Kind::kPanel) << outcome.error;
+  server.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Observability: request ids, the structured request log, and the admin
 // endpoint (DESIGN.md §16).
