@@ -14,8 +14,8 @@
 #   4. run with no workers at all under a short join timeout — the
 #      in-process fallback must still byte-match, with the dedicated
 #      exit code 7 flagging "completed only via fallback";
-#   5. rerun the fleet twice under CATAPULT_FIXED_TICKS — the merged trace
-#      must be byte-stable across runs (DESIGN.md §16).
+#   5. rerun the fleet three times under CATAPULT_FIXED_TICKS — the merged
+#      trace must be byte-stable across runs (DESIGN.md §16).
 #
 # Usage: scripts/dist_net_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -132,10 +132,10 @@ echo "   fallback byte-identical, exit code 7"
 
 echo "== fixed-tick fleet: merged trace byte-stable across runs"
 # Under CATAPULT_FIXED_TICKS every process draws timestamps from the same
-# deterministic counter, so two identical fleet runs must merge to
+# deterministic counter, so identical fleet runs must merge to
 # byte-identical trace files. A single worker carrying both shards keeps
 # the member interleaving deterministic too.
-for run in 1 2; do
+for run in 1 2 3; do
   FSOCK=unix:$WORK/fixed_$run.sock
   CATAPULT_FIXED_TICKS=1 "$CLI" mine --db "$WORK/db.txt" \
     --out "$WORK/fixed_$run.txt" "${MINE_FLAGS[@]}" --processes 2 \
@@ -149,8 +149,10 @@ for run in 1 2; do
     || { echo "fixed-tick supervisor failed"; cat "$WORK/fixed_$run.log"; exit 1; }
   reap_workers || exit 1
 done
-diff "$WORK/fixed_trace_1.json" "$WORK/fixed_trace_2.json" \
-  || { echo "merged trace not byte-stable under fixed ticks"; exit 1; }
+for run in 2 3; do
+  diff "$WORK/fixed_trace_1.json" "$WORK/fixed_trace_$run.json" \
+    || { echo "merged trace not byte-stable under fixed ticks"; exit 1; }
+done
 diff "$WORK/single.txt" "$WORK/fixed_1.txt" \
   || { echo "fixed-tick panel differs"; exit 1; }
 echo "   trace byte-identical across fixed-tick reruns"

@@ -197,8 +197,7 @@ void FineClusteringStage(const GraphDatabase& db,
 ClusteringResult SmallGraphClustering(
     const GraphDatabase& db, const SmallGraphClusteringOptions& options,
     Rng& rng) {
-  std::vector<GraphId> all(db.size());
-  for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
+  const std::vector<GraphId> all = AllGraphIds(db);
   const RunContext ctx = RunContext::NoLimit();
   ClusteringResult result =
       CoarseClusteringStage(db, all, options, rng, ctx);

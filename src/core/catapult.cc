@@ -214,12 +214,10 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
          std::to_string(corpus->clusters.size()) + " clusters"});
   } else {
     RunContext clustering_ctx = run_ctx.Slice(kClusteringTimeShare);
-    std::vector<GraphId> all(db.size());
-    for (GraphId i = 0; i < db.size(); ++i) all[i] = i;
     // Sampling (Section 4.3) replaces the coarse stage's mining step and
     // thins oversized coarse clusters before the fine stage.
     ClusteringResult clustering = CoarseClusteringStage(
-        db, all, options.clustering, rng, clustering_ctx,
+        db, AllGraphIds(db), options.clustering, rng, clustering_ctx,
         options.use_sampling ? &options.eager : nullptr);
     if (options.use_sampling) {
       clustering.clusters = LazySampleClusters(clustering.clusters, db.size(),

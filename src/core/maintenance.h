@@ -14,12 +14,12 @@ namespace catapult {
 // Instead of re-running the whole pipeline when new graphs arrive, the
 // updater (a) assigns each new graph to the existing cluster whose CSG it
 // is most similar to (the fraction of the graph's edges that fold onto the
-// summary without growing it, MappedEdgeFraction - the criterion the
-// closure construction itself optimises),
-// creating fresh clusters for graphs that match nothing well, (b) folds the
-// new members into the affected CSGs via the same closure step used at
-// build time, and (c) re-runs only the selection phase (Algorithm 4), which
-// is orders of magnitude cheaper than clustering.
+// summary without growing it, MappedEdgeFraction - computed with the very
+// mapping BuildCsg folds members through), creating fresh clusters for
+// graphs that match nothing well, (b) folds the new members into the
+// affected CSGs via the same closure step used at build time, and (c)
+// re-runs only the selection phase (Algorithm 4), which is orders of
+// magnitude cheaper than clustering.
 struct MaintenanceOptions {
   // A new graph joins its best cluster only if at least this fraction of
   // its edges folds onto that cluster's summary (MappedEdgeFraction), or,

@@ -81,9 +81,11 @@ SelectionResult FindCannedPatternSet(
   SelectionResult result;
   if (csgs.empty() || db.empty()) return result;
 
-  EdgeLabelWeights elw(db);
+  // One labelled-edge index per call serves both elw and lcov.
+  EdgeLabelIndex edge_index = BuildEdgeLabelIndex(db, AllGraphIds(db));
+  EdgeLabelWeights elw(edge_index, db.size());
   ClusterWeights cw(clusters, db.size());
-  LabelCoverageIndex label_index(db);
+  LabelCoverageIndex label_index(std::move(edge_index), db.size());
 
   // Flat summary views + label domains for the coverage kernel, built once
   // per corpus. The serving path passes a prebuilt index so repeated

@@ -5,10 +5,14 @@
 
 namespace catapult {
 
-EdgeLabelWeights::EdgeLabelWeights(const GraphDatabase& db) {
-  const double total = static_cast<double>(db.size());
-  for (const auto& [key, support] : db.EdgeLabelSupport()) {
-    weights_[key] = static_cast<double>(support) / total;
+EdgeLabelWeights::EdgeLabelWeights(const GraphDatabase& db)
+    : EdgeLabelWeights(BuildEdgeLabelIndex(db, AllGraphIds(db)), db.size()) {}
+
+EdgeLabelWeights::EdgeLabelWeights(const EdgeLabelIndex& index,
+                                   size_t database_size) {
+  const double total = static_cast<double>(database_size);
+  for (const auto& [key, graphs] : index) {
+    weights_[key] = static_cast<double>(graphs.Count()) / total;
   }
 }
 
@@ -53,18 +57,12 @@ ClusterWeights::ClusterWeights(
 }
 
 LabelCoverageIndex::LabelCoverageIndex(const GraphDatabase& db)
-    : database_size_(db.size()) {
-  for (GraphId i = 0; i < db.size(); ++i) {
-    const Graph& g = db.graph(i);
-    std::unordered_set<EdgeLabelKey> seen;
-    for (const Edge& e : g.EdgeList()) seen.insert(g.EdgeKey(e.u, e.v));
-    for (EdgeLabelKey key : seen) {
-      auto [it, inserted] =
-          graphs_with_key_.try_emplace(key, DynamicBitset(database_size_));
-      it->second.Set(i);
-    }
-  }
-}
+    : LabelCoverageIndex(BuildEdgeLabelIndex(db, AllGraphIds(db)),
+                         db.size()) {}
+
+LabelCoverageIndex::LabelCoverageIndex(EdgeLabelIndex index,
+                                       size_t database_size)
+    : graphs_with_key_(std::move(index)), database_size_(database_size) {}
 
 DynamicBitset LabelCoverageIndex::UnionFor(const Graph& pattern,
                                            DynamicBitset acc) const {

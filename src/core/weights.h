@@ -21,6 +21,9 @@ class EdgeLabelWeights {
  public:
   // Builds weights from the database: weight(key) = |L(e, D)| / |D|.
   explicit EdgeLabelWeights(const GraphDatabase& db);
+  // The same weights read off `index`, built over all `database_size`
+  // graphs of the database.
+  EdgeLabelWeights(const EdgeLabelIndex& index, size_t database_size);
 
   // Current weight of `key` (0 for labels absent from D).
   double Get(EdgeLabelKey key) const;
@@ -80,6 +83,8 @@ class ClusterWeights {
 class LabelCoverageIndex {
  public:
   explicit LabelCoverageIndex(const GraphDatabase& db);
+  // Adopts `index`, built over all `database_size` graphs of the database.
+  LabelCoverageIndex(EdgeLabelIndex index, size_t database_size);
 
   // lcov(p, D): fraction of graphs containing at least one of the pattern's
   // labelled edges.
@@ -93,7 +98,7 @@ class LabelCoverageIndex {
  private:
   DynamicBitset UnionFor(const Graph& pattern, DynamicBitset acc) const;
 
-  std::unordered_map<EdgeLabelKey, DynamicBitset> graphs_with_key_;
+  EdgeLabelIndex graphs_with_key_;
   size_t database_size_;
 };
 

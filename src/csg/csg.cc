@@ -96,13 +96,17 @@ std::optional<ClusterSummaryGraph> ClusterSummaryGraph::FromParts(
 namespace {
 
 // Greedy label/adjacency-guided mapping of `g` into `csg` (the closure-tree
-// heuristic). mapping[gv] is the summary vertex for gv, or -1 where a new
-// vertex would be created. Returns the number of g-edges whose endpoints
-// map to an existing summary edge.
-size_t GreedyFoldMapping(const ClusterSummaryGraph& csg, const Graph& g,
-                         std::vector<int>& mapping) {
+// heuristic): g's vertices are visited in BFS order from the highest-degree
+// vertex (unreached vertices of a disconnected g appended in id order), and
+// each takes the unused same-label summary vertex that realises the most
+// edges to already-mapped neighbours (ties: the vertex supported by more
+// members, then the lowest id). mapping[gv] is that summary vertex, or -1
+// where none is left and folding pads a new one. Returns the visiting order.
+std::vector<VertexId> GreedyFoldMapping(const ClusterSummaryGraph& csg,
+                                        const Graph& g,
+                                        std::vector<int>& mapping) {
   mapping.assign(g.NumVertices(), -1);
-  if (g.NumVertices() == 0) return 0;
+  if (g.NumVertices() == 0) return {};
   VertexId start = 0;
   for (VertexId v = 1; v < g.NumVertices(); ++v) {
     if (g.Degree(v) > g.Degree(start)) start = v;
@@ -142,17 +146,7 @@ size_t GreedyFoldMapping(const ClusterSummaryGraph& csg, const Graph& g,
     mapping[gv] = best;
     if (best >= 0) summary_used[static_cast<VertexId>(best)] = true;
   }
-  size_t mapped_edges = 0;
-  for (const Edge& e : g.EdgeList()) {
-    int mu = mapping[e.u];
-    int mv = mapping[e.v];
-    if (mu >= 0 && mv >= 0 &&
-        csg.FindEdge(static_cast<VertexId>(mu),
-                     static_cast<VertexId>(mv)) >= 0) {
-      ++mapped_edges;
-    }
-  }
-  return mapped_edges;
+  return order;
 }
 
 }  // namespace
@@ -160,7 +154,17 @@ size_t GreedyFoldMapping(const ClusterSummaryGraph& csg, const Graph& g,
 double MappedEdgeFraction(const ClusterSummaryGraph& csg, const Graph& g) {
   if (g.NumEdges() == 0) return 0.0;
   std::vector<int> mapping;
-  size_t mapped = GreedyFoldMapping(csg, g, mapping);
+  GreedyFoldMapping(csg, g, mapping);
+  size_t mapped = 0;
+  for (const Edge& e : g.EdgeList()) {
+    int mu = mapping[e.u];
+    int mv = mapping[e.v];
+    if (mu >= 0 && mv >= 0 &&
+        csg.FindEdge(static_cast<VertexId>(mu),
+                     static_cast<VertexId>(mv)) >= 0) {
+      ++mapped;
+    }
+  }
   return static_cast<double>(mapped) / static_cast<double>(g.NumEdges());
 }
 
@@ -183,6 +187,7 @@ ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
           : member_ids.size();
   size_t charged_vertices = 0;
   size_t charged_edges = 0;
+  std::vector<int> mapping;
   for (size_t member = 0; member < member_ids.size(); ++member) {
     // Fold member 0 unconditionally (a non-empty cluster must yield a
     // non-empty summary); later members are skipped once the deadline
@@ -207,64 +212,19 @@ ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
     if (g.NumVertices() == 0) continue;
     obs::Count(obs::Counter::kCsgFolds);
 
-    // Map g's vertices into the summary in BFS order from the highest-
-    // degree vertex, greedily choosing the same-label summary vertex that
-    // realises the most edges to already-mapped neighbours (ties: the
-    // vertex supported by more members, then the lowest id).
-    VertexId start = 0;
-    for (VertexId v = 1; v < g.NumVertices(); ++v) {
-      if (g.Degree(v) > g.Degree(start)) start = v;
-    }
-    std::vector<VertexId> order = BfsOrder(g, start);
-    // Disconnected member graphs: append remaining vertices (the library's
-    // data generators produce connected graphs, but be safe).
-    if (order.size() < g.NumVertices()) {
-      std::vector<bool> seen(g.NumVertices(), false);
-      for (VertexId v : order) seen[v] = true;
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        if (!seen[v]) order.push_back(v);
-      }
-    }
-
-    std::vector<int> mapping(g.NumVertices(), -1);
-    std::vector<bool> summary_used(csg.NumVertices(), false);
-    for (VertexId gv : order) {
-      Label label = g.VertexLabel(gv);
-      int best = -1;
-      size_t best_adjacency = 0;
-      size_t best_support = 0;
-      for (VertexId sv = 0; sv < csg.NumVertices(); ++sv) {
-        if (summary_used[sv] || csg.VertexLabel(sv) != label) continue;
-        size_t adjacency = 0;
-        for (const Graph::Neighbor& n : g.Neighbors(gv)) {
-          int mapped = mapping[n.to];
-          if (mapped >= 0 &&
-              csg.FindEdge(sv, static_cast<VertexId>(mapped)) >= 0) {
-            ++adjacency;
-          }
-        }
-        size_t support = csg.VertexSupport(sv).Count();
-        if (best < 0 || adjacency > best_adjacency ||
-            (adjacency == best_adjacency && support > best_support)) {
-          best = static_cast<int>(sv);
-          best_adjacency = adjacency;
-          best_support = support;
-        }
-      }
-      VertexId target;
-      if (best < 0) {
+    // Map g onto the summary as it stands, then pad the unmapped vertices
+    // in visiting order. Padding after the mapping equals padding during
+    // it: a pad is used at once by the vertex it was made for and has no
+    // edges until the member's edges are marked, so no later choice sees it.
+    for (VertexId gv : GreedyFoldMapping(csg, g, mapping)) {
+      if (mapping[gv] < 0) {
         obs::Count(obs::Counter::kCsgDummyPads);
-        target = csg.AddVertex(label);
-        summary_used.push_back(false);
+        mapping[gv] = static_cast<int>(csg.AddVertex(g.VertexLabel(gv)));
       } else {
         obs::Count(obs::Counter::kCsgVerticesMapped);
-        target = static_cast<VertexId>(best);
       }
-      mapping[gv] = static_cast<int>(target);
-      summary_used[target] = true;
-      csg.MarkVertex(target, member);
+      csg.MarkVertex(static_cast<VertexId>(mapping[gv]), member);
     }
-
     for (const Edge& e : g.EdgeList()) {
       csg.MarkEdge(static_cast<VertexId>(mapping[e.u]),
                    static_cast<VertexId>(mapping[e.v]), member);

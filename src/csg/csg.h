@@ -100,10 +100,11 @@ ClusterSummaryGraph BuildCsg(const GraphDatabase& db,
                              const RunContext& ctx = RunContext::NoLimit(),
                              bool* complete = nullptr);
 
-// Dry-run of the closure step: greedily maps `g` onto `csg` exactly the way
-// BuildCsg would, without mutating the summary, and returns the fraction of
-// g's edges that land on existing summary edges (1.0 = g folds in with no
-// growth). Used by incremental maintenance as a structural affinity score.
+// Dry-run of the closure step: maps `g` onto `csg` with the greedy mapping
+// BuildCsg folds every member through, without mutating the summary, and
+// returns the fraction of g's edges that land on existing summary edges
+// (1.0 = g folds in with no growth). Used by incremental maintenance as a
+// structural affinity score.
 double MappedEdgeFraction(const ClusterSummaryGraph& csg, const Graph& g);
 
 // Builds one CSG per cluster, always (selection relies on the 1:1

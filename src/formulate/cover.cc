@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/graph/algorithms.h"
 #include "src/iso/flat_vf2.h"
 #include "src/util/check.h"
 
@@ -101,6 +102,17 @@ QueryCover MaxPatternCover(const Graph& query,
     cover.covered_edges += patterns[use.pattern_index].NumEdges();
   }
   return cover;
+}
+
+QueryCover PanelCover(const Graph& query, const GuiModel& gui,
+                      const CoverOptions& options) {
+  if (gui.unlabelled && !gui.patterns.empty() &&
+      gui.patterns.front().NumVertices() > 0) {
+    return MaxPatternCover(
+        RelabelAllVertices(query, gui.patterns.front().VertexLabel(0)),
+        gui.patterns, options);
+  }
+  return MaxPatternCover(query, gui.patterns, options);
 }
 
 }  // namespace catapult

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "src/formulate/gui.h"
 #include "src/graph/graph.h"
 #include "src/iso/vf2.h"
 
@@ -41,6 +42,13 @@ struct QueryCover {
 QueryCover MaxPatternCover(const Graph& query,
                            const std::vector<Graph>& patterns,
                            const CoverOptions& options = {});
+
+// MaxPatternCover of `query` by `gui`'s panel, as every formulation entry
+// point computes it. For an unlabelled panel whose first pattern has a
+// vertex, the query is first relabelled to that vertex's label (Exp 3's
+// normalisation: label-free panel patterns can match anywhere).
+QueryCover PanelCover(const Graph& query, const GuiModel& gui,
+                      const CoverOptions& options);
 
 }  // namespace catapult
 

@@ -5,7 +5,6 @@
 
 #include "src/core/pattern_score.h"
 #include "src/formulate/steps.h"
-#include "src/graph/algorithms.h"
 #include "src/iso/flat_vf2.h"
 #include "src/iso/ged.h"
 
@@ -16,19 +15,7 @@ QueryFormulation FormulateQuery(const Graph& query, const GuiModel& gui,
   QueryFormulation out;
   out.steps_total = StepsEdgeAtATime(query);
 
-  const Graph* effective_query = &query;
-  Graph relabelled;
-  if (gui.unlabelled && !gui.patterns.empty()) {
-    // Exp 3 normalisation: erase the query's labels so unlabelled panel
-    // patterns can match anywhere.
-    Label common = gui.patterns.front().NumVertices() > 0
-                       ? gui.patterns.front().VertexLabel(0)
-                       : 0;
-    relabelled = RelabelAllVertices(query, common);
-    effective_query = &relabelled;
-  }
-
-  QueryCover cover = MaxPatternCover(*effective_query, gui.patterns, options);
+  QueryCover cover = PanelCover(query, gui, options);
   out.patterns_used = cover.uses.size();
   out.steps_patterns =
       StepsWithPatterns(query, gui.patterns, cover, gui.unlabelled);

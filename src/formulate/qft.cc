@@ -4,7 +4,6 @@
 
 #include "src/core/pattern_score.h"
 #include "src/formulate/steps.h"
-#include "src/graph/algorithms.h"
 
 namespace catapult {
 
@@ -25,15 +24,7 @@ double Noise(const QftModel& model, Rng& rng) {
 double SimulateQft(const Graph& query, const GuiModel& gui,
                    const QftModel& model, Rng& rng,
                    const CoverOptions& options) {
-  const Graph* effective_query = &query;
-  Graph relabelled;
-  if (gui.unlabelled && !gui.patterns.empty() &&
-      gui.patterns.front().NumVertices() > 0) {
-    relabelled =
-        RelabelAllVertices(query, gui.patterns.front().VertexLabel(0));
-    effective_query = &relabelled;
-  }
-  QueryCover cover = MaxPatternCover(*effective_query, gui.patterns, options);
+  QueryCover cover = PanelCover(query, gui, options);
   size_t steps =
       StepsWithPatterns(query, gui.patterns, cover, gui.unlabelled);
 

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "src/graph/algorithms.h"
 #include "src/util/check.h"
 
 namespace catapult {
@@ -12,15 +11,7 @@ FormulationPlan PlanFormulation(const Graph& query, const GuiModel& gui,
                                 const CoverOptions& options) {
   FormulationPlan plan;
 
-  const Graph* effective_query = &query;
-  Graph relabelled;
-  if (gui.unlabelled && !gui.patterns.empty() &&
-      gui.patterns.front().NumVertices() > 0) {
-    relabelled =
-        RelabelAllVertices(query, gui.patterns.front().VertexLabel(0));
-    effective_query = &relabelled;
-  }
-  plan.cover = MaxPatternCover(*effective_query, gui.patterns, options);
+  plan.cover = PanelCover(query, gui, options);
 
   // Query vertices and edges realised by pattern placements.
   std::vector<bool> vertex_covered(query.NumVertices(), false);

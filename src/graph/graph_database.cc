@@ -23,13 +23,9 @@ GraphDatabase GraphDatabase::Subset(const std::vector<GraphId>& ids) const {
 std::unordered_map<EdgeLabelKey, size_t> GraphDatabase::EdgeLabelSupport()
     const {
   std::unordered_map<EdgeLabelKey, size_t> support;
-  std::unordered_set<EdgeLabelKey> seen;
-  for (const Graph& g : graphs_) {
-    seen.clear();
-    for (const Edge& e : g.EdgeList()) {
-      seen.insert(g.EdgeKey(e.u, e.v));
-    }
-    for (EdgeLabelKey key : seen) ++support[key];
+  for (const auto& [key, graphs] :
+       BuildEdgeLabelIndex(*this, AllGraphIds(*this))) {
+    support[key] = graphs.Count();
   }
   return support;
 }
@@ -60,6 +56,28 @@ DatabaseStats GraphDatabase::Stats() const {
   stats.num_vertex_labels = vertex_labels.size();
   stats.num_edge_label_keys = edge_keys.size();
   return stats;
+}
+
+std::vector<GraphId> AllGraphIds(const GraphDatabase& db) {
+  std::vector<GraphId> ids(db.size());
+  for (GraphId i = 0; i < db.size(); ++i) ids[i] = i;
+  return ids;
+}
+
+EdgeLabelIndex BuildEdgeLabelIndex(const GraphDatabase& db,
+                                   const std::vector<GraphId>& graph_ids) {
+  EdgeLabelIndex index;
+  for (size_t i = 0; i < graph_ids.size(); ++i) {
+    const Graph& g = db.graph(graph_ids[i]);
+    std::unordered_set<EdgeLabelKey> seen;
+    for (const Edge& e : g.EdgeList()) seen.insert(g.EdgeKey(e.u, e.v));
+    for (EdgeLabelKey key : seen) {
+      auto [it, inserted] =
+          index.try_emplace(key, DynamicBitset(graph_ids.size()));
+      it->second.Set(i);
+    }
+  }
+  return index;
 }
 
 }  // namespace catapult

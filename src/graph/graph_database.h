@@ -7,6 +7,7 @@
 
 #include "src/graph/graph.h"
 #include "src/graph/label_map.h"
+#include "src/util/bitset.h"
 
 namespace catapult {
 
@@ -22,6 +23,11 @@ struct DatabaseStats {
   size_t num_vertex_labels = 0;
   size_t num_edge_label_keys = 0;
 };
+
+// Labelled-edge key -> the graphs holding at least one edge with that key,
+// as bit positions into the id list the index was built over: L(e, D) of
+// Section 3.2 as posting lists.
+using EdgeLabelIndex = std::unordered_map<EdgeLabelKey, DynamicBitset>;
 
 // A repository of small/medium data graphs (the paper's D). Owns the graphs
 // and the shared LabelMap. Graph ids are their indices.
@@ -59,7 +65,8 @@ class GraphDatabase {
   GraphDatabase Subset(const std::vector<GraphId>& ids) const;
 
   // Frequency map: labelled-edge key -> number of graphs containing at least
-  // one edge with that key. This is |L(e, D)| from Section 3.2.
+  // one edge with that key. This is |L(e, D)| from Section 3.2, counted off
+  // EdgeLabelIndex.
   std::unordered_map<EdgeLabelKey, size_t> EdgeLabelSupport() const;
 
   // Aggregate statistics.
@@ -69,6 +76,17 @@ class GraphDatabase {
   std::vector<Graph> graphs_;
   LabelMap labels_;
 };
+
+// The ids 0..db.size()-1, for the callers that work on the whole database.
+std::vector<GraphId> AllGraphIds(const GraphDatabase& db);
+
+// Posting lists of the graphs `graph_ids` of `db`: bit i of a key's set
+// stands for graph_ids[i]. The map's iteration order reaches the miners'
+// first level (src/mining/subgraph_miner.h), so keys are inserted graph by
+// graph, each graph's distinct keys in the iteration order of a fresh
+// unordered_set filled in edge-list order.
+EdgeLabelIndex BuildEdgeLabelIndex(const GraphDatabase& db,
+                                   const std::vector<GraphId>& graph_ids);
 
 }  // namespace catapult
 

@@ -10,29 +10,37 @@
 
 namespace catapult {
 
-std::vector<FrequentSubgraph> MineFrequentSubgraphs(
-    const GraphDatabase& db, const SubgraphMinerOptions& options) {
+std::vector<FrequentSubgraph> GrowFrequentPatterns(
+    const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
+    const SubgraphMinerOptions& options, bool close_cycles,
+    const RunContext& ctx, bool* complete) {
+  if (complete != nullptr) *complete = true;
   std::vector<FrequentSubgraph> results;
-  const size_t universe = db.size();
+  const size_t universe = graph_ids.size();
   if (universe == 0) return results;
   const size_t min_count = static_cast<size_t>(
       std::max(1.0, options.min_support * static_cast<double>(universe)));
+  auto frequency = [universe](const DynamicBitset& support) {
+    return static_cast<double>(support.Count()) /
+           static_cast<double>(universe);
+  };
 
   // Level 1: frequent labelled edges.
-  std::unordered_map<EdgeLabelKey, DynamicBitset> edge_support;
-  for (GraphId i = 0; i < universe; ++i) {
-    const Graph& g = db.graph(i);
-    std::unordered_set<EdgeLabelKey> seen;
-    for (const Edge& e : g.EdgeList()) seen.insert(g.EdgeKey(e.u, e.v));
-    for (EdgeLabelKey key : seen) {
-      auto [it, inserted] =
-          edge_support.try_emplace(key, DynamicBitset(universe));
-      it->second.Set(i);
-    }
+  std::vector<FrequentSubgraph> frontier;
+  for (auto& [key, support] : BuildEdgeLabelIndex(db, graph_ids)) {
+    if (support.Count() < min_count) continue;
+    Graph g;
+    VertexId a = g.AddVertex(static_cast<Label>(key >> 32));
+    VertexId b = g.AddVertex(static_cast<Label>(key & 0xFFFFFFFFULL));
+    g.AddEdge(a, b);
+    const double f = frequency(support);
+    frontier.push_back({std::move(g), std::move(support), f});
   }
+
+  // Frequent vertex labels: the only labels worth attaching as new leaves.
   std::unordered_map<Label, size_t> vertex_label_count;
-  for (GraphId i = 0; i < universe; ++i) {
-    const Graph& g = db.graph(i);
+  for (GraphId id : graph_ids) {
+    const Graph& g = db.graph(id);
     std::unordered_set<Label> seen;
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       seen.insert(g.VertexLabel(v));
@@ -45,34 +53,27 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
   }
   std::sort(frequent_labels.begin(), frequent_labels.end());
 
-  std::vector<FrequentSubgraph> frontier;
-  for (const auto& [key, support] : edge_support) {
-    if (support.Count() < min_count) continue;
-    Graph g;
-    VertexId a = g.AddVertex(static_cast<Label>(key >> 32));
-    VertexId b = g.AddVertex(static_cast<Label>(key & 0xFFFFFFFFULL));
-    g.AddEdge(a, b);
-    FrequentSubgraph fs;
-    fs.graph = std::move(g);
-    fs.frequency =
-        static_cast<double>(support.Count()) / static_cast<double>(universe);
-    fs.support = support;
-    frontier.push_back(std::move(fs));
-  }
-
-  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db);
+  // Level-wise growth. Support counting tests candidates against the
+  // graphs flattened once for the whole run.
+  const FlatGraphDatabase flat_db = FlatGraphDatabase::Build(db, graph_ids);
   while (!frontier.empty()) {
     for (const FrequentSubgraph& fs : frontier) {
       if (fs.graph.NumEdges() >= options.min_edges) results.push_back(fs);
     }
     if (frontier.front().graph.NumEdges() >= options.max_edges) break;
 
-    std::unordered_set<std::string> seen;  // canonical codes of the level
     struct Candidate {
       Graph graph;
       const DynamicBitset* parent_support;
     };
     std::vector<Candidate> candidates;
+    std::unordered_set<std::string> seen;  // canonical codes of the level
+    auto offer = [&](Graph extended, const DynamicBitset& parent_support) {
+      if (seen.insert(CanonicalCode(extended)).second) {
+        candidates.push_back({std::move(extended), &parent_support});
+      }
+    };
+    // Most frequent parents first, so per-level caps keep the best ones.
     std::vector<size_t> parent_order(frontier.size());
     for (size_t i = 0; i < frontier.size(); ++i) parent_order[i] = i;
     std::stable_sort(parent_order.begin(), parent_order.end(),
@@ -92,40 +93,42 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
           Graph extended = parent.graph;
           VertexId leaf = extended.AddVertex(label);
           extended.AddEdge(attach, leaf);
-          if (seen.insert(CanonicalCode(extended)).second) {
-            candidates.push_back({std::move(extended), &parent.support});
-          }
+          offer(std::move(extended), parent.support);
         }
       }
+      if (!close_cycles) continue;
       // (b) Close a cycle between two existing non-adjacent vertices.
       for (VertexId u = 0; u < parent.graph.NumVertices(); ++u) {
         for (VertexId v = u + 1; v < parent.graph.NumVertices(); ++v) {
           if (parent.graph.HasEdge(u, v)) continue;
           Graph extended = parent.graph;
           extended.AddEdge(u, v);
-          if (seen.insert(CanonicalCode(extended)).second) {
-            candidates.push_back({std::move(extended), &parent.support});
-          }
+          offer(std::move(extended), parent.support);
         }
       }
     }
 
+    // Count support (restricted to the parent's support set). This is the
+    // expensive inner loop, one subgraph-isomorphism test per graph, so
+    // the deadline is polled per candidate; a stop discards the level.
     std::vector<FrequentSubgraph> next;
     for (Candidate& c : candidates) {
+      if (ctx.StopRequested("miner.count_support")) {
+        if (complete != nullptr) *complete = false;
+        next.clear();
+        break;
+      }
       FlatGraph flat_candidate = FlatGraph::Build(c.graph);
       DynamicBitset support =
           ContainingGraphs(flat_candidate.View(), flat_db, c.parent_support);
       if (support.Count() < min_count) continue;
-      FrequentSubgraph fs;
-      fs.frequency = static_cast<double>(support.Count()) /
-                     static_cast<double>(universe);
-      fs.graph = std::move(c.graph);
-      fs.support = std::move(support);
-      next.push_back(std::move(fs));
+      const double f = frequency(support);
+      next.push_back({std::move(c.graph), std::move(support), f});
     }
     frontier = std::move(next);
   }
 
+  // Most frequent first; apply the result cap.
   std::stable_sort(results.begin(), results.end(),
                    [](const FrequentSubgraph& a, const FrequentSubgraph& b) {
                      return a.frequency > b.frequency;
@@ -134,6 +137,13 @@ std::vector<FrequentSubgraph> MineFrequentSubgraphs(
     results.resize(options.max_results);
   }
   return results;
+}
+
+std::vector<FrequentSubgraph> MineFrequentSubgraphs(
+    const GraphDatabase& db, const SubgraphMinerOptions& options) {
+  return GrowFrequentPatterns(db, AllGraphIds(db), options,
+                              /*close_cycles=*/true, RunContext::NoLimit(),
+                              nullptr);
 }
 
 std::vector<Graph> FrequentSubgraphPatternSet(

@@ -5,6 +5,7 @@
 
 #include "src/graph/graph_database.h"
 #include "src/util/bitset.h"
+#include "src/util/deadline.h"
 
 namespace catapult {
 
@@ -32,11 +33,28 @@ struct FrequentSubgraph {
   double frequency = 0.0;
 };
 
-// Pattern-growth miner for frequent connected subgraphs: each level extends
-// patterns by one edge (either a new labelled leaf or a cycle-closing edge
-// between existing vertices), keeps the first candidate of each canonical
-// code (src/iso/canonical_code.h), and counts support by subgraph
-// isomorphism restricted to the parent's support set.
+// The level-wise pattern-growth loop behind both miners: this one and the
+// subtree miner of src/mining/subtree_miner.h. Level 1 holds the frequent
+// labelled edges of the graphs `graph_ids` (support bit i stands for
+// graph_ids[i]), in the iteration order of their EdgeLabelIndex. Each level
+// extends its patterns, most frequent parents first until
+// `max_candidates_per_level` candidates exist, by one edge: a new leaf of
+// every frequent vertex label at every vertex and, if `close_cycles`, an
+// edge between every two non-adjacent vertices. The first candidate of each
+// canonical code (src/iso/canonical_code.h) is kept, and its support is
+// counted by subgraph isomorphism restricted to its parent's support set
+// (anti-monotonicity). Counting polls `ctx` per candidate (failpoint site
+// "miner.count_support"); on a stop the levels completed so far are
+// returned, an anytime result since every pattern carries its exact
+// support, and `complete` (optional) is cleared. Patterns of at least
+// `min_edges` edges are returned most frequent first, cut to `max_results`.
+std::vector<FrequentSubgraph> GrowFrequentPatterns(
+    const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
+    const SubgraphMinerOptions& options, bool close_cycles,
+    const RunContext& ctx, bool* complete);
+
+// Frequent connected subgraphs of the whole database: GrowFrequentPatterns
+// with cycle closure.
 std::vector<FrequentSubgraph> MineFrequentSubgraphs(
     const GraphDatabase& db, const SubgraphMinerOptions& options);
 

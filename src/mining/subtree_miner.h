@@ -34,22 +34,19 @@ struct SubtreeMinerOptions {
 // A mined frequent subtree with its support set.
 struct FrequentSubtree {
   Graph tree;
-  std::string canonical;   // CanonicalTreeString(tree)
+  // CanonicalTreeString(tree), computed once per returned subtree for the
+  // callers that key features by it (facility location, checkpoints).
+  std::string canonical;
   DynamicBitset support;   // bit i set iff graph i contains the subtree
   double frequency = 0.0;  // |support| / universe size
 };
 
 // Mines frequent free subtrees of the graphs in `db` whose ids are listed in
-// `graph_ids` (support is measured against graph_ids.size()). Pattern
-// growth: frequent labelled edges seed level 1; each level-k tree is
-// extended by attaching one new labelled leaf at every position, candidates
-// are deduplicated by canonical string, and support is counted by subgraph
-// isomorphism restricted to the parent's support set (anti-monotonicity).
-// Support counting polls `ctx` (failpoint site "miner.count_support") and,
-// on expiry/cancellation, mining stops after the current candidate and
-// returns the levels completed so far — an anytime result, since every
-// returned subtree carries its exact support. `complete` (optional) reports
-// whether mining ran to natural completion.
+// `graph_ids` (support is measured against graph_ids.size()): the growth
+// loop GrowFrequentPatterns (src/mining/subgraph_miner.h) without cycle
+// closure, so every candidate is a tree, with the same stop semantics on
+// `ctx` (failpoint site "miner.count_support"). `complete` (optional)
+// reports whether mining ran to natural completion.
 std::vector<FrequentSubtree> MineFrequentSubtrees(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SubtreeMinerOptions& options,

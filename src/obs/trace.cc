@@ -172,6 +172,10 @@ void Span::Close() {
   event.parent_id = parent_id_;
   const std::array<uint64_t, kNumCounters> at_close = ThreadCounterSnapshot();
   for (size_t i = 0; i < kNumCounters; ++i) {
+    // Span args carry work counts only. Heartbeat frames are paced by the
+    // wall clock, so their count would differ between identical runs; it
+    // stays in the metrics.
+    if (static_cast<Counter>(i) == Counter::kDistHeartbeats) continue;
     const uint64_t delta = at_close[i] - counters_at_open_[i];
     if (delta != 0) {
       event.counter_deltas.emplace_back(static_cast<Counter>(i), delta);

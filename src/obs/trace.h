@@ -9,7 +9,8 @@
 // though they run on a different thread. Each span also records the delta
 // of the owning thread's metric counters between open and close, emitted as
 // trace-event args — hovering a VF2-heavy span in Perfetto shows exactly
-// how many calls/nodes it spent.
+// how many calls/nodes it spent. Only work counts appear there: the
+// wall-clock-paced dist.heartbeats is left out.
 //
 // Spans are coarse (phases, sub-phases, per-cluster folds, checkpoint
 // writes), so the tracer is a simple mutex-protected event buffer; the
@@ -40,7 +41,8 @@ struct TraceEvent {
   uint64_t parent_id = 0;  // 0 = root
   int tid = 0;             // small per-tracer thread index
   int pid = 0;             // process track; 0 renders as 1 (the host process)
-  // Non-zero counter deltas over the span's lifetime on its own thread.
+  // Non-zero counter deltas over the span's lifetime on its own thread
+  // (dist.heartbeats excluded).
   std::vector<std::pair<Counter, uint64_t>> counter_deltas;
 };
 

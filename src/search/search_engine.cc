@@ -7,7 +7,9 @@
 namespace catapult {
 
 SubgraphSearchEngine::SubgraphSearchEngine(const GraphDatabase& db)
-    : db_(&db), flat_(FlatGraphDatabase::Build(db)) {
+    : db_(&db),
+      flat_(FlatGraphDatabase::Build(db)),
+      edge_index_(BuildEdgeLabelIndex(db, AllGraphIds(db))) {
   const size_t n = db.size();
   vertex_counts_.resize(n);
   edge_counts_.resize(n);
@@ -15,12 +17,6 @@ SubgraphSearchEngine::SubgraphSearchEngine(const GraphDatabase& db)
     const Graph& g = db.graph(i);
     vertex_counts_[i] = static_cast<uint32_t>(g.NumVertices());
     edge_counts_[i] = static_cast<uint32_t>(g.NumEdges());
-    std::unordered_set<EdgeLabelKey> seen;
-    for (const Edge& e : g.EdgeList()) seen.insert(g.EdgeKey(e.u, e.v));
-    for (EdgeLabelKey key : seen) {
-      auto [it, inserted] = edge_index_.try_emplace(key, DynamicBitset(n));
-      it->second.Set(i);
-    }
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       auto [it, inserted] = label_counts_.try_emplace(
           g.VertexLabel(v), std::vector<uint32_t>(n, 0));

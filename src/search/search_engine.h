@@ -54,7 +54,7 @@ class SubgraphSearchEngine {
   const GraphDatabase* db_;
   FlatGraphDatabase flat_;
   // labelled-edge key -> graphs containing at least one such edge.
-  std::unordered_map<EdgeLabelKey, DynamicBitset> edge_index_;
+  EdgeLabelIndex edge_index_;
   // vertex label -> per-graph count of vertices with that label.
   std::unordered_map<Label, std::vector<uint32_t>> label_counts_;
   // graph sizes for the trivial size filter.

@@ -1,11 +1,13 @@
 // The subgraph-isomorphism kernel (src/iso/flat_vf2.h) and its Graph entry
 // points (src/iso/vf2.h), checked two ways. A brute-force oracle decides
 // existence, the embedding set and isomorphism on tiny graphs straight from
-// the definitions. A pinned reference-output table fixes what the oracle
-// cannot see but panels depend on: the order of FindEmbeddings results (the
-// query cover keeps the first ones) and the nodes an existence test spends
-// (budgets truncate by that count). The pins were recorded from the search
-// before the nested-vector and flat kernels were merged into one.
+// the definitions; it also checks the reference selector's own containment
+// search (tests/reference_selector.h). A pinned reference-output table
+// fixes what the oracle cannot see but panels depend on: the order of
+// FindEmbeddings results (the query cover keeps the first ones) and the
+// nodes an existence test spends (budgets truncate by that count). The
+// pins were recorded from the search before the nested-vector and flat
+// kernels were merged into one.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "src/iso/flat_vf2.h"
 #include "src/iso/vf2.h"
 #include "src/util/rng.h"
+#include "tests/reference_selector.h"
 
 namespace catapult {
 namespace {
@@ -144,6 +147,15 @@ TEST(FlatVf2Test, MatchesBruteForceOracle) {
                  !OracleEmbeddings(pattern, variant, bijection).empty();
       EXPECT_EQ(AreIsomorphic(pattern, variant, options), iso);
       isomorphic += iso ? 1 : 0;
+      if (flags == 0) {
+        // The reference selector's search, under its default semantics; the
+        // reversed pair exercises disconnected patterns.
+        EXPECT_EQ(reference::ReferenceContains(pattern, target),
+                  !expected.empty());
+        EXPECT_EQ(reference::ReferenceContains(target, pattern),
+                  !OracleEmbeddings(target, pattern, options).empty());
+        EXPECT_EQ(reference::ReferenceIsomorphic(pattern, variant), iso);
+      }
     }
   }
   // Both answers of both predicates must be exercised.

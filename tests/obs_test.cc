@@ -310,6 +310,8 @@ TEST(TracerTest, DeterministicSpanTree) {
     {
       obs::Span child(&tracer, "phase", root.id());  // opens at 2000
       obs::Count(obs::Counter::kVf2Calls, 5);
+      // A wall-clock-paced count: in the metrics, never in span args.
+      obs::Count(obs::Counter::kDistHeartbeats);
       // child closes at 3000: dur 1000, delta vf2.calls=5
     }
     obs::Count(obs::Counter::kVf2Calls, 2);
@@ -337,6 +339,10 @@ TEST(TracerTest, DeterministicSpanTree) {
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
+  EXPECT_EQ(json.find("dist.heartbeats"), std::string::npos) << json;
+  if (ObsCompiledIn()) {
+    EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kDistHeartbeats), 1u);
+  }
 }
 
 TEST(TracerTest, InertSpanDoesNothing) {

@@ -8,17 +8,30 @@
 // Modes cover the clustering variants and the selector's oracles: greedy
 // BFS candidates, the bipartite diversity oracle, and a GED node budget
 // that truncates diversity calls inside the class memo.
+//
+// A second table pins the corpus steps on their own, including the ones no
+// panel above passes through: both frequent-pattern miners (the Exp 9
+// baseline and the clustering features, on all graphs and on a subset),
+// the CSG closure, the closure mapping incremental maintenance scores
+// arrivals with, and a maintenance step. It was recorded before the two
+// miners' growth loops, the two closure mappings and the labelled-edge
+// posting loops were each merged into one.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/catapult.h"
+#include "src/core/maintenance.h"
 #include "src/data/molecule_generator.h"
 #include "src/iso/ged.h"
+#include "src/mining/subgraph_miner.h"
+#include "src/mining/subtree_miner.h"
+#include "src/util/thread_pool.h"
 
 namespace catapult {
 namespace {
@@ -31,21 +44,28 @@ struct Digest {
       hash = (hash ^ ((value >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
     }
   }
+  void Mix(const Graph& g) {
+    Mix(g.NumVertices());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) Mix(g.VertexLabel(v));
+    Mix(g.NumEdges());
+    for (const Edge& e : g.EdgeList()) {
+      for (uint64_t x : {e.u, e.v, e.label}) Mix(x);
+    }
+  }
+  void Mix(const DynamicBitset& bits) {
+    Mix(bits.size());
+    for (size_t i : bits.ToIndices()) Mix(i);
+  }
+  void Mix(const std::string& text) {
+    Mix(text.size());
+    for (char c : text) Mix(static_cast<unsigned char>(c));
+  }
 };
 
 uint64_t PanelDigest(const SelectionResult& selection) {
   Digest d;
   d.Mix(selection.patterns.size());
-  for (const SelectedPattern& p : selection.patterns) {
-    d.Mix(p.graph.NumVertices());
-    for (VertexId v = 0; v < p.graph.NumVertices(); ++v) {
-      d.Mix(p.graph.VertexLabel(v));
-    }
-    d.Mix(p.graph.NumEdges());
-    for (const Edge& e : p.graph.EdgeList()) {
-      for (uint64_t x : {e.u, e.v, e.label}) d.Mix(x);
-    }
-  }
+  for (const SelectedPattern& p : selection.patterns) d.Mix(p.graph);
   return d.hash;
 }
 
@@ -175,6 +195,145 @@ TEST(PipelineReferenceTest, PanelsAndPartitionsMatchPinnedDigests) {
                 0u)
           << corpus << "/" << mode;
     }
+  }
+}
+
+// Digests of the corpus steps on one corpus (see the file comment).
+struct CorpusStepDigests {
+  uint64_t subgraphs;       // MineFrequentSubgraphs: graphs, supports
+  uint64_t subgraph_set;    // FrequentSubgraphPatternSet of those
+  uint64_t subtrees_all;    // MineFrequentSubtrees, every graph id
+  uint64_t subtrees_third;  // MineFrequentSubtrees, ids 0, 3, 6, ...
+  uint64_t csgs;            // BuildCsgs on the RunCatapult partition
+  uint64_t affinities;      // MappedEdgeFraction, arrivals x summaries
+  uint64_t maintenance;     // UpdateWithNewGraphs: partition, panel
+};
+
+const std::map<std::string, CorpusStepDigests> kCorpusStepReferenceOutput{
+    {"mol60",
+     {3790983716561303638u, 12038850671489033893u, 13110136309981618233u,
+      8030223769703119464u, 6125065358966110189u, 11745082054705555972u,
+      8864903510014812982u}},
+    {"mol90",
+     {14078035688167816953u, 8018358701950815749u, 15953343965875507757u,
+      9954830110239581594u, 6083983835578606417u, 4059103218922339692u,
+      11123131791912803545u}},
+    {"mol120",
+     {11257350779361477450u, 1393894872794991780u, 5180047189906399351u,
+      9725536253493658638u, 6031134117268328430u, 5322269526458516900u,
+      16711839889568158465u}},
+};
+
+constexpr size_t kArrivals = 30;
+
+uint64_t SubtreeDigest(const std::vector<FrequentSubtree>& mined) {
+  Digest d;
+  d.Mix(mined.size());
+  for (const FrequentSubtree& fs : mined) {
+    d.Mix(fs.tree);
+    d.Mix(fs.canonical);
+    d.Mix(fs.support);
+  }
+  return d.hash;
+}
+
+CorpusStepDigests CorpusSteps(const std::string& corpus,
+                              const GraphDatabase& db) {
+  CorpusStepDigests out{};
+  SubgraphMinerOptions subgraph_options;
+  subgraph_options.min_support = 0.15;
+  subgraph_options.max_edges = 5;
+  subgraph_options.max_candidates_per_level = 300;
+  const std::vector<FrequentSubgraph> subgraphs =
+      MineFrequentSubgraphs(db, subgraph_options);
+  Digest mined;
+  mined.Mix(subgraphs.size());
+  for (const FrequentSubgraph& fs : subgraphs) {
+    mined.Mix(fs.graph);
+    mined.Mix(fs.support);
+  }
+  out.subgraphs = mined.hash;
+  Digest set;
+  for (const Graph& p : FrequentSubgraphPatternSet(subgraphs, 12, 2, 5)) {
+    set.Mix(p);
+  }
+  out.subgraph_set = set.hash;
+
+  SubtreeMinerOptions subtree_options;
+  subtree_options.min_support = 0.1;
+  std::vector<GraphId> all, third;
+  for (GraphId i = 0; i < db.size(); ++i) {
+    all.push_back(i);
+    if (i % 3 == 0) third.push_back(i);
+  }
+  out.subtrees_all =
+      SubtreeDigest(MineFrequentSubtrees(db, all, subtree_options));
+  out.subtrees_third =
+      SubtreeDigest(MineFrequentSubtrees(db, third, subtree_options));
+
+  // The summaries fold on four threads whatever the environment says.
+  const CatapultOptions options = Options("default");
+  const CatapultResult previous = RunCatapult(db, options);
+  EXPECT_TRUE(previous.ok()) << corpus;
+  ThreadPool pool(4);
+  const std::vector<ClusterSummaryGraph> csgs =
+      BuildCsgs(db, previous.clusters, RunContext::NoLimit().WithPool(&pool));
+  Digest summaries;
+  summaries.Mix(csgs.size());
+  for (const ClusterSummaryGraph& csg : csgs) {
+    summaries.Mix(csg.cluster_size());
+    summaries.Mix(csg.NumVertices());
+    for (VertexId v = 0; v < csg.NumVertices(); ++v) {
+      summaries.Mix(csg.VertexLabel(v));
+      summaries.Mix(csg.VertexSupport(v));
+    }
+    summaries.Mix(csg.NumEdges());
+    for (const ClusterSummaryGraph::CsgEdge& e : csg.edges()) {
+      summaries.Mix(e.u);
+      summaries.Mix(e.v);
+      summaries.Mix(e.support);
+    }
+  }
+  out.csgs = summaries.hash;
+
+  // Arrivals from the same generator family (same label universe).
+  MoleculeGeneratorOptions gen;
+  gen.num_graphs = kArrivals;
+  gen.max_vertices = 16;
+  gen.scaffold_families = 9;
+  gen.seed = 1000 + db.size();
+  const GraphDatabase arrivals_db = GenerateMoleculeDatabase(gen);
+  Digest affinities;
+  for (const Graph& g : arrivals_db.graphs()) {
+    for (const ClusterSummaryGraph& csg : csgs) {
+      affinities.Mix(std::bit_cast<uint64_t>(MappedEdgeFraction(csg, g)));
+    }
+  }
+  out.affinities = affinities.hash;
+
+  MaintenanceOptions maintenance;
+  maintenance.selector = options.selector;
+  GraphDatabase updated;
+  const MaintenanceResult result = UpdateWithNewGraphs(
+      db, previous, arrivals_db.graphs(), maintenance, &updated);
+  Digest update;
+  update.Mix(PartitionDigest(result.clusters));
+  update.Mix(PanelDigest(result.selection));
+  update.Mix(result.new_clusters);
+  out.maintenance = update.hash;
+  return out;
+}
+
+TEST(PipelineReferenceTest, CorpusStepsMatchPinnedDigests) {
+  for (const auto& [corpus, expected] : kCorpusStepReferenceOutput) {
+    const CorpusStepDigests got = CorpusSteps(corpus, Corpus(corpus));
+    EXPECT_EQ(got.subgraphs, expected.subgraphs) << corpus;
+    EXPECT_EQ(got.subgraph_set, expected.subgraph_set) << corpus;
+    EXPECT_EQ(got.subtrees_all, expected.subtrees_all) << corpus;
+    EXPECT_EQ(got.subtrees_third, expected.subtrees_third) << corpus;
+    EXPECT_EQ(got.csgs, expected.csgs) << corpus;
+    EXPECT_EQ(got.affinities, expected.affinities) << corpus;
+    EXPECT_EQ(got.maintenance, expected.maintenance) << corpus;
   }
 }
 

@@ -7,11 +7,11 @@
 // and FCP assembly, the same pattern materialisation. Everything after
 // proposal is the definition, run sequentially, with no class cache, no
 // diversity fold or pruning and no thread pool:
-//   - a candidate isomorphic (VF2, AreIsomorphic) to an earlier candidate
+//   - a candidate isomorphic (ReferenceIsomorphic) to an earlier candidate
 //     of the iteration or to a selected pattern is dropped, and so is one
 //     whose size is not open;
 //   - ccov(p) sums, in ascending cluster order, the decayed weights of the
-//     clusters whose summary contains p (ContainsSubgraph, unbudgeted);
+//     clusters whose summary contains p (ReferenceContains);
 //   - lcov(p) is the fraction of data graphs holding one of p's labelled
 //     edges;
 //   - cog(p) = |Ep| * density(p);
@@ -30,9 +30,70 @@
 
 #include "src/core/selector.h"
 #include "src/iso/ged_bipartite.h"
-#include "src/iso/vf2.h"
 
 namespace catapult::reference {
+
+// Containment from the definition, independent of the VF2 kernel it
+// referees: an injective map of p's vertices into g's that keeps vertex
+// labels and sends every edge of p onto an edge of g (edge labels are not
+// compared). Plain depth-first search with no budget. Pattern vertices are
+// placed in BFS order, each component from its lowest id; a vertex with a
+// BFS parent is tried only on the target neighbours of its parent's image,
+// then checked for its label and its adjacency to every placed vertex.
+inline bool ReferenceContains(const Graph& p, const Graph& g) {
+  const size_t n = p.NumVertices();
+  std::vector<VertexId> order;
+  std::vector<int> bfs_parent(n, -1);
+  std::vector<bool> queued(n, false);
+  for (VertexId root = 0; root < n; ++root) {
+    if (queued[root]) continue;
+    queued[root] = true;
+    order.push_back(root);
+    for (size_t head = order.size() - 1; head < order.size(); ++head) {
+      for (const Graph::Neighbor& nb : p.Neighbors(order[head])) {
+        if (queued[nb.to]) continue;
+        queued[nb.to] = true;
+        bfs_parent[nb.to] = static_cast<int>(order[head]);
+        order.push_back(nb.to);
+      }
+    }
+  }
+  std::vector<VertexId> image(n);
+  std::vector<bool> used(g.NumVertices(), false);
+  auto place = [&](auto& self, size_t depth) -> bool {
+    if (depth == n) return true;
+    const VertexId u = order[depth];
+    std::vector<VertexId> targets;
+    if (bfs_parent[u] < 0) {
+      for (VertexId t = 0; t < g.NumVertices(); ++t) targets.push_back(t);
+    } else {
+      for (const Graph::Neighbor& nb : g.Neighbors(image[bfs_parent[u]])) {
+        targets.push_back(nb.to);
+      }
+    }
+    for (VertexId t : targets) {
+      if (used[t] || g.VertexLabel(t) != p.VertexLabel(u)) continue;
+      bool adjacent = true;
+      for (size_t k = 0; k < depth && adjacent; ++k) {
+        if (p.HasEdge(u, order[k])) adjacent = g.HasEdge(t, image[order[k]]);
+      }
+      if (!adjacent) continue;
+      used[t] = true;
+      image[u] = t;
+      if (self(self, depth + 1)) return true;
+      used[t] = false;
+    }
+    return false;
+  };
+  return place(place, 0);
+}
+
+// Isomorphism: equal sizes plus containment. An edge-preserving injection
+// between graphs of equal vertex and edge counts is a bijection on both.
+inline bool ReferenceIsomorphic(const Graph& a, const Graph& b) {
+  return a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() &&
+         ReferenceContains(a, b);
+}
 
 struct ReferenceSelection {
   std::vector<SelectedPattern> patterns;
@@ -126,7 +187,9 @@ inline ReferenceSelection ReferenceSelect(
     std::vector<bool> best_covered;
     for (const Proposed& cand : proposed) {
       const Graph& p = cand.graph;
-      auto isomorphic = [&p](const Graph& q) { return AreIsomorphic(q, p); };
+      auto isomorphic = [&p](const Graph& q) {
+        return ReferenceIsomorphic(q, p);
+      };
       if (std::any_of(earlier.begin(), earlier.end(),
                       [&](const Graph* q) { return isomorphic(*q); })) {
         continue;
@@ -140,7 +203,7 @@ inline ReferenceSelection ReferenceSelect(
       std::vector<bool> covered(csgs.size(), false);
       double ccov = 0.0;
       for (size_t c = 0; c < summaries.size(); ++c) {
-        covered[c] = ContainsSubgraph(p, summaries[c]);
+        covered[c] = ReferenceContains(p, summaries[c]);
         if (covered[c]) ccov += cw.Get(c);
       }
       double div = panel.empty() ? 1.0 : std::numeric_limits<double>::max();
