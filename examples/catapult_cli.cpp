@@ -356,6 +356,16 @@ int CmdMine(const Flags& flags) {
   if (print_stats) {
     std::fprintf(stderr, "--- run stats ---\n%s",
                  obs::HumanSummary(exec.metrics).c_str());
+    // Why each pattern won and what the score bound spared (DESIGN.md §15).
+    std::fprintf(stderr, "selection iterations:\n");
+    for (size_t i = 0; i < result.selection.iterations.size(); ++i) {
+      const SelectionIteration& it = result.selection.iterations[i];
+      std::fprintf(stderr,
+                   "  %2zu: candidates=%zu exact=%zu skipped=%zu "
+                   "winning-score=%.6g best-skipped-bound=%.6g\n",
+                   i + 1, it.candidates, it.exact, it.skipped,
+                   it.winning_score, it.best_skipped_bound);
+    }
     std::fprintf(stderr, "ingest:\n  %s\n", ingest_report.Summary().c_str());
     std::fprintf(stderr,
                  "  ingest peak %.1f MB, pipeline peak %.1f MB%s\n",

@@ -40,4 +40,15 @@ double FoldDiversity(const Graph& pattern, const std::vector<Graph>& selected,
   return running_min;
 }
 
+double FoldDiversityBound(const Graph& pattern,
+                          const std::vector<Graph>& selected, size_t from,
+                          double running_min) {
+  for (size_t i = from; i < selected.size(); ++i) {
+    if (GedLowerBound(pattern, selected[i]) >= running_min) continue;
+    running_min =
+        std::min(running_min, GedGreedyUpperBound(pattern, selected[i]));
+  }
+  return running_min;
+}
+
 }  // namespace catapult

@@ -31,6 +31,24 @@ double FoldDiversity(const Graph& pattern, const std::vector<Graph>& selected,
                      size_t from, double running_min,
                      const GedOptions& ged_options, bool approximate);
 
+// Search-free upper bound on the exact FoldDiversity over the same range
+// from the same start, at any node budget: min(running_min, seed(p, s_i))
+// over selected[from..), where seed is GedGreedyUpperBound, which the exact
+// kernel never exceeds. Pairs are skipped exactly as FoldDiversity skips
+// them (Definition 5.1 lower bound >= running minimum), which cannot change
+// the minimum. Counts no fold.
+double FoldDiversityBound(const Graph& pattern,
+                          const std::vector<Graph>& selected, size_t from,
+                          double running_min);
+
+// Equation 2, s_p = ccov * lcov * div / cog, 0 when cog is not positive.
+// The selector scores and bounds candidates through this one expression:
+// for ccov, lcov >= 0 and cog > 0 every step rounds monotonically, so a
+// larger div can never give a smaller result.
+inline double PatternScore(double ccov, double lcov, double div, double cog) {
+  return cog > 0.0 ? ccov * lcov * div / cog : 0.0;
+}
+
 // Default backtracking budget for one coverage subgraph-isomorphism test.
 // Coverage tests must always be finite: an unlimited VF2 call on an
 // adversarial CSG could stall selection forever, and an unlimited call can

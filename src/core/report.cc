@@ -71,6 +71,20 @@ void WriteSelectionReport(const CatapultResult& result,
   w.Key("remote_fallback_only").Value(d.remote_fallback_only);
   w.EndObject();
 
+  // One record per greedy iteration of the bound-first argmax (DESIGN.md
+  // §15); -inf scores ("none") render as null.
+  w.Key("iterations").BeginArray();
+  for (const SelectionIteration& it : result.selection.iterations) {
+    w.BeginObject();
+    w.Key("candidates").Value(static_cast<uint64_t>(it.candidates));
+    w.Key("exact").Value(static_cast<uint64_t>(it.exact));
+    w.Key("skipped").Value(static_cast<uint64_t>(it.skipped));
+    w.Key("winning_score").Value(it.winning_score);
+    w.Key("best_skipped_bound").Value(it.best_skipped_bound);
+    w.EndObject();
+  }
+  w.EndArray();
+
   w.Key("patterns").BeginArray();
   for (size_t i = 0; i < result.selection.patterns.size(); ++i) {
     const SelectedPattern& p = result.selection.patterns[i];

@@ -32,6 +32,10 @@ namespace catapult {
 //            "quarantined_shards": n, "inprocess_fallbacks": n,
 //            "artifacts_reused": n, "artifacts_rejected": n,
 //            "heartbeats": n},
+//   "iterations": [
+//     {"candidates": n, "exact": n, "skipped": n, "winning_score": x,
+//      "best_skipped_bound": x},
+//     ...],
 //   "patterns": [
 //     {"id": i, "score": s, "ccov": c, "lcov": l, "div": d, "cog": g,
 //      "vertices": [{"id": v, "label": "C"}, ...],
@@ -40,6 +44,12 @@ namespace catapult {
 // }
 // "metrics.enabled" is false — with all counters zero — when the run
 // carried no MetricsRegistry (see RunContext::WithObservability).
+// "iterations" holds one SelectionIteration per greedy iteration that scored
+// a candidate (selector.h): the candidates, how many were scored exactly and
+// how many only bounded, the winner's score and the best bound left
+// unevaluated; a score that does not exist (no winner, nothing skipped) is
+// null. A run resumed from a selection checkpoint lists only the
+// iterations it ran itself.
 void WriteSelectionReport(const CatapultResult& result, const LabelMap& labels,
                           std::ostream& out);
 

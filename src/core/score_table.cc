@@ -1,5 +1,7 @@
 #include "src/core/score_table.h"
 
+#include <algorithm>
+
 #include "src/iso/flat_vf2.h"
 #include "src/util/mem_budget.h"
 
@@ -48,11 +50,57 @@ void ScoreTable::Reset(size_t candidates, size_t num_csgs) {
   cog.assign(candidates, 0.0);
   div_min.assign(candidates, std::numeric_limits<double>::max());
   div_folded.assign(candidates, 0);
+  fold_graph.assign(candidates, nullptr);
+  bound.assign(candidates, 0.0);
   source_csg.assign(candidates, 0);
   iso_exhausted.assign(candidates, 0);
   valid.assign(candidates, 0);
   fresh.assign(candidates, 0);
+  exact.assign(candidates, 0);
   coverage_.assign(candidates * coverage_words_, 0);
+}
+
+int BoundFirstArgmax(
+    ScoreTable& table,
+    const std::function<bool(const uint32_t* rows, size_t n)>& evaluate) {
+  double best = -std::numeric_limits<double>::infinity();
+  std::vector<uint32_t>& pending = table.pending_;
+  pending.clear();
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (!table.valid[i]) continue;
+    if (table.exact[i]) {
+      best = std::max(best, table.score[i]);
+    } else {
+      pending.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  // A strict total order, so the result is the stable bound-descending order.
+  std::sort(pending.begin(), pending.end(), [&](uint32_t l, uint32_t r) {
+    if (table.bound[l] != table.bound[r]) {
+      return table.bound[l] > table.bound[r];
+    }
+    return l < r;
+  });
+  for (size_t next = 0; next < pending.size();) {
+    if (table.bound[pending[next]] < best) break;
+    const size_t n = std::min(kBoundFirstWave, pending.size() - next);
+    const bool go_on = evaluate(pending.data() + next, n);
+    for (size_t k = next; k < next + n; ++k) {
+      if (table.exact[pending[k]]) {
+        best = std::max(best, table.score[pending[k]]);
+      }
+    }
+    next += n;
+    if (!go_on) break;
+  }
+  int winner = -1;
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (!table.valid[i] || !table.exact[i]) continue;
+    if (winner < 0 || table.score[i] > table.score[winner]) {
+      winner = static_cast<int>(i);
+    }
+  }
+  return winner;
 }
 
 size_t ApproxClassEntryBytes(const std::string& code,

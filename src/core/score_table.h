@@ -17,8 +17,12 @@
 //    computed once, and the diversity term is carried as a running minimum
 //    folded forward only over patterns selected since the class was last
 //    scored.
+//  * BoundFirstArgmax — Algorithm 4's argmax over a table whose rows hold
+//    either an exact score or an upper bound on it: exact diversity is
+//    folded only for rows whose bound can still win.
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -56,7 +60,7 @@ void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
 
 // Structure-of-arrays candidate table. Reset() re-dimensions every column
 // for the iteration's candidate count, reusing capacity. During the
-// parallel scoring pass each worker writes only row i of each column; the
+// parallel passes each worker writes only row i of each column; the
 // ordered reduce then reads rows in candidate order.
 class ScoreTable {
  public:
@@ -72,21 +76,52 @@ class ScoreTable {
     return coverage_.data() + i * coverage_words_;
   }
 
-  // Scored columns (Equation 2 terms and the product).
+  // Scored columns (Equation 2 terms and the product). score and div are
+  // meaningful only in rows whose `exact` flag is set.
   std::vector<double> score, ccov, lcov, div, cog;
   // Diversity memo carried per row: running minimum and how many selected
-  // patterns it has folded.
+  // patterns it has folded. Until the row is folded they hold the fold's
+  // start, which `fold_graph` is folded from.
   std::vector<double> div_min;
   std::vector<uint32_t> div_folded;
+  std::vector<const Graph*> fold_graph;
+  // Upper bound on score, set in rows that are valid but not yet exact.
+  std::vector<double> bound;
   std::vector<uint32_t> source_csg;
   std::vector<uint64_t> iso_exhausted;
-  std::vector<uint8_t> valid, fresh;
+  std::vector<uint8_t> valid, fresh, exact;
 
  private:
+  friend int BoundFirstArgmax(
+      ScoreTable& table,
+      const std::function<bool(const uint32_t* rows, size_t n)>& evaluate);
+
   size_t size_ = 0;
   size_t coverage_words_ = 0;
   std::vector<uint64_t> coverage_;
+  std::vector<uint32_t> pending_;  // BoundFirstArgmax's visiting order
 };
+
+// Rows handed to one BoundFirstArgmax wave. A constant, never the thread
+// count or an option: which rows get evaluated then depends on the scores
+// and bounds alone, so every work counter is thread-invariant.
+inline constexpr size_t kBoundFirstWave = 6;
+
+// Algorithm 4's argmax, bound-first (DESIGN.md §15). Every valid row either
+// is `exact` (its score is final) or holds in `bound` an upper bound on the
+// score it would get. The inexact rows are visited in descending bound
+// order, row index breaking ties, in waves of kBoundFirstWave rows passed to
+// `evaluate`, which must set score and exact for each row it evaluates.
+// Before each wave the pass stops once the next bound is below the best
+// exact score so far; a bound equal to it is still evaluated. It also stops
+// after a wave for which `evaluate` returns false (a stop was requested);
+// rows left inexact then are never read as scores. Returns the first row,
+// in index order, of maximal exact score (strict >), or -1 when no row is
+// exact: the row the eager argmax over every score would pick, since a row
+// left unevaluated has bound, and so score, below the winner's.
+int BoundFirstArgmax(
+    ScoreTable& table,
+    const std::function<bool(const uint32_t* rows, size_t n)>& evaluate);
 
 // What the cross-iteration memo keeps about one isomorphism class.
 struct SelectorClassEntry {

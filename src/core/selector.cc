@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -271,16 +270,32 @@ SelectionResult FindCannedPatternSet(
     const bool div_memo_ok = options.approximate_diversity ||
                              ged.node_budget == options.ged.node_budget;
 
-    // Score candidates on the pool into the structure-of-arrays table; keep
-    // the best. During the parallel pass every shared structure (class
-    // cache, cluster/label weights, selected panel) is read-only; each
-    // candidate fills only its own row. The argmax, the iso-budget tally,
-    // and all cache inserts + memo write-backs + memory charges then run on
-    // the calling thread in candidate order, so the winner — including the
-    // strict-> first-max tie-break — is the one the sequential scan would
-    // have picked.
+    // Score candidates in two passes over the structure-of-arrays table
+    // (DESIGN.md §15, bound-first). During both, every shared structure
+    // (class cache, cluster/label weights, selected panel) is read-only and
+    // each candidate fills only its own row. The cheap pass fills ccov, lcov
+    // and cog, and either the exact diversity, where no GED search is
+    // needed, or an upper bound on the score. The exact pass then folds
+    // diversity only for rows whose bound can still win. The iso-budget
+    // tally and all cache inserts + memo write-backs + memory charges run
+    // afterwards on the calling thread in candidate order, and the winner —
+    // including the strict-> first-max tie-break — is the one the
+    // sequential scan over every exact score would have picked.
     table.Reset(candidates.size(), csgs.size());
-    const SelectorClassCache& ro_cache = cache;  // parallel pass: lookups only
+    const SelectorClassCache& ro_cache = cache;  // both passes: lookups only
+    const size_t panel_size = selected_graphs.size();
+    // Folds row i's diversity memo over the rest of the panel and scores the
+    // row exactly (an empty panel scores the neutral div 1).
+    auto fold_and_score = [&](size_t i, bool approximate) {
+      table.div_min[i] = FoldDiversity(*table.fold_graph[i], selected_graphs,
+                                       table.div_folded[i], table.div_min[i],
+                                       ged, approximate);
+      table.div_folded[i] = static_cast<uint32_t>(panel_size);
+      table.div[i] = panel_size == 0 ? 1.0 : table.div_min[i];
+      table.score[i] = PatternScore(table.ccov[i], table.lcov[i], table.div[i],
+                                    table.cog[i]);
+      table.exact[i] = 1;
+    };
     std::atomic<bool> stop_scoring{false};
     ParallelFor(ctx, candidates.size(), 1, [&](size_t i) {
       // Once a stop is observed, later candidates bail out without polling
@@ -303,11 +318,10 @@ SelectionResult FindCannedPatternSet(
       if (selected_codes.contains(candidates[i].code)) return;
       uint64_t* row = table.CoverageRow(i);
       const auto hit = ro_cache.find(candidates[i].code);
-      // Diversity fold start: the candidate's own graph from scratch,
-      // unless its class memo may be resumed (below).
-      const Graph* div_graph = &g;
-      size_t div_from = 0;
-      double div_running = std::numeric_limits<double>::max();
+      // Diversity fold start: the candidate's own graph from scratch
+      // (Reset's div_folded 0, div_min +max), unless its class memo may be
+      // resumed (below).
+      table.fold_graph[i] = &g;
       if (hit != ro_cache.end()) {
         obs::Count(obs::Counter::kSelectorCacheHits);
         const SelectorClassEntry& entry = hit->second;
@@ -320,9 +334,9 @@ SelectionResult FindCannedPatternSet(
           // Fold only the patterns selected since this class was last
           // scored; the running minimum over the full panel is identical to
           // the from-scratch fold (see FoldDiversity).
-          div_graph = &entry.rep;
-          div_from = entry.div_folded;
-          div_running = entry.div_min;
+          table.fold_graph[i] = &entry.rep;
+          table.div_folded[i] = entry.div_folded;
+          table.div_min[i] = entry.div_min;
         }
       } else {
         obs::Count(obs::Counter::kSelectorCacheMisses);
@@ -336,12 +350,6 @@ SelectionResult FindCannedPatternSet(
         table.lcov[i] = label_index.PatternLabelCoverage(g);
         table.cog[i] = CognitiveLoad(g);
       }
-      const double running =
-          FoldDiversity(*div_graph, selected_graphs, div_from, div_running,
-                        ged, options.approximate_diversity);
-      table.div_min[i] = running;
-      table.div_folded[i] = static_cast<uint32_t>(selected_graphs.size());
-      table.div[i] = selected_graphs.empty() ? 1.0 : running;
       // ccov rescored against the current decayed weights, summing in
       // ascending cluster order (the same fold order as the scalar loop).
       double ccov = 0.0;
@@ -354,23 +362,61 @@ SelectionResult FindCannedPatternSet(
         }
       }
       table.ccov[i] = ccov;
-      table.score[i] =
-          table.cog[i] > 0.0
-              ? table.ccov[i] * table.lcov[i] * table.div[i] / table.cog[i]
-              : 0.0;
       table.source_csg[i] = static_cast<uint32_t>(candidates[i].source_csg);
       table.valid[i] = 1;
+      // Exact without a branch-and-bound search: a memo that already covers
+      // the panel (an empty panel included) folds an empty range, and the
+      // polynomial approximate oracle stays eager.
+      if (options.approximate_diversity || table.div_folded[i] == panel_size) {
+        fold_and_score(i, options.approximate_diversity);
+        return;
+      }
+      table.bound[i] = PatternScore(
+          ccov, table.lcov[i],
+          FoldDiversityBound(*table.fold_graph[i], selected_graphs,
+                             table.div_folded[i], table.div_min[i]),
+          table.cog[i]);
     });
     bool stopped_scoring = stop_scoring.load(std::memory_order_relaxed);
+
+    // The exact pass: FoldDiversity, in bound-descending waves, for the rows
+    // whose bound can still win. It polls its own site before each fold, so
+    // a deadline cuts the GED searches; on a stop the argmax still reads
+    // exactly scored rows only.
+    std::atomic<bool> stop_exact{false};
+    const int best_index =
+        BoundFirstArgmax(table, [&](const uint32_t* rows, size_t n) {
+          ParallelFor(ctx, n, 1, [&](size_t k) {
+            if (stop_exact.load(std::memory_order_relaxed)) return;
+            if (ctx.StopRequested("selector.exact_div")) {
+              stop_exact.store(true, std::memory_order_relaxed);
+              return;
+            }
+            fold_and_score(rows[k], /*approximate=*/false);
+          });
+          return !stop_exact.load(std::memory_order_relaxed);
+        });
+    stopped_scoring = stopped_scoring || stop_exact.load();
     if (stopped_scoring) result.complete = false;
 
-    // Ordered reduce: tallies, cache retention and memo write-backs (with
-    // their budget charges, in the same candidate order the sequential code
-    // charged), and the argmax.
-    int best_index = -1;
+    // Ordered reduce: tallies, the iteration record, and cache retention and
+    // memo write-backs (with their budget charges, in the same candidate
+    // order the sequential code charged). A row never folded carries its
+    // fold start as its memo: a fresh class enters the cache with an empty
+    // memo, and a cache hit keeps its older prefix, which a later fold
+    // resumes to the same value (FoldDiversity's split-point invariance).
+    SelectionIteration record;
     for (size_t i = 0; i < table.size(); ++i) {
       result.iso_budget_exhausted += table.iso_exhausted[i];
       if (!table.valid[i]) continue;
+      ++record.candidates;
+      if (table.exact[i]) {
+        ++record.exact;
+      } else {
+        ++record.skipped;
+        record.best_skipped_bound =
+            std::max(record.best_skipped_bound, table.bound[i]);
+      }
       if (table.fresh[i]) {
         SelectorClassEntry entry;
         entry.rep = candidates[i].graph;
@@ -394,10 +440,10 @@ SelectionResult FindCannedPatternSet(
         entry.div_min = table.div_min[i];
         entry.div_folded = table.div_folded[i];
       }
-      if (best_index < 0 || table.score[i] > table.score[best_index]) {
-        best_index = static_cast<int>(i);
-      }
     }
+    obs::Count(obs::Counter::kSelectorBoundSkipped, record.skipped);
+    if (best_index >= 0) record.winning_score = table.score[best_index];
+    if (record.candidates > 0) result.iterations.push_back(record);
     if (best_index < 0) break;
 
     // Record the winner and decay weights (Algorithm 4, lines 19-21).

@@ -2,6 +2,7 @@
 #define CATAPULT_CORE_SELECTOR_H_
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "src/core/budget.h"
@@ -63,9 +64,29 @@ struct SelectedPattern {
   bool fallback = false;
 };
 
+// What one greedy iteration's bound-first argmax did (DESIGN.md §15): the
+// rows it scored, how many got an exact score — by folding diversity, or
+// without a GED search (empty panel, a class memo covering the panel, the
+// approximate oracle) — and how many were never folded, because their
+// score bound could not win or because a stop cut the exact pass. Both
+// scores are -inf when absent: no row was exact, or none was skipped.
+// Without a stop, best_skipped_bound < winning_score.
+struct SelectionIteration {
+  size_t candidates = 0;  // valid rows: open size, not already selected
+  size_t exact = 0;
+  size_t skipped = 0;     // candidates == exact + skipped
+  double winning_score = -std::numeric_limits<double>::infinity();
+  double best_skipped_bound = -std::numeric_limits<double>::infinity();
+};
+
 // Result of Algorithm 4.
 struct SelectionResult {
   std::vector<SelectedPattern> patterns;
+
+  // One record per greedy iteration that scored a candidate, in order
+  // (explainability only: checkpoints and the serve protocol do not carry
+  // it, so a resumed run records only the iterations it ran itself).
+  std::vector<SelectionIteration> iterations;
 
   // Anytime diagnostics: `complete` is false when the deadline or a
   // cancellation stopped the greedy loop before it ran out of candidates or
@@ -115,14 +136,24 @@ struct SelectorCheckpointHooks {
 // gamma patterns or when no new candidate can be produced. Deterministic
 // given `rng`.
 //
-// The loop polls `ctx` per iteration, per proposing CSG, and per scored
-// candidate (failpoint sites "selector.iteration", "selector.candidates",
-// "selector.score"), and the GED / subgraph-isomorphism node budgets
-// tighten as the deadline nears. When the loop is cut short, open size
-// slots are filled with frequent-edge fallback patterns
-// (FrequentEdgePathPatterns) so the interface still shows a full,
-// size-conforming panel; those entries are flagged `fallback` and counted
-// in the result.
+// The argmax is bound-first (DESIGN.md §15): each candidate first gets
+// ccov, lcov, cog and an upper bound on its score from the greedy GED seed,
+// and exact diversity is folded only for candidates whose bound can still
+// reach the best exact score. The winner, its score terms, the panel and
+// checkpoints are those of scoring every candidate exactly; only the
+// diversity work counters (selector.div_folds, selector.div_pruned) and
+// selector.bound_skipped reflect the saving.
+//
+// The loop polls `ctx` per iteration, per proposing CSG, per scored
+// candidate and before each exact diversity fold (failpoint sites
+// "selector.iteration", "selector.candidates", "selector.score",
+// "selector.exact_div"), and the GED / subgraph-isomorphism node budgets
+// tighten as the deadline nears. A stop in the exact pass picks among the
+// exactly scored candidates only — possibly none — never by a bound. When
+// the loop is cut short, open size slots are filled with frequent-edge
+// fallback patterns (FrequentEdgePathPatterns) so the interface still shows
+// a full, size-conforming panel; those entries are flagged `fallback` and
+// counted in the result.
 //
 // `hooks` adds resume-from-state and a per-selected-pattern state capture
 // (see SelectorCheckpointHooks). A resume state must structurally match

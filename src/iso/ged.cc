@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/util/check.h"
 
 namespace catapult {
@@ -211,12 +212,21 @@ GedResult GraphEditDistance(const Graph& a, const Graph& b,
   search.best = search.GreedyUpperBound() + 1e-9;
   double greedy = search.best;
   search.Dfs(0, 0.0);
+  obs::Count(obs::Counter::kGedCalls);
+  obs::Count(obs::Counter::kGedNodes, search.nodes);
+  if (!search.exact) obs::Count(obs::Counter::kGedBudgetExhausted);
   GedResult result;
   result.distance = std::min(search.best, greedy);
   // Strip the slack epsilon if nothing better was found.
   result.distance = std::round(result.distance);
   result.exact = search.exact;
   return result;
+}
+
+double GedGreedyUpperBound(const Graph& a, const Graph& b) {
+  const GedOptions options;
+  GedSearch search(a, b, options);
+  return search.GreedyUpperBound();
 }
 
 }  // namespace catapult

@@ -39,6 +39,13 @@ double GedLowerBound(const Graph& a, const Graph& b);
 GedResult GraphEditDistance(const Graph& a, const Graph& b,
                             GedOptions options = {});
 
+// The greedy assignment cost GraphEditDistance seeds its search with (one
+// pass over a's vertices, each taking the cheapest unused b-vertex or
+// deletion). GraphEditDistance never returns more than this, truncated by
+// its node budget or not, so it bounds every value the kernel reports from
+// above without a search (polynomial time).
+double GedGreedyUpperBound(const Graph& a, const Graph& b);
+
 }  // namespace catapult
 
 #endif  // CATAPULT_ISO_GED_H_

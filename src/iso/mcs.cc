@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "src/obs/metrics.h"
 #include "src/util/check.h"
 
 namespace catapult {
@@ -220,6 +221,9 @@ McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
     });
     UnconnectedExtend(state, order, RemainingEdgeBounds(a, order), 0);
   }
+  obs::Count(obs::Counter::kMcsCalls);
+  obs::Count(obs::Counter::kMcsNodes, state.nodes);
+  if (!state.exact) obs::Count(obs::Counter::kMcsBudgetExhausted);
   state.best.exact = state.exact;
   return state.best;
 }

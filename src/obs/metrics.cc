@@ -76,6 +76,13 @@ constexpr const char* kCounterNames[] = {
     "obs.spans_dropped",
     "serve.slow_requests",
     "serve.reqlog_dropped",
+    "selector.bound_skipped",
+    "ged.calls",
+    "ged.nodes",
+    "ged.budget_exhausted",
+    "mcs.calls",
+    "mcs.nodes",
+    "mcs.budget_exhausted",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) == kNumCounters,
               "counter name table out of sync with the Counter enum");

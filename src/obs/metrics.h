@@ -3,8 +3,9 @@
 
 // Process-wide metrics registry: monotonic counters, high-watermark gauges
 // and fixed-bucket log2 histograms covering the pipeline's hot primitives
-// (VF2, bipartite GED, random walks, k-means, CSG folds, the selector
-// coverage cache, checkpoint I/O, the memory budget and failpoints).
+// (VF2, exact and bipartite GED, MCS, random walks, k-means, CSG folds, the
+// selector coverage cache and diversity folds, checkpoint I/O, the memory
+// budget and failpoints).
 //
 // Design constraints (DESIGN.md §11):
 //  * Zero cross-thread synchronization on hot paths. Each thread writes a
@@ -102,6 +103,13 @@ enum class Counter : uint32_t {
   kObsSpansDropped,        // shipped spans discarded (trace mismatch/no tracer)
   kServeSlowRequests,      // requests whose run time crossed --slow-request-ms
   kServeReqlogDropped,     // request-log events dropped by the bounded queue
+  kSelectorBoundSkipped,   // candidates never folded: their bound could not win
+  kGedCalls,               // exact (branch-and-bound) GED searches
+  kGedNodes,               // search-tree nodes expanded across them
+  kGedBudgetExhausted,     // exact GED searches cut short by a node budget
+  kMcsCalls,               // MCS searches run (both inputs non-empty)
+  kMcsNodes,               // search-tree nodes expanded across them
+  kMcsBudgetExhausted,     // MCS searches cut short by a node budget
   kCount
 };
 

@@ -22,6 +22,8 @@
 #include "src/core/report.h"
 #include "src/data/molecule_generator.h"
 #include "src/graph/algorithms.h"
+#include "src/iso/ged.h"
+#include "src/iso/mcs.h"
 #include "src/obs/admin.h"
 #include "src/obs/clock.h"
 #include "src/obs/export.h"
@@ -270,6 +272,43 @@ TEST(MetricsTest, HumanSummarySkipsZerosByDefault) {
   EXPECT_NE(all.find("ged.bipartite_calls"), std::string::npos);
 }
 
+// One node-budget-exhausting call of each exact kernel: the call, the
+// search state's own node count (the budget, since the search stops when
+// it reaches it) and the exhaustion are each counted once.
+TEST(MetricsTest, ExactKernelsCountCallsNodesAndExhaustion) {
+  if (!ObsCompiledIn()) GTEST_SKIP() << "built with CATAPULT_DISABLE_OBS";
+  // Equal vertex labels keep the label-only GED lower bound at 0, so the
+  // search cannot prove the greedy seed optimal within a few nodes.
+  Graph ring;
+  Graph path;
+  for (int i = 0; i < 6; ++i) {
+    ring.AddVertex(0);
+    path.AddVertex(0);
+  }
+  for (VertexId v = 0; v < 6; ++v) {
+    ring.AddEdge(v, (v + 1) % 6);
+    if (v + 1 < 6) path.AddEdge(v, v + 1);
+  }
+  constexpr uint64_t kBudget = 3;
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedMetricsScope scope(&registry);
+    GedOptions ged;
+    ged.node_budget = kBudget;
+    EXPECT_FALSE(GraphEditDistance(ring, path, ged).exact);
+    McsOptions mcs;
+    mcs.node_budget = kBudget;
+    EXPECT_FALSE(MaxCommonSubgraph(ring, path, mcs).exact);
+  }
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter(obs::Counter::kGedCalls), 1u);
+  EXPECT_EQ(snap.counter(obs::Counter::kGedNodes), kBudget);
+  EXPECT_EQ(snap.counter(obs::Counter::kGedBudgetExhausted), 1u);
+  EXPECT_EQ(snap.counter(obs::Counter::kMcsCalls), 1u);
+  EXPECT_EQ(snap.counter(obs::Counter::kMcsNodes), kBudget);
+  EXPECT_EQ(snap.counter(obs::Counter::kMcsBudgetExhausted), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Clock + tracer
 
@@ -491,6 +530,38 @@ TEST(ObsPipelineTest, CounterTotalsAreThreadCountInvariant) {
   }
 }
 
+// The per-iteration selection records explain the bound-first argmax: no
+// candidate left unevaluated had a bound reaching the winning score, every
+// candidate was either scored exactly or skipped, and the skips are the
+// selector.bound_skipped counter.
+TEST(ObsPipelineTest, SelectionIterationsExplainTheBound) {
+  GraphDatabase db = SmallDb();
+  CatapultOptions options = FastOptions();
+  obs::MetricsRegistry registry;
+  RunContext ctx =
+      RunContext::NoLimit().WithObservability(&registry, nullptr);
+  CatapultResult result = RunCatapult(db, options, ctx);
+  ASSERT_TRUE(result.selection.complete);
+  const std::vector<SelectionIteration>& iterations =
+      result.selection.iterations;
+  EXPECT_EQ(iterations.size(), result.selection.patterns.size());
+  size_t skipped = 0;
+  for (size_t i = 0; i < iterations.size(); ++i) {
+    const SelectionIteration& it = iterations[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(it.candidates, it.exact + it.skipped);
+    EXPECT_LT(it.best_skipped_bound, it.winning_score);
+    EXPECT_EQ(it.winning_score, result.selection.patterns[i].score);
+    skipped += it.skipped;
+  }
+  EXPECT_GT(skipped, 0u) << "the corpus should let the bound skip rows";
+  if (ObsCompiledIn()) {
+    EXPECT_EQ(result.execution.metrics.counter(
+                  obs::Counter::kSelectorBoundSkipped),
+              skipped);
+  }
+}
+
 // Minimal structural JSON validation: balanced containers outside strings,
 // correct escaping inside them. Catches the classes of breakage a schema
 // change could introduce without pulling in a parser.
@@ -569,6 +640,8 @@ TEST(ObsPipelineTest, SelectionReportSchemaIncludesMetrics) {
        {"\"database\"", "\"graphs\"", "\"clusters\"", "\"timings\"",
         "\"clustering_s\"", "\"csg_s\"", "\"selection_s\"", "\"metrics\"",
         "\"enabled\": true", "\"counters\"", "\"gauges\"", "\"histograms\"",
+        "\"iterations\"", "\"candidates\"", "\"exact\"", "\"skipped\"",
+        "\"winning_score\"", "\"best_skipped_bound\"",
         "\"patterns\"", "\"id\"", "\"score\"", "\"ccov\"", "\"lcov\"",
         "\"div\"", "\"cog\"", "\"vertices\"", "\"label\"", "\"edges\"",
         "\"u\"", "\"v\""}) {

@@ -1,11 +1,13 @@
 // Selection hot-path structures (DESIGN.md §15): the structure-of-arrays
 // ScoreTable, the cross-iteration SelectorClassCache, the flat coverage
-// kernel, the incremental diversity fold against its definition
-// (tests/reference_ged.h), and the end-to-end invariants the memoized
-// selector must preserve — identical output with and without a prebuilt
-// summary index, recorded per-pattern diagnostics that replay against
-// from-scratch recomputation, and panels and scores equal to Algorithm 4
-// run from its definition (tests/reference_selector.h).
+// kernel, the incremental diversity fold and its search-free bound against
+// their definition (tests/reference_ged.h), the bound-first argmax against
+// the eager one, and the end-to-end invariants the memoized selector must
+// preserve — identical output with and without a prebuilt summary index,
+// recorded per-pattern diagnostics that replay against from-scratch
+// recomputation, panels and scores equal to Algorithm 4 run from its
+// definition (tests/reference_selector.h), and a stop in the exact pass
+// that never lets a bound win.
 
 #include "src/core/score_table.h"
 
@@ -23,6 +25,7 @@
 #include "src/iso/canonical_code.h"
 #include "src/iso/ged_bipartite.h"
 #include "src/iso/vf2.h"
+#include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
 #include "tests/reference_ged.h"
 #include "tests/reference_selector.h"
@@ -128,14 +131,19 @@ TEST(ScoreTableTest, ResetDimensionsAndZeroes) {
   table.valid[4] = 1;
   table.CoverageRow(4)[2] = ~uint64_t{0};
   table.div_min[4] = 0.5;
+  table.div_folded[4] = 3;
+  table.exact[4] = 1;
 
-  // Shrinking then regrowing must hand back zeroed rows, not stale state.
+  // Shrinking then regrowing must hand back zeroed rows, not stale state:
+  // a row starts inexact, folding its own graph from (0, +max).
   table.Reset(2, 130);
   table.Reset(5, 130);
   EXPECT_EQ(table.score[4], 0.0);
   EXPECT_EQ(table.valid[4], 0);
   EXPECT_EQ(table.CoverageRow(4)[2], 0u);
   EXPECT_EQ(table.div_min[4], std::numeric_limits<double>::max());
+  EXPECT_EQ(table.div_folded[4], 0u);
+  EXPECT_EQ(table.exact[4], 0);
 }
 
 TEST(ScoreTableTest, CoverageRowsDoNotOverlap) {
@@ -285,6 +293,138 @@ TEST(FoldDiversityTest, IncrementalFoldEqualsFullFold) {
   }
 }
 
+// The bound the selector ranks candidates by: never below the exact fold
+// over the same range from the same start, whether the kernel runs to
+// optimality or is truncated by its node budget.
+TEST(FoldDiversityTest, BoundIsNeverBelowTheFold) {
+  SelectorEnv setup = MakeSetup(30, 9);
+  Rng rng(29);
+  std::vector<Graph> panel;
+  for (int i = 0; i < 6; ++i) {
+    panel.push_back(RandomConnectedSubgraph(
+        setup.db.graph(static_cast<GraphId>(i * 4)), 3 + i % 4, rng));
+  }
+  const double max = std::numeric_limits<double>::max();
+  size_t strict = 0;
+  for (uint64_t budget : {GedOptions{}.node_budget, uint64_t{40}}) {
+    GedOptions ged;
+    ged.node_budget = budget;
+    for (int trial = 0; trial < 10; ++trial) {
+      Graph p = RandomConnectedSubgraph(
+          setup.db.graph(static_cast<GraphId>(trial + 5)), 3 + trial % 5, rng);
+      for (size_t q = 0; q < panel.size(); ++q) {
+        EXPECT_LE(GraphEditDistance(p, panel[q], ged).distance,
+                  GedGreedyUpperBound(p, panel[q]));
+      }
+      for (size_t from = 0; from <= panel.size(); ++from) {
+        // The memo a class carries after folding the first `from` picks.
+        const std::vector<Graph> prefix(panel.begin(), panel.begin() + from);
+        const double start = FoldDiversity(p, prefix, 0, max, ged, false);
+        const double exact = FoldDiversity(p, panel, from, start, ged, false);
+        const double bound = FoldDiversityBound(p, panel, from, start);
+        EXPECT_LE(exact, bound) << "budget " << budget << " from " << from;
+        if (exact < bound) ++strict;
+      }
+    }
+  }
+  EXPECT_GT(strict, 0u) << "the greedy seed should overestimate some pairs";
+}
+
+// Bound-first against the eager argmax over synthetic tables whose scores
+// and bounds are small integers, so ties — between scores, between bounds,
+// and between a bound and the best score so far at a wave boundary — are
+// common. The winner must be the eager strict-> first-in-order maximum,
+// every row whose bound reaches the winning score must have been
+// evaluated, and the evaluated rows must not depend on the thread count.
+TEST(BoundFirstArgmaxTest, WinnerIsTheEagerFirstMaximum) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  Rng rng(2024);
+  size_t partial = 0;  // tables where the bound spared some row
+  for (int trial = 0; trial < 4000; ++trial) {
+    const size_t n = 1 + rng.UniformInt(4 * kBoundFirstWave);
+    ScoreTable table;
+    table.Reset(n, 1);
+    std::vector<double> truth(n, 0.0);
+    int eager = -1;
+    for (size_t i = 0; i < n; ++i) {
+      table.valid[i] = rng.UniformInt(6) != 0;
+      truth[i] = static_cast<double>(rng.UniformInt(4));
+      if (rng.UniformInt(4) == 0) {
+        table.exact[i] = 1;
+        table.score[i] = truth[i];
+      } else {
+        table.bound[i] = truth[i] + static_cast<double>(rng.UniformInt(3));
+      }
+      if (table.valid[i] && (eager < 0 || truth[i] > truth[eager])) {
+        eager = static_cast<int>(i);
+      }
+    }
+    std::vector<uint8_t> evaluated[2];
+    size_t run = 0;
+    for (ThreadPool* pool : {&one, &four}) {
+      ScoreTable t = table;
+      std::vector<uint8_t>& seen = evaluated[run++];
+      seen.assign(n, 0);
+      const int winner =
+          BoundFirstArgmax(t, [&](const uint32_t* rows, size_t count) {
+            pool->ParallelFor(count, 1, [&](size_t k) {
+              const uint32_t i = rows[k];
+              t.score[i] = truth[i];
+              t.exact[i] = 1;
+              seen[i] = 1;
+            });
+            return true;
+          });
+      ASSERT_EQ(winner, eager) << "trial " << trial;
+      for (size_t i = 0; i < n; ++i) {
+        if (!table.valid[i] || table.exact[i]) {
+          EXPECT_FALSE(seen[i]) << "trial " << trial << " row " << i;
+        } else if (table.bound[i] >= truth[winner]) {
+          EXPECT_TRUE(seen[i]) << "trial " << trial << " row " << i;
+        }
+      }
+    }
+    EXPECT_EQ(evaluated[0], evaluated[1]) << "trial " << trial;
+    for (size_t i = 0; i < n; ++i) {
+      if (table.valid[i] && !table.exact[i] && !evaluated[0][i]) {
+        ++partial;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(partial, 1000u);
+}
+
+// The tie rule at a wave boundary: a full first wave finds best score 3 at
+// its last row, and the next row in bound order has bound 3 and score 3 at
+// a lower index. It must be evaluated (the stop needs a bound strictly
+// below the best) and win, as it would in the eager first-in-order scan.
+TEST(BoundFirstArgmaxTest, BoundEqualToBestIsStillEvaluated) {
+  const size_t n = kBoundFirstWave + 1;
+  ScoreTable table;
+  table.Reset(n, 1);
+  std::vector<double> truth(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    table.valid[i] = 1;
+    table.bound[i] = i == 0 ? 3.0 : 5.0;
+  }
+  truth[0] = 3.0;
+  truth[n - 1] = 3.0;
+  size_t waves = 0;
+  const int winner =
+      BoundFirstArgmax(table, [&](const uint32_t* rows, size_t count) {
+        ++waves;
+        for (size_t k = 0; k < count; ++k) {
+          table.score[rows[k]] = truth[rows[k]];
+          table.exact[rows[k]] = 1;
+        }
+        return true;
+      });
+  EXPECT_EQ(waves, 2u);
+  EXPECT_EQ(winner, 0);
+}
+
 TEST(SelectorIndexTest, PrebuiltIndexIsIdenticalToLocalBuild) {
   SelectorEnv setup = MakeSetup();
   SelectorOptions options;
@@ -427,6 +567,60 @@ TEST(ReferenceSelectorTest, PanelsAndScoresMatchDefinition) {
             EXPECT_EQ(g.source_csg, e.source_csg) << "pattern " << i;
           }
         }
+      }
+    }
+  }
+}
+
+// A stop in the exact pass never lets a bound win. After pick k the hook
+// arms selector.exact_div, so the next iteration's first fold stops; no
+// row of that iteration was scored exactly (the panel just grew, and the
+// exact oracle has no fold-free rows), so it adds no greedy pattern, and
+// the panel is topped up with fallback patterns. Every greedy pick keeps
+// its definitional diversity and score.
+TEST(SelectorStopTest, ExactPassStopNeverSelectsByBound) {
+  SelectorEnv setup = MakeSetup(40, 13);
+  SelectorOptions options;
+  options.budget.eta_min = 3;
+  options.budget.eta_max = 6;
+  options.budget.gamma = 8;
+  options.walks_per_candidate = 10;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (size_t arm_after : {size_t{1}, size_t{2}}) {
+    for (ThreadPool* pool : {&one, &four}) {
+      SCOPED_TRACE(::testing::Message() << "arm after " << arm_after
+                                        << " threads "
+                                        << pool->num_threads());
+      SelectorCheckpointHooks hooks;
+      hooks.on_pattern_selected = [&](const SelectorCheckpointState& state) {
+        if (state.patterns.size() == arm_after) {
+          failpoint::Arm("selector.exact_div");
+        }
+      };
+      Rng rng(11);
+      const SelectionResult got = FindCannedPatternSet(
+          setup.db, setup.clusters, setup.csgs, options, rng,
+          RunContext::NoLimit().WithPool(pool), hooks);
+      const size_t fired = failpoint::HitCount("selector.exact_div");
+      failpoint::DisarmAll();
+      EXPECT_GE(fired, 1u);
+      EXPECT_FALSE(got.complete);
+      ASSERT_EQ(got.patterns.size(), options.budget.gamma);
+      EXPECT_EQ(got.fallback_patterns, options.budget.gamma - arm_after);
+      std::vector<Graph> prefix;
+      for (size_t i = 0; i < got.patterns.size(); ++i) {
+        const SelectedPattern& p = got.patterns[i];
+        EXPECT_EQ(p.fallback, i >= arm_after) << "pattern " << i;
+        if (p.fallback) continue;
+        const double expected_div =
+            prefix.empty()
+                ? 1.0
+                : reference::ReferenceDiversity(p.graph, prefix,
+                                                reference::ReferenceGed);
+        EXPECT_EQ(p.div, expected_div) << "pattern " << i;
+        EXPECT_EQ(p.score, p.ccov * p.lcov * p.div / p.cog) << "pattern " << i;
+        prefix.push_back(p.graph);
       }
     }
   }
