@@ -49,10 +49,8 @@
 #include "src/serve/server.h"
 #include "src/util/signal.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
 #include <unistd.h>
-#endif
 
 namespace {
 
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
   options.pipeline.seed = flags.GetCount("seed", 42);
   options.pipeline.use_sampling = flags.GetBool("sampling");
   options.pipeline.ingest_digest = ingest_report.quarantine_digest;
-  options.pipeline.clustering.fine_mcs.node_budget = 5000;
   options.pipeline.threads =
       examples::ThreadsFromFlags(flags, options.pipeline.threads);
   long mem_budget_mb = flags.GetInt("mem-budget-mb", 0);
@@ -153,7 +150,6 @@ int main(int argc, char** argv) {
   std::printf("listening on %s\n", server.socket_path().c_str());
   std::fflush(stdout);
 
-#if defined(__unix__) || defined(__APPLE__)
   // Block until SIGINT/SIGTERM: the signal bridge makes this fd readable
   // from its watcher thread, outside signal context.
   const int signal_fd = signals.SubscribeFd();
@@ -163,7 +159,6 @@ int main(int argc, char** argv) {
     if (ready > 0 || (ready < 0 && errno != EINTR)) break;
   }
   ::close(signal_fd);
-#endif
 
   const int signum = signals.last_signal();
   std::fprintf(stderr, "signal %d: draining\n", signum);

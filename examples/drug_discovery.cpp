@@ -47,7 +47,6 @@ int main() {
   CatapultOptions options;
   options.selector.budget = {.eta_min = 3, .eta_max = 6, .gamma = 8};
   options.seed = 404;
-  options.clustering.fine_mcs.node_budget = 5000;
   CatapultResult result = RunCatapult(db, options);
 
   // Does the panel contain a urea-like pattern (N-C(-O)-N present)?

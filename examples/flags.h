@@ -120,7 +120,6 @@ inline CatapultOptions MineOptionsFromFlags(const Flags& flags) {
   options.selector.budget.eta_max = flags.GetCount("max-size", 8);
   options.seed = flags.GetCount("seed", 42);
   options.use_sampling = flags.GetBool("sampling");
-  options.clustering.fine_mcs.node_budget = 5000;
   return options;
 }
 

@@ -30,7 +30,6 @@ int main() {
   CatapultOptions options;
   options.selector.budget = {.eta_min = 3, .eta_max = 8, .gamma = 12};
   options.seed = 2718;
-  options.clustering.fine_mcs.node_budget = 5000;
   CatapultResult result = RunCatapult(db, options);
   std::vector<Graph> patterns = result.Patterns();
 

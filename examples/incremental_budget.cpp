@@ -27,7 +27,6 @@ int main() {
 
   // One-time cost: clustering + CSGs.
   SmallGraphClusteringOptions clustering_options;
-  clustering_options.fine_mcs.node_budget = 5000;
   Rng rng(99);
   WallTimer clustering_timer;
   ClusteringResult clustering =

@@ -31,7 +31,6 @@ int main() {
   options.selector.budget = {.eta_min = 3, .eta_max = 8, .gamma = 12};
   options.selector.walks_per_candidate = 30;
   options.clustering.max_cluster_size = 20;
-  options.clustering.fine_mcs.node_budget = 5000;
   options.seed = 7;
 
   // 3. Run the pipeline: clustering -> CSGs -> pattern selection.

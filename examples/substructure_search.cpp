@@ -26,7 +26,6 @@ int main() {
   // Offline: mine the panel and build the search index.
   CatapultOptions options;
   options.selector.budget = {.eta_min = 3, .eta_max = 6, .gamma = 8};
-  options.clustering.fine_mcs.node_budget = 5000;
   options.seed = 1618;
   CatapultResult mined = RunCatapult(db, options);
   GuiModel panel = MakeCatapultGui(mined.Patterns());

@@ -28,7 +28,7 @@ struct PatternBudget {
   // weight per size in [eta_min, eta_max]; per-size caps are gamma
   // apportioned proportionally (largest-remainder rounding), with zero
   // weights excluding a size entirely.
-  std::vector<double> size_distribution;
+  std::vector<double> size_distribution = {};
 
   // Number of distinct pattern sizes.
   size_t NumSizes() const { return eta_max - eta_min + 1; }

@@ -25,48 +25,72 @@ WeightedCsg MakeWeightedCsg(const ClusterSummaryGraph& csg,
   return wcsg;
 }
 
-Pcp GeneratePcp(const WeightedCsg& wcsg, size_t target_edges, Rng& rng) {
-  Pcp pcp;
-  const ClusterSummaryGraph& csg = *wcsg.csg;
-  if (csg.NumEdges() == 0 || target_edges == 0) return pcp;
+namespace {
 
-  // Seed edge: the largest weight (first such edge for determinism).
-  size_t seed = 0;
-  for (size_t i = 1; i < wcsg.edge_weights.size(); ++i) {
-    if (wcsg.edge_weights[i] > wcsg.edge_weights[seed]) seed = i;
-  }
+// What a pick returns to stop growing.
+constexpr size_t kStop = static_cast<size_t>(-1);
+
+// Grows a connected set of CSG edges from `seed`, one candidate adjacent
+// edge (CAE) per step, until it holds `target_edges` edges or `pick`
+// returns kStop. Each step lists the CAE: the edges incident to the set's
+// vertices that are not taken yet and that `eligible` admits, deduplicated,
+// in the vertex set's visiting order. `pick` gets that list (possibly
+// empty) and returns the position of the edge to take.
+template <typename Eligible, typename Pick>
+Pcp GrowFromSeed(const ClusterSummaryGraph& csg, size_t seed,
+                 size_t target_edges, const Eligible& eligible, Pick&& pick) {
+  Pcp grown;
   std::vector<bool> edge_in(csg.NumEdges(), false);
   std::unordered_set<VertexId> vertices;
-  auto Take = [&](size_t edge_index) {
-    edge_in[edge_index] = true;
-    pcp.push_back(edge_index);
-    vertices.insert(csg.edges()[edge_index].u);
-    vertices.insert(csg.edges()[edge_index].v);
-  };
-  Take(seed);
-
-  while (pcp.size() < target_edges) {
-    // Candidate adjacent edges (CAE) of the partial pattern.
-    std::vector<size_t> cae;
-    std::vector<double> weights;
+  std::vector<size_t> cae;  // one frontier buffer for every step
+  for (size_t next = seed;;) {
+    edge_in[next] = true;
+    grown.push_back(next);
+    vertices.insert(csg.edges()[next].u);
+    vertices.insert(csg.edges()[next].v);
+    if (grown.size() >= target_edges) break;
+    cae.clear();
     for (VertexId v : vertices) {
       for (size_t idx : csg.IncidentEdges(v)) {
-        if (edge_in[idx]) continue;
-        if (wcsg.edge_weights[idx] <= 0.0) continue;
+        if (edge_in[idx] || !eligible(idx)) continue;
         // An edge incident to two pattern vertices appears twice; dedupe.
-        if (std::find(cae.begin(), cae.end(), idx) != cae.end()) continue;
-        cae.push_back(idx);
-        weights.push_back(wcsg.edge_weights[idx]);
+        if (std::find(cae.begin(), cae.end(), idx) == cae.end()) {
+          cae.push_back(idx);
+        }
       }
     }
-    if (cae.empty()) {
-      obs::Count(obs::Counter::kWalkDeadEnds);
-      break;
-    }
-    obs::Count(obs::Counter::kWalkSteps);
-    Take(cae[rng.WeightedIndex(weights)]);
+    const size_t at = pick(cae);
+    if (at == kStop) break;
+    next = cae[at];
   }
-  return pcp;
+  return grown;
+}
+
+// The walks' seed: the largest weight (first such edge for determinism).
+size_t HeaviestEdge(const WeightedCsg& wcsg) {
+  const std::vector<double>& w = wcsg.edge_weights;
+  return static_cast<size_t>(std::max_element(w.begin(), w.end()) -
+                             w.begin());
+}
+
+}  // namespace
+
+Pcp GeneratePcp(const WeightedCsg& wcsg, size_t target_edges, Rng& rng) {
+  if (wcsg.csg->NumEdges() == 0 || target_edges == 0) return Pcp();
+  std::vector<double> weights;  // parallel to the CAE list
+  return GrowFromSeed(
+      *wcsg.csg, HeaviestEdge(wcsg), target_edges,
+      [&](size_t idx) { return wcsg.edge_weights[idx] > 0.0; },
+      [&](const std::vector<size_t>& cae) {
+        if (cae.empty()) {
+          obs::Count(obs::Counter::kWalkDeadEnds);
+          return kStop;
+        }
+        obs::Count(obs::Counter::kWalkSteps);
+        weights.clear();
+        for (size_t idx : cae) weights.push_back(wcsg.edge_weights[idx]);
+        return rng.WeightedIndex(weights);
+      });
 }
 
 std::vector<Pcp> GeneratePcpLibrary(const WeightedCsg& wcsg,
@@ -87,49 +111,29 @@ std::vector<Pcp> GeneratePcpLibrary(const WeightedCsg& wcsg,
 }
 
 Pcp GenerateGreedyPcp(const WeightedCsg& wcsg, size_t target_edges) {
-  Pcp pcp;
-  const ClusterSummaryGraph& csg = *wcsg.csg;
-  if (csg.NumEdges() == 0 || target_edges == 0) return pcp;
-  size_t seed = 0;
-  for (size_t i = 1; i < wcsg.edge_weights.size(); ++i) {
-    if (wcsg.edge_weights[i] > wcsg.edge_weights[seed]) seed = i;
-  }
-  std::vector<bool> edge_in(csg.NumEdges(), false);
-  std::unordered_set<VertexId> vertices;
-  auto Take = [&](size_t edge_index) {
-    edge_in[edge_index] = true;
-    pcp.push_back(edge_index);
-    vertices.insert(csg.edges()[edge_index].u);
-    vertices.insert(csg.edges()[edge_index].v);
-  };
-  Take(seed);
-  while (pcp.size() < target_edges) {
-    int best = -1;
-    for (VertexId v : vertices) {
-      for (size_t idx : csg.IncidentEdges(v)) {
-        if (edge_in[idx] || wcsg.edge_weights[idx] <= 0.0) continue;
-        if (best < 0 || wcsg.edge_weights[idx] >
-                            wcsg.edge_weights[static_cast<size_t>(best)]) {
-          best = static_cast<int>(idx);
-        }
-      }
-    }
-    if (best < 0) break;
-    Take(static_cast<size_t>(best));
-  }
-  return pcp;
+  if (wcsg.csg->NumEdges() == 0 || target_edges == 0) return Pcp();
+  const std::vector<double>& w = wcsg.edge_weights;
+  return GrowFromSeed(
+      *wcsg.csg, HeaviestEdge(wcsg), target_edges,
+      [&](size_t idx) { return w[idx] > 0.0; },
+      [&](const std::vector<size_t>& cae) {
+        if (cae.empty()) return kStop;
+        return static_cast<size_t>(
+            std::max_element(cae.begin(), cae.end(),
+                             [&](size_t a, size_t b) { return w[a] < w[b]; }) -
+            cae.begin());
+      });
 }
 
 Pcp GenerateFcp(const ClusterSummaryGraph& csg,
                 const std::vector<Pcp>& library, size_t target_edges) {
-  Pcp fcp;
-  if (library.empty() || target_edges == 0) return fcp;
+  if (library.empty() || target_edges == 0) return Pcp();
 
   std::unordered_map<size_t, size_t> frequency;
   for (const Pcp& pcp : library) {
     for (size_t idx : pcp) ++frequency[idx];
   }
-  if (frequency.empty()) return fcp;
+  if (frequency.empty()) return Pcp();
 
   // Most frequent edge first (ties: lowest index, deterministic).
   auto MoreFrequent = [&](size_t a, size_t b) {
@@ -142,31 +146,15 @@ Pcp GenerateFcp(const ClusterSummaryGraph& csg,
   for (const auto& [idx, freq] : frequency) {
     if (MoreFrequent(idx, first)) first = idx;
   }
-
-  std::vector<bool> edge_in(csg.NumEdges(), false);
-  std::unordered_set<VertexId> vertices;
-  auto Take = [&](size_t edge_index) {
-    edge_in[edge_index] = true;
-    fcp.push_back(edge_index);
-    vertices.insert(csg.edges()[edge_index].u);
-    vertices.insert(csg.edges()[edge_index].v);
-  };
-  Take(first);
-
-  while (fcp.size() < target_edges) {
-    int best = -1;
-    for (VertexId v : vertices) {
-      for (size_t idx : csg.IncidentEdges(v)) {
-        if (edge_in[idx] || frequency.find(idx) == frequency.end()) continue;
-        if (best < 0 || MoreFrequent(idx, static_cast<size_t>(best))) {
-          best = static_cast<int>(idx);
-        }
-      }
-    }
-    if (best < 0) break;
-    Take(static_cast<size_t>(best));
-  }
-  return fcp;
+  return GrowFromSeed(
+      csg, first, target_edges,
+      [&](size_t idx) { return frequency.count(idx) != 0; },
+      [&](const std::vector<size_t>& cae) {
+        if (cae.empty()) return kStop;
+        return static_cast<size_t>(
+            std::min_element(cae.begin(), cae.end(), MoreFrequent) -
+            cae.begin());
+      });
 }
 
 Graph PatternFromCsgEdges(const ClusterSummaryGraph& csg, const Pcp& edges) {

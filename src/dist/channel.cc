@@ -1,12 +1,5 @@
 #include "src/dist/channel.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "src/obs/metrics.h"
-#include "src/util/failpoint.h"
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
@@ -15,14 +8,30 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define CATAPULT_DIST_NET_POSIX 1
-#endif
+
+#include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <thread>
+
+#include "src/obs/metrics.h"
+#include "src/util/failpoint.h"
 
 namespace catapult::dist {
 
 namespace {
 
-#if defined(CATAPULT_DIST_NET_POSIX)
+using Clock = std::chrono::steady_clock;
+
+// A peer that vanished mid-send must surface as EPIPE, not kill the process.
+#if defined(MSG_NOSIGNAL)
+constexpr int kSendFlags = MSG_NOSIGNAL;
+#else
+constexpr int kSendFlags = 0;
+#endif
+
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -31,7 +40,17 @@ void SetNonBlocking(int fd) {
 std::string ErrnoString(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
-#endif
+
+// Longest unix socket path sockaddr_un holds, its NUL terminator aside.
+constexpr size_t kMaxUnixPath = sizeof(sockaddr_un::sun_path) - 1;
+
+// `timeout_ms` from now; <= 0 never comes.
+Clock::time_point DeadlineAfter(double timeout_ms) {
+  if (timeout_ms <= 0.0) return Clock::time_point::max();
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double, std::milli>(
+                                timeout_ms));
+}
 
 }  // namespace
 
@@ -43,6 +62,7 @@ bool ParseAddress(const std::string& text, Address* out, std::string* error) {
   if (text.rfind("unix:", 0) == 0) {
     std::string path = text.substr(5);
     if (path.empty()) return fail("empty socket path");
+    if (path.size() > kMaxUnixPath) return fail("unix socket path too long");
     out->kind = Address::Kind::kUnix;
     out->path = std::move(path);
     out->host.clear();
@@ -73,8 +93,6 @@ bool ParseAddress(const std::string& text, Address* out, std::string* error) {
   }
   return fail("expected unix:PATH or tcp:HOST:PORT");
 }
-
-#if defined(CATAPULT_DIST_NET_POSIX)
 
 namespace {
 
@@ -154,34 +172,31 @@ bool Channel::SendEncoded(const std::string& bytes) {
   const bool short_writes = CATAPULT_FAILPOINT(kFailpointShortWrite);
   size_t written = 0;
   while (written < bytes.size()) {
-    size_t chunk = bytes.size() - written;
-    if (short_writes) chunk = 1;  // worst-case kernel chunking
-    ssize_t n = ::send(fd_, bytes.data() + written, chunk, MSG_NOSIGNAL);
+    // One byte at a time under the failpoint: worst-case kernel chunking.
+    const size_t chunk = short_writes ? 1 : bytes.size() - written;
+    const long n = SendSome(fd_, bytes.data() + written, chunk);
     if (n > 0) {
       written += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      struct pollfd pfd = {fd_, POLLOUT, 0};
-      int timeout =
-          write_stall_timeout_ms_ <= 0.0
-              ? -1
-              : std::max(1, static_cast<int>(write_stall_timeout_ms_));
-      int rc = ::poll(&pfd, 1, timeout);
-      if (rc > 0) continue;
-      if (rc < 0 && errno == EINTR) continue;
-      // Stalled: the peer holds the connection open but reads nothing.
+    if (n < 0) {
       failed_ = true;
-      write_stalled_ = true;
-      error_ = "write stalled for " +
-               std::to_string(static_cast<long>(write_stall_timeout_ms_)) +
-               "ms";
-      obs::Count(obs::Counter::kDistNetWriteStalls);
+      error_ = ErrnoString("send");
       return false;
     }
+    struct pollfd pfd = {fd_, POLLOUT, 0};
+    int timeout = write_stall_timeout_ms_ <= 0.0
+                      ? -1
+                      : std::max(1, static_cast<int>(write_stall_timeout_ms_));
+    int rc = ::poll(&pfd, 1, timeout);
+    if (rc > 0) continue;
+    if (rc < 0 && errno == EINTR) continue;
+    // Stalled: the peer holds the connection open but reads nothing.
     failed_ = true;
-    error_ = ErrnoString("send");
+    write_stalled_ = true;
+    error_ = "write stalled for " +
+             std::to_string(static_cast<long>(write_stall_timeout_ms_)) + "ms";
+    obs::Count(obs::Counter::kDistNetWriteStalls);
     return false;
   }
   return true;
@@ -189,19 +204,80 @@ bool Channel::SendEncoded(const std::string& bytes) {
 
 Channel::DrainStatus Channel::DrainInto(FrameReader* reader) {
   if (fd_ < 0) return DrainStatus::kError;
-  char buf[4096];
-  for (;;) {
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      reader->Feed(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return DrainStatus::kEof;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return DrainStatus::kOk;
+  const DrainStatus status = Drain(fd_, reader);
+  if (status == DrainStatus::kError) {
     failed_ = true;
     error_ = ErrnoString("recv");
-    return DrainStatus::kError;
+  }
+  return status;
+}
+
+long SendSome(int fd, const char* data, size_t size) {
+  for (;;) {
+    const ssize_t n = ::send(fd, data, size, kSendFlags);
+    if (n >= 0) return static_cast<long>(n);
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
+  }
+}
+
+Channel::DrainStatus Drain(int fd, FrameReader* reader, size_t* received) {
+  char buf[16384];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      reader->Feed(buf, static_cast<size_t>(n));
+      if (received != nullptr) *received += static_cast<size_t>(n);
+      continue;
+    }
+    if (n == 0) return Channel::DrainStatus::kEof;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Channel::DrainStatus::kOk;
+    }
+    return Channel::DrainStatus::kError;
+  }
+}
+
+WaitStatus WaitFrame(Channel& channel, FrameReader& reader, double timeout_ms,
+                     Frame* frame) {
+  const Clock::time_point deadline = DeadlineAfter(timeout_ms);
+  bool closed = false;
+  bool broken = false;
+  for (;;) {
+    // Frames already buffered go out first, even when the peer has closed
+    // since: its close may trail its last replies. So may a reset, which a
+    // Unix peer that closes with our bytes still unread delivers instead of
+    // an end of stream.
+    if (std::optional<Frame> next = reader.Next()) {
+      *frame = std::move(*next);
+      return WaitStatus::kFrame;
+    }
+    if (reader.corrupt()) return WaitStatus::kCorrupt;
+    if (broken) return WaitStatus::kError;
+    if (closed || channel.fd() < 0) return WaitStatus::kClosed;
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) return WaitStatus::kTimeout;
+    double wait_ms = 500.0;
+    if (deadline != Clock::time_point::max()) {
+      double remaining =
+          std::chrono::duration<double, std::milli>(deadline - now).count();
+      wait_ms = std::min(wait_ms, std::max(remaining, 1.0));
+    }
+    struct pollfd pfd = {channel.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(wait_ms)) < 0 && errno != EINTR) {
+      return WaitStatus::kError;
+    }
+    switch (channel.DrainInto(&reader)) {
+      case Channel::DrainStatus::kOk:
+        break;
+      case Channel::DrainStatus::kEof:
+        closed = true;
+        break;
+      case Channel::DrainStatus::kError:
+        broken = true;
+        break;
+    }
   }
 }
 
@@ -267,16 +343,16 @@ void Listener::Adopt(int fd) {
   }
 }
 
-int Listener::Accept() {
+int Listener::Accept(int* error) {
   if (fd_ < 0) return -1;
   for (;;) {
     int client = ::accept(fd_, nullptr, nullptr);
     if (client >= 0) {
       SetNonBlocking(client);
-      obs::Count(obs::Counter::kDistNetAccepts);
       return client;
     }
     if (errno == EINTR) continue;
+    if (error != nullptr) *error = errno;
     return -1;
   }
 }
@@ -311,7 +387,18 @@ int Dial(const Address& addr, double timeout_ms, std::string* error) {
     return -1;
   }
   SetNonBlocking(fd);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&storage), len) != 0) {
+  const Clock::time_point give_up = DeadlineAfter(timeout_ms);
+  int connected;
+  // A Unix listener with a full backlog turns a non-blocking connect away
+  // with EAGAIN, where a blocking one would wait for room: wait likewise,
+  // up to the timeout.
+  while ((connected = ::connect(fd, reinterpret_cast<sockaddr*>(&storage),
+                                len)) != 0 &&
+         errno == EAGAIN && addr.kind == Address::Kind::kUnix &&
+         Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (connected != 0) {
     if (errno != EINPROGRESS) {
       if (error != nullptr) *error = ErrnoString("connect");
       ::close(fd);
@@ -341,32 +428,5 @@ int Dial(const Address& addr, double timeout_ms, std::string* error) {
   }
   return fd;
 }
-
-#else  // !CATAPULT_DIST_NET_POSIX
-
-Channel::Channel(int fd, double write_stall_timeout_ms)
-    : fd_(fd), write_stall_timeout_ms_(write_stall_timeout_ms) {
-  failed_ = true;
-  error_ = "sockets unsupported on this platform";
-}
-Channel::~Channel() {}
-void Channel::Close() { fd_ = -1; }
-bool Channel::SendEncoded(const std::string&) { return false; }
-Channel::DrainStatus Channel::DrainInto(FrameReader*) {
-  return DrainStatus::kError;
-}
-Listener::~Listener() {}
-std::string Listener::Listen(const Address&) {
-  return "sockets unsupported on this platform";
-}
-void Listener::Adopt(int) {}
-int Listener::Accept() { return -1; }
-void Listener::Close() { fd_ = -1; }
-int Dial(const Address&, double, std::string* error) {
-  if (error != nullptr) *error = "sockets unsupported on this platform";
-  return -1;
-}
-
-#endif  // CATAPULT_DIST_NET_POSIX
 
 }  // namespace catapult::dist

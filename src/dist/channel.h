@@ -7,14 +7,19 @@
 
 #include "src/dist/wire.h"
 
-// Socket transport for sharded execution (DESIGN.md §12). The CTWF framing
-// in wire.h is transport-agnostic; this file supplies the byte-stream
-// underneath it: a socketpair per forked local member, Unix-domain sockets
-// for same-host remote fleets and TCP for cross-host ones. A Channel wraps
-// one connected, non-blocking fd and adds interleave-safe frame writes
-// with a write-stall deadline (a peer that stops reading but keeps the
-// connection open must not wedge the supervisor), and a non-blocking drain
-// into a FrameReader that distinguishes "no bytes yet" from "peer gone".
+// The socket transport (DESIGN.md §12, §13). The CTWF framing in wire.h is
+// transport-agnostic; this file supplies the byte-stream underneath it, and
+// is the only code that binds, accepts, connects or sends to a socket, or
+// drains frames from one: a socketpair per forked local member, Unix-domain
+// sockets for same-host remote fleets and the selection service, TCP for
+// cross-host fleets. A Channel wraps one connected, non-blocking fd and adds
+// interleave-safe frame writes with a write-stall deadline (a peer that
+// stops reading but keeps the connection open must not wedge the writer),
+// and a non-blocking drain into a FrameReader that distinguishes "no bytes
+// yet" from "peer gone". WaitFrame is the blocking receive of the fleet's
+// members and the service's client. SendSome and Drain are the same byte
+// moves on a raw fd, for owners that buffer output themselves because they
+// must never block (the service's event loop).
 //
 // Network faults are injectable as failpoints so the chaos tests can drive
 // every failure arm deterministically without real packet loss.
@@ -39,7 +44,8 @@ struct Address {
 };
 
 // Parses `text` into `out`. Returns false and fills `*error` on a
-// malformed address (unknown scheme, empty path, bad port...).
+// malformed address (unknown scheme, empty or over-long socket path, bad
+// port...).
 bool ParseAddress(const std::string& text, Address* out, std::string* error);
 
 // One connected byte-stream endpoint. Owns the fd (closed on destruction)
@@ -120,8 +126,10 @@ class Listener {
   const std::string& address() const { return address_; }
 
   // Accepts one pending connection, non-blocking. Returns the connected
-  // fd (non-blocking) or -1 when none is pending or accept failed.
-  int Accept();
+  // fd (non-blocking), or -1 when none is pending or accept failed; then
+  // `*error` (when non-null) holds accept's errno, EAGAIN when none was
+  // pending, so callers can back off on descriptor exhaustion.
+  int Accept(int* error = nullptr);
 
   void Close();
 
@@ -133,9 +141,36 @@ class Listener {
 };
 
 // Connects to `addr`, waiting at most `timeout_ms` for the connect to
-// complete. Returns a connected non-blocking fd, or -1 with `*error` set
-// (including the injected kFailpointConnectRefused fault).
+// complete (on a Unix socket, also for room in the listener's backlog).
+// Returns a connected non-blocking fd, or -1 with `*error` set (including
+// the injected kFailpointConnectRefused fault).
 int Dial(const Address& addr, double timeout_ms, std::string* error);
+
+// Writes as much of `data` as the non-blocking `fd` accepts right now.
+// Returns the bytes written (0 when the socket would block), or -1 when the
+// connection is dead (errno says why).
+long SendSome(int fd, const char* data, size_t size);
+
+// Reads every byte currently readable on the non-blocking `fd` into
+// `reader`, adding the count to `*received` when non-null.
+Channel::DrainStatus Drain(int fd, FrameReader* reader,
+                           size_t* received = nullptr);
+
+// How WaitFrame ended.
+enum class WaitStatus {
+  kFrame,    // the next complete frame was stored
+  kTimeout,  // none arrived within the timeout
+  kClosed,   // the peer closed the stream, after any frames it had sent
+  kCorrupt,  // the stream failed its framing checks; reader.error() says why
+  kError,    // poll or read error; channel.error() may say why
+};
+
+// Blocks until the next complete frame arrives on `channel` (buffered in
+// `reader` across calls), for at most `timeout_ms` (<= 0 = wait forever).
+// A peer that writes its last frames and then closes or resets the
+// connection still delivers them.
+WaitStatus WaitFrame(Channel& channel, FrameReader& reader, double timeout_ms,
+                     Frame* frame);
 
 }  // namespace catapult::dist
 

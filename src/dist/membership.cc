@@ -19,15 +19,12 @@
 #include "src/obs/metrics.h"
 #include "src/util/backoff.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#define CATAPULT_DIST_NET_POSIX 1
-#endif
 #if defined(__linux__)
 #include <sys/prctl.h>
 #endif
@@ -47,18 +44,14 @@ Clock::time_point AfterMillis(Clock::time_point from, double ms) {
                     std::chrono::duration<double, std::milli>(ms));
 }
 
-#if defined(CATAPULT_DIST_NET_POSIX)
 std::string DescribeWaitStatus(int status) {
   if (WIFSIGNALED(status)) {
     return "killed by signal " + std::to_string(WTERMSIG(status));
   }
   return "exit code " + std::to_string(WEXITSTATUS(status));
 }
-#endif
 
 }  // namespace
-
-#if defined(CATAPULT_DIST_NET_POSIX)
 
 FleetOutcome RunFleet(
     const ShardExecutionSpec& spec, const ShardPlan& plan,
@@ -768,6 +761,7 @@ FleetOutcome RunFleet(
         for (;;) {
           int fd = listener.Accept();
           if (fd < 0) break;
+          obs::Count(obs::Counter::kDistNetAccepts);
           auto conn = std::make_unique<Conn>();
           conn->channel = std::make_unique<Channel>(
               fd, options.write_stall_timeout_ms);
@@ -842,20 +836,5 @@ FleetOutcome RunFleet(
   }
   return outcome;
 }
-
-#else  // !CATAPULT_DIST_NET_POSIX
-
-FleetOutcome RunFleet(
-    const ShardExecutionSpec&, const ShardPlan&, const DistOptions&,
-    const RunContext&, DistReport* report,
-    std::vector<std::optional<ShardClusterResult>>*) {
-  report->events.push_back(ShardEvent{ShardEvent::Kind::kFleetLost, 0,
-                                      "sockets unsupported on this platform"});
-  FleetOutcome outcome;
-  outcome.fleet_lost = true;
-  return outcome;
-}
-
-#endif  // CATAPULT_DIST_NET_POSIX
 
 }  // namespace catapult::dist

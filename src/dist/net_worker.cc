@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,70 +18,16 @@
 #include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
-#define CATAPULT_DIST_NET_POSIX 1
-#endif
 
 namespace catapult::dist {
 
-#if defined(CATAPULT_DIST_NET_POSIX)
-
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 void SleepMillis(double ms) {
   if (ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-  }
-}
-
-// Blocks until the next complete frame, EOF/error, or `timeout_ms`
-// (<= 0 = wait forever). `*lost` is set when the connection is unusable.
-std::optional<Frame> WaitFrame(Channel& channel, FrameReader& reader,
-                               double timeout_ms, bool* lost) {
-  *lost = false;
-  Clock::time_point deadline =
-      timeout_ms > 0.0
-          ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   timeout_ms))
-          : Clock::time_point::max();
-  for (;;) {
-    if (std::optional<Frame> frame = reader.Next()) return frame;
-    if (reader.corrupt() || channel.fd() < 0) {
-      *lost = true;
-      return std::nullopt;
-    }
-    Clock::time_point now = Clock::now();
-    if (now >= deadline) return std::nullopt;
-    double wait_ms = 500.0;
-    if (deadline != Clock::time_point::max()) {
-      double remaining =
-          std::chrono::duration<double, std::milli>(deadline - now).count();
-      wait_ms = std::min(wait_ms, std::max(remaining, 1.0));
-    }
-    struct pollfd pfd = {channel.fd(), POLLIN, 0};
-    int rc = ::poll(&pfd, 1, static_cast<int>(wait_ms));
-    if (rc < 0 && errno != EINTR) {
-      *lost = true;
-      return std::nullopt;
-    }
-    Channel::DrainStatus status = channel.DrainInto(&reader);
-    if (status == Channel::DrainStatus::kEof) {
-      // The peer's close may trail a final complete frame.
-      if (std::optional<Frame> frame = reader.Next()) return frame;
-      *lost = true;
-      return std::nullopt;
-    }
-    if (status == Channel::DrainStatus::kError) {
-      *lost = true;
-      return std::nullopt;
-    }
   }
 }
 
@@ -206,14 +151,7 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
     if (first_attempt && CATAPULT_FAILPOINT(kFailpointDropMidFrame)) {
       // Die halfway through a frame: the supervisor sees a truncated
       // buffer (dead peer, not corruption) and reassigns the shard.
-      size_t half = bytes.size() / 2;
-      size_t sent = 0;
-      while (sent < half) {
-        ssize_t n = ::send(channel.fd(), bytes.data() + sent, half - sent,
-                           MSG_NOSIGNAL);
-        if (n <= 0) break;
-        sent += static_cast<size_t>(n);
-      }
+      channel.SendEncoded(bytes.substr(0, bytes.size() / 2));
       channel.Close();
       lost = true;
       return;
@@ -323,17 +261,18 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
   };
 
   for (;;) {
-    bool lost = false;
-    std::optional<Frame> frame = WaitFrame(channel, reader, 0.0, &lost);
-    if (lost || channel.failed()) {
+    // No timeout: only a frame or a lost connection ends the wait. A
+    // Shutdown read just before the connection broke is still obeyed.
+    Frame frame;
+    if (WaitFrame(channel, reader, 0.0, &frame) != WaitStatus::kFrame ||
+        (channel.failed() && frame.type != FrameType::kShutdown)) {
       stop_hb();
       return -1;
     }
-    if (!frame.has_value()) continue;
-    switch (frame->type) {
+    switch (frame.type) {
       case FrameType::kShardAssign: {
         ShardAssignFrame assign;
-        if (!Decode(frame->payload, &assign) ||
+        if (!Decode(frame.payload, &assign) ||
             !AssignFitsDatabase(assign, db.size())) {
           stop_hb();
           return kWorkerExitProtocol;
@@ -352,7 +291,7 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
       }
       case FrameType::kShutdown: {
         ShutdownFrame f;
-        if (!Decode(frame->payload, &f)) {
+        if (!Decode(frame.payload, &f)) {
           stop_hb();
           return kWorkerExitProtocol;
         }
@@ -388,16 +327,17 @@ int ServeConnection(const GraphDatabase& db,
   req.pid = static_cast<uint64_t>(::getpid());
   if (!channel.Send(req, FrameType::kJoinRequest)) return -1;
   FrameReader reader;
-  bool lost = false;
-  std::optional<Frame> reply =
-      WaitFrame(channel, reader, options.handshake_timeout_ms, &lost);
-  if (!reply.has_value()) return -1;
-  if (reply->type == FrameType::kJoinReject) {
+  Frame reply;
+  if (WaitFrame(channel, reader, options.handshake_timeout_ms, &reply) !=
+      WaitStatus::kFrame) {
+    return -1;
+  }
+  if (reply.type == FrameType::kJoinReject) {
     return kWorkerExitRejected;  // typed refusal: retrying cannot help
   }
-  if (reply->type != FrameType::kJoinAccept) return kWorkerExitProtocol;
+  if (reply.type != FrameType::kJoinAccept) return kWorkerExitProtocol;
   JoinAcceptFrame accept;
-  if (!Decode(reply->payload, &accept)) return kWorkerExitProtocol;
+  if (!Decode(reply.payload, &accept)) return kWorkerExitProtocol;
   *joined = true;
   *identity = accept;
   return RunSession(db, options, channel, reader, accept);
@@ -446,17 +386,5 @@ int RunLocalWorker(const GraphDatabase& db,
   // No redial: the supervisor replaces a lost local member itself.
   return code >= 0 ? code : kWorkerExitConnectFailed;
 }
-
-#else  // !CATAPULT_DIST_NET_POSIX
-
-int RunRemoteWorker(const GraphDatabase&, const RemoteWorkerOptions&) {
-  return kWorkerExitConnectFailed;
-}
-
-int RunLocalWorker(const GraphDatabase&, const RemoteWorkerOptions&, int) {
-  return kWorkerExitConnectFailed;
-}
-
-#endif  // CATAPULT_DIST_NET_POSIX
 
 }  // namespace catapult::dist

@@ -10,11 +10,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <stdlib.h>
 #include <unistd.h>
-#define CATAPULT_DIST_POSIX 1
-#endif
 
 namespace catapult::dist {
 
@@ -76,7 +73,6 @@ ShardedPhasesResult RunShardedClusterPhases(
   const bool private_dir = options.checkpoint_dir.empty();
   ScopedDirRemover private_dir_remover;
   if (private_dir) {
-#if defined(CATAPULT_DIST_POSIX)
     std::string tmpl =
         (std::filesystem::temp_directory_path(ec) / "catapult-shards-XXXXXX")
             .string();
@@ -93,12 +89,6 @@ ShardedPhasesResult RunShardedClusterPhases(
               .string();
       std::filesystem::create_directories(spec.shard_dir, ec);
     }
-#else
-    spec.shard_dir = (std::filesystem::temp_directory_path(ec) /
-                      "catapult-shards-fallback")
-                         .string();
-    std::filesystem::create_directories(spec.shard_dir, ec);
-#endif
     // Removal is scoped, not best-effort-at-the-end: early returns and the
     // fleet's failure arms must not leak per-run temp directories.
     private_dir_remover.path = spec.shard_dir;

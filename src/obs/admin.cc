@@ -148,14 +148,13 @@ void AdminServer::HandleConnection(int fd) {
   out += std::to_string(response.body.size());
   out += "\r\nConnection: close\r\n\r\n";
   out += response.body;
+  // Through the transport's send: a scraper that hung up early is an EPIPE
+  // here, not a SIGPIPE that ends the process.
   size_t sent = 0;
   while (sent < out.size()) {
     if (!WaitReady(fd, POLLOUT, kIoTimeoutMs)) return;
-    const ssize_t n = ::write(fd, out.data() + sent, out.size() - sent);
-    if (n <= 0) {
-      if (n < 0 && (errno == EAGAIN || errno == EINTR)) continue;
-      return;
-    }
+    const long n = dist::SendSome(fd, out.data() + sent, out.size() - sent);
+    if (n < 0) return;
     sent += static_cast<size_t>(n);
   }
 }

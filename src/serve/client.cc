@@ -1,114 +1,53 @@
 #include "src/serve/client.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CATAPULT_SERVE_POSIX 1
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
 
 namespace catapult::serve {
 
-#if defined(CATAPULT_SERVE_POSIX)
-
 namespace {
-using Clock = std::chrono::steady_clock;
-
-#if defined(MSG_NOSIGNAL)
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
+// How long Connect waits for room in the server's listen backlog.
+constexpr double kConnectTimeoutMs = 5000.0;
 }  // namespace
 
 ServeClient::~ServeClient() { Close(); }
 
 std::string ServeClient::Connect(const std::string& socket_path) {
   Close();
-  sockaddr_un addr{};
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    return "connect: socket path too long for AF_UNIX";
+  dist::Address address;
+  std::string error;
+  if (!dist::ParseAddress("unix:" + socket_path, &address, &error)) {
+    return "connect: " + error;
   }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return std::string("socket: ") + std::strerror(errno);
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    return "connect: " + reason;
-  }
-  fd_ = fd;
+  const int fd = dist::Dial(address, kConnectTimeoutMs, &error);
+  if (fd < 0) return error;
+  channel_ = std::make_unique<dist::Channel>(fd);
   reader_ = dist::FrameReader();
   return "";
 }
 
-void ServeClient::Close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
+void ServeClient::Close() { channel_.reset(); }
 
 bool ServeClient::SendRawBytes(const std::string& bytes) {
-  if (fd_ < 0) return false;
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + off, bytes.size() - off, kSendFlags);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
+  return channel_ != nullptr && channel_->SendEncoded(bytes);
 }
 
 std::string ServeClient::ReadFrame(dist::Frame* frame, double timeout_ms) {
-  if (fd_ < 0) return "not connected";
-  const bool bounded = timeout_ms > 0.0;
-  const Clock::time_point give_up =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
-  char buf[16384];
-  for (;;) {
-    if (reader_.corrupt()) return "stream corrupt: " + reader_.error();
-    std::optional<dist::Frame> next = reader_.Next();
-    if (next.has_value()) {
-      *frame = std::move(*next);
+  if (channel_ == nullptr) return "not connected";
+  switch (dist::WaitFrame(*channel_, reader_, timeout_ms, frame)) {
+    case dist::WaitStatus::kFrame:
       return "";
-    }
-    int wait_ms = -1;
-    if (bounded) {
-      const double remaining =
-          std::chrono::duration<double, std::milli>(give_up - Clock::now())
-              .count();
-      if (remaining <= 0.0) return "timed out waiting for reply";
-      wait_ms = static_cast<int>(remaining) + 1;
-    }
-    pollfd p{fd_, POLLIN, 0};
-    const int ready = ::poll(&p, 1, wait_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return std::string("poll: ") + std::strerror(errno);
-    }
-    if (ready == 0) return "timed out waiting for reply";
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      reader_.Feed(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return "connection closed by server";
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return std::string("recv: ") + std::strerror(errno);
+    case dist::WaitStatus::kTimeout:
+      return "timed out waiting for reply";
+    case dist::WaitStatus::kClosed:
+      return "connection closed by server";
+    case dist::WaitStatus::kCorrupt:
+      return "stream corrupt: " + reader_.error();
+    case dist::WaitStatus::kError:
+      break;
   }
+  return channel_->error().empty() ? "connection lost" : channel_->error();
 }
 
 ServeClient::MineOutcome ServeClient::Mine(const MineRequest& request,
@@ -198,31 +137,5 @@ std::string ServeClient::Ping(PongReply* pong, double timeout_ms) {
   }
   return "";
 }
-
-#else  // !CATAPULT_SERVE_POSIX
-
-ServeClient::~ServeClient() = default;
-std::string ServeClient::Connect(const std::string&) {
-  return "unsupported platform";
-}
-void ServeClient::Close() {}
-bool ServeClient::SendRawBytes(const std::string&) { return false; }
-std::string ServeClient::ReadFrame(dist::Frame*, double) {
-  return "unsupported platform";
-}
-ServeClient::MineOutcome ServeClient::Mine(const MineRequest&, double) {
-  MineOutcome outcome;
-  outcome.error = "unsupported platform";
-  return outcome;
-}
-ServeClient::MineOutcome ServeClient::MineWithRetry(const MineRequest&, size_t,
-                                                    double, std::string*) {
-  return Mine(MineRequest{}, 0.0);
-}
-std::string ServeClient::Ping(PongReply*, double) {
-  return "unsupported platform";
-}
-
-#endif  // CATAPULT_SERVE_POSIX
 
 }  // namespace catapult::serve

@@ -1,16 +1,20 @@
 #ifndef CATAPULT_SERVE_CLIENT_H_
 #define CATAPULT_SERVE_CLIENT_H_
 
+#include <memory>
 #include <string>
 
+#include "src/dist/channel.h"
 #include "src/dist/wire.h"
 #include "src/serve/protocol.h"
 
 // Blocking client for the pattern-selection service (DESIGN.md §13): one
-// Unix-domain connection, one request/reply exchange at a time. Used by the
-// catapult_client binary and as the chaos harness of tests/serve_test.cc —
-// SendRawBytes/ReadFrame exist so tests can speak malformed protocol on
-// purpose (torn frames, bad checksums, silence).
+// Unix-domain connection, one request/reply exchange at a time, over the
+// fleet's transport (a dist::Channel from dist::Dial, so sends carry the
+// Channel's write-stall deadline and replies arrive through the members'
+// WaitFrame). Used by the catapult_client binary and as the chaos harness
+// of tests/serve_test.cc — SendRawBytes/ReadFrame exist so tests can speak
+// malformed protocol on purpose (torn frames, bad checksums, silence).
 
 namespace catapult::serve {
 
@@ -25,9 +29,9 @@ class ServeClient {
   // the reason ("connect: No such file or directory", ...).
   std::string Connect(const std::string& socket_path);
 
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return fd() >= 0; }
   void Close();
-  int fd() const { return fd_; }
+  int fd() const { return channel_ ? channel_->fd() : -1; }
 
   // Every way one Mine exchange can end.
   struct MineOutcome {
@@ -71,7 +75,7 @@ class ServeClient {
   std::string ReadFrame(dist::Frame* frame, double timeout_ms = 5000.0);
 
  private:
-  int fd_ = -1;
+  std::unique_ptr<dist::Channel> channel_;
   dist::FrameReader reader_;
 };
 

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/dist/channel.h"
 #include "src/dist/wire.h"
 #include "src/obs/admin.h"
 #include "src/obs/export.h"
@@ -20,36 +21,23 @@
 #include "src/serve/protocol.h"
 #include "src/util/failpoint.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CATAPULT_SERVE_POSIX 1
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace catapult::serve {
-
-#if defined(CATAPULT_SERVE_POSIX)
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-#if defined(MSG_NOSIGNAL)
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
-
 double MillisSince(Clock::time_point since, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - since).count();
 }
 
-bool SetNonBlocking(int fd) {
+void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 // accept() errno values that mean "descriptor pressure / transient": back
@@ -109,7 +97,7 @@ struct Server::Impl {
   MemoryBudget memory;  // shared across all requests
   std::vector<std::string> label_names;
 
-  int listen_fd = -1;
+  dist::Listener listener;  // unix:<socket_path>; Close() unlinks the path
   int wake_read = -1;
   int wake_write = -1;
   Clock::time_point accept_cooldown_until{};
@@ -155,13 +143,9 @@ struct Server::Impl {
   obs::AdminServer admin;
   Clock::time_point start_time{};
 
-  ~Impl() { CloseStartupFds(); }
-
-  void CloseStartupFds() {
-    if (listen_fd >= 0) ::close(listen_fd);
+  ~Impl() {
     if (wake_read >= 0) ::close(wake_read);
     if (wake_write >= 0) ::close(wake_write);
-    listen_fd = wake_read = wake_write = -1;
   }
 
   void Wake() {
@@ -320,16 +304,12 @@ struct Server::Impl {
   bool FlushSession(int fd, Session& s) {
     while (s.out_off < s.outbuf.size()) {
       if (CATAPULT_FAILPOINT("serve.write_stall")) return true;  // no progress
-      const ssize_t n = ::send(fd, s.outbuf.data() + s.out_off,
-                               s.outbuf.size() - s.out_off, kSendFlags);
-      if (n > 0) {
-        s.out_off += static_cast<size_t>(n);
-        s.last_write_progress = Clock::now();
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-      if (n < 0 && errno == EINTR) continue;
-      return false;  // peer gone or fatal error
+      const long n = dist::SendSome(fd, s.outbuf.data() + s.out_off,
+                                    s.outbuf.size() - s.out_off);
+      if (n < 0) return false;  // peer gone or fatal error
+      if (n == 0) return true;  // socket full; POLLOUT resumes the flush
+      s.out_off += static_cast<size_t>(n);
+      s.last_write_progress = Clock::now();
     }
     s.outbuf.clear();
     s.out_off = 0;
@@ -346,10 +326,10 @@ struct Server::Impl {
                                    options.accept_retry_ms));
         return;
       }
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      int err = 0;
+      const int fd = listener.Accept(&err);
       if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (TransientAcceptError(errno)) {
+        if (TransientAcceptError(err)) {
           obs::Count(obs::Counter::kServeAcceptFailures);
           accept_cooldown_until =
               Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -357,10 +337,6 @@ struct Server::Impl {
                                      options.accept_retry_ms));
         }
         return;
-      }
-      if (!SetNonBlocking(fd)) {
-        ::close(fd);
-        continue;
       }
       Session& s = sessions[fd];
       s.generation = next_generation++;
@@ -570,24 +546,11 @@ struct Server::Impl {
     auto it = sessions.find(fd);
     if (it == sessions.end()) return;
     Session& s = it->second;
-    char buf[16384];
-    bool peer_closed = false;
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        s.reader.Feed(buf, static_cast<size_t>(n));
-        s.last_activity = Clock::now();
-        continue;
-      }
-      if (n == 0) {
-        peer_closed = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      peer_closed = true;
-      break;
-    }
+    size_t received = 0;
+    const dist::Channel::DrainStatus status =
+        dist::Drain(fd, &s.reader, &received);
+    if (received > 0) s.last_activity = Clock::now();
+    const bool peer_closed = status != dist::Channel::DrainStatus::kOk;
     while (!s.reader.corrupt()) {
       std::optional<dist::Frame> frame = s.reader.Next();
       if (!frame.has_value()) break;
@@ -620,23 +583,20 @@ struct Server::Impl {
     std::vector<pollfd> fds;
     std::vector<int> session_fds;
     std::vector<uint64_t> session_gens;
-    bool listen_open = true;
     while (!loop_stop.load(std::memory_order_relaxed)) {
       const Clock::time_point now = Clock::now();
-      if (listen_open && self->draining()) {
+      if (listener.open() && self->draining()) {
         // Drain begins: stop accepting. Unlinking the path now makes new
         // connect() attempts fail fast instead of queueing in the backlog.
-        ::close(listen_fd);
-        listen_fd = -1;
-        ::unlink(options.socket_path.c_str());
-        listen_open = false;
+        listener.Close();
       }
       fds.clear();
       session_fds.clear();
       session_gens.clear();
       fds.push_back({wake_read, POLLIN, 0});
-      const bool accept_ready = listen_open && now >= accept_cooldown_until;
-      if (accept_ready) fds.push_back({listen_fd, POLLIN, 0});
+      const bool accept_ready =
+          listener.open() && now >= accept_cooldown_until;
+      if (accept_ready) fds.push_back({listener.fd(), POLLIN, 0});
       for (auto& [fd, s] : sessions) {
         short events = POLLIN;
         if (s.out_off < s.outbuf.size()) events |= POLLOUT;
@@ -698,11 +658,7 @@ struct Server::Impl {
     }
     sessions.clear();
     session_count.store(0, std::memory_order_relaxed);
-    if (listen_fd >= 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
-    ::unlink(options.socket_path.c_str());
+    listener.Close();
   }
 
   // --- worker side -----------------------------------------------------------
@@ -852,8 +808,8 @@ std::string Server::Start(const GraphDatabase& db, const ServeOptions& options,
   if (impl->options.max_queue_depth == 0) impl->options.max_queue_depth = 1;
   if (impl->options.max_sessions == 0) impl->options.max_sessions = 1;
 
-  sockaddr_un addr{};
-  if (options.socket_path.size() >= sizeof(addr.sun_path)) {
+  dist::Address address;
+  if (!dist::ParseAddress("unix:" + options.socket_path, &address, nullptr)) {
     return "options: socket_path too long for AF_UNIX";
   }
 
@@ -883,22 +839,9 @@ std::string Server::Start(const GraphDatabase& db, const ServeOptions& options,
     impl->label_names.push_back(labels.Name(static_cast<Label>(l)));
   }
 
-  impl->listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (impl->listen_fd < 0) return std::string("socket: ") + std::strerror(errno);
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, options.socket_path.c_str(),
-              options.socket_path.size() + 1);
-  ::unlink(options.socket_path.c_str());  // replace a stale socket file
-  if (::bind(impl->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return std::string("bind: ") + std::strerror(errno);
-  }
-  if (::listen(impl->listen_fd, 64) != 0) {
-    return std::string("listen: ") + std::strerror(errno);
-  }
-  if (!SetNonBlocking(impl->listen_fd)) {
-    return std::string("fcntl: ") + std::strerror(errno);
-  }
+  // Listen replaces a stale socket file at the path; Close unlinks it.
+  const std::string listen_error = impl->listener.Listen(address);
+  if (!listen_error.empty()) return listen_error;
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     return std::string("pipe: ") + std::strerror(errno);
@@ -1000,31 +943,5 @@ const PreparedCorpus& Server::corpus() const {
   static const PreparedCorpus kEmpty;
   return impl_ && impl_->corpus ? *impl_->corpus : kEmpty;
 }
-
-#else  // !CATAPULT_SERVE_POSIX
-
-struct Server::Impl {};
-
-Server::Server() = default;
-Server::~Server() = default;
-
-std::string Server::Start(const GraphDatabase&, const ServeOptions&,
-                          const PreparedCorpus*) {
-  return "unsupported platform: the pattern-selection service needs POSIX "
-         "sockets";
-}
-
-void Server::BeginDrain() {}
-void Server::Stop() {}
-size_t Server::active_sessions() const { return 0; }
-size_t Server::queue_depth() const { return 0; }
-obs::MetricsSnapshot Server::Metrics() const { return metrics_.Snapshot(); }
-
-const PreparedCorpus& Server::corpus() const {
-  static const PreparedCorpus kEmpty;
-  return kEmpty;
-}
-
-#endif  // CATAPULT_SERVE_POSIX
 
 }  // namespace catapult::serve

@@ -7,12 +7,8 @@
 #include "src/obs/metrics.h"
 #include "src/util/failpoint.h"
 
-#if defined(_WIN32)
-#include <io.h>
-#else
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace catapult {
 
@@ -30,30 +26,23 @@ bool SyncFile(std::FILE* file) {
     return false;
   }
   obs::Count(obs::Counter::kCheckpointFsyncs);
-#if defined(_WIN32)
-  return _commit(_fileno(file)) == 0;
-#else
   return ::fsync(fileno(file)) == 0;
-#endif
 }
 
 // Best-effort fsync of the directory containing `path`, so the rename that
 // published a file in it is itself durable. Failure is not reported: the
 // file content is already safe, only the directory entry may be replayed.
 void SyncParentDirectory(const std::string& path) {
-#if !defined(_WIN32)
-  size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd >= 0) {
     obs::Count(obs::Counter::kCheckpointFsyncs);
     ::fsync(fd);
     ::close(fd);
   }
-#else
-  (void)path;
-#endif
 }
 
 }  // namespace

@@ -8,10 +8,8 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace catapult {
 
@@ -28,23 +26,17 @@ extern "C" void HandleShutdownSignal(int signum) {
   int fd = g_pipe_write_fd;
   if (fd >= 0) {
     unsigned char byte = static_cast<unsigned char>(signum);
-#if defined(__unix__) || defined(__APPLE__)
     // The pipe is non-blocking; a full pipe just means a wakeup is already
     // pending, which is all a repeated signal needs to convey.
     [[maybe_unused]] ssize_t n = ::write(fd, &byte, 1);
-#endif
   }
 }
 
 void SetCloexecNonblock(int fd) {
-#if defined(__unix__) || defined(__APPLE__)
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   int fdflags = ::fcntl(fd, F_GETFD, 0);
   if (fdflags >= 0) ::fcntl(fd, F_SETFD, fdflags | FD_CLOEXEC);
-#else
-  (void)fd;
-#endif
 }
 
 struct BridgeState {
@@ -68,7 +60,6 @@ ShutdownSignals& ShutdownSignals::Instance() {
 }
 
 ShutdownSignals::ShutdownSignals() {
-#if defined(__unix__) || defined(__APPLE__)
   int fds[2] = {-1, -1};
   if (::pipe(fds) == 0) {
     SetCloexecNonblock(fds[0]);
@@ -83,15 +74,10 @@ ShutdownSignals::ShutdownSignals() {
   action.sa_flags = SA_RESTART;
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
-#else
-  std::signal(SIGINT, HandleShutdownSignal);
-  std::signal(SIGTERM, HandleShutdownSignal);
-#endif
   std::thread(&ShutdownSignals::WatcherLoop, this).detach();
 }
 
 void ShutdownSignals::WatcherLoop() {
-#if defined(__unix__) || defined(__APPLE__)
   BridgeState& state = State();
   const int fd = state.self_pipe_read;
   for (;;) {
@@ -113,7 +99,6 @@ void ShutdownSignals::WatcherLoop() {
       [[maybe_unused]] ssize_t w = ::write(sub, &byte, 1);
     }
   }
-#endif
 }
 
 CancelToken ShutdownSignals::token() const {
@@ -127,7 +112,6 @@ int ShutdownSignals::last_signal() const {
 }
 
 int ShutdownSignals::SubscribeFd() {
-#if defined(__unix__) || defined(__APPLE__)
   int fds[2] = {-1, -1};
   if (::pipe(fds) != 0) return -1;
   SetCloexecNonblock(fds[0]);
@@ -140,9 +124,6 @@ int ShutdownSignals::SubscribeFd() {
   }
   state.subscriber_write_fds.push_back(fds[1]);
   return fds[0];
-#else
-  return -1;
-#endif
 }
 
 void ShutdownSignals::ResetForTest() {
@@ -151,9 +132,7 @@ void ShutdownSignals::ResetForTest() {
   g_signum = 0;
   state.delivered = false;
   state.token = CancelToken();
-#if defined(__unix__) || defined(__APPLE__)
   for (int fd : state.subscriber_write_fds) ::close(fd);
-#endif
   state.subscriber_write_fds.clear();
 }
 

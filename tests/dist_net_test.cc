@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -35,12 +36,10 @@
 #include "src/util/backoff.h"
 #include "src/util/failpoint.h"
 
-#if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#define CATAPULT_NET_TEST_POSIX 1
-#endif
 
 namespace catapult {
 namespace {
@@ -387,8 +386,6 @@ TEST(WorkerRegistryTest, AliveRejoinFencesTheOldConnectionFirst) {
   EXPECT_TRUE(registry.IsCurrent(re.worker_id, re.generation));
 }
 
-#if defined(CATAPULT_NET_TEST_POSIX)
-
 // --- socket channel ---------------------------------------------------------
 
 class DistNetChannelTest : public ::testing::Test {
@@ -560,6 +557,32 @@ TEST_F(DistNetChannelTest, DialFailuresReportNotCrash) {
   EXPECT_NE(error.find("refused"), std::string::npos) << error;
 }
 
+TEST_F(DistNetChannelTest, UnixDialWaitsForBacklogRoom) {
+  std::string path = ScratchDir("backlog") + "/s.sock";
+  dist::Address addr;
+  std::string error;
+  ASSERT_TRUE(dist::ParseAddress("unix:" + path, &addr, &error));
+  dist::Listener listener;
+  ASSERT_EQ(listener.Listen(addr), "");
+  // Nothing accepts, so dials succeed until the backlog is full.
+  std::vector<std::unique_ptr<dist::Channel>> queued;
+  for (int i = 0; i < 1000; ++i) {
+    const int fd = dist::Dial(addr, 20.0, &error);
+    if (fd < 0) break;
+    queued.push_back(std::make_unique<dist::Channel>(fd));
+  }
+  ASSERT_LT(queued.size(), 1000u);
+  // A blocking connect waits for room in the backlog, and so must Dial.
+  std::thread acceptor([&] {
+    ::usleep(100 * 1000);
+    dist::Channel accepted(AcceptOne(listener));
+  });
+  const int fd = dist::Dial(addr, 5000.0, &error);
+  acceptor.join();
+  ASSERT_GE(fd, 0) << error;
+  dist::Channel late(fd);
+}
+
 GraphDatabase NetDb(uint64_t seed = 31, size_t n = 36) {
   MoleculeGeneratorOptions gen;
   gen.num_graphs = n;
@@ -633,6 +656,46 @@ TEST(DistNetMemberTest, HostileAssignExitsWithProtocolCode) {
   assign.clusters[0].index = 0;
   assign.clusters[0].members.push_back(static_cast<GraphId>(db.size()));
   EXPECT_EQ(DriveLocalMember(db, assign), dist::kWorkerExitProtocol);
+}
+
+// A supervisor that hangs up with the member's heartbeats unread makes the
+// member's next read a reset, not an end of stream. The Shutdown sent just
+// before must still end the session in order, not as a lost connection.
+TEST(DistNetMemberTest, ShutdownBeforeAResetEndsTheSessionInOrder) {
+  GraphDatabase db = NetDb();
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    ::_exit(dist::RunLocalWorker(db, dist::RemoteWorkerOptions{}, fds[1]));
+  }
+  ::close(fds[1]);
+  dist::Channel sup(fds[0]);
+  dist::FrameReader reader;
+  dist::Frame join;
+  ASSERT_EQ(dist::WaitFrame(sup, reader, 5000.0, &join),
+            dist::WaitStatus::kFrame);
+  ASSERT_EQ(join.type, dist::FrameType::kJoinRequest);
+  ASSERT_TRUE(sup.Send(dist::JoinAcceptFrame{1, 1, 5.0, 1000.0},
+                       dist::FrameType::kJoinAccept));
+  // Heartbeats pile up unread; then the member is frozen so that the
+  // Shutdown and the hang-up both land before it reads again.
+  pollfd beat{sup.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&beat, 1, 5000), 1);
+  int status = 0;
+  ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+  ASSERT_EQ(::waitpid(pid, &status, WUNTRACED), pid);
+  ASSERT_TRUE(sup.Send(
+      dist::ShutdownFrame{static_cast<uint32_t>(dist::ShutdownCode::kDone),
+                          "done"},
+      dist::FrameType::kShutdown));
+  sup.Close();
+  ASSERT_EQ(::kill(pid, SIGCONT), 0);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // --- end-to-end: remote fleet chaos matrix ----------------------------------
@@ -1301,8 +1364,6 @@ TEST_F(DistNetFleetTest, ListenOptionsValidated) {
     EXPECT_TRUE(unparsed.execution.dist.remote_fallback_only);
   }
 }
-
-#endif  // CATAPULT_NET_TEST_POSIX
 
 }  // namespace
 }  // namespace catapult

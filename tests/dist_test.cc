@@ -35,10 +35,7 @@
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
-#define CATAPULT_DIST_TEST_POSIX 1
-#endif
 
 namespace catapult {
 namespace {
@@ -151,12 +148,10 @@ void ExpectSameCheckpoints(const std::string& expected_dir,
 // Every member a sharded run forked has been reaped by the time it
 // returns: the test process has no child left, zombie or running.
 void ExpectNoChildLeft() {
-#if defined(CATAPULT_DIST_TEST_POSIX)
   int status = 0;
   errno = 0;
   EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
-#endif
 }
 
 bool HasEvent(const std::vector<dist::ShardEvent>& events,

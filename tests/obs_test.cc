@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -33,11 +34,9 @@
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace catapult {
 namespace {
@@ -721,8 +720,6 @@ TEST(PrometheusExportTest, RendersEveryMetricDeterministically) {
 // ---------------------------------------------------------------------------
 // Admin endpoint + request log
 
-#if defined(__unix__) || defined(__APPLE__)
-
 // One admin exchange over a raw AF_UNIX socket: send `request`, read to EOF.
 std::string AdminExchange(const std::string& socket_path,
                           const std::string& request) {
@@ -790,6 +787,43 @@ TEST(AdminServerTest, ServesHandlerPathsAndBuiltinHealthz) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(AdminServerTest, ScraperHangingUpBeforeTheReplyLeavesTheProcessUp) {
+  const std::string dir = ObsScratchDir("admin_hangup");
+  const std::string path = dir + "/admin.sock";
+  std::atomic<bool> hung_up{false};
+  obs::AdminServer admin;
+  ASSERT_EQ(admin.Start("unix:" + path,
+                        [&](const std::string&) {
+                          // Reply only once the scraper is gone.
+                          while (!hung_up.load()) ::usleep(1000);
+                          obs::AdminResponse r;
+                          r.body = "catapult_up 1\n";
+                          return r;
+                        }),
+            "");
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string request = "/metrics\n";
+  ASSERT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ::close(fd);
+  hung_up.store(true);
+  for (int i = 0; i < 2000 && admin.requests_served() == 0; ++i) {
+    ::usleep(1000);
+  }
+  ASSERT_EQ(admin.requests_served(), 1u);
+  // The reply went to a closed peer; the endpoint still answers.
+  EXPECT_NE(AdminExchange(path, "/healthz\n").find("ok\n"),
+            std::string::npos);
+  admin.Stop();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(AdminServerTest, RejectsUnbindableAddress) {
   obs::AdminServer admin;
   EXPECT_NE(admin.Start("bogus:address", [](const std::string&) {
@@ -798,8 +832,6 @@ TEST(AdminServerTest, RejectsUnbindableAddress) {
             "");
   EXPECT_FALSE(admin.started());
 }
-
-#endif  // __unix__ || __APPLE__
 
 TEST(RequestLogTest, WritesOneJsonLinePerEvent) {
   const std::string dir = ObsScratchDir("reqlog");

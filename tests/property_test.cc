@@ -88,7 +88,9 @@ TEST_P(GraphProperty, GedOfPermutedCopyIsZero) {
   Rng rng(static_cast<uint64_t>(GetParam()) + 3000);
   Graph p = Permuted(g, rng);
   GedResult r = GraphEditDistance(g, p);
-  if (r.exact) EXPECT_DOUBLE_EQ(r.distance, 0.0);
+  if (r.exact) {
+    EXPECT_DOUBLE_EQ(r.distance, 0.0);
+  }
 }
 
 TEST_P(GraphProperty, MccsSimilarityBoundsAndIdentity) {

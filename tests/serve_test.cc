@@ -17,6 +17,7 @@
 
 #include "src/core/catapult.h"
 #include "src/data/molecule_generator.h"
+#include "src/dist/channel.h"
 #include "src/dist/wire.h"
 #include "src/persist/codec.h"
 #include "src/serve/client.h"
@@ -24,13 +25,12 @@
 #include "src/serve/server.h"
 #include "src/util/failpoint.h"
 
-#if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
-#endif
 
 namespace catapult {
 namespace {
@@ -690,7 +690,6 @@ TEST_F(ServeTest, RequestLogRecordsOneLinePerOutcome) {
   std::remove(options.request_log_path.c_str());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 // Raw line-oriented admin exchange: connect, send one request line, read to
 // EOF. The endpoint speaks enough HTTP for curl, but a bare path works too.
 std::string ServeAdminExchange(const std::string& socket_path,
@@ -751,7 +750,6 @@ TEST_F(ServeTest, AdminEndpointScrapesMetricsAndStatuszMidFlight) {
   ASSERT_EQ(client.Ping(&pong), "");
   server.Stop();
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Client misbehaviour: disconnects, stalls, idleness.
@@ -874,9 +872,88 @@ TEST_F(ServeTest, DrainShedsNewRequestsAndStopRemovesSocket) {
   EXPECT_NE(late.Connect(server.socket_path()), "");
 
   server.Stop();
-#if defined(__unix__) || defined(__APPLE__)
   EXPECT_NE(::access(server.socket_path().c_str(), F_OK), 0);
-#endif
+}
+
+// ---------------------------------------------------------------------------
+// The service on the fleet's transport (dist::Listener, Dial, WaitFrame).
+
+TEST_F(ServeTest, StartReplacesStaleSocketFileAndStopRemovesIt) {
+  const serve::ServeOptions options = BaseOptions("stale");
+  // A crashed server leaves its socket file behind; a plain file stands in.
+  std::ofstream(options.socket_path) << "stale";
+  ASSERT_EQ(::access(options.socket_path.c_str(), F_OK), 0);
+  serve::Server server;
+  ASSERT_EQ(server.Start(TestDb(), options, &TestCorpus()), "");
+  serve::ServeClient client;
+  ASSERT_EQ(client.Connect(server.socket_path()), "");
+  serve::PongReply pong;
+  ASSERT_EQ(client.Ping(&pong), "");
+  server.Stop();
+  EXPECT_NE(::access(options.socket_path.c_str(), F_OK), 0);
+}
+
+TEST_F(ServeTest, ServiceAcceptsStayOffTheFleetAcceptCounter) {
+  serve::Server server;
+  ASSERT_EQ(server.Start(TestDb(), BaseOptions("accepts"), &TestCorpus()),
+            "");
+  serve::ServeClient client;
+  ASSERT_EQ(client.Connect(server.socket_path()), "");
+  const auto outcome = client.Mine(FastRequest());
+  ASSERT_EQ(outcome.kind, Kind::kPanel) << outcome.error;
+  server.Stop();  // every event-loop delta is published by now
+  EXPECT_EQ(CounterOf(server, obs::Counter::kServeAccepted), 1u);
+  // dist.net.accepts counts fleet members joining a supervisor only.
+  EXPECT_EQ(CounterOf(server, obs::Counter::kDistNetAccepts), 0u);
+}
+
+TEST_F(ServeTest, ClientReadsTheReplyAPeerSentBeforeClosing) {
+  const std::string path = ::testing::TempDir() + "catapult_bare_peer.sock";
+  dist::Address address;
+  std::string error;
+  ASSERT_TRUE(dist::ParseAddress("unix:" + path, &address, &error)) << error;
+  dist::Listener listener;
+  ASSERT_EQ(listener.Listen(address), "");
+  // A peer that hangs up after replying ends the stream with EOF, or with a
+  // reset when it leaves bytes of the client's unread (a doomed session's
+  // shed reply, say). The reply arrives either way.
+  for (const bool unread_request : {false, true}) {
+    SCOPED_TRACE(unread_request ? "reset" : "end of stream");
+    serve::ServeClient client;
+    ASSERT_EQ(client.Connect(path), "");
+    if (unread_request) {
+      ASSERT_TRUE(client.SendRawBytes(dist::EncodeFrame(
+          dist::FrameType::kServePing, serve::Encode(serve::PingRequest{}))));
+    }
+    pollfd pending{listener.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pending, 1, 5000), 1);
+    {
+      // The peer replies and hangs up before the client starts reading, so
+      // the reply and the end of the connection arrive in one drain.
+      dist::Channel peer(listener.Accept());
+      ASSERT_TRUE(peer.open());
+      if (unread_request) {
+        pollfd request{peer.fd(), POLLIN, 0};
+        ASSERT_EQ(::poll(&request, 1, 5000), 1);
+      }
+      serve::PongReply pong;
+      pong.nonce = 42;
+      ASSERT_TRUE(peer.SendEncoded(dist::EncodeFrame(
+          dist::FrameType::kServePong, serve::Encode(pong))));
+    }
+    dist::Frame frame;
+    ASSERT_EQ(client.ReadFrame(&frame, 5000.0), "");
+    ASSERT_EQ(frame.type, dist::FrameType::kServePong);
+    serve::PongReply pong;
+    ASSERT_TRUE(serve::Decode(frame.payload, &pong));
+    EXPECT_EQ(pong.nonce, 42u);
+    const std::string after = client.ReadFrame(&frame, 5000.0);
+    if (unread_request) {
+      EXPECT_NE(after, "");
+    } else {
+      EXPECT_EQ(after, "connection closed by server");
+    }
+  }
 }
 
 TEST_F(ServeTest, StopWithHeldWorkCancelsInsteadOfHanging) {

@@ -15,10 +15,8 @@
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
 #include <unistd.h>
-#endif
 
 namespace catapult {
 namespace {
@@ -387,8 +385,6 @@ TEST(FailpointTest, ConcurrentArmDisarmDoesNotWedgeEvaluate) {
   EXPECT_FALSE(CATAPULT_FAILPOINT("test.churn"));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 // The self-pipe signal bridge (src/util/signal.h). raise() delivers to this
 // process; the sigaction handlers installed by Instance() catch it, so these
 // tests never die to the default disposition. Every test re-arms the bridge
@@ -466,8 +462,6 @@ TEST(ShutdownSignalsTest, ResetForTestRearmsTheBridge) {
   // A fresh token is installed; the old cancellation does not bleed over.
   EXPECT_FALSE(signals.token().Cancelled());
 }
-
-#endif  // __unix__ || __APPLE__
 
 }  // namespace
 }  // namespace catapult
