@@ -15,7 +15,7 @@ namespace catapult {
 // similarity to two seed graphs.
 struct FineClusteringOptions {
   // Clusters at or below this size are left alone (the paper's N; default
-  // from Section 6.1).
+  // from Section 6.1). At least 2.
   size_t max_cluster_size = 20;
 
   // MCS/MCCS search configuration (connected=true gives the paper's default
@@ -23,55 +23,40 @@ struct FineClusteringOptions {
   McsOptions mcs;
 };
 
-// Splits every cluster in `clusters` (vectors of graph ids into `db`) that
-// exceeds options.max_cluster_size, per Algorithm 3: Seed1 is random, Seed2
-// is the graph least similar to Seed1, every other graph joins the seed it
-// is more similar to; oversized results are re-queued. Returns the final
-// cluster list. Deterministic given `rng`. Polls `ctx` before each split
-// (failpoint site "cluster.fine.split") and tightens the per-pair MCS node
-// budget to the remaining time. On expiry the still-oversized clusters are
-// returned unsplit (graceful degradation to the coarse partition) and
-// `complete` (optional) is set to false. The result is always a partition
-// of the input ids.
-std::vector<std::vector<GraphId>> FineCluster(
-    const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
-    const FineClusteringOptions& options, Rng& rng,
-    const RunContext& ctx = RunContext::NoLimit(), bool* complete = nullptr);
-
-// --- Per-cluster decomposition ---------------------------------------------
-//
-// The sharded executor (src/dist/) partitions the coarse clusters across
-// worker processes, so each coarse cluster's fine splitting must be an
-// independent unit of work: it consumes a private pre-split rng stream and
-// nothing else. The in-process pipeline uses the same decomposition (one
-// child stream per coarse cluster, drawn from the parent in cluster order,
-// results concatenated in cluster order), which is what makes a P-process
-// run bit-identical to the 1-process run — both sides compute exactly
-// FineClusterOne(cluster[i], stream[i]) for every i.
-
 // Pre-splits one child stream per coarse cluster: consumes exactly `count`
 // draws from `rng`, in order. streams[i] seeds the fine splitting of
 // cluster i regardless of which process or thread executes it.
 std::vector<RngState> SplitFineStreams(Rng& rng, size_t count);
 
-// Fine clustering of one coarse cluster under its pre-split stream. Returns
-// a partition of `cluster` (clusters at or below max_cluster_size where the
-// deadline allowed). `complete` reports whether every oversized part was
-// split. Runs inline — no pool use — so callers may invoke it from inside
-// their own parallel regions.
-std::vector<std::vector<GraphId>> FineClusterOne(
-    const GraphDatabase& db, std::vector<GraphId> cluster,
-    const FineClusteringOptions& options, const RngState& stream,
-    const RunContext& ctx, bool* complete = nullptr);
-
-// Per-cluster fine clustering of a whole coarse partition: pre-splits the
-// streams, runs FineClusterOne per cluster on the context's pool, and
-// concatenates the results in cluster order (empty input clusters are
-// dropped). `complete` is the conjunction of the per-cluster flags.
-std::vector<std::vector<GraphId>> FineClusterPerCluster(
+// Splits every cluster in `clusters` (vectors of graph ids into `db`) that
+// exceeds options.max_cluster_size, per Algorithm 3: Seed1 is random, Seed2
+// is the member least similar to Seed1, every other member joins the seed
+// it is more similar to, and oversized parts are split again. Returns each
+// cluster's parts in cluster order (empty input clusters are dropped).
+//
+// Cluster i draws only from streams[i] (one stream per cluster, see
+// SplitFineStreams), so its parts do not depend on which other clusters
+// share the call: the sharded executor (src/dist/) makes one-cluster calls
+// and concatenates them into exactly this function's output over all
+// clusters. All clusters advance in lockstep rounds, one level of their
+// split trees per round. In a round the calling thread polls `ctx` and
+// draws Seed1 for every oversized part, in (cluster, level) order; one
+// ParallelFor over every (part, member) pair computes the similarity to
+// Seed1; the calling thread picks each Seed2 (first index on ties); a
+// second ParallelFor computes the similarity to Seed2; and the calling
+// thread routes the parts. Output, rng draws and MCS work are therefore the
+// same at any pool size.
+//
+// Each poll is failpoint site "cluster.fine.split"; MCS node budgets are
+// tightened to the remaining time. On a stop request every part not yet
+// split, in any cluster, is returned unsplit (graceful degradation towards
+// the coarse partition) and `complete` (optional) is set to false. The
+// result is always a partition of the input ids.
+std::vector<std::vector<GraphId>> FineCluster(
     const GraphDatabase& db, std::vector<std::vector<GraphId>> clusters,
-    const FineClusteringOptions& options, Rng& rng, const RunContext& ctx,
-    bool* complete = nullptr);
+    const std::vector<RngState>& streams,
+    const FineClusteringOptions& options,
+    const RunContext& ctx = RunContext::NoLimit(), bool* complete = nullptr);
 
 }  // namespace catapult
 

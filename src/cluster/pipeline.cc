@@ -6,7 +6,6 @@
 
 #include "src/cluster/agglomerative.h"
 #include "src/cluster/kmeans.h"
-#include "src/obs/clock.h"
 #include "src/obs/trace.h"
 #include "src/util/mem_budget.h"
 #include "src/util/thread_pool.h"
@@ -84,7 +83,6 @@ ClusteringResult CoarseClusteringStage(
     // --- Coarse clustering (Algorithm 2) ---
     // Mining gets at most half of the remaining time so it cannot starve
     // the clustering stages proper.
-    WallTimer mining_timer;
     std::optional<obs::Span> stage_span;
     stage_span.emplace(ctx.tracer(), "clustering.mining");
     std::vector<FrequentSubtree> all_subtrees =
@@ -100,9 +98,7 @@ ClusteringResult CoarseClusteringStage(
       result.features.push_back(all_subtrees[idx]);
     }
     stage_span.reset();
-    result.mining_seconds = mining_timer.ElapsedSeconds();
 
-    WallTimer coarse_timer;
     stage_span.emplace(ctx.tracer(), "clustering.coarse");
     // The feature matrix (|graph_ids| x |features| bitsets) is the coarse
     // stage's dominant allocation; charge it before materialising. A refused
@@ -161,48 +157,24 @@ ClusteringResult CoarseClusteringStage(
           coarse_clusters.end());
     }
     stage_span.reset();
-    result.coarse_seconds = coarse_timer.ElapsedSeconds();
   }
 
   result.clusters = std::move(coarse_clusters);
   return result;
 }
 
-void FineClusteringStage(const GraphDatabase& db,
-                         const SmallGraphClusteringOptions& options,
-                         ClusteringResult* result, Rng& rng,
-                         const RunContext& ctx) {
-  // --- Fine clustering (Algorithm 3) ---
-  WallTimer fine_timer;
-  obs::Span fine_span(ctx.tracer(), "clustering.fine");
-  if (ctx.memory().SoftExceeded()) {
-    // Soft-limit pressure: fine splitting is optional refinement (its MCS
-    // working sets grow quadratically in cluster size), so shed it and keep
-    // the coarse partition — the degradation ladder's coarse-only rung.
-    // Shedding happens before any stream is split, so the parent stream's
-    // position stays a function of the pressure decision alone.
-    result->fine_complete = false;
-    result->fine_seconds = fine_timer.ElapsedSeconds();
-    return;
-  }
-  FineClusteringOptions fine;
-  fine.max_cluster_size = options.max_cluster_size;
-  fine.mcs = options.fine_mcs;
-  result->clusters =
-      FineClusterPerCluster(db, std::move(result->clusters), fine, rng, ctx,
-                            &result->fine_complete);
-  result->fine_seconds = fine_timer.ElapsedSeconds();
-}
-
 ClusteringResult SmallGraphClustering(
     const GraphDatabase& db, const SmallGraphClusteringOptions& options,
     Rng& rng) {
-  const std::vector<GraphId> all = AllGraphIds(db);
-  const RunContext ctx = RunContext::NoLimit();
-  ClusteringResult result =
-      CoarseClusteringStage(db, all, options, rng, ctx);
-  if (!all.empty() && options.mode != ClusteringMode::kCoarseOnly) {
-    FineClusteringStage(db, options, &result, rng, ctx);
+  ClusteringResult result = CoarseClusteringStage(
+      db, AllGraphIds(db), options, rng, RunContext::NoLimit());
+  if (options.mode != ClusteringMode::kCoarseOnly) {
+    const std::vector<RngState> streams =
+        SplitFineStreams(rng, result.clusters.size());
+    result.clusters =
+        FineCluster(db, std::move(result.clusters), streams,
+                    {options.max_cluster_size, options.fine_mcs},
+                    RunContext::NoLimit(), &result.fine_complete);
   }
   return result;
 }

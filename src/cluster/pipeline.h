@@ -53,10 +53,6 @@ struct ClusteringResult {
   // The representative frequent subtrees used as features (empty for
   // kFineOnly).
   std::vector<FrequentSubtree> features;
-  // Stage timings in seconds, for the Exp 1/2/6 harnesses.
-  double mining_seconds = 0.0;
-  double coarse_seconds = 0.0;
-  double fine_seconds = 0.0;
 
   // Anytime diagnostics: false when the deadline/cancellation cut the stage
   // short and its output is a best-effort partial result. `clusters` is a
@@ -77,28 +73,18 @@ struct ClusteringResult {
 // eager sample at a lowered threshold and their supports re-counted over
 // all of `graph_ids`. Mining gets half of the remaining time; on expiry it
 // keeps its completed levels and partitioning falls back to one cluster.
-// `result.clusters` holds the coarse partition; the fine_* fields are
-// untouched. Exposed separately so the pipeline can run the fine stage
-// in-process or sharded across worker processes (src/dist/).
+// `result.clusters` holds the coarse partition; fine_complete is
+// untouched. Exposed separately so the pipeline can run fine clustering
+// (FineCluster) in-process or sharded across worker processes (src/dist/).
 ClusteringResult CoarseClusteringStage(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SmallGraphClusteringOptions& options, Rng& rng,
     const RunContext& ctx,
     const EagerSamplingOptions* eager_sampling = nullptr);
 
-// The fine stage over `result->clusters` (the coarse partition): under
-// memory soft pressure the stage is shed (coarse partition kept,
-// fine_complete=false); otherwise each coarse cluster is split under its
-// own pre-split child stream (FineClusterPerCluster) so the output — and
-// the parent stream's position — is identical for any thread count and any
-// shard assignment.
-void FineClusteringStage(const GraphDatabase& db,
-                         const SmallGraphClusteringOptions& options,
-                         ClusteringResult* result, Rng& rng,
-                         const RunContext& ctx);
-
 // Runs the small graph clustering phase over the whole database without a
-// deadline: the coarse stage, then the fine stage unless kCoarseOnly.
+// deadline: the coarse stage, then, unless kCoarseOnly, FineCluster over the
+// coarse partition under one SplitFineStreams stream per coarse cluster.
 // Deterministic given `rng`. The pipeline runs the two stages itself
 // (src/core/catapult.cc); this is the entry point of the clustering
 // experiments and examples.

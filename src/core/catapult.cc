@@ -223,14 +223,24 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
       clustering.clusters = LazySampleClusters(clustering.clusters, db.size(),
                                                options.lazy, rng);
     }
-    bool fine_enabled = options.clustering.mode != ClusteringMode::kCoarseOnly;
+    // Fine clustering splits coarse cluster i under streams[i], split off
+    // here once per coarse cluster and before any work, so partitions and
+    // the parent stream's position are the same in-process, sharded and at
+    // any thread count. Under memory soft pressure the stage is shed before
+    // any stream is split: fine splitting is optional refinement (its MCS
+    // working sets grow quadratically in cluster size), so the coarse
+    // partition is kept — the degradation ladder's coarse-only rung.
+    const bool fine_enabled =
+        options.clustering.mode != ClusteringMode::kCoarseOnly;
+    std::vector<RngState> streams;
+    if (fine_enabled && run_ctx.memory().SoftExceeded()) {
+      clustering.fine_complete = false;
+    } else if (fine_enabled) {
+      streams = SplitFineStreams(rng, clustering.clusters.size());
+    }
+    const FineClusteringOptions fine{options.clustering.max_cluster_size,
+                                     options.clustering.fine_mcs};
     if (options.processes > 1) {
-      // Mirror FineClusteringStage's soft-pressure shed before any stream
-      // is split, so sharded and in-process runs degrade at the same point.
-      if (fine_enabled && run_ctx.memory().SoftExceeded()) {
-        fine_enabled = false;
-        clustering.fine_complete = false;
-      }
       dist::DistOptions dopts;
       dopts.processes = options.processes;
       dopts.max_shard_retries = options.max_shard_retries;
@@ -238,9 +248,7 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
       dopts.backoff_base_ms = options.shard_backoff_base_ms;
       dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
       dopts.worker_threads = ResolveThreadCount(options.threads);
-      dopts.fine_enabled = fine_enabled;
-      dopts.fine.max_cluster_size = options.clustering.max_cluster_size;
-      dopts.fine.mcs = options.clustering.fine_mcs;
+      dopts.fine = fine;
       dopts.checkpoint_dir = options.checkpoint_dir;
       dopts.fingerprint = corpus->fingerprint;
       dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
@@ -252,7 +260,7 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
       // The sharded phase spans fine clustering and CSG folding, so its
       // slice covers both phases' shares.
       dist::ShardedPhasesResult sharded = dist::RunShardedClusterPhases(
-          db, clustering.clusters, dopts, rng,
+          db, clustering.clusters, streams, dopts,
           run_ctx.Slice(kClusteringTimeShare + kCsgTimeShare), &report.dist);
       clustering.clusters = std::move(sharded.fine_clusters);
       if (!sharded.fine_complete) clustering.fine_complete = false;
@@ -260,8 +268,12 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
       report.degraded_csgs = sharded.degraded_csgs;
       csgs_folded = true;
     } else if (fine_enabled) {
-      FineClusteringStage(db, options.clustering, &clustering, rng,
-                          clustering_ctx);
+      obs::Span fine_span(clustering_ctx.tracer(), "clustering.fine");
+      if (!streams.empty()) {
+        clustering.clusters =
+            FineCluster(db, std::move(clustering.clusters), streams, fine,
+                        clustering_ctx, &clustering.fine_complete);
+      }
     }
     corpus->clusters = std::move(clustering.clusters);
     corpus->features = std::move(clustering.features);
@@ -423,8 +435,12 @@ std::vector<OptionsError> ValidateCatapultOptions(
         options.selector.weight_decay <= 1.0)) {
     Err("selector.weight_decay", "must be in (0, 1]");
   }
-  if (options.clustering.max_cluster_size == 0) {
-    Err("clustering.max_cluster_size", "must be positive");
+  // k-means derives k from it; fine clustering splits down to it.
+  const bool fine = options.clustering.mode != ClusteringMode::kCoarseOnly;
+  if (options.clustering.max_cluster_size < (fine ? 2u : 1u)) {
+    Err("clustering.max_cluster_size",
+        fine ? "must be at least 2 when fine clustering runs"
+             : "must be positive");
   }
   if (options.clustering.kmeans_max_iterations == 0) {
     Err("clustering.kmeans_max_iterations", "must be positive");

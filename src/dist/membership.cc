@@ -647,7 +647,7 @@ FleetOutcome RunFleet(
       assign.shard = s;
       assign.attempt = st.attempt;
       assign.generation = idle->generation;
-      assign.fine_enabled = spec.fine_enabled;
+      assign.fine_enabled = !spec.streams.empty();
       assign.fine_max_cluster_size = spec.fine.max_cluster_size;
       assign.mcs_connected = spec.fine.mcs.connected;
       assign.mcs_match_edge_labels = spec.fine.mcs.match_edge_labels;
@@ -664,7 +664,7 @@ FleetOutcome RunFleet(
         ClusterWork work;
         work.index = idx;
         work.members = (*spec.coarse)[idx];
-        if (spec.fine_enabled) work.stream = spec.streams[idx];
+        if (assign.fine_enabled) work.stream = spec.streams[idx];
         assign.clusters.push_back(std::move(work));
       }
       if (!idle->channel->Send(assign, FrameType::kShardAssign)) {

@@ -31,12 +31,14 @@ void SleepMillis(double ms) {
   }
 }
 
-// True when every cluster index and member id in `assign` addresses `db`.
-// The cluster index sizes the sparse partition below and member ids index
-// the database, so a skewed or hostile supervisor must earn a protocol exit
-// here rather than a huge allocation or a CHECK failure deep in the
-// pipeline.
+// True when every cluster index and member id in `assign` addresses `db`
+// and a fine-enabled assign splits to at least 2 graphs per cluster. The
+// cluster index sizes the sparse partition below, member ids index the
+// database and FineCluster CHECKs the size, so a skewed or hostile
+// supervisor must earn a protocol exit here rather than a huge allocation
+// or a CHECK failure deep in the pipeline.
 bool AssignFitsDatabase(const ShardAssignFrame& assign, size_t db_size) {
+  if (assign.fine_enabled && assign.fine_max_cluster_size < 2) return false;
   for (const ClusterWork& c : assign.clusters) {
     if (c.index >= db_size) return false;
     for (GraphId id : c.members) {
@@ -70,14 +72,13 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
   // indices are populated, which is all ComputeShardCluster ever touches.
   std::vector<std::vector<GraphId>> coarse(max_index + 1);
   ShardExecutionSpec spec;
-  spec.streams.resize(max_index + 1);
+  if (assign.fine_enabled) spec.streams.resize(max_index + 1);
   for (const ClusterWork& c : assign.clusters) {
     coarse[c.index] = c.members;
-    spec.streams[c.index] = c.stream;
+    if (assign.fine_enabled) spec.streams[c.index] = c.stream;
   }
   spec.db = &db;
   spec.coarse = &coarse;
-  spec.fine_enabled = assign.fine_enabled;
   spec.fine.max_cluster_size = assign.fine_max_cluster_size;
   spec.fine.mcs.connected = assign.mcs_connected;
   spec.fine.mcs.match_edge_labels = assign.mcs_match_edge_labels;

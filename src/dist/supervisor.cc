@@ -32,8 +32,8 @@ struct ScopedDirRemover {
 
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
-    const DistOptions& options, Rng& rng, const RunContext& ctx,
-    DistReport* report) {
+    const std::vector<RngState>& streams, const DistOptions& options,
+    const RunContext& ctx, DistReport* report) {
   ShardedPhasesResult out;
   report->enabled = true;
   report->processes = options.processes;
@@ -41,14 +41,8 @@ ShardedPhasesResult RunShardedClusterPhases(
   ShardExecutionSpec spec;
   spec.db = &db;
   spec.coarse = &coarse;
-  spec.fine_enabled = options.fine_enabled;
+  spec.streams = streams;
   spec.fine = options.fine;
-  // Exactly the draws the in-process path makes (FineClusterPerCluster):
-  // one split per coarse cluster, before any work, so the parent stream's
-  // position after this phase is mode-independent.
-  if (options.fine_enabled) {
-    spec.streams = SplitFineStreams(rng, coarse.size());
-  }
   spec.fingerprint = options.fingerprint;
   spec.worker_threads = options.worker_threads;
   spec.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
@@ -126,9 +120,8 @@ ShardedPhasesResult RunShardedClusterPhases(
     return true;
   };
 
-  // In-process execution of one shard: the fallback rung (the whole phase
-  // on platforms without sockets). Same compute path and same pre-split
-  // streams as the members, so output is identical.
+  // In-process execution of one shard: the fallback rung. Same compute
+  // path and same pre-split streams as the members, so output is identical.
   auto run_in_process = [&](size_t s) {
     for (size_t idx : plan.shards[s]) {
       if (cluster_results[idx].has_value() || reuse_artifact(s, idx)) continue;
@@ -194,9 +187,9 @@ ShardedPhasesResult RunShardedClusterPhases(
     }
   }
 
-  // Merge in coarse-cluster order — the exact concatenation order of the
-  // in-process FineClusterPerCluster path, which is what makes a P-process
-  // run bit-identical to a 1-process run.
+  // Merge in coarse-cluster order — the order in which the in-process
+  // FineCluster call over all clusters lists their parts, which is what
+  // makes a P-process run bit-identical to a 1-process run.
   for (size_t c = 0; c < coarse.size(); ++c) {
     if (!cluster_results[c].has_value()) {
       // Defensive: every cluster is planned into some shard, but a dropped

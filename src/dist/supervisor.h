@@ -38,7 +38,6 @@ struct DistOptions {
   double backoff_cap_ms = 1000.0;
   size_t worker_threads = 1;  // threads inside each member process
 
-  bool fine_enabled = true;
   FineClusteringOptions fine;
 
   // Directory of the run's checkpoint store; shard artifacts live in its
@@ -85,16 +84,15 @@ struct ShardedPhasesResult {
 };
 
 // Runs fine clustering + CSG folding over `coarse` across member
-// processes. Consumes exactly `coarse.size()` splits of `rng` when fine
-// clustering is enabled (none otherwise) — the same draws as the
-// in-process path, so the parent stream's position after this call is
-// mode-independent. `report` (required) receives supervision diagnostics.
-// Every local member is reaped before this returns. On platforms without
-// sockets every shard executes in-process.
+// processes. Coarse cluster i is split under streams[i] (SplitFineStreams,
+// drawn by the caller exactly as for the in-process FineCluster call); an
+// empty `streams` skips fine clustering and folds each coarse cluster
+// whole. `report` (required) receives supervision diagnostics. Every local
+// member is reaped before this returns.
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
-    const DistOptions& options, Rng& rng, const RunContext& ctx,
-    DistReport* report);
+    const std::vector<RngState>& streams, const DistOptions& options,
+    const RunContext& ctx, DistReport* report);
 
 }  // namespace catapult::dist
 

@@ -94,13 +94,13 @@ ShardClusterResult ComputeShardCluster(const ShardExecutionSpec& spec,
   const std::vector<GraphId>& cluster = (*spec.coarse)[cluster_index];
   ShardClusterResult result;
   // Inline context: callers parallelise across clusters, so per-cluster
-  // work must not re-enter the pool (same rule as FineClusterOne).
+  // work must not re-enter the pool. Each cluster's artifact ships (and is
+  // persisted) as soon as it completes, so the unit stays one cluster.
   RunContext inline_ctx = ctx.WithPool(nullptr);
-  if (spec.fine_enabled) {
+  if (!spec.streams.empty()) {
     result.fine_clusters =
-        FineClusterOne(*spec.db, cluster, spec.fine,
-                       spec.streams[cluster_index], inline_ctx,
-                       &result.fine_complete);
+        FineCluster(*spec.db, {cluster}, {spec.streams[cluster_index]},
+                    spec.fine, inline_ctx, &result.fine_complete);
   } else {
     result.fine_clusters.push_back(cluster);
   }

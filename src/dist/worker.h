@@ -13,14 +13,15 @@
 
 // Per-cluster shard work (DESIGN.md §12). Every fleet member — a forked
 // local member or a dialing catapult_worker — carries each assigned coarse
-// cluster through fine clustering (under that cluster's pre-split rng
-// stream) and CSG folding via ComputeShardCluster, and ships the encoded
-// result; the supervisor persists it as the cluster's shard artifact, so a
-// retry — on any member, at any attempt — resumes from the last durable
-// cluster instead of recomputing the shard. The supervisor also calls
-// ComputeShardCluster directly for the in-process fallback of quarantined
-// shards, which is what guarantees fallback output is bit-identical to
-// member output (same code, same stream, same inputs).
+// cluster through fine clustering (a one-cluster FineCluster call under
+// that cluster's pre-split rng stream) and CSG folding via
+// ComputeShardCluster, and ships the encoded result; the supervisor
+// persists it as the cluster's shard artifact, so a retry — on any member,
+// at any attempt — resumes from the last durable cluster instead of
+// recomputing the shard. The supervisor also calls ComputeShardCluster
+// directly for the in-process fallback of quarantined shards, which is what
+// guarantees fallback output is bit-identical to member output (same code,
+// same stream, same inputs).
 
 namespace catapult::dist {
 
@@ -33,7 +34,6 @@ struct ShardExecutionSpec {
   // Pre-split fine-clustering streams, index-aligned with `coarse` (empty
   // when fine clustering is disabled for the run).
   std::vector<RngState> streams;
-  bool fine_enabled = true;
   FineClusteringOptions fine;
 
   // Directory holding per-cluster shard artifacts (`cluster-<idx>.ckpt`).
@@ -76,9 +76,10 @@ struct ShardClusterResult {
 std::string ShardArtifactPath(const std::string& shard_dir,
                               size_t cluster_index);
 
-// Runs cluster `cluster_index` through fine clustering + CSG folding. All
-// internal work is inline (pool-less): callers parallelise across clusters,
-// so per-cluster work must not re-enter the pool.
+// Runs cluster `cluster_index` through fine clustering (a one-cluster
+// FineCluster call, skipped when `spec.streams` is empty) + CSG folding.
+// All internal work is inline (pool-less): callers parallelise across
+// clusters, so per-cluster work must not re-enter the pool.
 ShardClusterResult ComputeShardCluster(const ShardExecutionSpec& spec,
                                        size_t cluster_index,
                                        const RunContext& ctx);

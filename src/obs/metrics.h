@@ -51,7 +51,8 @@ enum class Counter : uint32_t {
   kPcpDeduplicated,      // candidates dropped as duplicates of earlier ones
   kKmeansIterations,     // coarse-clustering Lloyd rounds executed
   kKmeansReassignments,  // graphs that changed cluster in a round
-  kFineSplitRounds,      // fine-clustering level-order split rounds
+  kFineSplitRounds,      // fine-clustering split rounds, summed over the
+                         // coarse clusters each lockstep round splits
   kCsgFolds,             // member graphs folded into a summary graph
   kCsgVerticesMapped,    // member vertices mapped onto existing CSG vertices
   kCsgDummyPads,         // CSG vertices added because no mapping existed

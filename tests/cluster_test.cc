@@ -9,7 +9,10 @@
 #include "src/cluster/pipeline.h"
 #include "src/data/molecule_generator.h"
 #include "src/iso/vf2.h"
+#include "src/obs/metrics.h"
 #include "src/tree/canonical.h"
+#include "src/util/failpoint.h"
+#include "src/util/thread_pool.h"
 
 namespace catapult {
 namespace {
@@ -186,13 +189,12 @@ TEST(FineClusteringTest, SplitsOversizedClusters) {
   gen.num_graphs = 40;
   gen.seed = 77;
   GraphDatabase db = GenerateMoleculeDatabase(gen);
-  std::vector<GraphId> all;
-  for (GraphId i = 0; i < db.size(); ++i) all.push_back(i);
   FineClusteringOptions options;
   options.max_cluster_size = 10;
   options.mcs.node_budget = 3000;
   Rng rng(1);
-  auto clusters = FineCluster(db, {all}, options, rng);
+  auto clusters =
+      FineCluster(db, {AllGraphIds(db)}, SplitFineStreams(rng, 1), options);
   size_t total = 0;
   for (const auto& c : clusters) {
     EXPECT_LE(c.size(), 10u);
@@ -213,9 +215,118 @@ TEST(FineClusteringTest, SmallClustersUntouched) {
   FineClusteringOptions options;
   options.max_cluster_size = 5;
   Rng rng(2);
-  auto clusters = FineCluster(db, {cluster}, options, rng);
+  auto clusters =
+      FineCluster(db, {cluster}, SplitFineStreams(rng, 1), options);
   ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].size(), 3u);
+  EXPECT_EQ(clusters[0], cluster);
+}
+
+// A coarse partition with three oversized clusters (ids interleaved mod 3),
+// one small cluster and one empty one, for max_cluster_size 6.
+struct FinePartition {
+  GraphDatabase db;
+  std::vector<std::vector<GraphId>> coarse;
+  std::vector<RngState> streams;
+  FineClusteringOptions options;
+};
+
+FinePartition MakeFinePartition() {
+  MoleculeGeneratorOptions gen;
+  gen.num_graphs = 58;
+  gen.min_vertices = 8;
+  gen.max_vertices = 14;
+  gen.seed = 41;
+  FinePartition f{GenerateMoleculeDatabase(gen), {}, {}, {}};
+  f.coarse.assign(3, {});
+  for (GraphId g = 0; g < 54; ++g) f.coarse[g % 3].push_back(g);
+  f.coarse.push_back({54, 55, 56, 57});
+  f.coarse.push_back({});
+  Rng rng(9);
+  f.streams = SplitFineStreams(rng, f.coarse.size());
+  f.options.max_cluster_size = 6;
+  f.options.mcs.node_budget = 2000;
+  return f;
+}
+
+// The fine-clustering work counters of one run.
+std::vector<uint64_t> FineCounts(const obs::MetricsRegistry& registry) {
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  return {snap.counter(obs::Counter::kMcsCalls),
+          snap.counter(obs::Counter::kMcsNodes),
+          snap.counter(obs::Counter::kMcsBudgetExhausted),
+          snap.counter(obs::Counter::kFineSplitRounds)};
+}
+
+TEST(FineClusteringTest, LockstepRoundsEqualOneClusterCalls) {
+  const FinePartition f = MakeFinePartition();
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    obs::MetricsRegistry all_registry;
+    bool all_complete = false;
+    std::vector<std::vector<GraphId>> all;
+    {
+      obs::ScopedMetricsScope scope(&all_registry);
+      all = FineCluster(f.db, f.coarse, f.streams, f.options,
+                        RunContext::NoLimit().WithPool(&pool).WithObservability(
+                            &all_registry, nullptr),
+                        &all_complete);
+    }
+    EXPECT_TRUE(all_complete);
+
+    // The sharded unit: one cluster per call, results concatenated in
+    // cluster order.
+    obs::MetricsRegistry one_registry;
+    std::vector<std::vector<GraphId>> concatenated;
+    {
+      obs::ScopedMetricsScope scope(&one_registry);
+      const RunContext ctx = RunContext::NoLimit().WithPool(&pool)
+                                 .WithObservability(&one_registry, nullptr);
+      for (size_t c = 0; c < f.coarse.size(); ++c) {
+        bool complete = false;
+        for (auto& part : FineCluster(f.db, {f.coarse[c]}, {f.streams[c]},
+                                      f.options, ctx, &complete)) {
+          concatenated.push_back(std::move(part));
+        }
+        EXPECT_TRUE(complete);
+      }
+    }
+    EXPECT_EQ(all, concatenated) << threads << " threads";
+    const std::vector<uint64_t> counts = FineCounts(all_registry);
+    EXPECT_EQ(counts, FineCounts(one_registry)) << threads << " threads";
+    EXPECT_GT(counts[0], 0u);
+    // Every oversized cluster needs more than one level of splits here.
+    EXPECT_GT(counts[3], 3u);
+
+    for (const auto& part : all) EXPECT_LE(part.size(), 6u);
+    EXPECT_EQ(all.back(), f.coarse[3]);  // the small cluster, untouched
+  }
+}
+
+TEST(FineClusteringTest, StopAtTheFirstPollReturnsEveryClusterUnsplit) {
+  const FinePartition f = MakeFinePartition();
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    obs::MetricsRegistry registry;
+    failpoint::ScopedFailpoint stop("cluster.fine.split");
+    bool complete = true;
+    std::vector<std::vector<GraphId>> clusters;
+    {
+      obs::ScopedMetricsScope scope(&registry);
+      clusters = FineCluster(
+          f.db, f.coarse, f.streams, f.options,
+          RunContext::NoLimit().WithPool(&pool).WithObservability(&registry,
+                                                                  nullptr),
+          &complete);
+    }
+    EXPECT_FALSE(complete);
+    // One poll stops every cluster: the oversized ones come back unsplit
+    // in cluster order, the small one untouched, the empty one dropped.
+    EXPECT_EQ(failpoint::HitCount("cluster.fine.split"), 1u);
+    const std::vector<std::vector<GraphId>> expected(f.coarse.begin(),
+                                                     f.coarse.end() - 1);
+    EXPECT_EQ(clusters, expected) << threads << " threads";
+    EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kMcsCalls), 0u);
+  }
 }
 
 TEST(PipelineTest, HybridPartitionsDatabase) {

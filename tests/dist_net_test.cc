@@ -35,6 +35,7 @@
 #include "src/persist/record_io.h"
 #include "src/util/backoff.h"
 #include "src/util/failpoint.h"
+#include "tests/scratch_dir.h"
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -392,17 +393,6 @@ class DistNetChannelTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
 
-  std::string ScratchDir(const std::string& name) {
-    std::string dir = ::testing::TempDir() + "catapult_net_" +
-                      ::testing::UnitTest::GetInstance()
-                          ->current_test_info()
-                          ->name() +
-                      "_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-  }
-
   // Blocks (bounded) until the listener yields a connection.
   int AcceptOne(dist::Listener& listener) {
     for (int spin = 0; spin < 2000; ++spin) {
@@ -632,9 +622,10 @@ int DriveLocalMember(const GraphDatabase& db, dist::ShardAssignFrame assign) {
 }
 
 // Every sharded run reaches CarryShard, so a hand-built assignment whose
-// cluster index or member id does not address the database must end the
-// member with the protocol exit code — not a 2^63-entry allocation, not a
-// CHECK failure inside the pipeline.
+// cluster index or member id does not address the database, or whose fine
+// clustering would split below 2 graphs, must end the member with the
+// protocol exit code — not a 2^63-entry allocation, not a CHECK failure
+// inside the pipeline.
 TEST(DistNetMemberTest, HostileAssignExitsWithProtocolCode) {
   GraphDatabase db = NetDb();
   dist::ShardAssignFrame assign;
@@ -655,6 +646,10 @@ TEST(DistNetMemberTest, HostileAssignExitsWithProtocolCode) {
 
   assign.clusters[0].index = 0;
   assign.clusters[0].members.push_back(static_cast<GraphId>(db.size()));
+  EXPECT_EQ(DriveLocalMember(db, assign), dist::kWorkerExitProtocol);
+
+  assign.clusters[0].members.pop_back();
+  assign.fine_max_cluster_size = 1;
   EXPECT_EQ(DriveLocalMember(db, assign), dist::kWorkerExitProtocol);
 }
 

@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,6 +33,7 @@
 #include "src/util/backoff.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
+#include "tests/scratch_dir.h"
 
 #include <sys/wait.h>
 
@@ -47,17 +47,6 @@ using persist::RecordType;
 class DistTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
-
-  std::string ScratchDir(const std::string& name) {
-    std::string dir = ::testing::TempDir() + "catapult_dist_" +
-                      ::testing::UnitTest::GetInstance()
-                          ->current_test_info()
-                          ->name() +
-                      "_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-  }
 };
 
 GraphDatabase SmallDb(uint64_t seed = 31, size_t n = 36) {

@@ -17,6 +17,7 @@
 #include "src/util/deadline.h"
 #include "src/util/failpoint.h"
 #include "src/util/mem_budget.h"
+#include "tests/scratch_dir.h"
 
 namespace catapult {
 namespace {
@@ -388,8 +389,7 @@ TEST_F(IngestTest, ResumeWithQuarantinedGraphsIsBitIdentical) {
   GraphDatabase db = ParseQuarantine(text, ingest, &report);
   EXPECT_EQ(report.graphs_quarantined, 1u);
 
-  std::string dir = ::testing::TempDir() + "catapult_ingest_resume";
-  std::filesystem::remove_all(dir);
+  const std::string dir = ScratchDir("resume");
 
   CatapultOptions options = FastOptions();
   options.ingest_digest = report.quarantine_digest;

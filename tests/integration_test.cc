@@ -17,6 +17,7 @@
 #include "src/graph/algorithms.h"
 #include "src/iso/vf2.h"
 #include "src/util/failpoint.h"
+#include "tests/scratch_dir.h"
 
 namespace catapult {
 namespace {
@@ -197,17 +198,6 @@ void ExpectIdenticalResults(const CatapultResult& a, const CatapultResult& b) {
   EXPECT_EQ(a.selection.fallback_patterns, b.selection.fallback_patterns);
 }
 
-std::string ThreadScratchDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "catapult_threads_" +
-                    ::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name() +
-                    "_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -240,12 +230,12 @@ TEST(CatapultThreadsTest, CheckpointsAreByteIdenticalAcrossThreadCounts) {
 
   CatapultOptions one = FastOptions();
   one.threads = 1;
-  one.checkpoint_dir = ThreadScratchDir("one");
+  one.checkpoint_dir = ScratchDir("one");
   RunCatapult(db, one);
 
   CatapultOptions four = FastOptions();
   four.threads = 4;
-  four.checkpoint_dir = ThreadScratchDir("four");
+  four.checkpoint_dir = ScratchDir("four");
   RunCatapult(db, four);
 
   for (const char* file : {"clustering.ckpt", "csgs.ckpt", "selection.ckpt"}) {
@@ -270,7 +260,7 @@ TEST(CatapultThreadsTest, KillAndResumeUnderFourThreadsIsBitIdentical) {
 
   CatapultOptions options = FastOptions();
   options.threads = 4;
-  options.checkpoint_dir = ThreadScratchDir("kill");
+  options.checkpoint_dir = ScratchDir("kill");
   {
     failpoint::ScopedFailpoint fp("catapult.crash_after_csg_checkpoint", 1);
     CatapultResult killed = RunCatapult(db, options);

@@ -33,6 +33,7 @@
 #include "src/obs/reqlog.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
+#include "tests/scratch_dir.h"
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -437,17 +438,6 @@ void ExpectIdenticalResults(const CatapultResult& a, const CatapultResult& b) {
   }
 }
 
-std::string ObsScratchDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "catapult_obs_" +
-                    ::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name() +
-                    "_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -463,7 +453,7 @@ TEST(ObsPipelineTest, ObservabilityDoesNotChangeResults) {
     SCOPED_TRACE(threads);
     CatapultOptions plain_options = FastOptions();
     plain_options.threads = threads;
-    plain_options.checkpoint_dir = ObsScratchDir(
+    plain_options.checkpoint_dir = ScratchDir(
         "plain" + std::to_string(threads));
     CatapultResult plain = RunCatapult(db, plain_options);
     ASSERT_FALSE(plain.selection.patterns.empty());
@@ -471,7 +461,7 @@ TEST(ObsPipelineTest, ObservabilityDoesNotChangeResults) {
 
     CatapultOptions observed_options = FastOptions();
     observed_options.threads = threads;
-    observed_options.checkpoint_dir = ObsScratchDir(
+    observed_options.checkpoint_dir = ScratchDir(
         "observed" + std::to_string(threads));
     obs::MetricsRegistry registry;
     obs::Tracer tracer;
@@ -746,7 +736,7 @@ std::string AdminExchange(const std::string& socket_path,
 }
 
 TEST(AdminServerTest, ServesHandlerPathsAndBuiltinHealthz) {
-  const std::string dir = ObsScratchDir("admin");
+  const std::string dir = ScratchDir("admin");
   const std::string path = dir + "/admin.sock";
   obs::AdminServer admin;
   std::string err = admin.Start("unix:" + path, [](const std::string& p) {
@@ -788,7 +778,7 @@ TEST(AdminServerTest, ServesHandlerPathsAndBuiltinHealthz) {
 }
 
 TEST(AdminServerTest, ScraperHangingUpBeforeTheReplyLeavesTheProcessUp) {
-  const std::string dir = ObsScratchDir("admin_hangup");
+  const std::string dir = ScratchDir("admin_hangup");
   const std::string path = dir + "/admin.sock";
   std::atomic<bool> hung_up{false};
   obs::AdminServer admin;
@@ -834,7 +824,7 @@ TEST(AdminServerTest, RejectsUnbindableAddress) {
 }
 
 TEST(RequestLogTest, WritesOneJsonLinePerEvent) {
-  const std::string dir = ObsScratchDir("reqlog");
+  const std::string dir = ScratchDir("reqlog");
   const std::string path = dir + "/requests.jsonl";
   obs::RequestLog log;
   ASSERT_EQ(log.Start(path), "");

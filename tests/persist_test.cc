@@ -21,6 +21,7 @@
 #include "src/util/atomic_file.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
+#include "tests/scratch_dir.h"
 
 namespace catapult {
 namespace {
@@ -32,18 +33,6 @@ using persist::RecordType;
 class PersistTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
-
-  // A fresh, empty scratch directory unique to (test, name).
-  std::string ScratchDir(const std::string& name) {
-    std::string dir = ::testing::TempDir() + "catapult_persist_" +
-                      ::testing::UnitTest::GetInstance()
-                          ->current_test_info()
-                          ->name() +
-                      "_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-  }
 };
 
 GraphDatabase SmallDb(uint64_t seed = 31, size_t n = 40) {
@@ -395,6 +384,29 @@ TEST_F(PersistTest, ValidateCatapultOptionsBoundsEtaMax) {
     ASSERT_EQ(errors.size(), 1u) << eta_max;
     EXPECT_EQ(errors[0].field, "selector.budget.eta_max");
   }
+}
+
+// Fine clustering splits down to max_cluster_size, so below 2 it is an
+// options error, not a CHECK failure mid-run; coarse-only runs need only a
+// positive k divisor.
+TEST_F(PersistTest, ValidateCatapultOptionsBoundsMaxClusterSize) {
+  GraphDatabase db = SmallDb();
+  CatapultOptions options = FastOptions();
+  options.clustering.max_cluster_size = 2;
+  EXPECT_TRUE(ValidateCatapultOptions(options).empty());
+  options.clustering.max_cluster_size = 1;
+  for (ClusteringMode mode :
+       {ClusteringMode::kHybrid, ClusteringMode::kFineOnly}) {
+    options.clustering.mode = mode;
+    const CatapultResult result = RunCatapult(db, options);
+    EXPECT_FALSE(result.ok());
+    ASSERT_EQ(result.option_errors.size(), 1u);
+    EXPECT_EQ(result.option_errors[0].field, "clustering.max_cluster_size");
+  }
+  options.clustering.mode = ClusteringMode::kCoarseOnly;
+  EXPECT_TRUE(ValidateCatapultOptions(options).empty());
+  options.clustering.max_cluster_size = 0;
+  ASSERT_EQ(ValidateCatapultOptions(options).size(), 1u);
 }
 
 TEST_F(PersistTest, RunCatapultReturnsOptionErrorsInsteadOfAborting) {

@@ -24,6 +24,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/util/failpoint.h"
+#include "tests/scratch_dir.h"
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -101,7 +102,7 @@ const std::string& ExpectedPanelBytes() {
 
 serve::ServeOptions BaseOptions(const std::string& name) {
   serve::ServeOptions options;
-  options.socket_path = ::testing::TempDir() + "catapult_" + name + ".sock";
+  options.socket_path = ScratchDir(name) + "/serve.sock";
   options.pipeline = FastOptions();
   options.worker_threads = 1;
   options.retry_after_ms = 5.0;
@@ -641,9 +642,8 @@ TEST_F(ServeTest, ShedAndErrorRepliesCarryDistinctRequestIds) {
 
 TEST_F(ServeTest, RequestLogRecordsOneLinePerOutcome) {
   serve::ServeOptions options = BaseOptions("reqlog");
-  options.request_log_path = ::testing::TempDir() + "catapult_reqlog.jsonl";
+  options.request_log_path = ScratchDir("log") + "/reqlog.jsonl";
   options.slow_request_ms = 0.0001;  // any computed panel counts as slow
-  std::remove(options.request_log_path.c_str());
   serve::Server server;
   ASSERT_EQ(server.Start(TestDb(), options, &TestCorpus()), "");
   serve::ServeClient client;
@@ -687,7 +687,6 @@ TEST_F(ServeTest, RequestLogRecordsOneLinePerOutcome) {
   EXPECT_NE(lines[2].find("\"detail\":\"queue_full\""), std::string::npos);
   EXPECT_NE(lines[3].find("\"outcome\":\"error\""), std::string::npos);
   EXPECT_GE(CounterOf(server, obs::Counter::kServeSlowRequests), 1u);
-  std::remove(options.request_log_path.c_str());
 }
 
 // Raw line-oriented admin exchange: connect, send one request line, read to
@@ -715,8 +714,7 @@ std::string ServeAdminExchange(const std::string& socket_path,
 
 TEST_F(ServeTest, AdminEndpointScrapesMetricsAndStatuszMidFlight) {
   serve::ServeOptions options = BaseOptions("admin");
-  const std::string admin_path =
-      ::testing::TempDir() + "catapult_admin_serve.sock";
+  const std::string admin_path = ScratchDir("scrape") + "/admin.sock";
   options.admin_listen = "unix:" + admin_path;
   serve::Server server;
   ASSERT_EQ(server.Start(TestDb(), options, &TestCorpus()), "");
@@ -908,7 +906,7 @@ TEST_F(ServeTest, ServiceAcceptsStayOffTheFleetAcceptCounter) {
 }
 
 TEST_F(ServeTest, ClientReadsTheReplyAPeerSentBeforeClosing) {
-  const std::string path = ::testing::TempDir() + "catapult_bare_peer.sock";
+  const std::string path = ScratchDir("peer") + "/peer.sock";
   dist::Address address;
   std::string error;
   ASSERT_TRUE(dist::ParseAddress("unix:" + path, &address, &error)) << error;
