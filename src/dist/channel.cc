@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -39,6 +40,24 @@ void SetNonBlocking(int fd) {
 
 std::string ErrnoString(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+// Dials the unix socket address once without waiting. Returns connect's
+// errno: ECONNREFUSED when no listener answers on the path, ENOENT when the
+// path does not exist, 0 (or EAGAIN on a full backlog) when one does, and
+// any other errno when the path cannot be reached (or socket's, when no
+// probe socket could be made). A listener the probe reaches accepts one
+// connection that closes at once.
+int ProbeUnixPath(const sockaddr_storage& storage, socklen_t len) {
+  int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (probe < 0) return errno;
+  int result = 0;
+  if (::connect(probe, reinterpret_cast<const sockaddr*>(&storage), len) !=
+      0) {
+    result = errno;
+  }
+  ::close(probe);
+  return result;
 }
 
 // Longest unix socket path sockaddr_un holds, its NUL terminator aside.
@@ -293,9 +312,16 @@ std::string Listener::Listen(const Address& addr) {
   int fd = ::socket(family, SOCK_STREAM, 0);
   if (fd < 0) return ErrnoString("socket");
   if (addr.kind == Address::Kind::kUnix) {
-    // A stale path from a crashed supervisor would make bind fail; a live
-    // supervisor's path is a configuration error either way.
-    ::unlink(addr.path.c_str());
+    // A path that answers is a live listener's: taking it over would steal
+    // its connections. A path nobody answers on is stale (a crashed owner's
+    // socket, or any other file) and would make bind fail, so it goes. Any
+    // other probe result is left to bind, which reports the real error.
+    const int probe = ProbeUnixPath(storage, len);
+    if (probe == 0 || probe == EAGAIN) {
+      ::close(fd);
+      return "bind: address in use: a listener answers on " + addr.path;
+    }
+    if (probe == ECONNREFUSED) ::unlink(addr.path.c_str());
   } else {
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -314,7 +340,11 @@ std::string Listener::Listen(const Address& addr) {
   fd_ = fd;
   owned_ = true;
   if (addr.kind == Address::Kind::kUnix) {
-    unlink_path_ = addr.path;
+    struct stat bound;
+    if (::stat(addr.path.c_str(), &bound) == 0) {
+      unlink_path_ = addr.path;
+      bound_file_ = {bound.st_dev, bound.st_ino};
+    }
     address_ = addr.text;
   } else {
     // Re-read the bound address so port 0 reports the kernel's choice.
@@ -362,7 +392,13 @@ void Listener::Close() {
   fd_ = -1;
   owned_ = false;
   if (!unlink_path_.empty()) {
-    ::unlink(unlink_path_.c_str());
+    // Another listener may have replaced the path since; leave its socket.
+    struct stat now;
+    if (::stat(unlink_path_.c_str(), &now) == 0 &&
+        std::make_pair(static_cast<uint64_t>(now.st_dev),
+                       static_cast<uint64_t>(now.st_ino)) == bound_file_) {
+      ::unlink(unlink_path_.c_str());
+    }
     unlink_path_.clear();
   }
   address_.clear();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "src/dist/wire.h"
 
@@ -102,8 +103,9 @@ class Channel {
 
 // A listening endpoint. Binds + listens in Listen(), or adopts an
 // already-listening fd (tests bind port 0 themselves to learn the real
-// address before handing the fd to the supervisor). Unix socket paths
-// bound here are unlinked on Close().
+// address before handing the fd to the supervisor). A unix socket path
+// bound here is unlinked on Close() while it still names this listener's
+// socket.
 class Listener {
  public:
   Listener() = default;
@@ -112,7 +114,9 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   // Binds and listens on `addr`. Returns "" on success, else the error.
-  // For tcp port 0, the kernel-assigned port is reflected in address().
+  // For tcp port 0, the kernel-assigned port is reflected in address(). A
+  // unix path left by a dead listener is replaced; one a live listener
+  // answers on is an "address in use" error and stays untouched.
   std::string Listen(const Address& addr);
 
   // Adopts an fd that is already bound + listening. The fd is NOT owned:
@@ -137,6 +141,7 @@ class Listener {
   int fd_ = -1;
   bool owned_ = false;
   std::string unlink_path_;  // non-empty when we bound a unix path
+  std::pair<uint64_t, uint64_t> bound_file_;  // its (st_dev, st_ino)
   std::string address_;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/iso/neighbor_mark.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
 
@@ -40,31 +41,102 @@ std::vector<Label> SortedLabels(const Graph& g) {
   return labels;
 }
 
+// Depth-first branch-and-bound over edit paths. a's vertices are decided in
+// a fixed order (highest degree first), each onto an unused b-vertex or
+// deleted. The lower bound at a node is the label-multiset mismatch of the
+// undecided a-vertices against the unused b-vertices, kept as per-label-class
+// counts that Decide and Undo update.
 struct GedSearch {
   const Graph& a;
   const Graph& b;
   const GedOptions& options;
-  std::vector<VertexId> order;       // a-vertices in assignment order
+  std::vector<VertexId> order;       // a-vertices in decision order
+  std::vector<size_t> position;      // a-vertex -> index in order
   std::vector<VertexId> assignment;  // a-vertex -> b-vertex or kEpsilon
-  std::vector<bool> b_used;
+  std::vector<VertexId> owner;       // b-vertex -> a-vertex or kEpsilon
+  NeighborMark b_mark;
+  std::vector<uint32_t> a_class;  // a-vertex -> label class
+  std::vector<uint32_t> b_class;  // b-vertex -> label class
+  std::vector<size_t> undecided;  // label class -> undecided a-vertices
+  std::vector<size_t> unused;     // label class -> unused b-vertices
+  size_t unused_total = 0;
+  size_t common = 0;  // sum over classes of min(undecided, unused)
   double best = 0.0;
   uint64_t nodes = 0;
   bool exact = true;
 
   GedSearch(const Graph& a_in, const Graph& b_in, const GedOptions& opt)
-      : a(a_in), b(b_in), options(opt) {
-    order.resize(a.NumVertices());
+      : a(a_in),
+        b(b_in),
+        options(opt),
+        order(a_in.NumVertices()),
+        position(a_in.NumVertices()),
+        assignment(a_in.NumVertices(), kEpsilon),
+        owner(b_in.NumVertices(), kEpsilon),
+        b_mark(b_in.NumVertices()),
+        a_class(a_in.NumVertices()),
+        b_class(b_in.NumVertices()) {
     for (VertexId v = 0; v < a.NumVertices(); ++v) order[v] = v;
     std::stable_sort(order.begin(), order.end(), [&](VertexId l, VertexId r) {
       return a.Degree(l) > a.Degree(r);
     });
-    assignment.assign(a.NumVertices(), kEpsilon);
-    b_used.assign(b.NumVertices(), false);
+    for (size_t d = 0; d < order.size(); ++d) position[order[d]] = d;
+    std::vector<Label> labels;
+    for (VertexId v = 0; v < a.NumVertices(); ++v) {
+      labels.push_back(a.VertexLabel(v));
+    }
+    for (VertexId v = 0; v < b.NumVertices(); ++v) {
+      labels.push_back(b.VertexLabel(v));
+    }
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+    auto class_of = [&labels](Label l) {
+      return static_cast<uint32_t>(
+          std::lower_bound(labels.begin(), labels.end(), l) - labels.begin());
+    };
+    undecided.assign(labels.size(), 0);
+    unused.assign(labels.size(), 0);
+    for (VertexId v = 0; v < a.NumVertices(); ++v) {
+      a_class[v] = class_of(a.VertexLabel(v));
+      ++undecided[a_class[v]];
+    }
+    for (VertexId v = 0; v < b.NumVertices(); ++v) {
+      b_class[v] = class_of(b.VertexLabel(v));
+      ++unused[b_class[v]];
+    }
+    unused_total = b.NumVertices();
+    for (size_t c = 0; c < labels.size(); ++c) {
+      common += std::min(undecided[c], unused[c]);
+    }
+  }
+
+  // Decides u (onto bv or deleted) and leaves the class counts matching.
+  void Decide(VertexId u, VertexId bv) {
+    assignment[u] = bv;
+    if (undecided[a_class[u]]-- <= unused[a_class[u]]) --common;
+    if (bv == kEpsilon) return;
+    owner[bv] = u;
+    if (unused[b_class[bv]]-- <= undecided[b_class[bv]]) --common;
+    --unused_total;
+  }
+
+  void Undo(VertexId u) {
+    VertexId bv = assignment[u];
+    if (bv != kEpsilon) {
+      owner[bv] = kEpsilon;
+      ++unused_total;
+      if (++unused[b_class[bv]] <= undecided[b_class[bv]]) ++common;
+    }
+    if (++undecided[a_class[u]] <= unused[a_class[u]]) ++common;
+    assignment[u] = kEpsilon;
   }
 
   // Incremental cost of assigning order[depth] -> bv (possibly kEpsilon),
-  // given assignments for order[0..depth).
-  double StepCost(size_t depth, VertexId bv) const {
+  // given assignments for order[0..depth): the vertex edit, plus every edge
+  // to a decided vertex that exists on one side only or changes label. u's
+  // decided neighbours and bv's used neighbours are counted once each; the
+  // pairs adjacent on both sides are counted twice there and taken back.
+  double StepCost(size_t depth, VertexId bv) {
     VertexId u = order[depth];
     double cost = 0.0;
     if (bv == kEpsilon) {
@@ -72,19 +144,30 @@ struct GedSearch {
     } else if (a.VertexLabel(u) != b.VertexLabel(bv)) {
       cost += 1.0;  // vertex relabel
     }
-    for (size_t d = 0; d < depth; ++d) {
-      VertexId u2 = order[d];
-      VertexId bv2 = assignment[u2];
-      bool a_edge = a.HasEdge(u, u2);
-      bool b_edge =
-          (bv != kEpsilon && bv2 != kEpsilon) ? b.HasEdge(bv, bv2) : false;
-      if (a_edge && b_edge) {
-        if (a.EdgeLabel(u, u2) != b.EdgeLabel(bv, bv2)) cost += 1.0;
-      } else if (a_edge != b_edge) {
-        cost += 1.0;  // edge deletion or insertion
+    size_t a_edges = 0;     // u's edges to decided vertices
+    size_t b_edges = 0;     // bv's edges to used b-vertices
+    size_t both = 0;        // edges present on both sides
+    size_t relabelled = 0;  // ... with different edge labels
+    const std::vector<Graph::Neighbor>* nb = nullptr;
+    if (bv != kEpsilon) {
+      nb = &b.Neighbors(bv);
+      b_mark.Mark(b, bv);
+      for (const Graph::Neighbor& n : *nb) {
+        if (owner[n.to] != kEpsilon) ++b_edges;
       }
     }
-    return cost;
+    for (const Graph::Neighbor& na : a.Neighbors(u)) {
+      if (position[na.to] >= depth) continue;
+      ++a_edges;
+      VertexId image = assignment[na.to];
+      if (nb == nullptr || image == kEpsilon) continue;
+      int slot = b_mark.Slot(image);
+      if (slot < 0) continue;
+      ++both;
+      if (na.edge_label != (*nb)[slot].edge_label) ++relabelled;
+    }
+    return cost +
+           static_cast<double>(a_edges + b_edges - 2 * both + relabelled);
   }
 
   // Cost contributed at a leaf: unmatched b-vertices are inserted, along
@@ -92,10 +175,12 @@ struct GedSearch {
   double LeafCost() const {
     double cost = 0.0;
     for (VertexId v = 0; v < b.NumVertices(); ++v) {
-      if (!b_used[v]) cost += 1.0;
-    }
-    for (const Edge& e : b.EdgeList()) {
-      if (!b_used[e.u] || !b_used[e.v]) cost += 1.0;
+      if (owner[v] == kEpsilon) cost += 1.0;
+      for (const Graph::Neighbor& n : b.Neighbors(v)) {
+        if (v < n.to && (owner[v] == kEpsilon || owner[n.to] == kEpsilon)) {
+          cost += 1.0;
+        }
+      }
     }
     return cost;
   }
@@ -103,19 +188,33 @@ struct GedSearch {
   // Admissible lower bound on the remaining cost at `depth`: label-multiset
   // mismatch of undecided a-vertices vs unused b-vertices.
   double RemainingLowerBound(size_t depth) const {
-    std::vector<Label> ra;
-    ra.reserve(order.size() - depth);
-    for (size_t d = depth; d < order.size(); ++d) {
-      ra.push_back(a.VertexLabel(order[d]));
+    return static_cast<double>(
+        std::max(order.size() - depth, unused_total) - common);
+  }
+
+  // Greedy upper bound: each a-vertex in order takes its cheapest step;
+  // ties go to deletion, then to the lowest-numbered unused b-vertex.
+  // Leaves the path empty again.
+  double GreedyUpperBound() {
+    double cost = 0.0;
+    for (size_t depth = 0; depth < order.size(); ++depth) {
+      VertexId u = order[depth];
+      double best_step = StepCost(depth, kEpsilon);
+      VertexId best_v = kEpsilon;
+      for (VertexId v = 0; v < b.NumVertices(); ++v) {
+        if (owner[v] != kEpsilon) continue;
+        double step = StepCost(depth, v);
+        if (step < best_step) {
+          best_step = step;
+          best_v = v;
+        }
+      }
+      Decide(u, best_v);
+      cost += best_step;
     }
-    std::vector<Label> rb;
-    for (VertexId v = 0; v < b.NumVertices(); ++v) {
-      if (!b_used[v]) rb.push_back(b.VertexLabel(v));
-    }
-    std::sort(ra.begin(), ra.end());
-    std::sort(rb.begin(), rb.end());
-    size_t common = SortedIntersectionSize(ra, rb);
-    return static_cast<double>(std::max(ra.size(), rb.size()) - common);
+    cost += LeafCost();
+    for (VertexId u : order) Undo(u);
+    return cost;
   }
 
   void Dfs(size_t depth, double cost_so_far) {
@@ -131,59 +230,26 @@ struct GedSearch {
       return;
     }
     VertexId u = order[depth];
-    // Prefer same-label b-vertices first (cheap moves explored early).
-    std::vector<VertexId> candidates;
-    for (VertexId v = 0; v < b.NumVertices(); ++v) {
-      if (!b_used[v]) candidates.push_back(v);
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](VertexId l, VertexId r) {
-                       bool le = b.VertexLabel(l) == a.VertexLabel(u);
-                       bool re = b.VertexLabel(r) == a.VertexLabel(u);
-                       return le > re;
-                     });
-    for (VertexId v : candidates) {
-      double step = StepCost(depth, v);
-      assignment[u] = v;
-      b_used[v] = true;
-      Dfs(depth + 1, cost_so_far + step);
-      b_used[v] = false;
-      assignment[u] = kEpsilon;
-      if (!exact) return;
+    // Same-label b-vertices first (cheap moves explored early), each group
+    // in ascending order.
+    for (bool same_label : {true, false}) {
+      for (VertexId v = 0; v < b.NumVertices(); ++v) {
+        if (owner[v] != kEpsilon ||
+            (b_class[v] == a_class[u]) != same_label) {
+          continue;
+        }
+        double step = StepCost(depth, v);
+        Decide(u, v);
+        Dfs(depth + 1, cost_so_far + step);
+        Undo(u);
+        if (!exact) return;
+      }
     }
     // Delete u.
     double step = StepCost(depth, kEpsilon);
-    assignment[u] = kEpsilon;
+    Decide(u, kEpsilon);
     Dfs(depth + 1, cost_so_far + step);
-  }
-
-  // Greedy upper bound to seed branch-and-bound.
-  double GreedyUpperBound() {
-    double cost = 0.0;
-    for (size_t depth = 0; depth < order.size(); ++depth) {
-      VertexId u = order[depth];
-      double best_step = StepCost(depth, kEpsilon);
-      VertexId best_v = kEpsilon;
-      for (VertexId v = 0; v < b.NumVertices(); ++v) {
-        if (b_used[v]) continue;
-        double step = StepCost(depth, v);
-        if (step < best_step) {
-          best_step = step;
-          best_v = v;
-        }
-      }
-      assignment[u] = best_v;
-      if (best_v != kEpsilon) b_used[best_v] = true;
-      cost += best_step;
-    }
-    cost += LeafCost();
-    // Reset state for the exact search.
-    for (size_t depth = 0; depth < order.size(); ++depth) {
-      VertexId u = order[depth];
-      if (assignment[u] != kEpsilon) b_used[assignment[u]] = false;
-      assignment[u] = kEpsilon;
-    }
-    return cost;
+    Undo(u);
   }
 };
 

@@ -36,6 +36,16 @@ double GedLowerBound(const Graph& a, const Graph& b);
 // assignments, seeded with a greedy upper bound and pruned with label-based
 // lower bounds. Exponential in the worst case; intended for canned-pattern
 // sized graphs (<= ~13 vertices), with anytime fallback under `node_budget`.
+//
+// a's vertices are decided by descending degree; each is tried on every
+// unused b-vertex (same label first, each group ascending), then deleted. A
+// node is pruned when its cost plus the label-multiset mismatch of the
+// undecided a-vertices against the unused b-vertices reaches the best cost
+// found. The search state is carried from node to node: that bound reads
+// label-class counts updated on each decision and undo, and step costs read
+// adjacency through neighbour marks, so the bound costs O(1), a step
+// O(degree) and a leaf O(|Vb| + |Eb|). Node counts and truncation points
+// are pinned by tests/kernel_pin_test.cc.
 GedResult GraphEditDistance(const Graph& a, const Graph& b,
                             GedOptions options = {});
 

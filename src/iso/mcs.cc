@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "src/iso/neighbor_mark.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
 
@@ -10,24 +11,41 @@ namespace catapult {
 
 namespace {
 
+constexpr VertexId kUnmapped = static_cast<VertexId>(-1);
+
+// A pair the connected search may map next, with the common edges it adds.
+struct Candidate {
+  VertexId u, v;
+  size_t gain;
+};
+
 // Shared search state for both the connected and the unconnected variant.
 struct SearchState {
   const Graph& a;
   const Graph& b;
   const McsOptions& options;
-  std::vector<bool> a_used;
+  std::vector<VertexId> a_image;  // a-vertex -> b-vertex or kUnmapped
   std::vector<bool> b_used;
   std::vector<std::pair<VertexId, VertexId>> mapping;
   size_t current_edges = 0;
   uint64_t nodes = 0;
   bool exact = true;
   McsResult best;
+  NeighborMark a_mark;
+  NeighborMark b_mark;
+  // Connected search: frames[d] holds the candidates of the node whose
+  // mapping has d pairs, reused for the whole call; frames[0] stays empty.
+  std::vector<std::vector<Candidate>> frames;
+  std::vector<bool> seen;  // (slot in N_a(u*), slot in N_b(v*)) scratch
 
   SearchState(const Graph& a_in, const Graph& b_in, const McsOptions& opt)
-      : a(a_in), b(b_in), options(opt) {
-    a_used.assign(a.NumVertices(), false);
-    b_used.assign(b.NumVertices(), false);
-  }
+      : a(a_in),
+        b(b_in),
+        options(opt),
+        a_image(a_in.NumVertices(), kUnmapped),
+        b_used(b_in.NumVertices(), false),
+        a_mark(a_in.NumVertices()),
+        b_mark(b_in.NumVertices()) {}
 
   bool BudgetExhausted() {
     if (options.node_budget != 0 && nodes >= options.node_budget) {
@@ -38,17 +56,22 @@ struct SearchState {
     return false;
   }
 
+  bool EdgeLabelsMatch(const Graph::Neighbor& na,
+                       const Graph::Neighbor& nb) const {
+    return !options.match_edge_labels || na.edge_label == nb.edge_label;
+  }
+
   // Number of common edges gained by adding the pair (u, v) on top of the
-  // current mapping.
-  size_t Gain(VertexId u, VertexId v) const {
+  // current mapping: u's mapped neighbours whose images neighbour v.
+  size_t Gain(VertexId u, VertexId v) {
+    b_mark.Mark(b, v);
+    const std::vector<Graph::Neighbor>& nb = b.Neighbors(v);
     size_t gain = 0;
-    for (const auto& [x, y] : mapping) {
-      if (a.HasEdge(u, x) && b.HasEdge(v, y)) {
-        if (!options.match_edge_labels ||
-            a.EdgeLabel(u, x) == b.EdgeLabel(v, y)) {
-          ++gain;
-        }
-      }
+    for (const Graph::Neighbor& na : a.Neighbors(u)) {
+      VertexId y = a_image[na.to];
+      if (y == kUnmapped) continue;
+      int slot = b_mark.Slot(y);
+      if (slot >= 0 && EdgeLabelsMatch(na, nb[slot])) ++gain;
     }
     return gain;
   }
@@ -64,7 +87,7 @@ struct SearchState {
   }
 
   void Push(VertexId u, VertexId v, size_t gain) {
-    a_used[u] = true;
+    a_image[u] = v;
     b_used[v] = true;
     mapping.emplace_back(u, v);
     current_edges += gain;
@@ -73,59 +96,69 @@ struct SearchState {
   void Pop(size_t gain) {
     auto [u, v] = mapping.back();
     mapping.pop_back();
-    a_used[u] = false;
+    a_image[u] = kUnmapped;
     b_used[v] = false;
     current_edges -= gain;
   }
+
+  // The candidates after (us, vs) joined the mapping, from the candidates
+  // before it: every unmapped, label-equal pair with at least one common
+  // edge to the mapping, ordered by (gain desc, u, v). Pairs using us or vs
+  // leave, pairs adjacent to (us, vs) through a common edge gain one, and
+  // such pairs that had no common edge yet join with gain 1.
+  void NextCandidates(const std::vector<Candidate>& parent, VertexId us,
+                      VertexId vs, std::vector<Candidate>& out) {
+    const std::vector<Graph::Neighbor>& na = a.Neighbors(us);
+    const std::vector<Graph::Neighbor>& nb = b.Neighbors(vs);
+    a_mark.Mark(a, us);
+    b_mark.Mark(b, vs);
+    seen.assign(na.size() * nb.size(), false);
+    out.clear();
+    for (const Candidate& c : parent) {
+      if (c.u == us || c.v == vs) continue;
+      out.push_back(c);
+      int i = a_mark.Slot(c.u);
+      int j = b_mark.Slot(c.v);
+      if (i < 0 || j < 0) continue;
+      seen[i * nb.size() + j] = true;
+      if (EdgeLabelsMatch(na[i], nb[j])) ++out.back().gain;
+    }
+    for (size_t i = 0; i < na.size(); ++i) {
+      VertexId u = na[i].to;
+      if (a_image[u] != kUnmapped) continue;
+      for (size_t j = 0; j < nb.size(); ++j) {
+        VertexId v = nb[j].to;
+        if (b_used[v] || seen[i * nb.size() + j] ||
+            a.VertexLabel(u) != b.VertexLabel(v) ||
+            !EdgeLabelsMatch(na[i], nb[j])) {
+          continue;
+        }
+        out.push_back({u, v, 1});
+      }
+    }
+    // Best-gain first improves the anytime bound quickly.
+    std::sort(out.begin(), out.end(),
+              [](const Candidate& l, const Candidate& r) {
+                return std::tie(r.gain, l.u, l.v) < std::tie(l.gain, r.u, r.v);
+              });
+  }
 };
 
-// Grows a connected common subgraph from the current mapping. Records the
-// best mapping at every node (anytime).
+// Grows a connected common subgraph from the current mapping, whose last
+// pair was just added. Records the best mapping at every node (anytime).
 void ConnectedExtend(SearchState& state) {
   if (state.BudgetExhausted()) return;
   state.RecordBest();
-
-  // Trivial upper bound: every additional common edge consumes a distinct
-  // edge of each graph.
-  size_t upper = state.current_edges +
-                 std::min(state.a.NumEdges(), state.b.NumEdges()) -
-                 state.current_edges;
-  if (upper <= state.best.common_edges) return;
-
-  // Candidate pairs adjacent to the mapped region with positive gain.
-  struct Candidate {
-    VertexId u, v;
-    size_t gain;
-  };
-  std::vector<Candidate> candidates;
-  for (const auto& [x, y] : state.mapping) {
-    for (const Graph::Neighbor& na : state.a.Neighbors(x)) {
-      if (state.a_used[na.to]) continue;
-      for (const Graph::Neighbor& nb : state.b.Neighbors(y)) {
-        if (state.b_used[nb.to]) continue;
-        if (state.a.VertexLabel(na.to) != state.b.VertexLabel(nb.to)) {
-          continue;
-        }
-        size_t gain = state.Gain(na.to, nb.to);
-        if (gain > 0) candidates.push_back({na.to, nb.to, gain});
-      }
-    }
+  // Every common edge uses a distinct edge of each graph, so nothing beats
+  // min(|Ea|, |Eb|) edges; there is no other bound.
+  if (state.best.common_edges >=
+      std::min(state.a.NumEdges(), state.b.NumEdges())) {
+    return;
   }
-  // Deduplicate (the same pair can be adjacent to several mapped pairs).
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& l, const Candidate& r) {
-              return std::tie(l.u, l.v) < std::tie(r.u, r.v);
-            });
-  candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                               [](const Candidate& l, const Candidate& r) {
-                                 return l.u == r.u && l.v == r.v;
-                               }),
-                   candidates.end());
-  // Best-gain first: improves the anytime bound quickly.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& l, const Candidate& r) {
-                     return l.gain > r.gain;
-                   });
+  const size_t depth = state.mapping.size();
+  const auto [us, vs] = state.mapping.back();
+  std::vector<Candidate>& candidates = state.frames[depth];
+  state.NextCandidates(state.frames[depth - 1], us, vs, candidates);
   for (const Candidate& c : candidates) {
     state.Push(c.u, c.v, c.gain);
     ConnectedExtend(state);
@@ -203,6 +236,7 @@ McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
                        return a.Degree(l.first) + b.Degree(l.second) >
                               a.Degree(r.first) + b.Degree(r.second);
                      });
+    state.frames.resize(std::min(a.NumVertices(), b.NumVertices()) + 1);
     for (const auto& [u, v] : seeds) {
       state.Push(u, v, 0);
       ConnectedExtend(state);

@@ -24,7 +24,7 @@ struct McsOptions {
   // shipped configuration runs with (CLI, worker, service, examples), and it
   // truncates most fine-clustering pairs: on the 400-graph Baseline corpus
   // it cuts 2,037 of 2,506 calls, and perfbench's mine_select replay
-  // measures an exact ratio of 0.165 at about 1.8 ms per call (Release
+  // measures an exact ratio of 0.165 at about 0.3 ms per call (Release
   // build, GCC 12, 4-core x86-64). Raise it when exact optima matter more
   // than throughput.
   uint64_t node_budget = 5000;
@@ -45,6 +45,18 @@ struct McsResult {
 // McGregor-style branch-and-bound maximum (connected) common subgraph of `a`
 // and `b`. Maximises the number of common *edges*, consistent with the
 // paper's size measure |G| = |E| and with its similarity definitions.
+//
+// The connected search tries label-equal seed pairs by descending degree
+// sum and, at each node, branches on every unmapped label-equal pair with a
+// common edge to the mapping, by (gain desc, u, v). Each node derives its
+// candidates from its parent's (same tree, incremental candidates): the
+// pairs that use the new pair leave, the pairs adjacent to it through a
+// common edge gain one, and new adjacent pairs join. The unconnected search
+// decides a's vertices by descending degree, mapping each to every free
+// label-equal b-vertex in ascending order and then skipping it. A node
+// costs O(frontier): adjacency is read through neighbour marks, never by
+// scanning edge lists. Node counts, truncation points and mappings are
+// pinned by tests/kernel_pin_test.cc.
 McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
                             McsOptions options = {});
 

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -530,6 +531,60 @@ TEST_F(DistNetChannelTest, WriteStallFailsTheChannelNotTheProcess) {
   // Failed channels no-op further sends instead of crashing.
   EXPECT_FALSE(client.Send(dist::HeartbeatFrame{1, 2, 0},
                            dist::FrameType::kHeartbeat));
+}
+
+// A second listener on a unix path a live listener answers on fails with
+// "address in use" and leaves the path alone, so the first listener keeps
+// its connections. A listener whose path was replaced after it bound leaves
+// the newcomer's socket in place when it closes.
+TEST_F(DistNetChannelTest, UnixListenNeverStealsALivePath) {
+  const std::string path = ScratchDir("live") + "/s.sock";
+  dist::Address addr;
+  std::string error;
+  ASSERT_TRUE(dist::ParseAddress("unix:" + path, &addr, &error));
+  dist::Listener first;
+  ASSERT_EQ(first.Listen(addr), "");
+
+  dist::Listener second;
+  const std::string second_error = second.Listen(addr);
+  EXPECT_NE(second_error.find("address in use"), std::string::npos)
+      << second_error;
+  EXPECT_FALSE(second.open());
+  int fd = dist::Dial(addr, 1000.0, &error);
+  ASSERT_GE(fd, 0) << error;
+  dist::Channel client(fd);
+  int accepted = AcceptOne(first);
+  ASSERT_GE(accepted, 0);
+  dist::Channel server(accepted);
+
+  // Replace the path behind the first listener's back: its Close must not
+  // unlink the third listener's socket.
+  ASSERT_EQ(::unlink(path.c_str()), 0);
+  dist::Listener third;
+  ASSERT_EQ(third.Listen(addr), "");
+  first.Close();
+  ASSERT_EQ(::access(path.c_str(), F_OK), 0);
+  fd = dist::Dial(addr, 1000.0, &error);
+  ASSERT_GE(fd, 0) << error;
+  dist::Channel late(fd);
+  dist::Channel accepted_late(AcceptOne(third));
+  EXPECT_GE(accepted_late.fd(), 0);
+  third.Close();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+
+  // A path the probe cannot reach is not a live listener: bind reports the
+  // real error.
+  const std::string file = ScratchDir("file") + "/not_a_dir";
+  std::ofstream(file) << "x";
+  dist::Address beyond_file;
+  ASSERT_TRUE(dist::ParseAddress("unix:" + file + "/s.sock", &beyond_file,
+                                 &error));
+  dist::Listener fourth;
+  const std::string fourth_error = fourth.Listen(beyond_file);
+  EXPECT_NE(fourth_error.find(std::strerror(ENOTDIR)), std::string::npos)
+      << fourth_error;
+  EXPECT_EQ(fourth_error.find("address in use"), std::string::npos)
+      << fourth_error;
 }
 
 TEST_F(DistNetChannelTest, DialFailuresReportNotCrash) {

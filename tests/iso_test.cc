@@ -12,6 +12,7 @@
 #include "src/util/rng.h"
 #include "src/graph/algorithms.h"
 #include "tests/reference_ged.h"
+#include "tests/reference_mcs.h"
 
 namespace catapult {
 namespace {
@@ -543,6 +544,77 @@ TEST(GedTest, ExactValuesMatchFullEnumeration) {
         << "pair " << i << ": " << a.DebugString() << " vs "
         << b.DebugString();
   }
+}
+
+// The MCS kernel against full enumeration (tests/reference_mcs.h) on pairs
+// of at most 7 vertices, connected and not, with and without edge-label
+// matching, unbudgeted and cut at 20 nodes. Every reported mapping is
+// injective, keeps labels, realises the reported counts and, for MCCS, is
+// connected; an exact result equals the optimum and a truncated one never
+// exceeds it.
+TEST(McsTest, ResultsMatchFullEnumeration) {
+  Rng rng(91);
+  std::vector<std::pair<Graph, Graph>> pairs;
+  for (int i = 0; i < 120; ++i) {
+    Graph a = RandomLabelledGraph(1 + rng.UniformInt(7), rng);
+    Graph b = RandomLabelledGraph(1 + rng.UniformInt(7), rng);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  MoleculeGeneratorOptions gen;
+  gen.num_graphs = 20;
+  gen.seed = 5;
+  GraphDatabase db = GenerateMoleculeDatabase(gen);
+  for (GraphId i = 0; i < db.size(); ++i) {
+    Graph a = RandomConnectedSubgraph(db.graph(i), 3 + i % 4, rng);
+    Graph b = RandomConnectedSubgraph(db.graph(i / 2), 2 + (i * 3) % 5, rng);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  size_t truncated = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [a, b] = pairs[i];
+    ASSERT_LE(a.NumVertices(), 7u);
+    ASSERT_LE(b.NumVertices(), 7u);
+    for (bool connected : {true, false}) {
+      for (bool match_edge_labels : {false, true}) {
+        const size_t optimum = reference::ReferenceMcsEdges(
+            a, b, connected, match_edge_labels);
+        for (uint64_t budget : {0, 20}) {
+          McsOptions options;
+          options.connected = connected;
+          options.match_edge_labels = match_edge_labels;
+          options.node_budget = budget;
+          const McsResult r = MaxCommonSubgraph(a, b, options);
+          const std::string where =
+              "pair " + std::to_string(i) + (connected ? " mccs" : " mcs") +
+              (match_edge_labels ? " +el" : "") + " budget " +
+              std::to_string(budget) + ": " + a.DebugString() + " vs " +
+              b.DebugString();
+          const std::vector<VertexId> map =
+              reference::MapFromPairs(a, b, r.mapping);
+          ASSERT_EQ(map.size(), a.NumVertices()) << where;
+          EXPECT_EQ(r.common_vertices, r.mapping.size()) << where;
+          EXPECT_EQ(r.common_edges,
+                    reference::CommonEdgeCount(a, b, map, match_edge_labels))
+              << where;
+          if (connected) {
+            EXPECT_TRUE(reference::CommonSubgraphConnected(
+                a, b, map, match_edge_labels))
+                << where;
+          }
+          if (budget == 0) {
+            EXPECT_TRUE(r.exact) << where;
+          }
+          if (r.exact) {
+            EXPECT_EQ(r.common_edges, optimum) << where;
+          } else {
+            ++truncated;
+            EXPECT_LE(r.common_edges, optimum) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u) << "the 20-node budget never cut a search";
 }
 
 TEST(GedTest, TriangleInequalitySpotCheck) {
