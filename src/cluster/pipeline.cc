@@ -4,7 +4,7 @@
 #include <atomic>
 #include <optional>
 
-#include "src/cluster/agglomerative.h"
+#include "src/cluster/facility_location.h"
 #include "src/cluster/kmeans.h"
 #include "src/obs/trace.h"
 #include "src/util/mem_budget.h"
@@ -93,7 +93,7 @@ ClusteringResult CoarseClusteringStage(
                                    ctx.Slice(0.5), &result.mining_complete);
     // Refine the feature set by facility-location greedy selection.
     std::vector<size_t> selected =
-        SelectRepresentativeSubtrees(all_subtrees, options.facility);
+        SelectRepresentativeSubtrees(all_subtrees, {});
     for (size_t idx : selected) {
       result.features.push_back(all_subtrees[idx]);
     }
@@ -128,23 +128,11 @@ ClusteringResult CoarseClusteringStage(
           features[i].Set(j);
         }
       }
-      size_t target_k =
-          options.explicit_k != 0
-              ? options.explicit_k
-              : std::max<size_t>(1,
-                                 graph_ids.size() / options.max_cluster_size);
-      std::vector<size_t> assignment;
-      if (options.coarse_algorithm == CoarseAlgorithm::kAgglomerative) {
-        AgglomerativeOptions agg;
-        agg.target_clusters = target_k;
-        assignment = AgglomerativeCluster(features, agg).assignment;
-      } else {
-        KMeansOptions kmeans_options;
-        kmeans_options.k = target_k;
-        kmeans_options.max_iterations = options.kmeans_max_iterations;
-        assignment =
-            KMeansCluster(features, kmeans_options, rng, ctx).assignment;
-      }
+      const KMeansOptions kmeans_options{
+          .k = std::max<size_t>(1,
+                                graph_ids.size() / options.max_cluster_size)};
+      const std::vector<size_t> assignment =
+          KMeansCluster(features, kmeans_options, rng, ctx).assignment;
       size_t k = 0;
       for (size_t a : assignment) k = std::max(k, a + 1);
       coarse_clusters.assign(k, {});

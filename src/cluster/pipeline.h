@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "src/cluster/agglomerative.h"
-#include "src/cluster/facility_location.h"
 #include "src/cluster/fine_clustering.h"
 #include "src/graph/graph_database.h"
 #include "src/mining/subtree_miner.h"
@@ -21,29 +19,15 @@ enum class ClusteringMode {
   kHybrid,       // mccsH / mcsH: coarse, then fine on oversized clusters
 };
 
-// Which feature-vector clustering algorithm drives the coarse phase. The
-// paper uses k-means but notes the framework is orthogonal to this choice
-// (Section 4.1 remark); average-linkage agglomerative clustering is the
-// deterministic alternative.
-enum class CoarseAlgorithm {
-  kKMeans,
-  kAgglomerative,
-};
-
 // Options for the end-to-end small graph clustering phase (Section 4.1).
 struct SmallGraphClusteringOptions {
   ClusteringMode mode = ClusteringMode::kHybrid;
-  CoarseAlgorithm coarse_algorithm = CoarseAlgorithm::kKMeans;
 
-  // Maximum cluster size N; k for k-means is derived as |D| / N (Section
-  // 6.1) unless overridden via explicit_k.
+  // Maximum cluster size N; k for k-means is max(1, |D| / N) (Section 6.1).
   size_t max_cluster_size = 20;
-  size_t explicit_k = 0;  // 0 = derive from max_cluster_size
 
   SubtreeMinerOptions miner;
-  FacilitySelectionOptions facility;
   McsOptions fine_mcs;  // connected=true -> mccs variants
-  size_t kmeans_max_iterations = 50;
 };
 
 // Result of small graph clustering.
@@ -65,14 +49,15 @@ struct ClusteringResult {
   }
 };
 
-// The stages of small graph clustering before fine splitting: mining +
-// facility selection + coarse partitioning (kFineOnly skips both and seeds
-// one all-graphs cluster). The partition step's feature matrix is the
-// transpose of the selected subtrees' support sets. With `eager_sampling`
-// set, only the mining step changes (Section 4.3): subtrees are mined on an
-// eager sample at a lowered threshold and their supports re-counted over
-// all of `graph_ids`. Mining gets half of the remaining time; on expiry it
-// keeps its completed levels and partitioning falls back to one cluster.
+// The stages of small graph clustering before fine splitting (Algorithm 2):
+// mining + facility selection under FacilitySelectionOptions' defaults +
+// k-means (kFineOnly skips both and seeds one all-graphs cluster). The
+// k-means feature matrix is the transpose of the selected subtrees' support
+// sets. With `eager_sampling` set, only the mining step changes (Section
+// 4.3): subtrees are mined on an eager sample at a lowered threshold and
+// their supports re-counted over all of `graph_ids`. Mining gets half of
+// the remaining time; on expiry it keeps its completed levels and k-means
+// falls back to one cluster.
 // `result.clusters` holds the coarse partition; fine_complete is
 // untouched. Exposed separately so the pipeline can run fine clustering
 // (FineCluster) in-process or sharded across worker processes (src/dist/).

@@ -6,6 +6,8 @@
 #include <memory>
 #include <optional>
 
+#include "src/cluster/facility_location.h"
+#include "src/cluster/kmeans.h"
 #include "src/dist/supervisor.h"
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
@@ -442,9 +444,6 @@ std::vector<OptionsError> ValidateCatapultOptions(
         fine ? "must be at least 2 when fine clustering runs"
              : "must be positive");
   }
-  if (options.clustering.kmeans_max_iterations == 0) {
-    Err("clustering.kmeans_max_iterations", "must be positive");
-  }
   if (!(options.clustering.miner.min_support > 0.0 &&
         options.clustering.miner.min_support <= 1.0)) {
     Err("clustering.miner.min_support", "must be in (0, 1]");
@@ -543,21 +542,27 @@ uint64_t ConfigFingerprint(const CatapultOptions& options,
   // keeps checkpoint fingerprints and trace ids unchanged.
   fp.Mix(1);
 
+  // Seven clustering values were options once and are fixed now: k-means
+  // as the coarse algorithm (0), k derived from max_cluster_size (0), no cap
+  // on mined subtrees (0), the miner's per-level candidate cap, facility
+  // location's defaults and k-means' iteration cap. Mixing each in its old
+  // position keeps checkpoint fingerprints and trace ids unchanged.
   const SmallGraphClusteringOptions& cl = options.clustering;
+  const FacilitySelectionOptions facility;
   fp.Mix(static_cast<uint64_t>(cl.mode));
-  fp.Mix(static_cast<uint64_t>(cl.coarse_algorithm));
+  fp.Mix(0);
   fp.Mix(cl.max_cluster_size);
-  fp.Mix(cl.explicit_k);
+  fp.Mix(0);
   fp.MixDouble(cl.miner.min_support);
   fp.Mix(cl.miner.max_edges);
-  fp.Mix(cl.miner.max_results);
-  fp.Mix(cl.miner.max_candidates_per_level);
-  fp.Mix(cl.facility.max_selected);
-  fp.MixDouble(cl.facility.min_relative_gain);
+  fp.Mix(0);
+  fp.Mix(kSubtreeCandidatesPerLevel);
+  fp.Mix(facility.max_selected);
+  fp.MixDouble(facility.min_relative_gain);
   fp.Mix(cl.fine_mcs.connected ? 1 : 0);
   fp.Mix(cl.fine_mcs.match_edge_labels ? 1 : 0);
   fp.Mix(cl.fine_mcs.node_budget);
-  fp.Mix(cl.kmeans_max_iterations);
+  fp.Mix(KMeansOptions{}.max_iterations);
 
   fp.Mix(options.use_sampling ? 1 : 0);
   fp.MixDouble(options.eager.epsilon);

@@ -277,7 +277,7 @@ struct PreparedCorpus {
   // The CSG summaries in flat CSR form with per-summary label domains
   // (DESIGN.md §15), built once here so repeated RunCatapultSelection calls
   // share one index instead of re-flattening the summaries per request.
-  FlatSummaryIndex summary_index;
+  FlatGraphDatabase summary_index;
   RngState rng_after_csg;  // stream position selection resumes from
   // ConfigFingerprint of the (options, db) the corpus was prepared from,
   // surfaced so long-lived owners (the serving loop's /statusz) can report

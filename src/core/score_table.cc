@@ -7,17 +7,17 @@
 
 namespace catapult {
 
-FlatSummaryIndex BuildFlatSummaryIndex(
+FlatGraphDatabase BuildFlatSummaryIndex(
     const std::vector<ClusterSummaryGraph>& csgs) {
   std::vector<Graph> summaries;
   summaries.reserve(csgs.size());
   for (const ClusterSummaryGraph& csg : csgs) {
     summaries.push_back(csg.ToGraph());
   }
-  return FlatSummaryIndex{FlatGraphDatabase::Build(summaries)};
+  return FlatGraphDatabase::Build(summaries);
 }
 
-void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
+void CoveredCsgsFlat(const Graph& pattern, const FlatGraphDatabase& index,
                      uint64_t iso_node_budget, uint64_t* budget_exhausted,
                      uint64_t* out_words) {
   size_t words = CoverageWords(index.size());
@@ -28,11 +28,11 @@ void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
   options.node_budget =
       iso_node_budget == 0 ? kDefaultCoverageIsoBudget : iso_node_budget;
   for (size_t i = 0; i < index.size(); ++i) {
-    FlatGraphView target = index.flat.view(i);
+    FlatGraphView target = index.view(i);
     if (target.NumVertices() == 0) continue;
     bool exhausted = false;
     options.budget_exhausted = &exhausted;
-    if (FlatContainsSubgraph(pattern_view, target, &index.flat.domains(i),
+    if (FlatContainsSubgraph(pattern_view, target, &index.domains(i),
                              options)) {
       out_words[i >> 6] |= uint64_t{1} << (i & 63);
     }

@@ -3,9 +3,9 @@
 
 // Selection hot-path data structures (DESIGN.md §15):
 //
-//  * FlatSummaryIndex — the CSG summaries in flat CSR form with their label
-//    domains, built once per corpus (PrepareCorpus / selector entry) and
-//    shared by every coverage test of every greedy iteration.
+//  * The summary index — the CSG summaries in one FlatGraphDatabase with
+//    their label domains, built once per corpus (PrepareCorpus / selector
+//    entry) and shared by every coverage test of every greedy iteration.
 //  * ScoreTable — a structure-of-arrays candidate table. Each ParallelFor
 //    slot writes only its own row across contiguous score/coverage/cog
 //    columns; column storage is reused across iterations so the steady
@@ -39,13 +39,7 @@ inline size_t CoverageWords(size_t num_csgs) { return (num_csgs + 63) / 64; }
 
 // The coverage-test targets: the CSG summaries in one flat arena with their
 // label domains (view(i) and domains(i) are summary i).
-struct FlatSummaryIndex {
-  FlatGraphDatabase flat;
-
-  size_t size() const { return flat.size(); }
-};
-
-FlatSummaryIndex BuildFlatSummaryIndex(
+FlatGraphDatabase BuildFlatSummaryIndex(
     const std::vector<ClusterSummaryGraph>& csgs);
 
 // Marks, in the packed bitmap `out_words` (CoverageWords(index.size())
@@ -54,7 +48,7 @@ FlatSummaryIndex BuildFlatSummaryIndex(
 // zero budget selects kDefaultCoverageIsoBudget, and each budget-truncated
 // test conservatively reports "not contained" and increments
 // `budget_exhausted` (optional, accumulated) so truncation is observable.
-void CoveredCsgsFlat(const Graph& pattern, const FlatSummaryIndex& index,
+void CoveredCsgsFlat(const Graph& pattern, const FlatGraphDatabase& index,
                      uint64_t iso_node_budget, uint64_t* budget_exhausted,
                      uint64_t* out_words);
 

@@ -73,7 +73,7 @@ SelectionResult FindCannedPatternSet(
     const std::vector<ClusterSummaryGraph>& csgs,
     const SelectorOptions& options, Rng& rng, const RunContext& ctx,
     const SelectorCheckpointHooks& hooks,
-    const FlatSummaryIndex* prebuilt_index) {
+    const FlatGraphDatabase* prebuilt_index) {
   options.budget.Validate();
   CATAPULT_CHECK(clusters.size() == csgs.size());
 
@@ -89,12 +89,12 @@ SelectionResult FindCannedPatternSet(
   // Flat summary views + label domains for the coverage kernel, built once
   // per corpus. The serving path passes a prebuilt index so repeated
   // requests against the same corpus skip this entirely.
-  FlatSummaryIndex local_index;
+  FlatGraphDatabase local_index;
   if (prebuilt_index == nullptr) {
     local_index = BuildFlatSummaryIndex(csgs);
     prebuilt_index = &local_index;
   }
-  const FlatSummaryIndex& summary_index = *prebuilt_index;
+  const FlatGraphDatabase& summary_index = *prebuilt_index;
   CATAPULT_CHECK(summary_index.size() == csgs.size());
 
   std::vector<Graph> selected_graphs;

@@ -170,7 +170,7 @@ SelectionResult FindCannedPatternSet(
     const SelectorOptions& options, Rng& rng,
     const RunContext& ctx = RunContext::NoLimit(),
     const SelectorCheckpointHooks& hooks = {},
-    const FlatSummaryIndex* prebuilt_index = nullptr);
+    const FlatGraphDatabase* prebuilt_index = nullptr);
 
 }  // namespace catapult
 

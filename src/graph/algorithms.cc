@@ -17,28 +17,6 @@ bool IsTree(const Graph& g) {
   return IsConnected(g) && g.NumEdges() == g.NumVertices() - 1;
 }
 
-std::vector<int> ConnectedComponents(const Graph& g) {
-  std::vector<int> component(g.NumVertices(), -1);
-  int next = 0;
-  for (VertexId start = 0; start < g.NumVertices(); ++start) {
-    if (component[start] != -1) continue;
-    std::deque<VertexId> frontier = {start};
-    component[start] = next;
-    while (!frontier.empty()) {
-      VertexId v = frontier.front();
-      frontier.pop_front();
-      for (const Graph::Neighbor& n : g.Neighbors(v)) {
-        if (component[n.to] == -1) {
-          component[n.to] = next;
-          frontier.push_back(n.to);
-        }
-      }
-    }
-    ++next;
-  }
-  return component;
-}
-
 std::vector<VertexId> BfsOrder(const Graph& g, VertexId start) {
   CATAPULT_CHECK(start < g.NumVertices());
   std::vector<bool> seen(g.NumVertices(), false);
@@ -111,24 +89,6 @@ Graph RandomConnectedSubgraph(const Graph& g, size_t num_edges, Rng& rng) {
     if (frontier.empty()) break;
     const Edge& pick = frontier[rng.UniformInt(frontier.size())];
     TakeEdge(pick.u, pick.v, pick.label);
-  }
-  return result;
-}
-
-Graph InducedSubgraph(const Graph& g, const std::vector<VertexId>& vertices) {
-  Graph result;
-  std::unordered_map<VertexId, VertexId> remap;
-  for (VertexId v : vertices) {
-    CATAPULT_CHECK(!remap.contains(v));
-    remap.emplace(v, result.AddVertex(g.VertexLabel(v)));
-  }
-  for (VertexId v : vertices) {
-    for (const Graph::Neighbor& n : g.Neighbors(v)) {
-      auto it = remap.find(n.to);
-      if (it != remap.end() && v < n.to) {
-        result.AddEdge(remap[v], it->second, n.edge_label);
-      }
-    }
   }
   return result;
 }

@@ -15,10 +15,6 @@ bool IsConnected(const Graph& g);
 // True if `g` is connected and acyclic.
 bool IsTree(const Graph& g);
 
-// Connected components; result[v] is the component index of vertex v,
-// components are numbered densely from 0.
-std::vector<int> ConnectedComponents(const Graph& g);
-
 // BFS visit order starting from `start`, restricted to its component.
 std::vector<VertexId> BfsOrder(const Graph& g, VertexId start);
 
@@ -28,10 +24,6 @@ std::vector<VertexId> BfsOrder(const Graph& g, VertexId start);
 // are remapped densely; labels are preserved. Used to generate subgraph query
 // workloads (Section 6.1: "randomly selecting connected subgraphs").
 Graph RandomConnectedSubgraph(const Graph& g, size_t num_edges, Rng& rng);
-
-// Induced subgraph on `vertices` (which must be distinct ids of g); vertex
-// ids are remapped densely in the given order.
-Graph InducedSubgraph(const Graph& g, const std::vector<VertexId>& vertices);
 
 // Returns a copy of `g` with every vertex relabelled to `label` (the
 // "unlabelled GUI pattern" normalisation used by Exp 3).

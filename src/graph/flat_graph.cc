@@ -58,34 +58,6 @@ Label FlatGraphView::EdgeLabel(VertexId u, VertexId v) const {
   return n->edge_label;
 }
 
-void FlatGraphView::NeighborsWithLabel(VertexId u, Label l, uint32_t* first,
-                                       uint32_t* last) const {
-  CATAPULT_CHECK(u < num_vertices);
-  uint32_t lo = offsets[u];
-  uint32_t hi = offsets[u + 1];
-  // Lower bound on (l, 0), upper bound on (l, 2^32-1).
-  uint32_t a = lo, b = hi;
-  while (a < b) {
-    uint32_t mid = a + (b - a) / 2;
-    if (adj[sorted[mid]].to_label < l) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  *first = a;
-  b = hi;
-  while (a < b) {
-    uint32_t mid = a + (b - a) / 2;
-    if (adj[sorted[mid]].to_label <= l) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  *last = a;
-}
-
 FlatGraph FlatGraph::Build(const Graph& g) {
   FlatGraph flat;
   size_t v_count = g.NumVertices();

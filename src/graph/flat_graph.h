@@ -84,12 +84,6 @@ struct FlatGraphView {
   // Label of the edge {u, v}; CHECK-fails if absent (matches
   // Graph::EdgeLabel).
   Label EdgeLabel(VertexId u, VertexId v) const;
-
-  // Half-open range [first, last) of `sorted` positions within u's run
-  // whose neighbours carry vertex label `l` (ascending neighbour id).
-  // Dereference as adj[sorted[k]] for k in [first, last).
-  void NeighborsWithLabel(VertexId u, Label l, uint32_t* first,
-                          uint32_t* last) const;
 };
 
 // Owning flat graph built once from a `Graph`.

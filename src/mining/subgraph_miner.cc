@@ -128,14 +128,10 @@ std::vector<FrequentSubgraph> GrowFrequentPatterns(
     frontier = std::move(next);
   }
 
-  // Most frequent first; apply the result cap.
   std::stable_sort(results.begin(), results.end(),
                    [](const FrequentSubgraph& a, const FrequentSubgraph& b) {
                      return a.frequency > b.frequency;
                    });
-  if (options.max_results != 0 && results.size() > options.max_results) {
-    results.resize(options.max_results);
-  }
   return results;
 }
 

@@ -21,9 +21,6 @@ struct SubgraphMinerOptions {
 
   // Cap on candidates expanded per level (0 = unlimited).
   size_t max_candidates_per_level = 4000;
-
-  // Hard cap on results (most frequent kept; 0 = unlimited).
-  size_t max_results = 0;
 };
 
 // A mined frequent connected subgraph.
@@ -47,7 +44,7 @@ struct FrequentSubgraph {
 // "miner.count_support"); on a stop the levels completed so far are
 // returned, an anytime result since every pattern carries its exact
 // support, and `complete` (optional) is cleared. Patterns of at least
-// `min_edges` edges are returned most frequent first, cut to `max_results`.
+// `min_edges` edges are returned most frequent first.
 std::vector<FrequentSubgraph> GrowFrequentPatterns(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SubgraphMinerOptions& options, bool close_cycles,

@@ -14,8 +14,7 @@ std::vector<FrequentSubtree> MineFrequentSubtrees(
       .min_support = options.min_support,
       .min_edges = 1,
       .max_edges = options.max_edges,
-      .max_candidates_per_level = options.max_candidates_per_level,
-      .max_results = options.max_results};
+      .max_candidates_per_level = kSubtreeCandidatesPerLevel};
   std::vector<FrequentSubtree> results;
   for (FrequentSubgraph& fs :
        GrowFrequentPatterns(db, graph_ids, growth, /*close_cycles=*/false,

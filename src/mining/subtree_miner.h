@@ -21,15 +21,11 @@ struct SubtreeMinerOptions {
   // features; small trees already capture the crucial topology (paper
   // footnote 8) while keeping mining cheap.
   size_t max_edges = 3;
-
-  // Hard cap on the number of frequent subtrees returned (most frequent
-  // kept; 0 = unlimited).
-  size_t max_results = 0;
-
-  // Cap on candidates expanded per level, to bound worst-case mining time
-  // (0 = unlimited). Candidates with the highest parent support are kept.
-  size_t max_candidates_per_level = 5000;
 };
+
+// Candidates expanded per mining level, to bound worst-case mining time
+// (those with the most frequent parents are kept).
+inline constexpr size_t kSubtreeCandidatesPerLevel = 5000;
 
 // A mined frequent subtree with its support set.
 struct FrequentSubtree {
@@ -44,9 +40,10 @@ struct FrequentSubtree {
 // Mines frequent free subtrees of the graphs in `db` whose ids are listed in
 // `graph_ids` (support is measured against graph_ids.size()): the growth
 // loop GrowFrequentPatterns (src/mining/subgraph_miner.h) without cycle
-// closure, so every candidate is a tree, with the same stop semantics on
-// `ctx` (failpoint site "miner.count_support"). `complete` (optional)
-// reports whether mining ran to natural completion.
+// closure, so every candidate is a tree, at most kSubtreeCandidatesPerLevel
+// candidates per level and with the same stop semantics on `ctx` (failpoint
+// site "miner.count_support"). `complete` (optional) reports whether mining
+// ran to natural completion.
 std::vector<FrequentSubtree> MineFrequentSubtrees(
     const GraphDatabase& db, const std::vector<GraphId>& graph_ids,
     const SubtreeMinerOptions& options,

@@ -41,8 +41,7 @@ void EnableFixedTicks(uint64_t step_ns);
 // observability state is touched.
 void InstallTicksFromEnv();
 
-// Convenience conversions of NowNanos().
-inline double NowSeconds() { return static_cast<double>(NowNanos()) * 1e-9; }
+// Convenience conversion of NowNanos().
 inline uint64_t NowMicros() { return NowNanos() / 1000; }
 
 // RAII override of the tick source; restores the previous source on

@@ -81,11 +81,6 @@ class JsonWriter {
     out_ += v ? "true" : "false";
     return *this;
   }
-  JsonWriter& Null() {
-    ItemPrefix();
-    out_ += "null";
-    return *this;
-  }
 
   const std::string& str() const { return out_; }
 

@@ -158,10 +158,8 @@ const char* GaugeName(Gauge g) { return kGaugeNames[static_cast<size_t>(g)]; }
 const char* HistName(Hist h) { return kHistNames[static_cast<size_t>(h)]; }
 
 std::array<uint64_t, kNumCounters> ThreadCounterSnapshot() {
-#if !defined(CATAPULT_DISABLE_OBS)
   MetricsShard* shard = internal::tls_shard;
   if (shard != nullptr) return shard->counters;
-#endif
   return {};
 }
 
@@ -199,21 +197,15 @@ void MetricsRegistry::Reset() {
 }
 
 ScopedMetricsScope::ScopedMetricsScope(MetricsRegistry* registry) {
-#if !defined(CATAPULT_DISABLE_OBS)
   if (registry != nullptr) {
     previous_ = internal::tls_shard;
     internal::tls_shard = registry->ShardForThisThread();
     installed_ = true;
   }
-#else
-  (void)registry;
-#endif
 }
 
 ScopedMetricsScope::~ScopedMetricsScope() {
-#if !defined(CATAPULT_DISABLE_OBS)
   if (installed_) internal::tls_shard = previous_;
-#endif
 }
 
 std::string HumanSummary(const MetricsSnapshot& snapshot, bool include_zeros) {

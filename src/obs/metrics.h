@@ -16,7 +16,6 @@
 //    happens-before edge, so merging reads plain writes safely.
 //  * Zero overhead when disabled. With no registry attached the TLS pointer
 //    is null and every helper is a load+branch — no atomic ops, no locks.
-//    Defining CATAPULT_DISABLE_OBS compiles the helpers down to nothing.
 //  * No effect on results. Instrumentation only ever writes counters; no
 //    decision in the pipeline reads them, so a run with metrics enabled is
 //    bit-identical to a disabled run at any thread count (asserted by
@@ -211,50 +210,29 @@ extern constinit thread_local MetricsShard* tls_shard;
 
 // --- Hot-path recording helpers --------------------------------------------
 // One TLS load + branch when disabled; a plain add when enabled. Never any
-// atomic operation or lock. CATAPULT_DISABLE_OBS compiles them to nothing.
+// atomic operation or lock.
 
 inline void Count(Counter c, uint64_t n = 1) {
-#if !defined(CATAPULT_DISABLE_OBS)
   MetricsShard* shard = internal::tls_shard;
   if (shard != nullptr) shard->counters[static_cast<size_t>(c)] += n;
-#else
-  (void)c;
-  (void)n;
-#endif
 }
 
 inline void SetGaugeMax(Gauge g, uint64_t v) {
-#if !defined(CATAPULT_DISABLE_OBS)
   MetricsShard* shard = internal::tls_shard;
   if (shard != nullptr) {
     uint64_t& slot = shard->gauges[static_cast<size_t>(g)];
     if (v > slot) slot = v;
   }
-#else
-  (void)g;
-  (void)v;
-#endif
 }
 
 inline void Observe(Hist h, uint64_t v) {
-#if !defined(CATAPULT_DISABLE_OBS)
   MetricsShard* shard = internal::tls_shard;
   if (shard != nullptr) shard->hists[static_cast<size_t>(h)].Record(v);
-#else
-  (void)h;
-  (void)v;
-#endif
 }
 
 // True when the calling thread currently records into a shard. Lets call
 // sites skip work that only feeds metrics (e.g. sizing computations).
-inline bool MetricsEnabled() {
-#if !defined(CATAPULT_DISABLE_OBS)
-  return internal::tls_shard != nullptr;
-#else
-  return false;
-#endif
-}
+inline bool MetricsEnabled() { return internal::tls_shard != nullptr; }
 
 // Read-only view of the calling thread's counters (zeros when disabled).
 // Used by the tracer to compute per-span counter deltas.

@@ -84,7 +84,6 @@ class BinaryReader {
   bool ok() const { return ok_; }
   // True when the whole buffer was consumed (trailing garbage = corrupt).
   bool AtEnd() const { return position_ == buffer_.size(); }
-  void MarkCorrupt() { ok_ = false; }
 
  private:
   bool Ensure(size_t bytes);

@@ -84,31 +84,4 @@ std::vector<GraphId> SubgraphSearchEngine::Search(const Graph& query,
   return std::vector<GraphId>(ids.begin(), ids.end());
 }
 
-size_t SubgraphSearchEngine::CountMatches(const Graph& query, size_t cap,
-                                          IsoOptions options) const {
-  FlatGraph flat_query = FlatGraph::Build(query);
-  size_t count = 0;
-  for (size_t i : FilterCandidates(query).ToIndices()) {
-    if (FlatContainsSubgraph(flat_query.View(), flat_.view(i),
-                             &flat_.domains(i), options)) {
-      ++count;
-      if (cap != 0 && count >= cap) return count;
-    }
-  }
-  return count;
-}
-
-double ExactSubgraphCoverage(const SubgraphSearchEngine& engine,
-                             const std::vector<Graph>& patterns,
-                             IsoOptions options) {
-  const size_t n = engine.db().size();
-  if (n == 0) return 0.0;
-  DynamicBitset covered(n);
-  for (const Graph& p : patterns) {
-    if (p.NumVertices() == 0) continue;
-    for (GraphId id : engine.Search(p, options)) covered.Set(id);
-  }
-  return static_cast<double>(covered.Count()) / static_cast<double>(n);
-}
-
 }  // namespace catapult

@@ -35,20 +35,10 @@ class SubgraphSearchEngine {
   std::vector<GraphId> Search(const Graph& query,
                               IsoOptions options = {}) const;
 
-  // Number of matches without materialising the id list; stops early at
-  // `cap` (0 = exact count).
-  size_t CountMatches(const Graph& query, size_t cap = 0,
-                      IsoOptions options = {}) const;
-
-  // Candidate set after filtering only (superset of the true results);
-  // exposed for tests and for the coverage fast path.
+  // Candidate set after filtering only (superset of the true results).
+  // Search keeps no statistics (const engine, usable concurrently); use
+  // this to measure filter power.
   DynamicBitset FilterCandidates(const Graph& query) const;
-
-  // Statistics of the last Search/CountMatches call are intentionally not
-  // kept (const engine, usable concurrently); use FilterCandidates to
-  // measure filter power.
-
-  const GraphDatabase& db() const { return *db_; }
 
  private:
   const GraphDatabase* db_;
@@ -61,13 +51,6 @@ class SubgraphSearchEngine {
   std::vector<uint32_t> vertex_counts_;
   std::vector<uint32_t> edge_counts_;
 };
-
-// scov(P, D) computed exactly through the engine (union of per-pattern
-// match sets over the database). Faster than the sampling estimate in
-// formulate/evaluate.h when the engine is already built.
-double ExactSubgraphCoverage(const SubgraphSearchEngine& engine,
-                             const std::vector<Graph>& patterns,
-                             IsoOptions options = {});
 
 }  // namespace catapult
 

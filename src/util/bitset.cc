@@ -29,24 +29,6 @@ DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
   return *this;
 }
 
-size_t DynamicBitset::IntersectCount(const DynamicBitset& other) const {
-  CATAPULT_CHECK(num_bits_ == other.num_bits_);
-  size_t total = 0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    total += std::popcount(words_[i] & other.words_[i]);
-  }
-  return total;
-}
-
-size_t DynamicBitset::UnionCount(const DynamicBitset& other) const {
-  CATAPULT_CHECK(num_bits_ == other.num_bits_);
-  size_t total = 0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    total += std::popcount(words_[i] | other.words_[i]);
-  }
-  return total;
-}
-
 size_t DynamicBitset::HammingDistance(const DynamicBitset& other) const {
   CATAPULT_CHECK(num_bits_ == other.num_bits_);
   size_t total = 0;

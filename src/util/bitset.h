@@ -51,13 +51,6 @@ class DynamicBitset {
   DynamicBitset& operator|=(const DynamicBitset& other);
   DynamicBitset& operator&=(const DynamicBitset& other);
 
-  // Number of set bits in the intersection with `other`, without
-  // materialising it.
-  size_t IntersectCount(const DynamicBitset& other) const;
-
-  // Number of set bits in the union with `other`.
-  size_t UnionCount(const DynamicBitset& other) const;
-
   // Hamming distance (number of differing bits).
   size_t HammingDistance(const DynamicBitset& other) const;
 

@@ -10,8 +10,7 @@
 // failure) and assert that the degradation ladder actually engages.
 //
 // Fast path: when nothing is armed, a site costs one relaxed atomic load of
-// a global counter. Defining CATAPULT_DISABLE_FAILPOINTS compiles every site
-// down to the constant `false` for builds that want literal zero cost.
+// a global counter.
 
 namespace catapult::failpoint {
 
@@ -50,12 +49,8 @@ class ScopedFailpoint {
 
 }  // namespace catapult::failpoint
 
-#if defined(CATAPULT_DISABLE_FAILPOINTS)
-#define CATAPULT_FAILPOINT(site) false
-#else
 #define CATAPULT_FAILPOINT(site)            \
   (::catapult::failpoint::AnyArmed() &&     \
    ::catapult::failpoint::Evaluate(site))
-#endif
 
 #endif  // CATAPULT_UTIL_FAILPOINT_H_

@@ -134,10 +134,6 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   job_ = nullptr;
 }
 
-size_t Parallelism(const RunContext& ctx) {
-  return ctx.pool() == nullptr ? 1 : ctx.pool()->num_threads();
-}
-
 void ParallelFor(const RunContext& ctx, size_t n, size_t grain,
                  const std::function<void(size_t)>& body) {
   if (ctx.pool() != nullptr) {

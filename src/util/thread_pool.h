@@ -116,10 +116,6 @@ class ThreadPool {
 
 class RunContext;
 
-// Effective parallelism of `ctx`: the pool's thread count, or 1 when the
-// context carries no pool.
-size_t Parallelism(const RunContext& ctx);
-
 // Runs body(i) for i in [0, n) on the context's pool; with no pool (or a
 // 1-thread pool) this is a plain in-order loop on the calling thread.
 void ParallelFor(const RunContext& ctx, size_t n, size_t grain,

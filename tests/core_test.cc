@@ -285,7 +285,7 @@ TEST(RandomWalkTest, FcpIsConnected) {
 TEST(CoverageTest, CcovSumsCoveredWeights) {
   GraphDatabase db = WeightsDb();
   std::vector<std::vector<GraphId>> clusters = {{0, 1}, {2, 3}};
-  FlatSummaryIndex index = BuildFlatSummaryIndex(BuildCsgs(db, clusters));
+  FlatGraphDatabase index = BuildFlatSummaryIndex(BuildCsgs(db, clusters));
   ClusterWeights cw(clusters, db.size());
   // ccov(p) = sum of cluster weights over the CSGs containing p.
   auto ccov = [&](const Graph& p) {

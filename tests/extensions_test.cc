@@ -1,108 +1,19 @@
-// Tests for the post-paper extensions: agglomerative coarse clustering,
-// the sequential relabelling cost model, and the JSON selection report.
+// Tests for the post-paper extensions: the sequential relabelling cost model
+// and the JSON selection report.
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
 
-#include "src/cluster/agglomerative.h"
-#include "src/cluster/pipeline.h"
 #include "src/core/catapult.h"
 #include "src/core/report.h"
 #include "src/data/molecule_generator.h"
 #include "src/formulate/evaluate.h"
 #include "src/formulate/steps.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
-
-DynamicBitset Bits(size_t n, std::initializer_list<size_t> set) {
-  DynamicBitset b(n);
-  for (size_t i : set) b.Set(i);
-  return b;
-}
-
-TEST(AgglomerativeTest, SeparatesObviousClusters) {
-  std::vector<DynamicBitset> points;
-  for (int i = 0; i < 4; ++i) points.push_back(Bits(6, {0, 1, 2}));
-  for (int i = 0; i < 4; ++i) points.push_back(Bits(6, {3, 4, 5}));
-  AgglomerativeOptions options;
-  options.target_clusters = 2;
-  AgglomerativeResult result = AgglomerativeCluster(points, options);
-  EXPECT_EQ(result.num_clusters, 2u);
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_EQ(result.assignment[static_cast<size_t>(i)],
-              result.assignment[0]);
-  }
-  for (int i = 5; i < 8; ++i) {
-    EXPECT_EQ(result.assignment[static_cast<size_t>(i)],
-              result.assignment[4]);
-  }
-  EXPECT_NE(result.assignment[0], result.assignment[4]);
-}
-
-TEST(AgglomerativeTest, Deterministic) {
-  std::vector<DynamicBitset> points;
-  Rng rng(1);
-  for (int i = 0; i < 20; ++i) {
-    DynamicBitset b(8);
-    for (size_t d = 0; d < 8; ++d) {
-      if (rng.Bernoulli(0.5)) b.Set(d);
-    }
-    points.push_back(std::move(b));
-  }
-  AgglomerativeOptions options;
-  options.target_clusters = 4;
-  EXPECT_EQ(AgglomerativeCluster(points, options).assignment,
-            AgglomerativeCluster(points, options).assignment);
-}
-
-TEST(AgglomerativeTest, DistanceCutoffStopsEarly) {
-  std::vector<DynamicBitset> points = {Bits(4, {0}), Bits(4, {1}),
-                                       Bits(4, {2}), Bits(4, {3})};
-  AgglomerativeOptions options;
-  options.target_clusters = 1;
-  options.max_merge_distance = 0.5;  // all pairwise distances are 2
-  AgglomerativeResult result = AgglomerativeCluster(points, options);
-  EXPECT_EQ(result.num_clusters, 4u);
-}
-
-TEST(AgglomerativeTest, EmptyInput) {
-  AgglomerativeOptions options;
-  AgglomerativeResult result = AgglomerativeCluster({}, options);
-  EXPECT_EQ(result.num_clusters, 0u);
-  EXPECT_TRUE(result.assignment.empty());
-}
-
-TEST(AgglomerativePipelineTest, CoarsePhaseRunsWithAgglomerative) {
-  MoleculeGeneratorOptions gen;
-  gen.num_graphs = 40;
-  gen.seed = 15;
-  GraphDatabase db = GenerateMoleculeDatabase(gen);
-  SmallGraphClusteringOptions options;
-  options.coarse_algorithm = CoarseAlgorithm::kAgglomerative;
-  options.mode = ClusteringMode::kCoarseOnly;
-  options.max_cluster_size = 10;
-  Rng rng(2);
-  ClusteringResult result = SmallGraphClustering(db, options, rng);
-  size_t total = 0;
-  std::set<GraphId> seen;
-  for (const auto& c : result.clusters) {
-    total += c.size();
-    for (GraphId id : c) EXPECT_TRUE(seen.insert(id).second);
-  }
-  EXPECT_EQ(total, 40u);
-}
-
-Graph Ring(size_t n, Label label) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>((i + 1) % n));
-  }
-  return g;
-}
 
 TEST(RelabelModelTest, SequentialMatchesOneStepForUniformLabels) {
   // All query labels equal: after the first 2-step selection, every click

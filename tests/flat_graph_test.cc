@@ -129,31 +129,6 @@ TEST(FlatGraphTest, BinarySearchAgreesWithLinearScan) {
   }
 }
 
-TEST(FlatGraphTest, NeighborsWithLabelMatchesScan) {
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    Graph g = RandomGraph(seed, 5, 14, 3);
-    FlatGraph flat = FlatGraph::Build(g);
-    FlatGraphView view = flat.View();
-    for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      for (Label l = 0; l < 4; ++l) {
-        std::vector<VertexId> expected;
-        for (const Graph::Neighbor& n : g.Neighbors(u)) {
-          if (g.VertexLabel(n.to) == l) expected.push_back(n.to);
-        }
-        std::sort(expected.begin(), expected.end());
-        uint32_t first = 0, last = 0;
-        view.NeighborsWithLabel(u, l, &first, &last);
-        std::vector<VertexId> got;
-        for (uint32_t k = first; k < last; ++k) {
-          got.push_back(view.adj[view.sorted[k]].to);
-        }
-        EXPECT_EQ(got, expected) << "seed " << seed << " u=" << u
-                                 << " label=" << l;
-      }
-    }
-  }
-}
-
 TEST(FlatGraphDatabaseTest, ArenaViewsEqualStandaloneBuilds) {
   std::vector<Graph> graphs;
   for (uint64_t seed = 0; seed < 12; ++seed) {

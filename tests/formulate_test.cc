@@ -6,27 +6,10 @@
 #include "src/formulate/qft.h"
 #include "src/formulate/steps.h"
 #include "src/graph/algorithms.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
-
-Graph Ring(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>((i + 1) % n));
-  }
-  return g;
-}
-
-Graph Chain(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i + 1 < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>(i + 1));
-  }
-  return g;
-}
 
 // Two disjoint triangles joined by a single bridge edge.
 Graph TwoTriangles() {
@@ -64,7 +47,7 @@ TEST(CoverTest, OverlappingEmbeddingsConflict) {
 }
 
 TEST(CoverTest, NoMatchingPattern) {
-  QueryCover cover = MaxPatternCover(Chain(3), {Ring(3)});
+  QueryCover cover = MaxPatternCover(Path(3), {Ring(3)});
   EXPECT_TRUE(cover.uses.empty());
   EXPECT_EQ(cover.covered_vertices, 0u);
 }
@@ -72,7 +55,7 @@ TEST(CoverTest, NoMatchingPattern) {
 TEST(CoverTest, PrefersLargerPattern) {
   Graph query = Ring(6);
   // Both C6 and an edge match; the 6-ring covers more.
-  QueryCover cover = MaxPatternCover(query, {Chain(2), Ring(6)});
+  QueryCover cover = MaxPatternCover(query, {Path(2), Ring(6)});
   ASSERT_GE(cover.uses.size(), 1u);
   EXPECT_EQ(cover.uses[0].pattern_index, 1u);
   EXPECT_EQ(cover.covered_vertices, 6u);
@@ -80,7 +63,7 @@ TEST(CoverTest, PrefersLargerPattern) {
 
 TEST(StepsTest, EdgeAtATime) {
   EXPECT_EQ(StepsEdgeAtATime(Ring(5)), 10u);
-  EXPECT_EQ(StepsEdgeAtATime(Chain(4)), 7u);
+  EXPECT_EQ(StepsEdgeAtATime(Path(4)), 7u);
 }
 
 TEST(StepsTest, FullCoverIsOneStep) {
@@ -170,7 +153,7 @@ TEST(FormulateTest, MismatchedLabelsUseNoPatterns) {
 }
 
 TEST(EvaluateTest, WorkloadAggregates) {
-  std::vector<Graph> queries = {Ring(6, 3), Ring(6, 3), Chain(4, 9)};
+  std::vector<Graph> queries = {Ring(6, 3), Ring(6, 3), Path(4, 9)};
   GuiModel gui = MakeCatapultGui({Ring(6, 3)});
   std::vector<QueryFormulation> details;
   WorkloadReport report = EvaluateGui(queries, gui, {}, &details);
@@ -185,15 +168,15 @@ TEST(EvaluateTest, SubgraphCoverage) {
   GraphDatabase db;
   db.Add(Ring(6, 1));
   db.Add(Ring(5, 1));
-  db.Add(Chain(3, 2));
+  db.Add(Path(3, 2));
   double scov = SubgraphCoverage({Ring(5, 1)}, db);
   EXPECT_NEAR(scov, 1.0 / 3.0, 1e-9);  // only the C5 ring contains it
-  double scov2 = SubgraphCoverage({Chain(3, 1)}, db);
+  double scov2 = SubgraphCoverage({Path(3, 1)}, db);
   EXPECT_NEAR(scov2, 2.0 / 3.0, 1e-9);  // both rings contain a path
 }
 
 TEST(EvaluateTest, DiversityAndCogAverages) {
-  std::vector<Graph> patterns = {Ring(3, 0), Chain(5, 0)};
+  std::vector<Graph> patterns = {Ring(3, 0), Path(5, 0)};
   EXPECT_GT(AverageSetDiversity(patterns), 0.0);
   EXPECT_GT(AverageCognitiveLoad(patterns), 0.0);
   EXPECT_DOUBLE_EQ(AverageSetDiversity({Ring(3, 0)}), 0.0);
@@ -234,7 +217,7 @@ TEST(QftTest, DecisionTimeGrowsWithCognitiveLoad) {
   QftModel model;
   model.noise_stddev = 0.0;
   Rng rng(4);
-  Graph sparse = Chain(6, 0);
+  Graph sparse = Path(6, 0);
   Graph dense;  // K4
   for (int i = 0; i < 4; ++i) dense.AddVertex(0);
   for (int i = 0; i < 4; ++i) {

@@ -5,27 +5,10 @@
 #include "src/graph/algorithms.h"
 #include "src/iso/ged.h"
 #include "src/util/rng.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
-
-Graph Ring(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>((i + 1) % n));
-  }
-  return g;
-}
-
-Graph Path(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i + 1 < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>(i + 1));
-  }
-  return g;
-}
 
 TEST(AssignmentTest, IdentityMatrix) {
   // Cost 0 on the diagonal, 1 elsewhere: optimum picks the diagonal.

@@ -139,17 +139,6 @@ TEST(AlgorithmsTest, IsTree) {
   EXPECT_FALSE(IsTree(MakeTriangle()));
 }
 
-TEST(AlgorithmsTest, ConnectedComponents) {
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.AddVertex(0);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, 3);
-  std::vector<int> comp = ConnectedComponents(g);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_NE(comp[0], comp[2]);
-}
-
 TEST(AlgorithmsTest, BfsOrderVisitsComponent) {
   Graph g = MakePath(5);
   std::vector<VertexId> order = BfsOrder(g, 2);
@@ -172,15 +161,6 @@ TEST(AlgorithmsTest, RandomConnectedSubgraphCapsAtGraphSize) {
   Graph g = MakePath(4);
   Graph sub = RandomConnectedSubgraph(g, 100, rng);
   EXPECT_EQ(sub.NumEdges(), 3u);
-}
-
-TEST(AlgorithmsTest, InducedSubgraph) {
-  Graph g = MakeTriangle(5, 6, 7);
-  Graph sub = InducedSubgraph(g, {0, 1});
-  EXPECT_EQ(sub.NumVertices(), 2u);
-  EXPECT_EQ(sub.NumEdges(), 1u);
-  EXPECT_EQ(sub.VertexLabel(0), 5u);
-  EXPECT_EQ(sub.VertexLabel(1), 6u);
 }
 
 TEST(AlgorithmsTest, RelabelAllVertices) {

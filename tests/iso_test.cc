@@ -13,27 +13,10 @@
 #include "src/graph/algorithms.h"
 #include "tests/reference_ged.h"
 #include "tests/reference_mcs.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
-
-Graph Ring(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>((i + 1) % n));
-  }
-  return g;
-}
-
-Graph Path(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i + 1 < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>(i + 1));
-  }
-  return g;
-}
 
 // Labelled molecule-ish target: C-C(-O)-N ring with tail.
 Graph LabelledTarget() {
@@ -195,20 +178,6 @@ TEST(CanonicalCodeTest, DistinguishesStarFromPath) {
   VertexId c = star.AddVertex(0);
   for (int i = 0; i < 3; ++i) star.AddEdge(c, star.AddVertex(0));
   EXPECT_NE(CanonicalCode(star), CanonicalCode(Path(4)));
-}
-
-// Random vertex-permuted copy of g, edge labels kept.
-Graph Permuted(const Graph& g, Rng& rng) {
-  std::vector<VertexId> perm(g.NumVertices());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<VertexId>(i);
-  rng.Shuffle(perm);
-  Graph out;
-  std::vector<VertexId> new_id(g.NumVertices());
-  for (VertexId v : perm) new_id[v] = out.AddVertex(g.VertexLabel(v));
-  for (const Edge& e : g.EdgeList()) {
-    out.AddEdge(new_id[e.u], new_id[e.v], e.label);
-  }
-  return out;
 }
 
 // A random connected graph: a random tree on `n` vertices plus `extra`

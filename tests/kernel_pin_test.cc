@@ -292,9 +292,6 @@ const char* const kPinnedRows[] = {
 };
 
 TEST(KernelPinTest, ResultsAndNodeCountsMatchPinnedTable) {
-#if defined(CATAPULT_DISABLE_OBS)
-  GTEST_SKIP() << "node counts need the metrics compiled in";
-#endif
   const std::vector<std::string> rows = KernelRows();
   EXPECT_EQ(rows.size(), std::size(kPinnedRows))
       << "the table has one row per kernel call";

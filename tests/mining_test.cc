@@ -114,15 +114,6 @@ TEST(SubtreeMinerTest, EmptyInputYieldsNothing) {
   EXPECT_TRUE(MineFrequentSubtrees(db, options).empty());
 }
 
-TEST(SubtreeMinerTest, MaxResultsCap) {
-  GraphDatabase db = MakeSmallDb();
-  SubtreeMinerOptions options;
-  options.min_support = 0.3;
-  options.max_edges = 3;
-  options.max_results = 4;
-  EXPECT_LE(MineFrequentSubtrees(db, options).size(), 4u);
-}
-
 TEST(SubgraphMinerTest, FindsTriangle) {
   GraphDatabase db = MakeSmallDb();
   SubgraphMinerOptions options;

@@ -42,17 +42,6 @@
 namespace catapult {
 namespace {
 
-// False when CATAPULT_DISABLE_OBS compiled the recording helpers out; the
-// tests below then still assert the zero-effect contract (everything builds
-// and runs, results unchanged) but skip assertions on recorded values.
-constexpr bool ObsCompiledIn() {
-#if defined(CATAPULT_DISABLE_OBS)
-  return false;
-#else
-  return true;
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // JsonWriter
 
@@ -188,7 +177,6 @@ TEST(MetricsTest, CountsNothingWithoutScope) {
 }
 
 TEST(MetricsTest, ScopeInstallsAndRestores) {
-  if (!ObsCompiledIn()) GTEST_SKIP() << "built with CATAPULT_DISABLE_OBS";
   obs::MetricsRegistry registry;
   {
     obs::ScopedMetricsScope scope(&registry);
@@ -214,7 +202,6 @@ TEST(MetricsTest, NullRegistryScopeIsInert) {
 }
 
 TEST(MetricsTest, ShardsMergeAcrossPoolThreads) {
-  if (!ObsCompiledIn()) GTEST_SKIP() << "built with CATAPULT_DISABLE_OBS";
   obs::MetricsRegistry registry;
   ThreadPool pool(4);
   obs::ScopedMetricsScope scope(&registry);
@@ -276,7 +263,6 @@ TEST(MetricsTest, HumanSummarySkipsZerosByDefault) {
 // search state's own node count (the budget, since the search stops when
 // it reaches it) and the exhaustion are each counted once.
 TEST(MetricsTest, ExactKernelsCountCallsNodesAndExhaustion) {
-  if (!ObsCompiledIn()) GTEST_SKIP() << "built with CATAPULT_DISABLE_OBS";
   // Equal vertex labels keep the label-only GED lower bound at 0, so the
   // search cannot prove the greedy seed optimal within a few nodes.
   Graph ring;
@@ -359,14 +345,10 @@ TEST(TracerTest, DeterministicSpanTree) {
   EXPECT_EQ(tracer.event_count(), 2u);
   std::string json = tracer.ToJson();
   // Child emitted first (closed first); exact timestamps in microseconds.
-  // The per-span counter deltas appear only when instrumentation is
-  // compiled in.
-  std::string child_args = "{\"span_id\":2,\"parent_id\":1";
-  std::string root_args = "{\"span_id\":1,\"parent_id\":0";
-  if (ObsCompiledIn()) {
-    child_args += ",\"vf2.calls\":5";
-    root_args += ",\"vf2.calls\":7";
-  }
+  const std::string child_args =
+      "{\"span_id\":2,\"parent_id\":1,\"vf2.calls\":5";
+  const std::string root_args =
+      "{\"span_id\":1,\"parent_id\":0,\"vf2.calls\":7";
   EXPECT_NE(json.find("{\"name\":\"phase\",\"cat\":\"catapult\",\"ph\":\"X\","
                       "\"ts\":2,\"dur\":1,\"pid\":1,\"tid\":0,\"args\":" +
                       child_args + "}}"),
@@ -379,9 +361,7 @@ TEST(TracerTest, DeterministicSpanTree) {
       << json;
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_EQ(json.find("dist.heartbeats"), std::string::npos) << json;
-  if (ObsCompiledIn()) {
-    EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kDistHeartbeats), 1u);
-  }
+  EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kDistHeartbeats), 1u);
 }
 
 TEST(TracerTest, InertSpanDoesNothing) {
@@ -478,18 +458,15 @@ TEST(ObsPipelineTest, ObservabilityDoesNotChangeResults) {
       ASSERT_TRUE(std::filesystem::exists(b)) << b;
       EXPECT_EQ(FileBytes(a), FileBytes(b)) << file << " differs";
     }
-    // And the instrumentation did observe the run (unless compiled out, in
-    // which case only the zero-effect half of the contract applies).
-    if (ObsCompiledIn()) {
-      obs::MetricsSnapshot snap = observed.execution.metrics;
-      EXPECT_TRUE(snap.enabled);
-      EXPECT_GT(snap.counter(obs::Counter::kVf2Calls), 0u);
-      EXPECT_GT(snap.counter(obs::Counter::kWalkSteps), 0u);
-      EXPECT_GT(snap.counter(obs::Counter::kCsgFolds), 0u);
-      EXPECT_GT(snap.counter(obs::Counter::kCheckpointRecordsWritten), 0u);
-      EXPECT_EQ(snap.gauge(obs::Gauge::kPoolThreads), threads);
-      EXPECT_GT(tracer.event_count(), 0u);
-    }
+    // And the instrumentation did observe the run.
+    obs::MetricsSnapshot snap = observed.execution.metrics;
+    EXPECT_TRUE(snap.enabled);
+    EXPECT_GT(snap.counter(obs::Counter::kVf2Calls), 0u);
+    EXPECT_GT(snap.counter(obs::Counter::kWalkSteps), 0u);
+    EXPECT_GT(snap.counter(obs::Counter::kCsgFolds), 0u);
+    EXPECT_GT(snap.counter(obs::Counter::kCheckpointRecordsWritten), 0u);
+    EXPECT_EQ(snap.gauge(obs::Gauge::kPoolThreads), threads);
+    EXPECT_GT(tracer.event_count(), 0u);
 
     std::filesystem::remove_all(plain_options.checkpoint_dir);
     std::filesystem::remove_all(observed_options.checkpoint_dir);
@@ -544,11 +521,9 @@ TEST(ObsPipelineTest, SelectionIterationsExplainTheBound) {
     skipped += it.skipped;
   }
   EXPECT_GT(skipped, 0u) << "the corpus should let the bound skip rows";
-  if (ObsCompiledIn()) {
-    EXPECT_EQ(result.execution.metrics.counter(
-                  obs::Counter::kSelectorBoundSkipped),
-              skipped);
-  }
+  EXPECT_EQ(
+      result.execution.metrics.counter(obs::Counter::kSelectorBoundSkipped),
+      skipped);
 }
 
 // Minimal structural JSON validation: balanced containers outside strings,
@@ -596,7 +571,6 @@ void ExpectStructurallyValidJson(const std::string& json) {
 // sampling run has the unsampled span tree: catapult.run over clustering
 // (clustering.mining, clustering.coarse, clustering.fine), csg, selection.
 TEST(ObsPipelineTest, SampledRunTracesEveryClusteringStage) {
-  if (!ObsCompiledIn()) GTEST_SKIP() << "built with CATAPULT_DISABLE_OBS";
   GraphDatabase db = SmallDb();
   CatapultOptions options = FastOptions();
   options.use_sampling = true;

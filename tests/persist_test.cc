@@ -447,6 +447,37 @@ TEST_F(PersistTest, ConfigFingerprintTracksOutputAffectingOptionsOnly) {
   EXPECT_NE(ConfigFingerprint(a, db), ConfigFingerprint(a, other_db));
 }
 
+// Checkpoints and trace ids carry the fingerprint, so reshaping the options
+// must not move its value: a checkpoint an older build wrote still resumes.
+// The six option sets reach every branch of ConfigFingerprint.
+TEST_F(PersistTest, ConfigFingerprintMatchesPinnedValues) {
+  const GraphDatabase db = SmallDb();
+  std::vector<CatapultOptions> sets(6);
+  sets[1].use_sampling = true;
+  sets[2].clustering.mode = ClusteringMode::kCoarseOnly;
+  sets[3].clustering.mode = ClusteringMode::kFineOnly;
+  sets[3].clustering.fine_mcs.connected = false;
+  sets[3].clustering.fine_mcs.match_edge_labels = true;
+  sets[4].selector.strategy = CandidateStrategy::kGreedyBfs;
+  sets[4].selector.approximate_diversity = true;
+  sets[5].selector.walks_per_candidate = 8;
+  sets[5].selector.weight_decay = 0.75;
+  sets[5].selector.budget.eta_max = 6;
+  sets[5].selector.budget.gamma = 8;
+  sets[5].selector.budget.size_distribution = {1.0, 2.0, 1.0, 0.0};
+  const uint64_t pinned[] = {
+      0xae325872f6713c44ULL,  // defaults
+      0x449b94a4cab9986dULL,  // sampled
+      0x026ce6370273fa5aULL,  // coarse only
+      0x60f4acac21a35763ULL,  // fine only, unconnected MCS, edge labels
+      0xcb5c2908feee8ce8ULL,  // greedy BFS, approximate diversity
+      0xf9c167d4db1f2db4ULL,  // walks, decay and a size distribution
+  };
+  for (size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(ConfigFingerprint(sets[i], db), pinned[i]) << "set " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint store: save, recover, reject.
 

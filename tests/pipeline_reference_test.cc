@@ -121,8 +121,6 @@ CatapultOptions Options(const std::string& mode) {
     options.lazy.min_cluster_size_to_sample = 10;
   } else if (mode == "coarse") {
     options.clustering.mode = ClusteringMode::kCoarseOnly;
-  } else if (mode == "agglo") {
-    options.clustering.coarse_algorithm = CoarseAlgorithm::kAgglomerative;
   } else if (mode == "greedy") {
     options.selector.strategy = CandidateStrategy::kGreedyBfs;
   } else if (mode == "approx") {
@@ -157,15 +155,12 @@ const std::map<std::pair<std::string, std::string>,
         {{"mol60", "default"}, {14638693217481143329u, 6264786427488051786u}},
         {{"mol60", "sampled"}, {1933315995838465287u, 12596884518328443420u}},
         {{"mol60", "coarse"}, {14955864426841411424u, 8683521835092487470u}},
-        {{"mol60", "agglo"}, {4867545712901287457u, 9721065870536945900u}},
         {{"mol90", "default"}, {8067231906335259234u, 9854151243371046308u}},
         {{"mol90", "sampled"}, {10384665580097023470u, 3239004285441105880u}},
         {{"mol90", "coarse"}, {17229364895065637825u, 3723195619056441873u}},
-        {{"mol90", "agglo"}, {16368633165847290599u, 11258878212872605450u}},
         {{"mol120", "default"}, {9317203226189384418u, 6734182730810212095u}},
         {{"mol120", "sampled"}, {2461616585667751042u, 5186588768965044283u}},
         {{"mol120", "coarse"}, {14951244314900370753u, 2267434525708865470u}},
-        {{"mol120", "agglo"}, {14331046937400129952u, 1638501697124065849u}},
         {{"mol60", "greedy"}, {6760471297478480004u, 6264786427488051786u}},
         {{"mol60", "approx"}, {12753779212367839811u, 6264786427488051786u}},
         {{"mol60", "ged"}, {16558461670878922305u, 6264786427488051786u}},

@@ -14,6 +14,7 @@
 #include "src/iso/mcs.h"
 #include "src/iso/vf2.h"
 #include "src/tree/canonical.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
@@ -37,20 +38,6 @@ Graph RandomGraph(uint64_t seed, size_t min_v = 5, size_t max_v = 14) {
     if (u != v && !g.HasEdge(u, v)) g.AddEdge(u, v);
   }
   return g;
-}
-
-// Random vertex-permuted copy of g.
-Graph Permuted(const Graph& g, Rng& rng) {
-  std::vector<VertexId> perm(g.NumVertices());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<VertexId>(i);
-  rng.Shuffle(perm);
-  Graph out;
-  std::vector<VertexId> new_id(g.NumVertices());
-  for (VertexId v : perm) new_id[v] = out.AddVertex(g.VertexLabel(v));
-  for (const Edge& e : g.EdgeList()) {
-    out.AddEdge(new_id[e.u], new_id[e.v], e.label);
-  }
-  return out;
 }
 
 class GraphProperty : public ::testing::TestWithParam<int> {};

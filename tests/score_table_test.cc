@@ -29,6 +29,7 @@
 #include "src/util/thread_pool.h"
 #include "tests/reference_ged.h"
 #include "tests/reference_selector.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
@@ -106,20 +107,6 @@ bool SameGraph(const Graph& a, const Graph& b) {
     }
   }
   return true;
-}
-
-// Random vertex-permuted copy of g.
-Graph Permuted(const Graph& g, Rng& rng) {
-  std::vector<VertexId> perm(g.NumVertices());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<VertexId>(i);
-  rng.Shuffle(perm);
-  Graph out;
-  std::vector<VertexId> new_id(g.NumVertices());
-  for (VertexId v : perm) new_id[v] = out.AddVertex(g.VertexLabel(v));
-  for (const Edge& e : g.EdgeList()) {
-    out.AddEdge(new_id[e.u], new_id[e.v], e.label);
-  }
-  return out;
 }
 
 TEST(ScoreTableTest, ResetDimensionsAndZeroes) {
@@ -201,7 +188,7 @@ std::vector<bool> ReferenceCoverage(const Graph& pattern,
 
 TEST(CoveredCsgsFlatTest, MatchesReferenceCoverage) {
   SelectorEnv setup = MakeSetup();
-  FlatSummaryIndex index = BuildFlatSummaryIndex(setup.csgs);
+  FlatGraphDatabase index = BuildFlatSummaryIndex(setup.csgs);
   ASSERT_EQ(index.size(), setup.csgs.size());
   std::vector<Graph> summaries;
   for (const ClusterSummaryGraph& csg : setup.csgs) {
@@ -435,7 +422,7 @@ TEST(SelectorIndexTest, PrebuiltIndexIsIdenticalToLocalBuild) {
   SelectionResult without = FindCannedPatternSet(
       setup.db, setup.clusters, setup.csgs, options, rng_a);
 
-  FlatSummaryIndex index = BuildFlatSummaryIndex(setup.csgs);
+  FlatGraphDatabase index = BuildFlatSummaryIndex(setup.csgs);
   Rng rng_b(42);
   SelectionResult with = FindCannedPatternSet(
       setup.db, setup.clusters, setup.csgs, options, rng_b,
@@ -638,7 +625,7 @@ TEST(PreparedCorpusTest, CarriesSummaryIndex) {
   // The index's flat summaries match the CSGs' own views.
   for (size_t i = 0; i < corpus.csgs.size(); ++i) {
     Graph expected = corpus.csgs[i].ToGraph();
-    FlatGraphView got = corpus.summary_index.flat.view(i);
+    FlatGraphView got = corpus.summary_index.view(i);
     EXPECT_EQ(got.NumVertices(), expected.NumVertices());
     EXPECT_EQ(got.NumEdges(), expected.NumEdges());
   }

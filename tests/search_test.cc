@@ -78,44 +78,12 @@ TEST(SearchEngineTest, UnknownLabelMeansNoMatches) {
   EXPECT_TRUE(engine.FilterCandidates(q).None());
 }
 
-TEST(SearchEngineTest, CountWithCap) {
-  GraphDatabase db = SmallDb();
-  SubgraphSearchEngine engine(db);
-  Label c = db.labels().Find("C");
-  Graph edge;
-  edge.AddVertex(c);
-  edge.AddVertex(c);
-  edge.AddEdge(0, 1);
-  size_t all = engine.CountMatches(edge);
-  EXPECT_GT(all, 10u);
-  EXPECT_EQ(engine.CountMatches(edge, 5), 5u);
-}
-
-TEST(SearchEngineTest, ExactCoverageMatchesEvaluateOnFullScan) {
-  GraphDatabase db = SmallDb(40, 11);
-  SubgraphSearchEngine engine(db);
-  Rng rng(6);
-  std::vector<Graph> patterns = {
-      RandomConnectedSubgraph(db.graph(0), 4, rng),
-      RandomConnectedSubgraph(db.graph(5), 5, rng),
-  };
-  double exact = ExactSubgraphCoverage(engine, patterns);
-  // Reference: union of brute-force result sets.
-  std::set<GraphId> covered;
-  for (const Graph& p : patterns) {
-    for (GraphId id : BruteForce(db, p)) covered.insert(id);
-  }
-  EXPECT_DOUBLE_EQ(exact, static_cast<double>(covered.size()) /
-                              static_cast<double>(db.size()));
-}
-
 TEST(SearchEngineTest, EmptyDatabase) {
   GraphDatabase db;
   SubgraphSearchEngine engine(db);
   Graph q;
   q.AddVertex(0);
   EXPECT_TRUE(engine.Search(q).empty());
-  EXPECT_DOUBLE_EQ(ExactSubgraphCoverage(engine, {q}), 0.0);
 }
 
 }  // namespace

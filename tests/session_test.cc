@@ -4,18 +4,10 @@
 
 #include "src/formulate/evaluate.h"
 #include "src/formulate/steps.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {
-
-Graph Ring(size_t n, Label label = 0) {
-  Graph g;
-  for (size_t i = 0; i < n; ++i) g.AddVertex(label);
-  for (size_t i = 0; i < n; ++i) {
-    g.AddEdge(static_cast<VertexId>(i), static_cast<VertexId>((i + 1) % n));
-  }
-  return g;
-}
 
 // Two triangles joined by one bridge edge.
 Graph TwoTriangles(Label label = 0) {
