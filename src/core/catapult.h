@@ -278,6 +278,9 @@ struct PreparedCorpus {
   // (DESIGN.md §15), built once here so repeated RunCatapultSelection calls
   // share one index instead of re-flattening the summaries per request.
   FlatGraphDatabase summary_index;
+  // The labelled-edge index of the whole database, for the same reason:
+  // every selection reads lcov and its undecayed edge-label weights off it.
+  LabelCoverageIndex label_index;
   RngState rng_after_csg;  // stream position selection resumes from
   // ConfigFingerprint of the (options, db) the corpus was prepared from,
   // surfaced so long-lived owners (the serving loop's /statusz) can report
@@ -307,9 +310,9 @@ struct PreparedCorpus {
 };
 
 // Runs RunCatapult's corpus phases — coarse stage, fine clustering (sharded
-// under `processes` > 1 exactly as RunCatapult shards it), CSG folding and
-// the flat summary index — without the checkpoint store, and captures their
-// artifacts for reuse.
+// under `processes` > 1 exactly as RunCatapult shards it), CSG folding, the
+// flat summary index and the label coverage index — without the checkpoint
+// store, and captures their artifacts for reuse.
 PreparedCorpus PrepareCorpus(const GraphDatabase& db,
                              const CatapultOptions& options,
                              const RunContext& ctx);

@@ -1,6 +1,7 @@
 #include "src/core/random_walk.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -30,40 +31,61 @@ namespace {
 // What a pick returns to stop growing.
 constexpr size_t kStop = static_cast<size_t>(-1);
 
-// Grows a connected set of CSG edges from `seed`, one candidate adjacent
-// edge (CAE) per step, until it holds `target_edges` edges or `pick`
-// returns kStop. Each step lists the CAE: the edges incident to the set's
-// vertices that are not taken yet and that `eligible` admits, deduplicated,
-// in the vertex set's visiting order. `pick` gets that list (possibly
-// empty) and returns the position of the edge to take.
-template <typename Eligible, typename Pick>
-Pcp GrowFromSeed(const ClusterSummaryGraph& csg, size_t seed,
-                 size_t target_edges, const Eligible& eligible, Pick&& pick) {
+// The growth loop's buffers for one CSG, reused by every walk grown on it
+// and by every step of a walk. `stamp` holds one stamp per CSG edge, drawn
+// from one rising counter: a walk's stamp marks the edges it took, and each
+// step's fresh stamp marks the edges already listed in that step's
+// candidate adjacent edges (CAE), so each test is one comparison and
+// nothing is cleared between steps or walks.
+struct GrowthScratch {
+  explicit GrowthScratch(size_t num_edges) : stamp(num_edges, 0) {}
+  std::vector<uint64_t> stamp;
+  uint64_t clock = 0;
+  std::vector<size_t> cae;
+  std::vector<double> weights;  // parallel to `cae` (weighted walks only)
   Pcp grown;
-  std::vector<bool> edge_in(csg.NumEdges(), false);
+};
+
+// Grows a connected set of CSG edges from `seed` into `scratch.grown`, one
+// CAE per step, until it holds `target_edges` edges or `pick` returns
+// kStop. Each step lists the CAE: the edges incident to the set's vertices
+// that are not taken yet and that `eligible` admits, each once, at its
+// first occurrence in the vertex set's visiting order. `pick` gets that
+// list (possibly empty) and returns the position of the edge to take.
+//
+// The vertex set is a fresh unordered_set per walk on purpose: its
+// iteration order is the CAE order, which reaches the draws, and a set
+// reused across walks could carry a larger bucket count and so visit the
+// same vertices in another order.
+template <typename Eligible, typename Pick>
+void GrowFromSeed(const ClusterSummaryGraph& csg, size_t seed,
+                  size_t target_edges, const Eligible& eligible, Pick&& pick,
+                  GrowthScratch& scratch) {
+  Pcp& grown = scratch.grown;
+  grown.clear();
+  const uint64_t taken = ++scratch.clock;
   std::unordered_set<VertexId> vertices;
-  std::vector<size_t> cae;  // one frontier buffer for every step
   for (size_t next = seed;;) {
-    edge_in[next] = true;
+    scratch.stamp[next] = taken;
     grown.push_back(next);
     vertices.insert(csg.edges()[next].u);
     vertices.insert(csg.edges()[next].v);
     if (grown.size() >= target_edges) break;
-    cae.clear();
+    const uint64_t listed = ++scratch.clock;
+    scratch.cae.clear();
     for (VertexId v : vertices) {
       for (size_t idx : csg.IncidentEdges(v)) {
-        if (edge_in[idx] || !eligible(idx)) continue;
-        // An edge incident to two pattern vertices appears twice; dedupe.
-        if (std::find(cae.begin(), cae.end(), idx) == cae.end()) {
-          cae.push_back(idx);
-        }
+        // An edge incident to two pattern vertices is seen twice.
+        uint64_t& stamp = scratch.stamp[idx];
+        if (stamp == taken || stamp == listed || !eligible(idx)) continue;
+        stamp = listed;
+        scratch.cae.push_back(idx);
       }
     }
-    const size_t at = pick(cae);
+    const size_t at = pick(scratch.cae);
     if (at == kStop) break;
-    next = cae[at];
+    next = scratch.cae[at];
   }
-  return grown;
 }
 
 // The walks' seed: the largest weight (first such edge for determinism).
@@ -73,39 +95,48 @@ size_t HeaviestEdge(const WeightedCsg& wcsg) {
                              w.begin());
 }
 
-}  // namespace
-
-Pcp GeneratePcp(const WeightedCsg& wcsg, size_t target_edges, Rng& rng) {
-  if (wcsg.csg->NumEdges() == 0 || target_edges == 0) return Pcp();
-  std::vector<double> weights;  // parallel to the CAE list
-  return GrowFromSeed(
-      *wcsg.csg, HeaviestEdge(wcsg), target_edges,
-      [&](size_t idx) { return wcsg.edge_weights[idx] > 0.0; },
+// One weighted walk from `seed` into `scratch.grown` (Section 5).
+void WeightedWalk(const WeightedCsg& wcsg, size_t seed, size_t target_edges,
+                  Rng& rng, GrowthScratch& scratch) {
+  const std::vector<double>& w = wcsg.edge_weights;
+  GrowFromSeed(
+      *wcsg.csg, seed, target_edges, [&](size_t idx) { return w[idx] > 0.0; },
       [&](const std::vector<size_t>& cae) {
         if (cae.empty()) {
           obs::Count(obs::Counter::kWalkDeadEnds);
           return kStop;
         }
         obs::Count(obs::Counter::kWalkSteps);
-        weights.clear();
-        for (size_t idx : cae) weights.push_back(wcsg.edge_weights[idx]);
-        return rng.WeightedIndex(weights);
-      });
+        scratch.weights.clear();
+        for (size_t idx : cae) scratch.weights.push_back(w[idx]);
+        return rng.WeightedIndex(scratch.weights);
+      },
+      scratch);
+}
+
+}  // namespace
+
+Pcp GeneratePcp(const WeightedCsg& wcsg, size_t target_edges, Rng& rng) {
+  if (wcsg.csg->NumEdges() == 0 || target_edges == 0) return Pcp();
+  GrowthScratch scratch(wcsg.csg->NumEdges());
+  WeightedWalk(wcsg, HeaviestEdge(wcsg), target_edges, rng, scratch);
+  return std::move(scratch.grown);
 }
 
 std::vector<Pcp> GeneratePcpLibrary(const WeightedCsg& wcsg,
                                     size_t target_edges, size_t count,
                                     Rng& rng, const RunContext& ctx) {
   std::vector<Pcp> library;
+  if (wcsg.csg->NumEdges() == 0 || target_edges == 0) return library;
   library.reserve(count);
+  const size_t seed = HeaviestEdge(wcsg);
+  GrowthScratch scratch(wcsg.csg->NumEdges());
   for (size_t walk = 0; walk < count; ++walk) {
     if (ctx.StopRequested("selector.pcp_walk")) break;
-    Pcp pcp = GeneratePcp(wcsg, target_edges, rng);
-    if (!pcp.empty()) {
-      obs::Count(obs::Counter::kPcpEmitted);
-      obs::Observe(obs::Hist::kPcpEdges, pcp.size());
-      library.push_back(std::move(pcp));
-    }
+    WeightedWalk(wcsg, seed, target_edges, rng, scratch);
+    obs::Count(obs::Counter::kPcpEmitted);
+    obs::Observe(obs::Hist::kPcpEdges, scratch.grown.size());
+    library.push_back(scratch.grown);
   }
   return library;
 }
@@ -113,7 +144,8 @@ std::vector<Pcp> GeneratePcpLibrary(const WeightedCsg& wcsg,
 Pcp GenerateGreedyPcp(const WeightedCsg& wcsg, size_t target_edges) {
   if (wcsg.csg->NumEdges() == 0 || target_edges == 0) return Pcp();
   const std::vector<double>& w = wcsg.edge_weights;
-  return GrowFromSeed(
+  GrowthScratch scratch(wcsg.csg->NumEdges());
+  GrowFromSeed(
       *wcsg.csg, HeaviestEdge(wcsg), target_edges,
       [&](size_t idx) { return w[idx] > 0.0; },
       [&](const std::vector<size_t>& cae) {
@@ -122,39 +154,45 @@ Pcp GenerateGreedyPcp(const WeightedCsg& wcsg, size_t target_edges) {
             std::max_element(cae.begin(), cae.end(),
                              [&](size_t a, size_t b) { return w[a] < w[b]; }) -
             cae.begin());
-      });
+      },
+      scratch);
+  return std::move(scratch.grown);
 }
 
 Pcp GenerateFcp(const ClusterSummaryGraph& csg,
                 const std::vector<Pcp>& library, size_t target_edges) {
-  if (library.empty() || target_edges == 0) return Pcp();
+  if (library.empty() || target_edges == 0 || csg.NumEdges() == 0) {
+    return Pcp();
+  }
 
-  std::unordered_map<size_t, size_t> frequency;
+  // How many library PCPs hold each CSG edge.
+  std::vector<size_t> frequency(csg.NumEdges(), 0);
   for (const Pcp& pcp : library) {
     for (size_t idx : pcp) ++frequency[idx];
   }
-  if (frequency.empty()) return Pcp();
 
-  // Most frequent edge first (ties: lowest index, deterministic).
+  // Most frequent edge first (ties: lowest index, deterministic). The order
+  // is total, so the seed and each step's pick are its unique extremum.
   auto MoreFrequent = [&](size_t a, size_t b) {
-    size_t fa = frequency.count(a) ? frequency.at(a) : 0;
-    size_t fb = frequency.count(b) ? frequency.at(b) : 0;
-    if (fa != fb) return fa > fb;
+    if (frequency[a] != frequency[b]) return frequency[a] > frequency[b];
     return a < b;
   };
-  size_t first = frequency.begin()->first;
-  for (const auto& [idx, freq] : frequency) {
-    if (MoreFrequent(idx, first)) first = idx;
-  }
-  return GrowFromSeed(
+  const size_t first = static_cast<size_t>(
+      std::max_element(frequency.begin(), frequency.end()) -
+      frequency.begin());
+  if (frequency[first] == 0) return Pcp();
+  GrowthScratch scratch(csg.NumEdges());
+  GrowFromSeed(
       csg, first, target_edges,
-      [&](size_t idx) { return frequency.count(idx) != 0; },
+      [&](size_t idx) { return frequency[idx] != 0; },
       [&](const std::vector<size_t>& cae) {
         if (cae.empty()) return kStop;
         return static_cast<size_t>(
             std::min_element(cae.begin(), cae.end(), MoreFrequent) -
             cae.begin());
-      });
+      },
+      scratch);
+  return std::move(scratch.grown);
 }
 
 Graph PatternFromCsgEdges(const ClusterSummaryGraph& csg, const Pcp& edges) {

@@ -43,8 +43,11 @@ Pcp GenerateGreedyPcp(const WeightedCsg& wcsg, size_t target_edges);
 // Generates up to `count` PCP walks (empty walks dropped), polling `ctx`
 // before each walk (failpoint site "selector.pcp_walk"); on expiry the
 // library generated so far is returned — FCP assembly degrades smoothly
-// with fewer walks. With an unlimited context this draws exactly the same
-// rng stream as `count` sequential GeneratePcp calls.
+// with fewer walks. With an unlimited context this returns exactly the
+// walks of `count` sequential GeneratePcp calls and leaves `rng` where they
+// would. It finds the seed edge once, since every walk starts there, and
+// runs all walks on one scratch owned by the call (edge stamps, the CAE,
+// weight and PCP buffers), so concurrent calls share nothing but `wcsg`.
 std::vector<Pcp> GeneratePcpLibrary(const WeightedCsg& wcsg,
                                     size_t target_edges, size_t count,
                                     Rng& rng, const RunContext& ctx);

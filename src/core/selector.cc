@@ -73,18 +73,25 @@ SelectionResult FindCannedPatternSet(
     const std::vector<ClusterSummaryGraph>& csgs,
     const SelectorOptions& options, Rng& rng, const RunContext& ctx,
     const SelectorCheckpointHooks& hooks,
-    const FlatGraphDatabase* prebuilt_index) {
+    const FlatGraphDatabase* prebuilt_index,
+    const LabelCoverageIndex* prebuilt_label_index) {
   options.budget.Validate();
   CATAPULT_CHECK(clusters.size() == csgs.size());
 
   SelectionResult result;
   if (csgs.empty() || db.empty()) return result;
 
-  // One labelled-edge index per call serves both elw and lcov.
-  EdgeLabelIndex edge_index = BuildEdgeLabelIndex(db, AllGraphIds(db));
-  EdgeLabelWeights elw(edge_index, db.size());
+  // One labelled-edge index of `db` serves lcov and the undecayed elw. It
+  // depends only on `db`, so the serving path passes the corpus's own.
+  LabelCoverageIndex local_label_index;
+  if (prebuilt_label_index == nullptr) {
+    local_label_index = LabelCoverageIndex(db);
+    prebuilt_label_index = &local_label_index;
+  }
+  const LabelCoverageIndex& label_index = *prebuilt_label_index;
+  CATAPULT_CHECK(label_index.database_size() == db.size());
+  EdgeLabelWeights elw(label_index);
   ClusterWeights cw(clusters, db.size());
-  LabelCoverageIndex label_index(std::move(edge_index), db.size());
 
   // Flat summary views + label domains for the coverage kernel, built once
   // per corpus. The serving path passes a prebuilt index so repeated

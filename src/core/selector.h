@@ -160,17 +160,19 @@ struct SelectorCheckpointHooks {
 // (clusters count, budget size range) — the checkpoint store validates this
 // before handing one in; mismatches are programmer errors (CHECK).
 //
-// `prebuilt_index` (optional) supplies the flat summary index of `csgs`
-// built ahead of time (PrepareCorpus keeps one per corpus so the serving
-// path does not rebuild summaries per request); when null the selector
-// builds its own. The index must have been built from exactly `csgs`.
+// `prebuilt_index` and `prebuilt_label_index` (optional) supply the flat
+// summary index of `csgs` and the label coverage index of `db` built ahead
+// of time (PrepareCorpus keeps both per corpus so the serving path does not
+// rebuild them per request); when null the selector builds its own. They
+// must have been built from exactly `csgs` and `db`.
 SelectionResult FindCannedPatternSet(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& clusters,
     const std::vector<ClusterSummaryGraph>& csgs,
     const SelectorOptions& options, Rng& rng,
     const RunContext& ctx = RunContext::NoLimit(),
     const SelectorCheckpointHooks& hooks = {},
-    const FlatGraphDatabase* prebuilt_index = nullptr);
+    const FlatGraphDatabase* prebuilt_index = nullptr,
+    const LabelCoverageIndex* prebuilt_label_index = nullptr);
 
 }  // namespace catapult
 

@@ -6,12 +6,11 @@
 namespace catapult {
 
 EdgeLabelWeights::EdgeLabelWeights(const GraphDatabase& db)
-    : EdgeLabelWeights(BuildEdgeLabelIndex(db, AllGraphIds(db)), db.size()) {}
+    : EdgeLabelWeights(LabelCoverageIndex(db)) {}
 
-EdgeLabelWeights::EdgeLabelWeights(const EdgeLabelIndex& index,
-                                   size_t database_size) {
-  const double total = static_cast<double>(database_size);
-  for (const auto& [key, graphs] : index) {
+EdgeLabelWeights::EdgeLabelWeights(const LabelCoverageIndex& index) {
+  const double total = static_cast<double>(index.database_size());
+  for (const auto& [key, graphs] : index.graphs_with_key()) {
     weights_[key] = static_cast<double>(graphs.Count()) / total;
   }
 }
@@ -57,12 +56,8 @@ ClusterWeights::ClusterWeights(
 }
 
 LabelCoverageIndex::LabelCoverageIndex(const GraphDatabase& db)
-    : LabelCoverageIndex(BuildEdgeLabelIndex(db, AllGraphIds(db)),
-                         db.size()) {}
-
-LabelCoverageIndex::LabelCoverageIndex(EdgeLabelIndex index,
-                                       size_t database_size)
-    : graphs_with_key_(std::move(index)), database_size_(database_size) {}
+    : graphs_with_key_(BuildEdgeLabelIndex(db, AllGraphIds(db))),
+      database_size_(db.size()) {}
 
 DynamicBitset LabelCoverageIndex::UnionFor(const Graph& pattern,
                                            DynamicBitset acc) const {

@@ -14,6 +14,8 @@ namespace catapult {
 // each pattern selection.
 inline constexpr double kWeightDecay = 0.5;
 
+class LabelCoverageIndex;
+
 // Global edge-label weights elw (Algorithm 1, line 4): initially the label
 // coverage lcov(e, D) of each labelled edge, decayed multiplicatively as
 // patterns consume labels (Algorithm 4, line 21).
@@ -21,9 +23,8 @@ class EdgeLabelWeights {
  public:
   // Builds weights from the database: weight(key) = |L(e, D)| / |D|.
   explicit EdgeLabelWeights(const GraphDatabase& db);
-  // The same weights read off `index`, built over all `database_size`
-  // graphs of the database.
-  EdgeLabelWeights(const EdgeLabelIndex& index, size_t database_size);
+  // The same undecayed weights read off the database's `index`.
+  explicit EdgeLabelWeights(const LabelCoverageIndex& index);
 
   // Current weight of `key` (0 for labels absent from D).
   double Get(EdgeLabelKey key) const;
@@ -79,12 +80,14 @@ class ClusterWeights {
 };
 
 // Index from labelled-edge key to the set of graphs containing it; supports
-// exact lcov computations for patterns and pattern sets (Section 3.2).
+// exact lcov computations for patterns and pattern sets (Section 3.2). It
+// depends only on the database, so a prepared corpus builds it once
+// (PrepareCorpus) and every selection on the corpus reads it.
 class LabelCoverageIndex {
  public:
+  // The index of an empty database.
+  LabelCoverageIndex() = default;
   explicit LabelCoverageIndex(const GraphDatabase& db);
-  // Adopts `index`, built over all `database_size` graphs of the database.
-  LabelCoverageIndex(EdgeLabelIndex index, size_t database_size);
 
   // lcov(p, D): fraction of graphs containing at least one of the pattern's
   // labelled edges.
@@ -94,12 +97,13 @@ class LabelCoverageIndex {
   double SetLabelCoverage(const std::vector<Graph>& patterns) const;
 
   size_t database_size() const { return database_size_; }
+  const EdgeLabelIndex& graphs_with_key() const { return graphs_with_key_; }
 
  private:
   DynamicBitset UnionFor(const Graph& pattern, DynamicBitset acc) const;
 
   EdgeLabelIndex graphs_with_key_;
-  size_t database_size_;
+  size_t database_size_ = 0;
 };
 
 }  // namespace catapult

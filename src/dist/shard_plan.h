@@ -13,12 +13,6 @@ namespace catapult::dist {
 // non-empty; within a shard indices are ascending.
 struct ShardPlan {
   std::vector<std::vector<size_t>> shards;
-
-  size_t TotalClusters() const {
-    size_t total = 0;
-    for (const auto& s : shards) total += s.size();
-    return total;
-  }
 };
 
 // Deterministic longest-processing-time assignment of `cluster_sizes`

@@ -101,18 +101,4 @@ Graph RelabelAllVertices(const Graph& g, Label label) {
   return result;
 }
 
-bool StructurallyEqual(const Graph& a, const Graph& b) {
-  if (a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges()) {
-    return false;
-  }
-  for (VertexId v = 0; v < a.NumVertices(); ++v) {
-    if (a.VertexLabel(v) != b.VertexLabel(v)) return false;
-  }
-  for (const Edge& e : a.EdgeList()) {
-    if (!b.HasEdge(e.u, e.v)) return false;
-    if (b.EdgeLabel(e.u, e.v) != e.label) return false;
-  }
-  return true;
-}
-
 }  // namespace catapult

@@ -29,10 +29,6 @@ Graph RandomConnectedSubgraph(const Graph& g, size_t num_edges, Rng& rng);
 // "unlabelled GUI pattern" normalisation used by Exp 3).
 Graph RelabelAllVertices(const Graph& g, Label label);
 
-// True if `a` and `b` are identical as labelled adjacency structures under
-// the identity vertex mapping (NOT isomorphism; used by tests).
-bool StructurallyEqual(const Graph& a, const Graph& b);
-
 }  // namespace catapult
 
 #endif  // CATAPULT_GRAPH_ALGORITHMS_H_

@@ -1,6 +1,7 @@
 #include "src/iso/mcs.h"
 
 #include <algorithm>
+#include <numeric>
 #include <tuple>
 
 #include "src/iso/neighbor_mark.h"
@@ -224,18 +225,27 @@ McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
 
   if (options.connected) {
     // Try every label-compatible seed pair. Seeds are tried highest-degree
-    // first so large common regions are found early.
-    std::vector<std::pair<VertexId, VertexId>> seeds;
+    // first so large common regions are found early: a counting pass orders
+    // them by descending degree sum, keeping (u, v) order within a sum.
+    std::vector<std::pair<VertexId, VertexId>> pairs;
+    std::vector<size_t> sums;
     for (VertexId u = 0; u < a.NumVertices(); ++u) {
       for (VertexId v = 0; v < b.NumVertices(); ++v) {
-        if (a.VertexLabel(u) == b.VertexLabel(v)) seeds.emplace_back(u, v);
+        if (a.VertexLabel(u) != b.VertexLabel(v)) continue;
+        pairs.emplace_back(u, v);
+        sums.push_back(a.Degree(u) + b.Degree(v));
       }
     }
-    std::stable_sort(seeds.begin(), seeds.end(),
-                     [&](const auto& l, const auto& r) {
-                       return a.Degree(l.first) + b.Degree(l.second) >
-                              a.Degree(r.first) + b.Degree(r.second);
-                     });
+    const size_t max_sum =
+        sums.empty() ? 0 : *std::max_element(sums.begin(), sums.end());
+    // next_slot[max_sum - sum]: where the next seed of that sum goes.
+    std::vector<size_t> next_slot(max_sum + 2, 0);
+    for (size_t sum : sums) ++next_slot[max_sum - sum + 1];
+    std::partial_sum(next_slot.begin(), next_slot.end(), next_slot.begin());
+    std::vector<std::pair<VertexId, VertexId>> seeds(pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      seeds[next_slot[max_sum - sums[i]]++] = pairs[i];
+    }
     state.frames.resize(std::min(a.NumVertices(), b.NumVertices()) + 1);
     for (const auto& [u, v] : seeds) {
       state.Push(u, v, 0);

@@ -41,9 +41,6 @@ void EnableFixedTicks(uint64_t step_ns);
 // observability state is touched.
 void InstallTicksFromEnv();
 
-// Convenience conversion of NowNanos().
-inline uint64_t NowMicros() { return NowNanos() / 1000; }
-
 // RAII override of the tick source; restores the previous source on
 // destruction. Test-only: not for concurrent installation from multiple
 // threads, though reads (NowNanos) from any thread are safe.

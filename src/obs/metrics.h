@@ -230,10 +230,6 @@ inline void Observe(Hist h, uint64_t v) {
   if (shard != nullptr) shard->hists[static_cast<size_t>(h)].Record(v);
 }
 
-// True when the calling thread currently records into a shard. Lets call
-// sites skip work that only feeds metrics (e.g. sizing computations).
-inline bool MetricsEnabled() { return internal::tls_shard != nullptr; }
-
 // Read-only view of the calling thread's counters (zeros when disabled).
 // Used by the tracer to compute per-span counter deltas.
 std::array<uint64_t, kNumCounters> ThreadCounterSnapshot();

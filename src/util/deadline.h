@@ -98,9 +98,6 @@ class RunContext {
         memory_(std::move(memory)) {}
 
   static RunContext NoLimit() { return RunContext(); }
-  static RunContext WithDeadlineMillis(double ms) {
-    return RunContext(Deadline::AfterMillis(ms));
-  }
 
   const Deadline& deadline() const { return deadline_; }
   const CancelToken& cancel_token() const { return cancel_; }

@@ -6,6 +6,7 @@
 #include "src/data/query_generator.h"
 #include "src/graph/algorithms.h"
 #include "src/iso/vf2.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {

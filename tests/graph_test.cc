@@ -9,6 +9,7 @@
 #include "src/graph/io.h"
 #include "src/graph/label_map.h"
 #include "src/util/rng.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {

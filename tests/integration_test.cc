@@ -18,6 +18,7 @@
 #include "src/iso/vf2.h"
 #include "src/util/failpoint.h"
 #include "tests/scratch_dir.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {

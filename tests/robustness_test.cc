@@ -107,7 +107,7 @@ TEST_F(RobustnessTest, TightenNodeBudgetIsIdentityWhenUnlimited) {
 }
 
 TEST_F(RobustnessTest, TightenNodeBudgetShrinksNearDeadline) {
-  RunContext ctx = RunContext::WithDeadlineMillis(50);
+  RunContext ctx(Deadline::AfterMillis(50));
   // 50ms at 2e6 nodes/s affords ~1e5 nodes; a huge configured budget must
   // come back tightened, and never below 1.
   uint64_t tightened = ctx.TightenNodeBudget(1000000000);

@@ -9,6 +9,7 @@
 #include "src/data/molecule_generator.h"
 #include "src/graph/algorithms.h"
 #include "src/iso/vf2.h"
+#include "tests/test_graphs.h"
 
 namespace catapult {
 namespace {

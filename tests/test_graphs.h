@@ -31,6 +31,22 @@ inline Graph Path(size_t n, Label label = 0) {
   return g;
 }
 
+// True if `a` and `b` are identical as labelled adjacency structures under
+// the identity vertex mapping (not isomorphism).
+inline bool StructurallyEqual(const Graph& a, const Graph& b) {
+  if (a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges()) {
+    return false;
+  }
+  for (VertexId v = 0; v < a.NumVertices(); ++v) {
+    if (a.VertexLabel(v) != b.VertexLabel(v)) return false;
+  }
+  for (const Edge& e : a.EdgeList()) {
+    if (!b.HasEdge(e.u, e.v)) return false;
+    if (b.EdgeLabel(e.u, e.v) != e.label) return false;
+  }
+  return true;
+}
+
 // Random vertex-permuted copy of g, edge labels kept.
 inline Graph Permuted(const Graph& g, Rng& rng) {
   std::vector<VertexId> perm(g.NumVertices());
