@@ -32,7 +32,8 @@ AtomDistribution MakeAtoms(LabelMap& labels, size_t alphabet_size) {
     double tail_total = 0.06;
     double each = tail_total / static_cast<double>(n - 8);
     for (size_t i = 8; i < n; ++i) {
-      atoms.labels.push_back(labels.Intern("X" + std::to_string(i)));
+      atoms.labels.push_back(
+          labels.Intern(std::string("X").append(std::to_string(i))));
       atoms.weights.push_back(each);
     }
   }

@@ -43,9 +43,12 @@ std::vector<Label> SortedLabels(const Graph& g) {
 
 // Depth-first branch-and-bound over edit paths. a's vertices are decided in
 // a fixed order (highest degree first), each onto an unused b-vertex or
-// deleted. The lower bound at a node is the label-multiset mismatch of the
-// undecided a-vertices against the unused b-vertices, kept as per-label-class
-// counts that Decide and Undo update.
+// deleted. The lower bound at a node (RemainingLowerBound) reads
+// per-label-class counts of the undecided a-vertices and the unused
+// b-vertices, and the open edge counts of both sides. An a-edge is open
+// while an endpoint is undecided, which depends on the depth only (open_a);
+// a b-edge is open while an endpoint is unused. Decide and Undo update the
+// class counts and open_b.
 struct GedSearch {
   const Graph& a;
   const Graph& b;
@@ -59,8 +62,11 @@ struct GedSearch {
   std::vector<uint32_t> b_class;  // b-vertex -> label class
   std::vector<size_t> undecided;  // label class -> undecided a-vertices
   std::vector<size_t> unused;     // label class -> unused b-vertices
+  std::vector<size_t> open_a;     // depth -> a-edges with an undecided end
+  std::vector<size_t> closed_b;   // a-vertex -> b-edges its image closed
   size_t unused_total = 0;
   size_t common = 0;  // sum over classes of min(undecided, unused)
+  size_t open_b = 0;  // b-edges with an unused endpoint
   double best = 0.0;
   uint64_t nodes = 0;
   bool exact = true;
@@ -75,12 +81,23 @@ struct GedSearch {
         owner(b_in.NumVertices(), kEpsilon),
         b_mark(b_in.NumVertices()),
         a_class(a_in.NumVertices()),
-        b_class(b_in.NumVertices()) {
+        b_class(b_in.NumVertices()),
+        open_a(a_in.NumVertices() + 1, 0),
+        closed_b(a_in.NumVertices(), 0),
+        open_b(b_in.NumEdges()) {
     for (VertexId v = 0; v < a.NumVertices(); ++v) order[v] = v;
     std::stable_sort(order.begin(), order.end(), [&](VertexId l, VertexId r) {
       return a.Degree(l) > a.Degree(r);
     });
     for (size_t d = 0; d < order.size(); ++d) position[order[d]] = d;
+    // An a-edge stays open down to the depth that decides its later
+    // endpoint: count each at that depth, then sum from the leaves up.
+    for (VertexId v = 0; v < a.NumVertices(); ++v) {
+      for (const Graph::Neighbor& n : a.Neighbors(v)) {
+        if (v < n.to) ++open_a[std::max(position[v], position[n.to])];
+      }
+    }
+    for (size_t d = order.size(); d-- > 0;) open_a[d] += open_a[d + 1];
     std::vector<Label> labels;
     for (VertexId v = 0; v < a.NumVertices(); ++v) {
       labels.push_back(a.VertexLabel(v));
@@ -110,11 +127,18 @@ struct GedSearch {
     }
   }
 
-  // Decides u (onto bv or deleted) and leaves the class counts matching.
+  // Decides u (onto bv or deleted) and leaves the class counts and open_b
+  // matching: bv's edges to used b-vertices lose their last unused endpoint.
   void Decide(VertexId u, VertexId bv) {
     assignment[u] = bv;
     if (undecided[a_class[u]]-- <= unused[a_class[u]]) --common;
     if (bv == kEpsilon) return;
+    size_t closed = 0;
+    for (const Graph::Neighbor& n : b.Neighbors(bv)) {
+      if (owner[n.to] != kEpsilon) ++closed;
+    }
+    closed_b[u] = closed;
+    open_b -= closed;
     owner[bv] = u;
     if (unused[b_class[bv]]-- <= undecided[b_class[bv]]) --common;
     --unused_total;
@@ -124,6 +148,7 @@ struct GedSearch {
     VertexId bv = assignment[u];
     if (bv != kEpsilon) {
       owner[bv] = kEpsilon;
+      open_b += closed_b[u];
       ++unused_total;
       if (++unused[b_class[bv]] <= undecided[b_class[bv]]) ++common;
     }
@@ -170,26 +195,17 @@ struct GedSearch {
            static_cast<double>(a_edges + b_edges - 2 * both + relabelled);
   }
 
-  // Cost contributed at a leaf: unmatched b-vertices are inserted, along
-  // with every b-edge touching at least one of them.
-  double LeafCost() const {
-    double cost = 0.0;
-    for (VertexId v = 0; v < b.NumVertices(); ++v) {
-      if (owner[v] == kEpsilon) cost += 1.0;
-      for (const Graph::Neighbor& n : b.Neighbors(v)) {
-        if (v < n.to && (owner[v] == kEpsilon || owner[n.to] == kEpsilon)) {
-          cost += 1.0;
-        }
-      }
-    }
-    return cost;
-  }
-
-  // Admissible lower bound on the remaining cost at `depth`: label-multiset
-  // mismatch of undecided a-vertices vs unused b-vertices.
+  // Admissible lower bound on the remaining cost at `depth`: the
+  // label-multiset mismatch of undecided a-vertices vs unused b-vertices,
+  // plus ||open_a| - |open_b||, since a completion keeps each open edge only
+  // by matching it to an open edge on the other side and pays for every
+  // other one. At the root this is GedLowerBound(a, b). At a leaf it is
+  // exact: every unused b-vertex and every open b-edge is inserted.
   double RemainingLowerBound(size_t depth) const {
-    return static_cast<double>(
-        std::max(order.size() - depth, unused_total) - common);
+    size_t vertex_term = std::max(order.size() - depth, unused_total) - common;
+    size_t edge_term = open_a[depth] > open_b ? open_a[depth] - open_b
+                                              : open_b - open_a[depth];
+    return static_cast<double>(vertex_term + edge_term);
   }
 
   // Greedy upper bound: each a-vertex in order takes its cheapest step;
@@ -212,7 +228,7 @@ struct GedSearch {
       Decide(u, best_v);
       cost += best_step;
     }
-    cost += LeafCost();
+    cost += RemainingLowerBound(order.size());  // exact at a leaf
     for (VertexId u : order) Undo(u);
     return cost;
   }
@@ -223,10 +239,10 @@ struct GedSearch {
       return;
     }
     ++nodes;
-    if (cost_so_far + RemainingLowerBound(depth) >= best) return;
+    double bound = cost_so_far + RemainingLowerBound(depth);
+    if (bound >= best) return;
     if (depth == order.size()) {
-      double total = cost_so_far + LeafCost();
-      if (total < best) best = total;
+      best = bound;  // exact at a leaf
       return;
     }
     VertexId u = order[depth];

@@ -33,19 +33,27 @@ struct GedResult {
 double GedLowerBound(const Graph& a, const Graph& b);
 
 // Exact graph edit distance via depth-first branch-and-bound over vertex
-// assignments, seeded with a greedy upper bound and pruned with label-based
-// lower bounds. Exponential in the worst case; intended for canned-pattern
-// sized graphs (<= ~13 vertices), with anytime fallback under `node_budget`.
+// assignments, seeded with a greedy upper bound and pruned with Definition
+// 5.1's lower bound taken over what is left to edit. Exponential in the
+// worst case; intended for canned-pattern sized graphs (<= ~13 vertices),
+// with anytime fallback under `node_budget`.
 //
 // a's vertices are decided by descending degree; each is tried on every
 // unused b-vertex (same label first, each group ascending), then deleted. A
-// node is pruned when its cost plus the label-multiset mismatch of the
-// undecided a-vertices against the unused b-vertices reaches the best cost
-// found. The search state is carried from node to node: that bound reads
-// label-class counts updated on each decision and undo, and step costs read
-// adjacency through neighbour marks, so the bound costs O(1), a step
-// O(degree) and a leaf O(|Vb| + |Eb|). Node counts and truncation points
-// are pinned by tests/kernel_pin_test.cc.
+// node is pruned when its cost plus the remaining bound reaches the best
+// cost found. The remaining bound is the label-multiset mismatch of the
+// undecided a-vertices against the unused b-vertices, plus ||open_a| -
+// |open_b||, where open_a holds the a-edges with an undecided endpoint and
+// open_b the b-edges with an unused endpoint: a completion keeps an open
+// edge only by matching it to an open edge of the other graph, and pays 1
+// for every other one. At the root the bound equals GedLowerBound(a, b); at
+// a leaf it is the exact cost of inserting what is left of b. Like that
+// lower bound, the edge term ignores edge labels. The search state is
+// carried from node to node: the bound reads label-class counts and
+// |open_b|, both updated on each decision and undo, and a per-depth table
+// of |open_a|, and step costs read adjacency through neighbour marks, so
+// the bound and a leaf cost O(1) and a step or a decision O(degree). Node
+// counts and truncation points are pinned by tests/kernel_pin_test.cc.
 GedResult GraphEditDistance(const Graph& a, const Graph& b,
                             GedOptions options = {});
 

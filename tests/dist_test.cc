@@ -527,8 +527,9 @@ TEST_F(DistTest, LocalFleetMatrixMatchesInProcessDownToCheckpoints) {
                    " threads=" + std::to_string(threads));
       CatapultOptions sharded = DistOptionsOf(base, processes);
       sharded.threads = threads;
-      sharded.checkpoint_dir = ScratchDir("p" + std::to_string(processes) +
-                                          "t" + std::to_string(threads));
+      sharded.checkpoint_dir =
+          ScratchDir(std::string("p").append(std::to_string(processes)) +
+                     "t" + std::to_string(threads));
       CatapultResult actual = RunCatapult(db, sharded);
       ASSERT_TRUE(actual.ok());
       ExpectSameResult(expected, actual);

@@ -242,8 +242,8 @@ Graph FromEdges(size_t n, const std::vector<std::pair<int, int>>& edges) {
 // no symmetry at all, whose every leaf encodes differently.
 TEST(CanonicalCodeTest, InvariantUnderPermutationOnSymmetricShapes) {
   std::vector<std::pair<std::string, Graph>> shapes;
-  shapes.emplace_back("C6", Ring(6));
-  shapes.emplace_back("C12", Ring(12));
+  shapes.emplace_back(std::string("C6"), Ring(6));
+  shapes.emplace_back(std::string("C12"), Ring(12));
   Graph alternating = Ring(12);
   for (VertexId v = 0; v < 12; v += 2) alternating.SetVertexLabel(v, 1);
   shapes.emplace_back("C12 alternating labels", alternating);
@@ -465,15 +465,15 @@ TEST(GedTest, AlwaysAtLeastLowerBound) {
 }
 
 // Random graph on `n` vertices with vertex labels from {0, 1, 2}; each
-// vertex pair is joined with probability 0.45 under edge label 0 or 1.
-Graph RandomLabelledGraph(size_t n, Rng& rng) {
+// vertex pair is joined with probability `density` under edge label 0 or 1.
+Graph RandomLabelledGraph(size_t n, Rng& rng, double density = 0.45) {
   Graph g;
   for (size_t i = 0; i < n; ++i) {
     g.AddVertex(static_cast<Label>(rng.UniformInt(3)));
   }
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v = u + 1; v < n; ++v) {
-      if (rng.Bernoulli(0.45)) {
+      if (rng.Bernoulli(density)) {
         g.AddEdge(u, v, static_cast<Label>(rng.UniformInt(2)));
       }
     }
@@ -481,10 +481,14 @@ Graph RandomLabelledGraph(size_t n, Rng& rng) {
   return g;
 }
 
-// The branch-and-bound kernel's exact values against full enumeration
-// (tests/reference_ged.h) on pairs of at most 6 vertices: random labelled
-// graphs, edge labels and disconnected ones included, and connected
-// patterns cut from a generated molecule database.
+// The branch-and-bound kernel against full enumeration (tests/reference_ged.h)
+// on pairs of at most 6 vertices: random labelled graphs, edge labels and
+// disconnected ones included, connected patterns cut from a generated
+// molecule database, and dense graphs against sparse ones both ways round,
+// whose edge counts differ enough for the bound's edge term to prune. Each
+// pair runs unbudgeted and cut at 20 nodes: an exact result equals the
+// optimum, and a truncated one lies between the optimum and the greedy
+// bound the search starts from.
 TEST(GedTest, ExactValuesMatchFullEnumeration) {
   Rng rng(57);
   std::vector<std::pair<Graph, Graph>> pairs;
@@ -503,16 +507,47 @@ TEST(GedTest, ExactValuesMatchFullEnumeration) {
                                       1 + (i * 3) % 5, rng);
     pairs.emplace_back(std::move(a), std::move(b));
   }
+  for (int i = 0; i < 60; ++i) {
+    Graph dense = RandomLabelledGraph(4 + rng.UniformInt(3), rng, 0.8);
+    Graph sparse = RandomLabelledGraph(3 + rng.UniformInt(4), rng, 0.2);
+    if (i % 2 == 0) {
+      pairs.emplace_back(std::move(dense), std::move(sparse));
+    } else {
+      pairs.emplace_back(std::move(sparse), std::move(dense));
+    }
+  }
+  size_t far_apart = 0;
+  size_t truncated = 0;
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [a, b] = pairs[i];
     ASSERT_LE(a.NumVertices(), 6u);
     ASSERT_LE(b.NumVertices(), 6u);
-    GedResult r = GraphEditDistance(a, b);
-    EXPECT_TRUE(r.exact) << "pair " << i;
-    EXPECT_EQ(r.distance, reference::ReferenceGed(a, b))
-        << "pair " << i << ": " << a.DebugString() << " vs "
-        << b.DebugString();
+    if (a.NumEdges() >= b.NumEdges() + 3 || b.NumEdges() >= a.NumEdges() + 3) {
+      ++far_apart;
+    }
+    const double optimum = reference::ReferenceGed(a, b);
+    const double greedy = GedGreedyUpperBound(a, b);
+    for (uint64_t budget : {0, 20}) {
+      GedOptions options;
+      options.node_budget = budget;
+      const GedResult r = GraphEditDistance(a, b, options);
+      const std::string where = "pair " + std::to_string(i) + " budget " +
+                                std::to_string(budget) + ": " +
+                                a.DebugString() + " vs " + b.DebugString();
+      if (budget == 0) {
+        EXPECT_TRUE(r.exact) << where;
+      }
+      if (r.exact) {
+        EXPECT_EQ(r.distance, optimum) << where;
+      } else {
+        ++truncated;
+        EXPECT_GE(r.distance, optimum) << where;
+        EXPECT_LE(r.distance, greedy) << where;
+      }
+    }
   }
+  EXPECT_GE(far_apart, 100u) << "too few pairs whose edge counts differ by 3+";
+  EXPECT_GT(truncated, 0u) << "the 20-node budget never cut a search";
 }
 
 // The MCS kernel against full enumeration (tests/reference_mcs.h) on pairs

@@ -167,7 +167,7 @@ const char* const kPinnedRows[] = {
     "1 mcs+el/5000: edges 1 vertices 5 map c49d563c74b54ad4 exact 0 nodes 5000",
     "1 ged/3: distance 20 exact 0 nodes 3",
     "1 ged/2000: distance 20 exact 0 nodes 2000",
-    "1 ged/500000: distance 16 exact 0 nodes 500000",
+    "1 ged/500000: distance 10 exact 1 nodes 108246",
     "1 greedy: 20",
     "2 mccs/50: edges 3 vertices 4 map 5d980f567da78fc7 exact 0 nodes 50",
     "2 mccs/5000: edges 3 vertices 4 map 5d980f567da78fc7 exact 1 nodes 211",
@@ -178,8 +178,8 @@ const char* const kPinnedRows[] = {
     "2 mcs+el/50: edges 1 vertices 6 map a7b3afa36be13950 exact 0 nodes 50",
     "2 mcs+el/5000: edges 3 vertices 6 map 169a5bfd1c81f8fb exact 0 nodes 5000",
     "2 ged/3: distance 23 exact 0 nodes 3",
-    "2 ged/2000: distance 20 exact 0 nodes 2000",
-    "2 ged/500000: distance 18 exact 1 nodes 184649",
+    "2 ged/2000: distance 18 exact 0 nodes 2000",
+    "2 ged/500000: distance 18 exact 1 nodes 52713",
     "2 greedy: 23",
     "3 mccs/50: edges 3 vertices 4 map d627e43b87652038 exact 0 nodes 50",
     "3 mccs/5000: edges 3 vertices 4 map d627e43b87652038 exact 1 nodes 78",
@@ -190,8 +190,8 @@ const char* const kPinnedRows[] = {
     "3 mcs+el/50: edges 3 vertices 5 map d4ee9b16136d73bc exact 0 nodes 50",
     "3 mcs+el/5000: edges 3 vertices 5 map d4ee9b16136d73bc exact 1 nodes 503",
     "3 ged/3: distance 25 exact 0 nodes 3",
-    "3 ged/2000: distance 19 exact 0 nodes 2000",
-    "3 ged/500000: distance 18 exact 0 nodes 500000",
+    "3 ged/2000: distance 17 exact 0 nodes 2000",
+    "3 ged/500000: distance 16 exact 1 nodes 2736",
     "3 greedy: 25",
     "4 mccs/50: edges 5 vertices 6 map 4ab561e7082454f2 exact 0 nodes 50",
     "4 mccs/5000: edges 6 vertices 7 map a5e679f78ee4b55b exact 0 nodes 5000",
@@ -202,8 +202,8 @@ const char* const kPinnedRows[] = {
     "4 mcs+el/50: edges 2 vertices 8 map 8578b324a2569ee0 exact 0 nodes 50",
     "4 mcs+el/5000: edges 5 vertices 8 map 55bf148d651126ac exact 0 nodes 5000",
     "4 ged/3: distance 14 exact 0 nodes 3",
-    "4 ged/2000: distance 14 exact 0 nodes 2000",
-    "4 ged/500000: distance 10 exact 1 nodes 162183",
+    "4 ged/2000: distance 12 exact 0 nodes 2000",
+    "4 ged/500000: distance 10 exact 1 nodes 57946",
     "4 greedy: 14",
     "5 mccs/50: edges 1 vertices 2 map c4176ea150ec0273 exact 0 nodes 50",
     "5 mccs/5000: edges 1 vertices 2 map c4176ea150ec0273 exact 1 nodes 59",
@@ -214,8 +214,8 @@ const char* const kPinnedRows[] = {
     "5 mcs+el/50: edges 1 vertices 3 map 70291b4c02505747 exact 0 nodes 50",
     "5 mcs+el/5000: edges 1 vertices 3 map 70291b4c02505747 exact 1 nodes 916",
     "5 ged/3: distance 29 exact 0 nodes 3",
-    "5 ged/2000: distance 23 exact 0 nodes 2000",
-    "5 ged/500000: distance 22 exact 1 nodes 421000",
+    "5 ged/2000: distance 22 exact 1 nodes 553",
+    "5 ged/500000: distance 22 exact 1 nodes 553",
     "5 greedy: 29",
     "6 mccs/50: edges 6 vertices 7 map faf26fefd6b93597 exact 0 nodes 50",
     "6 mccs/5000: edges 6 vertices 7 map faf26fefd6b93597 exact 1 nodes 4093",
@@ -226,8 +226,8 @@ const char* const kPinnedRows[] = {
     "6 mcs+el/50: edges 5 vertices 8 map 9cba9d673d3478c8 exact 0 nodes 50",
     "6 mcs+el/5000: edges 7 vertices 9 map b7791b68288f1309 exact 1 nodes 1587",
     "6 ged/3: distance 17 exact 0 nodes 3",
-    "6 ged/2000: distance 9 exact 0 nodes 2000",
-    "6 ged/500000: distance 5 exact 1 nodes 43545",
+    "6 ged/2000: distance 7 exact 0 nodes 2000",
+    "6 ged/500000: distance 5 exact 1 nodes 9048",
     "6 greedy: 17",
     "7 mccs/50: edges 2 vertices 3 map 916af4fea1e5565b exact 0 nodes 50",
     "7 mccs/5000: edges 2 vertices 3 map 916af4fea1e5565b exact 1 nodes 105",
@@ -238,8 +238,8 @@ const char* const kPinnedRows[] = {
     "7 mcs+el/50: edges 2 vertices 5 map 8799a941f4173f60 exact 0 nodes 50",
     "7 mcs+el/5000: edges 3 vertices 5 map 500a5e7e4a5532c0 exact 0 nodes 5000",
     "7 ged/3: distance 23 exact 0 nodes 3",
-    "7 ged/2000: distance 23 exact 0 nodes 2000",
-    "7 ged/500000: distance 21 exact 1 nodes 106564",
+    "7 ged/2000: distance 22 exact 0 nodes 2000",
+    "7 ged/500000: distance 21 exact 1 nodes 10028",
     "7 greedy: 23",
     "8 mccs/50: edges 6 vertices 7 map 9ae1f5a0dfedb17c exact 0 nodes 50",
     "8 mccs/5000: edges 6 vertices 7 map 9ae1f5a0dfedb17c exact 1 nodes 1495",
@@ -250,8 +250,8 @@ const char* const kPinnedRows[] = {
     "8 mcs+el/50: edges 2 vertices 8 map 1ddf635818521d01 exact 0 nodes 50",
     "8 mcs+el/5000: edges 5 vertices 8 map 8881dffc2e14a3c1 exact 1 nodes 1507",
     "8 ged/3: distance 18 exact 0 nodes 3",
-    "8 ged/2000: distance 16 exact 0 nodes 2000",
-    "8 ged/500000: distance 13 exact 0 nodes 500000",
+    "8 ged/2000: distance 15 exact 0 nodes 2000",
+    "8 ged/500000: distance 11 exact 1 nodes 7756",
     "8 greedy: 18",
     "9 mccs/50: edges 3 vertices 4 map bb087eb2ae6db893 exact 0 nodes 50",
     "9 mccs/5000: edges 3 vertices 4 map bb087eb2ae6db893 exact 1 nodes 340",
@@ -263,7 +263,7 @@ const char* const kPinnedRows[] = {
     "9 mcs+el/5000: edges 3 vertices 6 map 10852e144bf8aaf6 exact 0 nodes 5000",
     "9 ged/3: distance 19 exact 0 nodes 3",
     "9 ged/2000: distance 18 exact 0 nodes 2000",
-    "9 ged/500000: distance 14 exact 1 nodes 181205",
+    "9 ged/500000: distance 14 exact 1 nodes 25746",
     "9 greedy: 19",
     "10 mccs/50: edges 6 vertices 7 map 6725a30b2176be90 exact 0 nodes 50",
     "10 mccs/5000: edges 6 vertices 7 map 6725a30b2176be90 exact 0 nodes 5000",
@@ -287,7 +287,7 @@ const char* const kPinnedRows[] = {
     "11 mcs+el/5000: edges 2 vertices 10 map 158237427554cce8 exact 0 nodes 5000",
     "11 ged/3: distance 47 exact 0 nodes 3",
     "11 ged/2000: distance 47 exact 0 nodes 2000",
-    "11 ged/500000: distance 47 exact 0 nodes 500000",
+    "11 ged/500000: distance 45 exact 0 nodes 500000",
     "11 greedy: 47",
 };
 

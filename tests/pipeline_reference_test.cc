@@ -163,13 +163,13 @@ const std::map<std::pair<std::string, std::string>,
         {{"mol120", "coarse"}, {14951244314900370753u, 2267434525708865470u}},
         {{"mol60", "greedy"}, {6760471297478480004u, 6264786427488051786u}},
         {{"mol60", "approx"}, {12753779212367839811u, 6264786427488051786u}},
-        {{"mol60", "ged"}, {16558461670878922305u, 6264786427488051786u}},
+        {{"mol60", "ged"}, {7495152902947422625u, 6264786427488051786u}},
         {{"mol90", "greedy"}, {1004383197971255522u, 9854151243371046308u}},
         {{"mol90", "approx"}, {15230677068941728932u, 9854151243371046308u}},
-        {{"mol90", "ged"}, {16815521240109435106u, 9854151243371046308u}},
+        {{"mol90", "ged"}, {8018890072558125218u, 9854151243371046308u}},
         {{"mol120", "greedy"}, {4060642868476227456u, 6734182730810212095u}},
         {{"mol120", "approx"}, {689296838885819008u, 6734182730810212095u}},
-        {{"mol120", "ged"}, {3680872793568941217u, 6734182730810212095u}},
+        {{"mol120", "ged"}, {13072458746576453376u, 6734182730810212095u}},
     };
 
 TEST(PipelineReferenceTest, PanelsAndPartitionsMatchPinnedDigests) {
