@@ -4,7 +4,11 @@
 // (mccsFC), (c) MCS fine-only (mcsFC), (d) hybrid with MCCS (mccsH) and
 // (e) hybrid with MCS (mcsH) in terms of clustering time and CSG
 // compactness xi_t for t in {0.4, 0.5, 0.6}, on an AIDS10K-like and an
-// AIDS40K-like dataset (scaled; see bench_common.h).
+// AIDS40K-like dataset (scaled; see bench_common.h). Next to the time, each
+// row prints the MCS work behind it: `mcs.nodes`, the search-tree nodes
+// counted against the budgets, and `mcs.nodes_walked`, the ones the
+// searches entered (the connected search counts a mapping set it already
+// explored without walking it again; src/iso/mcs.h).
 //
 // Paper shape: CC fastest but least compact; mccsFC most expensive; the
 // hybrid mccsH reaches the best compactness at reasonable time.
@@ -12,6 +16,7 @@
 #include "bench/bench_common.h"
 #include "src/csg/csg.h"
 #include "src/obs/clock.h"
+#include "src/obs/metrics.h"
 
 namespace catapult {
 namespace {
@@ -27,8 +32,9 @@ struct Config {
 
 void RunDataset(const char* dataset_name, const GraphDatabase& db) {
   std::printf("\n--- %s (%zu graphs) ---\n", dataset_name, db.size());
-  std::printf("%-8s %12s %10s %10s %10s %10s\n", "config", "time(s)",
-              "clusters", "xi0.4", "xi0.5", "xi0.6");
+  std::printf("%-8s %12s %12s %12s %10s %10s %10s %10s\n", "config",
+              "time(s)", "mcs.nodes", "walked", "clusters", "xi0.4", "xi0.5",
+              "xi0.6");
 
   const Config configs[] = {
       {"CC", ClusteringMode::kCoarseOnly, true},
@@ -44,9 +50,15 @@ void RunDataset(const char* dataset_name, const GraphDatabase& db) {
     options.fine_mcs.connected = config.connected_mcs;
     options.fine_mcs.node_budget = 6000;
     Rng rng(42);
+    obs::MetricsRegistry registry;
     WallTimer timer;
-    ClusteringResult result = SmallGraphClustering(db, options, rng);
+    ClusteringResult result;
+    {
+      obs::ScopedMetricsScope scope(&registry);
+      result = SmallGraphClustering(db, options, rng);
+    }
     double seconds = timer.ElapsedSeconds();
+    const obs::MetricsSnapshot metrics = registry.Snapshot();
 
     std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, result.clusters);
     double xi[3] = {0, 0, 0};
@@ -60,8 +72,14 @@ void RunDataset(const char* dataset_name, const GraphDatabase& db) {
     for (int t = 0; t < 3; ++t) {
       xi[t] = nonempty > 0 ? xi[t] / static_cast<double>(nonempty) : 0.0;
     }
-    std::printf("%-8s %12.2f %10zu %10.3f %10.3f %10.3f\n", config.name,
-                seconds, result.clusters.size(), xi[0], xi[1], xi[2]);
+    std::printf(
+        "%-8s %12.2f %12llu %12llu %10zu %10.3f %10.3f %10.3f\n", config.name,
+        seconds,
+        static_cast<unsigned long long>(
+            metrics.counter(obs::Counter::kMcsNodes)),
+        static_cast<unsigned long long>(
+            metrics.counter(obs::Counter::kMcsNodesWalked)),
+        result.clusters.size(), xi[0], xi[1], xi[2]);
   }
 }
 

@@ -75,29 +75,17 @@ struct GedSearch {
       : a(a_in),
         b(b_in),
         options(opt),
-        order(a_in.NumVertices()),
+        order(DegreeOrder(a_in)),
         position(a_in.NumVertices()),
         assignment(a_in.NumVertices(), kEpsilon),
         owner(b_in.NumVertices(), kEpsilon),
         b_mark(b_in.NumVertices()),
         a_class(a_in.NumVertices()),
         b_class(b_in.NumVertices()),
-        open_a(a_in.NumVertices() + 1, 0),
         closed_b(a_in.NumVertices(), 0),
         open_b(b_in.NumEdges()) {
-    for (VertexId v = 0; v < a.NumVertices(); ++v) order[v] = v;
-    std::stable_sort(order.begin(), order.end(), [&](VertexId l, VertexId r) {
-      return a.Degree(l) > a.Degree(r);
-    });
     for (size_t d = 0; d < order.size(); ++d) position[order[d]] = d;
-    // An a-edge stays open down to the depth that decides its later
-    // endpoint: count each at that depth, then sum from the leaves up.
-    for (VertexId v = 0; v < a.NumVertices(); ++v) {
-      for (const Graph::Neighbor& n : a.Neighbors(v)) {
-        if (v < n.to) ++open_a[std::max(position[v], position[n.to])];
-      }
-    }
-    for (size_t d = order.size(); d-- > 0;) open_a[d] += open_a[d + 1];
+    open_a = OpenEdgesByDepth(a, position);
     std::vector<Label> labels;
     for (VertexId v = 0; v < a.NumVertices(); ++v) {
       labels.push_back(a.VertexLabel(v));

@@ -20,6 +20,84 @@ struct Candidate {
   size_t gain;
 };
 
+// A mapping pair's share of its set's hash. A set hashes to the wrapping sum
+// of its pairs' shares, so the hash does not depend on insertion order.
+uint64_t PairHash(VertexId u, VertexId v) {
+  uint64_t x = (static_cast<uint64_t>(u) << 32) | v;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// The connected search's mapping sets whose subtrees were walked to the end,
+// each with the nodes that subtree counted (itself included); see
+// ConnectedExtend. The set's hash only picks an open-addressing slot: a hit
+// also needs the same size and every stored pair (u, v) in the current
+// mapping, so a hash collision is never trusted. It stops taking entries at
+// a fixed cap on entries and on stored pairs; the entry cap is above every
+// shipped node budget, and each walked node stores at most one entry.
+class SubtreeMemo {
+ public:
+  // The stored count of the current mapping set, or 0 if none is stored.
+  uint64_t Find(uint64_t hash,
+                const std::vector<std::pair<VertexId, VertexId>>& mapping,
+                const std::vector<VertexId>& a_image) const {
+    if (slots_.empty()) return 0;
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = hash & mask; slots_[s] != 0; s = (s + 1) & mask) {
+      const Entry& e = entries_[slots_[s] - 1];
+      if (e.hash == hash && e.size == mapping.size() &&
+          std::all_of(pairs_.begin() + e.first,
+                      pairs_.begin() + e.first + e.size,
+                      [&a_image](const std::pair<VertexId, VertexId>& p) {
+                        return a_image[p.first] == p.second;
+                      })) {
+        return e.nodes;
+      }
+    }
+    return 0;
+  }
+
+  void Insert(uint64_t hash,
+              const std::vector<std::pair<VertexId, VertexId>>& mapping,
+              uint64_t nodes) {
+    if (entries_.size() == kMaxEntries ||
+        pairs_.size() + mapping.size() > kMaxPairs) {
+      return;
+    }
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+      slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+      for (uint32_t i = 0; i < entries_.size(); ++i) Place(i);
+    }
+    entries_.push_back({hash, static_cast<uint32_t>(pairs_.size()),
+                        static_cast<uint32_t>(mapping.size()), nodes});
+    pairs_.insert(pairs_.end(), mapping.begin(), mapping.end());
+    Place(static_cast<uint32_t>(entries_.size() - 1));
+  }
+
+ private:
+  static constexpr size_t kMaxEntries = size_t{1} << 13;
+  static constexpr size_t kMaxPairs = size_t{1} << 18;
+
+  struct Entry {
+    uint64_t hash;
+    uint32_t first;  // the set's pairs are pairs_[first, first + size)
+    uint32_t size;
+    uint64_t nodes;
+  };
+
+  void Place(uint32_t i) {
+    const size_t mask = slots_.size() - 1;
+    size_t s = entries_[i].hash & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = i + 1;
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> slots_;  // entry index + 1, or 0 when empty
+  std::vector<std::pair<VertexId, VertexId>> pairs_;
+};
+
 // Shared search state for both the connected and the unconnected variant.
 struct SearchState {
   const Graph& a;
@@ -28,8 +106,10 @@ struct SearchState {
   std::vector<VertexId> a_image;  // a-vertex -> b-vertex or kUnmapped
   std::vector<bool> b_used;
   std::vector<std::pair<VertexId, VertexId>> mapping;
+  uint64_t mapping_hash = 0;  // sum of PairHash over the mapping
   size_t current_edges = 0;
-  uint64_t nodes = 0;
+  uint64_t nodes = 0;    // counted against the budget, walked or reused
+  uint64_t skipped = 0;  // counted through the memo without a walk
   bool exact = true;
   McsResult best;
   NeighborMark a_mark;
@@ -38,6 +118,7 @@ struct SearchState {
   // mapping has d pairs, reused for the whole call; frames[0] stays empty.
   std::vector<std::vector<Candidate>> frames;
   std::vector<bool> seen;  // (slot in N_a(u*), slot in N_b(v*)) scratch
+  SubtreeMemo memo;        // connected search only
 
   SearchState(const Graph& a_in, const Graph& b_in, const McsOptions& opt)
       : a(a_in),
@@ -91,15 +172,35 @@ struct SearchState {
     a_image[u] = v;
     b_used[v] = true;
     mapping.emplace_back(u, v);
+    mapping_hash += PairHash(u, v);
     current_edges += gain;
   }
 
   void Pop(size_t gain) {
     auto [u, v] = mapping.back();
     mapping.pop_back();
+    mapping_hash -= PairHash(u, v);
     a_image[u] = kUnmapped;
     b_used[v] = false;
     current_edges -= gain;
+  }
+
+  // At a node, already counted, whose mapping set the memo holds: counts the
+  // rest of its subtree as the walk would, or stops where the walk's budget
+  // check would have. Returns false when the set was never stored.
+  bool ReuseSubtree() {
+    const uint64_t stored = memo.Find(mapping_hash, mapping, a_image);
+    if (stored == 0) return false;
+    const uint64_t below = stored - 1;
+    if (options.node_budget != 0 && nodes + below > options.node_budget) {
+      skipped += options.node_budget - nodes;
+      nodes = options.node_budget;
+      exact = false;
+    } else {
+      skipped += below;
+      nodes += below;
+    }
+    return true;
   }
 
   // The candidates after (us, vs) joined the mapping, from the candidates
@@ -147,16 +248,25 @@ struct SearchState {
 
 // Grows a connected common subgraph from the current mapping, whose last
 // pair was just added. Records the best mapping at every node (anytime).
+//
+// A node's subtree depends only on its mapping set M, not on the order M was
+// built in: its candidates are every unmapped label-equal pair with a common
+// edge to M, each gaining its common-edge count to M, sorted by (gain desc,
+// u, v), and current_edges is M's common-edge count. Once M's subtree was
+// walked to the end with best below min(|Ea|, |Eb|), best dominates every
+// node in it (RecordBest needs a strict improvement), so walking it again
+// would only count nodes: the memo counts them instead.
 void ConnectedExtend(SearchState& state) {
   if (state.BudgetExhausted()) return;
   state.RecordBest();
   // Every common edge uses a distinct edge of each graph, so nothing beats
   // min(|Ea|, |Eb|) edges; there is no other bound.
-  if (state.best.common_edges >=
-      std::min(state.a.NumEdges(), state.b.NumEdges())) {
-    return;
-  }
+  const size_t most_edges = std::min(state.a.NumEdges(), state.b.NumEdges());
+  if (state.best.common_edges >= most_edges) return;
+  // A depth-1 set is a seed, and each seed is tried once.
   const size_t depth = state.mapping.size();
+  if (depth >= 2 && state.ReuseSubtree()) return;
+  const uint64_t entered = state.nodes;
   const auto [us, vs] = state.mapping.back();
   std::vector<Candidate>& candidates = state.frames[depth];
   state.NextCandidates(state.frames[depth - 1], us, vs, candidates);
@@ -166,30 +276,15 @@ void ConnectedExtend(SearchState& state) {
     state.Pop(c.gain);
     if (!state.exact) return;
   }
-}
-
-// Per-index upper bounds for the unconnected search: remaining[i] is the
-// number of a-edges touching any vertex still undecided at depth i, i.e.
-// order[i..]. The undecided set depends only on the (fixed) order and the
-// index, never on the mapping, so hoisting the computation out of the search
-// leaves the pruning — and thus the whole search tree — unchanged.
-std::vector<size_t> RemainingEdgeBounds(const Graph& a,
-                                        const std::vector<VertexId>& order) {
-  std::vector<size_t> remaining(order.size() + 1, 0);
-  std::vector<bool> undecided(a.NumVertices(), false);
-  std::vector<Edge> edges = a.EdgeList();
-  for (size_t index = order.size(); index-- > 0;) {
-    undecided[order[index]] = true;
-    size_t count = 0;
-    for (const Edge& e : edges) {
-      if (undecided[e.u] || undecided[e.v]) ++count;
-    }
-    remaining[index] = count;
+  if (depth >= 2 && state.best.common_edges < most_edges) {
+    state.memo.Insert(state.mapping_hash, state.mapping,
+                      state.nodes - entered + 1);
   }
-  return remaining;
 }
 
 // Unconnected MCS: decide a-vertices in a fixed order (map or skip).
+// remaining[index] bounds the common edges still to gain: the a-edges with
+// an endpoint in order[index..].
 void UnconnectedExtend(SearchState& state,
                        const std::vector<VertexId>& order,
                        const std::vector<size_t>& remaining, size_t index) {
@@ -258,15 +353,14 @@ McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
       }
     }
   } else {
-    std::vector<VertexId> order(a.NumVertices());
-    for (VertexId v = 0; v < a.NumVertices(); ++v) order[v] = v;
-    std::stable_sort(order.begin(), order.end(), [&](VertexId l, VertexId r) {
-      return a.Degree(l) > a.Degree(r);
-    });
-    UnconnectedExtend(state, order, RemainingEdgeBounds(a, order), 0);
+    const std::vector<VertexId> order = DegreeOrder(a);
+    std::vector<size_t> position(order.size());
+    for (size_t d = 0; d < order.size(); ++d) position[order[d]] = d;
+    UnconnectedExtend(state, order, OpenEdgesByDepth(a, position), 0);
   }
   obs::Count(obs::Counter::kMcsCalls);
   obs::Count(obs::Counter::kMcsNodes, state.nodes);
+  obs::Count(obs::Counter::kMcsNodesWalked, state.nodes - state.skipped);
   if (!state.exact) obs::Count(obs::Counter::kMcsBudgetExhausted);
   state.best.exact = state.exact;
   return state.best;

@@ -20,13 +20,14 @@ struct McsOptions {
 
   // Backtracking-node budget (0 = unlimited). MCS/MCCS are NP-complete; when
   // the budget is hit, the best mapping found so far is returned with
-  // `exact == false` (anytime behaviour). The default is the budget every
-  // shipped configuration runs with (CLI, worker, service, examples), and it
-  // truncates most fine-clustering pairs: on the 400-graph Baseline corpus
-  // it cuts 2,037 of 2,506 calls, and perfbench's mine_select replay
-  // measures an exact ratio of 0.165 at about 0.3 ms per call (Release
-  // build, GCC 12, 4-core x86-64). Raise it when exact optima matter more
-  // than throughput.
+  // `exact == false` (anytime behaviour). The budget counts search-tree
+  // nodes whether they are walked or, in the connected search, counted from
+  // an already explored mapping set (see MaxCommonSubgraph). The default is
+  // the budget every shipped configuration runs with (CLI, worker, service,
+  // examples), and it truncates most fine-clustering pairs: on the 400-graph
+  // Baseline corpus it cuts 2,037 of 2,506 calls, and perfbench's
+  // mine_select replay measures an exact ratio of 0.165. Raise it when exact
+  // optima matter more than throughput.
   uint64_t node_budget = 5000;
 };
 
@@ -55,8 +56,19 @@ struct McsResult {
 // decides a's vertices by descending degree, mapping each to every free
 // label-equal b-vertex in ascending order and then skipping it. A node
 // costs O(frontier): adjacency is read through neighbour marks, never by
-// scanning edge lists. Node counts, truncation points and mappings are
-// pinned by tests/kernel_pin_test.cc.
+// scanning edge lists.
+//
+// The connected search reaches one mapping set once per insertion order,
+// and a node's subtree depends only on its set: the candidates are every
+// unmapped label-equal pair with a common edge to the set, ranked by their
+// common-edge counts to it. Once a set's subtree was walked to the end, the
+// best mapping already dominates every node in it, so a revisit could only
+// add nodes. A per-call memo therefore counts a revisited set's subtree
+// instead of walking it (or stops where the walk would have met the
+// budget): results, mappings, exactness, truncation points and node counts
+// are those of the full walk, pinned by tests/kernel_pin_test.cc, while the
+// metric mcs.nodes_walked counts only the nodes entered (on the 400-graph
+// Baseline corpus, 1.58M of 10.9M).
 McsResult MaxCommonSubgraph(const Graph& a, const Graph& b,
                             McsOptions options = {});
 

@@ -3,9 +3,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "src/graph/graph.h"
+
+// What the search kernels (src/iso/mcs.cc, src/iso/ged.cc) share: O(1)
+// adjacency tests, and the fixed order in which both decide a's vertices
+// with the count of a-edges each depth of that order leaves open.
 
 namespace catapult {
 
@@ -39,6 +44,33 @@ class NeighborMark {
   std::vector<uint32_t> slot_;
   uint32_t epoch_ = 0;
 };
+
+// g's vertices by descending degree, ties in ascending id order.
+inline std::vector<VertexId> DegreeOrder(const Graph& g) {
+  std::vector<VertexId> order(g.NumVertices());
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::stable_sort(order.begin(), order.end(), [&g](VertexId l, VertexId r) {
+    return g.Degree(l) > g.Degree(r);
+  });
+  return order;
+}
+
+// open[d] for d in [0, |V|]: the edges of g with an endpoint still undecided
+// once the vertices at depths below d are decided, where position[v] is the
+// depth that decides v. An edge stays open down to the depth of its later
+// endpoint, so each is counted there and the counts are summed from the
+// leaves up: O(|V| + |E|).
+inline std::vector<size_t> OpenEdgesByDepth(
+    const Graph& g, const std::vector<size_t>& position) {
+  std::vector<size_t> open(g.NumVertices() + 1, 0);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (const Graph::Neighbor& n : g.Neighbors(v)) {
+      if (v < n.to) ++open[std::max(position[v], position[n.to])];
+    }
+  }
+  for (size_t d = g.NumVertices(); d-- > 0;) open[d] += open[d + 1];
+  return open;
+}
 
 }  // namespace catapult
 

@@ -83,6 +83,7 @@ constexpr const char* kCounterNames[] = {
     "mcs.calls",
     "mcs.nodes",
     "mcs.budget_exhausted",
+    "mcs.nodes_walked",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) == kNumCounters,
               "counter name table out of sync with the Counter enum");

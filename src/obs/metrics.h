@@ -108,8 +108,10 @@ enum class Counter : uint32_t {
   kGedNodes,               // search-tree nodes expanded across them
   kGedBudgetExhausted,     // exact GED searches cut short by a node budget
   kMcsCalls,               // MCS searches run (both inputs non-empty)
-  kMcsNodes,               // search-tree nodes expanded across them
+  kMcsNodes,               // search-tree nodes counted against their
+                           // budgets, walked or reused (src/iso/mcs.h)
   kMcsBudgetExhausted,     // MCS searches cut short by a node budget
+  kMcsNodesWalked,         // of kMcsNodes, the nodes the searches entered
   kCount
 };
 

@@ -9,6 +9,7 @@
 #include "src/iso/ged.h"
 #include "src/iso/mcs.h"
 #include "src/iso/vf2.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 #include "src/graph/algorithms.h"
 #include "tests/reference_ged.h"
@@ -619,6 +620,83 @@ TEST(McsTest, ResultsMatchFullEnumeration) {
     }
   }
   EXPECT_GT(truncated, 0u) << "the 20-node budget never cut a search";
+}
+
+// Symmetric pairs, one vertex label, where the connected search reaches
+// each mapping set from many insertion orders. A set reached again is
+// counted from the memo instead of walked (src/iso/mcs.cc), so fewer nodes
+// are walked than counted, and every count matches a plain walk's: the
+// unlimited counts below were recorded before the memo existed. A budget
+// cuts the search where a walk would: after min(budget, N) nodes, N being
+// the unlimited count, and exact only when N fits. In the first six pairs
+// the optimum stays below min(|Ea|, |Eb|), so no search stops early; in the
+// last (a triangle with three tails against a tree) the optimum equals it
+// and is found with reused sets still waiting on the search's stack.
+TEST(McsTest, RevisitedMappingSetsAreCountedNotWalked) {
+  const Graph ring = Ring(6);
+  const Graph tree =
+      FromEdges(7, {{0, 1}, {1, 2}, {2, 3}, {1, 4}, {4, 5}, {2, 6}});
+  const Graph ladder = FromEdges(
+      6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 3}, {1, 4}, {2, 5}});
+  const Graph k4 =
+      FromEdges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
+  const Graph triangle =
+      FromEdges(6, {{0, 1}, {0, 3}, {1, 2}, {1, 4}, {1, 3}, {3, 5}});
+  const Graph fork = FromEdges(6, {{0, 1}, {1, 2}, {1, 4}, {2, 3}, {2, 5}});
+  struct Case {
+    const Graph* a;
+    const Graph* b;
+    uint64_t nodes;  // unlimited, recorded by a plain walk
+  };
+  const Case cases[] = {{&ring, &tree, 1482},  {&tree, &ring, 1482},
+                        {&ladder, &tree, 7906}, {&k4, &ring, 1896},
+                        {&ring, &k4, 1896},     {&ladder, &k4, 3648},
+                        {&triangle, &fork, 164}};
+  size_t truncated = 0;
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Graph& a = *cases[i].a;
+    const Graph& b = *cases[i].b;
+    const uint64_t n = cases[i].nodes;
+    const size_t optimum = reference::ReferenceMcsEdges(a, b, true, false);
+    for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{5},
+                            uint64_t{13}, uint64_t{34}, uint64_t{89}, n - 1, n,
+                            n + 1}) {
+      McsOptions options;
+      options.node_budget = budget;
+      obs::MetricsRegistry registry;
+      McsResult r;
+      {
+        obs::ScopedMetricsScope scope(&registry);
+        r = MaxCommonSubgraph(a, b, options);
+      }
+      const obs::MetricsSnapshot snapshot = registry.Snapshot();
+      const uint64_t nodes = snapshot.counter(obs::Counter::kMcsNodes);
+      const uint64_t walked = snapshot.counter(obs::Counter::kMcsNodesWalked);
+      const std::string where =
+          "pair " + std::to_string(i) + " budget " + std::to_string(budget);
+      const std::vector<VertexId> map =
+          reference::MapFromPairs(a, b, r.mapping);
+      ASSERT_EQ(map.size(), a.NumVertices()) << where;
+      EXPECT_EQ(r.common_edges, reference::CommonEdgeCount(a, b, map, false))
+          << where;
+      EXPECT_TRUE(reference::CommonSubgraphConnected(a, b, map, false))
+          << where;
+      EXPECT_EQ(nodes, budget == 0 ? n : std::min(budget, n)) << where;
+      EXPECT_EQ(r.exact, budget == 0 || n <= budget) << where;
+      if (budget == 0) {
+        EXPECT_LT(walked, nodes) << where << ": no mapping set was reused";
+      } else {
+        EXPECT_LE(walked, nodes) << where;
+      }
+      if (r.exact) {
+        EXPECT_EQ(r.common_edges, optimum) << where;
+      } else {
+        ++truncated;
+        EXPECT_LE(r.common_edges, optimum) << where;
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u) << "no budget cut a search";
 }
 
 TEST(GedTest, TriangleInequalitySpotCheck) {

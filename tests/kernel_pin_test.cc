@@ -4,7 +4,10 @@
 // mapping as a digest, and the call's node count. The kernels are anytime
 // searches whose truncated answers depend on the order they visit nodes in,
 // so a change to that order changes the panels even when every exact answer
-// stays right; this table catches it. A change that alters a search tree on
+// stays right; this table catches it. A second table runs connected MCS at
+// every budget from 1 to 64 and at each shipped budget, and folds the calls
+// of each pair and edge-label mode into one digest row, so it also pins
+// where every budget cuts the search. A change that alters a search tree on
 // purpose re-pins the rows it printed and says why.
 
 #include <gtest/gtest.h>
@@ -64,20 +67,37 @@ std::vector<std::pair<Graph, Graph>> PinnedPairs() {
   return pairs;
 }
 
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+// One FNV-1a step over the low `bytes` bytes of `x`.
+void FnvMix(uint64_t& h, uint64_t x, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (x >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+}
+
 // FNV-1a over the mapping's pairs, in order.
 uint64_t MappingDigest(const std::vector<std::pair<VertexId, VertexId>>& m) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t x) {
-    for (int i = 0; i < 4; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  uint64_t h = kFnvOffset;
   for (const auto& [u, v] : m) {
-    mix(u);
-    mix(v);
+    FnvMix(h, u, 4);
+    FnvMix(h, v, 4);
   }
   return h;
+}
+
+// One MCS call and the nodes it counted against its budget.
+McsResult RunMcs(const Graph& a, const Graph& b, const McsOptions& options,
+                 uint64_t& nodes) {
+  obs::MetricsRegistry registry;
+  McsResult r;
+  {
+    obs::ScopedMetricsScope scope(&registry);
+    r = MaxCommonSubgraph(a, b, options);
+  }
+  nodes = registry.Snapshot().counter(obs::Counter::kMcsNodes);
+  return r;
 }
 
 std::string Row(const char* format, ...) __attribute__((format(printf, 1, 2)));
@@ -103,12 +123,8 @@ std::vector<std::string> KernelRows() {
           options.connected = connected;
           options.match_edge_labels = match_edge_labels;
           options.node_budget = budget;
-          obs::MetricsRegistry registry;
-          McsResult r;
-          {
-            obs::ScopedMetricsScope scope(&registry);
-            r = MaxCommonSubgraph(a, b, options);
-          }
+          uint64_t nodes = 0;
+          const McsResult r = RunMcs(a, b, options, nodes);
           rows.push_back(Row(
               "%zu %s%s/%llu: edges %zu vertices %zu map %016llx exact %d "
               "nodes %llu",
@@ -116,9 +132,7 @@ std::vector<std::string> KernelRows() {
               static_cast<unsigned long long>(budget), r.common_edges,
               r.common_vertices,
               static_cast<unsigned long long>(MappingDigest(r.mapping)),
-              r.exact ? 1 : 0,
-              static_cast<unsigned long long>(
-                  registry.Snapshot().counter(obs::Counter::kMcsNodes))));
+              r.exact ? 1 : 0, static_cast<unsigned long long>(nodes)));
         }
       }
     }
@@ -291,18 +305,97 @@ const char* const kPinnedRows[] = {
     "11 greedy: 47",
 };
 
-TEST(KernelPinTest, ResultsAndNodeCountsMatchPinnedTable) {
-  const std::vector<std::string> rows = KernelRows();
-  EXPECT_EQ(rows.size(), std::size(kPinnedRows))
-      << "the table has one row per kernel call";
+// Connected MCS at every budget from 1 to 64, then at 100, 250, 1,000,
+// 2,500, 5,000 and unlimited, on every pinned pair with and without edge
+// labels: one row per (pair, mode). Each call's edges, vertices, mapping
+// digest, exactness and node count are folded into the row's digest, so the
+// row pins where the search stands after each of its first 64 nodes and
+// where every shipped budget cuts it; the unlimited call is also spelled out.
+std::vector<std::string> BudgetSweepRows() {
+  std::vector<uint64_t> budgets;
+  for (uint64_t budget = 1; budget <= 64; ++budget) budgets.push_back(budget);
+  for (uint64_t budget : {100, 250, 1000, 2500, 5000, 0}) {
+    budgets.push_back(budget);
+  }
+  std::vector<std::string> rows;
+  const std::vector<std::pair<Graph, Graph>> pairs = PinnedPairs();
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const auto& [a, b] = pairs[p];
+    for (bool match_edge_labels : {false, true}) {
+      uint64_t digest = kFnvOffset;
+      McsResult r;
+      uint64_t nodes = 0;
+      for (uint64_t budget : budgets) {
+        McsOptions options;
+        options.match_edge_labels = match_edge_labels;
+        options.node_budget = budget;
+        r = RunMcs(a, b, options, nodes);
+        FnvMix(digest, r.common_edges, 8);
+        FnvMix(digest, r.common_vertices, 8);
+        FnvMix(digest, MappingDigest(r.mapping), 8);
+        FnvMix(digest, r.exact ? 1 : 0, 1);
+        FnvMix(digest, nodes, 8);
+      }
+      rows.push_back(Row(
+          "%zu mccs%s sweep %016llx, unlimited: edges %zu exact %d nodes %llu",
+          p, match_edge_labels ? "+el" : "",
+          static_cast<unsigned long long>(digest), r.common_edges,
+          r.exact ? 1 : 0, static_cast<unsigned long long>(nodes)));
+    }
+  }
+  return rows;
+}
+
+// One row per (pair, edge-label mode), in BudgetSweepRows() order.
+const char* const kPinnedSweepRows[] = {
+    "0 mccs sweep 89b3f1eecb36c0af, unlimited: edges 3 exact 1 nodes 9",
+    "0 mccs+el sweep 89b3f1eecb36c0af, unlimited: edges 3 exact 1 nodes 9",
+    "1 mccs sweep 626072fff64aa0fa, unlimited: edges 3 exact 1 nodes 293",
+    "1 mccs+el sweep 626072fff64aa0fa, unlimited: edges 3 exact 1 nodes 293",
+    "2 mccs sweep 14907807a5af2cd5, unlimited: edges 3 exact 1 nodes 211",
+    "2 mccs+el sweep 2b8048aadb76987a, unlimited: edges 2 exact 1 nodes 63",
+    "3 mccs sweep f75ce0cc628f21de, unlimited: edges 3 exact 1 nodes 78",
+    "3 mccs+el sweep f75ce0cc628f21de, unlimited: edges 3 exact 1 nodes 78",
+    "4 mccs sweep b655b5e6adfad5c9, unlimited: edges 6 exact 1 nodes 6800",
+    "4 mccs+el sweep b655b5e6adfad5c9, unlimited: edges 6 exact 1 nodes 6800",
+    "5 mccs sweep f37bcafebfbc6460, unlimited: edges 1 exact 1 nodes 59",
+    "5 mccs+el sweep fc9fd3a267252e30, unlimited: edges 1 exact 1 nodes 43",
+    "6 mccs sweep c98941cf4dcc9040, unlimited: edges 6 exact 1 nodes 4093",
+    "6 mccs+el sweep c98941cf4dcc9040, unlimited: edges 6 exact 1 nodes 4093",
+    "7 mccs sweep d16b56ef77606278, unlimited: edges 2 exact 1 nodes 105",
+    "7 mccs+el sweep d16b56ef77606278, unlimited: edges 2 exact 1 nodes 105",
+    "8 mccs sweep 52548cf7d81db054, unlimited: edges 6 exact 1 nodes 1495",
+    "8 mccs+el sweep ddd203a4057c92c4, unlimited: edges 4 exact 1 nodes 171",
+    "9 mccs sweep 88d1e2f00a0daefa, unlimited: edges 3 exact 1 nodes 340",
+    "9 mccs+el sweep 88d1e2f00a0daefa, unlimited: edges 3 exact 1 nodes 340",
+    "10 mccs sweep fdf66325d9464699, unlimited: edges 6 exact 1 nodes 18624",
+    "10 mccs+el sweep fdf66325d9464699, unlimited: edges 6 exact 1 nodes 18624",
+    "11 mccs sweep 9e0945eb548a0f34, unlimited: edges 4 exact 1 nodes 762",
+    "11 mccs+el sweep 53a53f7b8130ceb8, unlimited: edges 3 exact 1 nodes 266",
+};
+
+// Checks `rows` against `pinned` and prints the actual rows on a mismatch.
+void ExpectRows(const std::vector<std::string>& rows,
+                const char* const* pinned, size_t pinned_size) {
+  EXPECT_EQ(rows.size(), pinned_size) << "the table has one row per entry";
   std::string actual;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (i < std::size(kPinnedRows)) {
-      EXPECT_EQ(rows[i], kPinnedRows[i]) << "row " << i;
+    if (i < pinned_size) {
+      EXPECT_EQ(rows[i], pinned[i]) << "row " << i;
     }
     actual += "    \"" + rows[i] + "\",\n";
   }
-  if (HasFailure()) std::printf("actual rows:\n%s", actual.c_str());
+  if (::testing::Test::HasFailure()) {
+    std::printf("actual rows:\n%s", actual.c_str());
+  }
+}
+
+TEST(KernelPinTest, ResultsAndNodeCountsMatchPinnedTable) {
+  ExpectRows(KernelRows(), kPinnedRows, std::size(kPinnedRows));
+}
+
+TEST(KernelPinTest, McsBudgetSweepMatchesPinnedTable) {
+  ExpectRows(BudgetSweepRows(), kPinnedSweepRows, std::size(kPinnedSweepRows));
 }
 
 }  // namespace
