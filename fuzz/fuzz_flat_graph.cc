@@ -7,8 +7,10 @@
 // HasEdge/EdgeLabel on every vertex pair, label-domain bitsets matching a
 // direct label count, the VF2 kernel finding every connected graph in
 // itself, and every connected graph of at most 12 vertices having the
-// canonical code of its vertex-reversed copy (the cap keeps a large
-// symmetric input from stalling a short run). Any divergence traps.
+// canonical code of its vertex-reversed copy and being contained in that
+// copy, with and without the induced and edge-label constraints (the cap
+// keeps a large symmetric input from stalling a short run). Any divergence
+// traps.
 //
 // Build: -DCATAPULT_FUZZ=ON with clang (links -fsanitize=fuzzer,address).
 // Under gcc the same file builds as a standalone regression driver that
@@ -111,6 +113,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                          static_cast<catapult::VertexId>(n - 1 - e.v), e.label);
       }
       if (catapult::CanonicalCode(g) != catapult::CanonicalCode(reversed)) {
+        __builtin_trap();
+      }
+      // The kernel skips only candidates that no embedding uses, so the
+      // graph is found in its renumbered copy, plainly and strictly.
+      catapult::FlatGraph flat_reversed = catapult::FlatGraph::Build(reversed);
+      if (!catapult::FlatContainsSubgraph(view, flat_reversed.View(),
+                                          nullptr) ||
+          !catapult::FlatContainsSubgraph(view, flat_reversed.View(), nullptr,
+                                          strict)) {
         __builtin_trap();
       }
     }

@@ -1,6 +1,6 @@
 #include "src/iso/flat_vf2.h"
 
-#include <deque>
+#include <algorithm>
 
 #include "src/obs/metrics.h"
 
@@ -31,6 +31,19 @@ VertexId PickRoot(const FlatGraphView& pattern, const LabelDomains& domains) {
   return best;
 }
 
+// An embedding is injective and keeps vertex labels, so a target with fewer
+// vertices of some label than the pattern has none.
+bool LabelCountsFit(const FlatGraphView& pattern, const LabelDomains& domains) {
+  std::vector<Label> labels(pattern.labels,
+                            pattern.labels + pattern.num_vertices);
+  std::sort(labels.begin(), labels.end());
+  for (size_t i = 0, run_end = 0; i < labels.size(); i = run_end) {
+    while (run_end < labels.size() && labels[run_end] == labels[i]) ++run_end;
+    if (domains.CountOf(labels[i]) < run_end - i) return false;
+  }
+  return true;
+}
+
 // One backtracking search. Each complete embedding is handed to `visit` in
 // search order; a visitor returning false stops the whole search.
 template <typename Visit>
@@ -47,31 +60,30 @@ struct FlatSearch {
   std::vector<bool> target_used;
   uint64_t nodes = 0;
   size_t found = 0;
+  bool truncated = false;
 
   FlatSearch(const FlatGraphView& p, const FlatGraphView& t,
              const LabelDomains& d, const IsoOptions& opt, Visit& v)
       : pattern(p), target(t), domains(d), options(opt), visit(v) {
-    // BFS matching order from the root. The pattern is connected by
-    // contract, so every non-root vertex is discovered from an earlier
-    // vertex, which becomes its anchor: its match constrains the candidate
-    // set to the anchor's target neighbourhood.
+    // BFS matching order from the root, queued in `order` itself with
+    // `position` as the seen mark. The pattern is connected by contract,
+    // so every non-root vertex is discovered from an earlier vertex, which
+    // becomes its anchor: its match constrains the candidate set to the
+    // anchor's target neighbourhood.
     order.reserve(pattern.NumVertices());
     parent.assign(pattern.NumVertices(), -1);
     position.assign(pattern.NumVertices(), -1);
-    std::deque<VertexId> frontier = {PickRoot(pattern, domains)};
-    std::vector<bool> discovered(pattern.NumVertices(), false);
-    discovered[frontier.front()] = true;
-    while (!frontier.empty()) {
-      VertexId v = frontier.front();
-      frontier.pop_front();
-      position[v] = static_cast<int>(order.size());
-      order.push_back(v);
+    VertexId root = PickRoot(pattern, domains);
+    position[root] = 0;
+    order.push_back(root);
+    for (size_t head = 0; head < order.size(); ++head) {
+      VertexId v = order[head];
       for (const FlatNeighbor* n = pattern.NeighborsBegin(v);
            n != pattern.NeighborsEnd(v); ++n) {
-        if (!discovered[n->to]) {
-          discovered[n->to] = true;
+        if (position[n->to] < 0) {
+          position[n->to] = static_cast<int>(order.size());
           parent[n->to] = static_cast<int>(v);
-          frontier.push_back(n->to);
+          order.push_back(n->to);
         }
       }
     }
@@ -81,11 +93,27 @@ struct FlatSearch {
     target_used.assign(target.NumVertices(), false);
   }
 
+  // True if tv's neighbour labels contain pv's as a multiset, as they must
+  // when pv -> tv is part of an embedding. Both adjacency runs are sorted
+  // by neighbour label (FlatGraphView::sorted), so one merge decides it.
+  bool NeighborLabelsFit(VertexId pv, VertexId tv) const {
+    const uint32_t* t = target.sorted + target.offsets[tv];
+    const uint32_t* t_end = target.sorted + target.offsets[tv + 1];
+    for (const uint32_t* p = pattern.sorted + pattern.offsets[pv];
+         p != pattern.sorted + pattern.offsets[pv + 1]; ++p, ++t) {
+      Label label = pattern.adj[*p].to_label;
+      while (t != t_end && target.adj[*t].to_label < label) ++t;
+      if (t == t_end || target.adj[*t].to_label != label) return false;
+    }
+    return true;
+  }
+
   // Extends the embedding with pv -> tv (label compatibility already
   // established by the caller). Returns false only to stop the search.
   bool TryCandidate(size_t depth, VertexId pv, size_t pv_degree, VertexId tv) {
     if (target_used[tv]) return true;
     if (target.Degree(tv) < pv_degree) return true;
+    if (!NeighborLabelsFit(pv, tv)) return true;
     for (const FlatNeighbor* n = pattern.NeighborsBegin(pv);
          n != pattern.NeighborsEnd(pv); ++n) {
       if (position[n->to] >= static_cast<int>(depth)) continue;  // unmatched
@@ -113,9 +141,7 @@ struct FlatSearch {
 
   bool Backtrack(size_t depth) {
     if (options.node_budget != 0 && nodes >= options.node_budget) {
-      if (options.budget_exhausted != nullptr) {
-        *options.budget_exhausted = true;
-      }
+      truncated = true;
       return false;
     }
     ++nodes;
@@ -165,19 +191,23 @@ size_t Search(const FlatGraphView& pattern, const FlatGraphView& target,
   if (options.budget_exhausted != nullptr) {
     *options.budget_exhausted = false;
   }
+  // Silent prechecks on sizes and label counts: no search, nothing recorded.
+  if (pattern.NumVertices() > target.NumVertices() ||
+      pattern.NumEdges() > target.NumEdges()) {
+    return 0;
+  }
   LabelDomains local;
   if (target_domains == nullptr) {
     local = LabelDomains::Build(target);
     target_domains = &local;
   }
+  if (!LabelCountsFit(pattern, *target_domains)) return 0;
   FlatSearch<Visit> search(pattern, target, *target_domains, options, visit);
-  if (pattern.NumVertices() > target.NumVertices() ||
-      pattern.NumEdges() > target.NumEdges()) {
-    return 0;  // silent size precheck: no search, nothing recorded
-  }
   search.Backtrack(0);
-  RecordSearch(search.nodes, options.node_budget != 0 &&
-                                 search.nodes >= options.node_budget);
+  if (options.budget_exhausted != nullptr) {
+    *options.budget_exhausted = search.truncated;
+  }
+  RecordSearch(search.nodes, search.truncated);
   return search.found;
 }
 

@@ -47,8 +47,11 @@ std::vector<Label> SortedLabels(const Graph& g) {
 // per-label-class counts of the undecided a-vertices and the unused
 // b-vertices, and the open edge counts of both sides. An a-edge is open
 // while an endpoint is undecided, which depends on the depth only (open_a);
-// a b-edge is open while an endpoint is unused. Decide and Undo update the
-// class counts and open_b.
+// a b-edge is open while an endpoint is unused. Place keeps the path and
+// open_b; Decide and Undo also keep the class counts. The greedy pass needs
+// only Place: its leaf cost is the unused b-vertices plus open_b. So the
+// constructor builds what both passes read, and BuildBoundTables the rest,
+// once the exact search is about to run.
 struct GedSearch {
   const Graph& a;
   const Graph& b;
@@ -80,12 +83,18 @@ struct GedSearch {
         assignment(a_in.NumVertices(), kEpsilon),
         owner(b_in.NumVertices(), kEpsilon),
         b_mark(b_in.NumVertices()),
-        a_class(a_in.NumVertices()),
-        b_class(b_in.NumVertices()),
-        closed_b(a_in.NumVertices(), 0),
+        unused_total(b_in.NumVertices()),
         open_b(b_in.NumEdges()) {
     for (size_t d = 0; d < order.size(); ++d) position[order[d]] = d;
+  }
+
+  // The tables only the exact search reads: label classes and their counts,
+  // open_a, and closed_b for Undo.
+  void BuildBoundTables() {
     open_a = OpenEdgesByDepth(a, position);
+    closed_b.assign(a.NumVertices(), 0);
+    a_class.resize(a.NumVertices());
+    b_class.resize(b.NumVertices());
     std::vector<Label> labels;
     for (VertexId v = 0; v < a.NumVertices(); ++v) {
       labels.push_back(a.VertexLabel(v));
@@ -109,27 +118,33 @@ struct GedSearch {
       b_class[v] = class_of(b.VertexLabel(v));
       ++unused[b_class[v]];
     }
-    unused_total = b.NumVertices();
     for (size_t c = 0; c < labels.size(); ++c) {
       common += std::min(undecided[c], unused[c]);
     }
   }
 
-  // Decides u (onto bv or deleted) and leaves the class counts and open_b
-  // matching: bv's edges to used b-vertices lose their last unused endpoint.
-  void Decide(VertexId u, VertexId bv) {
+  // Puts u onto bv (or deletes it) and keeps open_b matching: bv's edges to
+  // used b-vertices lose their last unused endpoint. Returns how many.
+  size_t Place(VertexId u, VertexId bv) {
     assignment[u] = bv;
-    if (undecided[a_class[u]]-- <= unused[a_class[u]]) --common;
-    if (bv == kEpsilon) return;
+    if (bv == kEpsilon) return 0;
     size_t closed = 0;
     for (const Graph::Neighbor& n : b.Neighbors(bv)) {
       if (owner[n.to] != kEpsilon) ++closed;
     }
-    closed_b[u] = closed;
     open_b -= closed;
     owner[bv] = u;
-    if (unused[b_class[bv]]-- <= undecided[b_class[bv]]) --common;
     --unused_total;
+    return closed;
+  }
+
+  // Place, keeping the class counts too (after BuildBoundTables).
+  void Decide(VertexId u, VertexId bv) {
+    if (undecided[a_class[u]]-- <= unused[a_class[u]]) --common;
+    closed_b[u] = Place(u, bv);
+    if (bv != kEpsilon && unused[b_class[bv]]-- <= undecided[b_class[bv]]) {
+      --common;
+    }
   }
 
   void Undo(VertexId u) {
@@ -197,8 +212,9 @@ struct GedSearch {
   }
 
   // Greedy upper bound: each a-vertex in order takes its cheapest step;
-  // ties go to deletion, then to the lowest-numbered unused b-vertex.
-  // Leaves the path empty again.
+  // ties go to deletion, then to the lowest-numbered unused b-vertex. At
+  // the leaf every unused b-vertex and open b-edge is inserted. Leaves the
+  // path empty again.
   double GreedyUpperBound() {
     double cost = 0.0;
     for (size_t depth = 0; depth < order.size(); ++depth) {
@@ -213,11 +229,16 @@ struct GedSearch {
           best_v = v;
         }
       }
-      Decide(u, best_v);
+      Place(u, best_v);
       cost += best_step;
     }
-    cost += RemainingLowerBound(order.size());  // exact at a leaf
-    for (VertexId u : order) Undo(u);
+    cost += static_cast<double>(unused_total + open_b);
+    for (VertexId u : order) {
+      if (assignment[u] != kEpsilon) owner[assignment[u]] = kEpsilon;
+      assignment[u] = kEpsilon;
+    }
+    unused_total = b.NumVertices();
+    open_b = b.NumEdges();
     return cost;
   }
 
@@ -281,6 +302,7 @@ GedResult GraphEditDistance(const Graph& a, const Graph& b,
   // can rediscover an equal-cost solution.
   search.best = search.GreedyUpperBound() + 1e-9;
   double greedy = search.best;
+  search.BuildBoundTables();
   search.Dfs(0, 0.0);
   obs::Count(obs::Counter::kGedCalls);
   obs::Count(obs::Counter::kGedNodes, search.nodes);

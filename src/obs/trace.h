@@ -8,8 +8,11 @@
 // worker threads attach to the phase span that spawned the region even
 // though they run on a different thread. Each span also records the delta
 // of the owning thread's metric counters between open and close, emitted as
-// trace-event args — hovering a VF2-heavy span in Perfetto shows exactly
-// how many calls/nodes it spent. Only work counts appear there: the
+// trace-event args. Only that thread is counted: at 1 thread, hovering a
+// VF2-heavy span in Perfetto shows exactly how many calls/nodes it spent,
+// but with more threads the work pool workers did inside the span is
+// missing (a scheduling-dependent share; DESIGN.md §11), and the metrics
+// JSON holds the exact run totals. Only work counts appear there: the
 // wall-clock-paced dist.heartbeats is left out.
 //
 // Spans are coarse (phases, sub-phases, per-cluster folds, checkpoint

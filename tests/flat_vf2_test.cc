@@ -6,8 +6,10 @@
 // fixes what the oracle cannot see but panels depend on: the order of
 // FindEmbeddings results (the query cover keeps the first ones) and the
 // nodes an existence test spends (budgets truncate by that count). The
-// pins were recorded from the search before the nested-vector and flat
-// kernels were merged into one.
+// order pins were recorded from the search before the nested-vector and
+// flat kernels were merged into one, those of the generated cases before
+// the search skipped candidates by labels, and none has moved since; the
+// node counts were re-pinned when the label filters came in.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "src/graph/flat_graph.h"
 #include "src/iso/flat_vf2.h"
 #include "src/iso/vf2.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 #include "tests/reference_selector.h"
 
@@ -165,6 +168,65 @@ TEST(FlatVf2Test, MatchesBruteForceOracle) {
   EXPECT_LT(isomorphic, 4 * kPairs - kPairs / 2);
 }
 
+// A node budget cuts the search after that many nodes, and the search meets
+// embeddings in one fixed order, so a budgeted FindEmbeddings returns a
+// prefix of the unbudgeted list at every budget, and a search the budget
+// did not cut answers exactly. Every budget from 1 to one past the
+// unbudgeted node count N runs; the search reports truncation iff the
+// budget is below N, and vf2.budget_exhausted counts exactly the searches
+// that reported it (a search that used up its budget and ended is not
+// cut).
+TEST(FlatVf2Test, BudgetedSearchIsAPrefix) {
+  for (uint64_t seed = 0; seed < 250; ++seed) {
+    Rng rng(seed * 7919 + 3);  // the pairs of MatchesBruteForceOracle
+    const Graph pattern = RandomGraph(rng, 5, /*connected=*/true);
+    const Graph target = RandomGraph(rng, 7, /*connected=*/false);
+    for (int flags = 0; flags < 4; ++flags) {
+      IsoOptions options;
+      options.induced = flags & 1;
+      options.match_edge_labels = flags & 2;
+      SCOPED_TRACE("seed " + std::to_string(seed) + " flags " +
+                   std::to_string(flags));
+      const bool contained =
+          !OracleEmbeddings(pattern, target, options).empty();
+      obs::MetricsRegistry registry;
+      std::vector<Embedding> all;
+      {
+        obs::ScopedMetricsScope scope(&registry);
+        all = FindEmbeddings(pattern, target, 0, options);
+      }
+      const uint64_t n = registry.Snapshot().counter(obs::Counter::kVf2Nodes);
+      bool truncated = false;
+      options.budget_exhausted = &truncated;
+      uint64_t truncations = 0;
+      obs::MetricsRegistry budgeted;
+      {
+        obs::ScopedMetricsScope scope(&budgeted);
+        for (options.node_budget = 1; options.node_budget <= n + 1;
+             ++options.node_budget) {
+          const std::vector<Embedding> some =
+              FindEmbeddings(pattern, target, 0, options);
+          truncations += truncated ? 1 : 0;
+          EXPECT_EQ(truncated, options.node_budget < n) << options.node_budget;
+          ASSERT_LE(some.size(), all.size()) << options.node_budget;
+          EXPECT_TRUE(std::equal(some.begin(), some.end(), all.begin()))
+              << options.node_budget;
+          if (!truncated) {
+            EXPECT_EQ(some.size(), all.size()) << options.node_budget;
+          }
+          const bool found = ContainsSubgraph(pattern, target, options);
+          truncations += truncated ? 1 : 0;
+          if (found || !truncated) {
+            EXPECT_EQ(found, contained) << options.node_budget;
+          }
+        }
+      }
+      EXPECT_EQ(budgeted.Snapshot().counter(obs::Counter::kVf2BudgetExhausted),
+                truncations);
+    }
+  }
+}
+
 // --- Pinned reference-output table ----------------------------------------
 
 // Generator local to the table, so the pins depend on nothing outside this
@@ -263,15 +325,29 @@ const std::map<std::string, std::vector<Embedding>> kEmbeddingOrderReference{
     {"labelled_triangle_tail",
      {{1, 0, 2, 4}, {0, 1, 2, 4}, {2, 3, 1, 4}, {3, 2, 1, 4},
       {0, 1, 3, 5}, {1, 0, 3, 5}}},
+    // The generated cases are where the candidate filters prune; their
+    // lists were recorded before the filters existed.
+    {"tree_in_generated", {{16, 5, 7, 3, 12}}},
+    {"cyclic_in_generated",
+     {{2, 1, 0, 12, 3, 5}, {2, 1, 14, 12, 3, 5}, {2, 1, 15, 12, 3, 5},
+      {3, 2, 13, 6, 5, 4}, {3, 2, 13, 6, 5, 8}, {3, 2, 0, 6, 5, 4},
+      {3, 2, 0, 6, 5, 8}, {3, 4, 17, 6, 5, 8}, {3, 4, 10, 6, 5, 8},
+      {5, 4, 17, 6, 3, 2}, {5, 4, 10, 6, 3, 2}}},
+    {"induced_in_generated", {{3, 2, 13, 6, 5, 8}, {3, 2, 0, 6, 5, 8}}},
+    {"labelled_in_generated",
+     {{1, 13, 10, 8, 3, 17}, {14, 9, 10, 8, 3, 17}, {1, 13, 10, 8, 3, 6},
+      {14, 9, 10, 8, 3, 6}, {1, 13, 10, 8, 3, 7}, {14, 9, 10, 8, 3, 7}}},
 };
 
-// (contained, search nodes) of one existence test.
+// (contained, search nodes) of one existence test. Re-pinned when the
+// search began to skip candidates by neighbour labels; the one-label ring
+// has nothing to skip.
 const std::map<std::string, std::pair<bool, uint64_t>> kNodeCountReference{
     {"ring6_in_ring12", {false, 109}},
-    {"tree_in_generated", {true, 28}},
-    {"cyclic_in_generated", {true, 66}},
-    {"induced_in_generated", {true, 53}},
-    {"labelled_in_generated", {true, 26}},
+    {"tree_in_generated", {true, 9}},
+    {"cyclic_in_generated", {true, 43}},
+    {"induced_in_generated", {true, 42}},
+    {"labelled_in_generated", {true, 24}},
 };
 
 TEST(FlatVf2Test, PinnedEmbeddingOrder) {
@@ -323,6 +399,36 @@ TEST(FlatVf2Test, SizePrecheckRejectsSilently) {
   EXPECT_FALSE(
       FlatContainsSubgraph(big.View(), small.View(), nullptr, options));
   EXPECT_FALSE(exhausted);  // precheck resets the flag, no search ran
+}
+
+TEST(FlatVf2Test, LabelCountPrecheckRejectsSilently) {
+  // A path of three vertices labelled 1 against a 5-ring with two of them:
+  // the sizes fit, the label counts do not.
+  FlatGraph ring = FlatGraph::Build(FromEdges(
+      {0, 1, 0, 1, 0},
+      {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}, {4, 0, 0}}));
+  FlatGraph path3 =
+      FlatGraph::Build(FromEdges({1, 1, 1}, {{0, 1, 0}, {1, 2, 0}}));
+  FlatGraph path2 = FlatGraph::Build(FromEdges({1, 0}, {{0, 1, 0}}));
+  bool exhausted = true;
+  IsoOptions options;
+  options.budget_exhausted = &exhausted;
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedMetricsScope scope(&registry);
+    EXPECT_FALSE(
+        FlatContainsSubgraph(path3.View(), ring.View(), nullptr, options));
+    EXPECT_FALSE(exhausted);  // precheck resets the flag, no search ran
+    EXPECT_TRUE(
+        FlatFindEmbeddings(path3.View(), ring.View(), nullptr, 0).empty());
+  }
+  EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kVf2Calls), 0u);
+  {
+    obs::ScopedMetricsScope scope(&registry);  // control: a search records
+    EXPECT_TRUE(
+        FlatContainsSubgraph(path2.View(), ring.View(), nullptr, options));
+  }
+  EXPECT_EQ(registry.Snapshot().counter(obs::Counter::kVf2Calls), 1u);
 }
 
 TEST(FlatVf2Test, ContainingGraphsFollowsIdsAndRestriction) {
