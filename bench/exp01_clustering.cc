@@ -15,7 +15,6 @@
 
 #include "bench/bench_common.h"
 #include "src/csg/csg.h"
-#include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 
 namespace catapult {
@@ -44,27 +43,22 @@ void RunDataset(const char* dataset_name, const GraphDatabase& db) {
       {"mcsH", ClusteringMode::kHybrid, false},
   };
   for (const Config& config : configs) {
-    SmallGraphClusteringOptions options;
-    options.mode = config.mode;
-    options.max_cluster_size = 20;
-    options.fine_mcs.connected = config.connected_mcs;
-    options.fine_mcs.node_budget = 6000;
-    Rng rng(42);
+    CatapultOptions options;
+    options.clustering.mode = config.mode;
+    options.clustering.max_cluster_size = 20;
+    options.clustering.fine_mcs.connected = config.connected_mcs;
+    options.clustering.fine_mcs.node_budget = 6000;
+    options.seed = 42;
     obs::MetricsRegistry registry;
-    WallTimer timer;
-    ClusteringResult result;
-    {
-      obs::ScopedMetricsScope scope(&registry);
-      result = SmallGraphClustering(db, options, rng);
-    }
-    double seconds = timer.ElapsedSeconds();
+    const RunContext ctx =
+        RunContext::NoLimit().WithObservability(&registry, nullptr);
+    const PreparedCorpus corpus = PrepareCorpus(db, options, ctx);
     const obs::MetricsSnapshot metrics = registry.Snapshot();
 
-    std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, result.clusters);
     double xi[3] = {0, 0, 0};
     const double thresholds[3] = {0.4, 0.5, 0.6};
     size_t nonempty = 0;
-    for (const ClusterSummaryGraph& csg : csgs) {
+    for (const ClusterSummaryGraph& csg : corpus.csgs) {
       if (csg.NumEdges() == 0) continue;
       ++nonempty;
       for (int t = 0; t < 3; ++t) xi[t] += csg.Compactness(thresholds[t]);
@@ -74,12 +68,12 @@ void RunDataset(const char* dataset_name, const GraphDatabase& db) {
     }
     std::printf(
         "%-8s %12.2f %12llu %12llu %10zu %10.3f %10.3f %10.3f\n", config.name,
-        seconds,
+        corpus.clustering_seconds,
         static_cast<unsigned long long>(
             metrics.counter(obs::Counter::kMcsNodes)),
         static_cast<unsigned long long>(
             metrics.counter(obs::Counter::kMcsNodesWalked)),
-        result.clusters.size(), xi[0], xi[1], xi[2]);
+        corpus.clusters.size(), xi[0], xi[1], xi[2]);
   }
 }
 

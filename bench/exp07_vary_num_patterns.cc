@@ -17,15 +17,12 @@ void RunDataset(const char* name, const GraphDatabase& db, uint64_t seed) {
   // Cluster once; rerun only the selection per |P| (PGT is selection time).
   CatapultOptions base = bench::DefaultPipeline(
       {.eta_min = 3, .eta_max = 8, .gamma = 5}, seed);
-  Rng rng(seed);
-  ClusteringResult clustering =
-      SmallGraphClustering(db, base.clustering, rng);
-  std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, clustering.clusters);
+  const PreparedCorpus corpus = PrepareCorpus(db, base, RunContext::NoLimit());
   std::vector<Graph> queries =
       bench::StandardQueries(db, bench::Scaled(80), seed + 1, 4, 30);
 
   std::printf("\n--- %s (%zu graphs, %zu clusters) ---\n", name, db.size(),
-              clustering.clusters.size());
+              corpus.clusters.size());
   std::printf("%4s | %8s %8s %7s %8s %8s\n", "|P|", "max_mu%", "avg_mu%",
               "MP%", "PGT(s)", "avg_cog");
   for (size_t gamma : {size_t{5}, size_t{10}, size_t{20}, size_t{30},
@@ -34,8 +31,8 @@ void RunDataset(const char* name, const GraphDatabase& db, uint64_t seed) {
     selector.budget.gamma = gamma;
     Rng selection_rng(seed + 2);
     WallTimer timer;
-    SelectionResult selection = FindCannedPatternSet(
-        db, clustering.clusters, csgs, selector, selection_rng);
+    SelectionResult selection =
+        FindCannedPatternSet(db, corpus, selector, selection_rng);
     double pgt = timer.ElapsedSeconds();
     GuiModel gui = MakeCatapultGui(selection.PatternGraphs());
     WorkloadReport report = EvaluateGui(queries, gui);

@@ -20,9 +20,7 @@ struct Sweep {
   std::vector<PatternBudget> budgets;
 };
 
-void RunSweep(const GraphDatabase& db,
-              const std::vector<std::vector<GraphId>>& clusters,
-              const std::vector<ClusterSummaryGraph>& csgs,
+void RunSweep(const GraphDatabase& db, const SelectionCorpus& corpus,
               const std::vector<Graph>& queries, const Sweep& sweep,
               uint64_t seed) {
   std::printf("\n--- %s ---\n", sweep.title);
@@ -39,7 +37,7 @@ void RunSweep(const GraphDatabase& db,
     Rng rng(seed);
     WallTimer timer;
     SelectionResult selection =
-        FindCannedPatternSet(db, clusters, csgs, selector, rng);
+        FindCannedPatternSet(db, corpus, selector, rng);
     double pgt = timer.ElapsedSeconds();
     GuiModel gui = MakeCatapultGui(selection.PatternGraphs());
     WorkloadReport report = EvaluateGui(queries, gui);
@@ -61,10 +59,7 @@ int main() {
   GraphDatabase db = bench::MakeAidsLike(bench::Scaled(350), 1234);
   CatapultOptions base = bench::DefaultPipeline(
       {.eta_min = 3, .eta_max = 12, .gamma = 12}, 101);
-  Rng rng(101);
-  ClusteringResult clustering =
-      SmallGraphClustering(db, base.clustering, rng);
-  std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, clustering.clusters);
+  const PreparedCorpus corpus = PrepareCorpus(db, base, RunContext::NoLimit());
   std::vector<Graph> queries =
       bench::StandardQueries(db, bench::Scaled(80), 103, 4, 30);
 
@@ -72,13 +67,13 @@ int main() {
   for (size_t emin : {size_t{3}, size_t{5}, size_t{7}, size_t{9}}) {
     sweep_min.budgets.push_back({.eta_min = emin, .eta_max = 12, .gamma = 12});
   }
-  RunSweep(db, clustering.clusters, csgs, queries, sweep_min, 107);
+  RunSweep(db, corpus, queries, sweep_min, 107);
 
   Sweep sweep_max{"vary eta_max (eta_min = 3, gamma = 12)", {}};
   for (size_t emax : {size_t{5}, size_t{7}, size_t{9}, size_t{12}}) {
     sweep_max.budgets.push_back({.eta_min = 3, .eta_max = emax, .gamma = 12});
   }
-  RunSweep(db, clustering.clusters, csgs, queries, sweep_max, 109);
+  RunSweep(db, corpus, queries, sweep_max, 109);
 
   std::printf(
       "\nexpected shape: raising eta_min sharply raises MP and lowers avg\n"

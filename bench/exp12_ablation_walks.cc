@@ -23,12 +23,9 @@ int main() {
   GraphDatabase db = bench::MakeAidsLike(bench::Scaled(300), 1234);
   CatapultOptions base = bench::DefaultPipeline(
       {.eta_min = 3, .eta_max = 8, .gamma = 12}, 211);
-  Rng rng(211);
-  ClusteringResult clustering = SmallGraphClustering(db, base.clustering, rng);
-  std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, clustering.clusters);
+  const PreparedCorpus corpus = PrepareCorpus(db, base, RunContext::NoLimit());
   std::vector<Graph> queries =
       bench::StandardQueries(db, bench::Scaled(80), 213, 4, 30);
-  LabelCoverageIndex label_index(db);
 
   std::printf("%-12s | %8s %8s %8s %8s %8s %8s\n", "strategy", "scov",
               "lcov", "div", "MP%", "avg_mu%", "PGT(s)");
@@ -41,8 +38,8 @@ int main() {
     selector.walks_per_candidate = 80;
     Rng selection_rng(215);
     WallTimer timer;
-    SelectionResult selection = FindCannedPatternSet(
-        db, clustering.clusters, csgs, selector, selection_rng);
+    SelectionResult selection =
+        FindCannedPatternSet(db, corpus, selector, selection_rng);
     double pgt = timer.ElapsedSeconds();
     std::vector<Graph> patterns = selection.PatternGraphs();
     GuiModel gui = MakeCatapultGui(patterns);
@@ -51,7 +48,7 @@ int main() {
                 strategy == CandidateStrategy::kRandomWalk ? "random-walk"
                                                            : "greedy-bfs",
                 SubgraphCoverage(patterns, db, 250),
-                label_index.SetLabelCoverage(patterns),
+                corpus.label_index.SetLabelCoverage(patterns),
                 AverageSetDiversity(patterns), report.mp_percent,
                 report.avg_mu * 100, pgt);
   }

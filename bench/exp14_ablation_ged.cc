@@ -8,7 +8,6 @@
 // *minimum* over the set, which lower-bound pruning already localises.
 
 #include "bench/bench_common.h"
-#include "src/core/weights.h"
 #include "src/obs/clock.h"
 
 int main() {
@@ -18,12 +17,9 @@ int main() {
   GraphDatabase db = bench::MakeAidsLike(bench::Scaled(300), 1234);
   CatapultOptions base = bench::DefaultPipeline(
       {.eta_min = 3, .eta_max = 8, .gamma = 16}, 231);
-  Rng rng(231);
-  ClusteringResult clustering = SmallGraphClustering(db, base.clustering, rng);
-  std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, clustering.clusters);
+  const PreparedCorpus corpus = PrepareCorpus(db, base, RunContext::NoLimit());
   std::vector<Graph> queries =
       bench::StandardQueries(db, bench::Scaled(80), 233, 4, 30);
-  LabelCoverageIndex label_index(db);
 
   std::printf("%-10s | %8s %8s %8s %8s %8s\n", "ged", "PGT(s)", "div",
               "scov", "MP%", "avg_mu%");
@@ -32,8 +28,8 @@ int main() {
     selector.approximate_diversity = approximate;
     Rng selection_rng(235);
     WallTimer timer;
-    SelectionResult selection = FindCannedPatternSet(
-        db, clustering.clusters, csgs, selector, selection_rng);
+    SelectionResult selection =
+        FindCannedPatternSet(db, corpus, selector, selection_rng);
     double pgt = timer.ElapsedSeconds();
     std::vector<Graph> patterns = selection.PatternGraphs();
     WorkloadReport report = EvaluateGui(queries, MakeCatapultGui(patterns));

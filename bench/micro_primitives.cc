@@ -195,7 +195,7 @@ void BM_RandomWalkPcp(benchmark::State& state) {
   std::vector<GraphId> cluster;
   for (GraphId i = 0; i < 20; ++i) cluster.push_back(i);
   ClusterSummaryGraph csg = BuildCsg(db, cluster);
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   WeightedCsg wcsg = MakeWeightedCsg(csg, elw);
   Rng rng(9);
   for (auto _ : state) {

@@ -8,9 +8,7 @@
 
 #include <cstdio>
 
-#include "src/cluster/pipeline.h"
-#include "src/core/selector.h"
-#include "src/csg/csg.h"
+#include "src/core/catapult.h"
 #include "src/data/molecule_generator.h"
 #include "src/data/query_generator.h"
 #include "src/formulate/evaluate.h"
@@ -25,15 +23,14 @@ int main() {
   gen.seed = 99;
   GraphDatabase db = GenerateMoleculeDatabase(gen);
 
-  // One-time cost: clustering + CSGs.
-  SmallGraphClusteringOptions clustering_options;
-  Rng rng(99);
+  // One-time cost: clustering, CSGs and their indices.
+  CatapultOptions options;
+  options.seed = 99;
   WallTimer clustering_timer;
-  ClusteringResult clustering =
-      SmallGraphClustering(db, clustering_options, rng);
-  std::vector<ClusterSummaryGraph> csgs = BuildCsgs(db, clustering.clusters);
+  const PreparedCorpus corpus =
+      PrepareCorpus(db, options, RunContext::NoLimit());
   std::printf("one-time clustering: %.1fs, %zu clusters\n",
-              clustering_timer.ElapsedSeconds(), clustering.clusters.size());
+              clustering_timer.ElapsedSeconds(), corpus.clusters.size());
 
   QueryWorkloadOptions wl;
   wl.count = 80;
@@ -63,8 +60,8 @@ int main() {
     selector.approximate_diversity = true;
     Rng selection_rng(17);
     WallTimer timer;
-    SelectionResult selection = FindCannedPatternSet(
-        db, clustering.clusters, csgs, selector, selection_rng);
+    SelectionResult selection =
+        FindCannedPatternSet(db, corpus, selector, selection_rng);
     double seconds = timer.ElapsedSeconds();
     GuiModel gui = MakeCatapultGui(selection.PatternGraphs());
     WorkloadReport report = EvaluateGui(queries, gui);

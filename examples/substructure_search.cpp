@@ -52,8 +52,8 @@ int main() {
   double filter_only =
       static_cast<double>(engine.FilterCandidates(query).Count());
   std::printf(
-      "search: %zu matching compounds out of %zu (%.2f ms; filter kept "
-      "%.0f candidates)\n",
+      "search: %zu matching compounds out of %zu (%.2f ms; edge-label "
+      "filter kept %.0f candidates)\n",
       matches.size(), db.size(), timer.ElapsedMillis(), filter_only);
   std::printf("first matches:");
   for (size_t i = 0; i < matches.size() && i < 8; ++i) {

@@ -151,22 +151,6 @@ ClusteringResult CoarseClusteringStage(
   return result;
 }
 
-ClusteringResult SmallGraphClustering(
-    const GraphDatabase& db, const SmallGraphClusteringOptions& options,
-    Rng& rng) {
-  ClusteringResult result = CoarseClusteringStage(
-      db, AllGraphIds(db), options, rng, RunContext::NoLimit());
-  if (options.mode != ClusteringMode::kCoarseOnly) {
-    const std::vector<RngState> streams =
-        SplitFineStreams(rng, result.clusters.size());
-    result.clusters =
-        FineCluster(db, std::move(result.clusters), streams,
-                    {options.max_cluster_size, options.fine_mcs},
-                    RunContext::NoLimit(), &result.fine_complete);
-  }
-  return result;
-}
-
 bool ValidateClusterAssignment(
     const std::vector<std::vector<GraphId>>& clusters, size_t universe,
     bool* is_partition) {

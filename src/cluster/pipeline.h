@@ -67,16 +67,6 @@ ClusteringResult CoarseClusteringStage(
     const RunContext& ctx,
     const EagerSamplingOptions* eager_sampling = nullptr);
 
-// Runs the small graph clustering phase over the whole database without a
-// deadline: the coarse stage, then, unless kCoarseOnly, FineCluster over the
-// coarse partition under one SplitFineStreams stream per coarse cluster.
-// Deterministic given `rng`. The pipeline runs the two stages itself
-// (src/core/catapult.cc); this is the entry point of the clustering
-// experiments and examples.
-ClusteringResult SmallGraphClustering(const GraphDatabase& db,
-                                      const SmallGraphClusteringOptions& options,
-                                      Rng& rng);
-
 // Structural validation of a cluster assignment over the id universe
 // [0, universe): every cluster non-empty, every id in range, and no id in
 // more than one cluster. Lazy sampling may drop ids, so a valid assignment

@@ -178,11 +178,10 @@ void CheckpointPhase(const char* phase, bool complete, Save save,
 
 // Phases 1-4, the corpus phases: coarse stage, fine clustering (in-process,
 // or sharded across member processes together with CSG folding under
-// `processes` > 1), CSG folding, the flat summary index and the label
-// coverage index. Phase spans are children of `parent_span`. `durability`
-// (RunCatapult's; null for PrepareCorpus) restores phases from its recovery
-// chain and checkpoints the completed ones. `corpus->fingerprint` must
-// already be set.
+// `processes` > 1), CSG folding and the corpus indices (BuildCorpusIndices).
+// Phase spans are children of `parent_span`. `durability` (RunCatapult's;
+// null for PrepareCorpus) restores phases from its recovery chain and
+// checkpoints the completed ones. `corpus->fingerprint` must already be set.
 void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
                      const RunContext& run_ctx, uint64_t parent_span,
                      Durability* durability, PreparedCorpus* corpus) {
@@ -331,11 +330,7 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
   phase_span.reset();
   corpus->csg_seconds = csg_clock.Finish(&report.csg_parallel);
 
-  // Built once per corpus, so repeated selections on it share these indexes
-  // instead of re-flattening the summaries and re-indexing the database's
-  // labelled edges per request.
-  corpus->summary_index = BuildFlatSummaryIndex(corpus->csgs);
-  corpus->label_index = LabelCoverageIndex(db);
+  BuildCorpusIndices(db, corpus);
   corpus->rng_after_csg = rng.SaveState();
 }
 
@@ -371,9 +366,8 @@ void RunSelectionPhase(const GraphDatabase& db, const PreparedCorpus& corpus,
   obs::Span selection_span(run_ctx.tracer(), "selection", parent_span);
   Rng rng(options.seed);
   rng.RestoreState(corpus.rng_after_csg);
-  result->selection = FindCannedPatternSet(
-      db, corpus.clusters, corpus.csgs, options.selector, rng, run_ctx, hooks,
-      &corpus.summary_index, &corpus.label_index);
+  result->selection =
+      FindCannedPatternSet(db, corpus, options.selector, rng, run_ctx, hooks);
   selection_span.Close();
   result->selection_seconds =
       selection_clock.Finish(&exec.selection_parallel);

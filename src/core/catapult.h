@@ -269,18 +269,11 @@ CatapultResult RunCatapult(const GraphDatabase& db,
 // selection budget, so one prepared corpus answers any (eta_min, eta_max,
 // gamma) request. RunCatapult runs the same phases into a PreparedCorpus of
 // its own and then selects on it, so RunCatapultSelection is bit-identical
-// to a one-shot RunCatapult with the same options by construction.
-struct PreparedCorpus {
-  std::vector<std::vector<GraphId>> clusters;
-  std::vector<ClusterSummaryGraph> csgs;
+// to a one-shot RunCatapult with the same options by construction. The
+// SelectionCorpus part (clusters, CSGs and their indices) is what every
+// FindCannedPatternSet call reads.
+struct PreparedCorpus : SelectionCorpus {
   std::vector<FrequentSubtree> features;
-  // The CSG summaries in flat CSR form with per-summary label domains
-  // (DESIGN.md §15), built once here so repeated RunCatapultSelection calls
-  // share one index instead of re-flattening the summaries per request.
-  FlatGraphDatabase summary_index;
-  // The labelled-edge index of the whole database, for the same reason:
-  // every selection reads lcov and its undecayed edge-label weights off it.
-  LabelCoverageIndex label_index;
   RngState rng_after_csg;  // stream position selection resumes from
   // ConfigFingerprint of the (options, db) the corpus was prepared from,
   // surfaced so long-lived owners (the serving loop's /statusz) can report
@@ -310,9 +303,11 @@ struct PreparedCorpus {
 };
 
 // Runs RunCatapult's corpus phases — coarse stage, fine clustering (sharded
-// under `processes` > 1 exactly as RunCatapult shards it), CSG folding, the
-// flat summary index and the label coverage index — without the checkpoint
-// store, and captures their artifacts for reuse.
+// under `processes` > 1 exactly as RunCatapult shards it), CSG folding and
+// the corpus indices — without the checkpoint store, and captures their
+// artifacts for reuse. It is the one way to get a corpus: the server, the
+// benches and the examples that select under many budgets call it, with
+// `options.seed` seeding the corpus phases' stream.
 PreparedCorpus PrepareCorpus(const GraphDatabase& db,
                              const CatapultOptions& options,
                              const RunContext& ctx);

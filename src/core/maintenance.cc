@@ -50,20 +50,21 @@ MaintenanceResult UpdateWithNewGraphs(const GraphDatabase& old_db,
     new_ids.push_back(updated_db->Add(g));
   }
 
-  result.clusters = previous.clusters;
+  std::vector<std::vector<GraphId>>& clusters = result.corpus.clusters;
+  clusters = previous.clusters;
 
   // Assign arrivals to their best existing cluster, or queue them. The
   // affinity is structural: the fraction of the arrival's edges that fold
   // onto the cluster summary without growing it (MappedEdgeFraction), the
   // same criterion the closure construction optimises.
-  std::vector<bool> dirty(result.clusters.size(), false);
+  std::vector<bool> dirty(clusters.size(), false);
   std::vector<GraphId> unmatched;
   for (GraphId id : new_ids) {
     const Graph& g = updated_db->graph(id);
     int best = -1;
     double best_affinity = 0.0;
-    for (size_t c = 0; c < result.clusters.size(); ++c) {
-      if (result.clusters[c].size() >= options.max_cluster_size) continue;
+    for (size_t c = 0; c < clusters.size(); ++c) {
+      if (clusters[c].size() >= options.max_cluster_size) continue;
       if (c >= previous.csgs.size()) continue;
       double affinity = MappedEdgeFraction(previous.csgs[c], g);
       if (affinity > best_affinity) {
@@ -72,7 +73,7 @@ MaintenanceResult UpdateWithNewGraphs(const GraphDatabase& old_db,
       }
     }
     if (best >= 0 && best_affinity >= options.min_affinity) {
-      result.clusters[static_cast<size_t>(best)].push_back(id);
+      clusters[static_cast<size_t>(best)].push_back(id);
       dirty[static_cast<size_t>(best)] = true;
     } else {
       unmatched.push_back(id);
@@ -106,23 +107,25 @@ MaintenanceResult UpdateWithNewGraphs(const GraphDatabase& old_db,
     }
   }
   result.new_clusters = fresh.size();
-  for (auto& cluster : fresh) result.clusters.push_back(std::move(cluster));
+  for (auto& cluster : fresh) clusters.push_back(std::move(cluster));
 
   // Re-close affected clusters; reuse untouched summaries.
-  result.csgs.reserve(result.clusters.size());
-  for (size_t c = 0; c < result.clusters.size(); ++c) {
+  std::vector<ClusterSummaryGraph>& csgs = result.corpus.csgs;
+  csgs.reserve(clusters.size());
+  for (size_t c = 0; c < clusters.size(); ++c) {
     bool reusable = c < previous.csgs.size() && !dirty[c];
     if (reusable) {
-      result.csgs.push_back(previous.csgs[c]);
+      csgs.push_back(previous.csgs[c]);
     } else {
-      result.csgs.push_back(BuildCsg(*updated_db, result.clusters[c]));
+      csgs.push_back(BuildCsg(*updated_db, clusters[c]));
     }
   }
 
   // Re-run only the selection phase.
+  BuildCorpusIndices(*updated_db, &result.corpus);
   Rng rng(options.seed);
-  result.selection = FindCannedPatternSet(*updated_db, result.clusters,
-                                          result.csgs, options.selector, rng);
+  result.selection = FindCannedPatternSet(*updated_db, result.corpus,
+                                          options.selector, rng);
 
   // Panel diff vs the previous selection.
   std::unordered_set<std::string> previous_codes;

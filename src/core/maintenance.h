@@ -40,8 +40,9 @@ struct MaintenanceOptions {
 // Diff of the pattern panel across a maintenance step.
 struct MaintenanceResult {
   SelectionResult selection;
-  std::vector<std::vector<GraphId>> clusters;  // updated (ids into new db)
-  std::vector<ClusterSummaryGraph> csgs;       // updated summaries
+  // The updated clusters (ids into the new db), their summaries and the
+  // corpus indices the selection ran on.
+  SelectionCorpus corpus;
   size_t new_clusters = 0;       // clusters created for unmatched arrivals
   size_t patterns_kept = 0;      // patterns isomorphic to a previous one
   size_t patterns_changed = 0;   // patterns.size() - patterns_kept

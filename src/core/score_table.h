@@ -4,8 +4,8 @@
 // Selection hot-path data structures (DESIGN.md §15):
 //
 //  * The summary index — the CSG summaries in one FlatGraphDatabase with
-//    their label domains, built once per corpus (PrepareCorpus / selector
-//    entry) and shared by every coverage test of every greedy iteration.
+//    their label domains, built once per corpus (BuildCorpusIndices) and
+//    shared by every coverage test of every greedy iteration.
 //  * ScoreTable — a structure-of-arrays candidate table. Each ParallelFor
 //    slot writes only its own row across contiguous score/coverage/cog
 //    columns; column storage is reused across iterations so the steady

@@ -24,7 +24,7 @@ namespace {
 // Fills still-open size slots with frequent-edge path patterns after the
 // deadline cut the greedy loop short (the last rung of the degradation
 // ladder: the interface still shows a full, size-conforming panel).
-void FillWithFallbackPatterns(const GraphDatabase& db,
+void FillWithFallbackPatterns(const EdgeLabelIndex& edge_index,
                               const SelectorOptions& options,
                               std::vector<size_t>& selected_per_size,
                               std::unordered_set<std::string>& selected_codes,
@@ -43,7 +43,7 @@ void FillWithFallbackPatterns(const GraphDatabase& db,
       auto [it, inserted] = pool.try_emplace(size);
       if (inserted) {
         it->second =
-            FrequentEdgePathPatterns(db, size, options.budget.gamma);
+            FrequentEdgePathPatterns(edge_index, size, options.budget.gamma);
       }
       std::vector<Graph>& candidates = it->second;
       size_t& next = next_in_pool[size];
@@ -67,41 +67,33 @@ void FillWithFallbackPatterns(const GraphDatabase& db,
 
 }  // namespace
 
-SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db,
-    const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
-    const SelectorOptions& options, Rng& rng, const RunContext& ctx,
-    const SelectorCheckpointHooks& hooks,
-    const FlatGraphDatabase* prebuilt_index,
-    const LabelCoverageIndex* prebuilt_label_index) {
+void BuildCorpusIndices(const GraphDatabase& db, SelectionCorpus* corpus) {
+  corpus->summary_index = BuildFlatSummaryIndex(corpus->csgs);
+  corpus->label_index = LabelCoverageIndex(db);
+}
+
+SelectionResult FindCannedPatternSet(const GraphDatabase& db,
+                                     const SelectionCorpus& corpus,
+                                     const SelectorOptions& options, Rng& rng,
+                                     const RunContext& ctx,
+                                     const SelectorCheckpointHooks& hooks) {
   options.budget.Validate();
+  const std::vector<std::vector<GraphId>>& clusters = corpus.clusters;
+  const std::vector<ClusterSummaryGraph>& csgs = corpus.csgs;
   CATAPULT_CHECK(clusters.size() == csgs.size());
 
   SelectionResult result;
   if (csgs.empty() || db.empty()) return result;
 
-  // One labelled-edge index of `db` serves lcov and the undecayed elw. It
-  // depends only on `db`, so the serving path passes the corpus's own.
-  LabelCoverageIndex local_label_index;
-  if (prebuilt_label_index == nullptr) {
-    local_label_index = LabelCoverageIndex(db);
-    prebuilt_label_index = &local_label_index;
-  }
-  const LabelCoverageIndex& label_index = *prebuilt_label_index;
+  // One labelled-edge index of `db` serves lcov, the undecayed elw and the
+  // deadline fallback.
+  const LabelCoverageIndex& label_index = corpus.label_index;
   CATAPULT_CHECK(label_index.database_size() == db.size());
   EdgeLabelWeights elw(label_index);
   ClusterWeights cw(clusters, db.size());
 
-  // Flat summary views + label domains for the coverage kernel, built once
-  // per corpus. The serving path passes a prebuilt index so repeated
-  // requests against the same corpus skip this entirely.
-  FlatGraphDatabase local_index;
-  if (prebuilt_index == nullptr) {
-    local_index = BuildFlatSummaryIndex(csgs);
-    prebuilt_index = &local_index;
-  }
-  const FlatGraphDatabase& summary_index = *prebuilt_index;
+  // Flat summary views + label domains for the coverage kernel.
+  const FlatGraphDatabase& summary_index = corpus.summary_index;
   CATAPULT_CHECK(summary_index.size() == csgs.size());
 
   std::vector<Graph> selected_graphs;
@@ -484,8 +476,8 @@ SelectionResult FindCannedPatternSet(
   // Deadline degradation: top the panel up from frequent edges. Skipped on
   // natural termination (candidates ran dry), which is not a deadline event.
   if (!result.complete) {
-    FillWithFallbackPatterns(db, options, selected_per_size, selected_codes,
-                             result);
+    FillWithFallbackPatterns(label_index.graphs_with_key(), options,
+                             selected_per_size, selected_codes, result);
   }
   return result;
 }

@@ -116,6 +116,24 @@ struct SelectorCheckpointState {
   RngState rng;
 };
 
+// What Algorithm 4 selects from: the clusters and their summaries (the
+// outputs of Algorithm 1's first two phases, which do not depend on the
+// pattern budget) and the two indices every selection reads — the summaries
+// in flat CSR form with per-summary label domains (DESIGN.md §15) and the
+// database's labelled-edge index (lcov, the undecayed edge-label weights
+// and the deadline fallback). PrepareCorpus builds one per database, so
+// repeated selections share the indices instead of rebuilding them.
+struct SelectionCorpus {
+  std::vector<std::vector<GraphId>> clusters;
+  std::vector<ClusterSummaryGraph> csgs;
+  FlatGraphDatabase summary_index;
+  LabelCoverageIndex label_index;
+};
+
+// Builds `corpus->summary_index` from `corpus->csgs` and
+// `corpus->label_index` from `db`: the one place either index is built.
+void BuildCorpusIndices(const GraphDatabase& db, SelectionCorpus* corpus);
+
 // Checkpoint integration for FindCannedPatternSet. `resume` (optional)
 // seeds the greedy loop from a prior SelectorCheckpointState instead of
 // from scratch; `on_pattern_selected` (optional) is invoked with the
@@ -160,19 +178,12 @@ struct SelectorCheckpointHooks {
 // (clusters count, budget size range) — the checkpoint store validates this
 // before handing one in; mismatches are programmer errors (CHECK).
 //
-// `prebuilt_index` and `prebuilt_label_index` (optional) supply the flat
-// summary index of `csgs` and the label coverage index of `db` built ahead
-// of time (PrepareCorpus keeps both per corpus so the serving path does not
-// rebuild them per request); when null the selector builds its own. They
-// must have been built from exactly `csgs` and `db`.
+// `corpus` must have been indexed over `db` (BuildCorpusIndices).
 SelectionResult FindCannedPatternSet(
-    const GraphDatabase& db, const std::vector<std::vector<GraphId>>& clusters,
-    const std::vector<ClusterSummaryGraph>& csgs,
+    const GraphDatabase& db, const SelectionCorpus& corpus,
     const SelectorOptions& options, Rng& rng,
     const RunContext& ctx = RunContext::NoLimit(),
-    const SelectorCheckpointHooks& hooks = {},
-    const FlatGraphDatabase* prebuilt_index = nullptr,
-    const LabelCoverageIndex* prebuilt_label_index = nullptr);
+    const SelectorCheckpointHooks& hooks = {});
 
 }  // namespace catapult
 

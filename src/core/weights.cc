@@ -5,9 +5,6 @@
 
 namespace catapult {
 
-EdgeLabelWeights::EdgeLabelWeights(const GraphDatabase& db)
-    : EdgeLabelWeights(LabelCoverageIndex(db)) {}
-
 EdgeLabelWeights::EdgeLabelWeights(const LabelCoverageIndex& index) {
   const double total = static_cast<double>(index.database_size());
   for (const auto& [key, graphs] : index.graphs_with_key()) {

@@ -21,9 +21,8 @@ class LabelCoverageIndex;
 // patterns consume labels (Algorithm 4, line 21).
 class EdgeLabelWeights {
  public:
-  // Builds weights from the database: weight(key) = |L(e, D)| / |D|.
-  explicit EdgeLabelWeights(const GraphDatabase& db);
-  // The same undecayed weights read off the database's `index`.
+  // Undecayed weights read off the database's `index`:
+  // weight(key) = |L(e, D)| / |D|.
   explicit EdgeLabelWeights(const LabelCoverageIndex& index);
 
   // Current weight of `key` (0 for labels absent from D).
@@ -81,8 +80,8 @@ class ClusterWeights {
 
 // Index from labelled-edge key to the set of graphs containing it; supports
 // exact lcov computations for patterns and pattern sets (Section 3.2). It
-// depends only on the database, so a prepared corpus builds it once
-// (PrepareCorpus) and every selection on the corpus reads it.
+// depends only on the database, so a selection corpus builds it once
+// (BuildCorpusIndices) and every selection on the corpus reads it.
 class LabelCoverageIndex {
  public:
   // The index of an empty database.

@@ -20,16 +20,6 @@ GraphDatabase GraphDatabase::Subset(const std::vector<GraphId>& ids) const {
   return subset;
 }
 
-std::unordered_map<EdgeLabelKey, size_t> GraphDatabase::EdgeLabelSupport()
-    const {
-  std::unordered_map<EdgeLabelKey, size_t> support;
-  for (const auto& [key, graphs] :
-       BuildEdgeLabelIndex(*this, AllGraphIds(*this))) {
-    support[key] = graphs.Count();
-  }
-  return support;
-}
-
 DatabaseStats GraphDatabase::Stats() const {
   DatabaseStats stats;
   stats.num_graphs = graphs_.size();

@@ -64,11 +64,6 @@ class GraphDatabase {
   // reassigned densely; the LabelMap is copied so labels stay comparable).
   GraphDatabase Subset(const std::vector<GraphId>& ids) const;
 
-  // Frequency map: labelled-edge key -> number of graphs containing at least
-  // one edge with that key. This is |L(e, D)| from Section 3.2, counted off
-  // EdgeLabelIndex.
-  std::unordered_map<EdgeLabelKey, size_t> EdgeLabelSupport() const;
-
   // Aggregate statistics.
   DatabaseStats Stats() const;
 

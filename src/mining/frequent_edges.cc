@@ -8,12 +8,11 @@
 
 namespace catapult {
 
-std::vector<RankedEdge> RankEdgesBySupport(const GraphDatabase& db) {
-  auto support_map = db.EdgeLabelSupport();
+std::vector<RankedEdge> RankEdgesBySupport(const EdgeLabelIndex& index) {
   std::vector<RankedEdge> ranked;
-  ranked.reserve(support_map.size());
-  for (const auto& [key, support] : support_map) {
-    ranked.push_back({key, support});
+  ranked.reserve(index.size());
+  for (const auto& [key, graphs] : index) {
+    ranked.push_back({key, graphs.Count()});
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedEdge& a, const RankedEdge& b) {
@@ -26,7 +25,8 @@ std::vector<RankedEdge> RankEdgesBySupport(const GraphDatabase& db) {
 std::vector<Graph> TopFrequentEdgePatterns(const GraphDatabase& db,
                                            size_t k) {
   std::vector<Graph> patterns;
-  for (const RankedEdge& e : RankEdgesBySupport(db)) {
+  for (const RankedEdge& e :
+       RankEdgesBySupport(BuildEdgeLabelIndex(db, AllGraphIds(db)))) {
     if (patterns.size() >= k) break;
     Graph g;
     VertexId a = g.AddVertex(static_cast<Label>(e.key >> 32));
@@ -45,7 +45,8 @@ std::vector<Graph> TopBasicPatterns(const GraphDatabase& db, size_t m) {
     size_t support;
   };
   std::vector<Scored> scored;
-  for (const RankedEdge& e : RankEdgesBySupport(db)) {
+  for (const RankedEdge& e :
+       RankEdgesBySupport(BuildEdgeLabelIndex(db, AllGraphIds(db)))) {
     Graph g;
     VertexId a = g.AddVertex(static_cast<Label>(e.key >> 32));
     VertexId b = g.AddVertex(static_cast<Label>(e.key & 0xFFFFFFFFULL));
@@ -97,11 +98,11 @@ std::vector<Graph> TopBasicPatterns(const GraphDatabase& db, size_t m) {
   return result;
 }
 
-std::vector<Graph> FrequentEdgePathPatterns(const GraphDatabase& db,
+std::vector<Graph> FrequentEdgePathPatterns(const EdgeLabelIndex& index,
                                             size_t num_edges, size_t count) {
   std::vector<Graph> patterns;
   if (num_edges == 0 || count == 0) return patterns;
-  std::vector<RankedEdge> ranked = RankEdgesBySupport(db);
+  std::vector<RankedEdge> ranked = RankEdgesBySupport(index);
   if (ranked.empty()) return patterns;
 
   auto LabelA = [](EdgeLabelKey key) {

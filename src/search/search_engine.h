@@ -1,7 +1,6 @@
 #ifndef CATAPULT_SEARCH_SEARCH_ENGINE_H_
 #define CATAPULT_SEARCH_SEARCH_ENGINE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/graph/flat_graph.h"
@@ -16,15 +15,14 @@ namespace catapult {
 // "a set of data graphs containing [a] match of a user-specified query
 // graph is retrieved").
 //
-// Filtering uses two inverted indices built once per database:
-//   * labelled-edge index: a query's candidate set must contain every
-//     distinct labelled edge of the query;
-//   * label-count index: per vertex label, graphs are bucketed by how many
-//     vertices carry the label, so a query needing k vertices of label l
-//     prunes graphs with fewer.
-// Survivors are verified with VF2 against the database flattened once at
-// construction; each query is flattened once per call. Both filters are
-// sound (never drop a true match), so results are exact.
+// Filtering uses the labelled-edge index built once per database: a
+// query's candidate set must contain every distinct labelled edge of the
+// query. Survivors are verified with VF2 against the database flattened
+// once at construction; each query is flattened once per call. The
+// containment kernel itself rejects, before any search and without
+// counting it, a target with fewer vertices, edges or vertices of some
+// label than the query (src/iso/flat_vf2.h). The filter is sound (never
+// drops a true match), so results are exact.
 class SubgraphSearchEngine {
  public:
   // Builds the indices; `db` must outlive the engine.
@@ -35,9 +33,9 @@ class SubgraphSearchEngine {
   std::vector<GraphId> Search(const Graph& query,
                               IsoOptions options = {}) const;
 
-  // Candidate set after filtering only (superset of the true results).
-  // Search keeps no statistics (const engine, usable concurrently); use
-  // this to measure filter power.
+  // Candidate set after the labelled-edge filter only (superset of the
+  // true results). Search keeps no statistics (const engine, usable
+  // concurrently); use this to measure filter power.
   DynamicBitset FilterCandidates(const Graph& query) const;
 
  private:
@@ -45,11 +43,6 @@ class SubgraphSearchEngine {
   FlatGraphDatabase flat_;
   // labelled-edge key -> graphs containing at least one such edge.
   EdgeLabelIndex edge_index_;
-  // vertex label -> per-graph count of vertices with that label.
-  std::unordered_map<Label, std::vector<uint32_t>> label_counts_;
-  // graph sizes for the trivial size filter.
-  std::vector<uint32_t> vertex_counts_;
-  std::vector<uint32_t> edge_counts_;
 };
 
 }  // namespace catapult

@@ -60,21 +60,21 @@ TEST(SelectorWithDistTest, SkewedDistributionHolds) {
   gen.scaffold_families = 4;
   gen.seed = 71;
   GraphDatabase db = GenerateMoleculeDatabase(gen);
-  std::vector<std::vector<GraphId>> clusters;
+  SelectionCorpus corpus;
   for (GraphId start = 0; start < db.size(); start += 10) {
     std::vector<GraphId> cluster;
     for (GraphId i = start; i < start + 10; ++i) cluster.push_back(i);
-    clusters.push_back(std::move(cluster));
+    corpus.clusters.push_back(std::move(cluster));
   }
-  auto csgs = BuildCsgs(db, clusters);
+  corpus.csgs = BuildCsgs(db, corpus.clusters);
+  BuildCorpusIndices(db, &corpus);
 
   SelectorOptions options;
   options.budget = {.eta_min = 3, .eta_max = 5, .gamma = 6};
   options.budget.size_distribution = {4.0, 1.0, 1.0};  // mostly size 3
   options.walks_per_candidate = 8;
   Rng rng(3);
-  SelectionResult result =
-      FindCannedPatternSet(db, clusters, csgs, options, rng);
+  SelectionResult result = FindCannedPatternSet(db, corpus, options, rng);
   size_t size3 = 0;
   for (const SelectedPattern& p : result.patterns) {
     EXPECT_GE(p.graph.NumEdges(), 3u);

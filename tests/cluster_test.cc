@@ -7,6 +7,7 @@
 #include "src/cluster/fine_clustering.h"
 #include "src/cluster/kmeans.h"
 #include "src/cluster/pipeline.h"
+#include "src/core/catapult.h"
 #include "src/data/molecule_generator.h"
 #include "src/iso/vf2.h"
 #include "src/obs/metrics.h"
@@ -334,19 +335,22 @@ TEST(PipelineTest, HybridPartitionsDatabase) {
   gen.num_graphs = 60;
   gen.seed = 11;
   GraphDatabase db = GenerateMoleculeDatabase(gen);
-  SmallGraphClusteringOptions options;
-  options.max_cluster_size = 15;
-  options.fine_mcs.node_budget = 3000;
-  Rng rng(4);
-  ClusteringResult result = SmallGraphClustering(db, options, rng);
+  CatapultOptions options;
+  options.clustering.max_cluster_size = 15;
+  options.clustering.fine_mcs.node_budget = 3000;
+  options.seed = 4;
+  const PreparedCorpus corpus =
+      PrepareCorpus(db, options, RunContext::NoLimit());
+  ASSERT_TRUE(corpus.Complete());
   size_t total = 0;
   std::set<GraphId> seen;
-  for (const auto& c : result.clusters) {
+  for (const auto& c : corpus.clusters) {
     EXPECT_LE(c.size(), 15u);
     total += c.size();
     for (GraphId id : c) EXPECT_TRUE(seen.insert(id).second);
   }
   EXPECT_EQ(total, 60u);
+  EXPECT_EQ(corpus.csgs.size(), corpus.clusters.size());
 }
 
 TEST(PipelineTest, CoarseOnlyMayKeepLargeClusters) {
@@ -354,13 +358,14 @@ TEST(PipelineTest, CoarseOnlyMayKeepLargeClusters) {
   gen.num_graphs = 60;
   gen.seed = 11;
   GraphDatabase db = GenerateMoleculeDatabase(gen);
-  SmallGraphClusteringOptions options;
-  options.mode = ClusteringMode::kCoarseOnly;
-  options.max_cluster_size = 15;
-  Rng rng(4);
-  ClusteringResult result = SmallGraphClustering(db, options, rng);
+  CatapultOptions options;
+  options.clustering.mode = ClusteringMode::kCoarseOnly;
+  options.clustering.max_cluster_size = 15;
+  options.seed = 4;
+  const PreparedCorpus corpus =
+      PrepareCorpus(db, options, RunContext::NoLimit());
   size_t total = 0;
-  for (const auto& c : result.clusters) total += c.size();
+  for (const auto& c : corpus.clusters) total += c.size();
   EXPECT_EQ(total, 60u);
 }
 
@@ -369,15 +374,16 @@ TEST(PipelineTest, FineOnlySkipsMining) {
   gen.num_graphs = 30;
   gen.seed = 12;
   GraphDatabase db = GenerateMoleculeDatabase(gen);
-  SmallGraphClusteringOptions options;
-  options.mode = ClusteringMode::kFineOnly;
-  options.max_cluster_size = 10;
-  options.fine_mcs.node_budget = 3000;
-  Rng rng(4);
-  ClusteringResult result = SmallGraphClustering(db, options, rng);
-  EXPECT_TRUE(result.features.empty());
+  CatapultOptions options;
+  options.clustering.mode = ClusteringMode::kFineOnly;
+  options.clustering.max_cluster_size = 10;
+  options.clustering.fine_mcs.node_budget = 3000;
+  options.seed = 4;
+  const PreparedCorpus corpus =
+      PrepareCorpus(db, options, RunContext::NoLimit());
+  EXPECT_TRUE(corpus.features.empty());
   size_t total = 0;
-  for (const auto& c : result.clusters) {
+  for (const auto& c : corpus.clusters) {
     EXPECT_LE(c.size(), 10u);
     total += c.size();
   }

@@ -68,7 +68,7 @@ TEST(BudgetTest, GammaReachedClosesAll) {
 
 TEST(EdgeLabelWeightsTest, InitialisedFromCoverage) {
   GraphDatabase db = WeightsDb();
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   Label C = db.labels().Find("C");
   Label O = db.labels().Find("O");
   Label N = db.labels().Find("N");
@@ -79,7 +79,7 @@ TEST(EdgeLabelWeightsTest, InitialisedFromCoverage) {
 
 TEST(EdgeLabelWeightsTest, DecayHalves) {
   GraphDatabase db = WeightsDb();
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   Label C = db.labels().Find("C");
   Label O = db.labels().Find("O");
   Graph pattern;
@@ -205,7 +205,7 @@ TEST(WeightedCsgTest, WeightsCombineGlobalAndLocal) {
   GraphDatabase db = WeightsDb();
   // Cluster = all four graphs. Summary has C-O (support 4) and C-N (2).
   ClusterSummaryGraph csg = BuildCsg(db, {0, 1, 2, 3});
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   WeightedCsg wcsg = MakeWeightedCsg(csg, elw);
   ASSERT_EQ(wcsg.edge_weights.size(), csg.NumEdges());
   Label C = db.labels().Find("C");
@@ -225,7 +225,7 @@ TEST(WeightedCsgTest, WeightsCombineGlobalAndLocal) {
 TEST(RandomWalkTest, PcpIsConnectedAndSized) {
   GraphDatabase db = WeightsDb();
   ClusterSummaryGraph csg = BuildCsg(db, {0, 1, 2, 3});
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   WeightedCsg wcsg = MakeWeightedCsg(csg, elw);
   Rng rng(4);
   Pcp pcp = GeneratePcp(wcsg, 2, rng);
@@ -238,7 +238,7 @@ TEST(RandomWalkTest, PcpIsConnectedAndSized) {
 TEST(RandomWalkTest, PcpCapsAtCsgSize) {
   GraphDatabase db = WeightsDb();
   ClusterSummaryGraph csg = BuildCsg(db, {0, 1, 2, 3});
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   WeightedCsg wcsg = MakeWeightedCsg(csg, elw);
   Rng rng(4);
   Pcp pcp = GeneratePcp(wcsg, 50, rng);
@@ -248,7 +248,7 @@ TEST(RandomWalkTest, PcpCapsAtCsgSize) {
 TEST(RandomWalkTest, SeedEdgeIsHeaviest) {
   GraphDatabase db = WeightsDb();
   ClusterSummaryGraph csg = BuildCsg(db, {0, 1, 2, 3});
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   WeightedCsg wcsg = MakeWeightedCsg(csg, elw);
   Rng rng(4);
   Pcp pcp = GeneratePcp(wcsg, 1, rng);
@@ -272,7 +272,7 @@ TEST(RandomWalkTest, FcpPicksMostFrequentEdges) {
 TEST(RandomWalkTest, FcpIsConnected) {
   GraphDatabase db = WeightsDb();
   ClusterSummaryGraph csg = BuildCsg(db, {0, 1, 2, 3});
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   WeightedCsg wcsg = MakeWeightedCsg(csg, elw);
   Rng rng(5);
   std::vector<Pcp> library;

@@ -202,22 +202,6 @@ TEST(GraphDatabaseTest, SubsetReindexes) {
   EXPECT_EQ(subset.graph(0).id(), 0u);
 }
 
-TEST(GraphDatabaseTest, EdgeLabelSupportCountsGraphsNotEdges) {
-  GraphDatabase db;
-  // Two edges with the same key in one graph must count once.
-  Graph g;
-  g.AddVertex(1);
-  g.AddVertex(2);
-  g.AddVertex(1);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  db.Add(std::move(g));
-  db.Add(MakePath(2, 1));  // labels (1,1): different key
-  auto support = db.EdgeLabelSupport();
-  EXPECT_EQ(support[MakeEdgeLabelKey(1, 2)], 1u);
-  EXPECT_EQ(support[MakeEdgeLabelKey(1, 1)], 1u);
-}
-
 TEST(GraphDatabaseTest, StatsAggregates) {
   GraphDatabase db;
   db.Add(MakeTriangle(0, 0, 0));

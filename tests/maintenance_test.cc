@@ -44,14 +44,14 @@ TEST(MaintenanceTest, AppendsGraphsAndPartitionStaysValid) {
   }
   // Clusters partition the updated database.
   std::set<GraphId> seen;
-  for (const auto& cluster : result.clusters) {
+  for (const auto& cluster : result.corpus.clusters) {
     for (GraphId id : cluster) {
       EXPECT_TRUE(seen.insert(id).second);
       EXPECT_LT(id, updated.size());
     }
   }
   EXPECT_EQ(seen.size(), updated.size());
-  EXPECT_EQ(result.csgs.size(), result.clusters.size());
+  EXPECT_EQ(result.corpus.csgs.size(), result.corpus.clusters.size());
   EXPECT_EQ(result.patterns_kept + result.patterns_changed,
             result.selection.patterns.size());
 }
@@ -109,9 +109,9 @@ TEST(MaintenanceTest, NoArrivalsKeepsPanelStable) {
   EXPECT_EQ(result.new_clusters, 0u);
   EXPECT_EQ(updated.size(), db.size());
   // Clusters are untouched.
-  ASSERT_EQ(result.clusters.size(), previous.clusters.size());
-  for (size_t c = 0; c < result.clusters.size(); ++c) {
-    EXPECT_EQ(result.clusters[c], previous.clusters[c]);
+  ASSERT_EQ(result.corpus.clusters.size(), previous.clusters.size());
+  for (size_t c = 0; c < result.corpus.clusters.size(); ++c) {
+    EXPECT_EQ(result.corpus.clusters[c], previous.clusters[c]);
   }
   // The update itself is deterministic: running it again reproduces the
   // panel exactly. (The panel may differ from `previous` because selection
@@ -142,7 +142,7 @@ TEST(MaintenanceTest, ClusterCapRespected) {
   GraphDatabase updated;
   MaintenanceResult result =
       UpdateWithNewGraphs(db, previous, arrivals, options, &updated);
-  for (const auto& cluster : result.clusters) {
+  for (const auto& cluster : result.corpus.clusters) {
     EXPECT_LE(cluster.size(), 16u);  // cap + the member that tripped it
   }
 }

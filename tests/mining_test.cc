@@ -160,11 +160,36 @@ TEST(SubgraphMinerTest, PatternSetRespectsBudget) {
 
 TEST(FrequentEdgesTest, RankingIsDescending) {
   GraphDatabase db = MakeSmallDb();
-  auto ranked = RankEdgesBySupport(db);
+  auto ranked = RankEdgesBySupport(BuildEdgeLabelIndex(db, AllGraphIds(db)));
   ASSERT_GE(ranked.size(), 2u);
   for (size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_GE(ranked[i - 1].support, ranked[i].support);
   }
+}
+
+TEST(FrequentEdgesTest, SupportCountsGraphsNotEdges) {
+  GraphDatabase db;
+  // Two edges with the same key in one graph must count once.
+  Graph g;
+  g.AddVertex(1);
+  g.AddVertex(2);
+  g.AddVertex(1);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  db.Add(std::move(g));
+  Graph path;  // labels (1,1): a different key
+  path.AddVertex(1);
+  path.AddVertex(1);
+  path.AddEdge(0, 1);
+  db.Add(std::move(path));
+  const std::vector<RankedEdge> ranked =
+      RankEdgesBySupport(BuildEdgeLabelIndex(db, AllGraphIds(db)));
+  ASSERT_EQ(ranked.size(), 2u);
+  // Equal supports rank by key.
+  EXPECT_EQ(ranked[0].key, MakeEdgeLabelKey(1, 1));
+  EXPECT_EQ(ranked[0].support, 1u);
+  EXPECT_EQ(ranked[1].key, MakeEdgeLabelKey(1, 2));
+  EXPECT_EQ(ranked[1].support, 1u);
 }
 
 TEST(FrequentEdgesTest, TopPatternsAreEdges) {

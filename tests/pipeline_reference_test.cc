@@ -16,6 +16,12 @@
 // arrivals with, and a maintenance step. It was recorded before the two
 // miners' growth loops, the two closure mappings and the labelled-edge
 // posting loops were each merged into one.
+//
+// A third table pins the path the benches and examples take: one
+// PrepareCorpus, then FindCannedPatternSet on the corpus under a selection
+// stream of their own. It was recorded when they still clustered, folded
+// and indexed by hand, so it shows that PrepareCorpus hands them the same
+// corpus. A fourth pins the deadline fallback's path patterns.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +35,7 @@
 #include "src/core/maintenance.h"
 #include "src/data/molecule_generator.h"
 #include "src/iso/ged.h"
+#include "src/mining/frequent_edges.h"
 #include "src/mining/subgraph_miner.h"
 #include "src/mining/subtree_miner.h"
 #include "src/util/thread_pool.h"
@@ -312,7 +319,7 @@ CorpusStepDigests CorpusSteps(const std::string& corpus,
   const MaintenanceResult result = UpdateWithNewGraphs(
       db, previous, arrivals_db.graphs(), maintenance, &updated);
   Digest update;
-  update.Mix(PartitionDigest(result.clusters));
+  update.Mix(PartitionDigest(result.corpus.clusters));
   update.Mix(PanelDigest(result.selection));
   update.Mix(result.new_clusters);
   out.maintenance = update.hash;
@@ -329,6 +336,62 @@ TEST(PipelineReferenceTest, CorpusStepsMatchPinnedDigests) {
     EXPECT_EQ(got.csgs, expected.csgs) << corpus;
     EXPECT_EQ(got.affinities, expected.affinities) << corpus;
     EXPECT_EQ(got.maintenance, expected.maintenance) << corpus;
+  }
+}
+
+// (corpus, mode) -> panel digest of a selection on the prepared corpus
+// under the stream Rng(seed + 2).
+const std::map<std::pair<std::string, std::string>, uint64_t>
+    kPreparedCorpusSelectionOutput{
+        {{"mol60", "default"}, 6952349284602695911u},
+        {{"mol60", "greedy"}, 6760471297478480004u},
+        {{"mol60", "approx"}, 9251855152976425762u},
+        {{"mol90", "default"}, 14390070419931689863u},
+        {{"mol90", "greedy"}, 1004383197971255522u},
+        {{"mol90", "approx"}, 1471168962676527655u},
+    };
+
+TEST(PipelineReferenceTest, SelectionOnPreparedCorpusMatchesPinnedDigests) {
+  std::map<std::string, GraphDatabase> corpora;
+  for (const auto& [key, expected] : kPreparedCorpusSelectionOutput) {
+    const auto& [name, mode] = key;
+    if (corpora.count(name) == 0) corpora.emplace(name, Corpus(name));
+    const GraphDatabase& db = corpora.at(name);
+    const CatapultOptions options = Options(mode);
+    const PreparedCorpus corpus =
+        PrepareCorpus(db, options, RunContext::NoLimit());
+    ASSERT_TRUE(corpus.ok());
+    // The corpus phases are RunCatapult's, so the partition is the one the
+    // first table pins.
+    EXPECT_EQ(PartitionDigest(corpus.clusters),
+              kPipelineReferenceOutput.at({name, "default"}).second)
+        << name << "/" << mode;
+    Rng rng(options.seed + 2);
+    const SelectionResult selection =
+        FindCannedPatternSet(db, corpus, options.selector, rng);
+    EXPECT_EQ(PanelDigest(selection), expected) << name << "/" << mode;
+  }
+}
+
+// Path size -> digest of FrequentEdgePathPatterns(index, size, 12) over
+// mol90's labelled-edge index, the index the selector's fallback reads.
+const std::map<size_t, uint64_t> kFallbackPathOutput{
+    {3, 5178744815549317376u},  {4, 14850007631075384384u},
+    {5, 694985863024036224u},   {6, 4796337861268031424u},
+    {7, 2540886513522777344u},  {8, 17452416827648032576u},
+};
+
+TEST(PipelineReferenceTest, FallbackPathPatternsMatchPinnedDigests) {
+  const GraphDatabase db = Corpus("mol90");
+  const LabelCoverageIndex label_index(db);
+  for (const auto& [size, expected] : kFallbackPathOutput) {
+    const std::vector<Graph> paths =
+        FrequentEdgePathPatterns(label_index.graphs_with_key(), size, 12);
+    EXPECT_EQ(paths.size(), 12u) << "size " << size;
+    Digest d;
+    d.Mix(paths.size());
+    for (const Graph& p : paths) d.Mix(p);
+    EXPECT_EQ(d.hash, expected) << "size " << size;
   }
 }
 

@@ -137,7 +137,7 @@ inline ReferenceSelection ReferenceSelect(
   const PatternBudget& budget = options.budget;
   const bool greedy = options.strategy == CandidateStrategy::kGreedyBfs;
   ReferenceSelection out;
-  EdgeLabelWeights elw(db);
+  EdgeLabelWeights elw{LabelCoverageIndex(db)};
   ClusterWeights cw(clusters, db.size());
   std::vector<Graph> summaries;
   for (const ClusterSummaryGraph& csg : csgs) {

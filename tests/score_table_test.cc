@@ -3,8 +3,7 @@
 // kernel, the incremental diversity fold and its search-free bound against
 // their definition (tests/reference_ged.h), the bound-first argmax against
 // the eager one, and the end-to-end invariants the memoized selector must
-// preserve — identical output with and without a prebuilt summary index,
-// recorded per-pattern diagnostics that replay against from-scratch
+// preserve — recorded per-pattern diagnostics that replay against from-scratch
 // recomputation, panels and scores equal to Algorithm 4 run from its
 // definition (tests/reference_selector.h), and a stop in the exact pass
 // that never lets a bound win.
@@ -36,9 +35,23 @@ namespace {
 
 struct SelectorEnv {
   GraphDatabase db;
-  std::vector<std::vector<GraphId>> clusters;
-  std::vector<ClusterSummaryGraph> csgs;
+  SelectionCorpus corpus;
 };
+
+// Clusters `setup->db` into contiguous runs of ten graphs, summarises them
+// and builds the corpus indices.
+void ClusterByTens(SelectorEnv* setup) {
+  for (GraphId start = 0; start < setup->db.size(); start += 10) {
+    std::vector<GraphId> cluster;
+    for (GraphId i = start;
+         i < std::min<GraphId>(start + 10, setup->db.size()); ++i) {
+      cluster.push_back(i);
+    }
+    setup->corpus.clusters.push_back(std::move(cluster));
+  }
+  setup->corpus.csgs = BuildCsgs(setup->db, setup->corpus.clusters);
+  BuildCorpusIndices(setup->db, &setup->corpus);
+}
 
 SelectorEnv MakeSetup(size_t num_graphs = 60, uint64_t seed = 13) {
   SelectorEnv setup;
@@ -49,15 +62,7 @@ SelectorEnv MakeSetup(size_t num_graphs = 60, uint64_t seed = 13) {
   gen.scaffold_families = 4;
   gen.seed = seed;
   setup.db = GenerateMoleculeDatabase(gen);
-  for (GraphId start = 0; start < setup.db.size(); start += 10) {
-    std::vector<GraphId> cluster;
-    for (GraphId i = start; i < std::min<GraphId>(start + 10, setup.db.size());
-         ++i) {
-      cluster.push_back(i);
-    }
-    setup.clusters.push_back(std::move(cluster));
-  }
-  setup.csgs = BuildCsgs(setup.db, setup.clusters);
+  ClusterByTens(&setup);
   return setup;
 }
 
@@ -80,12 +85,7 @@ SelectorEnv MakeRingChainSetup() {
   gen.seed = 43;
   const GraphDatabase chains = GenerateMoleculeDatabase(gen);
   for (const Graph& g : chains.graphs()) setup.db.Add(g);
-  for (GraphId start = 0; start < setup.db.size(); start += 10) {
-    std::vector<GraphId> cluster;
-    for (GraphId i = start; i < start + 10; ++i) cluster.push_back(i);
-    setup.clusters.push_back(std::move(cluster));
-  }
-  setup.csgs = BuildCsgs(setup.db, setup.clusters);
+  ClusterByTens(&setup);
   return setup;
 }
 
@@ -188,10 +188,10 @@ std::vector<bool> ReferenceCoverage(const Graph& pattern,
 
 TEST(CoveredCsgsFlatTest, MatchesReferenceCoverage) {
   SelectorEnv setup = MakeSetup();
-  FlatGraphDatabase index = BuildFlatSummaryIndex(setup.csgs);
-  ASSERT_EQ(index.size(), setup.csgs.size());
+  const FlatGraphDatabase& index = setup.corpus.summary_index;
+  ASSERT_EQ(index.size(), setup.corpus.csgs.size());
   std::vector<Graph> summaries;
-  for (const ClusterSummaryGraph& csg : setup.csgs) {
+  for (const ClusterSummaryGraph& csg : setup.corpus.csgs) {
     summaries.push_back(csg.ToGraph());
   }
   Rng rng(3);
@@ -412,46 +412,21 @@ TEST(BoundFirstArgmaxTest, BoundEqualToBestIsStillEvaluated) {
   EXPECT_EQ(winner, 0);
 }
 
-TEST(SelectorIndexTest, PrebuiltIndexIsIdenticalToLocalBuild) {
-  SelectorEnv setup = MakeSetup();
-  SelectorOptions options;
-  options.budget = {.eta_min = 3, .eta_max = 6, .gamma = 8};
-  options.walks_per_candidate = 8;
-
-  Rng rng_a(42);
-  SelectionResult without = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng_a);
-
-  FlatGraphDatabase index = BuildFlatSummaryIndex(setup.csgs);
-  Rng rng_b(42);
-  SelectionResult with = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng_b,
-      RunContext::NoLimit(), SelectorCheckpointHooks{}, &index);
-
-  ASSERT_EQ(with.patterns.size(), without.patterns.size());
-  for (size_t i = 0; i < with.patterns.size(); ++i) {
-    EXPECT_EQ(with.patterns[i].score, without.patterns[i].score);
-    EXPECT_EQ(with.patterns[i].ccov, without.patterns[i].ccov);
-    EXPECT_EQ(with.patterns[i].div, without.patterns[i].div);
-    EXPECT_TRUE(SameGraph(with.patterns[i].graph, without.patterns[i].graph));
-  }
-}
-
 TEST(SelectorReplayTest, RecordedDiagnosticsReplay) {
   SelectorEnv setup = MakeSetup();
   SelectorOptions options;
   options.budget = {.eta_min = 3, .eta_max = 6, .gamma = 8};
   options.walks_per_candidate = 8;
   Rng rng(7);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   ASSERT_GE(result.patterns.size(), 2u);
 
   std::vector<Graph> summaries;
-  for (const ClusterSummaryGraph& csg : setup.csgs) {
+  for (const ClusterSummaryGraph& csg : setup.corpus.csgs) {
     summaries.push_back(csg.ToGraph());
   }
-  ClusterWeights cw(setup.clusters, setup.db.size());
+  ClusterWeights cw(setup.corpus.clusters, setup.db.size());
   LabelCoverageIndex label_index(setup.db);
   std::vector<Graph> prefix;
   for (const SelectedPattern& p : result.patterns) {
@@ -523,8 +498,8 @@ TEST(ReferenceSelectorTest, PanelsAndScoresMatchDefinition) {
         const uint64_t seed = corpus_seed * 7 + budget.eta_max;
         Rng ref_rng(seed);
         const reference::ReferenceSelection expected =
-            reference::ReferenceSelect(setup.db, setup.clusters, setup.csgs,
-                                       options, ref_rng);
+            reference::ReferenceSelect(setup.db, setup.corpus.clusters,
+                                       setup.corpus.csgs, options, ref_rng);
         ASSERT_TRUE(expected.ged_exact);
         ASSERT_FALSE(expected.patterns.empty());
         if (mode == kDry) {
@@ -537,7 +512,7 @@ TEST(ReferenceSelectorTest, PanelsAndScoresMatchDefinition) {
                        << pool->num_threads());
           Rng rng(seed);
           const SelectionResult got = FindCannedPatternSet(
-              setup.db, setup.clusters, setup.csgs, options, rng,
+              setup.db, setup.corpus, options, rng,
               RunContext::NoLimit().WithPool(pool));
           EXPECT_TRUE(got.complete);
           EXPECT_EQ(got.iso_budget_exhausted, 0u);
@@ -587,7 +562,7 @@ TEST(SelectorStopTest, ExactPassStopNeverSelectsByBound) {
       };
       Rng rng(11);
       const SelectionResult got = FindCannedPatternSet(
-          setup.db, setup.clusters, setup.csgs, options, rng,
+          setup.db, setup.corpus, options, rng,
           RunContext::NoLimit().WithPool(pool), hooks);
       const size_t fired = failpoint::HitCount("selector.exact_div");
       failpoint::DisarmAll();

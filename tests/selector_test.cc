@@ -16,8 +16,7 @@ namespace {
 
 struct SelectorEnv {
   GraphDatabase db;
-  std::vector<std::vector<GraphId>> clusters;
-  std::vector<ClusterSummaryGraph> csgs;
+  SelectionCorpus corpus;
 };
 
 SelectorEnv MakeSetup(size_t num_graphs = 60, uint64_t seed = 13) {
@@ -36,9 +35,10 @@ SelectorEnv MakeSetup(size_t num_graphs = 60, uint64_t seed = 13) {
          ++i) {
       cluster.push_back(i);
     }
-    setup.clusters.push_back(std::move(cluster));
+    setup.corpus.clusters.push_back(std::move(cluster));
   }
-  setup.csgs = BuildCsgs(setup.db, setup.clusters);
+  setup.corpus.csgs = BuildCsgs(setup.db, setup.corpus.clusters);
+  BuildCorpusIndices(setup.db, &setup.corpus);
   return setup;
 }
 
@@ -48,8 +48,8 @@ TEST(SelectorTest, RespectsGamma) {
   options.budget = {.eta_min = 3, .eta_max = 5, .gamma = 6};
   options.walks_per_candidate = 8;
   Rng rng(1);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   EXPECT_LE(result.patterns.size(), 6u);
   EXPECT_GE(result.patterns.size(), 1u);
 }
@@ -60,8 +60,8 @@ TEST(SelectorTest, PatternsConnectedAndInSizeWindow) {
   options.budget = {.eta_min = 3, .eta_max = 6, .gamma = 8};
   options.walks_per_candidate = 8;
   Rng rng(2);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   for (const SelectedPattern& p : result.patterns) {
     EXPECT_TRUE(IsConnected(p.graph));
     EXPECT_GE(p.graph.NumEdges(), 3u);
@@ -77,7 +77,7 @@ TEST(SelectorTest, EmptyCsgListYieldsNothing) {
   SelectorOptions options;
   Rng rng(3);
   SelectionResult result =
-      FindCannedPatternSet(setup.db, {}, {}, options, rng);
+      FindCannedPatternSet(setup.db, SelectionCorpus{}, options, rng);
   EXPECT_TRUE(result.patterns.empty());
 }
 
@@ -87,8 +87,8 @@ TEST(SelectorTest, GreedyBfsStrategyProducesPatterns) {
   options.budget = {.eta_min = 3, .eta_max = 5, .gamma = 5};
   options.strategy = CandidateStrategy::kGreedyBfs;
   Rng rng(4);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   EXPECT_GE(result.patterns.size(), 1u);
 }
 
@@ -99,8 +99,8 @@ TEST(SelectorTest, NoDecayStillTerminates) {
   options.weight_decay = 1.0;
   options.walks_per_candidate = 8;
   Rng rng(5);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   EXPECT_LE(result.patterns.size(), 6u);
 }
 
@@ -110,12 +110,12 @@ TEST(SelectorTest, SourceCsgIsValid) {
   options.budget = {.eta_min = 3, .eta_max = 5, .gamma = 4};
   options.walks_per_candidate = 8;
   Rng rng(6);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   for (const SelectedPattern& p : result.patterns) {
-    ASSERT_LT(p.source_csg, setup.csgs.size());
+    ASSERT_LT(p.source_csg, setup.corpus.csgs.size());
     // The proposing CSG must contain the pattern.
-    Graph summary = setup.csgs[p.source_csg].ToGraph();
+    Graph summary = setup.corpus.csgs[p.source_csg].ToGraph();
     EXPECT_TRUE(ContainsSubgraph(p.graph, summary));
   }
 }
@@ -126,8 +126,8 @@ TEST(SelectorTest, PatternGraphsViewMatches) {
   options.budget = {.eta_min = 3, .eta_max = 5, .gamma = 4};
   options.walks_per_candidate = 8;
   Rng rng(7);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   std::vector<Graph> view = result.PatternGraphs();
   ASSERT_EQ(view.size(), result.patterns.size());
   for (size_t i = 0; i < view.size(); ++i) {
@@ -154,8 +154,8 @@ TEST_P(SelectorBudgetSweep, UniformSizeDistributionHolds) {
                     .gamma = param.gamma};
   options.walks_per_candidate = 6;
   Rng rng(8);
-  SelectionResult result = FindCannedPatternSet(
-      setup.db, setup.clusters, setup.csgs, options, rng);
+  SelectionResult result =
+      FindCannedPatternSet(setup.db, setup.corpus, options, rng);
   EXPECT_LE(result.patterns.size(), param.gamma);
   std::map<size_t, size_t> per_size;
   for (const SelectedPattern& p : result.patterns) {

@@ -61,7 +61,7 @@ Rng RowRng(size_t csg, size_t size) { return Rng(7001 + 1000 * csg + size); }
 // |E(CSG)| + 1.
 std::vector<std::string> WalkRows() {
   const WalkCorpus c = MakeCorpus();
-  const EdgeLabelWeights elw(c.db);
+  const EdgeLabelWeights elw(c.corpus.label_index);
   std::vector<std::string> rows;
   for (size_t i = 0; i < c.corpus.csgs.size(); ++i) {
     const ClusterSummaryGraph& csg = c.corpus.csgs[i];
@@ -147,7 +147,7 @@ TEST(WalkPinTest, WalksAndFcpsMatchPinnedTable) {
 // it leaves at the same position.
 TEST(WalkPinTest, LibraryIsSequentialWalksOnOneStream) {
   const WalkCorpus c = MakeCorpus();
-  const EdgeLabelWeights elw(c.db);
+  const EdgeLabelWeights elw(c.corpus.label_index);
   ASSERT_FALSE(c.corpus.csgs.empty());
   for (size_t i = 0; i < c.corpus.csgs.size(); ++i) {
     const WeightedCsg wcsg = MakeWeightedCsg(c.corpus.csgs[i], elw);
