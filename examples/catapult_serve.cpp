@@ -17,6 +17,10 @@
 //       [--admin-listen unix:PATH|tcp:HOST:PORT] [--request-log FILE]
 //       [--slow-request-ms MS]
 //
+// --workers is bounded like --threads: more than 256 worker threads
+// (ThreadPool::kMaxThreads) is an options error (exit 3), reported before
+// the corpus is prepared or the socket is bound.
+//
 // Observability (DESIGN.md §16): --admin-listen opens a second listener
 // serving /metrics (Prometheus text), /statusz (JSON) and /healthz while
 // requests are in flight; --request-log appends one JSONL line per

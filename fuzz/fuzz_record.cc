@@ -3,19 +3,22 @@
 // Exercises both layers that consume untrusted checkpoint bytes on --resume:
 //   1. DecodeRecordBytes — the CATCKPT1 framing (magic, header CRC, version,
 //      type, fingerprint, size, payload CRC);
-//   2. the phase payload decoders (DecodeClusteringPayload / DecodeCsgPayload
-//      / DecodeSelectionPayload), which must reject ANY byte string with a
-//      reason string — never a crash, CATAPULT_CHECK, or out-of-bounds read
-//      (BinaryReader's sticky-fail contract).
+//   2. the payload decoders (DecodeClusteringPayload / DecodeCsgPayload /
+//      DecodeSelectionPayload, and the sharded phase's
+//      DecodeShardResultPayload, which also reads the payload of every
+//      member's ClusterResult frame), which must reject ANY byte string with
+//      a reason string — never a crash, CATAPULT_CHECK, or out-of-bounds
+//      read (BinaryReader's sticky-fail contract).
 //
 // The first input byte steers which decoder sees the remainder, so one
-// corpus covers all four consumers.
+// corpus covers all five consumers.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/dist/worker.h"
 #include "src/graph/graph_database.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/record_io.h"
@@ -55,7 +58,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   uint8_t selector = data[0];
   std::string bytes(reinterpret_cast<const char*>(data + 1), size - 1);
 
-  switch (selector % 4) {
+  switch (selector % 5) {
     case 0: {
       std::string payload;
       uint32_t crc = 0;
@@ -82,6 +85,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       catapult::SelectorCheckpointState state;
       (void)catapult::DecodeSelectionPayload(bytes, FixedClusters(), budget,
                                              &state);
+      break;
+    }
+    case 4: {
+      // Coarse cluster 1 of the fixed partition, as the supervisor binds a
+      // member's result to the cluster it assigned.
+      catapult::dist::ShardClusterResult result;
+      (void)catapult::dist::DecodeShardResultPayload(
+          bytes, 1, FixedClusters()[1], &result);
       break;
     }
   }

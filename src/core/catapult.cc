@@ -251,7 +251,6 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
       dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
       dopts.worker_threads = ResolveThreadCount(options.threads);
       dopts.fine = fine;
-      dopts.checkpoint_dir = options.checkpoint_dir;
       dopts.fingerprint = corpus->fingerprint;
       dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
       dopts.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
@@ -260,9 +259,10 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
       dopts.join_timeout_ms = options.dist_join_timeout_ms;
       dopts.admin_listen = options.dist_admin_listen;
       // The sharded phase spans fine clustering and CSG folding, so its
-      // slice covers both phases' shares.
+      // slice covers both phases' shares. It saves and reuses shard records
+      // only in RunCatapult's store; without one they stay in memory.
       dist::ShardedPhasesResult sharded = dist::RunShardedClusterPhases(
-          db, clustering.clusters, streams, dopts,
+          db, clustering.clusters, streams, dopts, store,
           run_ctx.Slice(kClusteringTimeShare + kCsgTimeShare), &report.dist);
       clustering.clusters = std::move(sharded.fine_clusters);
       if (!sharded.fine_complete) clustering.fine_complete = false;

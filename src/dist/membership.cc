@@ -17,6 +17,7 @@
 #include "src/obs/export.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/persist/checkpoint.h"
 #include "src/util/backoff.h"
 
 #include <errno.h>
@@ -312,7 +313,7 @@ FleetOutcome RunFleet(
         reject.code = static_cast<uint32_t>(JoinRejectCode::kProtocolMismatch);
         reject.message = "protocol " + std::to_string(req.protocol) +
                          " != " + std::to_string(kDistProtocolVersion);
-      } else if (req.fingerprint != spec.fingerprint) {
+      } else if (req.fingerprint != options.fingerprint) {
         reject.code =
             static_cast<uint32_t>(JoinRejectCode::kFingerprintMismatch);
         reject.message = "config/database fingerprint mismatch";
@@ -398,13 +399,21 @@ FleetOutcome RunFleet(
           obs::Count(obs::Counter::kDistNetDuplicateClusters);
           break;
         }
-        // Persist the payload as the cluster's shard artifact, then
-        // re-validate through the same loader: the supervisor side of the
-        // trust boundary never believes a member's result it cannot
-        // re-derive the binding of.
-        std::string err = SaveShardArtifactPayload(spec, idx, f.payload);
+        // The supervisor side of the trust boundary never believes a
+        // member's result it cannot re-derive the binding of: the payload
+        // is decoded against the cluster it was assigned for. With a store
+        // it is first saved as the cluster's record and read back, so the
+        // decoded bytes are the durable ones.
+        std::string err;
+        if (spec.store != nullptr) {
+          err = spec.store->SaveShard(idx, f.payload);
+          if (err.empty()) err = spec.store->LoadShard(idx, &f.payload);
+        }
         ShardClusterResult result;
-        if (err.empty()) err = LoadShardArtifact(spec, idx, &result);
+        if (err.empty()) {
+          err = DecodeShardResultPayload(f.payload, idx, (*spec.coarse)[idx],
+                                         &result);
+        }
         if (!err.empty()) {
           ++report->artifacts_rejected;
           obs::Count(obs::Counter::kDistArtifactsRejected);
@@ -478,7 +487,7 @@ FleetOutcome RunFleet(
     w.Key("uptime_ms");
     w.Value(MillisBetween(admin_started, Clock::now()));
     w.Key("fingerprint");
-    w.Value(spec.fingerprint);
+    w.Value(options.fingerprint);
     w.Key("listen_address");
     w.Value(listener.address());
     w.Key("shards");
@@ -524,7 +533,7 @@ FleetOutcome RunFleet(
   // + reap it once fenced. Handshake, liveness, fencing and assignment are
   // the loop's own, shared with remote members.
   RemoteWorkerOptions member_options;
-  member_options.fingerprint = spec.fingerprint;
+  member_options.fingerprint = options.fingerprint;
   member_options.write_stall_timeout_ms = options.write_stall_timeout_ms;
 
   auto spawn = [&]() -> bool {
@@ -647,24 +656,24 @@ FleetOutcome RunFleet(
       assign.shard = s;
       assign.attempt = st.attempt;
       assign.generation = idle->generation;
-      assign.fine_enabled = !spec.streams.empty();
-      assign.fine_max_cluster_size = spec.fine.max_cluster_size;
-      assign.mcs_connected = spec.fine.mcs.connected;
-      assign.mcs_match_edge_labels = spec.fine.mcs.match_edge_labels;
-      assign.mcs_node_budget = spec.fine.mcs.node_budget;
+      assign.fine_enabled = !spec.streams->empty();
+      assign.fine_max_cluster_size = options.fine.max_cluster_size;
+      assign.mcs_connected = options.fine.mcs.connected;
+      assign.mcs_match_edge_labels = options.fine.mcs.match_edge_labels;
+      assign.mcs_node_budget = options.fine.mcs.node_budget;
       assign.deadline_remaining_ms =
-          spec.deadline.infinite() ? 0.0
-                                   : spec.deadline.RemainingSeconds() * 1e3;
-      assign.mem_soft_limit_bytes = spec.mem_soft_limit_bytes;
-      assign.mem_hard_limit_bytes = spec.mem_hard_limit_bytes;
+          ctx.deadline().infinite() ? 0.0
+                                    : ctx.deadline().RemainingSeconds() * 1e3;
+      assign.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
+      assign.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
       assign.trace_id = spec.trace_id;
       assign.parent_span_id = spec.parent_span_id;
-      assign.threads = spec.worker_threads;
+      assign.threads = options.worker_threads;
       for (size_t idx : shard_missing(s)) {
         ClusterWork work;
         work.index = idx;
         work.members = (*spec.coarse)[idx];
-        if (assign.fine_enabled) work.stream = spec.streams[idx];
+        if (assign.fine_enabled) work.stream = (*spec.streams)[idx];
         assign.clusters.push_back(std::move(work));
       }
       if (!idle->channel->Send(assign, FrameType::kShardAssign)) {

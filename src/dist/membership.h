@@ -25,6 +25,27 @@
 
 namespace catapult::dist {
 
+// The sharded phase's inputs as the loop hands them to members. Pointers
+// reference supervisor-owned state.
+struct ShardExecutionSpec {
+  const GraphDatabase* db = nullptr;
+  // The coarse partition, indexed by the cluster indices in the shard plan.
+  const std::vector<std::vector<GraphId>>* coarse = nullptr;
+  // Pre-split fine-clustering streams, index-aligned with `coarse` (empty
+  // when fine clustering is disabled for the run).
+  const std::vector<RngState>* streams = nullptr;
+  // The run's checkpoint store, or null: accepted results then live only in
+  // memory.
+  CheckpointStore* store = nullptr;
+  // Distributed-trace id of the supervising run (0 = untraced). A member
+  // given a non-zero id records per-cluster spans and ships them, with the
+  // id echoed, in its ShardDone frame.
+  uint64_t trace_id = 0;
+  // Span id of the supervisor's sharded-phase span, carried to members in
+  // ShardAssign so shipped context names its parent.
+  uint64_t parent_span_id = 0;
+};
+
 struct FleetOutcome {
   // True when the fleet disappeared (or never materialised) with work
   // still pending: the remaining shards must finish via the supervisor's
@@ -42,8 +63,9 @@ struct FleetOutcome {
 };
 
 // Runs the membership/assignment loop over `plan`, filling
-// (*cluster_results)[idx] for every cluster a member completes (persisted
-// as a kShard artifact, then re-validated through the same loader). Already
+// (*cluster_results)[idx] for every cluster a member completes: its payload
+// is decoded against the cluster it was assigned for (with a store, after
+// being saved as the cluster's kShard record and read back). Already
 // filled entries are respected and never reassigned. Returns when every
 // non-quarantined shard is done, the fleet is lost, or the run's context
 // requests a stop, with every local member reaped; unfinished clusters are

@@ -32,11 +32,11 @@ void SleepMillis(double ms) {
 }
 
 // True when every cluster index and member id in `assign` addresses `db`
-// and a fine-enabled assign splits to at least 2 graphs per cluster. The
-// cluster index sizes the sparse partition below, member ids index the
-// database and FineCluster CHECKs the size, so a skewed or hostile
-// supervisor must earn a protocol exit here rather than a huge allocation
-// or a CHECK failure deep in the pipeline.
+// and a fine-enabled assign splits to at least 2 graphs per cluster. A
+// coarse partition of `db` has at most db.size() clusters, member ids index
+// the database and FineCluster CHECKs the size, so a skewed or hostile
+// supervisor must earn a protocol exit here rather than an out-of-range
+// read or a CHECK failure deep in the pipeline.
 bool AssignFitsDatabase(const ShardAssignFrame& assign, size_t db_size) {
   if (assign.fine_enabled && assign.fine_max_cluster_size < 2) return false;
   for (const ClusterWork& c : assign.clusters) {
@@ -64,26 +64,11 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
                 Channel& channel, obs::MetricsRegistry& metrics,
                 std::atomic<uint64_t>& clusters_done) {
   const bool first_attempt = assign.attempt == 0;
-  size_t max_index = 0;
-  for (const ClusterWork& c : assign.clusters) {
-    max_index = std::max(max_index, static_cast<size_t>(c.index));
-  }
-  // Sparse rebuild of the supervisor's coarse partition: only the assigned
-  // indices are populated, which is all ComputeShardCluster ever touches.
-  std::vector<std::vector<GraphId>> coarse(max_index + 1);
-  ShardExecutionSpec spec;
-  if (assign.fine_enabled) spec.streams.resize(max_index + 1);
-  for (const ClusterWork& c : assign.clusters) {
-    coarse[c.index] = c.members;
-    if (assign.fine_enabled) spec.streams[c.index] = c.stream;
-  }
-  spec.db = &db;
-  spec.coarse = &coarse;
-  spec.fine.max_cluster_size = assign.fine_max_cluster_size;
-  spec.fine.mcs.connected = assign.mcs_connected;
-  spec.fine.mcs.match_edge_labels = assign.mcs_match_edge_labels;
-  spec.fine.mcs.node_budget = assign.mcs_node_budget;
-  spec.fingerprint = options.fingerprint;
+  FineClusteringOptions fine;
+  fine.max_cluster_size = assign.fine_max_cluster_size;
+  fine.mcs.connected = assign.mcs_connected;
+  fine.mcs.match_edge_labels = assign.mcs_match_edge_labels;
+  fine.mcs.node_budget = assign.mcs_node_budget;
 
   MemoryBudget budget =
       (assign.mem_soft_limit_bytes != 0 || assign.mem_hard_limit_bytes != 0)
@@ -100,7 +85,6 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
                        .WithMemory(std::move(budget))
                        .WithPool(&pool)
                        .WithObservability(&metrics, nullptr);
-  spec.deadline = deadline;
 
   // With one thread, spans are recorded on this session thread in cluster
   // order, so span ids and tick consumption are deterministic for a given
@@ -122,9 +106,12 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
       std::lock_guard<std::mutex> lock(ship_mutex);
       if (lost || !shard_error.empty()) return;
     }
-    size_t idx = static_cast<size_t>(assign.clusters[i].index);
+    const ClusterWork& work = assign.clusters[i];
+    size_t idx = static_cast<size_t>(work.index);
     obs::Span cluster_span(span_sink, "cluster-" + std::to_string(idx));
-    ShardClusterResult result = ComputeShardCluster(spec, idx, ctx);
+    ShardClusterResult result = ComputeShardCluster(
+        db, work.members, assign.fine_enabled ? &work.stream : nullptr, fine,
+        ctx);
     std::lock_guard<std::mutex> lock(ship_mutex);
     if (lost || !shard_error.empty()) return;
     if (!result.Complete()) {
@@ -138,7 +125,7 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
     out.shard = assign.shard;
     out.generation = assign.generation;
     out.cluster_index = idx;
-    out.payload = EncodeShardResultPayload(spec, idx, result);
+    out.payload = EncodeShardResultPayload(idx, work.members, result);
     std::string bytes = EncodeFrame(FrameType::kClusterResult, Encode(out));
 
     if (first_attempt && first_result &&

@@ -1,7 +1,6 @@
 #include "src/dist/supervisor.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <optional>
 
 #include "src/dist/membership.h"
@@ -9,47 +8,24 @@
 #include "src/dist/worker.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-
-#include <stdlib.h>
-#include <unistd.h>
+#include "src/persist/checkpoint.h"
 
 namespace catapult::dist {
-
-namespace {
-
-// Removes a private shard directory on every exit path from the phase.
-struct ScopedDirRemover {
-  std::string path;
-  ~ScopedDirRemover() {
-    if (!path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(path, ec);
-    }
-  }
-};
-
-}  // namespace
 
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
     const std::vector<RngState>& streams, const DistOptions& options,
-    const RunContext& ctx, DistReport* report) {
+    CheckpointStore* store, const RunContext& ctx, DistReport* report) {
   ShardedPhasesResult out;
   report->enabled = true;
   report->processes = options.processes;
+  if (coarse.empty()) return out;
 
   ShardExecutionSpec spec;
   spec.db = &db;
   spec.coarse = &coarse;
-  spec.streams = streams;
-  spec.fine = options.fine;
-  spec.fingerprint = options.fingerprint;
-  spec.worker_threads = options.worker_threads;
-  spec.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
-  spec.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
-  spec.deadline = ctx.deadline();
-
-  if (coarse.empty()) return out;
+  spec.streams = &streams;
+  spec.store = store;
 
   obs::Span phase_span(ctx.tracer(), "dist.sharded_phases");
   // Distributed-trace context: members record spans against this id and
@@ -58,37 +34,6 @@ ShardedPhasesResult RunShardedClusterPhases(
   if (ctx.tracer() != nullptr) {
     spec.trace_id = ctx.tracer()->trace_id();
     spec.parent_span_id = phase_span.id();
-  }
-
-  // Shard artifacts live in the run's checkpoint namespace when there is
-  // one; otherwise in a private temp directory that only serves this run's
-  // retries and is removed on the way out.
-  std::error_code ec;
-  const bool private_dir = options.checkpoint_dir.empty();
-  ScopedDirRemover private_dir_remover;
-  if (private_dir) {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path(ec) / "catapult-shards-XXXXXX")
-            .string();
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) != nullptr) spec.shard_dir = buf.data();
-    if (spec.shard_dir.empty()) {
-      // mkdtemp failing is already exceptional; the fallback name still
-      // includes the pid so concurrent supervisors on one host cannot
-      // share (and cross-contaminate) a shard directory.
-      spec.shard_dir =
-          (std::filesystem::temp_directory_path(ec) /
-           ("catapult-shards-p" + std::to_string(::getpid())))
-              .string();
-      std::filesystem::create_directories(spec.shard_dir, ec);
-    }
-    // Removal is scoped, not best-effort-at-the-end: early returns and the
-    // fleet's failure arms must not leak per-run temp directories.
-    private_dir_remover.path = spec.shard_dir;
-  } else {
-    spec.shard_dir = options.checkpoint_dir + "/shards";
-    std::filesystem::create_directories(spec.shard_dir, ec);
   }
 
   std::vector<size_t> sizes(coarse.size());
@@ -107,11 +52,16 @@ ShardedPhasesResult RunShardedClusterPhases(
     report->events.push_back(ShardEvent{kind, shard, std::move(detail)});
   };
 
-  // Durable artifacts — a prior run's or this run's — are reused, never
-  // recomputed.
+  // With a store, its durable records — a prior run's or this run's — are
+  // reused, never recomputed.
   auto reuse_artifact = [&](size_t s, size_t idx) {
+    if (store == nullptr) return false;
+    std::string payload;
     ShardClusterResult result;
-    if (!LoadShardArtifact(spec, idx, &result).empty()) return false;
+    if (!store->LoadShard(idx, &payload).empty() ||
+        !DecodeShardResultPayload(payload, idx, coarse[idx], &result).empty()) {
+      return false;
+    }
     ++report->artifacts_reused;
     obs::Count(obs::Counter::kDistArtifactsReused);
     event(ShardEvent::Kind::kArtifactReused, s,
@@ -120,22 +70,32 @@ ShardedPhasesResult RunShardedClusterPhases(
     return true;
   };
 
-  // In-process execution of one shard: the fallback rung. Same compute
-  // path and same pre-split streams as the members, so output is identical.
+  // The same compute path and pre-split streams as the members, so output
+  // is identical.
+  auto compute = [&](size_t idx) {
+    return ComputeShardCluster(db, coarse[idx],
+                               streams.empty() ? nullptr : &streams[idx],
+                               options.fine, ctx);
+  };
+
+  // In-process execution of one shard: the fallback rung.
   auto run_in_process = [&](size_t s) {
     for (size_t idx : plan.shards[s]) {
       if (cluster_results[idx].has_value() || reuse_artifact(s, idx)) continue;
-      ShardClusterResult result = ComputeShardCluster(spec, idx, ctx);
-      // Complete fallback results are persisted too, so a resumed run with
-      // the same checkpoint directory can still reuse them.
-      if (result.Complete()) SaveShardArtifact(spec, idx, result);
+      ShardClusterResult result = compute(idx);
+      // Complete fallback results are saved too, so a resumed run with the
+      // same checkpoint directory can still reuse them.
+      if (store != nullptr && result.Complete()) {
+        store->SaveShard(idx,
+                         EncodeShardResultPayload(idx, coarse[idx], result));
+      }
       cluster_results[idx] = std::move(result);
     }
   };
 
   report->remote = !options.listen_address.empty() || options.listen_fd >= 0;
-  // Prior-run artifacts load here, on the supervisor's filesystem; the
-  // fleet then assigns only the missing clusters.
+  // Prior-run records load here, on the supervisor's filesystem; the fleet
+  // then assigns only the missing clusters.
   for (size_t s = 0; s < plan.shards.size(); ++s) {
     for (size_t idx : plan.shards[s]) reuse_artifact(s, idx);
   }
@@ -145,8 +105,8 @@ ShardedPhasesResult RunShardedClusterPhases(
     shard_span_buffers = std::move(fleet.shard_spans);
   }
   // The degradation ladder's last rung: whatever the fleet did not finish
-  // — quarantine, stop, fleet loss — executes in the supervisor, reusing
-  // every durable artifact the members left behind.
+  // — quarantine, stop, fleet loss — executes in the supervisor, keeping
+  // every cluster the members already delivered.
   for (size_t s = 0; s < plan.shards.size(); ++s) {
     bool missing = false;
     for (size_t idx : plan.shards[s]) {
@@ -194,7 +154,7 @@ ShardedPhasesResult RunShardedClusterPhases(
     if (!cluster_results[c].has_value()) {
       // Defensive: every cluster is planned into some shard, but a dropped
       // result must never silently break the partition invariant.
-      cluster_results[c] = ComputeShardCluster(spec, c, ctx);
+      cluster_results[c] = compute(c);
     }
     ShardClusterResult& r = *cluster_results[c];
     out.fine_complete = out.fine_complete && r.fine_complete;
@@ -205,7 +165,7 @@ ShardedPhasesResult RunShardedClusterPhases(
     for (auto& csg : r.csgs) out.csgs.push_back(std::move(csg));
   }
 
-  return out;  // a private shard dir is removed by private_dir_remover
+  return out;
 }
 
 }  // namespace catapult::dist

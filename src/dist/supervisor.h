@@ -22,11 +22,18 @@
 // local member is also SIGKILLed, reaped with waitpid and replaced). Failed
 // shards are retried under deterministic capped exponential backoff
 // (src/util/backoff.h), each retry resuming from the clusters the
-// supervisor already persisted; a shard exhausting its failure budget is
+// supervisor already accepted; a shard exhausting its failure budget is
 // quarantined and executed in-process as the final rung of the degradation
-// ladder. The merged result is bit-identical to a 1-process run: each
-// coarse cluster's work depends only on its pre-split rng stream and the
-// supervisor concatenates results in coarse-cluster order.
+// ladder. Accepted results stay in memory; only a run with a checkpoint
+// store also writes them to it, as per-cluster shard records that a later
+// run in the same directory reuses. The merged result is bit-identical to
+// a 1-process run: each coarse cluster's work depends only on its pre-split
+// rng stream and the supervisor concatenates results in coarse-cluster
+// order.
+
+namespace catapult {
+class CheckpointStore;
+}  // namespace catapult
 
 namespace catapult::dist {
 
@@ -40,10 +47,7 @@ struct DistOptions {
 
   FineClusteringOptions fine;
 
-  // Directory of the run's checkpoint store; shard artifacts live in its
-  // "shards/" namespace. Empty = a private temporary directory, removed
-  // when the phase finishes (artifacts then only serve same-run retries).
-  std::string checkpoint_dir;
+  // The run's ConfigFingerprint: members must present it to join.
   uint64_t fingerprint = 0;
 
   // Per-member memory limits (each member charges its own ledger).
@@ -87,12 +91,15 @@ struct ShardedPhasesResult {
 // processes. Coarse cluster i is split under streams[i] (SplitFineStreams,
 // drawn by the caller exactly as for the in-process FineCluster call); an
 // empty `streams` skips fine clustering and folds each coarse cluster
-// whole. `report` (required) receives supervision diagnostics. Every local
-// member is reaped before this returns.
+// whole. With a `store` (RunCatapult's, when it checkpoints), its shard
+// records from a prior run are reused and every accepted cluster is saved
+// to it; without one (null) the phase reads and writes no file. `report`
+// (required) receives supervision diagnostics. Every local member is
+// reaped before this returns.
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
     const std::vector<RngState>& streams, const DistOptions& options,
-    const RunContext& ctx, DistReport* report);
+    CheckpointStore* store, const RunContext& ctx, DistReport* report);
 
 }  // namespace catapult::dist
 

@@ -211,7 +211,8 @@ struct ClusterResultFrame {
   uint64_t generation = 0;  // fenced generations are counted, never applied
   uint64_t cluster_index = 0;
   // EncodeShardResultPayload bytes (src/dist/worker.h); the supervisor
-  // wraps them into a kShard record.
+  // decodes them against the assigned cluster, and a run with a checkpoint
+  // store also saves them as the cluster's kShard record.
   std::string payload;
 };
 

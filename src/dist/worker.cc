@@ -1,25 +1,46 @@
 #include "src/dist/worker.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/persist/codec.h"
 #include "src/persist/record_io.h"
 
 namespace catapult::dist {
 
-namespace {
+ShardClusterResult ComputeShardCluster(const GraphDatabase& db,
+                                       const std::vector<GraphId>& cluster,
+                                       const RngState* stream,
+                                       const FineClusteringOptions& fine,
+                                       const RunContext& ctx) {
+  ShardClusterResult result;
+  // Inline context: callers parallelise across clusters, so per-cluster
+  // work must not re-enter the pool. Each cluster's result ships as soon as
+  // it completes, so the unit stays one cluster.
+  RunContext inline_ctx = ctx.WithPool(nullptr);
+  if (stream != nullptr) {
+    result.fine_clusters = FineCluster(db, {cluster}, {*stream}, fine,
+                                       inline_ctx, &result.fine_complete);
+  } else {
+    result.fine_clusters.push_back(cluster);
+  }
+  result.csgs.reserve(result.fine_clusters.size());
+  for (const std::vector<GraphId>& part : result.fine_clusters) {
+    bool fold_ok = true;
+    result.csgs.push_back(BuildCsg(db, part, inline_ctx, &fold_ok));
+    if (!fold_ok) ++result.degraded_csgs;
+  }
+  return result;
+}
 
-using persist::BinaryReader;
-using persist::BinaryWriter;
-
-std::string EncodeShardPayload(const std::vector<GraphId>& coarse_members,
-                               size_t cluster_index,
-                               const ShardClusterResult& result) {
-  BinaryWriter w;
+std::string EncodeShardResultPayload(size_t cluster_index,
+                                     const std::vector<GraphId>& cluster,
+                                     const ShardClusterResult& result) {
+  persist::BinaryWriter w;
   w.PutU64(cluster_index);
-  // The coarse member list binds the artifact to its cluster: a plan change
-  // (or a misfiled artifact) is a validation failure, not silent reuse.
-  persist::EncodeClusters({coarse_members}, w);
+  // The coarse member list binds the payload to its cluster: a plan change
+  // (or a misfiled record) is a validation failure, not silent reuse.
+  persist::EncodeClusters({cluster}, w);
   persist::EncodeClusters(result.fine_clusters, w);
   w.PutU64(result.csgs.size());
   for (const ClusterSummaryGraph& csg : result.csgs) {
@@ -28,11 +49,11 @@ std::string EncodeShardPayload(const std::vector<GraphId>& coarse_members,
   return w.TakeBuffer();
 }
 
-std::string DecodeShardPayload(const std::string& payload,
-                               const std::vector<GraphId>& coarse_members,
-                               size_t cluster_index,
-                               ShardClusterResult* out) {
-  BinaryReader r(payload);
+std::string DecodeShardResultPayload(const std::string& payload,
+                                     size_t cluster_index,
+                                     const std::vector<GraphId>& cluster,
+                                     ShardClusterResult* out) {
+  persist::BinaryReader r(payload);
   uint64_t stored_index = r.GetU64();
   std::vector<std::vector<GraphId>> stored_members;
   if (!persist::DecodeClusters(r, &stored_members)) {
@@ -57,7 +78,7 @@ std::string DecodeShardPayload(const std::string& payload,
   if (stored_index != cluster_index) {
     return "artifact bound to a different cluster index";
   }
-  if (stored_members.size() != 1 || stored_members[0] != coarse_members) {
+  if (stored_members.size() != 1 || stored_members[0] != cluster) {
     return "artifact bound to a different coarse cluster";
   }
   // The fine clusters must partition the coarse member set exactly.
@@ -66,7 +87,7 @@ std::string DecodeShardPayload(const std::string& payload,
     if (fine.empty()) return "empty fine cluster";
     covered.insert(covered.end(), fine.begin(), fine.end());
   }
-  std::vector<GraphId> expected = coarse_members;
+  std::vector<GraphId> expected = cluster;
   std::sort(covered.begin(), covered.end());
   std::sort(expected.begin(), expected.end());
   if (covered != expected) {
@@ -79,74 +100,6 @@ std::string DecodeShardPayload(const std::string& payload,
   }
   *out = std::move(result);
   return "";
-}
-
-}  // namespace
-
-std::string ShardArtifactPath(const std::string& shard_dir,
-                              size_t cluster_index) {
-  return shard_dir + "/cluster-" + std::to_string(cluster_index) + ".ckpt";
-}
-
-ShardClusterResult ComputeShardCluster(const ShardExecutionSpec& spec,
-                                       size_t cluster_index,
-                                       const RunContext& ctx) {
-  const std::vector<GraphId>& cluster = (*spec.coarse)[cluster_index];
-  ShardClusterResult result;
-  // Inline context: callers parallelise across clusters, so per-cluster
-  // work must not re-enter the pool. Each cluster's artifact ships (and is
-  // persisted) as soon as it completes, so the unit stays one cluster.
-  RunContext inline_ctx = ctx.WithPool(nullptr);
-  if (!spec.streams.empty()) {
-    result.fine_clusters =
-        FineCluster(*spec.db, {cluster}, {spec.streams[cluster_index]},
-                    spec.fine, inline_ctx, &result.fine_complete);
-  } else {
-    result.fine_clusters.push_back(cluster);
-  }
-  result.csgs.reserve(result.fine_clusters.size());
-  for (const std::vector<GraphId>& fine : result.fine_clusters) {
-    bool fold_ok = true;
-    result.csgs.push_back(BuildCsg(*spec.db, fine, inline_ctx, &fold_ok));
-    if (!fold_ok) ++result.degraded_csgs;
-  }
-  return result;
-}
-
-std::string SaveShardArtifact(const ShardExecutionSpec& spec,
-                              size_t cluster_index,
-                              const ShardClusterResult& result) {
-  return persist::WriteRecordFile(
-      ShardArtifactPath(spec.shard_dir, cluster_index),
-      persist::RecordType::kShard, spec.fingerprint,
-      EncodeShardPayload((*spec.coarse)[cluster_index], cluster_index,
-                         result));
-}
-
-std::string EncodeShardResultPayload(const ShardExecutionSpec& spec,
-                                     size_t cluster_index,
-                                     const ShardClusterResult& result) {
-  return EncodeShardPayload((*spec.coarse)[cluster_index], cluster_index,
-                            result);
-}
-
-std::string SaveShardArtifactPayload(const ShardExecutionSpec& spec,
-                                     size_t cluster_index,
-                                     const std::string& payload) {
-  return persist::WriteRecordFile(
-      ShardArtifactPath(spec.shard_dir, cluster_index),
-      persist::RecordType::kShard, spec.fingerprint, payload);
-}
-
-std::string LoadShardArtifact(const ShardExecutionSpec& spec,
-                              size_t cluster_index, ShardClusterResult* out) {
-  std::string payload;
-  std::string err = persist::ReadRecordFile(
-      ShardArtifactPath(spec.shard_dir, cluster_index),
-      persist::RecordType::kShard, spec.fingerprint, &payload);
-  if (!err.empty()) return err;
-  return DecodeShardPayload(payload, (*spec.coarse)[cluster_index],
-                            cluster_index, out);
 }
 
 }  // namespace catapult::dist

@@ -226,7 +226,7 @@ std::string CheckpointStore::FileNameFor(RecordType type) {
     case RecordType::kSelection:
       return "selection.ckpt";
     case RecordType::kShard:
-      // Shard records are per-cluster files under shards/ (src/dist/), not
+      // Shard records are per-cluster files under shards/ (ShardPath), not
       // singletons of the run directory; this name is never used for them.
       return "shard.ckpt";
   }
@@ -235,6 +235,27 @@ std::string CheckpointStore::FileNameFor(RecordType type) {
 
 std::string CheckpointStore::PathFor(RecordType type) const {
   return directory_ + "/" + FileNameFor(type);
+}
+
+std::string CheckpointStore::ShardPath(size_t cluster_index) const {
+  return directory_ + "/shards/cluster-" + std::to_string(cluster_index) +
+         ".ckpt";
+}
+
+std::string CheckpointStore::SaveShard(size_t cluster_index,
+                                       const std::string& payload) {
+  const std::string shard_dir = directory_ + "/shards";
+  std::error_code ec;
+  std::filesystem::create_directories(shard_dir, ec);
+  if (ec) return "cannot create " + shard_dir + ": " + ec.message();
+  return persist::WriteRecordFile(ShardPath(cluster_index), RecordType::kShard,
+                                  fingerprint_, payload);
+}
+
+std::string CheckpointStore::LoadShard(size_t cluster_index,
+                                       std::string* payload) const {
+  return persist::ReadRecordFile(ShardPath(cluster_index), RecordType::kShard,
+                                 fingerprint_, payload);
 }
 
 std::string CheckpointStore::WriteManifest() {

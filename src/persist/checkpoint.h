@@ -85,11 +85,12 @@ std::string DecodeSelectionPayload(
     const PatternBudget& budget, SelectorCheckpointState* state);
 
 // Reads and writes the checkpoint files of one pipeline run in one
-// directory. All writes are atomic and fsynced; all reads are validated
-// (magic, version, checksum, config fingerprint) before use. A store is
-// bound to the config fingerprint of its run: checkpoints written under a
-// different database or configuration are rejected on read, not silently
-// reused.
+// directory, and is the only code that touches it, the sharded phase's
+// records included. All writes are atomic and fsynced; all reads are
+// validated (magic, version, checksum, config fingerprint) before use. A
+// store is bound to the config fingerprint of its run: checkpoints written
+// under a different database or configuration are rejected on read, not
+// silently reused.
 class CheckpointStore {
  public:
   // `directory` is created (recursively) on the first write if absent.
@@ -120,6 +121,15 @@ class CheckpointStore {
   // saves retain the accepted phases and drop the rejected ones.
   Recovery Recover(const GraphDatabase& db, const PatternBudget& budget);
 
+  // The sharded phase's per-cluster records (DESIGN.md §12): coarse cluster
+  // `cluster_index`'s record is `shards/cluster-<idx>.ckpt`, of type kShard,
+  // stamped with the run fingerprint and never named by the manifest. The
+  // payload is the sharded phase's encoding (src/dist/worker.h); the store
+  // only frames it. Each returns "" on success, else the error (a missing
+  // record included); a failed load leaves `payload` empty.
+  std::string SaveShard(size_t cluster_index, const std::string& payload);
+  std::string LoadShard(size_t cluster_index, std::string* payload) const;
+
   // Checkpoint file names within the directory.
   static std::string FileNameFor(persist::RecordType type);
 
@@ -132,6 +142,7 @@ class CheckpointStore {
   };
 
   std::string PathFor(persist::RecordType type) const;
+  std::string ShardPath(size_t cluster_index) const;
   // Writes `payload` as the record for `type`, then rewrites the manifest
   // (artifact first, manifest last).
   std::string SavePhase(persist::RecordType type, const std::string& payload);

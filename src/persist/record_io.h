@@ -38,8 +38,8 @@ enum class RecordType : uint32_t {
   kClustering = 2,
   kCsgs = 3,
   kSelection = 4,
-  // One coarse cluster's fine clusters + CSGs, written by a shard worker
-  // into the run's shard-scoped checkpoint namespace (src/dist/).
+  // One coarse cluster's fine clusters + CSGs from the sharded phase
+  // (src/dist/), written by CheckpointStore::SaveShard under shards/.
   kShard = 5,
 };
 

@@ -20,6 +20,7 @@
 #include "src/obs/reqlog.h"
 #include "src/serve/protocol.h"
 #include "src/util/failpoint.h"
+#include "src/util/thread_pool.h"
 
 #include <fcntl.h>
 #include <poll.h>
@@ -791,6 +792,12 @@ std::string Server::Start(const GraphDatabase& db, const ServeOptions& options,
                           const PreparedCorpus* prepared) {
   if (started_) return "already started";
   if (options.socket_path.empty()) return "options: socket_path is required";
+  // Checked before anything is prepared, bound or spawned: Start makes one
+  // thread per worker.
+  if (options.worker_threads > ThreadPool::kMaxThreads) {
+    return "options: worker_threads: must not exceed "
+           "ThreadPool::kMaxThreads (256)";
+  }
   {
     const std::vector<OptionsError> errors =
         ValidateCatapultOptions(options.pipeline);

@@ -46,7 +46,8 @@ struct ServeOptions {
   // (an existing stale socket file is replaced), unlinked on Stop.
   std::string socket_path;
 
-  // Worker threads executing selection jobs.
+  // Worker threads executing selection jobs: 0 runs one, and more than
+  // ThreadPool::kMaxThreads (256) is an options error from Start.
   size_t worker_threads = 2;
 
   // Admission queue capacity; a request arriving past it is shed.

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -348,82 +349,102 @@ TEST(WireTest, TruncatedFrameIsIncompleteNotCorrupt) {
   EXPECT_FALSE(reader.corrupt());  // dead peer, not a poisoned stream
 }
 
-// --- shard artifacts --------------------------------------------------------
+// --- shard records ----------------------------------------------------------
 
 class ShardArtifactTest : public DistTest {
  protected:
-  // A tiny spec over a fake "coarse partition" of SmallDb, enough to drive
-  // ComputeShardCluster / Save / Load directly.
-  dist::ShardExecutionSpec MakeSpec(const GraphDatabase& db,
-                                    std::vector<std::vector<GraphId>>* coarse,
-                                    const std::string& dir) {
-    coarse->clear();
-    std::vector<GraphId> members;
-    for (GraphId g = 0; g < db.size(); ++g) members.push_back(g);
-    coarse->push_back(members);
-    dist::ShardExecutionSpec spec;
-    spec.db = &db;
-    spec.coarse = coarse;
+  // One coarse cluster holding all of SmallDb, split under a fixed stream:
+  // enough to drive ComputeShardCluster, the payload codec and the store's
+  // shard records directly.
+  void SetUp() override {
+    for (GraphId g = 0; g < db_.size(); ++g) cluster_.push_back(g);
     Rng rng(7);
-    spec.streams = SplitFineStreams(rng, coarse->size());
-    spec.fine.max_cluster_size = 8;
-    spec.shard_dir = dir;
-    spec.fingerprint = 0xfeedface;
-    return spec;
+    stream_ = SplitFineStreams(rng, 1)[0];
+    fine_.max_cluster_size = 8;
   }
+
+  dist::ShardClusterResult Compute(const std::vector<GraphId>& cluster) {
+    return dist::ComputeShardCluster(db_, cluster, &stream_, fine_,
+                                     RunContext::NoLimit());
+  }
+
+  // Saves cluster_'s computed result as cluster 0's record in `store`.
+  dist::ShardClusterResult SaveCluster(CheckpointStore& store) {
+    dist::ShardClusterResult computed = Compute(cluster_);
+    EXPECT_EQ(store.SaveShard(
+                  0, dist::EncodeShardResultPayload(0, cluster_, computed)),
+              "");
+    return computed;
+  }
+
+  static constexpr uint64_t kFingerprint = 0xfeedface;
+  GraphDatabase db_ = SmallDb();
+  std::vector<GraphId> cluster_;
+  RngState stream_;
+  FineClusteringOptions fine_;
 };
 
-TEST_F(ShardArtifactTest, RoundTripsAndValidatesBinding) {
-  GraphDatabase db = SmallDb();
-  std::vector<std::vector<GraphId>> coarse;
-  dist::ShardExecutionSpec spec = MakeSpec(db, &coarse, ScratchDir("rt"));
+void ExpectSameShardResult(const dist::ShardClusterResult& expected,
+                           const dist::ShardClusterResult& actual) {
+  EXPECT_EQ(actual.fine_clusters, expected.fine_clusters);
+  ASSERT_EQ(actual.csgs.size(), expected.csgs.size());
+  for (size_t i = 0; i < actual.csgs.size(); ++i) {
+    EXPECT_EQ(EncodeCsgBytes(actual.csgs[i]), EncodeCsgBytes(expected.csgs[i]));
+  }
+}
 
-  dist::ShardClusterResult computed =
-      dist::ComputeShardCluster(spec, 0, RunContext::NoLimit());
+TEST_F(ShardArtifactTest, RoundTripsAndValidatesBinding) {
+  const std::string dir = ScratchDir("rt");
+  CheckpointStore store(dir, kFingerprint);
+  dist::ShardClusterResult computed = SaveCluster(store);
   ASSERT_TRUE(computed.Complete());
   ASSERT_FALSE(computed.fine_clusters.empty());
   ASSERT_EQ(computed.fine_clusters.size(), computed.csgs.size());
-  ASSERT_EQ(dist::SaveShardArtifact(spec, 0, computed), "");
+  // The record lives at its fixed path and is never named by a manifest.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/shards/cluster-0.ckpt"));
+  EXPECT_FALSE(std::filesystem::exists(
+      dir + "/" + CheckpointStore::FileNameFor(RecordType::kManifest)));
 
+  std::string payload;
+  ASSERT_EQ(store.LoadShard(0, &payload), "");
   dist::ShardClusterResult loaded;
-  ASSERT_EQ(dist::LoadShardArtifact(spec, 0, &loaded), "");
-  EXPECT_EQ(loaded.fine_clusters, computed.fine_clusters);
-  ASSERT_EQ(loaded.csgs.size(), computed.csgs.size());
-  for (size_t i = 0; i < loaded.csgs.size(); ++i) {
-    EXPECT_EQ(EncodeCsgBytes(loaded.csgs[i]), EncodeCsgBytes(computed.csgs[i]));
-  }
+  ASSERT_EQ(dist::DecodeShardResultPayload(payload, 0, cluster_, &loaded), "");
+  ExpectSameShardResult(computed, loaded);
 
-  // Loading a missing cluster reports, not crashes.
-  dist::ShardClusterResult missing;
-  EXPECT_NE(dist::LoadShardArtifact(spec, 1, &missing), "");
+  // Loading a missing cluster, or through a store of another run, reports
+  // and yields no payload.
+  std::string missing;
+  EXPECT_NE(store.LoadShard(1, &missing), "");
+  EXPECT_TRUE(missing.empty());
+  std::string foreign;
+  EXPECT_NE(CheckpointStore(dir, kFingerprint + 1).LoadShard(0, &foreign), "");
+  EXPECT_TRUE(foreign.empty());
 }
 
 TEST_F(ShardArtifactTest, RejectsArtifactBoundToDifferentCluster) {
-  GraphDatabase db = SmallDb();
-  std::vector<std::vector<GraphId>> coarse;
-  dist::ShardExecutionSpec spec = MakeSpec(db, &coarse, ScratchDir("bind"));
-  dist::ShardClusterResult computed =
-      dist::ComputeShardCluster(spec, 0, RunContext::NoLimit());
-  ASSERT_EQ(dist::SaveShardArtifact(spec, 0, computed), "");
+  CheckpointStore store(ScratchDir("bind"), kFingerprint);
+  SaveCluster(store);
+  std::string payload;
+  ASSERT_EQ(store.LoadShard(0, &payload), "");
 
-  // Same file, different current membership: the binding check must fire.
-  coarse[0].pop_back();
-  Rng rng(7);
-  spec.streams = SplitFineStreams(rng, coarse.size());
+  // Same record, different current membership or index: the binding check
+  // must fire.
+  std::vector<GraphId> shrunk = cluster_;
+  shrunk.pop_back();
   dist::ShardClusterResult loaded;
-  std::string err = dist::LoadShardArtifact(spec, 0, &loaded);
-  EXPECT_NE(err, "") << "artifact bound to a different member list accepted";
+  EXPECT_NE(dist::DecodeShardResultPayload(payload, 0, shrunk, &loaded), "")
+      << "record bound to a different member list accepted";
+  EXPECT_NE(dist::DecodeShardResultPayload(payload, 1, cluster_, &loaded), "")
+      << "record bound to a different cluster index accepted";
+  EXPECT_TRUE(loaded.fine_clusters.empty()) << "a rejection filled `out`";
 }
 
 TEST_F(ShardArtifactTest, RejectsCorruptedArtifactBytes) {
-  GraphDatabase db = SmallDb();
-  std::vector<std::vector<GraphId>> coarse;
-  dist::ShardExecutionSpec spec = MakeSpec(db, &coarse, ScratchDir("flip"));
-  dist::ShardClusterResult computed =
-      dist::ComputeShardCluster(spec, 0, RunContext::NoLimit());
-  ASSERT_EQ(dist::SaveShardArtifact(spec, 0, computed), "");
+  const std::string dir = ScratchDir("flip");
+  CheckpointStore store(dir, kFingerprint);
+  SaveCluster(store);
 
-  std::string path = dist::ShardArtifactPath(spec.shard_dir, 0);
+  const std::string path = dir + "/shards/cluster-0.ckpt";
   std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 2] ^= 0x08;
@@ -431,8 +452,43 @@ TEST_F(ShardArtifactTest, RejectsCorruptedArtifactBytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.close();
 
-  dist::ShardClusterResult loaded;
-  EXPECT_NE(dist::LoadShardArtifact(spec, 0, &loaded), "");
+  std::string payload;
+  EXPECT_NE(store.LoadShard(0, &payload), "");
+  EXPECT_TRUE(payload.empty());
+}
+
+// A run without a store accepts a member's payload through the decoder
+// alone: it must refuse a payload encoded for another member list and
+// accept each payload for its own. The same members in another order are
+// another coarse cluster (fine clustering draws its seeds by position), and
+// only the stored member list tells the two apart: either result partitions
+// either list.
+TEST_F(ShardArtifactTest, InMemoryDecoderChecksTheBinding) {
+  const std::vector<GraphId> reversed(cluster_.rbegin(), cluster_.rend());
+  const dist::ShardClusterResult forward_result = Compute(cluster_);
+  const dist::ShardClusterResult reversed_result = Compute(reversed);
+  const std::string forward_payload =
+      dist::EncodeShardResultPayload(0, cluster_, forward_result);
+  const std::string reversed_payload =
+      dist::EncodeShardResultPayload(0, reversed, reversed_result);
+
+  dist::ShardClusterResult decoded;
+  EXPECT_NE(
+      dist::DecodeShardResultPayload(forward_payload, 0, reversed, &decoded),
+      "");
+  EXPECT_NE(
+      dist::DecodeShardResultPayload(reversed_payload, 0, cluster_, &decoded),
+      "");
+  EXPECT_TRUE(decoded.fine_clusters.empty()) << "a rejection filled `out`";
+
+  ASSERT_EQ(
+      dist::DecodeShardResultPayload(forward_payload, 0, cluster_, &decoded),
+      "");
+  ExpectSameShardResult(forward_result, decoded);
+  ASSERT_EQ(
+      dist::DecodeShardResultPayload(reversed_payload, 0, reversed, &decoded),
+      "");
+  ExpectSameShardResult(reversed_result, decoded);
 }
 
 // --- end-to-end bit-identity ------------------------------------------------
@@ -509,6 +565,84 @@ TEST_F(DistTest, CheckpointBytesMatchInProcessRun) {
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed.execution.resumed_from, "selection");
   ExpectSameResult(expected, resumed);
+}
+
+// FNV-1a 64 of a file's bytes.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The shard records a checkpointed sharded run writes, pinned by digest:
+// these are the bytes the sharded phase wrote before the checkpoint store
+// owned them, so a directory written by an older build still resumes. With
+// its phase records gone, a rerun in the same directory reuses every one.
+TEST_F(DistTest, ShardRecordsMatchPinnedDigestsAndAreReused) {
+  GraphDatabase db = SmallDb();
+  CatapultOptions options = DistOptionsOf(FastOptions(), 4);
+  options.checkpoint_dir = ScratchDir("pin");
+  CatapultResult first = RunCatapult(db, options);
+  ASSERT_TRUE(first.ok());
+
+  const std::vector<uint64_t> kPinned = {
+      0xc7dcdf4e2806da17ull, 0x78c7f84adcbec1ecull, 0xb2807f17563d1a0bull};
+  const std::string shards = options.checkpoint_dir + "/shards";
+  std::vector<uint64_t> digests;
+  for (size_t idx = 0; idx < kPinned.size(); ++idx) {
+    digests.push_back(Fnv1a(ReadFileBytes(
+        shards + "/cluster-" + std::to_string(idx) + ".ckpt")));
+  }
+  EXPECT_EQ(digests, kPinned);
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(shards)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, kPinned.size());
+
+  for (RecordType type : {RecordType::kManifest, RecordType::kClustering,
+                          RecordType::kCsgs, RecordType::kSelection}) {
+    std::filesystem::remove(options.checkpoint_dir + "/" +
+                            CheckpointStore::FileNameFor(type));
+  }
+  CatapultResult rerun = RunCatapult(db, options);
+  ASSERT_TRUE(rerun.ok());
+  ExpectSameResult(first, rerun);
+  EXPECT_EQ(rerun.execution.dist.artifacts_reused, kPinned.size());
+  EXPECT_EQ(rerun.execution.dist.workers_spawned, 0u);
+}
+
+// Without a checkpoint directory the sharded phase keeps its members'
+// results in memory: it reads and writes no record, and the panel is the
+// in-process one.
+TEST_F(DistTest, UncheckpointedShardedRunReadsAndWritesNoRecord) {
+  GraphDatabase db = SmallDb();
+  CatapultResult expected = RunCatapult(db, FastOptions());
+  ASSERT_TRUE(expected.ok());
+
+  obs::MetricsRegistry registry;
+  RunContext ctx = RunContext::NoLimit().WithObservability(&registry, nullptr);
+  CatapultResult actual =
+      RunCatapult(db, DistOptionsOf(FastOptions(), 4), ctx);
+  ASSERT_TRUE(actual.ok());
+  ExpectSameResult(expected, actual);
+  EXPECT_GT(actual.execution.dist.remote_clusters, 0u);
+  EXPECT_EQ(actual.execution.dist.inprocess_fallbacks, 0u);
+
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  for (obs::Counter c :
+       {obs::Counter::kCheckpointRecordsWritten,
+        obs::Counter::kCheckpointRecordsRead,
+        obs::Counter::kCheckpointBytesWritten,
+        obs::Counter::kCheckpointBytesRead, obs::Counter::kCheckpointFsyncs}) {
+    EXPECT_EQ(snap.counter(c), 0u) << obs::CounterName(c);
+  }
+  EXPECT_EQ(snap.hist(obs::Hist::kCheckpointRecordBytes).count, 0u);
+  ExpectNoChildLeft();
 }
 
 // The local fleet at processes {2, 4} x threads {1, 4}: members obey the
@@ -661,6 +795,9 @@ TEST_F(DistChaosTest, QuarantinesAfterFailureBudgetAndFallsBackInProcess) {
 
   CatapultOptions sharded = DistOptionsOf(base, 3);
   sharded.max_shard_retries = 2;
+  // The persist faults need records to hit: only a run with a checkpoint
+  // store writes any.
+  sharded.checkpoint_dir = ScratchDir("sharded");
   // Every attempt fails: no accepted cluster can be persisted.
   failpoint::Arm("persist.rename", -1);
   CatapultResult actual = RunCatapult(db, sharded);
@@ -683,9 +820,10 @@ TEST_F(DistChaosTest, QuarantinesAfterFailureBudgetAndFallsBackInProcess) {
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kBackoffWait));
 }
 
-// Persist-layer corruption inside the shard namespace: torn artifact writes
-// and bit-flipped reads must resolve to a cold shard restart (recompute),
-// never a crash — at multi-threaded members, like production would run.
+// Persist-layer corruption inside the store's shard namespace: torn record
+// writes and bit-flipped reads must resolve to a cold shard restart
+// (recompute), never a crash — at multi-threaded members, like production
+// would run.
 TEST_F(DistChaosTest, TornShardArtifactWriteResolvesToRestart) {
   GraphDatabase db = SmallDb();
   CatapultOptions base = FastOptions();
@@ -693,8 +831,10 @@ TEST_F(DistChaosTest, TornShardArtifactWriteResolvesToRestart) {
   CatapultResult expected = RunCatapult(db, base);
   ASSERT_TRUE(expected.ok());
 
+  CatapultOptions sharded = DistOptionsOf(base, 4);
+  sharded.checkpoint_dir = ScratchDir("sharded");
   failpoint::Arm("persist.torn_write", 1);  // the first artifact write
-  CatapultResult actual = RunCatapult(db, DistOptionsOf(base, 4));
+  CatapultResult actual = RunCatapult(db, sharded);
   failpoint::DisarmAll();
   ASSERT_TRUE(actual.ok());
   ExpectSameResult(expected, actual);
@@ -708,8 +848,10 @@ TEST_F(DistChaosTest, BitFlippedShardArtifactReadResolvesToRestart) {
   CatapultResult expected = RunCatapult(db, base);
   ASSERT_TRUE(expected.ok());
 
+  CatapultOptions sharded = DistOptionsOf(base, 4);
+  sharded.checkpoint_dir = ScratchDir("sharded");
   failpoint::Arm("persist.bit_flip", 1);  // the first artifact read
-  CatapultResult actual = RunCatapult(db, DistOptionsOf(base, 4));
+  CatapultResult actual = RunCatapult(db, sharded);
   failpoint::DisarmAll();
   ASSERT_TRUE(actual.ok());
   ExpectSameResult(expected, actual);

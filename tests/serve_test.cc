@@ -24,6 +24,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/util/failpoint.h"
+#include "src/util/thread_pool.h"
 #include "tests/scratch_dir.h"
 
 #include <poll.h>
@@ -888,6 +889,18 @@ TEST_F(ServeTest, StartReplacesStaleSocketFileAndStopRemovesIt) {
   serve::PongReply pong;
   ASSERT_EQ(client.Ping(&pong), "");
   server.Stop();
+  EXPECT_NE(::access(options.socket_path.c_str(), F_OK), 0);
+}
+
+// The worker count is bounded like the pipeline's threads, and the bound is
+// checked before Start binds the socket or spawns a thread.
+TEST_F(ServeTest, StartRejectsMoreWorkersThanThePoolBound) {
+  serve::ServeOptions options = BaseOptions("workers");
+  options.worker_threads = ThreadPool::kMaxThreads + 1;
+  serve::Server server;
+  const std::string error = server.Start(TestDb(), options, &TestCorpus());
+  EXPECT_EQ(error.rfind("options: worker_threads", 0), 0u) << error;
+  EXPECT_FALSE(server.started());
   EXPECT_NE(::access(options.socket_path.c_str(), F_OK), 0);
 }
 
