@@ -31,7 +31,7 @@
 //   1   usage or I/O error
 //   2   database parse error
 //   20  could not reach the supervisor within the dial budget
-//   21  supervisor rejected the handshake (version/fingerprint/namespace)
+//   21  supervisor rejected the handshake (protocol version/fingerprint)
 //   22  supervisor spoke an unintelligible protocol
 
 #include <cstdio>

@@ -42,23 +42,6 @@ class Fingerprinter {
   uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
-// Resolves CatapultOptions::threads: explicit values win; 0 consults the
-// CATAPULT_THREADS environment variable (itself 0 = hardware concurrency,
-// the hook the CI sanitizer jobs use to thread every suite), else 1.
-size_t ResolveThreadCount(size_t configured) {
-  if (configured != 0) return configured;
-  const char* env = std::getenv("CATAPULT_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return value == 0 ? ThreadPool::HardwareThreads()
-                        : static_cast<size_t>(value);
-    }
-  }
-  return 1;
-}
-
 // Deadline shares of the corpus phases (DESIGN.md §7): clustering gets this
 // fraction of the remaining time, CSG folding this fraction of the
 // then-remaining time, and selection runs against the whole deadline. A
@@ -243,27 +226,14 @@ void RunCorpusPhases(const GraphDatabase& db, const CatapultOptions& options,
     const FineClusteringOptions fine{options.clustering.max_cluster_size,
                                      options.clustering.fine_mcs};
     if (options.processes > 1) {
-      dist::DistOptions dopts;
-      dopts.processes = options.processes;
-      dopts.max_shard_retries = options.max_shard_retries;
-      dopts.heartbeat_timeout_ms = options.shard_heartbeat_timeout_ms;
-      dopts.backoff_base_ms = options.shard_backoff_base_ms;
-      dopts.backoff_cap_ms = options.shard_backoff_cap_ms;
-      dopts.worker_threads = ResolveThreadCount(options.threads);
-      dopts.fine = fine;
-      dopts.fingerprint = corpus->fingerprint;
-      dopts.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
-      dopts.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
-      dopts.listen_address = options.dist_listen;
-      dopts.listen_fd = options.dist_listen_fd;
-      dopts.join_timeout_ms = options.dist_join_timeout_ms;
-      dopts.admin_listen = options.dist_admin_listen;
       // The sharded phase spans fine clustering and CSG folding, so its
-      // slice covers both phases' shares. It saves and reuses shard records
-      // only in RunCatapult's store; without one they stay in memory.
+      // slice covers both phases' shares. It saves shard records only in
+      // RunCatapult's store, and reuses them only under --resume; without
+      // a store they stay in memory.
       dist::ShardedPhasesResult sharded = dist::RunShardedClusterPhases(
-          db, clustering.clusters, streams, dopts, store,
-          run_ctx.Slice(kClusteringTimeShare + kCsgTimeShare), &report.dist);
+          db, clustering.clusters, streams, options, corpus->fingerprint,
+          store, run_ctx.Slice(kClusteringTimeShare + kCsgTimeShare),
+          &report.dist);
       clustering.clusters = std::move(sharded.fine_clusters);
       if (!sharded.fine_complete) clustering.fine_complete = false;
       corpus->csgs = std::move(sharded.csgs);
@@ -383,6 +353,20 @@ void RunSelectionPhase(const GraphDatabase& db, const PreparedCorpus& corpus,
 }
 
 }  // namespace
+
+size_t ResolveThreadCount(size_t configured) {
+  if (configured != 0) return configured;
+  const char* env = std::getenv("CATAPULT_THREADS");
+  if (env != nullptr && *env != '\0') {
+    char* end = nullptr;
+    unsigned long value = std::strtoul(env, &end, 10);
+    if (end != env && *end == '\0') {
+      return value == 0 ? ThreadPool::HardwareThreads()
+                        : static_cast<size_t>(value);
+    }
+  }
+  return 1;
+}
 
 std::vector<OptionsError> ValidateCatapultOptions(
     const CatapultOptions& options) {

@@ -56,7 +56,9 @@ struct CatapultOptions {
   // checkpoint; with `resume` also true, the run first validates the
   // directory's checkpoints and restarts from the furthest intact phase
   // (falling down the recovery ladder on corruption) instead of from
-  // scratch. The deadline options above are deliberately excluded from the
+  // scratch, and a sharded phase it reruns reuses the valid shard records
+  // a prior run left. Without `resume` the run reuses nothing a prior run
+  // left. The deadline options above are deliberately excluded from the
   // checkpoint compatibility fingerprint: resuming a killed run under a
   // new deadline is the expected use.
   std::string checkpoint_dir;
@@ -90,7 +92,7 @@ struct CatapultOptions {
   size_t processes = 0;
   size_t max_shard_retries = 2;
   // A member silent on its connection for this long is declared hung and
-  // fenced (its shard retries from the last durable artifact).
+  // fenced (its shard retries from the clusters already accepted).
   double shard_heartbeat_timeout_ms = 2000.0;
   // Remote worker fleets (DESIGN.md §12). A non-empty listen
   // address ("unix:PATH" or "tcp:HOST:PORT") — or an adopted listening fd
@@ -135,6 +137,12 @@ struct OptionsError {
 // field; empty means the options are safe to run.
 std::vector<OptionsError> ValidateCatapultOptions(
     const CatapultOptions& options);
+
+// Resolves CatapultOptions::threads: explicit values win; 0 consults the
+// CATAPULT_THREADS environment variable (itself 0 = hardware concurrency,
+// the hook the CI sanitizer jobs use to thread every suite), else 1. A
+// sharded run's members compute on this many threads too.
+size_t ResolveThreadCount(size_t configured);
 
 // Compatibility fingerprint of (options, db): every option that influences
 // the pipeline's output plus a structural hash of the database. Checkpoints

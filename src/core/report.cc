@@ -53,6 +53,8 @@ void WriteSelectionReport(const CatapultResult& result,
   w.Key("artifacts_reused").Value(static_cast<uint64_t>(d.artifacts_reused));
   w.Key("artifacts_rejected").Value(
       static_cast<uint64_t>(d.artifacts_rejected));
+  w.Key("fallback_save_failures").Value(
+      static_cast<uint64_t>(d.fallback_save_failures));
   w.Key("heartbeats").Value(static_cast<uint64_t>(d.heartbeats));
   // Fleet membership (DESIGN.md §12); all-zero/false for in-process runs,
   // and `remote`/`listen_address` stay unset for local fleets.

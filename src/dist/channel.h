@@ -32,6 +32,10 @@ inline constexpr char kFailpointConnectRefused[] = "dist.net.connect_refused";
 inline constexpr char kFailpointShortWrite[] = "dist.net.short_write";
 inline constexpr char kFailpointWriteStall[] = "dist.net.write_stall";
 
+// How long a send may make no progress before the channel is marked failed
+// (a half-open peer): the deadline of every fleet connection, both ends.
+inline constexpr double kWriteStallTimeoutMs = 5000.0;
+
 // A parsed endpoint: "unix:/path/to.sock" or "tcp:HOST:PORT". TCP hosts
 // are numeric IPv4 (or the literal "localhost"); fleet endpoints are
 // operator-configured addresses, not names needing resolution.
@@ -57,7 +61,8 @@ class Channel {
  public:
   Channel() = default;
   // Takes ownership of `fd` and switches it to non-blocking.
-  explicit Channel(int fd, double write_stall_timeout_ms = 5000.0);
+  explicit Channel(int fd,
+                   double write_stall_timeout_ms = kWriteStallTimeoutMs);
   ~Channel();
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -94,7 +99,7 @@ class Channel {
 
  private:
   int fd_ = -1;
-  double write_stall_timeout_ms_ = 5000.0;
+  double write_stall_timeout_ms_ = kWriteStallTimeoutMs;
   std::mutex write_mutex_;
   bool failed_ = false;
   bool write_stalled_ = false;

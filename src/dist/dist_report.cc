@@ -24,6 +24,8 @@ const char* ToString(ShardEvent::Kind kind) {
       return "artifact_reused";
     case ShardEvent::Kind::kArtifactRejected:
       return "artifact_rejected";
+    case ShardEvent::Kind::kFallbackSaveFailed:
+      return "fallback_save_failed";
     case ShardEvent::Kind::kWorkerJoined:
       return "worker_joined";
     case ShardEvent::Kind::kWorkerRejected:

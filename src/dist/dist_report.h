@@ -24,6 +24,7 @@ struct ShardEvent {
     kShardCompleted,     // shard results merged
     kArtifactReused,     // cluster restored from a durable shard artifact
     kArtifactRejected,   // shard artifact failed validation; recomputed
+    kFallbackSaveFailed,  // fallback result kept but not saved; store error
     // Fleet membership.
     kWorkerJoined,       // handshake admitted a fresh member
     kWorkerRejected,     // handshake refused; detail = typed reason
@@ -58,6 +59,7 @@ struct DistReport {
   size_t inprocess_fallbacks = 0;
   size_t artifacts_reused = 0;
   size_t artifacts_rejected = 0;
+  size_t fallback_save_failures = 0;  // fallback results not made durable
   size_t heartbeats = 0;
 
   // Membership. `remote` and `listen_address` describe a dialing fleet;

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "src/core/catapult.h"
 #include "src/dist/channel.h"
 #include "src/dist/net_worker.h"
 #include "src/dist/registry.h"
@@ -56,20 +57,21 @@ std::string DescribeWaitStatus(int status) {
 
 FleetOutcome RunFleet(
     const ShardExecutionSpec& spec, const ShardPlan& plan,
-    const DistOptions& options, const RunContext& ctx, DistReport* report,
+    const CatapultOptions& options, uint64_t fingerprint,
+    const RunContext& ctx, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>* cluster_results) {
   FleetOutcome outcome;
 
-  // Without a listen endpoint the fleet is local: the loop forks its own
-  // members. With one, members dial in and nothing is forked.
-  const bool local = options.listen_address.empty() && options.listen_fd < 0;
+  // A local fleet is forked by the loop itself. A remote one (a listen
+  // endpoint or an adopted listening fd) dials in, and nothing is forked.
+  const bool local = !report->remote;
   Listener listener;
-  if (options.listen_fd >= 0) {
-    listener.Adopt(options.listen_fd);
+  if (options.dist_listen_fd >= 0) {
+    listener.Adopt(options.dist_listen_fd);
   } else if (!local) {
     Address addr;
     std::string err;
-    if (!ParseAddress(options.listen_address, &addr, &err) ||
+    if (!ParseAddress(options.dist_listen, &addr, &err) ||
         !(err = listener.Listen(addr)).empty()) {
       // An unusable listener is fleet loss before the fleet existed; the
       // caller's fallback rungs finish the run.
@@ -93,9 +95,9 @@ FleetOutcome RunFleet(
   std::string admin_statusz;
   obs::AdminServer admin;
   const Clock::time_point admin_started = Clock::now();
-  if (!local && !options.admin_listen.empty()) {
+  if (!local && !options.dist_admin_listen.empty()) {
     std::string admin_err = admin.Start(
-        options.admin_listen, [&](const std::string& path) {
+        options.dist_admin_listen, [&](const std::string& path) {
           obs::AdminResponse resp;
           std::lock_guard<std::mutex> lock(admin_mutex);
           if (path == "/metrics") {
@@ -116,9 +118,11 @@ FleetOutcome RunFleet(
     }
   }
 
-  // Members heartbeat four times per deadline.
-  const double hb_interval_ms =
-      std::max(options.heartbeat_timeout_ms / 4.0, 1.0);
+  // Members heartbeat four times per deadline, and compute on as many
+  // threads as the run would in-process.
+  const double heartbeat_timeout_ms = options.shard_heartbeat_timeout_ms;
+  const double hb_interval_ms = std::max(heartbeat_timeout_ms / 4.0, 1.0);
+  const uint64_t member_threads = ResolveThreadCount(options.threads);
 
   struct ShardState {
     enum class Phase { kPending, kAssigned, kDone, kQuarantined };
@@ -154,11 +158,12 @@ FleetOutcome RunFleet(
   std::vector<ShardState> shards(plan.shards.size());
   std::vector<std::unique_ptr<Conn>> conns;
   WorkerRegistry registry;
-  ExponentialBackoff backoff(options.backoff_base_ms, options.backoff_cap_ms);
+  ExponentialBackoff backoff(options.shard_backoff_base_ms,
+                             options.shard_backoff_cap_ms);
   outcome.shard_spans.resize(plan.shards.size());
 
-  // Shards whose every cluster already has a result (prior-run artifacts
-  // pre-loaded by the caller) are complete before any worker joins.
+  // Shards whose every cluster already has a result (prior-run records a
+  // --resume run pre-loaded) are complete before any worker joins.
   auto shard_missing = [&](size_t s) {
     std::vector<size_t> missing;
     for (size_t idx : plan.shards[s]) {
@@ -313,14 +318,10 @@ FleetOutcome RunFleet(
         reject.code = static_cast<uint32_t>(JoinRejectCode::kProtocolMismatch);
         reject.message = "protocol " + std::to_string(req.protocol) +
                          " != " + std::to_string(kDistProtocolVersion);
-      } else if (req.fingerprint != options.fingerprint) {
+      } else if (req.fingerprint != fingerprint) {
         reject.code =
             static_cast<uint32_t>(JoinRejectCode::kFingerprintMismatch);
         reject.message = "config/database fingerprint mismatch";
-      } else if (req.shard_namespace != kShardNamespace) {
-        reject.code = static_cast<uint32_t>(JoinRejectCode::kNamespaceMismatch);
-        reject.message = "shard namespace '" + req.shard_namespace +
-                         "' != '" + kShardNamespace + "'";
       }
       if (reject.code != 0) {
         ++report->workers_rejected;
@@ -359,7 +360,7 @@ FleetOutcome RunFleet(
       accept.worker_id = adm.worker_id;
       accept.generation = adm.generation;
       accept.heartbeat_interval_ms = hb_interval_ms;
-      accept.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
+      accept.heartbeat_timeout_ms = heartbeat_timeout_ms;
       if (!c.channel->Send(accept, FrameType::kJoinAccept)) {
         fence(c, "join-accept send failed: " + c.channel->error());
       }
@@ -423,7 +424,6 @@ FleetOutcome RunFleet(
           break;
         }
         (*cluster_results)[idx] = std::move(result);
-        ++outcome.remote_clusters;
         ++report->remote_clusters;
         obs::Count(obs::Counter::kDistNetRemoteClusters);
         break;
@@ -487,7 +487,7 @@ FleetOutcome RunFleet(
     w.Key("uptime_ms");
     w.Value(MillisBetween(admin_started, Clock::now()));
     w.Key("fingerprint");
-    w.Value(options.fingerprint);
+    w.Value(fingerprint);
     w.Key("listen_address");
     w.Value(listener.address());
     w.Key("shards");
@@ -504,7 +504,7 @@ FleetOutcome RunFleet(
     w.Value(static_cast<uint64_t>(quarantined));
     w.EndObject();
     w.Key("remote_clusters");
-    w.Value(static_cast<uint64_t>(outcome.remote_clusters));
+    w.Value(static_cast<uint64_t>(report->remote_clusters));
     w.Key("workers_alive");
     w.Value(static_cast<uint64_t>(registry.alive()));
     w.Key("workers");
@@ -533,8 +533,7 @@ FleetOutcome RunFleet(
   // + reap it once fenced. Handshake, liveness, fencing and assignment are
   // the loop's own, shared with remote members.
   RemoteWorkerOptions member_options;
-  member_options.fingerprint = options.fingerprint;
-  member_options.write_stall_timeout_ms = options.write_stall_timeout_ms;
+  member_options.fingerprint = fingerprint;
 
   auto spawn = [&]() -> bool {
     int fds[2];
@@ -559,11 +558,9 @@ FleetOutcome RunFleet(
     }
     ::close(fds[1]);
     auto conn = std::make_unique<Conn>();
-    conn->channel =
-        std::make_unique<Channel>(fds[0], options.write_stall_timeout_ms);
+    conn->channel = std::make_unique<Channel>(fds[0]);
     conn->pid = pid;
-    conn->handshake_deadline =
-        AfterMillis(Clock::now(), options.heartbeat_timeout_ms);
+    conn->handshake_deadline = AfterMillis(Clock::now(), heartbeat_timeout_ms);
     conns.push_back(std::move(conn));
     ++report->workers_spawned;
     obs::Count(obs::Counter::kDistWorkersSpawned);
@@ -657,18 +654,18 @@ FleetOutcome RunFleet(
       assign.attempt = st.attempt;
       assign.generation = idle->generation;
       assign.fine_enabled = !spec.streams->empty();
-      assign.fine_max_cluster_size = options.fine.max_cluster_size;
-      assign.mcs_connected = options.fine.mcs.connected;
-      assign.mcs_match_edge_labels = options.fine.mcs.match_edge_labels;
-      assign.mcs_node_budget = options.fine.mcs.node_budget;
+      assign.fine_max_cluster_size = options.clustering.max_cluster_size;
+      assign.mcs_connected = options.clustering.fine_mcs.connected;
+      assign.mcs_match_edge_labels =
+          options.clustering.fine_mcs.match_edge_labels;
+      assign.mcs_node_budget = options.clustering.fine_mcs.node_budget;
       assign.deadline_remaining_ms =
           ctx.deadline().infinite() ? 0.0
                                     : ctx.deadline().RemainingSeconds() * 1e3;
       assign.mem_soft_limit_bytes = options.mem_soft_limit_bytes;
       assign.mem_hard_limit_bytes = options.mem_hard_limit_bytes;
       assign.trace_id = spec.trace_id;
-      assign.parent_span_id = spec.parent_span_id;
-      assign.threads = options.worker_threads;
+      assign.threads = member_threads;
       for (size_t idx : shard_missing(s)) {
         ClusterWork work;
         work.index = idx;
@@ -705,7 +702,7 @@ FleetOutcome RunFleet(
         no_fleet_since = now;
         had_fleet_gap_timer = true;
       }
-      if (MillisBetween(no_fleet_since, now) >= options.join_timeout_ms) {
+      if (MillisBetween(no_fleet_since, now) >= options.dist_join_timeout_ms) {
         size_t lost = 0;
         for (const ShardState& st : shards) {
           if (st.phase == ShardPhase::kPending ||
@@ -716,7 +713,8 @@ FleetOutcome RunFleet(
         report->fleet_lost_fallbacks += lost;
         event(ShardEvent::Kind::kFleetLost, 0,
               "no members for " +
-                  std::to_string(static_cast<long>(options.join_timeout_ms)) +
+                  std::to_string(
+                      static_cast<long>(options.dist_join_timeout_ms)) +
                   "ms; " + std::to_string(lost) + " shards fall back");
         outcome.fleet_lost = true;
         break;
@@ -727,8 +725,8 @@ FleetOutcome RunFleet(
     double timeout_ms = 50.0;
     for (const auto& c : conns) {
       if (c->state == ConnState::kActive) {
-        double until = options.heartbeat_timeout_ms -
-                       MillisBetween(c->last_heartbeat, now);
+        double until =
+            heartbeat_timeout_ms - MillisBetween(c->last_heartbeat, now);
         timeout_ms = std::min(timeout_ms, std::max(until, 0.0));
       } else if (c->state == ConnState::kHandshaking) {
         double until = MillisBetween(now, c->handshake_deadline);
@@ -772,10 +770,9 @@ FleetOutcome RunFleet(
           if (fd < 0) break;
           obs::Count(obs::Counter::kDistNetAccepts);
           auto conn = std::make_unique<Conn>();
-          conn->channel = std::make_unique<Channel>(
-              fd, options.write_stall_timeout_ms);
+          conn->channel = std::make_unique<Channel>(fd);
           conn->handshake_deadline =
-              AfterMillis(Clock::now(), options.heartbeat_timeout_ms);
+              AfterMillis(Clock::now(), heartbeat_timeout_ms);
           conns.push_back(std::move(conn));
         }
         continue;
@@ -805,7 +802,7 @@ FleetOutcome RunFleet(
         if (c->channel->failed()) {
           fence(*c, "send failed: " + c->channel->error());
         } else if (MillisBetween(c->last_heartbeat, now) >
-                   options.heartbeat_timeout_ms) {
+                   heartbeat_timeout_ms) {
           ++report->worker_hangs;
           obs::Count(obs::Counter::kDistWorkerHangs);
           char detail[64];

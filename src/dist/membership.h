@@ -41,9 +41,6 @@ struct ShardExecutionSpec {
   // given a non-zero id records per-cluster spans and ships them, with the
   // id echoed, in its ShardDone frame.
   uint64_t trace_id = 0;
-  // Span id of the supervisor's sharded-phase span, carried to members in
-  // ShardAssign so shipped context names its parent.
-  uint64_t parent_span_id = 0;
 };
 
 struct FleetOutcome {
@@ -51,8 +48,6 @@ struct FleetOutcome {
   // still pending: the remaining shards must finish via the supervisor's
   // in-process fallback.
   bool fleet_lost = false;
-  // Clusters completed from members' results.
-  size_t remote_clusters = 0;
   // Per-shard span buffers shipped by members (index-aligned with
   // plan.shards; empty for shards with no accepted traced completion).
   // Only the first accepted ShardDone whose trace-id echo matches
@@ -62,17 +57,21 @@ struct FleetOutcome {
   std::vector<std::vector<obs::SpanRecord>> shard_spans;
 };
 
-// Runs the membership/assignment loop over `plan`, filling
-// (*cluster_results)[idx] for every cluster a member completes: its payload
-// is decoded against the cluster it was assigned for (with a store, after
-// being saved as the cluster's kShard record and read back). Already
-// filled entries are respected and never reassigned. Returns when every
-// non-quarantined shard is done, the fleet is lost, or the run's context
-// requests a stop, with every local member reaped; unfinished clusters are
-// simply left empty for the caller's fallback rungs.
+// Runs the membership/assignment loop over `plan` under the run's
+// `options` (fleet, supervision and fine-clustering fields; members must
+// present `fingerprint` to join), filling (*cluster_results)[idx] for
+// every cluster a member completes: its payload is decoded against the
+// cluster it was assigned for (with a store, after being saved as the
+// cluster's kShard record and read back). Already filled entries are
+// respected and never reassigned. The fleet is remote when the caller set
+// `report->remote`. Returns when every non-quarantined shard is done, the
+// fleet is lost, or the run's context requests a stop, with every local
+// member reaped; unfinished clusters are simply left empty for the
+// caller's fallback rungs.
 FleetOutcome RunFleet(
     const ShardExecutionSpec& spec, const ShardPlan& plan,
-    const DistOptions& options, const RunContext& ctx, DistReport* report,
+    const CatapultOptions& options, uint64_t fingerprint,
+    const RunContext& ctx, DistReport* report,
     std::vector<std::optional<ShardClusterResult>>* cluster_results);
 
 }  // namespace catapult::dist

@@ -19,11 +19,13 @@
 #include "src/util/thread_pool.h"
 
 #include <signal.h>
-#include <unistd.h>
 
 namespace catapult::dist {
 
 namespace {
+
+// How long a member waits for the supervisor's answer to its JoinRequest.
+constexpr double kHandshakeTimeoutMs = 5000.0;
 
 void SleepMillis(double ms) {
   if (ms > 0.0) {
@@ -61,8 +63,7 @@ bool AssignFitsDatabase(const ShardAssignFrame& assign, size_t db_size) {
 // sites, which fail every attempt.
 bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
                 const ShardAssignFrame& assign, double heartbeat_timeout_ms,
-                Channel& channel, obs::MetricsRegistry& metrics,
-                std::atomic<uint64_t>& clusters_done) {
+                Channel& channel, obs::MetricsRegistry& metrics) {
   const bool first_attempt = assign.attempt == 0;
   FineClusteringOptions fine;
   fine.max_cluster_size = assign.fine_max_cluster_size;
@@ -158,19 +159,16 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
       ::raise(SIGKILL);
     }
     first_result = false;
-    clusters_done.fetch_add(1, std::memory_order_relaxed);
   });
   if (lost) return false;
   if (!shard_error.empty()) {
-    channel.Send(ShardErrorFrame{assign.shard, shard_error},
-                 FrameType::kShardError);
+    channel.Send(ShardErrorFrame{shard_error}, FrameType::kShardError);
     return true;  // connection is fine; supervisor decides what's next
   }
 
   obs::MetricsSnapshot snapshot = metrics.Snapshot();
   ShardDoneFrame done;
   done.shard = assign.shard;
-  done.clusters_done = assign.clusters.size();
   done.counters.assign(snapshot.counters.begin(), snapshot.counters.end());
   done.trace_id = assign.trace_id;
   std::vector<obs::SpanRecord> spans;
@@ -208,8 +206,6 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsScope metrics_scope(&metrics);
 
-  std::atomic<uint64_t> clusters_done{0};
-  std::atomic<uint64_t> current_shard{0};
   // True while carrying a shard's first attempt: the heartbeat-delay site
   // is one-shot per shard like the sites in CarryShard.
   std::atomic<bool> first_attempt{false};
@@ -217,7 +213,6 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
   std::condition_variable hb_cv;
   bool stop_heartbeat = false;
   std::thread heartbeat([&] {
-    uint64_t seq = 0;
     auto interval = std::chrono::duration<double, std::milli>(
         std::max(accept.heartbeat_interval_ms, 1.0));
     std::unique_lock<std::mutex> lock(hb_mutex);
@@ -231,11 +226,7 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
         lock.lock();
         if (stop_heartbeat) break;
       }
-      HeartbeatFrame hb;
-      hb.shard = current_shard.load(std::memory_order_relaxed);
-      hb.seq = seq++;
-      hb.clusters_done = clusters_done.load(std::memory_order_relaxed);
-      channel.Send(hb, FrameType::kHeartbeat);
+      channel.Send(HeartbeatFrame{}, FrameType::kHeartbeat);
       hb_cv.wait_for(lock, interval, [&] { return stop_heartbeat; });
     }
   });
@@ -265,11 +256,10 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
           stop_hb();
           return kWorkerExitProtocol;
         }
-        current_shard.store(assign.shard, std::memory_order_relaxed);
         first_attempt.store(assign.attempt == 0, std::memory_order_relaxed);
         const bool usable =
             CarryShard(db, options, assign, accept.heartbeat_timeout_ms,
-                       channel, metrics, clusters_done);
+                       channel, metrics);
         first_attempt.store(false, std::memory_order_relaxed);
         if (!usable) {
           stop_hb();
@@ -304,19 +294,17 @@ int ServeConnection(const GraphDatabase& db,
                     const RemoteWorkerOptions& options, int fd,
                     JoinAcceptFrame* identity, bool* joined) {
   *joined = false;
-  Channel channel(fd, options.write_stall_timeout_ms);
+  Channel channel(fd);
   JoinRequestFrame req;
   req.protocol = options.protocol;
   req.fingerprint = options.fingerprint;
-  req.shard_namespace = options.shard_namespace;
   req.worker_name = options.worker_name;
   req.prev_worker_id = identity->worker_id;
   req.prev_generation = identity->generation;
-  req.pid = static_cast<uint64_t>(::getpid());
   if (!channel.Send(req, FrameType::kJoinRequest)) return -1;
   FrameReader reader;
   Frame reply;
-  if (WaitFrame(channel, reader, options.handshake_timeout_ms, &reply) !=
+  if (WaitFrame(channel, reader, kHandshakeTimeoutMs, &reply) !=
       WaitStatus::kFrame) {
     return -1;
   }

@@ -8,8 +8,8 @@
 #include "src/graph/graph_database.h"
 
 // The member half of sharded execution (DESIGN.md §12). A member completes
-// the versioned handshake (protocol + ConfigFingerprint + shard namespace;
-// a typed kJoinReject maps to a distinct exit code), then loops: receive a
+// the versioned handshake (protocol + ConfigFingerprint; a typed
+// kJoinReject maps to a distinct exit code), then loops: receive a
 // ShardAssign carrying coarse clusters and their pre-split rng streams,
 // compute each cluster through ComputeShardCluster on the assignment's
 // thread count, and ship each result back as a ClusterResult frame.
@@ -47,13 +47,11 @@ inline constexpr int kWorkerExitProtocol = 22;       // malformed supervisor
 struct RemoteWorkerOptions {
   std::string address;  // supervisor endpoint: "unix:PATH" / "tcp:HOST:PORT"
   uint64_t fingerprint = 0;  // ConfigFingerprint of this worker's (opts, db)
-  std::string shard_namespace = kShardNamespace;
   std::string worker_name = "worker";
   // Overridable for skew tests; production workers never change this.
   uint64_t protocol = kDistProtocolVersion;
 
   double dial_timeout_ms = 2000.0;
-  double handshake_timeout_ms = 5000.0;
   // Reconnect pacing: capped deterministic backoff over the consecutive-
   // failure count (src/util/backoff.h), reset on every successful join.
   double dial_backoff_base_ms = 50.0;
@@ -61,7 +59,6 @@ struct RemoteWorkerOptions {
   // Consecutive dial/handshake failures tolerated before giving up.
   size_t max_dial_attempts = 5;
 
-  double write_stall_timeout_ms = 5000.0;
   // How long kFailpointStallBeforeResult sleeps (tests tune this against
   // the supervisor's heartbeat timeout to manufacture a zombie; 0 = 2.5x
   // the heartbeat timeout the supervisor announced).

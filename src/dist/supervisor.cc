@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "src/core/catapult.h"
 #include "src/dist/membership.h"
 #include "src/dist/shard_plan.h"
 #include "src/dist/worker.h"
@@ -14,8 +15,9 @@ namespace catapult::dist {
 
 ShardedPhasesResult RunShardedClusterPhases(
     const GraphDatabase& db, const std::vector<std::vector<GraphId>>& coarse,
-    const std::vector<RngState>& streams, const DistOptions& options,
-    CheckpointStore* store, const RunContext& ctx, DistReport* report) {
+    const std::vector<RngState>& streams, const CatapultOptions& options,
+    uint64_t fingerprint, CheckpointStore* store, const RunContext& ctx,
+    DistReport* report) {
   ShardedPhasesResult out;
   report->enabled = true;
   report->processes = options.processes;
@@ -31,10 +33,7 @@ ShardedPhasesResult RunShardedClusterPhases(
   // Distributed-trace context: members record spans against this id and
   // ship them back in their completion frames; the merge below stitches
   // them under this phase span.
-  if (ctx.tracer() != nullptr) {
-    spec.trace_id = ctx.tracer()->trace_id();
-    spec.parent_span_id = phase_span.id();
-  }
+  if (ctx.tracer() != nullptr) spec.trace_id = ctx.tracer()->trace_id();
 
   std::vector<size_t> sizes(coarse.size());
   for (size_t i = 0; i < coarse.size(); ++i) sizes[i] = coarse[i].size();
@@ -52,55 +51,62 @@ ShardedPhasesResult RunShardedClusterPhases(
     report->events.push_back(ShardEvent{kind, shard, std::move(detail)});
   };
 
-  // With a store, its durable records — a prior run's or this run's — are
-  // reused, never recomputed.
-  auto reuse_artifact = [&](size_t s, size_t idx) {
-    if (store == nullptr) return false;
-    std::string payload;
-    ShardClusterResult result;
-    if (!store->LoadShard(idx, &payload).empty() ||
-        !DecodeShardResultPayload(payload, idx, coarse[idx], &result).empty()) {
-      return false;
-    }
-    ++report->artifacts_reused;
-    obs::Count(obs::Counter::kDistArtifactsReused);
-    event(ShardEvent::Kind::kArtifactReused, s,
-          "cluster=" + std::to_string(idx));
-    cluster_results[idx] = std::move(result);
-    return true;
-  };
-
   // The same compute path and pre-split streams as the members, so output
   // is identical.
+  const FineClusteringOptions fine{options.clustering.max_cluster_size,
+                                   options.clustering.fine_mcs};
   auto compute = [&](size_t idx) {
     return ComputeShardCluster(db, coarse[idx],
-                               streams.empty() ? nullptr : &streams[idx],
-                               options.fine, ctx);
+                               streams.empty() ? nullptr : &streams[idx], fine,
+                               ctx);
   };
 
-  // In-process execution of one shard: the fallback rung.
+  // In-process execution of one shard's missing clusters: the fallback
+  // rung. Complete results are saved like a member's, so a --resume run in
+  // the same directory can reuse them; a failed save leaves the result
+  // correct but not durable, and is reported.
   auto run_in_process = [&](size_t s) {
     for (size_t idx : plan.shards[s]) {
-      if (cluster_results[idx].has_value() || reuse_artifact(s, idx)) continue;
+      if (cluster_results[idx].has_value()) continue;
       ShardClusterResult result = compute(idx);
-      // Complete fallback results are saved too, so a resumed run with the
-      // same checkpoint directory can still reuse them.
       if (store != nullptr && result.Complete()) {
-        store->SaveShard(idx,
-                         EncodeShardResultPayload(idx, coarse[idx], result));
+        const std::string err = store->SaveShard(
+            idx, EncodeShardResultPayload(idx, coarse[idx], result));
+        if (!err.empty()) {
+          ++report->fallback_save_failures;
+          event(ShardEvent::Kind::kFallbackSaveFailed, s,
+                "cluster=" + std::to_string(idx) + ": " + err);
+        }
       }
       cluster_results[idx] = std::move(result);
     }
   };
 
-  report->remote = !options.listen_address.empty() || options.listen_fd >= 0;
-  // Prior-run records load here, on the supervisor's filesystem; the fleet
-  // then assigns only the missing clusters.
-  for (size_t s = 0; s < plan.shards.size(); ++s) {
-    for (size_t idx : plan.shards[s]) reuse_artifact(s, idx);
+  report->remote = !options.dist_listen.empty() || options.dist_listen_fd >= 0;
+  // Under --resume, a prior run's records load here, on the supervisor's
+  // filesystem; the fleet then assigns only the missing clusters. Bound to
+  // the run fingerprint and each cluster's member list, a valid record is
+  // exactly what this run would compute.
+  if (store != nullptr && options.resume) {
+    for (size_t s = 0; s < plan.shards.size(); ++s) {
+      for (size_t idx : plan.shards[s]) {
+        std::string payload;
+        ShardClusterResult result;
+        if (!store->LoadShard(idx, &payload).empty() ||
+            !DecodeShardResultPayload(payload, idx, coarse[idx], &result)
+                 .empty()) {
+          continue;
+        }
+        ++report->artifacts_reused;
+        obs::Count(obs::Counter::kDistArtifactsReused);
+        event(ShardEvent::Kind::kArtifactReused, s,
+              "cluster=" + std::to_string(idx));
+        cluster_results[idx] = std::move(result);
+      }
+    }
   }
-  FleetOutcome fleet =
-      RunFleet(spec, plan, options, ctx, report, &cluster_results);
+  FleetOutcome fleet = RunFleet(spec, plan, options, fingerprint, ctx, report,
+                                &cluster_results);
   if (fleet.shard_spans.size() == plan.shards.size()) {
     shard_span_buffers = std::move(fleet.shard_spans);
   }
@@ -123,7 +129,7 @@ ShardedPhasesResult RunShardedClusterPhases(
     run_in_process(s);
   }
   report->remote_fallback_only =
-      report->remote && fleet.fleet_lost && fleet.remote_clusters == 0;
+      report->remote && fleet.fleet_lost && report->remote_clusters == 0;
 
   // Stitch shipped worker spans into this process's trace, one merge pass
   // in shard order 0..N-1 regardless of completion order, so reruns of the

@@ -133,18 +133,11 @@ std::optional<Frame> FrameReader::Next() {
   return frame;
 }
 
-std::string Encode(const HeartbeatFrame& f) {
-  BinaryWriter w;
-  w.PutU64(f.shard);
-  w.PutU64(f.seq);
-  w.PutU64(f.clusters_done);
-  return w.TakeBuffer();
-}
+std::string Encode(const HeartbeatFrame&) { return std::string(); }
 
 std::string Encode(const ShardDoneFrame& f) {
   BinaryWriter w;
   w.PutU64(f.shard);
-  w.PutU64(f.clusters_done);
   w.PutU64(f.counters.size());
   for (uint64_t c : f.counters) w.PutU64(c);
   w.PutU64(f.trace_id);
@@ -155,23 +148,17 @@ std::string Encode(const ShardDoneFrame& f) {
 
 std::string Encode(const ShardErrorFrame& f) {
   BinaryWriter w;
-  w.PutU64(f.shard);
   w.PutString(f.message);
   return w.TakeBuffer();
 }
 
-bool Decode(const std::string& payload, HeartbeatFrame* f) {
-  BinaryReader r(payload);
-  f->shard = r.GetU64();
-  f->seq = r.GetU64();
-  f->clusters_done = r.GetU64();
-  return r.ok() && r.AtEnd();
+bool Decode(const std::string& payload, HeartbeatFrame*) {
+  return payload.empty();
 }
 
 bool Decode(const std::string& payload, ShardDoneFrame* f) {
   BinaryReader r(payload);
   f->shard = r.GetU64();
-  f->clusters_done = r.GetU64();
   uint64_t count = r.GetU64();
   if (!r.ok() || count > obs::kNumCounters) return false;
   f->counters.assign(count, 0);
@@ -191,7 +178,6 @@ bool Decode(const std::string& payload, ShardDoneFrame* f) {
 
 bool Decode(const std::string& payload, ShardErrorFrame* f) {
   BinaryReader r(payload);
-  f->shard = r.GetU64();
   f->message = r.GetString();
   return r.ok() && r.AtEnd();
 }
@@ -200,11 +186,9 @@ std::string Encode(const JoinRequestFrame& f) {
   BinaryWriter w;
   w.PutU64(f.protocol);
   w.PutU64(f.fingerprint);
-  w.PutString(f.shard_namespace);
   w.PutString(f.worker_name);
   w.PutU64(f.prev_worker_id);
   w.PutU64(f.prev_generation);
-  w.PutU64(f.pid);
   return w.TakeBuffer();
 }
 
@@ -245,7 +229,6 @@ std::string Encode(const ShardAssignFrame& f) {
     for (uint64_t word : c.stream.words) w.PutU64(word);
   }
   w.PutU64(f.trace_id);
-  w.PutU64(f.parent_span_id);
   w.PutU64(f.threads);
   return w.TakeBuffer();
 }
@@ -269,12 +252,12 @@ std::string Encode(const ShutdownFrame& f) {
 bool Decode(const std::string& payload, JoinRequestFrame* f) {
   BinaryReader r(payload);
   f->protocol = r.GetU64();
+  // Another version's layout: only its version is ours to read.
+  if (r.ok() && f->protocol != kDistProtocolVersion) return true;
   f->fingerprint = r.GetU64();
-  f->shard_namespace = r.GetString();
   f->worker_name = r.GetString();
   f->prev_worker_id = r.GetU64();
   f->prev_generation = r.GetU64();
-  f->pid = r.GetU64();
   return r.ok() && r.AtEnd();
 }
 
@@ -329,7 +312,6 @@ bool Decode(const std::string& payload, ShardAssignFrame* f) {
     f->clusters.push_back(std::move(work));
   }
   f->trace_id = r.GetU64();
-  f->parent_span_id = r.GetU64();
   f->threads = r.GetU64();
   return r.ok() && r.AtEnd();
 }

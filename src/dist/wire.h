@@ -41,7 +41,7 @@ inline constexpr uint32_t kMaxFramePayload = 4u << 20;
 // Values 1 and 3 belonged to the retired fork-and-pipe worker protocol
 // (hello, cluster-done); they stay reserved and the reader rejects them.
 enum class FrameType : uint32_t {
-  kHeartbeat = 2,   // liveness (shard, seq, clusters_done)
+  kHeartbeat = 2,   // liveness (empty payload)
   kShardDone = 4,   // all clusters shipped + the worker's counter deltas
   kShardError = 5,  // structured failure report (degraded shard)
   // Pattern-selection service (src/serve/, payloads in serve/protocol.h).
@@ -65,14 +65,11 @@ enum class FrameType : uint32_t {
 // layout change; the handshake rejects mismatched peers with a typed
 // kJoinReject instead of letting two skewed builds mis-decode each other.
 // v2: trace context in kShardAssign, span buffers + trace echo in
-// kShardDone. v3: worker thread count in kShardAssign.
-inline constexpr uint64_t kDistProtocolVersion = 3;
-
-// Shard checkpoint namespace both sides must agree on: remote workers'
-// cluster results are persisted by the supervisor as kShard records under
-// this namespace, so a worker built for a different artifact layout is
-// turned away at the handshake.
-inline constexpr char kShardNamespace[] = "shards";
+// kShardDone. v3: worker thread count in kShardAssign. v4: the fields no
+// receiver read are gone — the shard namespace and pid of kJoinRequest,
+// kHeartbeat's whole payload, kShardDone's cluster count, kShardError's
+// shard and kShardAssign's parent span id.
+inline constexpr uint64_t kDistProtocolVersion = 4;
 
 struct Frame {
   FrameType type = FrameType::kHeartbeat;
@@ -112,15 +109,12 @@ class FrameReader {
 
 // --- frame payloads ---------------------------------------------------------
 
-struct HeartbeatFrame {
-  uint64_t shard = 0;
-  uint64_t seq = 0;
-  uint64_t clusters_done = 0;
-};
+// Liveness only: any frame from a live generation resets the member's
+// deadline, so the payload is empty (a non-empty one poisons the stream).
+struct HeartbeatFrame {};
 
 struct ShardDoneFrame {
   uint64_t shard = 0;
-  uint64_t clusters_done = 0;
   // The worker's obs counter deltas, merged into the supervisor's registry
   // so a sharded run's metrics cover the work wherever it ran.
   std::vector<uint64_t> counters;  // size obs::kNumCounters
@@ -133,24 +127,25 @@ struct ShardDoneFrame {
   std::vector<obs::SpanRecord> spans;
 };
 
+// Sent on the connection carrying the degraded shard, which names it.
 struct ShardErrorFrame {
-  uint64_t shard = 0;
   std::string message;
 };
 
 // --- remote-worker handshake and shard-carrying payloads --------------------
 
+// The version leads the payload in every protocol version and the rest is
+// that version's own layout, so a peer of another version decodes to its
+// version alone and is still told why it is refused (kProtocolMismatch).
 struct JoinRequestFrame {
   uint64_t protocol = kDistProtocolVersion;
   uint64_t fingerprint = 0;  // ConfigFingerprint of the worker's (options, db)
-  std::string shard_namespace = kShardNamespace;
   std::string worker_name;   // free-form operator label, logs only
   // Rejoin identity: non-zero after a connection loss so the supervisor can
   // bump the worker's generation instead of minting a new member. Zero on a
   // fresh join.
   uint64_t prev_worker_id = 0;
   uint64_t prev_generation = 0;
-  uint64_t pid = 0;
 };
 
 struct JoinAcceptFrame {
@@ -162,11 +157,11 @@ struct JoinAcceptFrame {
 
 // Why a handshake was refused. The worker maps these to a distinct exit
 // code so operators see "wrong build" vs "wrong database" at a glance.
+// Values 3 and 4 (the retired namespace mismatch and draining refusals)
+// stay reserved.
 enum class JoinRejectCode : uint32_t {
   kProtocolMismatch = 1,
   kFingerprintMismatch = 2,
-  kNamespaceMismatch = 3,
-  kDraining = 4,  // supervisor is shutting down; do not rejoin
 };
 
 struct JoinRejectFrame {
@@ -196,11 +191,9 @@ struct ShardAssignFrame {
   uint64_t mem_hard_limit_bytes = 0;
   std::vector<ClusterWork> clusters;  // only the still-missing clusters
   // Distributed-trace context: workers record spans against this id and
-  // echo it back with their buffers in kShardDone. parent_span_id is the
-  // supervisor's sharded-phase span, under which merged worker tracks are
-  // parented. Both 0 when the supervisor run is untraced.
+  // echo it back with their buffers in kShardDone (0 when the supervisor
+  // run is untraced). The supervisor parents the shipped spans itself.
   uint64_t trace_id = 0;
-  uint64_t parent_span_id = 0;
   // Threads the member computes this shard's clusters on (the supervisor's
   // resolved --threads; 0 is treated as 1).
   uint64_t threads = 1;

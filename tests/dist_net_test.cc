@@ -82,22 +82,39 @@ TEST(DistNetAddressTest, RejectsMalformedAddresses) {
 TEST(DistNetWireTest, HandshakeFramesRoundTrip) {
   {
     dist::JoinRequestFrame in;
-    in.protocol = 7;
+    in.protocol = dist::kDistProtocolVersion;
     in.fingerprint = 0xabcdef0102030405ull;
-    in.shard_namespace = "shards";
     in.worker_name = "rack12/worker3";
     in.prev_worker_id = 4;
     in.prev_generation = 9;
-    in.pid = 31337;
     dist::JoinRequestFrame out;
     ASSERT_TRUE(dist::Decode(dist::Encode(in), &out));
     EXPECT_EQ(out.protocol, in.protocol);
     EXPECT_EQ(out.fingerprint, in.fingerprint);
-    EXPECT_EQ(out.shard_namespace, in.shard_namespace);
     EXPECT_EQ(out.worker_name, in.worker_name);
     EXPECT_EQ(out.prev_worker_id, 4u);
     EXPECT_EQ(out.prev_generation, 9u);
-    EXPECT_EQ(out.pid, 31337u);
+  }
+  {
+    // A v3 member's JoinRequest, whose layout still carried the shard
+    // namespace and the pid, decodes to its version alone, so the
+    // supervisor can answer it with kProtocolMismatch.
+    persist::BinaryWriter v3;
+    v3.PutU64(3);
+    v3.PutU64(0xabcdef0102030405ull);
+    v3.PutString("shards");
+    v3.PutString("rack12/worker3");
+    v3.PutU64(4);
+    v3.PutU64(9);
+    v3.PutU64(31337);
+    dist::JoinRequestFrame out;
+    ASSERT_TRUE(dist::Decode(v3.TakeBuffer(), &out));
+    EXPECT_EQ(out.protocol, 3u);
+    // This version's own layout stays strict: a truncated version or a
+    // byte past the end does not decode.
+    EXPECT_FALSE(dist::Decode(std::string(4, '\0'), &out));
+    EXPECT_FALSE(
+        dist::Decode(dist::Encode(dist::JoinRequestFrame{}) + "x", &out));
   }
   {
     dist::JoinAcceptFrame in{3, 2, 125.0, 500.0};
@@ -141,7 +158,7 @@ TEST(DistNetWireTest, ShardAssignRoundTripsClustersAndStreams) {
   in.mem_soft_limit_bytes = 1 << 20;
   in.mem_hard_limit_bytes = 2 << 20;
   in.trace_id = 0xfeedface12345678ull;
-  in.parent_span_id = 42;
+  in.threads = 4;
   dist::ClusterWork a;
   a.index = 0;
   a.members = {3, 1, 4, 1, 5};
@@ -159,7 +176,7 @@ TEST(DistNetWireTest, ShardAssignRoundTripsClustersAndStreams) {
   EXPECT_EQ(out.deadline_remaining_ms, 1234.5);
   EXPECT_EQ(out.mem_hard_limit_bytes, 2u << 20);
   EXPECT_EQ(out.trace_id, 0xfeedface12345678ull);
-  EXPECT_EQ(out.parent_span_id, 42u);
+  EXPECT_EQ(out.threads, 4u);
   ASSERT_EQ(out.clusters.size(), 2u);
   EXPECT_EQ(out.clusters[0].members, a.members);
   EXPECT_EQ(out.clusters[0].stream.words, a.stream.words);
@@ -208,7 +225,6 @@ TEST(DistNetWireTest, ClusterResultRoundTripsPayloadBytes) {
 TEST(DistNetWireTest, ShardDoneRoundTripsTraceContextAndSpans) {
   dist::ShardDoneFrame in;
   in.shard = 1;
-  in.clusters_done = 3;
   in.counters.assign(obs::kNumCounters, 0);
   in.counters[static_cast<size_t>(obs::Counter::kVf2Calls)] = 17;
   in.trace_id = 0x1122334455667788ull;
@@ -233,7 +249,6 @@ TEST(DistNetWireTest, ShardDoneRoundTripsTraceContextAndSpans) {
   dist::ShardDoneFrame out;
   ASSERT_TRUE(dist::Decode(bytes, &out));
   EXPECT_EQ(out.shard, 1u);
-  EXPECT_EQ(out.clusters_done, 3u);
   EXPECT_EQ(out.trace_id, in.trace_id);
   ASSERT_EQ(out.spans.size(), 2u);
   EXPECT_EQ(out.spans[0].name, "worker.shard");
@@ -435,12 +450,15 @@ TEST_F(DistNetChannelTest, UnixRoundTripBothDirections) {
   ASSERT_GE(server_fd, 0);
   dist::Channel server(server_fd);
 
-  ASSERT_TRUE(client.Send(dist::HeartbeatFrame{1, 2, 3},
-                          dist::FrameType::kHeartbeat));
+  ASSERT_TRUE(client.Send(dist::ShardErrorFrame{"member to supervisor"},
+                          dist::FrameType::kShardError));
   dist::FrameReader server_reader;
   auto got = ReadOne(server, server_reader);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->type, dist::FrameType::kHeartbeat);
+  EXPECT_EQ(got->type, dist::FrameType::kShardError);
+  dist::ShardErrorFrame sent;
+  ASSERT_TRUE(dist::Decode(got->payload, &sent));
+  EXPECT_EQ(sent.message, "member to supervisor");
 
   ASSERT_TRUE(server.Send(dist::ShutdownFrame{1, "bye"},
                           dist::FrameType::kShutdown));
@@ -478,12 +496,15 @@ TEST_F(DistNetChannelTest, TcpPortZeroResolvesAndRoundTrips) {
   ASSERT_GE(server_fd, 0);
   dist::Channel server(server_fd);
 
-  ASSERT_TRUE(client.Send(dist::HeartbeatFrame{9, 1, 42},
-                          dist::FrameType::kHeartbeat));
+  ASSERT_TRUE(client.Send(dist::ShardErrorFrame{"over loopback"},
+                          dist::FrameType::kShardError));
   dist::FrameReader reader;
   auto got = ReadOne(server, reader);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->type, dist::FrameType::kHeartbeat);
+  EXPECT_EQ(got->type, dist::FrameType::kShardError);
+  dist::ShardErrorFrame sent;
+  ASSERT_TRUE(dist::Decode(got->payload, &sent));
+  EXPECT_EQ(sent.message, "over loopback");
 }
 
 TEST_F(DistNetChannelTest, ShortWritesStillDeliverWholeFrames) {
@@ -499,7 +520,7 @@ TEST_F(DistNetChannelTest, ShortWritesStillDeliverWholeFrames) {
   dist::Channel server(AcceptOne(listener));
 
   failpoint::Arm(dist::kFailpointShortWrite, -1);  // 1-byte kernel writes
-  dist::ShardErrorFrame payload{4, "short-write stress payload"};
+  dist::ShardErrorFrame payload{"short-write stress payload"};
   ASSERT_TRUE(client.Send(payload, dist::FrameType::kShardError));
   failpoint::DisarmAll();
 
@@ -524,13 +545,13 @@ TEST_F(DistNetChannelTest, WriteStallFailsTheChannelNotTheProcess) {
   dist::Channel client(client_fd, /*write_stall_timeout_ms=*/50.0);
 
   failpoint::Arm(dist::kFailpointWriteStall, 1);
-  EXPECT_FALSE(client.Send(dist::HeartbeatFrame{1, 1, 0},
-                           dist::FrameType::kHeartbeat));
+  EXPECT_FALSE(client.Send(dist::ShardErrorFrame{"stalled"},
+                           dist::FrameType::kShardError));
   EXPECT_TRUE(client.write_stalled());
   EXPECT_TRUE(client.failed());
   // Failed channels no-op further sends instead of crashing.
-  EXPECT_FALSE(client.Send(dist::HeartbeatFrame{1, 2, 0},
-                           dist::FrameType::kHeartbeat));
+  EXPECT_FALSE(client.Send(dist::ShardErrorFrame{"after the stall"},
+                           dist::FrameType::kShardError));
 }
 
 // A second listener on a unix path a live listener answers on fails with
@@ -1358,30 +1379,44 @@ TEST_F(DistNetFleetTest, HandshakeMismatchesRejectedWithTypedCodes) {
   options.dist_listen = "unix:" + dir + "/sup.sock";
   options.dist_join_timeout_ms = 2000.0;
 
+  // A member of the previous protocol (v3) and one built for another
+  // database.
   dist::RemoteWorkerOptions skewed_build = WorkerOpts(options.dist_listen);
-  skewed_build.protocol = dist::kDistProtocolVersion + 1;
+  skewed_build.protocol = 3;
   dist::RemoteWorkerOptions wrong_db = WorkerOpts(options.dist_listen);
   wrong_db.fingerprint = fingerprint_ ^ 0xdeadbeef;
-  dist::RemoteWorkerOptions wrong_ns = WorkerOpts(options.dist_listen);
-  wrong_ns.shard_namespace = "not-shards";
 
   pid_t p1 = SpawnWorker(skewed_build);
   pid_t p2 = SpawnWorker(wrong_db);
-  pid_t p3 = SpawnWorker(wrong_ns);
   CatapultResult actual = RunCatapult(db_, options);
   ASSERT_TRUE(actual.ok());
   // Rejected workers exit with the dedicated handshake-refused code.
   EXPECT_EQ(WaitWorker(p1), dist::kWorkerExitRejected);
   EXPECT_EQ(WaitWorker(p2), dist::kWorkerExitRejected);
-  EXPECT_EQ(WaitWorker(p3), dist::kWorkerExitRejected);
   // A fleet of misfits is no fleet at all: the run still completes
   // bit-identically via the fallback ladder.
   ExpectSameResult(expected_, actual);
   const dist::DistReport& d = actual.execution.dist;
-  EXPECT_EQ(d.workers_rejected, 3u);
+  EXPECT_EQ(d.workers_rejected, 2u);
   EXPECT_EQ(d.workers_joined, 0u);
   EXPECT_TRUE(d.remote_fallback_only);
-  EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerRejected));
+  // Each refusal names its typed reason.
+  std::vector<std::string> reasons;
+  for (const dist::ShardEvent& e : d.events) {
+    if (e.kind == dist::ShardEvent::Kind::kWorkerRejected) {
+      reasons.push_back(e.detail);
+    }
+  }
+  ASSERT_EQ(reasons.size(), 2u);
+  const std::string skew =
+      "protocol 3 != " + std::to_string(dist::kDistProtocolVersion);
+  size_t protocol = 0, fingerprint = 0;
+  for (const std::string& r : reasons) {
+    if (r.find(skew) != std::string::npos) ++protocol;
+    if (r.find("fingerprint mismatch") != std::string::npos) ++fingerprint;
+  }
+  EXPECT_EQ(protocol, 1u);
+  EXPECT_EQ(fingerprint, 1u);
 }
 
 TEST_F(DistNetFleetTest, WorkerExhaustsDialBudgetWithDistinctExitCode) {

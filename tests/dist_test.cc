@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -238,30 +239,33 @@ TEST(WireTest, AllFrameTypesRoundTrip) {
   dist::FrameReader reader;
   std::string stream;
   stream += dist::EncodeFrame(dist::FrameType::kHeartbeat,
-                              dist::Encode(dist::HeartbeatFrame{3, 17, 2}));
+                              dist::Encode(dist::HeartbeatFrame{}));
   dist::ShardDoneFrame done;
   done.shard = 3;
-  done.clusters_done = 5;
   done.counters.assign(obs::kNumCounters, 0);
   done.counters[2] = 77;
   stream += dist::EncodeFrame(dist::FrameType::kShardDone, dist::Encode(done));
   stream += dist::EncodeFrame(
       dist::FrameType::kShardError,
-      dist::Encode(dist::ShardErrorFrame{3, "deadline expired"}));
+      dist::Encode(dist::ShardErrorFrame{"deadline expired"}));
 
   reader.Feed(stream.data(), stream.size());
 
+  // A heartbeat is liveness only: its payload is empty, and a non-empty
+  // one does not decode (the supervisor poisons the stream).
   auto hb = reader.Next();
   ASSERT_TRUE(hb.has_value());
+  EXPECT_EQ(hb->type, dist::FrameType::kHeartbeat);
+  EXPECT_TRUE(hb->payload.empty());
   dist::HeartbeatFrame hbf;
   ASSERT_TRUE(dist::Decode(hb->payload, &hbf));
-  EXPECT_EQ(hbf.seq, 17u);
+  EXPECT_FALSE(dist::Decode(std::string(1, '\0'), &hbf));
 
   auto sd = reader.Next();
   ASSERT_TRUE(sd.has_value());
   dist::ShardDoneFrame sdf;
   ASSERT_TRUE(dist::Decode(sd->payload, &sdf));
-  EXPECT_EQ(sdf.clusters_done, 5u);
+  EXPECT_EQ(sdf.shard, 3u);
   ASSERT_EQ(sdf.counters.size(), obs::kNumCounters);
   EXPECT_EQ(sdf.counters[2], 77u);
 
@@ -291,28 +295,34 @@ TEST(WireTest, RetiredFrameTypesPoisonTheStream) {
 
 TEST(WireTest, ByteAtATimeFeedingReassemblesFrames) {
   std::string stream = dist::EncodeFrame(
-      dist::FrameType::kHeartbeat, dist::Encode(dist::HeartbeatFrame{1, 2, 3}));
+      dist::FrameType::kShardError,
+      dist::Encode(dist::ShardErrorFrame{"one byte at a time"}));
   dist::FrameReader reader;
   size_t frames = 0;
   for (char c : stream) {
     reader.Feed(&c, 1);
-    while (reader.Next().has_value()) ++frames;
+    while (std::optional<dist::Frame> frame = reader.Next()) {
+      dist::ShardErrorFrame out;
+      ASSERT_TRUE(dist::Decode(frame->payload, &out));
+      EXPECT_EQ(out.message, "one byte at a time");
+      ++frames;
+    }
   }
   EXPECT_EQ(frames, 1u);
   EXPECT_FALSE(reader.corrupt());
 }
 
 TEST(WireTest, ChecksumMismatchPoisonsStream) {
-  std::string stream = dist::EncodeFrame(
-      dist::FrameType::kHeartbeat, dist::Encode(dist::HeartbeatFrame{1, 2, 3}));
+  const std::string good = dist::EncodeFrame(
+      dist::FrameType::kShardError,
+      dist::Encode(dist::ShardErrorFrame{"checksummed"}));
+  std::string stream = good;
   stream[stream.size() - 1] ^= 0x40;  // flip one payload bit
   dist::FrameReader reader;
   reader.Feed(stream.data(), stream.size());
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_TRUE(reader.corrupt());
   // A poisoned reader stays poisoned: no resynchronisation.
-  std::string good = dist::EncodeFrame(
-      dist::FrameType::kHeartbeat, dist::Encode(dist::HeartbeatFrame{1, 2, 3}));
   reader.Feed(good.data(), good.size());
   EXPECT_FALSE(reader.Next().has_value());
 }
@@ -342,7 +352,7 @@ TEST(WireTest, BadMagicAndOversizedPayloadPoison) {
 TEST(WireTest, TruncatedFrameIsIncompleteNotCorrupt) {
   std::string stream = dist::EncodeFrame(
       dist::FrameType::kShardError,
-      dist::Encode(dist::ShardErrorFrame{0, "mid-write death"}));
+      dist::Encode(dist::ShardErrorFrame{"mid-write death"}));
   dist::FrameReader reader;
   reader.Feed(stream.data(), stream.size() / 2);  // worker died mid-write
   EXPECT_FALSE(reader.Next().has_value());
@@ -579,8 +589,10 @@ uint64_t Fnv1a(const std::string& bytes) {
 
 // The shard records a checkpointed sharded run writes, pinned by digest:
 // these are the bytes the sharded phase wrote before the checkpoint store
-// owned them, so a directory written by an older build still resumes. With
-// its phase records gone, a rerun in the same directory reuses every one.
+// owned them, so a directory written by an older build still resumes. A
+// rerun in the same directory reads them only under --resume: without it
+// the members recompute every cluster; with it, and the phase records
+// gone, every record is reused.
 TEST_F(DistTest, ShardRecordsMatchPinnedDigestsAndAreReused) {
   GraphDatabase db = SmallDb();
   CatapultOptions options = DistOptionsOf(FastOptions(), 4);
@@ -591,24 +603,35 @@ TEST_F(DistTest, ShardRecordsMatchPinnedDigestsAndAreReused) {
   const std::vector<uint64_t> kPinned = {
       0xc7dcdf4e2806da17ull, 0x78c7f84adcbec1ecull, 0xb2807f17563d1a0bull};
   const std::string shards = options.checkpoint_dir + "/shards";
-  std::vector<uint64_t> digests;
-  for (size_t idx = 0; idx < kPinned.size(); ++idx) {
-    digests.push_back(Fnv1a(ReadFileBytes(
-        shards + "/cluster-" + std::to_string(idx) + ".ckpt")));
-  }
-  EXPECT_EQ(digests, kPinned);
-  size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(shards)) {
-    (void)entry;
-    ++files;
-  }
-  EXPECT_EQ(files, kPinned.size());
+  auto expect_pinned_records = [&] {
+    std::vector<uint64_t> digests;
+    for (size_t idx = 0; idx < kPinned.size(); ++idx) {
+      digests.push_back(Fnv1a(ReadFileBytes(
+          shards + "/cluster-" + std::to_string(idx) + ".ckpt")));
+    }
+    EXPECT_EQ(digests, kPinned);
+    size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(shards)) {
+      (void)entry;
+      ++files;
+    }
+    EXPECT_EQ(files, kPinned.size());
+  };
+  expect_pinned_records();
+
+  CatapultResult fresh = RunCatapult(db, options);
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameResult(first, fresh);
+  EXPECT_GT(fresh.execution.dist.workers_spawned, 0u);
+  EXPECT_EQ(fresh.execution.dist.artifacts_reused, 0u);
+  expect_pinned_records();
 
   for (RecordType type : {RecordType::kManifest, RecordType::kClustering,
                           RecordType::kCsgs, RecordType::kSelection}) {
     std::filesystem::remove(options.checkpoint_dir + "/" +
                             CheckpointStore::FileNameFor(type));
   }
+  options.resume = true;
   CatapultResult rerun = RunCatapult(db, options);
   ASSERT_TRUE(rerun.ok());
   ExpectSameResult(first, rerun);
@@ -708,7 +731,7 @@ class DistChaosTest : public DistTest {
   }
 };
 
-// A member SIGKILLed mid-shard, before the rest of its shard is durable:
+// A member SIGKILLed mid-shard, right after its first result was accepted:
 // the supervisor sees EOF, fences it, reaps it, forks a replacement and
 // retries the shard.
 TEST_F(DistChaosTest, RecoversFromKillBeforeCheckpoint) {
@@ -725,13 +748,15 @@ TEST_F(DistChaosTest, RecoversFromKillBeforeCheckpoint) {
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kWorkerSpawned));
 }
 
+// The same kill: the retried shard resumes from the clusters the
+// supervisor already accepted (held in memory, not read from a record).
 TEST_F(DistChaosTest, RecoversFromKillAfterCheckpointReusingArtifacts) {
   CatapultResult result =
       RunChaos({{dist::kFailpointKillAfterFirstResult, -1}},
                DistOptionsOf(FastOptions(), 4));
   const dist::DistReport& d = result.execution.dist;
   EXPECT_GE(d.worker_deaths, 1u);
-  // Each killed member's first cluster was persisted before it died; the
+  // Each killed member's first cluster was accepted before it died; the
   // retry must carry only the clusters still missing, not recompute it.
   bool resumed = false;
   for (size_t s = 0; s < d.shards; ++s) {
@@ -818,9 +843,23 @@ TEST_F(DistChaosTest, QuarantinesAfterFailureBudgetAndFallsBackInProcess) {
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kShardQuarantined));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kInProcessFallback));
   EXPECT_TRUE(HasEvent(d.events, dist::ShardEvent::Kind::kBackoffWait));
+  // The fallback's results are kept, but none could be saved: each failed
+  // save is counted and logged with its cluster and the store's error.
+  EXPECT_EQ(d.fallback_save_failures, 3u);
+  std::vector<std::string> failed_saves;
+  for (const dist::ShardEvent& e : d.events) {
+    if (e.kind == dist::ShardEvent::Kind::kFallbackSaveFailed) {
+      failed_saves.push_back(e.detail);
+    }
+  }
+  ASSERT_EQ(failed_saves.size(), 3u);
+  for (const std::string& detail : failed_saves) {
+    EXPECT_EQ(detail.rfind("cluster=", 0), 0u) << detail;
+    EXPECT_NE(detail.find("cannot rename"), std::string::npos) << detail;
+  }
 }
 
-// Persist-layer corruption inside the store's shard namespace: torn record
+// Persist-layer corruption inside the store's shards/ directory: torn record
 // writes and bit-flipped reads must resolve to a cold shard restart
 // (recompute), never a crash — at multi-threaded members, like production
 // would run.
