@@ -27,12 +27,14 @@
 // all it takes; flags may come in any order.
 //
 // Exit status:
-//   0   run completed (supervisor sent an orderly shutdown)
+//   0   run completed (supervisor sent an orderly shutdown, also when it
+//       answers the handshake with one because the run is already over)
 //   1   usage or I/O error
 //   2   database parse error
 //   20  could not reach the supervisor within the dial budget
 //   21  supervisor rejected the handshake (protocol version/fingerprint)
-//   22  supervisor spoke an unintelligible protocol
+//   22  supervisor spoke an unintelligible protocol, or hung up on the
+//       handshake without an answer
 
 #include <cstdio>
 #include <string>

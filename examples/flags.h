@@ -110,9 +110,10 @@ inline size_t ThreadsFromFlags(const Flags& flags, size_t absent) {
 }
 
 // The result-affecting options of `catapult_cli mine`: --gamma, --min-size,
-// --max-size, --seed, --sampling and the fine-clustering MCS budget.
-// catapult_worker builds its options here too, so its ConfigFingerprint
-// matches the supervisor's whenever both get the same flags.
+// --max-size, --seed and --sampling; everything else, the fine-clustering
+// MCS budget included, keeps its CatapultOptions default. catapult_worker
+// builds its options here too, so its ConfigFingerprint matches the
+// supervisor's whenever both get the same flags.
 inline CatapultOptions MineOptionsFromFlags(const Flags& flags) {
   CatapultOptions options;
   options.selector.budget.gamma = flags.GetCount("gamma", 12);

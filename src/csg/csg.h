@@ -24,7 +24,9 @@ class ClusterSummaryGraph {
     DynamicBitset support;  // bit i: cluster member i contains this edge
   };
 
-  ClusterSummaryGraph(size_t cluster_size) : cluster_size_(cluster_size) {}
+  // The default (cluster size 0) is only a placeholder for a decoder to
+  // overwrite: every real summary has at least one member.
+  ClusterSummaryGraph(size_t cluster_size = 0) : cluster_size_(cluster_size) {}
 
   // Number of member graphs summarised.
   size_t cluster_size() const { return cluster_size_; }

@@ -595,9 +595,12 @@ FleetOutcome RunFleet(
         ++unfinished;
       }
     }
+    // The run's end reaches members still handshaking too: a worker that
+    // knocks as the run ends exits cleanly instead of taking the hang-up
+    // for a protocol failure.
     if (unfinished == 0) {
       for (auto& c : conns) {
-        if (c->state == ConnState::kActive) {
+        if (c->state != ConnState::kFenced) {
           c->channel->Send(ShutdownFrame{static_cast<uint32_t>(
                                              ShutdownCode::kDone),
                                          "run complete"},
@@ -609,7 +612,7 @@ FleetOutcome RunFleet(
 
     if (ctx.StopRequested("dist.net.supervise")) {
       for (auto& c : conns) {
-        if (c->state == ConnState::kActive) {
+        if (c->state != ConnState::kFenced) {
           c->channel->Send(ShutdownFrame{static_cast<uint32_t>(
                                              ShutdownCode::kCancelled),
                                          "run stop requested"},

@@ -197,6 +197,15 @@ bool CarryShard(const GraphDatabase& db, const RemoteWorkerOptions& options,
   return sent;
 }
 
+// What a Shutdown frame asks of the member: reconnect and rejoin at a bumped
+// generation (-1) when fenced, a clean exit when the run is done or
+// cancelled, the protocol exit code when it does not decode.
+int ShutdownExit(const Frame& frame) {
+  ShutdownFrame f;
+  if (!Decode(frame.payload, &f)) return kWorkerExitProtocol;
+  return f.code == static_cast<uint32_t>(ShutdownCode::kFenced) ? -1 : 0;
+}
+
 // One connected session: handshake already accepted; heartbeats + shard
 // carrying until shutdown or connection loss. Returns the process exit
 // code, or -1 to reconnect.
@@ -267,18 +276,9 @@ int RunSession(const GraphDatabase& db, const RemoteWorkerOptions& options,
         }
         break;
       }
-      case FrameType::kShutdown: {
-        ShutdownFrame f;
-        if (!Decode(frame.payload, &f)) {
-          stop_hb();
-          return kWorkerExitProtocol;
-        }
+      case FrameType::kShutdown:
         stop_hb();
-        if (f.code == static_cast<uint32_t>(ShutdownCode::kFenced)) {
-          return -1;  // reconnect and rejoin at a bumped generation
-        }
-        return 0;  // kDone / kCancelled: clean exit
-      }
+        return ShutdownExit(frame);
       default:
         break;  // nothing else is addressed to an active worker
     }
@@ -304,13 +304,23 @@ int ServeConnection(const GraphDatabase& db,
   if (!channel.Send(req, FrameType::kJoinRequest)) return -1;
   FrameReader reader;
   Frame reply;
-  if (WaitFrame(channel, reader, kHandshakeTimeoutMs, &reply) !=
-      WaitStatus::kFrame) {
-    return -1;
+  switch (WaitFrame(channel, reader, kHandshakeTimeoutMs, &reply)) {
+    case WaitStatus::kFrame:
+      break;
+    case WaitStatus::kClosed:
+    case WaitStatus::kCorrupt:
+      // The supervisor read the request and hung up, or answered in bytes
+      // this build cannot frame: a protocol failure, not an unreachable
+      // supervisor, and redialing cannot help.
+      return kWorkerExitProtocol;
+    default:
+      return -1;  // no answer yet: redial
   }
   if (reply.type == FrameType::kJoinReject) {
     return kWorkerExitRejected;  // typed refusal: retrying cannot help
   }
+  // A member that knocks as the run ends is told so before it joins.
+  if (reply.type == FrameType::kShutdown) return ShutdownExit(reply);
   if (reply.type != FrameType::kJoinAccept) return kWorkerExitProtocol;
   JoinAcceptFrame accept;
   if (!Decode(reply.payload, &accept)) return kWorkerExitProtocol;

@@ -42,7 +42,8 @@ inline constexpr char kFailpointKillAfterFirstResult[] =
 // Member exit codes (0 = the supervisor ended the session in order).
 inline constexpr int kWorkerExitConnectFailed = 20;  // supervisor unreachable
 inline constexpr int kWorkerExitRejected = 21;       // typed kJoinReject
-inline constexpr int kWorkerExitProtocol = 22;       // malformed supervisor
+// A malformed supervisor, or one that hangs up on the JoinRequest.
+inline constexpr int kWorkerExitProtocol = 22;
 
 struct RemoteWorkerOptions {
   std::string address;  // supervisor endpoint: "unix:PATH" / "tcp:HOST:PORT"
@@ -75,8 +76,9 @@ struct RemoteWorkerOptions {
 };
 
 // Runs the remote worker until the supervisor says the run is over
-// (Shutdown kDone/kCancelled → 0), the handshake is refused, or the
-// reconnect budget is exhausted. Returns the process exit code.
+// (Shutdown kDone/kCancelled → 0, also as the answer to the JoinRequest),
+// the handshake is refused (21) or hung up on (22), or the reconnect budget
+// is exhausted (20). Returns the process exit code.
 int RunRemoteWorker(const GraphDatabase& db,
                     const RemoteWorkerOptions& options);
 

@@ -9,6 +9,7 @@
 #include "src/graph/graph.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/persist/fields.h"
 #include "src/util/rng.h"
 
 // Length-prefixed CRC-framed messages, shared by the shard fleet's member
@@ -30,6 +31,12 @@
 // rather than attempting resynchronisation. A frame truncated
 // by a peer death simply stays incomplete in the buffer — that is not
 // corruption, just a dead peer.
+//
+// Each frame's payload layout is the field list next to its struct below
+// (src/persist/fields.h): Encode and Decode walk that one list, so a layout
+// is stated once. Decode is total — any byte string decodes whole or is
+// rejected with false, never a crash or an out-of-bounds read — and a
+// payload that fails to decode poisons the stream like a bad header.
 
 namespace catapult::dist {
 
@@ -68,7 +75,8 @@ enum class FrameType : uint32_t {
 // kShardDone. v3: worker thread count in kShardAssign. v4: the fields no
 // receiver read are gone — the shard namespace and pid of kJoinRequest,
 // kHeartbeat's whole payload, kShardDone's cluster count, kShardError's
-// shard and kShardAssign's parent span id.
+// shard and kShardAssign's parent span id. Stating the layouts as field
+// lists changed no byte, so the version stayed 4.
 inline constexpr uint64_t kDistProtocolVersion = 4;
 
 struct Frame {
@@ -109,9 +117,15 @@ class FrameReader {
 
 // --- frame payloads ---------------------------------------------------------
 
+using persist::Decode;
+using persist::Encode;
+
 // Liveness only: any frame from a live generation resets the member's
 // deadline, so the payload is empty (a non-empty one poisons the stream).
 struct HeartbeatFrame {};
+
+template <class Io>
+void Fields(Io&, HeartbeatFrame&) {}
 
 struct ShardDoneFrame {
   uint64_t shard = 0;
@@ -127,10 +141,21 @@ struct ShardDoneFrame {
   std::vector<obs::SpanRecord> spans;
 };
 
+template <class Io>
+void Fields(Io& io, ShardDoneFrame& f) {
+  io(f.shard, f.counters, f.trace_id, f.spans);
+  io.Require(f.counters.size() <= obs::kNumCounters);
+}
+
 // Sent on the connection carrying the degraded shard, which names it.
 struct ShardErrorFrame {
   std::string message;
 };
+
+template <class Io>
+void Fields(Io& io, ShardErrorFrame& f) {
+  io(f.message);
+}
 
 // --- remote-worker handshake and shard-carrying payloads --------------------
 
@@ -148,12 +173,26 @@ struct JoinRequestFrame {
   uint64_t prev_generation = 0;
 };
 
+template <class Io>
+void Fields(Io& io, JoinRequestFrame& f) {
+  io(f.protocol);
+  // Another version's layout: only its version is ours to read.
+  io.StopIf(f.protocol != kDistProtocolVersion);
+  io(f.fingerprint, f.worker_name, f.prev_worker_id, f.prev_generation);
+}
+
 struct JoinAcceptFrame {
   uint64_t worker_id = 0;
   uint64_t generation = 0;
   double heartbeat_interval_ms = 500.0;
   double heartbeat_timeout_ms = 2000.0;
 };
+
+template <class Io>
+void Fields(Io& io, JoinAcceptFrame& f) {
+  io(f.worker_id, f.generation, f.heartbeat_interval_ms,
+     f.heartbeat_timeout_ms);
+}
 
 // Why a handshake was refused. The worker maps these to a distinct exit
 // code so operators see "wrong build" vs "wrong database" at a glance.
@@ -169,6 +208,11 @@ struct JoinRejectFrame {
   std::string message;
 };
 
+template <class Io>
+void Fields(Io& io, JoinRejectFrame& f) {
+  io(f.code, f.message);
+}
+
 // One coarse cluster's work order: its member list and the pre-split rng
 // stream its fine clustering must consume (zeros when fine is disabled).
 struct ClusterWork {
@@ -176,6 +220,11 @@ struct ClusterWork {
   std::vector<GraphId> members;
   RngState stream;
 };
+
+template <class Io>
+void Fields(Io& io, ClusterWork& w) {
+  io(w.index, w.members, w.stream);
+}
 
 struct ShardAssignFrame {
   uint64_t shard = 0;
@@ -199,6 +248,19 @@ struct ShardAssignFrame {
   uint64_t threads = 1;
 };
 
+template <class Io>
+void Fields(Io& io, ShardAssignFrame& f) {
+  io(f.shard, f.attempt, f.generation, f.fine_enabled,
+     f.fine_max_cluster_size, f.mcs_connected, f.mcs_match_edge_labels,
+     f.mcs_node_budget, f.deadline_remaining_ms, f.mem_soft_limit_bytes,
+     f.mem_hard_limit_bytes, f.clusters, f.trace_id, f.threads);
+  // A fine-enabled assignment must carry a usable stream for every
+  // cluster: the all-zero state is xoshiro's absorbing fixed point.
+  for (const ClusterWork& work : f.clusters) {
+    io.Require(!f.fine_enabled || work.stream.Valid());
+  }
+}
+
 struct ClusterResultFrame {
   uint64_t shard = 0;
   uint64_t generation = 0;  // fenced generations are counted, never applied
@@ -208,6 +270,11 @@ struct ClusterResultFrame {
   // store also saves them as the cluster's kShard record.
   std::string payload;
 };
+
+template <class Io>
+void Fields(Io& io, ClusterResultFrame& f) {
+  io(f.shard, f.generation, f.cluster_index, f.payload);
+}
 
 enum class ShutdownCode : uint32_t {
   kDone = 1,       // run complete; exit cleanly
@@ -220,24 +287,10 @@ struct ShutdownFrame {
   std::string message;
 };
 
-std::string Encode(const HeartbeatFrame& f);
-std::string Encode(const ShardDoneFrame& f);
-std::string Encode(const ShardErrorFrame& f);
-std::string Encode(const JoinRequestFrame& f);
-std::string Encode(const JoinAcceptFrame& f);
-std::string Encode(const JoinRejectFrame& f);
-std::string Encode(const ShardAssignFrame& f);
-std::string Encode(const ClusterResultFrame& f);
-std::string Encode(const ShutdownFrame& f);
-bool Decode(const std::string& payload, HeartbeatFrame* f);
-bool Decode(const std::string& payload, ShardDoneFrame* f);
-bool Decode(const std::string& payload, ShardErrorFrame* f);
-bool Decode(const std::string& payload, JoinRequestFrame* f);
-bool Decode(const std::string& payload, JoinAcceptFrame* f);
-bool Decode(const std::string& payload, JoinRejectFrame* f);
-bool Decode(const std::string& payload, ShardAssignFrame* f);
-bool Decode(const std::string& payload, ClusterResultFrame* f);
-bool Decode(const std::string& payload, ShutdownFrame* f);
+template <class Io>
+void Fields(Io& io, ShutdownFrame& f) {
+  io(f.code, f.message);
+}
 
 }  // namespace catapult::dist
 

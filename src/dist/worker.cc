@@ -1,10 +1,8 @@
 #include "src/dist/worker.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/persist/codec.h"
-#include "src/persist/record_io.h"
 
 namespace catapult::dist {
 
@@ -33,48 +31,44 @@ ShardClusterResult ComputeShardCluster(const GraphDatabase& db,
   return result;
 }
 
+namespace {
+
+// The kShard payload: the coarse cluster's index and member list (written
+// as a one-cluster list), which bind the payload to its cluster so a plan
+// change or a misfiled record is a validation failure, not silent reuse;
+// then the fine clusters and their CSGs.
+template <class Io>
+void ShardFields(Io& io, uint64_t& cluster_index,
+                 std::vector<std::vector<GraphId>>& coarse,
+                 ShardClusterResult& result) {
+  io(cluster_index, coarse, result.fine_clusters, result.csgs);
+}
+
+}  // namespace
+
 std::string EncodeShardResultPayload(size_t cluster_index,
                                      const std::vector<GraphId>& cluster,
                                      const ShardClusterResult& result) {
-  persist::BinaryWriter w;
-  w.PutU64(cluster_index);
-  // The coarse member list binds the payload to its cluster: a plan change
-  // (or a misfiled record) is a validation failure, not silent reuse.
-  persist::EncodeClusters({cluster}, w);
-  persist::EncodeClusters(result.fine_clusters, w);
-  w.PutU64(result.csgs.size());
-  for (const ClusterSummaryGraph& csg : result.csgs) {
-    persist::EncodeCsg(csg, w);
-  }
-  return w.TakeBuffer();
+  persist::FieldWriter io;
+  uint64_t index = cluster_index;
+  std::vector<std::vector<GraphId>> coarse = {cluster};
+  ShardFields(io, index, coarse, const_cast<ShardClusterResult&>(result));
+  return io.TakeBuffer();
 }
 
 std::string DecodeShardResultPayload(const std::string& payload,
                                      size_t cluster_index,
                                      const std::vector<GraphId>& cluster,
                                      ShardClusterResult* out) {
-  persist::BinaryReader r(payload);
-  uint64_t stored_index = r.GetU64();
+  persist::FieldReader io(payload);
+  uint64_t stored_index = 0;
   std::vector<std::vector<GraphId>> stored_members;
-  if (!persist::DecodeClusters(r, &stored_members)) {
-    return "corrupt member list";
-  }
   ShardClusterResult result;
-  if (!persist::DecodeClusters(r, &result.fine_clusters)) {
-    return "corrupt fine clusters";
-  }
-  uint64_t csg_count = r.GetU64();
-  if (!r.ok() || csg_count != result.fine_clusters.size()) {
+  ShardFields(io, stored_index, stored_members, result);
+  if (!io.Finished()) return "corrupt shard payload";
+  if (result.csgs.size() != result.fine_clusters.size()) {
     return "csg count does not match fine cluster count";
   }
-  result.csgs.reserve(csg_count);
-  for (uint64_t i = 0; i < csg_count; ++i) {
-    std::optional<ClusterSummaryGraph> csg = persist::DecodeCsg(r);
-    if (!csg.has_value()) return "corrupt csg";
-    result.csgs.push_back(std::move(*csg));
-  }
-  if (!r.ok() || !r.AtEnd()) return "corrupt shard payload";
-
   if (stored_index != cluster_index) {
     return "artifact bound to a different cluster index";
   }

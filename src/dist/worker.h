@@ -55,7 +55,8 @@ ShardClusterResult ComputeShardCluster(const GraphDatabase& db,
 // members are `cluster`, as the kShard payload: the bytes a member ships in
 // a ClusterResult frame and CheckpointStore::SaveShard frames as the
 // cluster's record. The index and member list bind the payload to its
-// cluster.
+// cluster. One field list (worker.cc) lays the payload out for both this
+// and DecodeShardResultPayload.
 std::string EncodeShardResultPayload(size_t cluster_index,
                                      const std::vector<GraphId>& cluster,
                                      const ShardClusterResult& result);

@@ -261,32 +261,22 @@ std::optional<GraphDatabase> ReadDatabase(std::istream& in,
     return true;
   };
 
-  std::string line;
-  bool overlong = false;
-  while (!stop_reading &&
-         ReadBoundedLine(in, line, limits.max_line_bytes, &overlong)) {
-    ++line_number;
-    ++rep.lines_read;
-
+  // Checks one input line and applies it when it passes. Returns why the
+  // record is rejected, or "" when it was applied or is ignored: a blank or
+  // comment line, a line of a graph being skipped, or a 't' header (whose
+  // commit of the previous graph reports through `commit_error` and
+  // `stop_reading`).
+  auto CheckLine = [&](const std::string& line,
+                       bool overlong) -> std::string {
     if (overlong) {
-      if (skipping) continue;
-      if (options.strict) return Fail("line exceeds max_line_bytes");
-      Quarantine("line exceeds max_line_bytes");
-      continue;
+      return skipping ? std::string() : "line exceeds max_line_bytes";
     }
-    if (line.empty() || line[0] == '#') continue;
+    if (line.empty() || line[0] == '#') return std::string();
     if (line.find('\0') != std::string::npos) {
-      if (skipping) continue;
-      if (options.strict) return Fail("NUL byte in record");
-      Quarantine("NUL byte in record");
-      continue;
+      return skipping ? std::string() : "NUL byte in record";
     }
     if (CATAPULT_FAILPOINT("io.parse")) {
-      if (options.strict) {
-        return Fail("injected parse failure (failpoint io.parse)");
-      }
-      Quarantine("injected parse failure (failpoint io.parse)");
-      continue;
+      return "injected parse failure (failpoint io.parse)";
     }
 
     std::istringstream tokens(line);
@@ -294,116 +284,82 @@ std::optional<GraphDatabase> ReadDatabase(std::istream& in,
     tokens >> kind;
 
     if (kind == 't') {
-      if (!Commit()) {
-        if (!commit_error.empty()) return Fail(commit_error);
-        if (stop_reading) break;
+      if (!Commit() && (!commit_error.empty() || stop_reading)) {
+        return std::string();
       }
       // Commit may have quarantined the finished graph (label limit), which
       // arms skip mode; the header at hand starts a fresh graph either way.
       skipping = false;
       ++headers_seen;
       has_current = true;
-      continue;
+      return std::string();
     }
-    if (skipping) continue;
+    if (skipping) return std::string();
 
     if (kind == 'v') {
-      if (!has_current) {
-        const std::string reason = "vertex record before any 't' graph header";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
-      }
+      if (!has_current) return "vertex record before any 't' graph header";
       long long id = -1;
       std::string label;
       tokens >> id >> label;
-      if (!tokens) {
-        if (options.strict) return Fail("expected 'v <id> <label>'");
-        Quarantine("expected 'v <id> <label>'");
-        continue;
-      }
+      if (!tokens) return "expected 'v <id> <label>'";
       if (id != static_cast<long long>(pending.vertex_labels.size())) {
-        const std::string reason =
-            "vertex ids must be dense and in order (expected " +
-            std::to_string(pending.vertex_labels.size()) + ", got " +
-            std::to_string(id) + ")";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
+        return "vertex ids must be dense and in order (expected " +
+               std::to_string(pending.vertex_labels.size()) + ", got " +
+               std::to_string(id) + ")";
       }
       if (pending.vertex_labels.size() >= limits.max_vertices_per_graph) {
-        const std::string reason = "vertex limit exceeded";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
+        return "vertex limit exceeded";
       }
       if (label.size() > limits.max_label_bytes) {
-        const std::string reason = "vertex label too long";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
+        return "vertex label too long";
       }
       pending.vertex_labels.push_back(std::move(label));
-    } else if (kind == 'e') {
-      if (!has_current) {
-        const std::string reason = "edge record before any 't' graph header";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
-      }
+      return std::string();
+    }
+    if (kind == 'e') {
+      if (!has_current) return "edge record before any 't' graph header";
       long long u = -1;
       long long v = -1;
       tokens >> u >> v;
-      if (!tokens) {
-        if (options.strict) return Fail("expected 'e <u> <v> [<label>]'");
-        Quarantine("expected 'e <u> <v> [<label>]'");
-        continue;
-      }
-      if (u < 0 || v < 0) {
-        if (options.strict) return Fail("negative edge endpoint");
-        Quarantine("negative edge endpoint");
-        continue;
-      }
-      if (u == v) {
-        const std::string reason = "self-loop edge " + std::to_string(u);
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
-      }
+      if (!tokens) return "expected 'e <u> <v> [<label>]'";
+      if (u < 0 || v < 0) return "negative edge endpoint";
+      if (u == v) return "self-loop edge " + std::to_string(u);
       const long long nv = static_cast<long long>(pending.vertex_labels.size());
       if (u >= nv || v >= nv) {
-        const std::string reason = "edge endpoint out of range (graph has " +
-                                   std::to_string(nv) + " vertices)";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
+        return "edge endpoint out of range (graph has " + std::to_string(nv) +
+               " vertices)";
       }
       if (pending.edges.size() >= limits.max_edges_per_graph) {
-        const std::string reason = "edge limit exceeded";
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
+        return "edge limit exceeded";
       }
       long long edge_label = 0;
       tokens >> edge_label;  // Optional; leaves 0 on failure.
       uint64_t key =
           PackEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
       if (!pending.edge_keys.insert(key).second) {
-        const std::string reason =
-            "duplicate edge " + std::to_string(u) + "-" + std::to_string(v);
-        if (options.strict) return Fail(reason);
-        Quarantine(reason);
-        continue;
+        return "duplicate edge " + std::to_string(u) + "-" + std::to_string(v);
       }
       pending.edges.push_back({static_cast<VertexId>(u),
                                static_cast<VertexId>(v),
                                static_cast<Label>(edge_label)});
-    } else {
-      const std::string reason =
-          std::string("unknown record type '") + kind + "'";
-      if (options.strict) return Fail(reason);
-      Quarantine(reason);
+      return std::string();
     }
+    return std::string("unknown record type '") + kind + "'";
+  };
+
+  std::string line;
+  bool overlong = false;
+  while (!stop_reading &&
+         ReadBoundedLine(in, line, limits.max_line_bytes, &overlong)) {
+    ++line_number;
+    ++rep.lines_read;
+    const std::string reason = CheckLine(line, overlong);
+    if (!commit_error.empty()) return Fail(commit_error);
+    if (reason.empty()) continue;
+    // The one place a rejected record is acted on: strict mode abandons
+    // the read, quarantine mode drops the record's graph and reads on.
+    if (options.strict) return Fail(reason);
+    Quarantine(reason);
   }
 
   if (!stop_reading && !Commit() && !commit_error.empty()) {

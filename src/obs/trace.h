@@ -64,6 +64,17 @@ struct SpanRecord {
   std::vector<std::pair<Counter, uint64_t>> counter_deltas;
 };
 
+// A SpanRecord's wire layout (src/persist/fields.h), inside kShardDone.
+template <class Io>
+void Fields(Io& io, SpanRecord& s) {
+  io(s.name, s.start_ns, s.dur_ns, s.span_id, s.parent_id, s.tid,
+     s.counter_deltas);
+  io.Require(s.counter_deltas.size() <= kNumCounters);
+  for (const auto& delta : s.counter_deltas) {
+    io.Require(static_cast<size_t>(delta.first) < kNumCounters);
+  }
+}
+
 class Tracer {
  public:
   Tracer() = default;

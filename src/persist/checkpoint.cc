@@ -4,92 +4,36 @@
 #include <filesystem>
 
 #include "src/cluster/pipeline.h"
-#include "src/persist/codec.h"
 #include "src/persist/record_io.h"
 
 namespace catapult {
 
 using persist::BinaryReader;
 using persist::BinaryWriter;
-using persist::DecodeClusters;
-using persist::DecodeCsg;
-using persist::DecodeFeature;
-using persist::DecodePattern;
-using persist::DecodeRngState;
-using persist::EncodeClusters;
-using persist::EncodeCsg;
-using persist::EncodeFeature;
-using persist::EncodePattern;
-using persist::EncodeRngState;
 using persist::RecordType;
-
-namespace {
-
-// Phase payload layouts on top of the shared domain codec (codec.h). The
-// decoders with semantic cross-checks live below, outside this namespace,
-// so the fuzz targets can drive them.
-
-std::string EncodeClusteringPayload(const ClusteringArtifact& artifact) {
-  BinaryWriter out;
-  EncodeClusters(artifact.clusters, out);
-  out.PutU64(artifact.features.size());
-  for (const FrequentSubtree& f : artifact.features) EncodeFeature(f, out);
-  EncodeRngState(artifact.rng_after, out);
-  return out.TakeBuffer();
-}
-
-std::string EncodeCsgPayload(const CsgArtifact& artifact) {
-  BinaryWriter out;
-  out.PutU64(artifact.csgs.size());
-  for (const ClusterSummaryGraph& csg : artifact.csgs) EncodeCsg(csg, out);
-  EncodeRngState(artifact.rng_after, out);
-  return out.TakeBuffer();
-}
-
-std::string EncodeSelectionPayload(const SelectorCheckpointState& state) {
-  BinaryWriter out;
-  out.PutU64(state.patterns.size());
-  for (const SelectedPattern& p : state.patterns) EncodePattern(p, out);
-  out.PutU64(state.selected_per_size.size());
-  for (size_t n : state.selected_per_size) out.PutU64(n);
-  out.PutU64(state.cluster_weights.size());
-  for (double w : state.cluster_weights) out.PutDouble(w);
-  out.PutU64(state.edge_label_weights.size());
-  for (const auto& [key, weight] : state.edge_label_weights) {
-    out.PutU64(key);
-    out.PutDouble(weight);
-  }
-  EncodeRngState(state.rng, out);
-  return out.TakeBuffer();
-}
-
-}  // namespace
 
 // --- payload decoding with semantic validation ----------------------------
 //
 // Each returns an empty string on success, else the rejection reason. The
-// structural decode (bounds, ranges) and the semantic cross-checks against
-// the live database/budget are both just "reasons" to recovery: either way
-// the checkpoint is rejected and the ladder steps down. Public (declared in
-// checkpoint.h) so the fuzz targets can drive them with arbitrary payloads.
+// structural decode (the payload's field list: bounds, ranges, a live rng
+// stream) and the semantic cross-checks against the live database/budget
+// are both just "reasons" to recovery: either way the checkpoint is rejected
+// and the ladder steps down. Public (declared in checkpoint.h) so the fuzz
+// targets can drive them with arbitrary payloads.
+
+namespace {
+constexpr char kCorruptPayload[] = "corrupt or truncated payload";
+}  // namespace
 
 std::string DecodeClusteringPayload(const std::string& payload,
                                     const GraphDatabase& db,
                                     ClusteringArtifact* artifact) {
-  BinaryReader in(payload);
-  if (!DecodeClusters(in, &artifact->clusters)) return "corrupt cluster list";
-  uint64_t feature_count = in.GetU64();
-  artifact->features.clear();
-  for (uint64_t i = 0; i < feature_count; ++i) {
-    FrequentSubtree feature;
-    if (!DecodeFeature(in, &feature)) return "corrupt feature subtree";
+  if (!persist::Decode(payload, artifact)) return kCorruptPayload;
+  for (const FrequentSubtree& feature : artifact->features) {
     if (feature.support.size() != db.size()) {
       return "feature support universe does not match database";
     }
-    artifact->features.push_back(std::move(feature));
   }
-  if (!DecodeRngState(in, &artifact->rng_after)) return "corrupt rng state";
-  if (!in.ok() || !in.AtEnd()) return "trailing or truncated payload";
   if (!ValidateClusterAssignment(artifact->clusters, db.size())) {
     return "cluster assignment is not a valid partition of the database";
   }
@@ -99,16 +43,7 @@ std::string DecodeClusteringPayload(const std::string& payload,
 std::string DecodeCsgPayload(const std::string& payload,
                              const std::vector<std::vector<GraphId>>& clusters,
                              CsgArtifact* artifact) {
-  BinaryReader in(payload);
-  uint64_t count = in.GetU64();
-  artifact->csgs.clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    std::optional<ClusterSummaryGraph> csg = DecodeCsg(in);
-    if (!csg.has_value()) return "corrupt cluster summary graph";
-    artifact->csgs.push_back(std::move(*csg));
-  }
-  if (!DecodeRngState(in, &artifact->rng_after)) return "corrupt rng state";
-  if (!in.ok() || !in.AtEnd()) return "trailing or truncated payload";
+  if (!persist::Decode(payload, artifact)) return kCorruptPayload;
   if (artifact->csgs.size() != clusters.size()) {
     return "CSG count does not match cluster count";
   }
@@ -124,34 +59,7 @@ std::string DecodeSelectionPayload(
     const std::string& payload,
     const std::vector<std::vector<GraphId>>& clusters,
     const PatternBudget& budget, SelectorCheckpointState* state) {
-  BinaryReader in(payload);
-  uint64_t pattern_count = in.GetU64();
-  state->patterns.clear();
-  for (uint64_t i = 0; i < pattern_count; ++i) {
-    SelectedPattern p;
-    if (!DecodePattern(in, &p)) return "corrupt selected pattern";
-    state->patterns.push_back(std::move(p));
-  }
-  uint64_t size_count = in.GetU64();
-  state->selected_per_size.clear();
-  for (uint64_t i = 0; i < size_count; ++i) {
-    state->selected_per_size.push_back(in.GetU64());
-  }
-  uint64_t weight_count = in.GetU64();
-  state->cluster_weights.clear();
-  for (uint64_t i = 0; i < weight_count; ++i) {
-    state->cluster_weights.push_back(in.GetDouble());
-  }
-  uint64_t elw_count = in.GetU64();
-  state->edge_label_weights.clear();
-  for (uint64_t i = 0; i < elw_count; ++i) {
-    EdgeLabelKey key = in.GetU64();
-    double weight = in.GetDouble();
-    state->edge_label_weights.emplace_back(key, weight);
-  }
-  if (!DecodeRngState(in, &state->rng)) return "corrupt rng state";
-  if (!in.ok() || !in.AtEnd()) return "trailing or truncated payload";
-
+  if (!persist::Decode(payload, state)) return kCorruptPayload;
   if (state->selected_per_size.size() != budget.NumSizes()) {
     return "per-size tally does not match the pattern budget";
   }
@@ -288,17 +196,16 @@ std::string CheckpointStore::SavePhase(RecordType type,
 
 std::string CheckpointStore::SaveClustering(
     const ClusteringArtifact& artifact) {
-  return SavePhase(RecordType::kClustering,
-                   EncodeClusteringPayload(artifact));
+  return SavePhase(RecordType::kClustering, persist::Encode(artifact));
 }
 
 std::string CheckpointStore::SaveCsgs(const CsgArtifact& artifact) {
-  return SavePhase(RecordType::kCsgs, EncodeCsgPayload(artifact));
+  return SavePhase(RecordType::kCsgs, persist::Encode(artifact));
 }
 
 std::string CheckpointStore::SaveSelection(
     const SelectorCheckpointState& state) {
-  return SavePhase(RecordType::kSelection, EncodeSelectionPayload(state));
+  return SavePhase(RecordType::kSelection, persist::Encode(state));
 }
 
 CheckpointStore::Recovery CheckpointStore::Recover(

@@ -10,12 +10,14 @@
 #include "src/csg/csg.h"
 #include "src/graph/graph_database.h"
 #include "src/mining/subtree_miner.h"
+#include "src/persist/codec.h"
 #include "src/persist/record_io.h"
 #include "src/util/rng.h"
 
 // Crash-safe checkpointing of the Catapult pipeline (DESIGN.md Section 8).
 // Each phase's artifacts are written as versioned, checksummed record files
-// (record_io.h) via the atomic temp + fsync + rename protocol, and a
+// (record_io.h) whose payloads are the field lists below (fields.h), via
+// the atomic temp + fsync + rename protocol, and a
 // manifest — always written *after* the artifact it names — records which
 // phases are durable. Recovery walks the phase chain clustering -> CSGs ->
 // selection and stops at the first invalid link (the recovery ladder):
@@ -58,6 +60,13 @@ struct ClusteringArtifact {
   RngState rng_after;
 };
 
+// The kClustering payload (persist/fields.h).
+template <class Io>
+void Fields(Io& io, ClusteringArtifact& a) {
+  io(a.clusters, a.features, a.rng_after);
+  io.Require(a.rng_after.Valid());
+}
+
 // Durable state of the CSG generation phase. CSG folding consumes no
 // randomness, so `rng_after` equals the clustering artifact's; it is stored
 // anyway so each artifact is independently sufficient to resume from.
@@ -66,13 +75,29 @@ struct CsgArtifact {
   RngState rng_after;
 };
 
-// Payload decoders behind the recovery ladder. Each parses one phase's raw
-// record payload (already stripped of the record framing by record_io) and
-// cross-checks it against the live run; the return value is empty on success
-// and the rejection reason otherwise. They must be total: any byte string —
-// including adversarial ones — yields a clean reject, never a crash or a
-// CATAPULT_CHECK. The fuzz targets under fuzz/ drive them directly, which is
-// why they are exposed here rather than kept file-local.
+// The kCsgs payload.
+template <class Io>
+void Fields(Io& io, CsgArtifact& a) {
+  io(a.csgs, a.rng_after);
+  io.Require(a.rng_after.Valid());
+}
+
+// The kSelection payload: the selector's resumable state (selector.h).
+template <class Io>
+void Fields(Io& io, SelectorCheckpointState& s) {
+  io(s.patterns, s.selected_per_size, s.cluster_weights, s.edge_label_weights,
+     s.rng);
+  io.Require(s.rng.Valid());
+}
+
+// Payload decoders behind the recovery ladder. Each decodes one phase's raw
+// record payload (already stripped of the record framing by record_io) by
+// its field list above, then cross-checks it against the live run; the
+// return value is empty on success and the rejection reason otherwise. They
+// must be total: any byte string — including adversarial ones — yields a
+// clean reject, never a crash or a CATAPULT_CHECK. The fuzz targets under
+// fuzz/ drive them directly, which is why they are exposed here rather than
+// kept file-local.
 std::string DecodeClusteringPayload(const std::string& payload,
                                     const GraphDatabase& db,
                                     ClusteringArtifact* artifact);

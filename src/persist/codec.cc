@@ -1,156 +1,52 @@
 #include "src/persist/codec.h"
 
-#include <algorithm>
-
 namespace catapult::persist {
 
-void EncodeGraph(const Graph& g, BinaryWriter& out) {
-  out.PutU64(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) out.PutU32(g.VertexLabel(v));
-  std::vector<Edge> edges = g.EdgeList();
-  out.PutU64(edges.size());
+void Fields(FieldWriter& io, Graph& g) {
+  io(uint64_t{g.NumVertices()});
+  for (VertexId v = 0; v < g.NumVertices(); ++v) io(g.VertexLabel(v));
+  io(g.EdgeList());
+}
+
+void Fields(FieldReader& io, Graph& g) {
+  std::vector<Label> labels;
+  std::vector<Edge> edges;
+  io(labels, edges);
+  g = Graph();
+  if (!io.ok()) return;
+  for (Label label : labels) g.AddVertex(label);
   for (const Edge& e : edges) {
-    out.PutU32(e.u);
-    out.PutU32(e.v);
-    out.PutU32(e.label);
+    io.Require(e.u < g.NumVertices() && e.v < g.NumVertices() && e.u != e.v &&
+               !g.HasEdge(e.u, e.v));
+    if (!io.ok()) return;
+    g.AddEdge(e.u, e.v, e.label);
   }
 }
 
-bool DecodeGraph(BinaryReader& in, Graph* g) {
-  *g = Graph();
-  uint64_t num_vertices = in.GetU64();
-  for (uint64_t v = 0; v < num_vertices; ++v) {
-    Label label = in.GetU32();
-    if (!in.ok()) return false;
-    g->AddVertex(label);
-  }
-  uint64_t num_edges = in.GetU64();
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    VertexId u = in.GetU32();
-    VertexId v = in.GetU32();
-    Label label = in.GetU32();
-    if (!in.ok() || u >= g->NumVertices() || v >= g->NumVertices() ||
-        u == v || g->HasEdge(u, v)) {
-      return false;
-    }
-    g->AddEdge(u, v, label);
-  }
-  return in.ok();
-}
-
-void EncodeRngState(const RngState& state, BinaryWriter& out) {
-  for (uint64_t word : state.words) out.PutU64(word);
-}
-
-bool DecodeRngState(BinaryReader& in, RngState* state) {
-  for (uint64_t& word : state->words) word = in.GetU64();
-  return in.ok() && state->Valid();
-}
-
-void EncodeClusters(const std::vector<std::vector<GraphId>>& clusters,
-                    BinaryWriter& out) {
-  out.PutU64(clusters.size());
-  for (const std::vector<GraphId>& cluster : clusters) {
-    out.PutU64(cluster.size());
-    for (GraphId id : cluster) out.PutU32(id);
-  }
-}
-
-bool DecodeClusters(BinaryReader& in,
-                    std::vector<std::vector<GraphId>>* clusters) {
-  clusters->clear();
-  uint64_t count = in.GetU64();
-  for (uint64_t c = 0; c < count; ++c) {
-    uint64_t size = in.GetU64();
-    if (!in.ok()) return false;
-    std::vector<GraphId> cluster;
-    cluster.reserve(std::min<uint64_t>(size, 1 << 20));
-    for (uint64_t i = 0; i < size; ++i) {
-      cluster.push_back(in.GetU32());
-      if (!in.ok()) return false;
-    }
-    clusters->push_back(std::move(cluster));
-  }
-  return in.ok();
-}
-
-void EncodeFeature(const FrequentSubtree& feature, BinaryWriter& out) {
-  EncodeGraph(feature.tree, out);
-  out.PutString(feature.canonical);
-  out.PutBitset(feature.support);
-  out.PutDouble(feature.frequency);
-}
-
-bool DecodeFeature(BinaryReader& in, FrequentSubtree* feature) {
-  if (!DecodeGraph(in, &feature->tree)) return false;
-  feature->canonical = in.GetString();
-  feature->support = in.GetBitset();
-  feature->frequency = in.GetDouble();
-  return in.ok();
-}
-
-void EncodeCsg(const ClusterSummaryGraph& csg, BinaryWriter& out) {
-  out.PutU64(csg.cluster_size());
-  out.PutU64(csg.NumVertices());
+void Fields(FieldWriter& io, ClusterSummaryGraph& csg) {
+  io(uint64_t{csg.cluster_size()}, uint64_t{csg.NumVertices()});
   for (VertexId v = 0; v < csg.NumVertices(); ++v) {
-    out.PutU32(csg.VertexLabel(v));
-    out.PutBitset(csg.VertexSupport(v));
+    io(csg.VertexLabel(v), csg.VertexSupport(v));
   }
-  out.PutU64(csg.NumEdges());
-  for (const ClusterSummaryGraph::CsgEdge& e : csg.edges()) {
-    out.PutU32(e.u);
-    out.PutU32(e.v);
-    out.PutBitset(e.support);
-  }
+  io(csg.edges());
 }
 
-std::optional<ClusterSummaryGraph> DecodeCsg(BinaryReader& in) {
-  uint64_t cluster_size = in.GetU64();
-  uint64_t num_vertices = in.GetU64();
+void Fields(FieldReader& io, ClusterSummaryGraph& csg) {
+  uint64_t cluster_size = 0;
+  std::vector<std::pair<Label, DynamicBitset>> vertices;
+  std::vector<ClusterSummaryGraph::CsgEdge> edges;
+  io(cluster_size, vertices, edges);
+  if (!io.ok()) return;
   std::vector<Label> labels;
   std::vector<DynamicBitset> supports;
-  for (uint64_t v = 0; v < num_vertices; ++v) {
-    labels.push_back(in.GetU32());
-    supports.push_back(in.GetBitset());
-    if (!in.ok()) return std::nullopt;
+  for (auto& [label, support] : vertices) {
+    labels.push_back(label);
+    supports.push_back(std::move(support));
   }
-  uint64_t num_edges = in.GetU64();
-  std::vector<ClusterSummaryGraph::CsgEdge> edges;
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    ClusterSummaryGraph::CsgEdge e;
-    e.u = in.GetU32();
-    e.v = in.GetU32();
-    e.support = in.GetBitset();
-    if (!in.ok()) return std::nullopt;
-    edges.push_back(std::move(e));
-  }
-  if (!in.ok()) return std::nullopt;
-  return ClusterSummaryGraph::FromParts(cluster_size, std::move(labels),
-                                        std::move(supports),
-                                        std::move(edges));
-}
-
-void EncodePattern(const SelectedPattern& p, BinaryWriter& out) {
-  EncodeGraph(p.graph, out);
-  out.PutDouble(p.score);
-  out.PutDouble(p.ccov);
-  out.PutDouble(p.lcov);
-  out.PutDouble(p.div);
-  out.PutDouble(p.cog);
-  out.PutU64(p.source_csg);
-  out.PutU8(p.fallback ? 1 : 0);
-}
-
-bool DecodePattern(BinaryReader& in, SelectedPattern* p) {
-  if (!DecodeGraph(in, &p->graph)) return false;
-  p->score = in.GetDouble();
-  p->ccov = in.GetDouble();
-  p->lcov = in.GetDouble();
-  p->div = in.GetDouble();
-  p->cog = in.GetDouble();
-  p->source_csg = in.GetU64();
-  p->fallback = in.GetU8() != 0;
-  return in.ok();
+  std::optional<ClusterSummaryGraph> parts = ClusterSummaryGraph::FromParts(
+      cluster_size, std::move(labels), std::move(supports), std::move(edges));
+  io.Require(parts.has_value());
+  if (parts.has_value()) csg = std::move(*parts);
 }
 
 }  // namespace catapult::persist

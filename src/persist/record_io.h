@@ -82,8 +82,11 @@ class BinaryReader {
 
   // True while every read so far was in bounds and well-formed.
   bool ok() const { return ok_; }
+  // Marks the payload malformed: a check above the byte level failed.
+  void Fail() { ok_ = false; }
   // True when the whole buffer was consumed (trailing garbage = corrupt).
   bool AtEnd() const { return position_ == buffer_.size(); }
+  size_t Remaining() const { return buffer_.size() - position_; }
 
  private:
   bool Ensure(size_t bytes);

@@ -1,24 +1,6 @@
 #include "src/serve/protocol.h"
 
-#include "src/persist/codec.h"
-#include "src/persist/record_io.h"
-
 namespace catapult::serve {
-
-namespace {
-
-using persist::BinaryReader;
-using persist::BinaryWriter;
-
-// Caps on decoded collection sizes. A hostile peer can claim any length in
-// a variable-size field; these bounds keep a single 4MB frame from turning
-// into an unbounded allocation. Far above anything a legal panel produces.
-constexpr uint64_t kMaxPanelPatterns = 1u << 16;
-constexpr uint64_t kMaxPanelLabels = 1u << 20;
-
-bool FinishDecode(BinaryReader& in) { return in.ok() && in.AtEnd(); }
-
-}  // namespace
 
 const char* ToString(ShedReason reason) {
   switch (reason) {
@@ -32,149 +14,6 @@ const char* ToString(ShedReason reason) {
       return "session_limit";
   }
   return "unknown";
-}
-
-std::string Encode(const MineRequest& m) {
-  BinaryWriter out;
-  out.PutU32(m.protocol_version);
-  out.PutU64(m.eta_min);
-  out.PutU64(m.eta_max);
-  out.PutU64(m.gamma);
-  out.PutDouble(m.deadline_ms);
-  out.PutU8(m.bypass_cache ? 1 : 0);
-  out.PutU64(m.trace_id);
-  out.PutU64(m.parent_span_id);
-  return out.TakeBuffer();
-}
-
-bool Decode(const std::string& payload, MineRequest* m) {
-  BinaryReader in(payload);
-  m->protocol_version = in.GetU32();
-  m->eta_min = in.GetU64();
-  m->eta_max = in.GetU64();
-  m->gamma = in.GetU64();
-  m->deadline_ms = in.GetDouble();
-  m->bypass_cache = in.GetU8() != 0;
-  m->trace_id = in.GetU64();
-  m->parent_span_id = in.GetU64();
-  return FinishDecode(in);
-}
-
-std::string Encode(const MineReply& m) {
-  BinaryWriter out;
-  out.PutU8(m.cache_hit ? 1 : 0);
-  out.PutString(m.panel);
-  return out.TakeBuffer();
-}
-
-bool Decode(const std::string& payload, MineReply* m) {
-  BinaryReader in(payload);
-  m->cache_hit = in.GetU8() != 0;
-  m->panel = in.GetString();
-  return FinishDecode(in);
-}
-
-std::string Encode(const ShedReply& m) {
-  BinaryWriter out;
-  out.PutU32(static_cast<uint32_t>(m.reason));
-  out.PutDouble(m.retry_after_ms);
-  out.PutU64(m.queue_depth);
-  out.PutU64(m.request_id);
-  return out.TakeBuffer();
-}
-
-bool Decode(const std::string& payload, ShedReply* m) {
-  BinaryReader in(payload);
-  const uint32_t reason = in.GetU32();
-  m->retry_after_ms = in.GetDouble();
-  m->queue_depth = in.GetU64();
-  m->request_id = in.GetU64();
-  if (!FinishDecode(in)) return false;
-  if (reason < static_cast<uint32_t>(ShedReason::kQueueFull) ||
-      reason > static_cast<uint32_t>(ShedReason::kSessionLimit)) {
-    return false;
-  }
-  m->reason = static_cast<ShedReason>(reason);
-  return true;
-}
-
-std::string Encode(const ErrorReply& m) {
-  BinaryWriter out;
-  out.PutString(m.message);
-  out.PutU64(m.request_id);
-  return out.TakeBuffer();
-}
-
-bool Decode(const std::string& payload, ErrorReply* m) {
-  BinaryReader in(payload);
-  m->message = in.GetString();
-  m->request_id = in.GetU64();
-  return FinishDecode(in);
-}
-
-std::string Encode(const PingRequest& m) {
-  BinaryWriter out;
-  out.PutU64(m.nonce);
-  return out.TakeBuffer();
-}
-
-bool Decode(const std::string& payload, PingRequest* m) {
-  BinaryReader in(payload);
-  m->nonce = in.GetU64();
-  return FinishDecode(in);
-}
-
-std::string Encode(const PongReply& m) {
-  BinaryWriter out;
-  out.PutU64(m.nonce);
-  out.PutU64(m.sessions);
-  out.PutU64(m.queue_depth);
-  out.PutU8(m.draining ? 1 : 0);
-  return out.TakeBuffer();
-}
-
-bool Decode(const std::string& payload, PongReply* m) {
-  BinaryReader in(payload);
-  m->nonce = in.GetU64();
-  m->sessions = in.GetU64();
-  m->queue_depth = in.GetU64();
-  m->draining = in.GetU8() != 0;
-  return FinishDecode(in);
-}
-
-std::string EncodePanel(const Panel& panel) {
-  BinaryWriter out;
-  out.PutU8(panel.degraded ? 1 : 0);
-  out.PutU64(panel.labels.size());
-  for (const std::string& label : panel.labels) out.PutString(label);
-  out.PutU64(panel.patterns.size());
-  for (const SelectedPattern& p : panel.patterns) {
-    persist::EncodePattern(p, out);
-  }
-  return out.TakeBuffer();
-}
-
-bool DecodePanel(const std::string& bytes, Panel* panel) {
-  BinaryReader in(bytes);
-  panel->degraded = in.GetU8() != 0;
-  const uint64_t num_labels = in.GetU64();
-  if (!in.ok() || num_labels > kMaxPanelLabels) return false;
-  panel->labels.clear();
-  panel->labels.reserve(static_cast<size_t>(num_labels));
-  for (uint64_t i = 0; i < num_labels; ++i) {
-    panel->labels.push_back(in.GetString());
-    if (!in.ok()) return false;
-  }
-  const uint64_t num_patterns = in.GetU64();
-  if (!in.ok() || num_patterns > kMaxPanelPatterns) return false;
-  panel->patterns.clear();
-  panel->patterns.reserve(static_cast<size_t>(num_patterns));
-  for (uint64_t i = 0; i < num_patterns; ++i) {
-    SelectedPattern p;
-    if (!persist::DecodePattern(in, &p)) return false;
-    panel->patterns.push_back(std::move(p));
-  }
-  return FinishDecode(in);
 }
 
 }  // namespace catapult::serve

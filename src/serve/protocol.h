@@ -6,16 +6,22 @@
 #include <vector>
 
 #include "src/core/selector.h"
+#include "src/persist/codec.h"
+#include "src/persist/fields.h"
 
 // Payloads of the pattern-selection service's wire protocol (DESIGN.md
 // §13). Frames reuse the CRC-checked CTWF framing of src/dist/wire.h over a
-// SOCK_STREAM socket; the payload encodings reuse the persist BinaryWriter/
-// BinaryReader, so every decoder inherits the sticky-fail contract: any byte
-// string either decodes fully or is rejected with `false`, never a crash or
-// out-of-bounds read. A payload that fails to decode poisons the stream
-// exactly like a bad frame header — the peer is dropped, never the process.
+// SOCK_STREAM socket. Each payload's layout is the field list next to its
+// struct (src/persist/fields.h), which Encode and Decode both walk, so
+// every decoder inherits the sticky-fail contract: any byte string either
+// decodes fully or is rejected with `false`, never a crash or out-of-bounds
+// read. A payload that fails to decode poisons the stream exactly like a
+// bad frame header — the peer is dropped, never the process.
 
 namespace catapult::serve {
+
+using persist::Decode;
+using persist::Encode;
 
 // Bumped when an encoding changes shape. Carried in every request so a
 // server can reject clients from a different build instead of mis-decoding.
@@ -47,6 +53,12 @@ struct MineRequest {
   uint64_t parent_span_id = 0;
 };
 
+template <class Io>
+void Fields(Io& io, MineRequest& m) {
+  io(m.protocol_version, m.eta_min, m.eta_max, m.gamma, m.deadline_ms,
+     m.bypass_cache, m.trace_id, m.parent_span_id);
+}
+
 // The deterministic panel section of a response: label names (so a client
 // can render/write the panel without the database), the selected patterns,
 // and the degradation verdict. Encoded once and byte-compared by the
@@ -58,6 +70,17 @@ struct Panel {
   std::vector<SelectedPattern> patterns;
 };
 
+// Caps on a decoded panel, far above anything a legal panel holds.
+inline constexpr uint64_t kMaxPanelPatterns = 1u << 16;
+inline constexpr uint64_t kMaxPanelLabels = 1u << 20;
+
+template <class Io>
+void Fields(Io& io, Panel& p) {
+  io(p.degraded, p.labels, p.patterns);
+  io.Require(p.labels.size() <= kMaxPanelLabels &&
+             p.patterns.size() <= kMaxPanelPatterns);
+}
+
 // Server -> client: a panel reply. `panel` is the encoded Panel bytes kept
 // opaque so cache hits replay the exact bytes the original computation
 // produced.
@@ -65,6 +88,11 @@ struct MineReply {
   bool cache_hit = false;
   std::string panel;
 };
+
+template <class Io>
+void Fields(Io& io, MineReply& m) {
+  io(m.cache_hit, m.panel);
+}
 
 // Server -> client: the request was refused by admission control. The
 // client should back off for `retry_after_ms` and retry; the connection
@@ -87,12 +115,24 @@ struct ShedReply {
   uint64_t request_id = 0;
 };
 
+template <class Io>
+void Fields(Io& io, ShedReply& m) {
+  io(m.reason, m.retry_after_ms, m.queue_depth, m.request_id);
+  io.Require(m.reason >= ShedReason::kQueueFull &&
+             m.reason <= ShedReason::kSessionLimit);
+}
+
 // Server -> client: the request was understood but invalid (e.g. a budget
 // violating Definition 3.1). The connection stays healthy.
 struct ErrorReply {
   std::string message;
   uint64_t request_id = 0;  // server-assigned; 0 = unassigned
 };
+
+template <class Io>
+void Fields(Io& io, ErrorReply& m) {
+  io(m.message, m.request_id);
+}
 
 // Liveness/status probe and its echo.
 struct PingRequest {
@@ -105,24 +145,22 @@ struct PongReply {
   bool draining = false;
 };
 
-std::string Encode(const MineRequest& m);
-std::string Encode(const MineReply& m);
-std::string Encode(const ShedReply& m);
-std::string Encode(const ErrorReply& m);
-std::string Encode(const PingRequest& m);
-std::string Encode(const PongReply& m);
-bool Decode(const std::string& payload, MineRequest* m);
-bool Decode(const std::string& payload, MineReply* m);
-bool Decode(const std::string& payload, ShedReply* m);
-bool Decode(const std::string& payload, ErrorReply* m);
-bool Decode(const std::string& payload, PingRequest* m);
-bool Decode(const std::string& payload, PongReply* m);
+template <class Io>
+void Fields(Io& io, PingRequest& m) {
+  io(m.nonce);
+}
+template <class Io>
+void Fields(Io& io, PongReply& m) {
+  io(m.nonce, m.sessions, m.queue_depth, m.draining);
+}
 
 // Panel <-> bytes. EncodePanel is deterministic in its inputs; DecodePanel
-// validates structure (pattern count cap, label references) and rejects
+// validates structure (the caps above, each pattern's graph) and rejects
 // with false instead of crashing.
-std::string EncodePanel(const Panel& panel);
-bool DecodePanel(const std::string& bytes, Panel* panel);
+inline std::string EncodePanel(const Panel& panel) { return Encode(panel); }
+inline bool DecodePanel(const std::string& bytes, Panel* panel) {
+  return Decode(bytes, panel);
+}
 
 }  // namespace catapult::serve
 

@@ -25,6 +25,14 @@ struct RngState {
   }
 };
 
+// An rng stream position's byte layout (src/persist/fields.h). Payloads
+// that resume a stream also Require it Valid(): the all-zero state is
+// xoshiro's absorbing fixed point, which no healthy run produces.
+template <class Io>
+void Fields(Io& io, RngState& state) {
+  io(state.words);
+}
+
 // Deterministic pseudo-random number generator (xoshiro256** seeded via
 // SplitMix64). Every randomised component in the library takes an explicit
 // `Rng&` so that experiments are reproducible bit-for-bit from a seed.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
@@ -769,6 +770,76 @@ TEST(DistNetMemberTest, ShutdownBeforeAResetEndsTheSessionInOrder) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+// Plays a supervisor on a fresh Unix socket that reads each connection's
+// JoinRequest and answers it with `answer` before hanging up (or just hangs
+// up when there is none), while RunRemoteWorker dials it with a budget of 2
+// redials. Returns the worker's exit code and counts the handshakes read.
+int AnswerEveryHandshake(const std::optional<dist::ShutdownFrame>& answer,
+                         size_t* handshakes) {
+  const std::string address = "unix:" + ScratchDir("handshake") + "/sup.sock";
+  dist::Address addr;
+  std::string error;
+  dist::Listener listener;
+  if (!dist::ParseAddress(address, &addr, &error) ||
+      !listener.Listen(addr).empty()) {
+    return -1;
+  }
+  dist::RemoteWorkerOptions opts;
+  opts.address = address;
+  opts.dial_backoff_base_ms = 1.0;
+  opts.dial_backoff_cap_ms = 5.0;
+  opts.max_dial_attempts = 2;
+  const GraphDatabase db = NetDb();
+  std::atomic<bool> done{false};
+  int code = -1;
+  std::thread worker([&] {
+    code = dist::RunRemoteWorker(db, opts);
+    done = true;
+  });
+  *handshakes = 0;
+  while (!done) {
+    const int fd = listener.Accept();
+    if (fd < 0) {
+      ::usleep(1000);
+      continue;
+    }
+    dist::Channel sup(fd);
+    dist::FrameReader reader;
+    dist::Frame join;
+    if (dist::WaitFrame(sup, reader, 5000.0, &join) ==
+            dist::WaitStatus::kFrame &&
+        join.type == dist::FrameType::kJoinRequest) {
+      ++*handshakes;
+    }
+    if (answer.has_value()) sup.Send(*answer, dist::FrameType::kShutdown);
+  }  // each connection is closed as its Channel goes out of scope
+  worker.join();
+  return code;
+}
+
+// A supervisor that reads the JoinRequest and hangs up cannot speak this
+// build's protocol: the worker says so at once, rather than redialing its
+// budget away and reporting the supervisor unreachable.
+TEST(DistNetMemberTest, HandshakeHangUpExitsWithProtocolCode) {
+  size_t handshakes = 0;
+  EXPECT_EQ(AnswerEveryHandshake(std::nullopt, &handshakes),
+            dist::kWorkerExitProtocol);
+  EXPECT_EQ(handshakes, 1u);
+}
+
+// A worker that knocks as the run ends is told so in answer to its
+// JoinRequest, and exits cleanly.
+TEST(DistNetMemberTest, ShutdownAnsweringTheHandshakeExitsCleanly) {
+  size_t handshakes = 0;
+  EXPECT_EQ(AnswerEveryHandshake(
+                dist::ShutdownFrame{
+                    static_cast<uint32_t>(dist::ShutdownCode::kDone),
+                    "run complete"},
+                &handshakes),
+            0);
+  EXPECT_EQ(handshakes, 1u);
+}
+
 // --- end-to-end: remote fleet chaos matrix ----------------------------------
 
 CatapultOptions NetBaseOptions() {
@@ -791,9 +862,7 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 std::string EncodeCsgBytes(const ClusterSummaryGraph& csg) {
-  persist::BinaryWriter w;
-  persist::EncodeCsg(csg, w);
-  return w.TakeBuffer();
+  return persist::Encode(csg);
 }
 
 void ExpectSameResult(const CatapultResult& expected,

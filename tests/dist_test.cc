@@ -91,9 +91,7 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 std::string EncodeCsgBytes(const ClusterSummaryGraph& csg) {
-  persist::BinaryWriter w;
-  persist::EncodeCsg(csg, w);
-  return w.TakeBuffer();
+  return persist::Encode(csg);
 }
 
 // The acceptance bar: selection, clusters, and CSGs of a sharded run must

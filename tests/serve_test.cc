@@ -136,11 +136,7 @@ uint64_t WaitCounterAtLeast(const serve::Server& server, obs::Counter c,
   return value;
 }
 
-std::string GraphBytes(const Graph& g) {
-  persist::BinaryWriter out;
-  persist::EncodeGraph(g, out);
-  return out.TakeBuffer();
-}
+std::string GraphBytes(const Graph& g) { return persist::Encode(g); }
 
 using Kind = serve::ServeClient::MineOutcome::Kind;
 
